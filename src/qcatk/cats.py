@@ -27,11 +27,24 @@ class FinCategory:
         self.name = name
         self.id_set = frozenset(self.ids.values())
         self._hom: dict[tuple, list] = {}
+        self._out: dict = {}
+        self._into: dict = {}
         for m in self.morphisms:
             self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
+            self._into.setdefault(self.tgt[m], []).append(m)
+            if m not in self.id_set:
+                self._out.setdefault(self.src[m], []).append(m)
 
     def hom(self, a, b) -> list:
         return self._hom.get((a, b), [])
+
+    def nonid_out(self, a) -> list:
+        """Non-identity morphisms with source a, in morphism order."""
+        return self._out.get(a, [])
+
+    def into(self, b) -> list:
+        """All morphisms with target b, in morphism order."""
+        return self._into.get(b, [])
 
     def compose_mor(self, g, f):
         """g after f."""
@@ -44,32 +57,38 @@ class FinCategory:
         return self.comp[(g, f)]
 
     def check(self) -> None:
+        """Raise ValueError at the first failing category law.
+
+        Only pairs and triples of non-identity morphisms are visited, in
+        morphism order: once the identities have the right endpoints, the
+        identity short cut of ``compose_mor`` makes every pair or triple
+        containing one pass.  Composites found by the endpoint pass are kept
+        in ``rows[g][f]`` and reused by the associativity pass.
+        """
         for o in self.objects:
             i = self.ids[o]
             if self.src[i] != o or self.tgt[i] != o:
                 raise ValueError(f"identity of {o!r} has wrong endpoints")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.src[g] != self.tgt[f]:
-                    continue
-                h = self.compose_mor(g, f)
-                if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
+        src, tgt, ids, comp = self.src, self.tgt, self.id_set, self.comp
+        nonid = [m for m in self.morphisms if m not in ids]
+        rows: dict = {g: {} for g in nonid}
+        for f in nonid:
+            for g in self.nonid_out(tgt[f]):
+                h = rows[g][f] = comp[(g, f)]
+                if src[h] != src[f] or tgt[h] != tgt[g]:
                     raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
         for f in self.morphisms:
             if self.compose_mor(self.ids[self.tgt[f]], f) != f:
                 raise ValueError(f"left identity fails at {f!r}")
             if self.compose_mor(f, self.ids[self.src[f]]) != f:
                 raise ValueError(f"right identity fails at {f!r}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.src[g] != self.tgt[f]:
-                    continue
-                for h in self.morphisms:
-                    if self.src[h] != self.tgt[g]:
-                        continue
-                    if self.compose_mor(h, self.compose_mor(g, f)) != self.compose_mor(
-                        self.compose_mor(h, g), f
-                    ):
+        for f in nonid:
+            for g in self.nonid_out(tgt[f]):
+                gf = rows[g][f]
+                for h in self.nonid_out(tgt[g]):
+                    row = rows[h]
+                    hg = row[g]
+                    if (h if gf in ids else row[gf]) != (f if hg in ids else rows[hg][f]):
                         raise ValueError(f"associativity fails at {f!r}, {g!r}, {h!r}")
 
     def is_iso(self, m) -> bool:
@@ -93,12 +112,10 @@ class FinCategory:
         ids = {(a, b): (self.ids[a], other.ids[b]) for a, b in objects}
         comp = {}
         for f1, g1 in morphisms:
-            for f2, g2 in morphisms:
-                if self.src[f1] == self.tgt[f2] and other.src[g1] == other.tgt[g2]:
-                    comp[((f1, g1), (f2, g2))] = (
-                        self.compose_mor(f1, f2),
-                        other.compose_mor(g1, g2),
-                    )
+            for f2 in self.into(self.src[f1]):
+                h1 = self.compose_mor(f1, f2)
+                for g2 in other.into(other.src[g1]):
+                    comp[((f1, g1), (f2, g2))] = (h1, other.compose_mor(g1, g2))
         return FinCategory(objects, morphisms, src, tgt, ids, comp)
 
     def join(self, other: "FinCategory") -> "FinCategory":
@@ -118,11 +135,12 @@ class FinCategory:
                 src[m], tgt[m] = ("l", m[1]), ("r", m[2])
         ids = {("l", a): ("l", self.ids[a]) for a in self.objects}
         ids.update({("r", b): ("r", other.ids[b]) for b in other.objects})
+        into: dict = {}
+        for f in morphisms:
+            into.setdefault(tgt[f], []).append(f)
         comp = {}
         for g in morphisms:
-            for f in morphisms:
-                if src[g] != tgt[f]:
-                    continue
+            for f in into.get(src[g], ()):
                 if f[0] == "l" and g[0] == "l":
                     comp[(g, f)] = ("l", self.compose_mor(g[1], f[1]))
                 elif f[0] == "r" and g[0] == "r":
@@ -149,9 +167,13 @@ class FinFunctor:
                 raise ValueError(f"functor breaks source of {f!r}")
             if D.tgt[self.mor_map[f]] != self.obj_map[C.tgt[f]]:
                 raise ValueError(f"functor breaks target of {f!r}")
+        # a pair containing an identity passes once identities, sources and
+        # targets are preserved, so only non-identity pairs are visited
         for g in C.morphisms:
-            for f in C.morphisms:
-                if C.src[g] != C.tgt[f]:
+            if g in C.id_set:
+                continue
+            for f in C.into(C.src[g]):
+                if f in C.id_set:
                     continue
                 if self.mor_map[C.compose_mor(g, f)] != D.compose_mor(
                     self.mor_map[g], self.mor_map[f]
@@ -284,7 +306,7 @@ def nerve(C: FinCategory, d: int) -> SimplicialSet:
     if d >= 1:
         strings.append(sorted(((m,) for m in nonid), key=repr))
     for n in range(2, d + 1):
-        layer = [s + (m,) for s in strings[n - 1] for m in nonid if C.src[m] == C.tgt[s[-1]]]
+        layer = [s + (m,) for s in strings[n - 1] for m in C.nonid_out(C.tgt[s[-1]])]
         strings.append(sorted(layer, key=repr))
 
     n_gens = [len(layer) for layer in strings]

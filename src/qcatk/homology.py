@@ -140,7 +140,10 @@ def group_from_relations(num_gens: int, relations: list[list[int]]) -> AbelianGr
 # -- invariants of simplicial sets -------------------------------------------
 
 
-class _UF:
+class UnionFind:
+    """Disjoint sets over hashable, mutually comparable elements; each root
+    is the minimal element of its set."""
+
     def __init__(self):
         self.parent = {}
 
@@ -151,7 +154,8 @@ class _UF:
             x = self.parent[x]
         return x
 
-    def union(self, x, y):
+    def union(self, x, y) -> bool:
+        """Merge the sets of x and y; return whether they were apart."""
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[max(rx, ry)] = min(rx, ry)
@@ -161,7 +165,7 @@ class _UF:
 
 def pi0(X: SimplicialSet) -> list[SimplexKey]:
     """Connected-component representatives (minimal vertex per component)."""
-    uf = _UF()
+    uf = UnionFind()
     for v in X.simplices(0):
         uf.find(v)
     if X.top_dim >= 1:
@@ -233,7 +237,7 @@ def pi1_abelianized(X: SimplicialSet, basepoint: SimplexKey) -> AbelianGroupPres
     edges killed; relations from nondegenerate 2-simplices (degenerate faces
     act as identities).
     """
-    uf = _UF()
+    uf = UnionFind()
     for v in X.simplices(0):
         uf.find(v)
     edges = [SimplexKey(g) for g in X.gens(1)]

@@ -165,8 +165,13 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
         _expect(name in gen_of_name, f"faces given for unknown generator {name!r}",
                 f"{pointer}/faces/{name}")
     bound = obj.get("bound")
-    _expect(bound is None or isinstance(bound, int), "'bound' must be null or int",
-            pointer + "/bound")
+    _expect(bound is None or (isinstance(bound, int) and not isinstance(bound, bool)
+                              and bound >= 0),
+            "'bound' must be null or a nonnegative integer", pointer + "/bound")
+    if bound is not None:
+        for n in range(bound + 1, len(n_gens)):
+            _expect(n_gens[n] == 0, f"generators in dimension {n} above the bound {bound}",
+                    f"{pointer}/generators/{n}")
     category = None
     if "category" in obj:
         category = parse_category(obj["category"], pointer + "/category")
@@ -467,4 +472,11 @@ def dumps(obj) -> str:
 
 def load_path(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"malformed JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"malformed JSON: not UTF-8 at byte {exc.start}") from exc

@@ -409,7 +409,7 @@ def _level_equiv_comparison(G: ExactFunctorData, n: int, d: int, budget: int) ->
 
 
 def _component_map(X: SimplicialSet, reps):
-    uf = hl._UF()
+    uf = hl.UnionFind()
     for v in X.simplices(0):
         uf.find(v)
     for g in X.gens(1):

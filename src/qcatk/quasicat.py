@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import simplicial as sx
 from .cats import FinCategory
+from .homology import UnionFind
 from .simplicial import (
     BudgetExceeded,
     SimplexKey,
@@ -46,27 +47,10 @@ def is_quasicategory(X: SimplicialSet, d: int, budget: int = 10**6) -> dict:
 # -- homotopy of edges -------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
     """Map each edge to the minimal representative of its homotopy class."""
     X.require_bound(2, "edge homotopy")
-    uf = _UnionFind()
+    uf = UnionFind()
     for e in X.simplices(1):
         uf.find(e)
     for t in X.simplices(2):

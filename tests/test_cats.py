@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import (
+    FinCategory,
     FinFunctor,
     chain_poset,
     cyclic_group_category,
@@ -148,3 +149,137 @@ def test_groupoid_core_keeps_only_invertibles():
     C = idempotent_monoid_category()
     G = groupoid_core(C)
     assert len(G.morphisms) == 1  # only the unit survives
+
+
+# ---------------------------------------------------------------------------
+# indexed checks against the all-pairs oracles
+
+
+def naive_check(C):
+    """FinCategory.check as it loops over every pair and triple of
+    morphisms and filters by endpoint; the reference for the indexed check."""
+    for o in C.objects:
+        i = C.ids[o]
+        if C.src[i] != o or C.tgt[i] != o:
+            raise ValueError(f"identity of {o!r} has wrong endpoints")
+    for f in C.morphisms:
+        for g in C.morphisms:
+            if C.src[g] != C.tgt[f]:
+                continue
+            h = C.compose_mor(g, f)
+            if C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]:
+                raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
+    for f in C.morphisms:
+        if C.compose_mor(C.ids[C.tgt[f]], f) != f:
+            raise ValueError(f"left identity fails at {f!r}")
+        if C.compose_mor(f, C.ids[C.src[f]]) != f:
+            raise ValueError(f"right identity fails at {f!r}")
+    for f in C.morphisms:
+        for g in C.morphisms:
+            if C.src[g] != C.tgt[f]:
+                continue
+            for h in C.morphisms:
+                if C.src[h] != C.tgt[g]:
+                    continue
+                if C.compose_mor(h, C.compose_mor(g, f)) != C.compose_mor(
+                    C.compose_mor(h, g), f
+                ):
+                    raise ValueError(f"associativity fails at {f!r}, {g!r}, {h!r}")
+
+
+def naive_functor_check(F):
+    """FinFunctor.check over every pair of source morphisms, g-major."""
+    C, D = F.source, F.target
+    for o in C.objects:
+        if F.mor_map[C.ids[o]] != D.ids[F.obj_map[o]]:
+            raise ValueError(f"functor does not preserve identity of {o!r}")
+    for f in C.morphisms:
+        if D.src[F.mor_map[f]] != F.obj_map[C.src[f]]:
+            raise ValueError(f"functor breaks source of {f!r}")
+        if D.tgt[F.mor_map[f]] != F.obj_map[C.tgt[f]]:
+            raise ValueError(f"functor breaks target of {f!r}")
+    for g in C.morphisms:
+        for f in C.morphisms:
+            if C.src[g] != C.tgt[f]:
+                continue
+            if F.mor_map[C.compose_mor(g, f)] != D.compose_mor(F.mor_map[g], F.mor_map[f]):
+                raise ValueError(f"functor breaks composition {g!r} o {f!r}")
+
+
+def _outcome(check, x):
+    try:
+        check(x)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _small_category(rng):
+    C = random_category(rng, 4)
+    kind = rng.choice(["plain", "opposite", "product"])
+    if kind == "opposite":
+        return C.opposite()
+    if kind == "product":
+        return C.product(rng.choice([chain_poset(1), cyclic_group_category(2),
+                                     random_poset(rng, 2)]))
+    return C
+
+
+def _replacement(rng, C, old, a, b):
+    """Another morphism a -> b, or one with other endpoints, or None."""
+    if rng.random() < 0.5:
+        pool = [m for m in C.hom(a, b) if m != old]
+    else:
+        pool = [m for m in C.morphisms if (C.src[m], C.tgt[m]) != (a, b)]
+    return rng.choice(pool) if pool else None
+
+
+# Up to three entries are corrupted, so that the first failure, and with it
+# the error text, depends on the order in which pairs and triples are visited.
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_indexed_category_check_matches_the_all_pairs_oracle(seed, pick, n_bad):
+    rng = random.Random(seed)
+    C = _small_category(rng)
+    assert _outcome(naive_check, C) is None
+    C.check()
+    keys = [k for k in C.comp if not C.id_set.intersection(k)]
+    if not keys:
+        return
+    rng = random.Random(pick)
+    comp = dict(C.comp)
+    for g, f in rng.sample(keys, min(n_bad, len(keys))):
+        new = _replacement(rng, C, comp[(g, f)], C.src[f], C.tgt[g])
+        if new is not None:
+            comp[(g, f)] = new
+    bad = FinCategory(C.objects, C.morphisms, C.src, C.tgt, C.ids, comp)
+    assert _outcome(FinCategory.check, bad) == _outcome(naive_check, bad)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_indexed_functor_check_matches_the_all_pairs_oracle(seed, pick, n_bad):
+    rng = random.Random(seed)
+    A = _small_category(rng)
+    B = random_category(rng, 2)
+    if rng.random() < 0.5:
+        F = FinFunctor(A, A, {o: o for o in A.objects}, {m: m for m in A.morphisms})
+    else:
+        P = A.product(B)
+        F = FinFunctor(P, A, {o: o[0] for o in P.objects},
+                       {m: m[0] for m in P.morphisms})
+    assert _outcome(naive_functor_check, F) is None
+    F.check()
+    C, D = F.source, F.target
+    nonid = [m for m in C.morphisms if m not in C.id_set]
+    rng = random.Random(pick)
+    mor_map = dict(F.mor_map)
+    for m in rng.sample(nonid, min(n_bad, len(nonid))):
+        old = mor_map[m]
+        new = _replacement(rng, D, old, D.src[old], D.tgt[old])
+        if new is not None:
+            mor_map[m] = new
+    bad = FinFunctor(C, D, F.obj_map, mor_map)
+    assert _outcome(FinFunctor.check, bad) == _outcome(naive_functor_check, bad)

@@ -120,6 +120,17 @@ def test_missing_file_exits_one(files, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("content", [b'{"generators": [["a"]], "faces": {', b"\xff\xfe{}"])
+def test_malformed_json_exits_one_with_a_pointer(files, capsys, content):
+    bad = files["dir"] / "malformed.json"
+    bad.write_bytes(content)
+    code = main(["validate", str(bad)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["pointer"] == "/"
+    assert err["error"].startswith("malformed JSON")
+
+
 def test_out_flag_writes_the_report_to_a_file(files, capsys):
     target = files["dir"] / "report.json"
     code = main(["contractible", files["d2"], "--out", str(target)])

@@ -80,6 +80,21 @@ def test_malformed_face_entry_reports_a_pointer():
     assert exc.value.pointer.startswith("/faces")
 
 
+@pytest.mark.parametrize("bound", [-3, True])
+def test_bound_must_be_null_or_a_nonnegative_integer(bound):
+    doc = dict(io.serialize_sset(sx.delta(1)), bound=bound)
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_sset(doc)
+    assert exc.value.pointer == "/bound"
+
+
+def test_generators_above_the_bound_are_rejected():
+    doc = dict(io.serialize_sset(sx.delta(1)), bound=0)
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_sset(doc)
+    assert exc.value.pointer == "/generators/1"
+
+
 # ---------------------------------------------------------------------------
 # categories
 
