@@ -140,6 +140,7 @@ class SimplicialSet:
         self.category = category  # set for nerves; enables fast map search
         self._gen_of_label = {v: g for g, v in self.labels.items()}
         self._simplices_cache: dict[int, list[SimplexKey]] = {}
+        self._boundary_index_cache: dict[int, dict[tuple, list[SimplexKey]]] = {}
 
     # -- basic structure -------------------------------------------------
 
@@ -213,6 +214,20 @@ class SimplicialSet:
 
     def boundary_tuple(self, key: SimplexKey) -> tuple[SimplexKey, ...]:
         return tuple(self.face(key, i) for i in range(key.dim + 1))
+
+    def boundary_index(self, n: int) -> dict[tuple, list[SimplexKey]]:
+        """The n-simplices (n >= 1) grouped by boundary tuple, each group in
+        ``simplices(n)`` order.
+
+        Built on first use and kept, like ``simplices(n)``: face tables are
+        complete once a constructor returns and never change afterwards.
+        """
+        if n not in self._boundary_index_cache:
+            idx: dict[tuple, list[SimplexKey]] = {}
+            for k in self.simplices(n):
+                idx.setdefault(self.boundary_tuple(k), []).append(k)
+            self._boundary_index_cache[n] = idx
+        return self._boundary_index_cache[n]
 
     def subsimplex(self, key: SimplexKey, indices) -> SimplexKey:
         """The face of ``key`` spanned by the given sorted vertex indices."""
@@ -653,8 +668,7 @@ def _nerve_string_key(X: SimplicialSet, morphisms) -> SimplexKey:
     word = tuple(sorted((i for i, m in enumerate(morphisms) if m in C.id_set), reverse=True))
     core = tuple(m for m in morphisms if m not in C.id_set)
     if not core:
-        obj = C.src[morphisms[0]] if morphisms else None
-        raise ValueError("vertex strings need an object; use _nerve_vertex_key")
+        raise ValueError("a string of identities has no nondegenerate generator")
     gen = X.gen_of_label(core)
     return SimplexKey(gen, word)
 
@@ -814,47 +828,40 @@ def enumerate_maps(
 
     ``fixed`` prescribes values on some generators of K.  When X is a nerve
     and ``use_category`` is true, maps are found by functor search on the
-    1-skeleton; otherwise by backtracking over generators in dimension order.
+    1-skeleton; otherwise by backtracking over generators in dimension order,
+    drawing each generator's candidates from ``X.boundary_index``, which X
+    builds once and every later search into X reuses.
     """
     if use_category and X.category is not None:
         results = _enumerate_functor_maps(K, X, fixed, budget)
         results.sort(key=lambda m: sorted(m.assign.items()))
         return results
 
-    gens_in_order = K.all_gens()
     X.require_bound(K.top_dim, "map enumeration")
     fixed = fixed or {}
-    # candidate index: faces tuple -> keys, per dimension
-    cand_index: dict[int, dict[tuple, list[SimplexKey]]] = {}
-    for n in range(1, K.top_dim + 1):
-        idx: dict[tuple, list[SimplexKey]] = {}
-        for k in X.simplices(n):
-            idx.setdefault(X.boundary_tuple(k), []).append(k)
-        cand_index[n] = idx
+    cand_index = {n: X.boundary_index(n) for n in range(1, K.top_dim + 1)}
+    # per generator: its face row (None for vertices) and its fixed value
+    plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in K.all_gens()]
 
     counter = [0]
     results: list[SimplicialMap] = []
     assign: dict[Gen, SimplexKey] = {}
 
-    def image(key: SimplexKey) -> SimplexKey:
-        return apply_degeneracy_word(assign[key.gen], key.degens)
-
     def rec(pos):
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceeded("map enumeration budget exceeded", counter[0])
-        if pos == len(gens_in_order):
+        if pos == len(plan):
             results.append(SimplicialMap(K, X, dict(assign)))
             return
-        g = gens_in_order[pos]
-        n = g[0]
-        if n == 0:
+        g, row, want = plan[pos]
+        if row is None:
             cands = X.simplices(0)
         else:
-            wanted = tuple(image(K.face(SimplexKey(g), i)) for i in range(n + 1))
-            cands = cand_index[n].get(wanted, [])
-        if g in fixed:
-            cands = [c for c in cands if c == fixed[g]]
+            wanted = tuple(apply_degeneracy_word(assign[f.gen], f.degens) for f in row)
+            cands = cand_index[g[0]].get(wanted, [])
+        if want is not None:
+            cands = [c for c in cands if c == want]
         for c in cands:
             assign[g] = c
             rec(pos + 1)
@@ -948,7 +955,7 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int, budget: int = 10**6):
     return rec(0)
 
 
-# -- barycentric subdivision and Ex ---------------------------------------
+# -- barycentric subdivision -----------------------------------------------
 
 
 def is_regular(X: SimplicialSet) -> bool:
@@ -996,86 +1003,3 @@ def subdivision(X: SimplicialSet):
     P = cats.poset_category(elements, lambda a, b: (a, b) in leq)
     longest = max((g[0] for g in elements), default=0) + 1
     return cats.nerve(P, longest)
-
-
-class ExFamily(Family):
-    """Ex(X)_n = maps Sd(Delta[n]) -> X, by exhaustive enumeration."""
-
-    def __init__(self, X: SimplicialSet, budget: int):
-        self.X = X
-        self.budget = budget
-        self._sd: dict[int, SimplicialSet] = {}
-
-    def sd_delta(self, n):
-        if n not in self._sd:
-            self._sd[n] = subdivision(delta(n))
-        return self._sd[n]
-
-    def _chain_map(self, n_from, n_to, vertex_fn):
-        """Nerve map Sd Delta[n_from] -> Sd Delta[n_to] induced by a monotone
-        map on [n], acting on chains of vertex subsets."""
-        S, T = self.sd_delta(n_from), self.sd_delta(n_to)
-        assign = {}
-        for g in S.all_gens():
-            # labels of a poset nerve: dim 0 -> element; dim k -> tuple of morphisms
-            if g[0] == 0:
-                elems = [S.labels[g]]
-            else:
-                ms = S.labels[g]
-                elems = [ms[0][0]] + [m[1] for m in ms]
-            imgs = []
-            for el in elems:
-                subset = self._poset_elem_subset(n_from, el)
-                imgs.append(tuple(sorted({vertex_fn(v) for v in subset})))
-            assign[g] = self._chain_key(T, imgs, n_to)
-        return SimplicialMap(S, T, assign)
-
-    @staticmethod
-    def _poset_elem_subset(n, elem):
-        # face-poset elements of delta(n) are generators of delta(n); their
-        # labels are the vertex subsets, and gen index order matches label
-        # order by construction of _subset_complex
-        d = delta(n)
-        return d.labels[elem]
-
-    @staticmethod
-    def _chain_key(T, subsets, n_to):
-        d = delta(n_to)
-        elems = [d.gen_of_label(s) for s in subsets]
-        C = T.category
-        word = sorted((i for i in range(len(elems) - 1) if elems[i] == elems[i + 1]), reverse=True)
-        core = [elems[0]] + [b for a, b in zip(elems, elems[1:]) if a != b]
-        if len(core) == 1:
-            base = SimplexKey(T.gen_of_label(core[0]))
-        else:
-            ms = tuple((a, b) for a, b in zip(core, core[1:]))
-            base = SimplexKey(T.gen_of_label(ms))
-        return apply_degeneracy_word(base, word)
-
-    def elements(self, n):
-        maps = enumerate_maps(self.sd_delta(n), self.X, budget=self.budget)
-        order = [g for m in range(self.sd_delta(n).top_dim + 1) for g in self.sd_delta(n).gens(m)]
-        return [tuple(mp.assign[g] for g in order) for mp in maps]
-
-    def _as_map(self, n, x):
-        S = self.sd_delta(n)
-        order = [g for m in range(S.top_dim + 1) for g in S.gens(m)]
-        return SimplicialMap(S, self.X, dict(zip(order, x)))
-
-    def _precompose(self, n_from, n_to, vertex_fn, x):
-        f = self._as_map(n_to, x)
-        g = f.compose(self._chain_map(n_from, n_to, vertex_fn))
-        S = self.sd_delta(n_from)
-        order = [h for m in range(S.top_dim + 1) for h in S.gens(m)]
-        return tuple(g.assign[h] for h in order)
-
-    def face(self, n, x, i):
-        return self._precompose(n - 1, n, lambda v: v if v < i else v + 1, x)
-
-    def degeneracy(self, n, x, i):
-        return self._precompose(n + 1, n, lambda v: v if v <= i else v - 1, x)
-
-
-def ex(X: SimplicialSet, d: int, budget: int = 10**6) -> MaterializedSSet:
-    """The finite Ex iterate: Ex(X) materialized up to dimension d."""
-    return MaterializedSSet(ExFamily(X, budget), d)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qcatk import simplicial as sx
 from qcatk.cats import nerve, cyclic_group_category, chain_poset
 from qcatk.simplicial import SimplexKey
-from qcatk.zoo import random_poset
+from qcatk.zoo import idempotent_monoid_category, random_category, random_poset
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +132,141 @@ def test_maps_from_simplex_to_nerve_count_composable_strings():
     assert len(sx.enumerate_maps(sx.spine(2), N, budget=10**6)) == 9
 
 
+def naive_enumerate_maps(K, X, fixed=None, budget=10**6, stats=None):
+    """The generic search of ``enumerate_maps`` with its candidate index
+    rebuilt from ``X.simplices(n)`` on every call and faces read through
+    ``K.face``; the reference for the cached-index search.  A ``stats``
+    dict receives the number of search nodes visited."""
+    gens_in_order = K.all_gens()
+    X.require_bound(K.top_dim, "map enumeration")
+    fixed = fixed or {}
+    cand_index = {}
+    for n in range(1, K.top_dim + 1):
+        idx = {}
+        for k in X.simplices(n):
+            idx.setdefault(X.boundary_tuple(k), []).append(k)
+        cand_index[n] = idx
+
+    counter = [0]
+    results = []
+    assign = {}
+
+    def image(key):
+        return sx.apply_degeneracy_word(assign[key.gen], key.degens)
+
+    def rec(pos):
+        counter[0] += 1
+        if counter[0] > budget:
+            raise sx.BudgetExceeded("map enumeration budget exceeded", counter[0])
+        if pos == len(gens_in_order):
+            results.append(sx.SimplicialMap(K, X, dict(assign)))
+            return
+        g = gens_in_order[pos]
+        n = g[0]
+        if n == 0:
+            cands = X.simplices(0)
+        else:
+            wanted = tuple(image(K.face(SimplexKey(g), i)) for i in range(n + 1))
+            cands = cand_index[n].get(wanted, [])
+        if g in fixed:
+            cands = [c for c in cands if c == fixed[g]]
+        for c in cands:
+            assign[g] = c
+            rec(pos + 1)
+            del assign[g]
+
+    rec(0)
+    if stats is not None:
+        stats["nodes"] = counter[0]
+    return results
+
+
+def plain(N):
+    """A nerve without its category block, so searches into it are generic."""
+    return sx.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
+
+
+def search_outcome(search, K, X, fixed, budget):
+    """The ordered assignments found, or the node count at which the
+    budget ran out."""
+    try:
+        return [m.assign for m in search(K, X, fixed=fixed, budget=budget)]
+    except sx.BudgetExceeded as exc:
+        return ("budget exceeded", exc.attempted)
+
+
+def generic(K, X, fixed=None, budget=10**6):
+    return sx.enumerate_maps(K, X, fixed=fixed, budget=budget, use_category=False)
+
+
+SOURCES = [
+    lambda: sx.delta(1),
+    lambda: sx.delta(2),
+    lambda: sx.spine(2),
+    lambda: sx.spine(3),
+    lambda: sx.boundary(2),
+    lambda: sx.boundary(3),
+    lambda: sx.horn(2, 0),
+    lambda: sx.horn(2, 1),
+    lambda: sx.horn(3, 2),
+    lambda: sx.product(sx.delta(1), sx.delta(1), 2).sset,
+    lambda: sx.product(sx.spine(2), sx.delta(1), 2).sset,
+]
+
+
+@given(st.integers(0, 10_000), st.integers(0, len(SOURCES) - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_generic_search_matches_the_rebuilding_oracle(seed, which, data):
+    X = plain(nerve(random_category(random.Random(seed), 4), 2))
+    K = SOURCES[which]()
+    fixed = None
+    maps = naive_enumerate_maps(K, X)
+    if maps:
+        m = data.draw(st.sampled_from(maps))
+        keep = data.draw(st.lists(st.sampled_from(K.all_gens()), unique=True, max_size=3))
+        fixed = {g: m.assign[g] for g in keep}
+    stats = {}
+    expected = [m.assign for m in naive_enumerate_maps(K, X, fixed, stats=stats)]
+    assert search_outcome(generic, K, X, fixed, 10**6) == expected
+    # a small budget, and the last budget that runs out and the first that does not
+    nodes = stats["nodes"]
+    for budget in (data.draw(st.integers(1, 60)), nodes - 1, nodes):
+        assert search_outcome(generic, K, X, fixed, budget) == search_outcome(
+            naive_enumerate_maps, K, X, fixed, budget
+        )
+
+
+def test_generic_searches_into_one_target_share_its_boundary_index(monkeypatch):
+    X = plain(nerve(cyclic_group_category(3), 2))
+    first = generic(sx.delta(2), X)
+    index = {n: X.boundary_index(n) for n in (1, 2)}
+    assert all(X.boundary_index(n) is index[n] for n in (1, 2))
+
+    scanned = []
+    scan = X.simplices
+    monkeypatch.setattr(X, "simplices", lambda n: scanned.append(n) or scan(n))
+    second = generic(sx.delta(2), X)
+    assert [m.assign for m in second] == [m.assign for m in first]
+    assert all(X.boundary_index(n) is index[n] for n in (1, 2))
+    assert set(scanned) == {0}  # vertex candidates only: nothing re-indexed
+
+    twin = plain(nerve(cyclic_group_category(3), 2))
+    for n in (1, 2):
+        assert twin.boundary_index(n) is not index[n]
+        assert twin.boundary_index(n) == index[n]
+
+
 def test_functor_and_generic_enumeration_agree():
-    N = nerve(cyclic_group_category(2), 2)
-    for K in [sx.delta(1), sx.spine(2), sx.boundary(2)]:
-        fast = sx.enumerate_maps(K, N, budget=10**6, use_category=True)
-        slow = sx.enumerate_maps(K, N, budget=10**6, use_category=False)
-        assert {tuple(sorted(f.assign.items())) for f in fast} == {
-            tuple(sorted(f.assign.items())) for f in slow
-        }
+    rng = random.Random(5)
+    categories = [cyclic_group_category(2), cyclic_group_category(3),
+                  idempotent_monoid_category(), chain_poset(2)]
+    categories += [random_category(rng, 4) for _ in range(4)]
+    for C in categories:
+        N = nerve(C, 2)
+        for K in [sx.delta(1), sx.delta(2), sx.spine(2), sx.boundary(2), sx.horn(2, 1)]:
+            fast = sx.enumerate_maps(K, N, budget=10**6, use_category=True)
+            slow = generic(K, N)
+            assert [f.assign for f in fast] == [f.assign for f in slow]
 
 
 def test_enumeration_budget_is_enforced():
