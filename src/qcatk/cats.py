@@ -404,7 +404,7 @@ def map_category(
     from .simplicial import enumerate_maps
 
     if maps is None:
-        maps = enumerate_maps(K, N, budget=budget, use_category=True)
+        maps = enumerate_maps(K, N, budget=budget)
     verts = K.gens(0)
     edge_gens = K.gens(1)
 

@@ -30,15 +30,13 @@ join = sx.join
 class SliceFamily(sx.Family):
     """a\\X (side='under') or X/b (side='over') via join extensions."""
 
-    def __init__(self, base: SimplicialMap, side: str, budget: int = 10**6,
-                 use_category: bool = True):
+    def __init__(self, base: SimplicialMap, side: str, budget: int = 10**6):
         if side not in ("under", "over"):
             raise ValueError("side must be 'under' or 'over'")
         self.base = base
         self.A, self.X = base.source, base.target
         self.side = side
         self.budget = budget
-        self.use_category = use_category
         self._join: dict[int, sx.MaterializedSSet] = {}
 
     def joined(self, n: int) -> sx.MaterializedSSet:
@@ -66,8 +64,7 @@ class SliceFamily(sx.Family):
 
     def elements(self, n):
         J = self.joined(n)
-        maps = sx.enumerate_maps(J, self.X, fixed=self.fixed_for(n),
-                                 budget=self.budget, use_category=self.use_category)
+        maps = sx.enumerate_maps(J, self.X, fixed=self.fixed_for(n), budget=self.budget)
         order = self.gen_order(n)
         return [tuple(mp.assign[g] for g in order) for mp in maps]
 
@@ -103,14 +100,12 @@ class SliceFamily(sx.Family):
         return self._induced(n + 1, n, lambda v: v if v <= i else v - 1, x)
 
 
-def slice_under(a: SimplicialMap, d: int, budget: int = 10**6,
-                use_category: bool = True) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(SliceFamily(a, "under", budget, use_category), d)
+def slice_under(a: SimplicialMap, d: int, budget: int = 10**6) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(SliceFamily(a, "under", budget), d)
 
 
-def slice_over(b: SimplicialMap, d: int, budget: int = 10**6,
-               use_category: bool = True) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(SliceFamily(b, "over", budget, use_category), d)
+def slice_over(b: SimplicialMap, d: int, budget: int = 10**6) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(SliceFamily(b, "over", budget), d)
 
 
 # -- over-quasicategories and comma objects ------------------------------------
@@ -151,14 +146,13 @@ def comma(G: SimplicialMap, y: SimplexKey, d: int):
 # -- initiality and colimits ----------------------------------------------------
 
 
-def is_initial(X: SimplicialSet, i: SimplexKey, d: int, budget: int = 10**6,
-               use_category: bool = True) -> dict:
+def is_initial(X: SimplicialSet, i: SimplexKey, d: int, budget: int = 10**6) -> dict:
     """Initiality certificate: every mapping space X(i, x) must be weakly
     contractible; we certify (pi0, H1) to the bound d."""
     verdicts = {}
     overall = f"confirmed-to-{d}"
     for x in X.simplices(0):
-        M = qc.mapping_space(X, i, x, d, budget=budget, use_category=use_category)
+        M = qc.mapping_space(X, i, x, d, budget=budget)
         rep = hl.weak_contractibility_report(M, d)
         verdicts[x] = rep
         if rep["verdict"] == "refuted":
@@ -190,14 +184,13 @@ def cocones(a: SimplicialMap, slice_sset: sx.MaterializedSSet) -> list[Cocone]:
     return out
 
 
-def colimiting_cocones(a: SimplicialMap, d: int, budget: int = 10**6,
-                       use_category: bool = True) -> list[dict]:
+def colimiting_cocones(a: SimplicialMap, d: int, budget: int = 10**6) -> list[dict]:
     """Cocones on a whose initiality in a\\X is confirmed to dimension d.
     Each entry carries the cocone and its initiality report."""
-    sl = slice_under(a, d + 1, budget=budget, use_category=use_category)
+    sl = slice_under(a, d + 1, budget=budget)
     results = []
     for c in cocones(a, sl):
-        rep = is_initial(sl, c.slice_vertex, d, budget=budget, use_category=False)
+        rep = is_initial(sl, c.slice_vertex, d, budget=budget)
         if rep["verdict"].startswith("confirmed"):
             results.append({"cocone": c, "report": rep})
     return results
@@ -226,7 +219,7 @@ def hom_restriction_map(Hbig: sx.MaterializedSSet, Hsmall: sx.MaterializedSSet,
 
 
 def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
-                                  budget: int = 10**6, use_category: bool = True) -> dict:
+                                  budget: int = 10**6) -> dict:
     """Check that restriction from colimit cocones on A-diagrams to the
     diagrams themselves is an equivalence: essentially surjective and fully
     faithful at the homotopy-category level, with contractible fibers.
@@ -235,8 +228,8 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
     subcomplex of X^{A*1} on the colimiting cocone vertices.
     """
     AJ = sx.join(A, sx.delta(0), (A.top_dim if A.top_dim >= 0 else -1) + 1)
-    Hbig = qc.internal_hom(AJ.sset, X, max(d, 2), budget=budget, use_category=use_category)
-    Hsmall = qc.internal_hom(A, X, max(d, 2), budget=budget, use_category=use_category)
+    Hbig = qc.internal_hom(AJ.sset, X, max(d, 2), budget=budget)
+    Hsmall = qc.internal_hom(A, X, max(d, 2), budget=budget)
     r_full = hom_restriction_map(Hbig, Hsmall, AJ.left)
 
     # classify vertices of Hbig: which are colimiting cocones on their base?
@@ -262,7 +255,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
         ext = fb.as_map(0, Hbig.labels[g]).compose(emb)
         base = ext.compose(AJ.left)
         base_key = tuple(sorted(base.assign.items()))
-        sl = slice_under(base, d + 1, budget=budget, use_category=False)
+        sl = slice_under(base, d + 1, budget=budget)
         # find the slice vertex equal to this extension
         target_tuple = tuple(ext.assign[h] for h in sl.family.gen_order(0))
         vkey = None
@@ -270,7 +263,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
             if sl.labels[h] == target_tuple:
                 vkey = SimplexKey(h)
                 break
-        rep = is_initial(sl, vkey, d, budget=budget, use_category=False)
+        rep = is_initial(sl, vkey, d, budget=budget)
         if rep["verdict"].startswith("confirmed"):
             colim_vertices.append(v)
             base_with_colim[base_key] = True
@@ -369,7 +362,7 @@ def small_posets(max_size: int = 3) -> list[FinCategory]:
 
 
 def cone_extension_check(C: SimplicialSet, d: int = None, poset_budget: int = 3,
-                         budget: int = 10**6, use_category: bool = False) -> dict:
+                         budget: int = 10**6) -> dict:
     """Test whether every map NP -> C from the nerve of a small poset extends
     over the cone (NP) * 1.  Failure witnesses are reported."""
     if C.is_empty():
@@ -382,15 +375,14 @@ def cone_extension_check(C: SimplicialSet, d: int = None, poset_budget: int = 3,
         NP = nerve(P, len(P.objects))
         J = sx.join(NP, sx.delta(0), NP.top_dim + 1)
         C.require_bound(J.sset.top_dim, "cone extension")
-        for f in sx.enumerate_maps(NP, C, budget=budget, use_category=use_category):
+        for f in sx.enumerate_maps(NP, C, budget=budget):
             tested += 1
             fixed = {}
             for g in J.sset.all_gens():
                 lbl = J.sset.labels[g]
                 if lbl[0] == "a":
                     fixed[g] = f(lbl[1])
-            exts = sx.enumerate_maps(J.sset, C, fixed=fixed, budget=budget,
-                                     use_category=False)
+            exts = sx.enumerate_maps(J.sset, C, fixed=fixed, budget=budget)
             if not exts:
                 failures.append((P, f))
     return {

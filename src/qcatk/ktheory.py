@@ -277,7 +277,7 @@ def _poset_diagram_colimits(F: SimplicialMap, d: int, budget: int,
     not_preserved = []
     for P in small_posets(poset_budget):
         NP = nerve(P, d)
-        for mp in sx.enumerate_maps(NP, Akan, budget=budget, use_category=False):
+        for mp in sx.enumerate_maps(NP, Akan, budget=budget):
             a = incl.compose(mp)
             checked += 1
             found = colimiting_cocones(a, 1, budget=budget)

@@ -105,7 +105,7 @@ _HORN_KINDS = {
 
 
 def horn_fill_class_check(X: SimplicialSet, kind: str = "all",
-                          budget: int = 10**6, use_category: bool = True) -> dict:
+                          budget: int = 10**6) -> dict:
     """Exhaustively enumerate dimension-3 horns of the requested kind and
     search for fillers.
 
@@ -117,7 +117,7 @@ def horn_fill_class_check(X: SimplicialSet, kind: str = "all",
     X.require_bound(3, "horn filler audit")
     checked = {}
     for (n, k) in _HORN_KINDS[kind]:
-        hs = sx.horn_maps(X, n, k, budget=budget, use_category=use_category)
+        hs = sx.horn_maps(X, n, k, budget=budget)
         checked[(n, k)] = len(hs)
         for h in hs:
             if sx.inner_horn_filler(X, h) is None:
@@ -341,7 +341,7 @@ def _delta_part_fixed(Qbig, base, D_from, D_to, pick):
     return fixed
 
 
-def _homotopy_exists(X, base, alpha, beta, budget, use_category=True) -> bool:
+def _homotopy_exists(X, base, alpha, beta, budget) -> bool:
     """Is there a map base x Delta[2] -> X restricting to alpha at face 1,
     beta at face 0, and degenerately at face 2?"""
     dim = base.top_dim
@@ -357,13 +357,11 @@ def _homotopy_exists(X, base, alpha, beta, budget, use_category=True) -> bool:
 
     D1 = alpha.source.family.Y
     fixed = _delta_part_fixed(Q2, base, D2, D1, pick)
-    return bool(sx.enumerate_maps(Q2, X, fixed=fixed, budget=budget,
-                                  use_category=use_category))
+    return bool(sx.enumerate_maps(Q2, X, fixed=fixed, budget=budget))
 
 
 def components_hypothesis_check(X: SimplicialSet, nbar=(), p_budget: int = 1,
-                                budget: int = 10**6,
-                                use_category: bool = True) -> dict:
+                                budget: int = 10**6) -> dict:
     """Check, exhaustively up to ``p_budget``, that any two natural
     transformations I[p] x Delta[1] -> X^{I[nbar]} with homotopic
     components are homotopic.
@@ -388,7 +386,7 @@ def components_hypothesis_check(X: SimplicialSet, nbar=(), p_budget: int = 1,
         X.require_bound(needed, "components hypothesis check")
         D1 = sx.delta(1)
         Q1 = sx.product(base, D1, base.top_dim + 1).sset
-        maps = sx.enumerate_maps(Q1, X, budget=budget, use_category=use_category)
+        maps = sx.enumerate_maps(Q1, X, budget=budget)
         edge_cls = qc.homotopy_classes(X)
 
         def endpoints(m):
@@ -423,7 +421,7 @@ def components_hypothesis_check(X: SimplicialSet, nbar=(), p_budget: int = 1,
                     if not comps_homotopic:
                         continue
                     pairs += 1
-                    if not _homotopy_exists(X, base, a, b, budget, use_category):
+                    if not _homotopy_exists(X, base, a, b, budget):
                         return {
                             "verdict": "fail",
                             "nbar": nbar,
@@ -465,8 +463,7 @@ def _fixed_from_boundary(P3, Bd, u: SimplicialMap, push=None) -> dict:
     return fixed
 
 
-def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6,
-              use_category: bool = True) -> dict:
+def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
     """Right-lifting-property checks against prism inclusions.
 
     ``kind="prism"``: does the map G have the right lifting property with
@@ -490,15 +487,13 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6,
         A.require_bound(P3.top_dim, "prism lifting")
         B.require_bound(P3.top_dim, "prism lifting")
         Bd, _ = _boundary_subcomplex(P3, D2, strong=False)
-        for u in sx.enumerate_maps(Bd, A, budget=budget, use_category=use_category):
+        for u in sx.enumerate_maps(Bd, A, budget=budget):
             fixed_b = _fixed_from_boundary(P3, Bd, u, push=lambda k: G(k))
             fixed_a = _fixed_from_boundary(P3, Bd, u)
-            vs = sx.enumerate_maps(P3, B, fixed=fixed_b, budget=budget,
-                                   use_category=use_category)
+            vs = sx.enumerate_maps(P3, B, fixed=fixed_b, budget=budget)
             if not vs:
                 continue
-            lifts = sx.enumerate_maps(P3, A, fixed=fixed_a, budget=budget,
-                                      use_category=use_category)
+            lifts = sx.enumerate_maps(P3, A, fixed=fixed_a, budget=budget)
             images = [G.compose(w).assign for w in lifts]
             for v in vs:
                 problems += 1
@@ -513,11 +508,10 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6,
         B = G.target if isinstance(G, SimplicialMap) else G
         B.require_bound(P3.top_dim, "prism extension")
         Bd, _ = _boundary_subcomplex(P3, D2, strong=True)
-        for u in sx.enumerate_maps(Bd, B, budget=budget, use_category=use_category):
+        for u in sx.enumerate_maps(Bd, B, budget=budget):
             problems += 1
             fixed = _fixed_from_boundary(P3, Bd, u)
-            if not sx.enumerate_maps(P3, B, fixed=fixed, budget=budget,
-                                     use_category=use_category):
+            if not sx.enumerate_maps(P3, B, fixed=fixed, budget=budget):
                 return {
                     "verdict": "fail", "kind": kind, "nbar": nbar,
                     "problems": problems,

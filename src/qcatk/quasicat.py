@@ -37,7 +37,7 @@ def is_quasicategory(X: SimplicialSet, d: int, budget: int = 10**6) -> dict:
     checked = 0
     for n in range(2, d + 1):
         for k in range(1, n):
-            for h in sx.horn_maps(X, n, k, budget=budget, use_category=False):
+            for h in sx.horn_maps(X, n, k, budget=budget):
                 checked += 1
                 if sx.inner_horn_filler(X, h) is None:
                     failures.append((n, k, h))
@@ -196,11 +196,9 @@ class HomFamily(sx.Family):
     """(X^A)_n = maps A x Delta[n] -> X, stored as assignment tuples over the
     generators of the materialized product in canonical order."""
 
-    def __init__(self, A: SimplicialSet, X: SimplicialSet, budget: int = 10**6,
-                 use_category: bool = True):
+    def __init__(self, A: SimplicialSet, X: SimplicialSet, budget: int = 10**6):
         self.A, self.X = A, X
         self.budget = budget
-        self.use_category = use_category
         self._prod: dict[int, sx.Span2] = {}
         self._delta: dict[int, SimplicialSet] = {}
 
@@ -224,10 +222,7 @@ class HomFamily(sx.Family):
 
     def elements(self, n):
         P = self.prod(n)
-        maps = sx.enumerate_maps(
-            P, self.X, fixed=self.fixed_for(n), budget=self.budget,
-            use_category=self.use_category,
-        )
+        maps = sx.enumerate_maps(P, self.X, fixed=self.fixed_for(n), budget=self.budget)
         order = self.gen_order(n)
         return [tuple(mp.assign[g] for g in order) for mp in maps]
 
@@ -253,17 +248,17 @@ class HomFamily(sx.Family):
         return self._precompose(n + 1, n, lambda v: v if v <= i else v - 1, x)
 
 
-def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int, budget: int = 10**6,
-                 use_category: bool = True) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(HomFamily(A, X, budget, use_category), d)
+def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int,
+                 budget: int = 10**6) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(HomFamily(A, X, budget), d)
 
 
 class MappingSpaceFamily(HomFamily):
     """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
     ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
 
-    def __init__(self, X, a: SimplexKey, b: SimplexKey, budget=10**6, use_category=True):
-        super().__init__(sx.delta(1), X, budget, use_category)
+    def __init__(self, X, a: SimplexKey, b: SimplexKey, budget=10**6):
+        super().__init__(sx.delta(1), X, budget)
         self.a, self.b = a, b
 
     def fixed_for(self, n: int):
@@ -284,8 +279,8 @@ class MappingSpaceFamily(HomFamily):
 
 
 def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey, d: int,
-                  budget: int = 10**6, use_category: bool = True) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(MappingSpaceFamily(X, a, b, budget, use_category), d)
+                  budget: int = 10**6) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(MappingSpaceFamily(X, a, b, budget), d)
 
 
 # -- natural transformations --------------------------------------------------
@@ -476,7 +471,7 @@ def phi_fullness_witness(X: SimplicialSet, n: int, morphism, budget: int = 10**6
     for i in range(1, n + 1):
         fixed[P.key_of(1, (edge(i), d1.degeneracy(v0, 0))).gen] = A[i - 1]
         fixed[P.key_of(1, (edge(i), d1.degeneracy(v1, 0))).gen] = B[i - 1]
-    maps = sx.enumerate_maps(P, X, fixed=fixed, budget=budget, use_category=False)
+    maps = sx.enumerate_maps(P, X, fixed=fixed, budget=budget)
     if not maps:
         return None
     return NatTrans(P, I, maps[0])

@@ -137,10 +137,11 @@ class SimplicialSet:
         self.faces = dict(faces)
         self.labels = dict(labels or {})
         self.bound = bound
-        self.category = category  # set for nerves; enables fast map search
+        self.category = category  # set for nerves
         self._gen_of_label = {v: g for g, v in self.labels.items()}
         self._simplices_cache: dict[int, list[SimplexKey]] = {}
         self._boundary_index_cache: dict[int, dict[tuple, list[SimplexKey]]] = {}
+        self._search_order: Optional[list[Gen]] = None
 
     # -- basic structure -------------------------------------------------
 
@@ -228,6 +229,19 @@ class SimplicialSet:
                 idx.setdefault(self.boundary_tuple(k), []).append(k)
             self._boundary_index_cache[n] = idx
         return self._boundary_index_cache[n]
+
+    def search_order(self) -> list[Gen]:
+        """The generators in forward-checking order: vertices, then edges, in
+        ``all_gens()`` order, and each generator of dimension >= 2 right
+        after the last of its faces (generators placed after the same face
+        keep ``all_gens()`` order).  Built on first use and kept, like
+        ``boundary_index``."""
+        if self._search_order is None:
+            rank: dict[Gen, tuple[int, ...]] = {}
+            for i, g in enumerate(self.all_gens()):
+                rank[g] = (i,) if g[0] <= 1 else max(rank[f.gen] for f in self.faces[g]) + (i,)
+            self._search_order = sorted(rank, key=rank.__getitem__)
+        return self._search_order
 
     def subsimplex(self, key: SimplexKey, indices) -> SimplexKey:
         """The face of ``key`` spanned by the given sorted vertex indices."""
@@ -661,187 +675,33 @@ def one_full_subcomplex(X: SimplicialSet, edge_keep, d: int, category=None):
 # -- map enumeration -------------------------------------------------------
 
 
-def _nerve_string_key(X: SimplicialSet, morphisms) -> SimplexKey:
-    """Key in a nerve for the simplex given by a tuple of spine morphisms
-    (identities allowed)."""
-    C = X.category
-    word = tuple(sorted((i for i, m in enumerate(morphisms) if m in C.id_set), reverse=True))
-    core = tuple(m for m in morphisms if m not in C.id_set)
-    if not core:
-        raise ValueError("a string of identities has no nondegenerate generator")
-    gen = X.gen_of_label(core)
-    return SimplexKey(gen, word)
-
-
-def _enumerate_functor_maps(K, X, fixed, budget):
-    """Maps K -> X for X the nerve of a finite category.
-
-    A nerve is 2-coskeletal and its simplices are determined by their spines,
-    so a map is exactly an assignment of objects to vertices and morphisms to
-    edges satisfying the composition relation on every 2-simplex.
-    """
-    C = X.category
-    K.require_bound(min(2, K.top_dim), "map enumeration")
-    verts = K.gens(0)
-    edge_gens = K.gens(1)
-    fixed = fixed or {}
-
-    obj_of_vertex_key = {}
-    for g in X.gens(0):
-        obj_of_vertex_key[SimplexKey(g)] = X.labels[g]
-
-    def key_for_vertex(obj):
-        return SimplexKey(X.gen_of_label(obj))
-
-    def edge_value_to_morphism(key):
-        if key.is_degenerate:
-            return C.ids[obj_of_vertex_key[SimplexKey(key.gen)]]
-        return X.labels[key.gen][0]
-
-    # seeds from the fixed generator assignments
-    vassign: dict[Gen, Any] = {}
-    eassign: dict[Gen, Any] = {}
-    for g, val in fixed.items():
-        if g[0] == 0:
-            vassign[g] = obj_of_vertex_key[val]
-        elif g[0] == 1:
-            eassign[g] = edge_value_to_morphism(val)
-    # fixed higher generators constrain their edges
-    for g, val in fixed.items():
-        if g[0] >= 2:
-            gk = SimplexKey(g)
-            for i in range(g[0] + 1):
-                for j in range(i + 1, g[0] + 1):
-                    e = K.subsimplex(gk, (i, j))
-                    sub = X.subsimplex(val, (i, j))
-                    if e.is_degenerate:
-                        continue
-                    m = edge_value_to_morphism(sub)
-                    if eassign.setdefault(e.gen, m) != m:
-                        return []
-            for j in range(g[0] + 1):
-                v = K.vertex(gk, j)
-                o = obj_of_vertex_key[SimplexKey(X.vertex(val, j).gen)]
-                if vassign.setdefault(v.gen, o) != o:
-                    return []
-
-    # 2-simplex relations, phrased on edge generators; each triangle is
-    # checked as soon as its last nondegenerate edge gets assigned
-    triangles = []
-    for g in K.gens(2):
-        gk = SimplexKey(g)
-        e01, e12, e02 = (K.subsimplex(gk, p) for p in ((0, 1), (1, 2), (0, 2)))
-        triangles.append((e01, e12, e02))
-    edge_pos = {e: i for i, e in enumerate(edge_gens)}
-    tri_ready: dict[int, list] = {}
-    tri_at_start = []
-    for tri in triangles:
-        positions = [edge_pos[e.gen] for e in tri if not e.is_degenerate]
-        if positions:
-            tri_ready.setdefault(max(positions), []).append(tri)
-        else:
-            tri_at_start.append(tri)
-
-    counter = [0]
-
-    def edge_candidates(egen, vo):
-        gk = SimplexKey(egen)
-        a = vo[K.vertex(gk, 0).gen]
-        b = vo[K.vertex(gk, 1).gen]
-        return C.hom(a, b)
-
-    results = []
-
-    def mor_of(e, ea, vo):
-        if e.is_degenerate:
-            return C.ids[vo[K.vertex(e, 0).gen]]
-        return ea[e.gen]
-
-    def assemble(vo, ea):
-        assign = {}
-        for n in range(K.top_dim + 1):
-            for g in K.gens(n):
-                gk = SimplexKey(g)
-                if n == 0:
-                    assign[g] = key_for_vertex(vo[g])
-                else:
-                    ms = tuple(mor_of(e, ea, vo) for e in K.spine_of(gk))
-                    if all(m in C.id_set for m in ms):
-                        base = key_for_vertex(vo[K.vertex(gk, 0).gen])
-                        assign[g] = apply_degeneracy_word(base, range(n - 1, -1, -1))
-                    else:
-                        assign[g] = _nerve_string_key(X, ms)
-        return SimplicialMap(K, X, assign)
-
-    def tri_ok(tri, vo, ea):
-        e01, e12, e02 = tri
-        return C.compose_mor(mor_of(e12, ea, vo), mor_of(e01, ea, vo)) == mor_of(e02, ea, vo)
-
-    def search_edges(idx, vo, ea):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded("map enumeration budget exceeded", counter[0])
-        if idx == len(edge_gens):
-            results.append(assemble(vo, ea))
-            return
-        egen = edge_gens[idx]
-        if egen in eassign:
-            cands = [eassign[egen]]
-        else:
-            cands = edge_candidates(egen, vo)
-        for m in cands:
-            gk = SimplexKey(egen)
-            if C.src[m] != vo[K.vertex(gk, 0).gen] or C.tgt[m] != vo[K.vertex(gk, 1).gen]:
-                continue
-            ea[egen] = m
-            if all(tri_ok(t, vo, ea) for t in tri_ready.get(idx, ())):
-                search_edges(idx + 1, vo, ea)
-            del ea[egen]
-
-    def search_vertices(idx, vo):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded("map enumeration budget exceeded", counter[0])
-        if idx == len(verts):
-            if all(tri_ok(t, vo, {}) for t in tri_at_start):
-                search_edges(0, dict(vo), {})
-            return
-        v = verts[idx]
-        cands = [vassign[v]] if v in vassign else list(C.objects)
-        for o in cands:
-            vo[v] = o
-            search_vertices(idx + 1, vo)
-            del vo[v]
-
-    search_vertices(0, {})
-    return results
-
-
 def enumerate_maps(
     K: SimplicialSet,
     X: SimplicialSet,
     fixed: Optional[dict[Gen, SimplexKey]] = None,
     budget: int = 10**6,
-    use_category: bool = True,
 ) -> list[SimplicialMap]:
-    """All simplicial maps K -> X, deterministically ordered.
+    """All simplicial maps K -> X, ordered lexicographically by assignment
+    in ``K.all_gens()`` order.
 
-    ``fixed`` prescribes values on some generators of K.  When X is a nerve
-    and ``use_category`` is true, maps are found by functor search on the
-    1-skeleton; otherwise by backtracking over generators in dimension order,
-    drawing each generator's candidates from ``X.boundary_index``, which X
-    builds once and every later search into X reuses.
+    ``fixed`` prescribes values on some generators of K.  One backtracking
+    search assigns the generators in forward-checking order: vertices, then
+    edges, each generator of dimension >= 2 right after the last of its
+    faces.  A generator's candidates are the simplices of X with its
+    assigned boundary, read from ``X.boundary_index``, which X builds once
+    and every later search into X reuses.  Into a nerve, a 2-simplex is
+    fixed by its boundary, so its lookup is the composition check of a
+    functor and every higher generator has at most one candidate.
+    ``budget`` (the CLI's ``--budget``) bounds the nodes this search
+    visits, one per partial assignment; ``BudgetExceeded`` reports the node
+    that passed it.
     """
-    if use_category and X.category is not None:
-        results = _enumerate_functor_maps(K, X, fixed, budget)
-        results.sort(key=lambda m: sorted(m.assign.items()))
-        return results
-
     X.require_bound(K.top_dim, "map enumeration")
     fixed = fixed or {}
     cand_index = {n: X.boundary_index(n) for n in range(1, K.top_dim + 1)}
-    # per generator: its face row (None for vertices) and its fixed value
-    plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in K.all_gens()]
+    gens = K.all_gens()
+    # per generator, in search order: its face row (None for vertices) and fixed value
+    plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in K.search_order()]
 
     counter = [0]
     results: list[SimplicialMap] = []
@@ -852,7 +712,7 @@ def enumerate_maps(
         if counter[0] > budget:
             raise BudgetExceeded("map enumeration budget exceeded", counter[0])
         if pos == len(plan):
-            results.append(SimplicialMap(K, X, dict(assign)))
+            results.append(SimplicialMap(K, X, {g: assign[g] for g in gens}))
             return
         g, row, want = plan[pos]
         if row is None:
@@ -868,6 +728,7 @@ def enumerate_maps(
             del assign[g]
 
     rec(0)
+    results.sort(key=lambda m: list(m.assign.values()))
     return results
 
 
@@ -897,9 +758,9 @@ def inner_horn_filler(X: SimplicialSet, h: SimplicialMap) -> Optional[SimplexKey
     return None
 
 
-def horn_maps(X: SimplicialSet, n: int, k: int, budget: int = 10**6, use_category: bool = True):
+def horn_maps(X: SimplicialSet, n: int, k: int, budget: int = 10**6):
     """All horn maps Lambda^k[n] -> X."""
-    return enumerate_maps(horn(n, k), X, budget=budget, use_category=use_category)
+    return enumerate_maps(horn(n, k), X, budget=budget)
 
 
 # -- isomorphism search ----------------------------------------------------

@@ -141,7 +141,7 @@ def validate_waldhausen(W: WaldhausenData, d: int = 2, budget: int = 10**6,
                     v0: X.vertex(f, 0), v1: X.vertex(f, 1), v2: X.vertex(g, 1),
                     e01: f, e02: g,
                 })
-                ccs = js.colimiting_cocones(span, 1, budget=budget, use_category=False)
+                ccs = js.colimiting_cocones(span, 1, budget=budget)
                 if not ccs:
                     kind = "local" if W.bounded else "fatal"
                     entry = ("pushout-missing", f, g)
@@ -398,7 +398,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
         i_m = _edge_morphism(X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((1,))), SimplexKey((0, 0))))))
         j_m = _edge_morphism(X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
         return is_pushout_cocone(C, f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
-    sl = js.slice_under(base, d + 1, budget=budget, use_category=False)
+    sl = js.slice_under(base, d + 1, budget=budget)
     fam = sl.family
     target_tuple = tuple(ext.assign[h] for h in fam.gen_order(0))
     vkey = None
@@ -408,7 +408,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
             break
     if vkey is None:
         return False
-    rep = js.is_initial(sl, vkey, d, budget=budget, use_category=False)
+    rep = js.is_initial(sl, vkey, d, budget=budget)
     return rep["verdict"].startswith("confirmed")
 
 

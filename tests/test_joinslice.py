@@ -75,7 +75,7 @@ def test_colimiting_cocone_over_a_span_in_a_square_poset():
         H.gen_of_label((0, 1)): SimplexKey(N.gen_of_label(((0, 1),))),
         H.gen_of_label((0, 2)): SimplexKey(N.gen_of_label(((0, 2),))),
     })
-    found = js.colimiting_cocones(span, 1, use_category=False)
+    found = js.colimiting_cocones(span, 1)
     assert len(found) >= 1
     tips = set()
     for entry in found:

@@ -47,7 +47,7 @@ def _parallel_pairs(X, n, budget=10**6):
     last components agree up to homotopy (here: on the nose), along with the
     pairs whose last components differ."""
     P = sx.product(sx.spine(n), sx.delta(1), n + 1).sset
-    maps = sx.enumerate_maps(P, X, budget=budget, use_category=False)
+    maps = sx.enumerate_maps(P, X, budget=budget)
     S, D1 = P.family.X, P.family.Y
     last = sx.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0)
     edge = SimplexKey(D1.gen_of_label((0, 1)))
@@ -131,7 +131,7 @@ def test_prism_construction_reports_the_stuck_filler():
 def test_non_parallel_inputs_are_rejected():
     X = nerve(cyclic_group_category(3), 3)
     P = sx.product(sx.spine(1), sx.delta(1), 2).sset
-    maps = sx.enumerate_maps(P, X, budget=10**6, use_category=False)
+    maps = sx.enumerate_maps(P, X, budget=10**6)
     bad = next(
         (a, b) for a in maps for b in maps if not lf._parallel(a, b)
     )

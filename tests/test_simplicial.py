@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatk import simplicial as sx
-from qcatk.cats import nerve, cyclic_group_category, chain_poset
+from qcatk import lifting as lf
+from qcatk.cats import nerve, nerve_key_for_string, cyclic_group_category, chain_poset
 from qcatk.simplicial import SimplexKey
-from qcatk.zoo import idempotent_monoid_category, random_category, random_poset
+from qcatk.zoo import random_category, random_poset
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +133,34 @@ def test_maps_from_simplex_to_nerve_count_composable_strings():
     assert len(sx.enumerate_maps(sx.spine(2), N, budget=10**6)) == 9
 
 
+def forward_checking_order(K):
+    """K's generators in the order the search assigns them, derived from K's
+    face rows: vertices, then edges, each followed at once by every higher
+    generator that it completes (the last of its faces to be placed), in
+    ``all_gens()`` order and each followed in turn by what it completes."""
+    higher = [g for g in K.all_gens() if g[0] >= 2]
+    order, placed = [], set()
+
+    def place(g):
+        order.append(g)
+        placed.add(g)
+        for h in higher:
+            faces = {f.gen for f in K.faces[h]}
+            if h not in placed and g in faces and faces <= placed:
+                place(h)
+
+    for g in K.gens(0) + K.gens(1):
+        place(g)
+    assert sorted(order) == K.all_gens()
+    return order
+
+
 def naive_enumerate_maps(K, X, fixed=None, budget=10**6, stats=None):
-    """The generic search of ``enumerate_maps`` with its candidate index
-    rebuilt from ``X.simplices(n)`` on every call and faces read through
-    ``K.face``; the reference for the cached-index search.  A ``stats``
-    dict receives the number of search nodes visited."""
-    gens_in_order = K.all_gens()
+    """The search of ``enumerate_maps`` with its candidate index rebuilt
+    from ``X.simplices(n)`` on every call and faces read through ``K.face``;
+    the reference for the cached-index search.  A ``stats`` dict receives
+    the number of search nodes visited."""
+    gens_in_order = forward_checking_order(K)
     X.require_bound(K.top_dim, "map enumeration")
     fixed = fixed or {}
     cand_index = {}
@@ -159,7 +182,7 @@ def naive_enumerate_maps(K, X, fixed=None, budget=10**6, stats=None):
         if counter[0] > budget:
             raise sx.BudgetExceeded("map enumeration budget exceeded", counter[0])
         if pos == len(gens_in_order):
-            results.append(sx.SimplicialMap(K, X, dict(assign)))
+            results.append(sx.SimplicialMap(K, X, {g: assign[g] for g in K.all_gens()}))
             return
         g = gens_in_order[pos]
         n = g[0]
@@ -178,11 +201,118 @@ def naive_enumerate_maps(K, X, fixed=None, budget=10**6, stats=None):
     rec(0)
     if stats is not None:
         stats["nodes"] = counter[0]
-    return results
+    return sorted(results, key=lambda m: sorted(m.assign.items()))
+
+
+def functor_enumerate_maps(K, X, fixed=None):
+    """Maps K -> X for X the nerve of a finite category, by functor search.
+
+    A nerve is 2-coskeletal and its simplices are determined by their
+    spines, so a map is exactly an assignment of objects to vertices and
+    morphisms to edges satisfying the composition relation on every
+    2-simplex.  The reference for map search into nerves.
+    """
+    C = X.category
+    verts = K.gens(0)
+    edge_gens = K.gens(1)
+    fixed = fixed or {}
+    obj_of_vertex_key = {SimplexKey(g): X.labels[g] for g in X.gens(0)}
+
+    def edge_value_to_morphism(key):
+        if key.is_degenerate:
+            return C.ids[obj_of_vertex_key[SimplexKey(key.gen)]]
+        return X.labels[key.gen][0]
+
+    # seeds from the fixed generator assignments
+    vassign, eassign = {}, {}
+    for g, val in fixed.items():
+        if g[0] == 0:
+            vassign[g] = obj_of_vertex_key[val]
+        elif g[0] == 1:
+            eassign[g] = edge_value_to_morphism(val)
+    # fixed higher generators constrain their edges and vertices
+    for g, val in fixed.items():
+        if g[0] >= 2:
+            gk = SimplexKey(g)
+            for i in range(g[0] + 1):
+                for j in range(i + 1, g[0] + 1):
+                    e = K.subsimplex(gk, (i, j))
+                    if e.is_degenerate:
+                        continue
+                    m = edge_value_to_morphism(X.subsimplex(val, (i, j)))
+                    if eassign.setdefault(e.gen, m) != m:
+                        return []
+            for j in range(g[0] + 1):
+                o = obj_of_vertex_key[SimplexKey(X.vertex(val, j).gen)]
+                if vassign.setdefault(K.vertex(gk, j).gen, o) != o:
+                    return []
+
+    # each triangle is checked as soon as its last nondegenerate edge is assigned
+    edge_pos = {e: i for i, e in enumerate(edge_gens)}
+    tri_ready, tri_at_start = {}, []
+    for g in K.gens(2):
+        gk = SimplexKey(g)
+        tri = tuple(K.subsimplex(gk, p) for p in ((0, 1), (1, 2), (0, 2)))
+        positions = [edge_pos[e.gen] for e in tri if not e.is_degenerate]
+        if positions:
+            tri_ready.setdefault(max(positions), []).append(tri)
+        else:
+            tri_at_start.append(tri)
+
+    def mor_of(e, ea, vo):
+        if e.is_degenerate:
+            return C.ids[vo[K.vertex(e, 0).gen]]
+        return ea[e.gen]
+
+    def tri_ok(tri, vo, ea):
+        e01, e12, e02 = tri
+        return C.compose_mor(mor_of(e12, ea, vo), mor_of(e01, ea, vo)) == mor_of(e02, ea, vo)
+
+    def assemble(vo, ea):
+        assign = {}
+        for g in K.all_gens():
+            if g[0] == 0:
+                assign[g] = SimplexKey(X.gen_of_label(vo[g]))
+            else:
+                spine = [mor_of(e, ea, vo) for e in K.spine_of(SimplexKey(g))]
+                assign[g] = nerve_key_for_string(X, spine)
+        return sx.SimplicialMap(K, X, assign)
+
+    results = []
+
+    def search_edges(idx, vo, ea):
+        if idx == len(edge_gens):
+            results.append(assemble(vo, ea))
+            return
+        egen = edge_gens[idx]
+        gk = SimplexKey(egen)
+        a, b = vo[K.vertex(gk, 0).gen], vo[K.vertex(gk, 1).gen]
+        cands = [eassign[egen]] if egen in eassign else C.hom(a, b)
+        for m in cands:
+            if C.src[m] != a or C.tgt[m] != b:
+                continue
+            ea[egen] = m
+            if all(tri_ok(t, vo, ea) for t in tri_ready.get(idx, ())):
+                search_edges(idx + 1, vo, ea)
+            del ea[egen]
+
+    def search_vertices(idx, vo):
+        if idx == len(verts):
+            if all(tri_ok(t, vo, {}) for t in tri_at_start):
+                search_edges(0, dict(vo), {})
+            return
+        v = verts[idx]
+        for o in [vassign[v]] if v in vassign else list(C.objects):
+            vo[v] = o
+            search_vertices(idx + 1, vo)
+            del vo[v]
+
+    search_vertices(0, {})
+    return sorted(results, key=lambda m: sorted(m.assign.items()))
 
 
 def plain(N):
-    """A nerve without its category block, so searches into it are generic."""
+    """A nerve without its category block."""
     return sx.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
 
 
@@ -193,10 +323,6 @@ def search_outcome(search, K, X, fixed, budget):
         return [m.assign for m in search(K, X, fixed=fixed, budget=budget)]
     except sx.BudgetExceeded as exc:
         return ("budget exceeded", exc.attempted)
-
-
-def generic(K, X, fixed=None, budget=10**6):
-    return sx.enumerate_maps(K, X, fixed=fixed, budget=budget, use_category=False)
 
 
 SOURCES = [
@@ -214,38 +340,83 @@ SOURCES = [
 ]
 
 
+def draw_fixed(data, K, maps):
+    """Up to three generators of K fixed at their values under one of
+    ``maps``, or None when there are no maps."""
+    if not maps:
+        return None
+    m = data.draw(st.sampled_from(maps))
+    keep = data.draw(st.lists(st.sampled_from(K.all_gens()), unique=True, max_size=3))
+    return {g: m.assign[g] for g in keep}
+
+
 @given(st.integers(0, 10_000), st.integers(0, len(SOURCES) - 1), st.data())
 @settings(max_examples=80, deadline=None)
 def test_generic_search_matches_the_rebuilding_oracle(seed, which, data):
     X = plain(nerve(random_category(random.Random(seed), 4), 2))
     K = SOURCES[which]()
-    fixed = None
-    maps = naive_enumerate_maps(K, X)
-    if maps:
-        m = data.draw(st.sampled_from(maps))
-        keep = data.draw(st.lists(st.sampled_from(K.all_gens()), unique=True, max_size=3))
-        fixed = {g: m.assign[g] for g in keep}
+    fixed = draw_fixed(data, K, naive_enumerate_maps(K, X))
     stats = {}
     expected = [m.assign for m in naive_enumerate_maps(K, X, fixed, stats=stats)]
-    assert search_outcome(generic, K, X, fixed, 10**6) == expected
+    assert search_outcome(sx.enumerate_maps, K, X, fixed, 10**6) == expected
     # a small budget, and the last budget that runs out and the first that does not
     nodes = stats["nodes"]
     for budget in (data.draw(st.integers(1, 60)), nodes - 1, nodes):
-        assert search_outcome(generic, K, X, fixed, budget) == search_outcome(
+        assert search_outcome(sx.enumerate_maps, K, X, fixed, budget) == search_outcome(
             naive_enumerate_maps, K, X, fixed, budget
         )
 
 
+@given(st.integers(0, 10_000), st.integers(0, len(SOURCES) - 1), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_search_into_a_nerve_matches_the_functor_oracle(seed, which, with_fixed, data):
+    N = nerve(random_category(random.Random(seed), 4), 2)
+    K = SOURCES[which]()
+    expected = functor_enumerate_maps(K, N)
+    fixed = draw_fixed(data, K, expected) if with_fixed else None
+    if fixed is not None:
+        expected = functor_enumerate_maps(K, N, fixed)
+    found = sx.enumerate_maps(K, N, fixed=fixed)
+    assert [m.assign for m in found] == [m.assign for m in expected]
+
+
+@given(st.integers(0, 10_000), st.integers(0, len(SOURCES) - 1), st.integers(1, 200))
+@settings(max_examples=40, deadline=None)
+def test_a_category_block_changes_no_search(seed, which, budget):
+    N = nerve(random_category(random.Random(seed), 4), 2)
+    K = SOURCES[which]()
+    for b in (budget, 10**6):
+        assert search_outcome(sx.enumerate_maps, K, N, None, b) == search_outcome(
+            sx.enumerate_maps, K, plain(N), None, b
+        )
+
+
+def test_maps_come_in_lexicographic_order_when_boundaries_do_not_fix_simplices():
+    # one vertex, one loop and two 2-simplices on the degenerate boundary, so a
+    # 2-simplex searched before a later edge has two candidates
+    v, s0 = SimplexKey((0, 0)), SimplexKey((0, 0), (0,))
+    X = sx.SimplicialSet([1, 1, 2], {(1, 0): (v, v), (2, 0): (s0, s0, s0), (2, 1): (s0, s0, s0)})
+    for make in SOURCES:
+        K = make()
+        stats = {}
+        expected = [m.assign for m in naive_enumerate_maps(K, X, stats=stats)]
+        assert search_outcome(sx.enumerate_maps, K, X, None, 10**6) == expected
+        for budget in (stats["nodes"] - 1, stats["nodes"]):
+            assert search_outcome(sx.enumerate_maps, K, X, None, budget) == search_outcome(
+                naive_enumerate_maps, K, X, None, budget
+            )
+
+
 def test_generic_searches_into_one_target_share_its_boundary_index(monkeypatch):
     X = plain(nerve(cyclic_group_category(3), 2))
-    first = generic(sx.delta(2), X)
+    first = sx.enumerate_maps(sx.delta(2), X)
     index = {n: X.boundary_index(n) for n in (1, 2)}
     assert all(X.boundary_index(n) is index[n] for n in (1, 2))
 
     scanned = []
     scan = X.simplices
     monkeypatch.setattr(X, "simplices", lambda n: scanned.append(n) or scan(n))
-    second = generic(sx.delta(2), X)
+    second = sx.enumerate_maps(sx.delta(2), X)
     assert [m.assign for m in second] == [m.assign for m in first]
     assert all(X.boundary_index(n) is index[n] for n in (1, 2))
     assert set(scanned) == {0}  # vertex candidates only: nothing re-indexed
@@ -256,23 +427,26 @@ def test_generic_searches_into_one_target_share_its_boundary_index(monkeypatch):
         assert twin.boundary_index(n) == index[n]
 
 
-def test_functor_and_generic_enumeration_agree():
-    rng = random.Random(5)
-    categories = [cyclic_group_category(2), cyclic_group_category(3),
-                  idempotent_monoid_category(), chain_poset(2)]
-    categories += [random_category(rng, 4) for _ in range(4)]
-    for C in categories:
-        N = nerve(C, 2)
-        for K in [sx.delta(1), sx.delta(2), sx.spine(2), sx.boundary(2), sx.horn(2, 1)]:
-            fast = sx.enumerate_maps(K, N, budget=10**6, use_category=True)
-            slow = generic(K, N)
-            assert [f.assign for f in fast] == [f.assign for f in slow]
+def test_search_checks_each_simplex_as_soon_as_its_faces_are_assigned():
+    # all 19 edges of the cube I[1] x I[1] x Delta[1] assigned before any
+    # triangle is checked would be 2^19 leaves, past the default budget
+    K = sx.product(lf.spine_product((1, 1)), sx.delta(1), 3).sset
+    N = nerve(cyclic_group_category(2), 3)
+    maps = sx.enumerate_maps(K, plain(N))
+    assert len(maps) == 128
+    assert [m.assign for m in maps] == [m.assign for m in functor_enumerate_maps(K, N)]
+
+
+def test_search_into_a_truncated_nerve_respects_its_bound():
+    N = nerve(cyclic_group_category(2), 2)
+    with pytest.raises(sx.BoundExceeded):
+        sx.enumerate_maps(sx.delta(3), N)
 
 
 def test_enumeration_budget_is_enforced():
     N = nerve(cyclic_group_category(3), 2)
     with pytest.raises(sx.BudgetExceeded):
-        sx.enumerate_maps(sx.spine(2), N, budget=2, use_category=False)
+        sx.enumerate_maps(sx.spine(2), N, budget=2)
 
 
 def test_fixed_generators_filter_the_enumeration():
