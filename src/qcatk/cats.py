@@ -11,9 +11,9 @@ nerve can run as a functor search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .simplicial import SimplexKey, SimplicialSet, SimplicialMap, apply_degeneracy_word
+from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
 
 
 class FinCategory:
@@ -214,10 +214,6 @@ def chain_poset(n: int) -> FinCategory:
     return poset_category(range(n + 1), lambda a, b: a <= b)
 
 
-def discrete_category(objects) -> FinCategory:
-    return poset_category(objects, lambda a, b: a == b)
-
-
 def monoid_category(elements, op, unit, obj="*") -> FinCategory:
     elements = list(elements)
     src = {m: obj for m in elements}
@@ -283,6 +279,8 @@ def nerve_key_for_string(N: SimplicialSet, morphisms) -> SimplexKey:
     (identity entries become degeneracies)."""
     C = N.category
     morphisms = tuple(morphisms)
+    if morphisms and C.id_set.isdisjoint(morphisms):
+        return SimplexKey(N.gen_of_label(morphisms))
     word = tuple(sorted((i for i, m in enumerate(morphisms) if m in C.id_set), reverse=True))
     core = tuple(m for m in morphisms if m not in C.id_set)
     if not core:
@@ -292,6 +290,17 @@ def nerve_key_for_string(N: SimplicialSet, morphisms) -> SimplexKey:
     else:
         base = SimplexKey(N.gen_of_label(core))
     return SimplexKey(base.gen, word)
+
+
+def nerve_faces(N: SimplicialSet, s: tuple) -> tuple:
+    """Face keys of the nondegenerate nerve simplex with the composable
+    spine string ``s`` of non-identity morphisms: d_0 drops the first
+    morphism, d_n the last, and d_k composes s[k] after s[k - 1]."""
+    C = N.category
+    if len(s) == 1:
+        return (SimplexKey(N.gen_of_label(C.tgt[s[0]])), SimplexKey(N.gen_of_label(C.src[s[0]])))
+    inner = (s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :] for k in range(1, len(s)))
+    return tuple(nerve_key_for_string(N, t) for t in (s[1:], *inner, s[:-1]))
 
 
 def nerve(C: FinCategory, d: int) -> SimplicialSet:
@@ -311,35 +320,17 @@ def nerve(C: FinCategory, d: int) -> SimplicialSet:
 
     n_gens = [len(layer) for layer in strings]
     labels = {}
-    index = {}
     for n, layer in enumerate(strings):
         for i, s in enumerate(layer):
-            lbl = s[0] if n == 0 else s
-            labels[(n, i)] = lbl
-            index[(n, lbl)] = (n, i)
+            labels[(n, i)] = s[0] if n == 0 else s
 
     complete = (not nonid) if d == 0 else (not strings[d])
 
     N = SimplicialSet(n_gens, {}, labels=labels, bound=None if complete else d, category=C)
 
-    faces = {}
     for n in range(1, len(strings)):
         for i, s in enumerate(strings[n]):
-            g = (n, i)
-            row = []
-            for k in range(n + 1):
-                if n == 1:
-                    row.append(SimplexKey(N.gen_of_label(C.tgt[s[0]] if k == 0 else C.src[s[0]])))
-                    continue
-                if k == 0:
-                    t = s[1:]
-                elif k == n:
-                    t = s[:-1]
-                else:
-                    t = s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :]
-                row.append(nerve_key_for_string(N, t))
-            faces[g] = tuple(row)
-    N.faces.update(faces)
+            N.faces[(n, i)] = nerve_faces(N, s)
     return N
 
 
@@ -369,22 +360,6 @@ def functor_from_nerve_map(F: SimplicialMap) -> FinFunctor:
         k = F.assign[NC.gen_of_label((m,))]
         mor_map[m] = D.ids[ND.labels[k.gen]] if k.is_degenerate else ND.labels[k.gen][0]
     return FinFunctor(C, D, obj_map, mor_map)
-
-
-def nerve_map_spine(N: SimplicialSet, key: SimplexKey) -> tuple:
-    """Spine morphisms (identities included) of a simplex key in a nerve."""
-    C = N.category
-    n = key.dim
-    if n == 0:
-        return ()
-    out = []
-    for i in range(1, n + 1):
-        e = N.subsimplex(key, (i - 1, i))
-        if e.is_degenerate:
-            out.append(C.ids[N.labels[e.gen]])
-        else:
-            out.append(N.labels[e.gen][0])
-    return tuple(out)
 
 
 # -- functor categories via nerve maps ---------------------------------------

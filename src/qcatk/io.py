@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .cats import FinCategory
+from .cats import FinCategory, nerve_faces
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .waldhausen import ExactFunctorData, WaldhausenData
 
@@ -140,30 +140,49 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
         ordered = sorted(layer)
         _expect(len(set(ordered)) == len(ordered), "duplicate generator name", p)
         for i, name in enumerate(ordered):
-            _expect(name not in gen_of_name, f"generator {name!r} repeated across dimensions", p)
+            if name in gen_of_name:
+                raise SchemaError(f"generator {name!r} repeated across dimensions", p)
             gen_of_name[name] = (n, i)
             labels[(n, i)] = name
         n_gens.append(len(ordered))
     faces_obj = obj["faces"]
     _expect(isinstance(faces_obj, dict), "'faces' must be an object", pointer + "/faces")
     faces = {}
+    # a face key is a function of its name, degeneracy word and expected
+    # dimension alone, so each distinct triple is validated once; keys that
+    # are not a list of a name and a list of ints (say a degeneracy 1.0,
+    # equal to 1 but rejected) always take the validating path.  Messages
+    # and pointers of the hot loops are formatted only on failure.
+    memo: dict[tuple, SimplexKey] = {}
     for name, g in gen_of_name.items():
         n = g[0]
         if n == 0:
             _expect(name not in faces_obj or faces_obj[name] == [],
                     "vertices take no faces", f"{pointer}/faces/{name}")
             continue
-        p = f"{pointer}/faces/{name}"
-        _expect(name in faces_obj, f"missing faces of {name!r}", pointer + "/faces")
+        if name not in faces_obj:
+            raise SchemaError(f"missing faces of {name!r}", pointer + "/faces")
         lst = faces_obj[name]
-        _expect(isinstance(lst, list) and len(lst) == n + 1,
-                f"generator of dimension {n} needs {n + 1} faces", p)
-        faces[g] = tuple(
-            _parse_key(k, gen_of_name, n - 1, f"{p}/{i}") for i, k in enumerate(lst)
-        )
+        if not (isinstance(lst, list) and len(lst) == n + 1):
+            raise SchemaError(f"generator of dimension {n} needs {n + 1} faces",
+                              f"{pointer}/faces/{name}")
+        row = []
+        for i, k in enumerate(lst):
+            if type(k) is list and len(k) == 2 and type(k[1]) is list and (
+                    not k[1] or all(type(j) is int for j in k[1])):
+                m = (k[0], tuple(k[1]), n)
+                key = memo.get(m)
+                if key is None:
+                    key = memo[m] = _parse_key(k, gen_of_name, n - 1,
+                                               f"{pointer}/faces/{name}/{i}")
+            else:
+                key = _parse_key(k, gen_of_name, n - 1, f"{pointer}/faces/{name}/{i}")
+            row.append(key)
+        faces[g] = tuple(row)
     for name in faces_obj:
-        _expect(name in gen_of_name, f"faces given for unknown generator {name!r}",
-                f"{pointer}/faces/{name}")
+        if name not in gen_of_name:
+            raise SchemaError(f"faces given for unknown generator {name!r}",
+                              f"{pointer}/faces/{name}")
     bound = obj.get("bound")
     _expect(bound is None or (isinstance(bound, int) and not isinstance(bound, bool)
                               and bound >= 0),
@@ -196,43 +215,54 @@ def _nerve_labels_from_names(labels, C: FinCategory, pointer: str) -> dict:
                     f"vertex {name!r} is not an object of the category",
                     f"{pointer}/generators/0")
             out[g] = name
-        else:
-            ms = tuple(name.split("|"))
-            _expect(len(ms) == g[0] and all(m in C.src for m in ms),
-                    f"generator {name!r} is not a morphism string of length {g[0]}",
-                    f"{pointer}/generators/{g[0]}")
-            _expect(all(m not in C.id_set for m in ms),
-                    f"nondegenerate string {name!r} contains an identity",
-                    f"{pointer}/generators/{g[0]}")
-            out[g] = ms
+            continue
+        ms = tuple(name.split("|"))
+        if not (len(ms) == g[0] and all(map(C.src.__contains__, ms))):
+            raise SchemaError(f"generator {name!r} is not a morphism string of length {g[0]}",
+                              f"{pointer}/generators/{g[0]}")
+        if not C.id_set.isdisjoint(ms):
+            raise SchemaError(f"nondegenerate string {name!r} contains an identity",
+                              f"{pointer}/generators/{g[0]}")
+        out[g] = ms
     return out
 
 
 def _validate_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str):
-    """The generator/face tables must agree with the nerve of the category."""
-    from .cats import nerve
+    """The generator/face tables must be those of the nerve of the category.
 
-    N = nerve(C, X.top_dim if X.bound is None else X.bound)
-    _expect(N.n_gens == X.n_gens,
-            "generator counts differ from the nerve of the category", pointer)
-
-    def transfer(k: SimplexKey) -> SimplexKey:
-        try:
-            g = N.gen_of_label(X.labels[k.gen])
-        except KeyError:
-            raise SchemaError(
-                f"generator {X.labels[k.gen]!r} is not a simplex of the nerve",
-                pointer)
-        return SimplexKey(g, k.degens)
-
+    Checked on X itself, without building the nerve.  The generator counts
+    must be the numbers of composable strings of non-identity morphisms of
+    each length up to the bound, counted as paths along ``C.nonid_out``.
+    Each label must be composable, and each face row must be the row
+    ``nerve_faces`` computes from the label through ``X.gen_of_label``.
+    This is exact: the labels are distinct strings of non-identity morphisms
+    (``_nerve_labels_from_names``), so composable labels as many as the
+    nerve's strings are exactly the nerve's generators.  Generators are
+    visited in dimension order, so every face string of a checked label
+    names a generator already checked.
+    """
+    d = X.top_dim if X.bound is None else X.bound
+    paths = dict.fromkeys(C.objects, 1)  # strings of length n, by last target
+    for n in range(max(d, 0) + 1):
+        if n:
+            longer = dict.fromkeys(C.objects, 0)
+            for a, count in paths.items():
+                for m in C.nonid_out(a):
+                    longer[C.tgt[m]] += count
+            paths = longer
+        _expect(sum(paths.values()) == (X.n_gens[n] if n <= X.top_dim else 0),
+                "generator counts differ from the nerve of the category", pointer)
+        if n > X.top_dim:  # no string of length n, so none longer either
+            break
     for g in X.all_gens():
         if g[0] == 0:
             continue
-        got = tuple(transfer(k) for k in X.faces[g])
-        if got != N.faces[transfer(SimplexKey(g)).gen]:
-            raise SchemaError(
-                f"faces of {X.labels[g]!r} disagree with the nerve of the category",
-                f"{pointer}/faces")
+        s = X.labels[g]
+        if not all(C.tgt[a] == C.src[b] for a, b in zip(s, s[1:])):
+            raise SchemaError(f"generator {s!r} is not a simplex of the nerve", pointer)
+        if X.faces[g] != nerve_faces(X, s):
+            raise SchemaError(f"faces of {s!r} disagree with the nerve of the category",
+                              f"{pointer}/faces")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +311,8 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
             _expect(isinstance(ms, list) and all(isinstance(m, str) for m in ms),
                     "hom set must list morphism names", p)
             for m in ms:
-                _expect(m not in src, f"morphism {m!r} repeated", p)
+                if m in src:
+                    raise SchemaError(f"morphism {m!r} repeated", p)
                 src[m], tgt[m] = a, b
                 morphisms.append(m)
     ids = obj["ids"]
@@ -296,9 +327,10 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
     for g, row in obj["compose"].items():
         _expect(g in src, f"unknown morphism {g!r}", f"{pointer}/compose/{g}")
         for f, h in row.items():
-            p = f"{pointer}/compose/{g}/{f}"
-            _expect(f in src and h in src, "unknown morphism in composite", p)
-            _expect(src[g] == tgt[f], "composite of non-composable pair", p)
+            if f not in src or h not in src:
+                raise SchemaError("unknown morphism in composite", f"{pointer}/compose/{g}/{f}")
+            if src[g] != tgt[f]:
+                raise SchemaError("composite of non-composable pair", f"{pointer}/compose/{g}/{f}")
             comp[(g, f)] = h
     C = FinCategory(list(objects), morphisms, src, tgt,
                     {o: ids[o] for o in objects}, comp)

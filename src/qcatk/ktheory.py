@@ -26,7 +26,7 @@ from .cats import (
 )
 from .homology import AbelianGroupPresentation, group_from_relations, pi0, pi1_abelianized
 from .joinslice import colimiting_cocones, comma, small_posets
-from .sconstruction import GridConstruction, ar_nerve, s_n, s_structure_functor
+from .sconstruction import GridConstruction, s_n, s_structure_functor
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .waldhausen import (
     ExactFunctorData,
@@ -75,14 +75,6 @@ def diagonal(B: BisimplicialTruncation) -> sx.MaterializedSSet:
     """diag_n = the n-simplices of level n, with mixed face and degeneracy
     maps; materialized to the stored number of levels."""
     return sx.MaterializedSSet(_DiagonalFamily(B), B.top)
-
-
-def constant_bisimplicial(X: SimplicialSet, top: int) -> BisimplicialTruncation:
-    ident = SimplicialMap.identity(X)
-    levels = [X] * (top + 1)
-    hfaces = {(n, i): ident for n in range(1, top + 1) for i in range(n + 1)}
-    hdegens = {(n, i): ident for n in range(top) for i in range(n + 1)}
-    return BisimplicialTruncation(levels, hfaces, hdegens)
 
 
 # -- the equivalence levels of the staircase construction ----------------------

@@ -15,7 +15,6 @@ from . import simplicial as sx
 from .cats import FinCategory
 from .homology import UnionFind
 from .simplicial import (
-    BudgetExceeded,
     SimplexKey,
     SimplicialMap,
     SimplicialSet,
@@ -64,14 +63,6 @@ def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
     for e in sorted(out):
         reps.setdefault(out[e], min(e, reps.get(out[e], e)))
     return {e: reps[r] for e, r in out.items()}
-
-
-def homotopic_edges(X: SimplicialSet, f: SimplexKey, g: SimplexKey) -> bool:
-    for j in range(2):
-        if X.vertex(f, j) != X.vertex(g, j):
-            raise ValueError("edges are not parallel")
-    cls = homotopy_classes(X)
-    return cls[f] == cls[g]
 
 
 # -- homotopy category -------------------------------------------------------
@@ -346,18 +337,7 @@ def tau1_map_equivalence(f: SimplicialMap) -> dict:
     }
 
 
-def natural_equivalence_check(alpha: NatTrans, ho: HoCategory = None) -> bool:
-    """True iff every component edge is an equivalence in the target."""
-    X = alpha.themap.target
-    if ho is None:
-        ho = ho_category(X)
-    return all(
-        ho.cat.is_iso(ho.cls(alpha.component(SimplexKey(v))))
-        for v in alpha.A.gens(0)
-    )
-
-
-# -- the ladder category nX and fullness witnesses ----------------------------
+# -- the ladder category nX ---------------------------------------------------
 
 
 def nX_category(X: SimplicialSet, n: int, ho: HoCategory = None) -> FinCategory:
@@ -418,60 +398,3 @@ def nX_category(X: SimplicialSet, n: int, ho: HoCategory = None) -> FinCategory:
                 tuple(H.compose_mor(gi, fi) for gi, fi in zip(g[2], f[2])),
             )
     return FinCategory(objects, morphisms, src, tgt, ids, comp)
-
-
-def spine_diagram_map(X: SimplicialSet, edges: tuple[SimplexKey, ...]) -> SimplicialMap:
-    """The map I[n] -> X given by a composable sequence of edges."""
-    n = len(edges)
-    I = sx.spine(n)
-    assign = {}
-    for i in range(n + 1):
-        if i < n:
-            assign[I.gen_of_label((i,))] = X.vertex(edges[i], 0)
-        else:
-            assign[I.gen_of_label((i,))] = X.vertex(edges[-1], 1)
-    for i in range(1, n + 1):
-        assign[I.gen_of_label((i - 1, i))] = edges[i - 1]
-    return SimplicialMap(I, X, assign)
-
-
-def phi_fullness_witness(X: SimplicialSet, n: int, morphism, budget: int = 10**6):
-    """Build alpha : I[n] x Delta[1] -> X realizing a ladder morphism of
-    nX_category whose components are the given classes.
-
-    ``morphism`` is (A, B, gs) with A, B composable edge tuples and gs the
-    vertical edges (representatives).  Returns a NatTrans or None.
-    """
-    A, B, gs = morphism
-    I = sx.spine(n)
-    span = sx.product(I, sx.delta(1), 2)
-    P = span.sset
-    d1 = sx.delta(1)
-    e01 = SimplexKey(d1.gen_of_label((0, 1)))
-    v0 = SimplexKey(d1.gen_of_label((0,)))
-    v1 = SimplexKey(d1.gen_of_label((1,)))
-
-    def vert(i):
-        return SimplexKey(I.gen_of_label((i,)))
-
-    def edge(i):
-        return SimplexKey(I.gen_of_label((i - 1, i)))
-
-    def verts_of(obj):
-        if n == 0:
-            return [obj[0]]
-        return [X.vertex(obj[0], 0)] + [X.vertex(e, 1) for e in obj]
-
-    va, vb = verts_of(A), verts_of(B)
-    fixed = {}
-    for i in range(n + 1):
-        fixed[P.key_of(0, (vert(i), v0)).gen] = va[i]
-        fixed[P.key_of(0, (vert(i), v1)).gen] = vb[i]
-        fixed[P.key_of(1, (I.degeneracy(vert(i), 0), e01)).gen] = gs[i]
-    for i in range(1, n + 1):
-        fixed[P.key_of(1, (edge(i), d1.degeneracy(v0, 0))).gen] = A[i - 1]
-        fixed[P.key_of(1, (edge(i), d1.degeneracy(v1, 0))).gen] = B[i - 1]
-    maps = sx.enumerate_maps(P, X, fixed=fixed, budget=budget)
-    if not maps:
-        return None
-    return NatTrans(P, I, maps[0])

@@ -14,7 +14,7 @@ rather than silently truncating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 Gen = tuple[int, int]  # (dimension, index within that dimension)
@@ -268,7 +268,13 @@ class SimplicialSet:
     # -- validation -------------------------------------------------------
 
     def check(self) -> None:
-        """Verify simplicial identities d_i d_j = d_{j-1} d_i on generators."""
+        """Verify simplicial identities d_i d_j = d_{j-1} d_i on generators.
+
+        Generators and identities are visited in dimension order, so the
+        face rows below the current dimension are already checked, and a
+        nondegenerate face's own faces are read from its row; ``face`` is
+        needed only for degenerate faces.
+        """
         for n in range(1, self.top_dim + 1):
             for g in self.gens(n):
                 row = self.faces[g]
@@ -282,11 +288,11 @@ class SimplicialSet:
                     if f.gen[1] >= self.n_gens[f.gen[0]]:
                         raise ValueError(f"face of {g} refers to unknown generator {f.gen}")
                 if n >= 2:
-                    k = SimplexKey(g)
                     for j in range(n + 1):
                         for i in range(j):
-                            lhs = self.face(self.face(k, j), i)
-                            rhs = self.face(self.face(k, i), j - 1)
+                            a, b = row[j], row[i]
+                            lhs = self.face(a, i) if a.degens else self.faces[a.gen][i]
+                            rhs = self.face(b, j - 1) if b.degens else self.faces[b.gen][j - 1]
                             if lhs != rhs:
                                 raise ValueError(f"d_{i} d_{j} fails at generator {g}")
 
@@ -481,20 +487,6 @@ def point() -> SimplicialSet:
 
 def empty_sset() -> SimplicialSet:
     return SimplicialSet([], {}, bound=None)
-
-
-def standard_object(kind: str, n: int, k: Optional[int] = None) -> SimplicialSet:
-    if kind == "simplex":
-        return delta(n)
-    if kind == "boundary":
-        return boundary(n)
-    if kind == "horn":
-        if k is None:
-            raise ValueError("horn needs an index k")
-        return horn(n, k)
-    if kind == "spine":
-        return spine(n)
-    raise ValueError(f"unknown standard object {kind!r}")
 
 
 def delta_inclusion(source: SimplicialSet, target: SimplicialSet, vertex_map) -> SimplicialMap:
@@ -700,6 +692,7 @@ def enumerate_maps(
     fixed = fixed or {}
     cand_index = {n: X.boundary_index(n) for n in range(1, K.top_dim + 1)}
     gens = K.all_gens()
+    vertices = X.simplices(0)
     # per generator, in search order: its face row (None for vertices) and fixed value
     plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in K.search_order()]
 
@@ -716,7 +709,7 @@ def enumerate_maps(
             return
         g, row, want = plan[pos]
         if row is None:
-            cands = X.simplices(0)
+            cands = vertices
         else:
             wanted = tuple(apply_degeneracy_word(assign[f.gen], f.degens) for f in row)
             cands = cand_index[g[0]].get(wanted, [])

@@ -9,8 +9,7 @@ bounded-universe descriptor and pushout failures are reported as "local"
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import joinslice as js
@@ -187,11 +186,6 @@ def cof_subquasicategory(W: WaldhausenData, d: int = 2):
     sub = cof_category(W)
     return sx.one_full_subcomplex(W.underlying, W.is_cof, d,
                                   category=sub)
-
-
-def cof_homotopy_category(W: WaldhausenData) -> qc.HoCategory:
-    co, _ = cof_subquasicategory(W, 2)
-    return qc.ho_category(co)
 
 
 def admits_factorization(W: WaldhausenData) -> bool:

@@ -1,14 +1,21 @@
 """JSON round trips, canonical forms, nerve-structure validation, and
 schema-error pointers."""
 
-import pytest
+import json
+import random
+from unittest import mock
 
-from qcatk import io
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcatk import cats, io
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve
+from qcatk.cats import chain_poset, cyclic_group_category, nerve, pointed_sets_category
 from qcatk.quasicat import ho_category
+from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import pointed_sets_waldhausen
-from qcatk.zoo import pointed_sets_with_duplicate
+from qcatk.zoo import pointed_sets_with_duplicate, random_category
 
 
 def _idem(obj):
@@ -67,6 +74,228 @@ def test_tampered_nerve_face_table_is_rejected():
     bad["faces"][name] = list(reversed(doc["faces"][name]))
     with pytest.raises(io.SchemaError):
         io.parse_sset(bad)
+
+
+# ---------------------------------------------------------------------------
+# nerve files: the checks against the category block
+
+
+def naive_validate_nerve_structure(X, C, pointer):
+    """Oracle for ``io._validate_nerve_structure``: build the nerve of C and
+    compare generator counts and face tables through the labels."""
+    N = nerve(C, X.top_dim if X.bound is None else X.bound)
+    if N.n_gens != X.n_gens:
+        raise io.SchemaError("generator counts differ from the nerve of the category", pointer)
+
+    def transfer(k):
+        try:
+            g = N.gen_of_label(X.labels[k.gen])
+        except KeyError:
+            raise io.SchemaError(
+                f"generator {X.labels[k.gen]!r} is not a simplex of the nerve", pointer)
+        return SimplexKey(g, k.degens)
+
+    for g in X.all_gens():
+        if g[0] == 0:
+            continue
+        got = tuple(transfer(k) for k in X.faces[g])
+        if got != N.faces[transfer(SimplexKey(g)).gen]:
+            raise io.SchemaError(
+                f"faces of {X.labels[g]!r} disagree with the nerve of the category",
+                f"{pointer}/faces")
+
+
+def naive_sset_check(X):
+    """Oracle for ``SimplicialSet.check``: every face through ``X.face``."""
+    for n in range(1, X.top_dim + 1):
+        for g in X.gens(n):
+            row = X.faces[g]
+            if len(row) != n + 1:
+                raise ValueError(f"generator {g} has {len(row)} faces, wanted {n + 1}")
+            for f in row:
+                if f.dim != n - 1:
+                    raise ValueError(f"face of {g} has wrong dimension")
+                if f.gen not in (X.faces if f.gen[0] else {}) and f.gen[0] > 0:
+                    raise ValueError(f"face of {g} refers to unknown generator {f.gen}")
+                if f.gen[1] >= X.n_gens[f.gen[0]]:
+                    raise ValueError(f"face of {g} refers to unknown generator {f.gen}")
+            if n >= 2:
+                k = SimplexKey(g)
+                for j in range(n + 1):
+                    for i in range(j):
+                        if X.face(X.face(k, j), i) != X.face(X.face(k, i), j - 1):
+                            raise ValueError(f"d_{i} d_{j} fails at generator {g}")
+
+
+def _outcome(doc):
+    try:
+        X = io.parse_sset(doc)
+    except io.SchemaError as exc:
+        return "rejected", str(exc), exc.pointer, repr(exc.__cause__)
+    except Exception as exc:  # a crash must at least be the same crash
+        return "crashed", repr(exc)
+    return "accepted", io.serialize_sset(X)
+
+
+def _rename(doc, old, new):
+    """The document with generator ``old`` renamed to ``new`` everywhere."""
+    def rn(name):
+        return new if name == old else name
+
+    return dict(
+        doc,
+        generators=[[rn(n) for n in layer] for layer in doc["generators"]],
+        faces={rn(n): [[rn(k[0]), k[1]] for k in row] for n, row in doc["faces"].items()},
+    )
+
+
+def _corrupt(doc, rng):
+    """One fault: a face entry, a renamed or swapped generator, or a dropped
+    or added generator.  New names are strings of the category's morphisms,
+    identities included, so they may be non-composable or degenerate."""
+    higher = [(n, name) for n, layer in enumerate(doc["generators"]) if n
+              for name in layer if name in doc["faces"]]
+    if not higher:
+        return doc
+    n, name = rng.choice(higher)
+    morphisms = sorted(m for row in doc["category"]["homs"].values()
+                       for ms in row.values() for m in ms)
+    nonid = sorted(set(morphisms) - set(doc["category"]["ids"].values()))
+    new = "|".join(rng.choice(morphisms if rng.random() < 0.2 else nonid)
+                   for _ in range(n))
+    kind = rng.choice(["face", "rename", "swap", "drop", "add"])
+    if kind == "face":
+        pool = [k for m, other in higher if m == n for k in doc["faces"][other]]
+        row = doc["faces"][name]
+        row[rng.randrange(len(row))] = list(rng.choice(pool))
+    elif kind == "rename":
+        doc = _rename(doc, name, new)
+    elif kind == "swap":
+        other = rng.choice(doc["generators"][n])
+        doc = _rename(_rename(_rename(doc, name, "\0"), other, name), "\0", other)
+    elif kind == "drop":
+        doc["generators"][n].remove(name)
+        del doc["faces"][name]
+    else:
+        doc["generators"][n].append(new)
+        doc["faces"][new] = [list(k) for k in doc["faces"][name]]
+    return doc
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_nerve_file_checks_agree_with_the_rebuilding_oracles(seed, faults):
+    rng = random.Random(seed)
+    C = random_category(rng, 3)
+    if rng.random() < 0.3:
+        C = C.opposite()
+    if rng.random() < 0.3:
+        C = C.product(random_category(rng, 2))
+    bound = rng.choice([1, 2, 3] if len(C.morphisms) <= 20 else [1, 2])
+    doc = json.loads(json.dumps(io.serialize_sset(nerve(C, bound))))
+    for _ in range(faults):
+        doc = _corrupt(doc, rng)
+    got = _outcome(json.loads(json.dumps(doc)))
+    with mock.patch.object(io, "_validate_nerve_structure", naive_validate_nerve_structure), \
+            mock.patch.object(sx.SimplicialSet, "check", naive_sset_check):
+        want = _outcome(doc)
+    assert got == want
+
+
+_CHECKED = [sx.delta(3), sx.horn(3, 1), sx.product(sx.delta(1), sx.delta(1), 2).sset,
+            sx.product(sx.delta(2), sx.delta(1), 3).sset, nerve(cyclic_group_category(2), 4),
+            nerve(cyclic_group_category(3), 3)]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_sset_check_agrees_with_the_face_oracle(seed, faults):
+    rng = random.Random(seed)
+    X = rng.choice(_CHECKED)
+    faces = dict(X.faces)
+    for _ in range(faults):
+        g = rng.choice([g for g in X.all_gens() if g[0]])
+        row = list(faces[g])
+        row[rng.randrange(len(row))] = rng.choice(X.simplices(g[0] - 1))
+        faces[g] = tuple(row)
+    Y = sx.SimplicialSet(X.n_gens, faces, bound=X.bound)
+
+    def failure(check):
+        try:
+            check(Y)
+        except ValueError as exc:
+            return str(exc)
+
+    assert failure(sx.SimplicialSet.check) == failure(naive_sset_check)
+
+
+def _z3_doc():
+    """N(Z/3) to dimension 2: vertex '*', edges '1', '2' (identity '0'),
+    2-simplices '1|1', '1|2', '2|1', '2|2'."""
+    return json.loads(json.dumps(io.serialize_sset(nerve(cyclic_group_category(3), 2))))
+
+
+def _rejection(doc):
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_sset(doc)
+    return exc.value.pointer, exc.value.message
+
+
+def test_nerve_file_with_a_generator_too_few_is_rejected():
+    doc = _z3_doc()
+    doc["generators"][2].remove("2|2")
+    del doc["faces"]["2|2"]
+    assert _rejection(doc) == ("/", "generator counts differ from the nerve of the category")
+
+
+def test_nerve_file_with_a_non_composable_string_is_rejected():
+    doc = json.loads(json.dumps(io.serialize_sset(nerve(chain_poset(2), 2))))
+    assert doc["generators"][2] == ["(0, 1)|(1, 2)"]
+    doc = _rename(doc, "(0, 1)|(1, 2)", "(1, 2)|(0, 1)")
+    assert _rejection(doc) == (
+        "/", f"generator {('(1, 2)', '(0, 1)')!r} is not a simplex of the nerve")
+
+
+def test_nerve_file_with_a_wrong_composite_face_is_rejected():
+    doc = _z3_doc()
+    assert doc["faces"]["1|1"] == [["1", []], ["2", []], ["1", []]]
+    doc["faces"]["1|1"][1] = ["1", []]  # simplicial identities still hold
+    assert _rejection(doc) == (
+        "/faces", f"faces of {('1', '1')!r} disagree with the nerve of the category")
+
+
+def test_nerve_file_with_an_identity_in_a_string_is_rejected():
+    doc = _rename(_z3_doc(), "1", "0")
+    assert _rejection(doc) == ("/generators/1", "nondegenerate string '0' contains an identity")
+
+
+def test_parsing_a_nerve_file_never_builds_the_nerve(monkeypatch):
+    N = nerve(pointed_sets_category(2).product(chain_poset(1)), 3)
+    doc = io.serialize_sset(N)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nerve was built while parsing")
+
+    monkeypatch.setattr(cats, "nerve", refuse)
+    monkeypatch.setattr(io, "nerve", refuse, raising=False)
+    assert io.serialize_sset(io.parse_sset(doc)) == doc
+
+
+def test_face_keys_validated_once_still_reject_look_alikes():
+    # a loop e at a, and 2-simplices t, u with faces e, s_0 a, e; each
+    # look-alike in u follows a valid key of t that it equals or resembles
+    row = [["e", []], ["a", [0]], ["e", []]]
+    doc = {"bound": None, "generators": [["a"], ["e"], ["t", "u"]],
+           "faces": {"e": [["a", []], ["a", []]], "t": row, "u": row}}
+    io.parse_sset(doc)
+    for i, bad, pointer, message in [
+        (1, ["a", [0.0]], "/faces/u/1/1", "degeneracies must be nonnegative integers"),
+        (2, ["e", [], 0], "/faces/u/2", "key must be [name, [degens]]"),
+        (2, ["a", []], "/faces/u/2", "key has dimension 0, expected 1"),
+    ]:
+        worse = json.loads(json.dumps(doc))
+        worse["faces"]["u"][i] = bad
+        assert _rejection(worse) == (pointer, message)
 
 
 def test_malformed_face_entry_reports_a_pointer():
