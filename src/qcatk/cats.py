@@ -466,11 +466,8 @@ def full_subcategory(C: FinCategory, objs) -> FinCategory:
     src = {m: C.src[m] for m in morphisms}
     tgt = {m: C.tgt[m] for m in morphisms}
     ids = {o: C.ids[o] for o in objs}
-    comp = {
-        (g, f): h
-        for (g, f), h in C.comp.items()
-        if g in set(morphisms) and f in set(morphisms)
-    }
+    kept = set(morphisms)
+    comp = {(g, f): h for (g, f), h in C.comp.items() if g in kept and f in kept}
     return FinCategory(objs, morphisms, src, tgt, ids, comp)
 
 

@@ -110,6 +110,7 @@ def _parse_key(obj, gen_of_name, expect_dim, pointer) -> SimplexKey:
     _expect(isinstance(obj, list) and len(obj) == 2, "key must be [name, [degens]]",
             pointer)
     name, degens = obj
+    _expect(isinstance(name, str), "generator name must be a string", pointer + "/0")
     _expect(name in gen_of_name, f"unknown generator {name!r}", pointer + "/0")
     _expect(isinstance(degens, list) and all(isinstance(i, int) and i >= 0 for i in degens),
             "degeneracies must be nonnegative integers", pointer + "/1")
@@ -150,8 +151,8 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
     faces = {}
     # a face key is a function of its name, degeneracy word and expected
     # dimension alone, so each distinct triple is validated once; keys that
-    # are not a list of a name and a list of ints (say a degeneracy 1.0,
-    # equal to 1 but rejected) always take the validating path.  Messages
+    # are not a list of a string name and a list of ints (say a degeneracy
+    # 1.0, equal to 1 but rejected) always take the validating path.  Messages
     # and pointers of the hot loops are formatted only on failure.
     memo: dict[tuple, SimplexKey] = {}
     for name, g in gen_of_name.items():
@@ -168,8 +169,9 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
                               f"{pointer}/faces/{name}")
         row = []
         for i, k in enumerate(lst):
-            if type(k) is list and len(k) == 2 and type(k[1]) is list and (
-                    not k[1] or all(type(j) is int for j in k[1])):
+            if (type(k) is list and len(k) == 2 and type(k[0]) is str
+                    and type(k[1]) is list
+                    and (not k[1] or all(type(j) is int for j in k[1]))):
                 m = (k[0], tuple(k[1]), n)
                 key = memo.get(m)
                 if key is None:
@@ -319,15 +321,17 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
     _expect(isinstance(ids, dict) and set(ids) == set(objects),
             "'ids' must name one identity per object", pointer + "/ids")
     for o, m in ids.items():
-        _expect(m in src and src[m] == o and tgt[m] == o,
+        _expect(isinstance(m, str) and m in src and src[m] == o and tgt[m] == o,
                 f"identity of {o!r} must be an endomorphism of it", f"{pointer}/ids/{o}")
     comp = {}
     _expect(isinstance(obj["compose"], dict), "'compose' must be an object",
             pointer + "/compose")
     for g, row in obj["compose"].items():
         _expect(g in src, f"unknown morphism {g!r}", f"{pointer}/compose/{g}")
+        _expect(isinstance(row, dict), "compose row must be an object",
+                f"{pointer}/compose/{g}")
         for f, h in row.items():
-            if f not in src or h not in src:
+            if f not in src or not isinstance(h, str) or h not in src:
                 raise SchemaError("unknown morphism in composite", f"{pointer}/compose/{g}/{f}")
             if src[g] != tgt[f]:
                 raise SchemaError("composite of non-composable pair", f"{pointer}/compose/{g}/{f}")

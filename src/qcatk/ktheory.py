@@ -103,8 +103,10 @@ def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2,
     bisimplicial truncation, plus the levels themselves.
 
     Each level nerve is a nerve of a diagram category, so its equivalence
-    subcomplex is the nerve of the subcategory of invertible transformations.
-    Returns (truncation, grid levels)."""
+    subcomplex is the nerve of the subcategory of invertible transformations;
+    it is built from the groupoid core, and the level's own nerve is never
+    read.  Each level is built once.  Returns (truncation, grid levels,
+    groupoid cores); the truncation's levels are the core nerves."""
     grids = [s_n(W, n, d, budget=budget) for n in range(top + 1)]
     cores = [groupoid_core(g.cat) for g in grids]
     levels = [nerve(c, max(d, n)) for n, c in enumerate(cores)]
@@ -121,7 +123,19 @@ def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2,
             hdegens[(n, i)] = nerve_functor_map(
                 _core_functor(F, cores[n], cores[n + 1]), levels[n], levels[n + 1]
             )
-    return BisimplicialTruncation(levels, hfaces, hdegens), grids
+    return BisimplicialTruncation(levels, hfaces, hdegens), grids, cores
+
+
+def _k0_and_levels(W: WaldhausenData, d: int, budget: int):
+    """K0 by the diagonal route, with the levels it was computed from:
+    returns (K0, (grid levels, groupoid cores, core nerves))."""
+    if d < 2:
+        raise ValueError("K0 needs dimension at least 2")
+    B, grids, cores = s_equiv_truncation(W, 2, d, budget=budget)
+    D = diagonal(B)
+    # the core has the level's objects, so the all-zero diagram is a vertex
+    base = D.key_of(0, SimplexKey(B.levels[0].gen_of_label(grids[0].zero)))
+    return pi1_abelianized(D, base), (grids, cores, B.levels)
 
 
 def k0_via_diagonal(W: WaldhausenData, d: int = 2,
@@ -129,13 +143,7 @@ def k0_via_diagonal(W: WaldhausenData, d: int = 2,
     """K0 as the abelianized edge-path group of the diagonal of the
     2-truncated bisimplicial set of equivalence subcomplexes, based at the
     all-zero diagram."""
-    if d < 2:
-        raise ValueError("K0 needs dimension at least 2")
-    B, grids = s_equiv_truncation(W, 2, d, budget=budget)
-    D = diagonal(B)
-    zero_vertex = grids[0].wdata.zero
-    base = D.key_of(0, zero_vertex)
-    return pi1_abelianized(D, base)
+    return _k0_and_levels(W, d, budget)[0]
 
 
 # -- independent presentation oracle -------------------------------------------
@@ -374,15 +382,13 @@ def s_level_functor(G: ExactFunctorData, src_level: GridConstruction,
     return F
 
 
-def _level_equiv_comparison(G: ExactFunctorData, n: int, d: int, budget: int) -> dict:
-    src = s_n(G.source, n, d, budget=budget)
-    tgt = s_n(G.target, n, d, budget=budget)
-    F = s_level_functor(G, src, tgt)
-    core_src = groupoid_core(src.cat)
-    core_tgt = groupoid_core(tgt.cat)
-    Ls = nerve(core_src, d)
-    Lt = nerve(core_tgt, d)
-    Fc = _core_functor(F, core_src, core_tgt)
+def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels) -> dict:
+    """Compare level n of both sides; each side is the (grid levels, groupoid
+    cores, core nerves) triple of :func:`_k0_and_levels`."""
+    (grids_s, cores_s, nerves_s), (grids_t, cores_t, nerves_t) = src_levels, tgt_levels
+    F = s_level_functor(G, grids_s[n], grids_t[n])
+    Fc = _core_functor(F, cores_s[n], cores_t[n])
+    Ls, Lt = nerves_s[n], nerves_t[n]
     m = nerve_functor_map(Fc, Ls, Lt)
     src_comps = pi0(Ls)
     tgt_comps = pi0(Lt)
@@ -414,7 +420,9 @@ def approximation_verify(G: ExactFunctorData, d: int = 2, budget: int = 10**6) -
     """Hypothesis report for the approximation statements, and — when the
     hypotheses hold — the desk-scale conclusion: component bijection and
     equality of K0 invariant factors, with per-level comparisons of the
-    equivalence subcomplexes for levels n <= 2."""
+    equivalence subcomplexes for levels n <= 2.  Each side's levels 0..2
+    are built once and serve both K0 and the per-level comparisons; the
+    level nerves themselves are never built."""
     from .waldhausen import admits_factorization
 
     exact_rep = validate_exact(G, d)
@@ -442,13 +450,13 @@ def approximation_verify(G: ExactFunctorData, d: int = 2, budget: int = 10**6) -
         report["conclusion"] = None
         return report
 
-    k_src = k0_via_diagonal(G.source, d, budget=budget)
-    k_tgt = k0_via_diagonal(G.target, d, budget=budget)
+    k_src, src_levels = _k0_and_levels(G.source, d, budget)
+    k_tgt, tgt_levels = _k0_and_levels(G.target, d, budget)
     dS = min(d, G.source.underlying.effective_bound())
     dT = min(d, G.target.underlying.effective_bound())
     kan_src, _ = qc.maximal_kan(G.source.underlying, dS)
     kan_tgt, _ = qc.maximal_kan(G.target.underlying, dT)
-    levels = [_level_equiv_comparison(G, n, d, budget) for n in range(3)]
+    levels = [_level_equiv_comparison(G, n, src_levels, tgt_levels) for n in range(3)]
     report["conclusion"] = {
         "k0_source": k_src,
         "k0_target": k_tgt,

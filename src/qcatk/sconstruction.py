@@ -13,13 +13,13 @@ categories, so every verdict reduces to finite table checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import simplicial as sx
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .cats import (
     FinCategory,
     FinFunctor,
-    full_subcategory,
     map_category,
     nerve,
     nerve_functor_map,
@@ -75,14 +75,28 @@ def restricted_grid(n: int, ambient: SimplicialSet = None):
 class GridConstruction:
     """One level of a grid construction: the indexing shape, the category of
     qualifying diagrams and natural transformations, the list decoding object
-    indices to maps shape -> nerve, and the inherited Waldhausen marking on
-    the nerve of that category."""
+    indices to maps shape -> nerve, the index of the all-zero diagram and the
+    marked morphisms.
+
+    The inherited Waldhausen marking on the nerve of that category (to
+    dimension ``d``) is built on the first read of ``wdata`` or ``sset`` and
+    kept; callers that need only the category never build the nerve."""
 
     shape: SimplicialSet
     cat: FinCategory
     maps: list
-    wdata: WaldhausenData
+    zero: int
+    marked: frozenset
+    d: int
+    universe: dict
     report: dict = field(default_factory=dict)
+
+    @cached_property
+    def wdata(self) -> WaldhausenData:
+        NV = nerve(self.cat, self.d)
+        cof = frozenset(SimplexKey(NV.gen_of_label((m,))) for m in self.marked)
+        return WaldhausenData(NV, SimplexKey(NV.gen_of_label(self.zero)), cof,
+                              self.universe)
 
     @property
     def sset(self) -> SimplicialSet:
@@ -157,7 +171,9 @@ class _DiagramUniverse:
 
 
 def _build_level(W, shape, uni, good_maps, is_cofibration, d, report):
-    """Assemble a GridConstruction from the qualifying diagrams."""
+    """Assemble a GridConstruction from the qualifying diagrams.  The
+    marking is computed here, since missing corner pushouts go into the
+    report; the level nerve waits for its first read."""
     C, N = uni.C, uni.N
     cat, maps = map_category(shape, C, N, maps=good_maps)
     zero_idx = [
@@ -176,14 +192,12 @@ def _build_level(W, shape, uni, good_maps, is_cofibration, d, report):
             marked.add(m)
         elif note is not None:
             report.setdefault("corner_pushout_missing", []).append(note)
-    NV = nerve(cat, d)
-    cof = frozenset(SimplexKey(NV.gen_of_label((m,))) for m in marked)
     universe = dict(W.universe or {})
     universe["bounded"] = True
     universe["note"] = f"diagram category over {len(C.objects)}-object base"
-    wdata = WaldhausenData(NV, SimplexKey(NV.gen_of_label(zero_idx[0])), cof, universe)
     report.update({"objects": len(maps), "dim": d})
-    return GridConstruction(shape, cat, maps, wdata, report)
+    return GridConstruction(shape, cat, maps, zero_idx[0], frozenset(marked), d,
+                            universe, report)
 
 
 def _top_row_cofibration(uni, maps, row, m):
@@ -419,11 +433,6 @@ def functor_equivalence_report(F: FinFunctor) -> dict:
     }
 
 
-def _marking_of(level: GridConstruction) -> set:
-    NV = level.sset
-    return {NV.labels[k.gen][0] for k in level.wdata.cof}
-
-
 def _reflects_marking(F: FinFunctor, src_marked, tgt_marked) -> dict:
     witness = None
     ok = True
@@ -481,7 +490,7 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -
         ("restricted_to_sequences", F2, bar_level, seq_level),
     ):
         rep = functor_equivalence_report(F)
-        rep.update(_reflects_marking(F, _marking_of(src), _marking_of(tgt)))
+        rep.update(_reflects_marking(F, src.marked, tgt.marked))
         rep["dim"] = d
         out[name] = {
             "functor": F,

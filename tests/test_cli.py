@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, JSON reports, and file output."""
 
+import copy
 import json
 
 import pytest
@@ -129,6 +130,34 @@ def test_malformed_json_exits_one_with_a_pointer(files, capsys, content):
     assert code == 1
     assert err["pointer"] == "/"
     assert err["error"].startswith("malformed JSON")
+
+
+def _mistyped_documents():
+    face = {"bound": 1, "generators": [["a", "b"], ["e"]],
+            "faces": {"e": [[["x"], []], ["a", []]]}}
+    cat = io.serialize_category(chain_poset(1))
+    row, composite, identity = (copy.deepcopy(cat) for _ in range(3))
+    row["compose"]["(1, 1)"] = [["(0, 1)", "(0, 1)"]]
+    composite["compose"]["(1, 1)"]["(0, 1)"] = ["(0, 1)"]
+    identity["ids"]["1"] = ["(1, 1)"]
+    return [
+        pytest.param(face, "/faces/e/0/0", id="face-name-list"),
+        pytest.param(row, "/compose/(1, 1)", id="compose-row-list"),
+        pytest.param(composite, "/compose/(1, 1)/(0, 1)", id="composite-list"),
+        pytest.param(identity, "/ids/1", id="identity-list"),
+    ]
+
+
+@pytest.mark.parametrize("doc,pointer", _mistyped_documents())
+def test_mistyped_names_exit_one_with_a_pointer(files, capsys, doc, pointer):
+    bad = files["dir"] / "mistyped.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["validate", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["pointer"] == pointer
 
 
 def test_out_flag_writes_the_report_to_a_file(files, capsys):

@@ -4,6 +4,7 @@ verification, and the approximation desk check."""
 import pytest
 
 from qcatk import ktheory as kt
+from qcatk import sconstruction as sc
 from qcatk import simplicial as sx
 from qcatk.cats import (
     FinFunctor,
@@ -61,6 +62,33 @@ def test_dropping_the_quotient_relations_is_detected():
     weakened = kt.k0_presentation_oracle(W, omit=drop)
     assert weakened == AbelianGroupPresentation(2, ())
     assert weakened != kt.k0_via_diagonal(W)
+
+
+def test_class_group_builds_no_level_nerve_until_read(monkeypatch):
+    grids, nerved = [], []
+    real_s_n, real_nerve = sc.s_n, sc.nerve
+
+    def recording_s_n(*args, **kwargs):
+        grids.append(real_s_n(*args, **kwargs))
+        return grids[-1]
+
+    def recording_nerve(C, d):
+        nerved.append(C)
+        return real_nerve(C, d)
+
+    monkeypatch.setattr(kt, "s_n", recording_s_n)
+    monkeypatch.setattr(sc, "nerve", recording_nerve)
+    assert kt.k0_via_diagonal(pointed_sets_waldhausen(3, 2)) == AbelianGroupPresentation(1, ())
+    assert len(grids) == 3
+
+    def level_nerves():
+        return sum(C is g.cat for C in nerved for g in grids)
+
+    assert level_nerves() == 0
+    sset = grids[2].sset
+    assert level_nerves() == 1
+    assert grids[2].wdata.underlying is sset
+    assert level_nerves() == 1
 
 
 def test_class_group_requires_dimension_two():
@@ -121,6 +149,22 @@ def test_skeleton_inclusion_passes_the_approximation_check():
     assert rep["conclusion"]["pass"], rep["conclusion"]
     assert rep["conclusion"]["k0_match"]
     assert rep["conclusion"]["pi0_source"] == rep["conclusion"]["pi0_target"]
+
+
+def test_approximation_builds_each_level_once(monkeypatch):
+    levels = []
+    real_s_n = sc.s_n
+
+    def counting_s_n(W, n, *args, **kwargs):
+        levels.append(n)
+        return real_s_n(W, n, *args, **kwargs)
+
+    monkeypatch.setattr(sc, "s_n", counting_s_n)
+    monkeypatch.setattr(kt, "s_n", counting_s_n)
+    _, G = pointed_sets_with_duplicate(2, 2)
+    rep = kt.approximation_verify(G)
+    assert rep["conclusion"]["pass"]
+    assert sorted(levels) == [0, 0, 1, 1, 2, 2]
 
 
 def test_non_reflecting_map_yields_a_negative_hypothesis_report():
