@@ -434,17 +434,30 @@ def map_category(
         a: (a, a, tuple(sorted((v, C.ids[obj_of(maps[a], v)]) for v in verts)))
         for a in objects
     }
+    # Composition, componentwise in C.  Morphisms of C are numbered, and
+    # after[i][j] numbers C's composite "j after i".  A transformation's
+    # components are sorted by vertex, so two compose entry by entry, and the
+    # composite is looked up among the morphisms: composites of natural
+    # transformations are natural.  Composable pairs come from an index by
+    # source object, f-major and each g in morphism order.
+    pos = {m: i for i, m in enumerate(C.morphisms)}
+    after: list[dict[int, int]] = [{} for _ in C.morphisms]
+    for f in C.morphisms:
+        b = C.tgt[f]
+        row = after[pos[f]]
+        for g in [C.ids[b], *C.nonid_out(b)]:
+            row[pos[g]] = pos[C.compose_mor(g, f)]
+    parts = {m: tuple(pos[x] for _, x in m[2]) for m in morphisms}
+    by_parts = {(m[0], m[1], parts[m]): m for m in morphisms}
+    out_of: dict[int, list] = {}
+    for g in morphisms:
+        out_of.setdefault(g[0], []).append(g)
     comp = {}
     for f in morphisms:
-        for g in morphisms:
-            if g[0] != f[1]:
-                continue
-            ef, eg = dict(f[2]), dict(g[2])
-            comp[(g, f)] = (
-                f[0],
-                g[1],
-                tuple(sorted((v, C.compose_mor(eg[v], ef[v])) for v in verts)),
-            )
+        fp = parts[f]
+        for g in out_of.get(f[1], ()):
+            hp = tuple([after[i][j] for i, j in zip(fp, parts[g])])
+            comp[(g, f)] = by_parts[(f[0], g[1], hp)]
     cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
     return cat, maps
 

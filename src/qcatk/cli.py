@@ -12,15 +12,10 @@ import dataclasses
 import sys
 
 from . import io
-from . import joinslice as js
-from . import ktheory as kt
-from . import lifting as lf
-from . import quasicat as qc
 from . import simplicial as sx
 from .cats import FinCategory, nerve
 from .homology import AbelianGroupPresentation, weak_contractibility_report
 from .simplicial import BoundExceeded, BudgetExceeded, SimplexKey
-from .waldhausen import validate_waldhausen
 
 EXIT_PASS = 0
 EXIT_FINDING = 1
@@ -108,12 +103,17 @@ def _require_ho_dim(args):
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each command imports the checkers it uses when it runs, so that starting a
+# command loads only the modules it needs.
 
 
 def cmd_validate(args):
     kind, value = _load(args.input)
     report = {"kind": kind, "valid": True}
     if kind == "waldhausen":
+        from .waldhausen import validate_waldhausen
+
         rep = validate_waldhausen(value, args.dim, budget=args.budget)
         report["axioms"] = rep
         report["valid"] = not rep["violations"]
@@ -133,6 +133,8 @@ def cmd_nerve(args):
 
 
 def cmd_tau1(args):
+    from . import quasicat as qc
+
     _require_ho_dim(args)
     _, X = _load(args.input, "sset")
     pres = qc.tau1_presentation(X)
@@ -140,6 +142,8 @@ def cmd_tau1(args):
 
 
 def cmd_ho(args):
+    from . import quasicat as qc
+
     _require_ho_dim(args)
     _, X = _load(args.input, "sset")
     ho = qc.ho_category(X)
@@ -166,12 +170,16 @@ def cmd_join(args):
 
 
 def cmd_slice(args):
+    from . import joinslice as js
+
     _, f = _load(args.input, "map")
     S = js.slice_over(f, args.dim, budget=args.budget)
     return _emit({"sset": io.serialize_sset(S)}, args, True)
 
 
 def cmd_overcat(args):
+    from . import joinslice as js
+
     _, X = _load(args.input, "sset")
     y = _vertex_by_name(X, args.vertex)
     O, _ = js.over_quasicategory(X, y, args.dim)
@@ -179,6 +187,8 @@ def cmd_overcat(args):
 
 
 def cmd_comma(args):
+    from . import joinslice as js
+
     _, G = _load(args.input, "map")
     y = _vertex_by_name(G.target, args.vertex)
     K, _, _ = js.comma(G, y, args.dim)
@@ -192,6 +202,8 @@ def cmd_contractible(args):
 
 
 def cmd_waldhausen_check(args):
+    from .waldhausen import validate_waldhausen
+
     _, W = _load(args.input, "waldhausen")
     rep = validate_waldhausen(W, args.dim, budget=args.budget)
     return _emit(rep, args, not rep["violations"])
@@ -214,6 +226,8 @@ def cmd_sconstruct(args):
 
 
 def cmd_k0(args):
+    from . import ktheory as kt
+
     _require_ho_dim(args)
     _, W = _load(args.input, "waldhausen")
     rep = kt.k0_agreement(W, args.dim, budget=args.budget)
@@ -228,6 +242,8 @@ def cmd_k0(args):
 
 
 def cmd_approx(args):
+    from . import ktheory as kt
+
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
     rep = kt.approximation_verify(G, args.dim, budget=args.budget)
@@ -236,6 +252,8 @@ def cmd_approx(args):
 
 
 def cmd_lift(args):
+    from . import lifting as lf
+
     nbar = tuple(args.nbar)
     kind, value = _load(args.input)
     if args.shape == "strong-replacement":
@@ -252,6 +270,8 @@ def cmd_lift(args):
 
 
 def cmd_iterate(args):
+    from . import lifting as lf
+
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
     rep = lf.higher_iterate_verify(G, tuple(args.n), args.dim,

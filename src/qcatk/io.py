@@ -24,7 +24,6 @@ import json
 
 from .cats import FinCategory, nerve_faces
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
-from .waldhausen import ExactFunctorData, WaldhausenData
 
 
 class SchemaError(ValueError):
@@ -67,10 +66,12 @@ def _nerve_names(X: SimplicialSet):
 def _gen_names(X: SimplicialSet) -> dict:
     """Stable generator names: nerve-derived names for nerves, string labels
     when present and unique, otherwise "dim.index"."""
-    if X.category is not None:
-        names = _nerve_names(X)
-        if names is not None:
-            return names
+    names = _nerve_names(X) if X.category is not None else None
+    return _label_names(X) if names is None else names
+
+
+def _label_names(X: SimplicialSet) -> dict:
+    """String labels when present and unique, otherwise "dim.index"."""
     gens = X.all_gens()
     labels = [X.labels.get(g) for g in gens]
     if all(isinstance(l, str) for l in labels) and len(set(labels)) == len(labels):
@@ -87,7 +88,10 @@ def _name_of(x) -> str:
 
 
 def serialize_sset(X: SimplicialSet) -> dict:
-    names = _gen_names(X)
+    # the names of ``_gen_names``, computed once: they also decide whether
+    # the category block is written
+    nerve_names = _nerve_names(X) if X.category is not None else None
+    names = _label_names(X) if nerve_names is None else nerve_names
 
     def key_json(k: SimplexKey):
         return [names[k.gen], list(k.degens)]
@@ -101,7 +105,7 @@ def serialize_sset(X: SimplicialSet) -> dict:
             for g in X.all_gens() if g[0] >= 1
         },
     }
-    if X.category is not None and _nerve_names(X) is not None:
+    if nerve_names is not None:
         out["category"] = serialize_category(X.category)
     return out
 
@@ -364,6 +368,8 @@ def serialize_waldhausen(W: WaldhausenData) -> dict:
 
 
 def parse_waldhausen(obj, pointer: str = "") -> WaldhausenData:
+    from .waldhausen import WaldhausenData
+
     _expect(isinstance(obj, dict), "Waldhausen data must be an object", pointer)
     for field in ("sset", "zero", "cofibrations"):
         _expect(field in obj, f"missing '{field}'", pointer)
@@ -442,6 +448,8 @@ def serialize_exact(G: ExactFunctorData) -> dict:
 
 
 def parse_exact(obj, pointer: str = "") -> ExactFunctorData:
+    from .waldhausen import ExactFunctorData
+
     _expect(isinstance(obj, dict), "exact map must be an object", pointer)
     for field in ("source", "target", "assign"):
         _expect(field in obj, f"missing '{field}'", pointer)

@@ -22,12 +22,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import quasicat as qc
 from . import simplicial as sx
 from .cats import nerve_functor_map
-from .sconstruction import f_n, functor_equivalence_report
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
-from .waldhausen import ExactFunctorData, cof_ho_equivalence, reflects_cofibrations
 
 # ---------------------------------------------------------------------------
 # key arithmetic on subset complexes and binary products
@@ -371,6 +368,8 @@ def components_hypothesis_check(X: SimplicialSet, nbar=(), p_budget: int = 1,
     then a map I[nbar] x Delta[1] -> X.  With ``p_budget = 0`` nothing is
     tested and the verdict is inconclusive.
     """
+    from . import quasicat as qc
+
     if p_budget < 1:
         return {"verdict": "inconclusive", "nbar": tuple(nbar), "tested_p": [],
                 "pairs_with_homotopic_components": 0, "witness": None}
@@ -547,6 +546,11 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     marking.  The report states whether the observed conclusion is
     consistent with each variant of the statement.
     """
+    from . import quasicat as qc
+    from .ktheory import s_level_functor
+    from .sconstruction import f_n, functor_equivalence_report
+    from .waldhausen import ExactFunctorData, cof_ho_equivalence, reflects_cofibrations
+
     nbar = tuple(nbar)
     if len(nbar) > 2:
         raise ValueError("at most two iterations are supported")
@@ -577,8 +581,6 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     )
 
     # build the iterated levels and the induced exact map between them
-    from .ktheory import s_level_functor
-
     cur = G
     level_reports = []
     for n in nbar:

@@ -231,15 +231,15 @@ class SimplicialSet:
         return self._boundary_index_cache[n]
 
     def search_order(self) -> list[Gen]:
-        """The generators in forward-checking order: vertices, then edges, in
-        ``all_gens()`` order, and each generator of dimension >= 2 right
+        """The generators in forward-checking order: vertices in
+        ``all_gens()`` order, and each generator of dimension >= 1 right
         after the last of its faces (generators placed after the same face
-        keep ``all_gens()`` order).  Built on first use and kept, like
-        ``boundary_index``."""
+        keep ``all_gens()`` order), so an edge comes right after its later
+        endpoint.  Built on first use and kept, like ``boundary_index``."""
         if self._search_order is None:
             rank: dict[Gen, tuple[int, ...]] = {}
             for i, g in enumerate(self.all_gens()):
-                rank[g] = (i,) if g[0] <= 1 else max(rank[f.gen] for f in self.faces[g]) + (i,)
+                rank[g] = (i,) if g[0] == 0 else max(rank[f.gen] for f in self.faces[g]) + (i,)
             self._search_order = sorted(rank, key=rank.__getitem__)
         return self._search_order
 
@@ -677,16 +677,19 @@ def enumerate_maps(
     in ``K.all_gens()`` order.
 
     ``fixed`` prescribes values on some generators of K.  One backtracking
-    search assigns the generators in forward-checking order: vertices, then
-    edges, each generator of dimension >= 2 right after the last of its
-    faces.  A generator's candidates are the simplices of X with its
-    assigned boundary, read from ``X.boundary_index``, which X builds once
-    and every later search into X reuses.  Into a nerve, a 2-simplex is
-    fixed by its boundary, so its lookup is the composition check of a
-    functor and every higher generator has at most one candidate.
+    search assigns the generators in forward-checking order
+    (``K.search_order()``): each generator of dimension >= 1 right after
+    the last of its faces, so an edge is tried as soon as both its
+    endpoints are assigned.  A generator's candidates are the simplices of
+    X with its assigned boundary, read from ``X.boundary_index``, which X
+    builds once and every later search into X reuses.  Into a nerve, a
+    2-simplex is fixed by its boundary, so its lookup is the composition
+    check of a functor and every higher generator has at most one
+    candidate.
     ``budget`` (the CLI's ``--budget``) bounds the nodes this search
-    visits, one per partial assignment; ``BudgetExceeded`` reports the node
-    that passed it.
+    visits, one per partial assignment, so the budget a search needs
+    depends on the search order; ``BudgetExceeded`` reports the node that
+    passed it.
     """
     X.require_bound(K.top_dim, "map enumeration")
     fixed = fixed or {}

@@ -15,6 +15,7 @@ from qcatk.cats import (
     cyclic_group_category,
     functor_from_nerve_map,
     groupoid_core,
+    map_category,
     nerve,
     nerve_functor_map,
     pointed_sets_category,
@@ -283,3 +284,37 @@ def test_indexed_functor_check_matches_the_all_pairs_oracle(seed, pick, n_bad):
             mor_map[m] = new
     bad = FinFunctor(C, D, F.obj_map, mor_map)
     assert _outcome(FinFunctor.check, bad) == _outcome(naive_functor_check, bad)
+
+
+def naive_map_composition(C, morphisms, verts):
+    """``map_category``'s composition table as it loops over every pair of
+    morphisms and filters by endpoint; the reference for the indexed table."""
+    comp = {}
+    for f in morphisms:
+        for g in morphisms:
+            if g[0] != f[1]:
+                continue
+            ef, eg = dict(f[2]), dict(g[2])
+            comp[(g, f)] = (
+                f[0],
+                g[1],
+                tuple(sorted((v, C.compose_mor(eg[v], ef[v])) for v in verts)),
+            )
+    return comp
+
+
+MAP_SOURCES = [sx.point, lambda: sx.delta(1), lambda: sx.spine(2), lambda: sx.boundary(2)]
+
+
+@given(st.integers(0, 10_000), st.integers(3, 4), st.booleans(),
+       st.integers(0, len(MAP_SOURCES) - 1))
+@settings(max_examples=60, deadline=None)
+def test_indexed_map_category_matches_the_all_pairs_oracle(seed, size, opposite, which):
+    C = random_category(random.Random(seed), size)
+    if opposite:
+        C = C.opposite()
+    K = MAP_SOURCES[which]()
+    cat, _ = map_category(K, C, nerve(C, 2))
+    expected = naive_map_composition(C, cat.morphisms, K.gens(0))
+    assert list(cat.comp.items()) == list(expected.items())
+    cat.check()

@@ -2,9 +2,13 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qcatk
 from qcatk import io
 from qcatk import simplicial as sx
 from qcatk.cats import chain_poset, cyclic_group_category, nerve
@@ -173,3 +177,18 @@ def test_canonical_form_is_stable_under_validate(files, capsys):
     code, rep = _run(capsys, ["validate", files["bdincl"]])
     assert code == 0
     assert io.canonical(io.load_path(files["bdincl"])) == io.load_path(files["bdincl"])
+
+
+def test_importing_the_front_end_loads_no_checker():
+    # each command imports its checkers when it runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcatk.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    checkers = ["joinslice", "ktheory", "lifting", "sconstruction", "waldhausen"]
+    probe = (
+        "import sys, qcatk.io, qcatk.cli; "
+        f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

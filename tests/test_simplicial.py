@@ -135,10 +135,11 @@ def test_maps_from_simplex_to_nerve_count_composable_strings():
 
 def forward_checking_order(K):
     """K's generators in the order the search assigns them, derived from K's
-    face rows: vertices, then edges, each followed at once by every higher
-    generator that it completes (the last of its faces to be placed), in
-    ``all_gens()`` order and each followed in turn by what it completes."""
-    higher = [g for g in K.all_gens() if g[0] >= 2]
+    face rows: vertices in ``all_gens()`` order, each followed at once by
+    every generator of dimension >= 1 that it completes (the last of its
+    faces to be placed), in ``all_gens()`` order and each followed in turn
+    by what it completes.  So an edge comes right after its later endpoint."""
+    higher = [g for g in K.all_gens() if g[0] >= 1]
     order, placed = [], set()
 
     def place(g):
@@ -149,7 +150,7 @@ def forward_checking_order(K):
             if h not in placed and g in faces and faces <= placed:
                 place(h)
 
-    for g in K.gens(0) + K.gens(1):
+    for g in K.gens(0):
         place(g)
     assert sorted(order) == K.all_gens()
     return order
@@ -435,6 +436,23 @@ def test_search_checks_each_simplex_as_soon_as_its_faces_are_assigned():
     maps = sx.enumerate_maps(K, plain(N))
     assert len(maps) == 128
     assert [m.assign for m in maps] == [m.assign for m in functor_enumerate_maps(K, N)]
+
+
+def test_search_tries_each_edge_as_soon_as_its_endpoints_are_assigned():
+    # with every vertex assigned before any edge, an empty hom between two
+    # early vertices is found only after all later vertices are tried
+    # (1,235 nodes here)
+    N = nerve(random_category(random.Random(14), 5), 3)
+    assert len(sx.enumerate_maps(sx.spine(3), N, budget=280)) == 39
+
+
+def test_prism_boundary_search_tries_each_edge_after_its_endpoints():
+    # 40,765 nodes with every vertex assigned before any edge
+    N = nerve(random_category(random.Random(14), 5), 3)
+    In, D2 = lf.spine_product((1,)), sx.delta(2)
+    P3 = sx.product(In, D2, In.top_dim + 2).sset
+    Bd, _ = lf._boundary_subcomplex(P3, D2, strong=False)
+    assert len(sx.enumerate_maps(Bd, N, budget=4504)) == 184
 
 
 def test_search_into_a_truncated_nerve_respects_its_bound():
