@@ -1,7 +1,10 @@
 """Finite categories given by explicit multiplication tables, and nerves.
 
 Objects and morphisms are arbitrary hashable values.  The composition table
-``comp[(g, f)]`` stores g after f for every composable pair.  Nerves are
+``comp[(g, f)]`` stores g after f for every composable pair.  Morphisms can be
+long nested tuples (a natural transformation lists its components), so the
+checks and the diagram categories compose by number instead, through
+``FinCategory.after``, and hash each morphism only to number it.  Nerves are
 produced as :class:`~qcatk.simplicial.SimplicialSet` objects whose generator
 labels are composable strings of non-identity morphisms; the category itself
 travels along on the ``category`` attribute so that map enumeration into the
@@ -12,12 +15,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
 
 
 class FinCategory:
-    def __init__(self, objects, morphisms, src, tgt, ids, comp, name=None):
+    """A finite category given by its composition table.
+
+    Morphisms are numbered by their position in ``morphisms`` (``number``),
+    and ``after`` is the same table by number: ``after[i][j]`` is the number
+    of morphism j after morphism i, for every j whose source is the target
+    of i, listed identity first and then in ``nonid_out`` order.  ``after``
+    is built once, from ``comp`` on first use, unless the constructor is
+    handed the rows.
+    """
+
+    def __init__(self, objects, morphisms, src, tgt, ids, comp, name=None, after=None):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.src = dict(src)
@@ -26,6 +40,7 @@ class FinCategory:
         self.comp = dict(comp)
         self.name = name
         self.id_set = frozenset(self.ids.values())
+        self._after = after
         self._hom: dict[tuple, list] = {}
         self._out: dict = {}
         self._into: dict = {}
@@ -56,40 +71,79 @@ class FinCategory:
             return f
         return self.comp[(g, f)]
 
+    @cached_property
+    def number(self) -> dict:
+        """Each morphism's position in ``morphisms``."""
+        return {m: i for i, m in enumerate(self.morphisms)}
+
+    @property
+    def after(self) -> list[dict[int, int]]:
+        if self._after is None:
+            self._after = self._number_rows()
+        return self._after
+
+    def _number_rows(self) -> list[dict[int, int]]:
+        """The rows of ``after``, read from ``comp`` with identities composing
+        as in ``compose_mor``.  Non-identity pairs are read f-major, each g in
+        morphism order; a missing composite raises KeyError and one with the
+        wrong endpoints ValueError."""
+        num, src, tgt, comp = self.number, self.src, self.tgt, self.comp
+        outs = {b: list(zip(ms, [num[g] for g in ms])) for b, ms in self._out.items()}
+        rows = []
+        for i, f in enumerate(self.morphisms):
+            b = tgt[f]
+            row = {num[self.ids[b]]: i}
+            if f in self.id_set:
+                row.update((j, j) for _, j in outs.get(b, ()))
+            else:
+                for g, j in outs.get(b, ()):
+                    h = comp[(g, f)]
+                    if src[h] != src[f] or tgt[h] != tgt[g]:
+                        raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
+                    row[j] = num[h]
+            rows.append(row)
+        return rows
+
     def check(self) -> None:
         """Raise ValueError at the first failing category law.
 
-        Only pairs and triples of non-identity morphisms are visited, in
-        morphism order: once the identities have the right endpoints, the
-        identity short cut of ``compose_mor`` makes every pair or triple
-        containing one pass.  Composites found by the endpoint pass are kept
-        in ``rows[g][f]`` and reused by the associativity pass.
+        The passes run in this order, each in morphism order:
+
+        - identities have the right endpoints;
+        - composites of non-identity pairs have the right endpoints; this
+          pass builds ``after`` afresh from ``comp``;
+        - the identity laws, read from ``comp`` wherever it lists a
+          composite with an identity (``compose_mor`` would short-cut it);
+        - associativity, one row comparison per composable non-identity
+          pair (f, g): h after (g after f) equals (h after g) after f for
+          every h at once.  Once the identities pass, every triple
+          containing one passes.  On a mismatch the first failing h in
+          ``nonid_out`` order is named.
         """
         for o in self.objects:
             i = self.ids[o]
             if self.src[i] != o or self.tgt[i] != o:
                 raise ValueError(f"identity of {o!r} has wrong endpoints")
-        src, tgt, ids, comp = self.src, self.tgt, self.id_set, self.comp
-        nonid = [m for m in self.morphisms if m not in ids]
-        rows: dict = {g: {} for g in nonid}
-        for f in nonid:
-            for g in self.nonid_out(tgt[f]):
-                h = rows[g][f] = comp[(g, f)]
-                if src[h] != src[f] or tgt[h] != tgt[g]:
-                    raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
-        for f in self.morphisms:
-            if self.compose_mor(self.ids[self.tgt[f]], f) != f:
+        after = self._after = self._number_rows()
+        src, tgt, ids, comp, ms = self.src, self.tgt, self.ids, self.comp, self.morphisms
+        for f in ms:
+            if comp.get((ids[tgt[f]], f), f) != f:
                 raise ValueError(f"left identity fails at {f!r}")
-            if self.compose_mor(f, self.ids[self.src[f]]) != f:
+            if comp.get((f, ids[src[f]]), f) != f:
                 raise ValueError(f"right identity fails at {f!r}")
-        for f in nonid:
-            for g in self.nonid_out(tgt[f]):
-                gf = rows[g][f]
-                for h in self.nonid_out(tgt[g]):
-                    row = rows[h]
-                    hg = row[g]
-                    if (h if gf in ids else row[gf]) != (f if hg in ids else rows[hg][f]):
-                        raise ValueError(f"associativity fails at {f!r}, {g!r}, {h!r}")
+        for i, f in enumerate(ms):
+            if f in self.id_set:
+                continue
+            rf = after[i]
+            # the first entry of a row is the identity
+            for j, gf in itertools.islice(rf.items(), 1, None):
+                rg, rgf = after[j], after[gf]
+                if list(map(rf.__getitem__, rg.values())) != list(rgf.values()):
+                    for (h, hg), hgf in zip(rg.items(), rgf.values()):
+                        if rf[hg] != hgf:
+                            raise ValueError(
+                                f"associativity fails at {f!r}, {ms[j]!r}, {ms[h]!r}"
+                            )
 
     def is_iso(self, m) -> bool:
         for n in self.hom(self.tgt[m], self.src[m]):
@@ -158,27 +212,36 @@ class FinFunctor:
     mor_map: dict
 
     def check(self) -> None:
+        """Raise ValueError at the first law the functor breaks: identities,
+        then endpoints, then composition.  ``mor_map`` is translated to
+        target numbers once, and composites are compared by number through
+        both categories' ``after`` rows, g-major over non-identity pairs: a
+        pair containing an identity passes once identities, sources and
+        targets are preserved."""
         C, D = self.source, self.target
         for o in C.objects:
             if self.mor_map[C.ids[o]] != D.ids[self.obj_map[o]]:
                 raise ValueError(f"functor does not preserve identity of {o!r}")
+        number, image = D.number, []
         for f in C.morphisms:
-            if D.src[self.mor_map[f]] != self.obj_map[C.src[f]]:
+            x = self.mor_map[f]
+            if D.src[x] != self.obj_map[C.src[f]]:
                 raise ValueError(f"functor breaks source of {f!r}")
-            if D.tgt[self.mor_map[f]] != self.obj_map[C.tgt[f]]:
+            if D.tgt[x] != self.obj_map[C.tgt[f]]:
                 raise ValueError(f"functor breaks target of {f!r}")
-        # a pair containing an identity passes once identities, sources and
-        # targets are preserved, so only non-identity pairs are visited
-        for g in C.morphisms:
+            image.append(number[x])
+        into: dict = {}
+        for i, f in enumerate(C.morphisms):
+            if f not in C.id_set:
+                into.setdefault(C.tgt[f], []).append(i)
+        c_after, d_after = C.after, D.after
+        for j, g in enumerate(C.morphisms):
             if g in C.id_set:
                 continue
-            for f in C.into(C.src[g]):
-                if f in C.id_set:
-                    continue
-                if self.mor_map[C.compose_mor(g, f)] != D.compose_mor(
-                    self.mor_map[g], self.mor_map[f]
-                ):
-                    raise ValueError(f"functor breaks composition {g!r} o {f!r}")
+            Fg = image[j]
+            for i in into.get(C.src[g], ()):
+                if image[c_after[i][j]] != d_after[image[i]][Fg]:
+                    raise ValueError(f"functor breaks composition {g!r} o {C.morphisms[i]!r}")
 
     def compose(self, other: "FinFunctor") -> "FinFunctor":
         """self after other."""
@@ -381,7 +444,7 @@ def map_category(
     if maps is None:
         maps = enumerate_maps(K, N, budget=budget)
     verts = K.gens(0)
-    edge_gens = K.gens(1)
+    num, after = C.number, C.after
 
     def obj_of(mp, v):
         return N.labels[mp.assign[v].gen]
@@ -392,73 +455,72 @@ def map_category(
             return C.ids[N.labels[k.gen]]
         return N.labels[k.gen][0]
 
-    # naturality squares grouped by the later endpoint in the vertex order
+    # Everything below composes C-morphisms by number.  Naturality squares
+    # are grouped by the later endpoint in the vertex order, and each map's
+    # edge morphisms are numbered once.
     vpos = {v: i for i, v in enumerate(verts)}
     edges_by_pos: dict[int, list] = {}
-    for e in edge_gens:
+    for k, e in enumerate(K.gens(1)):
         ek = SimplexKey(e)
-        v0 = K.vertex(ek, 0).gen
-        v1 = K.vertex(ek, 1).gen
-        edges_by_pos.setdefault(max(vpos[v0], vpos[v1]), []).append((e, v0, v1))
+        p0, p1 = vpos[K.vertex(ek, 0).gen], vpos[K.vertex(ek, 1).gen]
+        edges_by_pos.setdefault(max(p0, p1), []).append((k, p0, p1))
+    edge_nums = [[num[edge_mor(mp, e)] for e in K.gens(1)] for mp in maps]
+    vert_objs = [[obj_of(mp, v) for v in verts] for mp in maps]
+    homs = {xy: [num[m] for m in ms] for xy, ms in C._hom.items()}
 
     objects = list(range(len(maps)))
-    morphisms = []
+    morphisms, parts = [], []
     src, tgt = {}, {}
     for a in objects:
         for b in objects:
-            F, G = maps[a], maps[b]
-            pools = [C.hom(obj_of(F, v), obj_of(G, v)) for v in verts]
-            if any(not p for p in pools):
+            pools = [homs.get(xy, []) for xy in zip(vert_objs[a], vert_objs[b])]
+            if not all(pools):
                 continue
-            eta = {}
+            eF, eG = edge_nums[a], edge_nums[b]
+            eta = [0] * len(verts)
 
             def search(i):
                 if i == len(verts):
-                    m = (a, b, tuple(sorted(eta.items())))
+                    p = tuple(eta)
+                    m = (a, b, tuple(zip(verts, [C.morphisms[x] for x in p])))
                     morphisms.append(m)
+                    parts.append(p)
                     src[m] = a
                     tgt[m] = b
                     return
                 for cand in pools[i]:
-                    eta[verts[i]] = cand
+                    eta[i] = cand
                     if all(
-                        C.compose_mor(eta[v1], edge_mor(F, e))
-                        == C.compose_mor(edge_mor(G, e), eta[v0])
-                        for e, v0, v1 in edges_by_pos.get(i, ())
+                        after[eF[k]][eta[p1]] == after[eta[p0]][eG[k]]
+                        for k, p0, p1 in edges_by_pos.get(i, ())
                     ):
                         search(i + 1)
-                    del eta[verts[i]]
 
             search(0)
-    ids = {
-        a: (a, a, tuple(sorted((v, C.ids[obj_of(maps[a], v)]) for v in verts)))
-        for a in objects
-    }
-    # Composition, componentwise in C.  Morphisms of C are numbered, and
-    # after[i][j] numbers C's composite "j after i".  A transformation's
-    # components are sorted by vertex, so two compose entry by entry, and the
-    # composite is looked up among the morphisms: composites of natural
-    # transformations are natural.  Composable pairs come from an index by
-    # source object, f-major and each g in morphism order.
-    pos = {m: i for i, m in enumerate(C.morphisms)}
-    after: list[dict[int, int]] = [{} for _ in C.morphisms]
-    for f in C.morphisms:
-        b = C.tgt[f]
-        row = after[pos[f]]
-        for g in [C.ids[b], *C.nonid_out(b)]:
-            row[pos[g]] = pos[C.compose_mor(g, f)]
-    parts = {m: tuple(pos[x] for _, x in m[2]) for m in morphisms}
-    by_parts = {(m[0], m[1], parts[m]): m for m in morphisms}
+    # Composition, componentwise in C: a transformation's components are in
+    # vertex order, so two compose entry by entry, and the composite is
+    # looked up among the morphisms by its components (composites of natural
+    # transformations are natural).  Composable pairs come from an index by
+    # source object, f-major and each g in morphism order; the numbered rows
+    # are handed to the category.
+    by_parts = {(m[0], m[1], p): k for k, (m, p) in enumerate(zip(morphisms, parts))}
+    id_num = {a: by_parts[(a, a, tuple(num[C.ids[x]] for x in vert_objs[a]))]
+              for a in objects}
+    ids = {a: morphisms[k] for a, k in id_num.items()}
     out_of: dict[int, list] = {}
-    for g in morphisms:
-        out_of.setdefault(g[0], []).append(g)
+    for k, g in enumerate(morphisms):
+        out_of.setdefault(g[0], []).append(k)
     comp = {}
-    for f in morphisms:
-        fp = parts[f]
-        for g in out_of.get(f[1], ()):
-            hp = tuple([after[i][j] for i, j in zip(fp, parts[g])])
-            comp[(g, f)] = by_parts[(f[0], g[1], hp)]
-    cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
+    rows = []
+    for k, f in enumerate(morphisms):
+        fp = parts[k]
+        row = {id_num[f[1]]: k}
+        for j in out_of[f[1]]:
+            g = morphisms[j]
+            h = row[j] = by_parts[(f[0], g[1], tuple([after[x][y] for x, y in zip(fp, parts[j])]))]
+            comp[(g, f)] = morphisms[h]
+        rows.append(row)
+    cat = FinCategory(objects, morphisms, src, tgt, ids, comp, after=rows)
     return cat, maps
 
 

@@ -99,11 +99,12 @@ def ho_category(X: SimplicialSet) -> HoCategory:
         a, b = cls[X.face(t, 2)], cls[X.face(t, 0)]
         found.setdefault((b, a), set()).add(cls[X.face(t, 1)])
 
+    out: dict = {}
+    for g in morphisms:
+        out.setdefault(src[g], []).append(g)
     comp = {}
     for f in morphisms:
-        for g in morphisms:
-            if src[g] != tgt[f]:
-                continue
+        for g in out.get(tgt[f], ()):
             got = found.get((g, f), set())
             if not got:
                 raise NotQuasicategory(

@@ -1,5 +1,7 @@
 """Finite categories, functors, nerves, and the fundamental category."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -23,8 +25,15 @@ from qcatk.cats import (
     pushout_in_category,
     slice_category,
 )
+from qcatk.sconstruction import f_n, s_n, s_structure_functor
 from qcatk.simplicial import SimplexKey
-from qcatk.zoo import idempotent_monoid_category, random_category, random_poset
+from qcatk.waldhausen import pointed_sets_waldhausen
+from qcatk.zoo import (
+    idempotent_monoid_category,
+    pointed_sets_with_duplicate,
+    random_category,
+    random_poset,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +179,12 @@ def naive_check(C):
             h = C.compose_mor(g, f)
             if C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]:
                 raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
+    # compose_mor short-cuts identities, so the identity laws read any
+    # composite with an identity that the table lists
     for f in C.morphisms:
-        if C.compose_mor(C.ids[C.tgt[f]], f) != f:
+        if C.comp.get((C.ids[C.tgt[f]], f), f) != f:
             raise ValueError(f"left identity fails at {f!r}")
-        if C.compose_mor(f, C.ids[C.src[f]]) != f:
+        if C.comp.get((f, C.ids[C.src[f]]), f) != f:
             raise ValueError(f"right identity fails at {f!r}")
     for f in C.morphisms:
         for g in C.morphisms:
@@ -237,22 +248,27 @@ def _replacement(rng, C, old, a, b):
 
 # Up to three entries are corrupted, so that the first failure, and with it
 # the error text, depends on the order in which pairs and triples are visited.
+# With ``identities`` the entries of an identity composed with a morphism, on
+# either side, may be corrupted too, whether or not the table listed them.
 
 
-@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(1, 3))
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(1, 3), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_indexed_category_check_matches_the_all_pairs_oracle(seed, pick, n_bad):
+def test_indexed_category_check_matches_the_all_pairs_oracle(seed, pick, n_bad, identities):
     rng = random.Random(seed)
     C = _small_category(rng)
     assert _outcome(naive_check, C) is None
     C.check()
     keys = [k for k in C.comp if not C.id_set.intersection(k)]
+    if identities:
+        keys += [(C.ids[C.tgt[f]], f) for f in C.morphisms]
+        keys += [(f, C.ids[C.src[f]]) for f in C.morphisms]
     if not keys:
         return
     rng = random.Random(pick)
     comp = dict(C.comp)
     for g, f in rng.sample(keys, min(n_bad, len(keys))):
-        new = _replacement(rng, C, comp[(g, f)], C.src[f], C.tgt[g])
+        new = _replacement(rng, C, C.compose_mor(g, f), C.src[f], C.tgt[g])
         if new is not None:
             comp[(g, f)] = new
     bad = FinCategory(C.objects, C.morphisms, C.src, C.tgt, C.ids, comp)
@@ -286,6 +302,32 @@ def test_indexed_functor_check_matches_the_all_pairs_oracle(seed, pick, n_bad):
     assert _outcome(FinFunctor.check, bad) == _outcome(naive_functor_check, bad)
 
 
+def naive_map_morphisms(K, C, N, maps):
+    """``map_category``'s morphisms as its naturality search found them
+    through ``compose_mor``; the reference for the numbered search."""
+    verts = K.gens(0)
+
+    def obj_of(mp, v):
+        return N.labels[mp.assign[v].gen]
+
+    def edge_mor(mp, e):
+        k = mp.assign[e]
+        return C.ids[N.labels[k.gen]] if k.is_degenerate else N.labels[k.gen][0]
+
+    ends = [(e, K.vertex(SimplexKey(e), 0).gen, K.vertex(SimplexKey(e), 1).gen)
+            for e in K.gens(1)]
+    morphisms = []
+    for a, F in enumerate(maps):
+        for b, G in enumerate(maps):
+            pools = [C.hom(obj_of(F, v), obj_of(G, v)) for v in verts]
+            for eta in itertools.product(*pools):
+                at = dict(zip(verts, eta))
+                if all(C.compose_mor(at[v1], edge_mor(F, e))
+                       == C.compose_mor(edge_mor(G, e), at[v0]) for e, v0, v1 in ends):
+                    morphisms.append((a, b, tuple(sorted(at.items()))))
+    return morphisms
+
+
 def naive_map_composition(C, morphisms, verts):
     """``map_category``'s composition table as it loops over every pair of
     morphisms and filters by endpoint; the reference for the indexed table."""
@@ -314,7 +356,73 @@ def test_indexed_map_category_matches_the_all_pairs_oracle(seed, size, opposite,
     if opposite:
         C = C.opposite()
     K = MAP_SOURCES[which]()
-    cat, _ = map_category(K, C, nerve(C, 2))
+    N = nerve(C, 2)
+    cat, maps = map_category(K, C, N)
+    assert cat.morphisms == naive_map_morphisms(K, C, N, maps)
     expected = naive_map_composition(C, cat.morphisms, K.gens(0))
     assert list(cat.comp.items()) == list(expected.items())
+    assert_rows_agree(cat)
     cat.check()
+
+
+# ---------------------------------------------------------------------------
+# the numbered composition table
+
+
+def assert_rows_agree(C):
+    """Each row of ``C.after`` lists the identity and then ``nonid_out`` of
+    the target, and numbers the composites that ``compose_mor`` gives."""
+    ms = C.morphisms
+    assert len(C.after) == len(ms)
+    for f, row in zip(ms, C.after):
+        b = C.tgt[f]
+        assert [ms[j] for j in row] == [C.ids[b], *C.nonid_out(b)]
+        assert [ms[h] for h in row.values()] == [C.compose_mor(ms[j], f) for j in row]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_numbered_rows_agree_with_compose_mor(seed):
+    rng = random.Random(seed)
+    C = random_category(rng, 4)
+    for D in (C, C.opposite(), C.product(random_category(rng, 2))):
+        assert_rows_agree(D)
+
+
+@functools.lru_cache(maxsize=None)
+def _levels(name):
+    W = pointed_sets_waldhausen(2, 2) if name == "ps2" else pointed_sets_with_duplicate(2, 2)[0]
+    return W, [s_n(W, n) for n in range(3)], [f_n(W, n) for n in range(2)]
+
+
+@pytest.mark.parametrize("name", ["ps2", "dup22"])
+def test_numbered_rows_of_diagram_levels_agree_with_compose_mor(name):
+    # map_category hands its rows over; morphisms are nested tuples
+    _, s_levels, f_levels = _levels(name)
+    for level in s_levels + f_levels:
+        assert_rows_agree(level.cat)
+
+
+# face maps level 2 -> level 1 and the degeneracy s_0 level 1 -> level 2
+THETAS = [((1, 2), 2, 1), ((0, 2), 2, 1), ((0, 1), 2, 1), ((0, 0, 1), 1, 2)]
+
+
+@given(st.sampled_from(["ps2", "dup22"]), st.integers(0, len(THETAS) - 1),
+       st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_numbered_functor_check_matches_the_oracle_on_structure_functors(
+        name, which, pick, n_bad):
+    W, s_levels, _ = _levels(name)
+    theta, n, m = THETAS[which]
+    F = s_structure_functor(W, theta, s_levels[n], s_levels[m])
+    assert _outcome(naive_functor_check, F) is None
+    C, D = F.source, F.target
+    rng = random.Random(pick)
+    mor_map = dict(F.mor_map)
+    for f in rng.sample(C.morphisms, min(n_bad, len(C.morphisms))):
+        old = mor_map[f]
+        new = _replacement(rng, D, old, D.src[old], D.tgt[old])
+        if new is not None:
+            mor_map[f] = new
+    bad = FinFunctor(C, D, F.obj_map, mor_map)
+    assert _outcome(FinFunctor.check, bad) == _outcome(naive_functor_check, bad)

@@ -164,6 +164,22 @@ def test_mistyped_names_exit_one_with_a_pointer(files, capsys, doc, pointer):
     assert err["pointer"] == pointer
 
 
+def test_a_contradictory_identity_composite_exits_one(files, capsys):
+    # "1b after f" is listed as g, although 1b is the identity of b
+    doc = {"objects": ["a", "b"],
+           "homs": {"a": {"a": ["1a"], "b": ["f", "g"]}, "b": {"b": ["1b"]}},
+           "ids": {"a": "1a", "b": "1b"},
+           "compose": {"1b": {"f": "g"}}}
+    bad = files["dir"] / "identity.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["validate", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"].startswith("category laws fail: left identity fails at 'f'")
+
+
 def test_out_flag_writes_the_report_to_a_file(files, capsys):
     target = files["dir"] / "report.json"
     code = main(["contractible", files["d2"], "--out", str(target)])
