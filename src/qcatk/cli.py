@@ -14,7 +14,6 @@ import sys
 from . import io
 from . import simplicial as sx
 from .cats import FinCategory, nerve
-from .homology import AbelianGroupPresentation, weak_contractibility_report
 from .simplicial import BoundExceeded, BudgetExceeded, SimplexKey
 
 EXIT_PASS = 0
@@ -28,7 +27,9 @@ EXIT_BUDGET = 2
 
 def _jsonable(x):
     """Best-effort conversion of report payloads to plain JSON values."""
-    if isinstance(x, AbelianGroupPresentation):
+    # a group presentation exists only once a command has imported homology
+    homology = sys.modules.get(f"{__package__}.homology")
+    if homology and isinstance(x, homology.AbelianGroupPresentation):
         return {"free_rank": x.free_rank, "torsion": list(x.torsion),
                 "invariant_factors": invariant_factors(x)}
     if isinstance(x, SimplexKey):
@@ -54,9 +55,9 @@ def _jsonable(x):
     return repr(x)
 
 
-def invariant_factors(g: AbelianGroupPresentation) -> list[int]:
-    """Torsion invariant factors followed by one 0 per free rank; the
-    trivial group gives []."""
+def invariant_factors(g) -> list[int]:
+    """Torsion invariant factors of an ``AbelianGroupPresentation``
+    followed by one 0 per free rank; the trivial group gives []."""
     return list(g.torsion) + [0] * g.free_rank
 
 
@@ -196,6 +197,8 @@ def cmd_comma(args):
 
 
 def cmd_contractible(args):
+    from .homology import weak_contractibility_report
+
     _, X = _load(args.input, "sset")
     rep = weak_contractibility_report(X, args.dim)
     return _emit(rep, args, rep["verdict"] != "refuted")

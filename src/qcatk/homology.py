@@ -97,8 +97,16 @@ def smith_normal_form(A: list[list[int]]):
                     add_row(i + 1, i + 1, -2)
                 changed = True
 
-    # verify U*A*V == D
-    UA = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    # verify U*A*V == D, forming U*A from the nonzero entries of U and A only
+    A_nonzero = [[(j, a) for j, a in enumerate(row) if a] for row in A]
+    UA = []
+    for Ui in U:
+        row = [0] * n
+        for k, u in enumerate(Ui):
+            if u:
+                for j, a in A_nonzero[k]:
+                    row[j] += u * a
+        UA.append(row)
     UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
     if UAV != D:
         raise AssertionError("Smith normal form verification failed")

@@ -443,6 +443,7 @@ def components_hypothesis_check(X: SimplicialSet, nbar=(), p_budget: int = 1,
 
 
 def _boundary_subcomplex(P3, D2, strong: bool):
+    """The boundary Bd of the prism P3, and the generators of P3 it keeps."""
     def keep(key: SimplexKey) -> bool:
         kI, kD = P3.labels[key.gen]
         partial = set(D2.labels[kD.gen]) != {0, 1, 2}
@@ -450,16 +451,13 @@ def _boundary_subcomplex(P3, D2, strong: bool):
             return partial or kI.gen[0] == 0
         return partial
 
-    return sx.subcomplex(P3, keep, P3.top_dim)
+    Bd, _ = sx.subcomplex(P3, keep, P3.top_dim)
+    return Bd, [Bd.labels[gb].gen for gb in Bd.all_gens()]
 
 
-def _fixed_from_boundary(P3, Bd, u: SimplicialMap, push=None) -> dict:
-    fixed = {}
-    for gb in Bd.all_gens():
-        orig = Bd.labels[gb]  # a key of P3
-        val = u.assign[gb]
-        fixed[orig.gen] = push(val) if push else val
-    return fixed
+def _on_boundary(Bd, u: dict) -> dict:
+    """A map on the generators of P3 that ``Bd`` keeps, as a map out of Bd."""
+    return {gb: u[Bd.labels[gb].gen] for gb in Bd.all_gens()}
 
 
 def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
@@ -473,6 +471,15 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
     map defined on the union of (vertices of I[nbar]) x Delta[2] with
     I[nbar] x boundary(Delta[2]) extends to I[nbar] x Delta[2].  ``G`` may
     be the simplicial set itself or a map (its target is used).
+
+    Each check is searched relative to the boundary
+    (:func:`simplicial.relative_maps`), so the boundary part of the search
+    tree is walked once.  Strong replacement is one search of the prism
+    into the target, yielding every boundary map with its extensions.  The
+    prism check is two: one into the source, yielding every boundary map u
+    with its lifts, and one into the target restricted to the maps G∘u.
+    ``budget`` bounds the nodes of each of these one or two searches, not
+    the work for one boundary map.
     """
     nbar = tuple(nbar)
     In = spine_product(nbar)
@@ -485,36 +492,36 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
         A, B = G.source, G.target
         A.require_bound(P3.top_dim, "prism lifting")
         B.require_bound(P3.top_dim, "prism lifting")
-        Bd, _ = _boundary_subcomplex(P3, D2, strong=False)
-        for u in sx.enumerate_maps(Bd, A, budget=budget):
-            fixed_b = _fixed_from_boundary(P3, Bd, u, push=lambda k: G(k))
-            fixed_a = _fixed_from_boundary(P3, Bd, u)
-            vs = sx.enumerate_maps(P3, B, fixed=fixed_b, budget=budget)
+        Bd, inner = _boundary_subcomplex(P3, D2, strong=False)
+        lifted = sx.relative_maps(P3, A, inner, budget=budget)
+        pushed = [{g: G(k) for g, k in u.items()} for u, _ in lifted]
+        below = {tuple(w.values()): vs
+                 for w, vs in sx.relative_maps(P3, B, inner, restrict=pushed, budget=budget)}
+        for (u, lifts), w in zip(lifted, pushed):
+            vs = below.get(tuple(w.values()))
             if not vs:
                 continue
-            lifts = sx.enumerate_maps(P3, A, fixed=fixed_a, budget=budget)
-            images = [G.compose(w).assign for w in lifts]
+            images = [G.compose(m).assign for m in lifts]
             for v in vs:
                 problems += 1
                 if v.assign not in images:
                     return {
                         "verdict": "fail", "kind": kind, "nbar": nbar,
                         "problems": problems,
-                        "witness": {"boundary": dict(u.assign),
+                        "witness": {"boundary": _on_boundary(Bd, u),
                                     "below": dict(v.assign)},
                     }
     elif kind == "strong-replacement":
         B = G.target if isinstance(G, SimplicialMap) else G
         B.require_bound(P3.top_dim, "prism extension")
-        Bd, _ = _boundary_subcomplex(P3, D2, strong=True)
-        for u in sx.enumerate_maps(Bd, B, budget=budget):
+        Bd, inner = _boundary_subcomplex(P3, D2, strong=True)
+        for u, extensions in sx.relative_maps(P3, B, inner, budget=budget):
             problems += 1
-            fixed = _fixed_from_boundary(P3, Bd, u)
-            if not sx.enumerate_maps(P3, B, fixed=fixed, budget=budget):
+            if not extensions:
                 return {
                     "verdict": "fail", "kind": kind, "nbar": nbar,
                     "problems": problems,
-                    "witness": {"boundary": dict(u.assign)},
+                    "witness": {"boundary": _on_boundary(Bd, u)},
                 }
     else:
         raise ValueError(f"unknown lifting kind {kind!r}")

@@ -1,6 +1,5 @@
-"""Homotopy of edges, homotopy categories, equivalences, mapping spaces,
-bounded internal homs, and the comparison functor from homotopy classes of
-natural transformations to ladder diagrams.
+"""Homotopy of edges, homotopy categories, equivalences, mapping spaces and
+bounded internal homs.
 
 The homotopy relation on parallel edges is the equivalence closure of left
 homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
@@ -8,7 +7,6 @@ homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import simplicial as sx
@@ -336,66 +334,3 @@ def tau1_map_equivalence(f: SimplicialMap) -> dict:
         "full": full,
         "faithful": faithful,
     }
-
-
-# -- the ladder category nX ---------------------------------------------------
-
-
-def nX_category(X: SimplicialSet, n: int, ho: HoCategory = None) -> FinCategory:
-    """Category of length-n composable sequences of edges of X, with
-    morphisms the ladders of homotopy classes whose squares commute in the
-    homotopy category."""
-    if ho is None:
-        ho = ho_category(X)
-    H = ho.cat
-    edges = sorted(set(ho.class_of.values()))
-    objects = []
-
-    def extend(seq):
-        if len(seq) == n:
-            objects.append(tuple(seq))
-            return
-        last_tgt = H.tgt[seq[-1]] if seq else None
-        for e in edges:
-            if seq and H.src[e] != last_tgt:
-                continue
-            extend(seq + [e])
-
-    if n == 0:
-        objects.extend((v,) for v in H.objects)
-    else:
-        extend([])
-
-    def verts_of(obj):
-        if n == 0:
-            return [obj[0]]
-        return [H.src[obj[0]]] + [H.tgt[e] for e in obj]
-
-    morphisms = []
-    src, tgt = {}, {}
-    for A in objects:
-        for B in objects:
-            va, vb = verts_of(A), verts_of(B)
-            pools = [H.hom(va[i], vb[i]) for i in range(n + 1)]
-            for gs in itertools.product(*pools):
-                ok = True
-                for i in range(1, n + 1):
-                    if H.compose_mor(gs[i], A[i - 1]) != H.compose_mor(B[i - 1], gs[i - 1]):
-                        ok = False
-                        break
-                if ok:
-                    m = (A, B, gs)
-                    morphisms.append(m)
-                    src[m], tgt[m] = A, B
-    ids = {A: (A, A, tuple(H.ids[v] for v in verts_of(A))) for A in objects}
-    comp = {}
-    for f in morphisms:
-        for g in morphisms:
-            if g[0] != f[1]:
-                continue
-            comp[(g, f)] = (
-                f[0],
-                g[1],
-                tuple(H.compose_mor(gi, fi) for gi, fi in zip(g[2], f[2])),
-            )
-    return FinCategory(objects, morphisms, src, tgt, ids, comp)

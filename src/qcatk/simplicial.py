@@ -689,26 +689,76 @@ def enumerate_maps(
     ``budget`` (the CLI's ``--budget``) bounds the nodes this search
     visits, one per partial assignment, so the budget a search needs
     depends on the search order; ``BudgetExceeded`` reports the node that
-    passed it.
+    passed it.  It is :func:`relative_maps` with nothing inner.  A lifting
+    check (``lifting.rlp_check``) is one or two relative searches, so there
+    the budget bounds the whole check, not the search for one boundary map.
+    """
+    return relative_maps(K, X, fixed=fixed, budget=budget)[0][1]
+
+
+def relative_maps(
+    K: SimplicialSet,
+    X: SimplicialSet,
+    inner: Iterable[Gen] = (),
+    restrict: Optional[Iterable[dict[Gen, SimplexKey]]] = None,
+    fixed: Optional[dict[Gen, SimplexKey]] = None,
+    budget: int = 10**6,
+) -> list[tuple[dict[Gen, SimplexKey], list[SimplicialMap]]]:
+    """Every map u from a face-closed set ``inner`` of K's generators into
+    X, each with its extensions to maps K -> X: pairs ``(u, maps)``, u a
+    dict in ``K.all_gens()`` order, ordered as :func:`enumerate_maps`
+    orders maps, and each ``maps`` likewise; a u with no extension comes
+    with an empty list.
+
+    One backtracking search (the kernel of :func:`enumerate_maps`) assigns
+    ``inner`` first, in ``K.search_order()``, records u when it has
+    assigned the last of them, and collects the extensions found below that
+    node, so the part of the tree over ``inner`` is searched once for all
+    u.  ``restrict`` limits u to the given assignments of ``inner``, through
+    a prefix trie in search order; candidates still come from
+    ``X.boundary_index``, so an assignment that is not a map yields nothing.
+    ``budget`` bounds the nodes of the whole search, over ``inner`` and
+    below it.
     """
     X.require_bound(K.top_dim, "map enumeration")
     fixed = fixed or {}
+    inner = set(inner)
+    if any(f.gen not in inner for g in inner if g[0] for f in K.faces[g]):
+        raise ValueError("inner generators are not closed under faces")
     cand_index = {n: X.boundary_index(n) for n in range(1, K.top_dim + 1)}
     gens = K.all_gens()
+    inner_gens = [g for g in gens if g in inner]
+    order = K.search_order()
+    order = [g for g in order if g in inner] + [g for g in order if g not in inner]
+    depth = len(inner)
     vertices = X.simplices(0)
     # per generator, in search order: its face row (None for vertices) and fixed value
-    plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in K.search_order()]
+    plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in order]
+    # the restriction: a trie over ``inner``'s values in search order
+    trie = None
+    if restrict is not None:
+        restrict = list(restrict)
+        if not restrict:
+            return []
+        trie = {}
+        for u in restrict:
+            node = trie
+            for g in order[:depth]:
+                node = node.setdefault(u[g], {})
 
     counter = [0]
-    results: list[SimplicialMap] = []
+    found: list[tuple[dict[Gen, SimplexKey], list[SimplicialMap]]] = []
     assign: dict[Gen, SimplexKey] = {}
 
-    def rec(pos):
+    def rec(pos, node):
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceeded("map enumeration budget exceeded", counter[0])
+        if pos == depth:
+            found.append(({g: assign[g] for g in inner_gens}, []))
+            node = None
         if pos == len(plan):
-            results.append(SimplicialMap(K, X, {g: assign[g] for g in gens}))
+            found[-1][1].append(SimplicialMap(K, X, {g: assign[g] for g in gens}))
             return
         g, row, want = plan[pos]
         if row is None:
@@ -718,14 +768,18 @@ def enumerate_maps(
             cands = cand_index[g[0]].get(wanted, [])
         if want is not None:
             cands = [c for c in cands if c == want]
+        if node is not None:
+            cands = [c for c in cands if c in node]
         for c in cands:
             assign[g] = c
-            rec(pos + 1)
+            rec(pos + 1, None if node is None else node[c])
             del assign[g]
 
-    rec(0)
-    results.sort(key=lambda m: list(m.assign.values()))
-    return results
+    rec(0, trie)
+    found.sort(key=lambda p: list(p[0].values()))
+    for _, maps in found:
+        maps.sort(key=lambda m: list(m.assign.values()))
+    return found
 
 
 # -- horn fillers ----------------------------------------------------------

@@ -85,6 +85,8 @@ def test_k0_emits_invariant_factors(files, capsys):
     assert code == 0
     assert rep["routes_agree"]
     assert rep["invariant_factors"] == [0]
+    # group presentations in the report carry their invariant factors too
+    assert rep["diagonal"] == {"free_rank": 1, "torsion": [], "invariant_factors": [0]}
 
 
 def test_approx_passes_on_the_skeleton_inclusion(files, capsys):
@@ -195,16 +197,19 @@ def test_canonical_form_is_stable_under_validate(files, capsys):
     assert io.canonical(io.load_path(files["bdincl"])) == io.load_path(files["bdincl"])
 
 
-def test_importing_the_front_end_loads_no_checker():
-    # each command imports its checkers when it runs
+def test_importing_the_front_end_loads_no_checker(files):
+    # each command imports its checkers when it runs, and a lift none of homology
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcatk.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    checkers = ["joinslice", "ktheory", "lifting", "sconstruction", "waldhausen"]
-    probe = (
-        "import sys, qcatk.io, qcatk.cli; "
-        f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules])"
-    )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    checkers = ["homology", "joinslice", "ktheory", "lifting", "sconstruction", "waldhausen"]
+    loaded = f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules])"
+    lift = ["lift", files["bdincl"], "--out", str(files["dir"] / "lift.json")]
+    probes = {
+        "import sys, qcatk.io, qcatk.cli; " + loaded: "[]",
+        f"import sys, qcatk.cli; qcatk.cli.main({lift!r}); " + loaded: "['lifting']",
+    }
+    for probe, want in probes.items():
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == want

@@ -32,6 +32,10 @@ def _det(M):
     )
 
 
+def _mul(M, N):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*N)] for row in M]
+
+
 matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=4),
     min_size=1, max_size=4,
@@ -42,6 +46,7 @@ matrices = st.lists(
 @settings(max_examples=80, deadline=None)
 def test_smith_form_diagonalizes_by_unimodular_transformations(A):
     U, D, V = smith_normal_form(A)
+    assert _mul(_mul(U, A), V) == D
     assert abs(_det(U)) == 1
     assert abs(_det(V)) == 1
     diag = [D[i][i] for i in range(min(len(D), len(D[0])))]

@@ -5,13 +5,27 @@ equivalence verifier."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatk import lifting as lf
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve
+from qcatk.cats import (
+    FinFunctor,
+    chain_poset,
+    cyclic_group_category,
+    full_subcategory,
+    nerve,
+    nerve_functor_map,
+)
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import ExactFunctorData, pointed_sets_waldhausen
-from qcatk.zoo import idempotent_monoid_category, pointed_sets_with_duplicate, random_groupoid
+from qcatk.zoo import (
+    idempotent_monoid_category,
+    pointed_sets_with_duplicate,
+    random_category,
+    random_groupoid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +202,135 @@ def test_strong_replacement_on_a_spine_shape():
     assert rep["verdict"] == "pass"
     assert rep["problems"] == 10
     assert rep["nbar"] == (1,)
+
+
+def _fixed_from_boundary(Bd, u, push=None):
+    return {Bd.labels[gb].gen: push(val) if push else val for gb, val in u.assign.items()}
+
+
+def rlp_check_oracle(G, nbar=(), kind="prism", budget=10**6):
+    """The lifting checks one boundary map at a time: the boundary maps come
+    from a search of the boundary subcomplex, then each gets its own
+    searches of the whole prism with the boundary ``fixed``; the reference
+    for :func:`lifting.rlp_check`'s relative searches."""
+    nbar = tuple(nbar)
+    In = lf.spine_product(nbar)
+    D2 = sx.delta(2)
+    P3 = sx.product(In, D2, In.top_dim + 2).sset
+    problems = 0
+    if kind == "prism":
+        A, B = G.source, G.target
+        Bd, _ = lf._boundary_subcomplex(P3, D2, strong=False)
+        for u in sx.enumerate_maps(Bd, A, budget=budget):
+            fixed_b = _fixed_from_boundary(Bd, u, push=G)
+            vs = sx.enumerate_maps(P3, B, fixed=fixed_b, budget=budget)
+            if not vs:
+                continue
+            lifts = sx.enumerate_maps(P3, A, fixed=_fixed_from_boundary(Bd, u), budget=budget)
+            images = [G.compose(w).assign for w in lifts]
+            for v in vs:
+                problems += 1
+                if v.assign not in images:
+                    return {"verdict": "fail", "kind": kind, "nbar": nbar,
+                            "problems": problems,
+                            "witness": {"boundary": dict(u.assign),
+                                        "below": dict(v.assign)}}
+    else:
+        B = G.target if isinstance(G, sx.SimplicialMap) else G
+        Bd, _ = lf._boundary_subcomplex(P3, D2, strong=True)
+        for u in sx.enumerate_maps(Bd, B, budget=budget):
+            problems += 1
+            fixed = _fixed_from_boundary(Bd, u)
+            if not sx.enumerate_maps(P3, B, fixed=fixed, budget=budget):
+                return {"verdict": "fail", "kind": kind, "nbar": nbar,
+                        "problems": problems,
+                        "witness": {"boundary": dict(u.assign)}}
+    return {"verdict": "pass", "kind": kind, "nbar": nbar,
+            "problems": problems, "witness": None}
+
+
+def _full_inclusion(C, drop, bound):
+    """The nerve of the inclusion of C without its ``drop``-th object."""
+    S = full_subcategory(C, [o for i, o in enumerate(C.objects) if i != drop])
+    F = FinFunctor(S, C, {o: o for o in S.objects}, {m: m for m in S.morphisms})
+    return nerve_functor_map(F, nerve(S, bound), nerve(C, bound))
+
+
+def _matches_the_oracle(G, nbar, kind):
+    rep = lf.rlp_check(G, nbar, kind=kind)
+    assert rep == rlp_check_oracle(G, nbar, kind=kind)
+    return rep
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["identity", "inclusion", "strong"]),
+       st.sampled_from([(), (1,)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_lifting_checks_match_the_per_problem_oracle(seed, case, nbar, data):
+    C = random_category(random.Random(seed), 4)
+    N = nerve(C, 2 + len(nbar))
+    if case == "strong":
+        _matches_the_oracle(N, nbar, "strong-replacement")
+    elif case == "identity" or len(C.objects) == 1:
+        _matches_the_oracle(sx.SimplicialMap.identity(N), nbar, "prism")
+    else:
+        drop = data.draw(st.integers(0, len(C.objects) - 1))
+        _matches_the_oracle(_full_inclusion(C, drop, 2 + len(nbar)), nbar, "prism")
+
+
+SIMPLEX_SHAPES = {
+    "boundary2": (lambda: sx.boundary(2), 2), "boundary3": (lambda: sx.boundary(3), 3),
+    "horn20": (lambda: sx.horn(2, 0), 2), "horn21": (lambda: sx.horn(2, 1), 2),
+    "horn31": (lambda: sx.horn(3, 1), 3), "spine3": (lambda: sx.spine(3), 3),
+}
+# the shapes that fail, with their nbar
+FAILING = {
+    ("strong-replacement", "boundary3", (1,)), ("strong-replacement", "horn31", (1,)),
+    ("prism", "horn31", ()), ("prism", "horn31", (1,)), ("prism", "boundary2", ()),
+    ("prism", "boundary2", (1,)), ("prism", "boundary3", (1,)),
+}
+
+
+@pytest.mark.parametrize("nbar", [(), (1,)])
+@pytest.mark.parametrize("kind,shape", [
+    ("strong-replacement", s) for s in ("boundary2", "boundary3", "horn20", "horn31")
+] + [("prism", s) for s in SIMPLEX_SHAPES])
+def test_lifting_checks_on_simplex_shapes_match_the_oracle(kind, shape, nbar):
+    make, n = SIMPLEX_SHAPES[shape]
+    # strong replacement on the shape itself, prism lifting on its inclusion
+    G = make() if kind == "strong-replacement" else sx.delta_inclusion(
+        make(), sx.delta(n), lambda v: v)
+    verdict = "fail" if (kind, shape, nbar) in FAILING else "pass"
+    assert _matches_the_oracle(G, nbar, kind)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("shape", ["boundary3", "horn31"])
+def test_strong_replacement_on_a_shape_times_a_group_nerve_matches_the_oracle(shape):
+    # parallel edges, so the boundary maps that come before the failing one
+    # depend on the order of the boundary maps
+    X = sx.product(SIMPLEX_SHAPES[shape][0](), nerve(cyclic_group_category(2), 3), 3).sset
+    assert _matches_the_oracle(X, (1,), "strong-replacement")["verdict"] == "fail"
+
+
+def test_a_lift_check_is_one_or_two_searches(monkeypatch):
+    calls = []
+    search = sx.relative_maps
+    monkeypatch.setattr(sx, "relative_maps", lambda *a, **k: calls.append(1) or search(*a, **k))
+    N = nerve(chain_poset(1), 3)
+    assert lf.rlp_check(N, (1,), kind="strong-replacement")["problems"] == 10
+    assert len(calls) == 1
+    assert lf.rlp_check(sx.SimplicialMap.identity(N), (1,), kind="prism")["verdict"] == "pass"
+    assert len(calls) == 3
+
+
+def test_the_budget_bounds_the_whole_lift_check():
+    # one search of 278 nodes, where the per-problem check makes 11 searches
+    # and the largest of them has 243
+    N = nerve(chain_poset(1), 3)
+    assert lf.rlp_check(N, (1,), kind="strong-replacement", budget=278)["verdict"] == "pass"
+    assert rlp_check_oracle(N, (1,), kind="strong-replacement", budget=243)["verdict"] == "pass"
+    with pytest.raises(sx.BudgetExceeded) as exc:
+        lf.rlp_check(N, (1,), kind="strong-replacement", budget=277)
+    assert exc.value.attempted == 278
 
 
 # ---------------------------------------------------------------------------

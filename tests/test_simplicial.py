@@ -478,6 +478,88 @@ def test_fixed_generators_filter_the_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# relative search: maps grouped by their restriction to a face-closed part
+
+
+def face_closure(K, gens):
+    closed, todo = set(), list(gens)
+    while todo:
+        g = todo.pop()
+        if g not in closed:
+            closed.add(g)
+            todo += [f.gen for f in K.faces[g]] if g[0] else []
+    return closed
+
+
+def grouped_oracle(K, X, inner):
+    """Every map on ``inner`` (a map out of the subcomplex it spans) with its
+    extensions, each found by the rebuilding oracle with ``fixed``."""
+    Sub, _ = sx.subcomplex(K, lambda k: k.gen in inner, K.top_dim)
+    out = []
+    for u in naive_enumerate_maps(Sub, X):
+        on_k = {Sub.labels[gs].gen: v for gs, v in u.assign.items()}
+        on_k = {g: on_k[g] for g in K.all_gens() if g in on_k}
+        out.append((on_k, [m.assign for m in naive_enumerate_maps(K, X, on_k)]))
+    return out
+
+
+def relative_outcome(K, X, inner, restrict=None):
+    return [(u, [m.assign for m in maps])
+            for u, maps in sx.relative_maps(K, X, inner, restrict=restrict)]
+
+
+@given(st.integers(0, 10_000), st.integers(0, len(SOURCES) - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relative_search_matches_the_oracle_grouped_by_restriction(seed, which, data):
+    X = plain(nerve(random_category(random.Random(seed), 3), 2))
+    K = SOURCES[which]()
+    inner = face_closure(K, data.draw(st.lists(st.sampled_from(K.all_gens()), max_size=3)))
+    expected = grouped_oracle(K, X, inner)
+    assert relative_outcome(K, X, inner) == expected
+
+    # a restriction to some of the boundary maps, and to assignments that
+    # are drawn value by value and so are mostly not maps
+    some = [u for u, _ in expected if data.draw(st.booleans())]
+    drawn = [{g: data.draw(st.sampled_from(X.simplices(g[0]))) for g in inner}
+             for _ in range(data.draw(st.integers(0, 3)))]
+    restrict = some + drawn
+    assert relative_outcome(K, X, inner, restrict) == [
+        (u, maps) for u, maps in expected if u in restrict
+    ]
+
+
+@pytest.mark.parametrize("which", range(len(SOURCES)))
+def test_relative_search_orders_boundary_maps_lexicographically(which):
+    # two objects with parallel morphisms, so a search that assigns an edge
+    # before a later vertex meets the boundary maps out of lexicographic order
+    X = plain(nerve(cyclic_group_category(2).product(chain_poset(1)), 2))
+    K = SOURCES[which]()
+    inner = {g for g in K.all_gens() if g[0] < 2}
+    assert relative_outcome(K, X, inner) == grouped_oracle(K, X, inner)
+
+
+def test_relative_search_counts_the_nodes_of_the_whole_search():
+    N = plain(nerve(cyclic_group_category(3), 2))
+    K = sx.delta(2)
+    inner = face_closure(K, K.gens(1))
+    found = sx.relative_maps(K, N, inner)
+    assert [len(maps) for _, maps in found].count(1) == 9  # composable pairs
+    assert len(found) == 27  # all boundaries, most with no filler
+    # the root, 1 + 1 + 3 + 3 + 9 + 27 nodes over the boundary (one vertex,
+    # three edges), and 9 for the fillers below the 9 boundaries that have one
+    assert sx.relative_maps(K, N, inner, budget=54)
+    with pytest.raises(sx.BudgetExceeded) as exc:
+        sx.relative_maps(K, N, inner, budget=53)
+    assert exc.value.attempted == 54
+
+
+def test_relative_search_needs_a_face_closed_inner_part():
+    K = sx.delta(2)
+    with pytest.raises(ValueError):
+        sx.relative_maps(K, sx.delta(1), [K.gen_of_label((0, 1))])
+
+
+# ---------------------------------------------------------------------------
 # horn filling
 
 
