@@ -171,16 +171,21 @@ class UnionFind:
         return False
 
 
-def pi0(X: SimplicialSet) -> list[SimplexKey]:
-    """Connected-component representatives (minimal vertex per component)."""
+def component_of(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
+    """Each vertex's connected-component representative (the minimal vertex
+    of its component)."""
     uf = UnionFind()
     for v in X.simplices(0):
         uf.find(v)
-    if X.top_dim >= 1:
-        for g in X.gens(1):
-            e = SimplexKey(g)
-            uf.union(X.vertex(e, 0), X.vertex(e, 1))
-    return sorted({uf.find(v) for v in X.simplices(0)})
+    for g in X.gens(1):
+        e = SimplexKey(g)
+        uf.union(X.vertex(e, 0), X.vertex(e, 1))
+    return {v: uf.find(v) for v in X.simplices(0)}
+
+
+def pi0(X: SimplicialSet) -> list[SimplexKey]:
+    """Connected-component representatives (minimal vertex per component)."""
+    return sorted(set(component_of(X).values()))
 
 
 def boundary_matrix(X: SimplicialSet, n: int) -> list[list[int]]:

@@ -48,10 +48,6 @@ class SliceFamily(sx.Family):
                 self._join[n] = sx.join(sx.delta(n), self.A, d).sset
         return self._join[n]
 
-    def gen_order(self, n: int):
-        J = self.joined(n)
-        return [g for m in range(J.top_dim + 1) for g in J.gens(m)]
-
     def fixed_for(self, n: int):
         J = self.joined(n)
         tag = "a" if self.side == "under" else "b"
@@ -65,11 +61,11 @@ class SliceFamily(sx.Family):
     def elements(self, n):
         J = self.joined(n)
         maps = sx.enumerate_maps(J, self.X, fixed=self.fixed_for(n), budget=self.budget)
-        order = self.gen_order(n)
+        order = J.all_gens()
         return [tuple(mp.assign[g] for g in order) for mp in maps]
 
     def as_map(self, n, x) -> SimplicialMap:
-        return SimplicialMap(self.joined(n), self.X, dict(zip(self.gen_order(n), x)))
+        return SimplicialMap(self.joined(n), self.X, dict(zip(self.joined(n).all_gens(), x)))
 
     def _induced(self, n_from, n_to, phi, x):
         Jf, Jt = self.joined(n_from), self.joined(n_to)
@@ -87,7 +83,7 @@ class SliceFamily(sx.Family):
             return ("j", dmap(u), v)
 
         out = []
-        for g in self.gen_order(n_from):
+        for g in Jf.all_gens():
             elem = push(Jf.labels[g])
             k = Jt.key_of(g[0], elem)
             out.append(f(k))
@@ -211,7 +207,7 @@ def hom_restriction_map(Hbig: sx.MaterializedSSet, Hsmall: sx.MaterializedSSet,
         f = fb.as_map(n, Hbig.labels[g])
         Pb, Ps = fb.prod(n), fs.prod(n)
         vals = []
-        for h in fs.gen_order(n):
+        for h in Ps.all_gens():
             ka, kb = Ps.labels[h]
             vals.append(f(Pb.key_of(h[0], (j(ka), kb))))
         assign[g] = Hsmall.key_of(n, tuple(vals))
@@ -257,7 +253,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
         base_key = tuple(sorted(base.assign.items()))
         sl = slice_under(base, d + 1, budget=budget)
         # find the slice vertex equal to this extension
-        target_tuple = tuple(ext.assign[h] for h in sl.family.gen_order(0))
+        target_tuple = tuple(ext.assign[h] for h in sl.family.joined(0).all_gens())
         vkey = None
         for h in sl.gens(0):
             if sl.labels[h] == target_tuple:

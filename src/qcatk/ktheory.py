@@ -391,9 +391,9 @@ def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels)
     Ls, Lt = nerves_s[n], nerves_t[n]
     m = nerve_functor_map(Fc, Ls, Lt)
     src_comps = pi0(Ls)
-    tgt_comps = pi0(Lt)
+    comp_of = hl.component_of(Lt)
+    tgt_comps = set(comp_of.values())
     # induced map on components: image component of each source representative
-    comp_of = _component_map(Lt, tgt_comps)
     induced = {c: comp_of[m(c)] for c in src_comps}
     bijective = len(set(induced.values())) == len(tgt_comps) and len(src_comps) == len(
         tgt_comps
@@ -404,16 +404,6 @@ def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels)
         "source": _pi_invariants(Ls),
         "target": _pi_invariants(Lt),
     }
-
-
-def _component_map(X: SimplicialSet, reps):
-    uf = hl.UnionFind()
-    for v in X.simplices(0):
-        uf.find(v)
-    for g in X.gens(1):
-        e = SimplexKey(g)
-        uf.union(X.vertex(e, 0), X.vertex(e, 1))
-    return {v: uf.find(v) for v in X.simplices(0)}
 
 
 def approximation_verify(G: ExactFunctorData, d: int = 2, budget: int = 10**6) -> dict:

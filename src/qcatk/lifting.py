@@ -20,34 +20,12 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import simplicial as sx
 from .cats import nerve_functor_map
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 # ---------------------------------------------------------------------------
-# key arithmetic on subset complexes and binary products
-
-
-def _key_from_vertex_seq(S: SimplicialSet, seq) -> SimplexKey:
-    """Key of the simplex of a vertex-subset complex with the given monotone
-    vertex sequence (repeats become degeneracies)."""
-    distinct = tuple(sorted(set(seq)))
-    base = SimplexKey(S.gen_of_label(distinct))
-    word = tuple(
-        sorted((i for i in range(len(seq) - 1) if seq[i] == seq[i + 1]), reverse=True)
-    )
-    return SimplexKey(base.gen, word)
-
-
-def _product_path_key(P: sx.MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
-                      path) -> SimplexKey:
-    """Key of the simplex of the binary product P = A x B whose vertex t is
-    ``path[t]`` (a pair of vertex labels, one per factor)."""
-    ka = _key_from_vertex_seq(A, [p[0] for p in path])
-    kb = _key_from_vertex_seq(B, [p[1] for p in path])
-    return P.key_of(len(path) - 1, (ka, kb))
+# vertex paths, constant simplices and spine products
 
 
 def _vertex_path(P: sx.MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
@@ -66,14 +44,6 @@ def _vertex_path(P: sx.MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
 def _const_key(v: SimplexKey, n: int) -> SimplexKey:
     """The totally degenerate n-simplex on a vertex."""
     return sx.apply_degeneracy_word(v, range(n - 1, -1, -1)) if n else v
-
-
-def _find_simplex(X: SimplicialSet, n: int, want: dict) -> Optional[SimplexKey]:
-    """First n-simplex of X (in canonical order) with the prescribed faces."""
-    for z in X.simplices(n):
-        if all(X.face(z, i) == k for i, k in want.items()):
-            return z
-    return None
 
 
 def spine_product(ns, category=None) -> SimplicialSet:
@@ -192,10 +162,10 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
         raise ValueError("alpha and beta are not parallel transformations")
 
     def a_key(path):
-        return alpha(_product_path_key(P1, S, D1, path))
+        return alpha(sx.product_path_key(P1, S, D1, path))
 
     def b_key(path):
-        return beta(_product_path_key(P1, S, D1, path))
+        return beta(sx.product_path_key(P1, S, D1, path))
 
     def stuck(segment, step, want):
         return {
@@ -213,7 +183,7 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
     b_comp = b_key([(lev, 0), (lev, 1)])
     dom = a_key([(lev, 0)])
     seed_want = {0: b_comp, 1: a_comp, 2: sx.key_degeneracy(dom, 0)}
-    T = {lev: _find_simplex(X, 2, seed_want)}
+    T = {lev: sx.simplex_with_faces(X, 2, seed_want)}
     if T[lev] is None:
         return stuck(None, "seed", seed_want)
 
@@ -231,29 +201,29 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
         btr2 = b_key([(u, 0), (u, 1), (v, 1)])
         if direction == "last":
             want = {0: T[v], 2: atr1, 3: s1Fe}
-            Z1 = _find_simplex(X, 3, want)
+            Z1 = sx.simplex_with_faces(X, 3, want)
             if Z1 is None:
                 return stuck(i, "bottom (inner horn, index 1)", want)
             want = {0: btr1, 1: X.face(Z1, 1), 3: s0Fe}
-            Z2 = _find_simplex(X, 3, want)
+            Z2 = sx.simplex_with_faces(X, 3, want)
             if Z2 is None:
                 return stuck(i, "middle (inner horn, index 2)", want)
             want = {0: btr2, 1: atr2, 2: X.face(Z2, 2)}
-            Z3 = _find_simplex(X, 3, want)
+            Z3 = sx.simplex_with_faces(X, 3, want)
             if Z3 is None:
                 return stuck(i, "top (outer horn, index 3)", want)
             T[u] = X.face(Z3, 3)
         else:
             want = {0: btr2, 1: atr2, 3: T[u]}
-            Z3 = _find_simplex(X, 3, want)
+            Z3 = sx.simplex_with_faces(X, 3, want)
             if Z3 is None:
                 return stuck(i, "top (inner horn, index 2)", want)
             want = {0: btr1, 2: X.face(Z3, 2), 3: s0Fe}
-            Z2 = _find_simplex(X, 3, want)
+            Z2 = sx.simplex_with_faces(X, 3, want)
             if Z2 is None:
                 return stuck(i, "middle (inner horn, index 1)", want)
             want = {1: X.face(Z2, 1), 2: atr1, 3: s1Fe}
-            Z1 = _find_simplex(X, 3, want)
+            Z1 = sx.simplex_with_faces(X, 3, want)
             if Z1 is None:
                 return stuck(i, "bottom (outer horn, index 0)", want)
             T[v] = X.face(Z1, 0)
@@ -306,7 +276,7 @@ def prism_face(h: SimplicialMap, P1: sx.MaterializedSSet, face: int) -> Simplici
     assign = {}
     for g in P1.all_gens():
         path = _vertex_path(P1, S, D1, SimplexKey(g))
-        assign[g] = h(_product_path_key(P3, S, D2, [(s, vmap[d]) for s, d in path]))
+        assign[g] = h(sx.product_path_key(P3, S, D2, [(s, vmap[d]) for s, d in path]))
     return SimplicialMap(P1, h.target, assign)
 
 
@@ -332,7 +302,7 @@ def _delta_part_fixed(Qbig, base, D_from, D_to, pick):
         chosen, phi = pick(V)
         seq = [phi[D_from.labels[D_from.vertex(kd, t).gen][0]]
                for t in range(kd.dim + 1)]
-        kd_small = _key_from_vertex_seq(D_to, seq)
+        kd_small = sx.key_from_vertex_seq(D_to, seq)
         key_small = chosen.source.key_of(g[0], (kb, kd_small))
         fixed[g] = chosen(key_small)
     return fixed
@@ -534,8 +504,7 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
 
 
 def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
-                          budget: int = 10**6, p_budget: int = 1,
-                          hypothesis_nbars=((),)) -> dict:
+                          budget: int = 10**6) -> dict:
     """Check the hypotheses of the iterated-level equivalence statement for
     an exact map and verify its conclusion directly on iterated
     cofibration-sequence levels.
@@ -543,8 +512,8 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     Hypotheses: the map reflects cofibrations; its homotopy-category functor
     is an equivalence (and the cofibration variant, for the marked form);
     and the homotopic-components property holds in source and target, which
-    is only checkable on finitely many shapes — ``hypothesis_nbars`` and
-    ``p_budget`` bound that search.
+    is only checkable on finitely many shapes: it is checked for
+    transformations I[1] x Delta[1] -> X (nbar = (), p = 1).
 
     The conclusion is verified for the given ``nbar`` (at most two entries)
     by iterating the cofibration-sequence level construction on both sides,
@@ -565,14 +534,8 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
         "reflects_cofibrations": reflects_cofibrations(G),
         "tau1_equivalence": qc.tau1_map_equivalence(G.themap),
         "tau1_cof_equivalence": cof_ho_equivalence(G),
-        "components_source": [
-            components_hypothesis_check(G.source.underlying, nb, p_budget, budget)
-            for nb in hypothesis_nbars
-        ],
-        "components_target": [
-            components_hypothesis_check(G.target.underlying, nb, p_budget, budget)
-            for nb in hypothesis_nbars
-        ],
+        "components_source": [components_hypothesis_check(G.source.underlying, budget=budget)],
+        "components_target": [components_hypothesis_check(G.target.underlying, budget=budget)],
     }
     comps_ok = all(r["verdict"] == "pass" for r in
                    hyp["components_source"] + hyp["components_target"])

@@ -203,28 +203,24 @@ class HomFamily(sx.Family):
                 self._prod[n] = sx.product(self.A, sx.delta(n), d)
         return self._prod[n].sset
 
-    def gen_order(self, n: int):
-        P = self.prod(n)
-        return [g for m in range(P.top_dim + 1) for g in P.gens(m)]
-
     def fixed_for(self, n: int):
         return None
 
     def elements(self, n):
         P = self.prod(n)
         maps = sx.enumerate_maps(P, self.X, fixed=self.fixed_for(n), budget=self.budget)
-        order = self.gen_order(n)
+        order = P.all_gens()
         return [tuple(mp.assign[g] for g in order) for mp in maps]
 
     def as_map(self, n, x) -> SimplicialMap:
-        return SimplicialMap(self.prod(n), self.X, dict(zip(self.gen_order(n), x)))
+        return SimplicialMap(self.prod(n), self.X, dict(zip(self.prod(n).all_gens(), x)))
 
     def _precompose(self, n_from, n_to, phi, x):
         Pf, Pt = self.prod(n_from), self.prod(n_to)
         f = self.as_map(n_to, x)
         dmap = _delta_monotone_map(n_from, n_to, phi)
         out = []
-        for g in self.gen_order(n_from):
+        for g in Pf.all_gens():
             ka, kb = Pf.labels[g]
             target_elem = (ka, dmap(kb))
             k = Pt.key_of(g[0], target_elem)
@@ -271,35 +267,6 @@ class MappingSpaceFamily(HomFamily):
 def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey, d: int,
                   budget: int = 10**6) -> sx.MaterializedSSet:
     return sx.MaterializedSSet(MappingSpaceFamily(X, a, b, budget), d)
-
-
-# -- natural transformations --------------------------------------------------
-
-
-@dataclass
-class NatTrans:
-    """A map A x Delta[1] -> X presented on the materialized product."""
-
-    prod: sx.MaterializedSSet  # product of A and Delta[1]
-    A: SimplicialSet
-    themap: SimplicialMap
-
-    def component(self, v: SimplexKey) -> SimplexKey:
-        """Edge alpha_v of X at a vertex v of A."""
-        # the vertical edge over v is the pair (s_0-degenerate v, edge of Delta[1])
-        dv = self.A.degeneracy(v, 0)
-        e01 = SimplexKey(sx.delta(1).gen_of_label((0, 1)))
-        k = self.prod.key_of(1, (dv, e01))
-        return self.themap(k)
-
-    def restrict_end(self, end: int) -> SimplicialMap:
-        """Restriction to A x {end}, as a map A -> X."""
-        dvert = SimplexKey(sx.delta(1).gen_of_label((end,)))
-        assign = {}
-        for g in self.A.all_gens():
-            kb = apply_degeneracy_word(dvert, range(g[0] - 1, -1, -1))
-            assign[g] = self.themap(self.prod.key_of(g[0], (SimplexKey(g), kb)))
-        return SimplicialMap(self.A, self.themap.target, assign)
 
 
 def tau1_map_equivalence(f: SimplicialMap) -> dict:

@@ -489,18 +489,21 @@ def empty_sset() -> SimplicialSet:
     return SimplicialSet([], {}, bound=None)
 
 
+def key_from_vertex_seq(S: SimplicialSet, seq) -> SimplexKey:
+    """Key of the simplex of a vertex-subset complex with the given monotone
+    vertex sequence: the generator on its distinct vertices, degenerate at
+    each position where consecutive vertices coincide."""
+    gen = S.gen_of_label(tuple(sorted(set(seq))))
+    word = tuple(i for i in range(len(seq) - 2, -1, -1) if seq[i] == seq[i + 1])
+    return SimplexKey(gen, word)
+
+
 def delta_inclusion(source: SimplicialSet, target: SimplicialSet, vertex_map) -> SimplicialMap:
     """Map between subset complexes induced by a function on vertex labels."""
-    assign = {}
-    for g in source.all_gens():
-        s = source.labels[g]
-        t = tuple(vertex_map(v) for v in s)
-        # t may repeat entries; normalize to a degenerate key over the image.
-        distinct = tuple(sorted(set(t)))
-        base = SimplexKey(target.gen_of_label(distinct))
-        # positions where consecutive images coincide are degeneracy indices
-        word = sorted((i for i in range(len(t) - 1) if t[i] == t[i + 1]), reverse=True)
-        assign[g] = SimplexKey(base.gen, tuple(word))
+    assign = {
+        g: key_from_vertex_seq(target, [vertex_map(v) for v in source.labels[g]])
+        for g in source.all_gens()
+    }
     return SimplicialMap(source, target, assign)
 
 
@@ -551,6 +554,16 @@ def product(X: SimplicialSet, Y: SimplicialSet, d: int) -> Span2:
     p1 = SimplicialMap(P, X, {g: P.labels[g][0] for g in P.all_gens()})
     p2 = SimplicialMap(P, Y, {g: P.labels[g][1] for g in P.all_gens()})
     return Span2(P, p1, p2)
+
+
+def product_path_key(P: MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
+                     path) -> SimplexKey:
+    """Key of the simplex of the product P = A x B of two vertex-subset
+    complexes whose vertex t is ``path[t]`` (a pair of vertex labels, one
+    per factor); such a simplex is fixed by its vertex path."""
+    ka = key_from_vertex_seq(A, [p[0] for p in path])
+    kb = key_from_vertex_seq(B, [p[1] for p in path])
+    return P.key_of(len(path) - 1, (ka, kb))
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap, d: int) -> Span2:
@@ -782,7 +795,42 @@ def relative_maps(
     return found
 
 
-# -- horn fillers ----------------------------------------------------------
+# -- simplices by their faces and horn fillers ----------------------------
+
+
+def simplex_with_faces(X: SimplicialSet, n: int,
+                       faces: dict[int, SimplexKey]) -> Optional[SimplexKey]:
+    """The first n-simplex of X (n >= 1) in ``simplices(n)`` order whose
+    face i is ``faces[i]`` for every given i, or None.
+
+    ``faces`` gives all n + 1 faces, or all but one.  With all given the
+    answer heads one ``boundary_index(n)`` bucket.  With face k missing,
+    the simplicial identities give the missing face's own faces:
+    d_j d_k = d_{k-1} d_j for j < k and d_j d_k = d_k d_{j+1} for j >= k.
+    So its candidates are one ``boundary_index(n - 1)`` bucket (every
+    vertex when n = 1), and each costs one ``boundary_index(n)`` lookup;
+    the least hit is the first in ``simplices(n)`` order.
+    """
+    missing = [i for i in range(n + 1) if i not in faces]
+    if n < 1 or len(missing) > 1 or len(faces) != n + 1 - len(missing):
+        raise ValueError(f"need all {n + 1} faces of the {n}-simplex, or all but one")
+    index = X.boundary_index(n)
+    if not missing:
+        bucket = index.get(tuple(faces[i] for i in range(n + 1)))
+        return bucket[0] if bucket else None
+    k = missing[0]
+    if n == 1:
+        cands = X.simplices(0)
+    else:
+        bd = tuple(X.face(faces[j], k - 1) if j < k else X.face(faces[j + 1], k)
+                   for j in range(n))
+        cands = X.boundary_index(n - 1).get(bd, [])
+    hits = []
+    for c in cands:
+        bucket = index.get(tuple(c if i == k else faces[i] for i in range(n + 1)))
+        if bucket:
+            hits.append(bucket[0])
+    return min(hits, default=None)
 
 
 def inner_horn_filler(X: SimplicialSet, h: SimplicialMap) -> Optional[SimplexKey]:
@@ -802,10 +850,7 @@ def inner_horn_filler(X: SimplicialSet, h: SimplicialMap) -> Optional[SimplexKey
             continue
         face_lbl = tuple(v for v in full if v != i)
         wanted[i] = h(SimplexKey(H.gen_of_label(face_lbl)))
-    for cand in X.simplices(n):
-        if all(X.face(cand, i) == wanted[i] for i in wanted):
-            return cand
-    return None
+    return simplex_with_faces(X, n, wanted)
 
 
 def horn_maps(X: SimplicialSet, n: int, k: int, budget: int = 10**6):

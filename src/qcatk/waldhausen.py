@@ -322,14 +322,6 @@ def cof_ho_equivalence(G: ExactFunctorData, d: int = 2) -> dict:
 # -- homotopy cocartesian squares -------------------------------------------------
 
 
-def _simplex_with_vertices(S: SimplicialSet, verts) -> SimplexKey:
-    n = len(verts) - 1
-    for k in S.simplices(n):
-        if list(S.vertices(k)) == list(verts):
-            return k
-    raise ValueError("no simplex with the requested vertex sequence")
-
-
 def square_as_cocone(square: SimplicialMap):
     """Reinterpret a map Delta[1] x Delta[1] -> X as a cocone over its span:
     returns (span base map, extension over span * Delta[0])."""
@@ -337,28 +329,22 @@ def square_as_cocone(square: SimplicialMap):
     H = sx.horn(2, 0)
     J = sx.join(H, sx.delta(0), 2)
     corner = {0: (0, 0), 1: (0, 1), 2: (1, 0), "tip": (1, 1)}
-    d1 = sx.delta(1)
 
-    def svert(pair):
-        ka = SimplexKey(d1.gen_of_label((pair[0],)))
-        kb = SimplexKey(d1.gen_of_label((pair[1],)))
-        return S.key_of(0, (ka, kb))
+    def hpath(u):
+        return [corner[H.labels[v.gen][0]] for v in H.vertices(u)]
 
+    # a simplex of S is fixed by its vertex path, a monotone path of corners
     vmap = {}
     for g in J.sset.all_gens():
         lbl = J.sset.labels[g]
         if lbl[0] == "a":
-            hverts = [H.labels[v.gen][0] for v in H.vertices(lbl[1])]
-            want = [svert(corner[h]) for h in hverts]
+            path = hpath(lbl[1])
         elif lbl[0] == "b":
-            want = [svert(corner["tip"])]
+            path = [corner["tip"]]
         else:
             _, u, v = lbl
-            hverts = [H.labels[w.gen][0] for w in H.vertices(u)]
-            want = [svert(corner[h]) for h in hverts] + [
-                svert(corner["tip"])
-            ] * (v.dim + 1)
-        vmap[g] = _simplex_with_vertices(S, want)
+            path = hpath(u) + [corner["tip"]] * (v.dim + 1)
+        vmap[g] = sx.product_path_key(S, S.family.X, S.family.Y, path)
     m = SimplicialMap(J.sset, S, vmap)
     ext = square.compose(m)
     base = ext.compose(J.left)
@@ -394,7 +380,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
         return is_pushout_cocone(C, f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
     sl = js.slice_under(base, d + 1, budget=budget)
     fam = sl.family
-    target_tuple = tuple(ext.assign[h] for h in fam.gen_order(0))
+    target_tuple = tuple(ext.assign[h] for h in fam.joined(0).all_gens())
     vkey = None
     for g in sl.gens(0):
         if sl.labels[g] == target_tuple:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, JSON reports, and file output."""
 
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -213,3 +214,18 @@ def test_importing_the_front_end_loads_no_checker(files):
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == want
+
+
+def test_every_traced_span_names_a_qcatk_attribute():
+    # perfbench/traced.py wraps functions by name, so a rename would drop a span silently
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_traced", os.path.join(root, "perfbench", "traced.py"))
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.TRACED
+    for name, (module, attr) in traced.TRACED.items():
+        obj = importlib.import_module(f"qcatk.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)

@@ -142,6 +142,54 @@ def test_prism_construction_reports_the_stuck_filler():
         assert r["homotopy"] is None
 
 
+def _find_simplex(X, n, want):
+    """The oracle for ``simplex_with_faces`` in the prism construction: the
+    first n-simplex of X (in canonical order) with the prescribed faces,
+    found by scanning every n-simplex."""
+    for z in X.simplices(n):
+        if all(X.face(z, i) == k for i, k in want.items()):
+            return z
+    return None
+
+
+def _filler_reports(X, n):
+    """Prism-construction reports, both directions, for a few promotable
+    and a few non-promotable pairs, then every horn-filler audit."""
+    _, _, pairs, others = _parallel_pairs(X, n, budget=10**7)
+    out = []
+    for direction in ("last", "first"):
+        for alpha, beta in pairs[:6] + others[:3]:
+            rep = lf.homotopy_from_last_component(X, alpha, beta, direction)
+            h = rep["homotopy"]
+            out.append({**rep, "homotopy": None if h is None else h.assign})
+    return out + [lf.horn_fill_class_check(X, kind) for kind in ("all", "last", "first")]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=15, deadline=None)
+def test_filler_lookups_match_the_scanning_oracle(seed):
+    rng = random.Random(seed)
+    instances = [(nerve(random_category(rng, 3), 3), 1), (nerve(random_groupoid(rng), 3), 1)]
+    for X, n in instances:
+        found = _filler_reports(X, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sx, "simplex_with_faces", _find_simplex)
+            assert found == _filler_reports(X, n)
+
+
+@pytest.mark.parametrize("category, n", [
+    (lambda: cyclic_group_category(3), 1),
+    (lambda: cyclic_group_category(2), 2),
+    (idempotent_monoid_category, 1),
+])
+def test_prism_fills_match_the_scanning_oracle(monkeypatch, category, n):
+    X = nerve(category(), 3)
+    found = _filler_reports(X, n)
+    assert any(r.get("status") == "stuck" for r in found)
+    monkeypatch.setattr(sx, "simplex_with_faces", _find_simplex)
+    assert found == _filler_reports(X, n)
+
+
 def test_non_parallel_inputs_are_rejected():
     X = nerve(cyclic_group_category(3), 3)
     P = sx.product(sx.spine(1), sx.delta(1), 2).sset

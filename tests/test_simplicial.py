@@ -560,7 +560,114 @@ def test_relative_search_needs_a_face_closed_inner_part():
 
 
 # ---------------------------------------------------------------------------
-# horn filling
+# simplices by their faces, and horn filling
+
+
+def scan_simplex_with_faces(X, n, faces):
+    """The oracle for ``simplex_with_faces``: scan every n-simplex in
+    canonical order and return the first with the given faces."""
+    for z in X.simplices(n):
+        if all(X.face(z, i) == k for i, k in faces.items()):
+            return z
+    return None
+
+
+def horn_faces(h):
+    """The faces a horn map h : Lambda^k[n] -> X prescribes, with n."""
+    H = h.source
+    n = max(len(H.labels[g]) for g in H.all_gens())
+    full = tuple(range(n + 1))
+    faces = {}
+    for i in range(n + 1):
+        lbl = full[:i] + full[i + 1:]
+        if lbl in H._gen_of_label:
+            faces[i] = h(SimplexKey(H.gen_of_label(lbl)))
+    return n, faces
+
+
+def scan_horn_filler(X, h):
+    """The oracle for ``inner_horn_filler``: the scan it made before it
+    looked its filler up."""
+    n, faces = horn_faces(h)
+    return scan_simplex_with_faces(X, n, faces)
+
+
+def two_discs():
+    """Not a nerve: two 2-simplices on the boundary of one triangle, and a
+    third whose boundary is that of the degenerate simplex s_0 of an edge."""
+    v0, v1, v2 = (SimplexKey((0, i)) for i in range(3))
+    a, b, c = (SimplexKey((1, i)) for i in range(3))
+    faces = {
+        (1, 0): (v1, v0), (1, 1): (v2, v1), (1, 2): (v2, v0),
+        (2, 0): (b, c, a), (2, 1): (b, c, a), (2, 2): (a, a, sx.key_degeneracy(v0, 0)),
+    }
+    X = sx.SimplicialSet([3, 3, 3], faces)
+    X.check()
+    return X
+
+
+FACE_TARGETS = [
+    lambda rng: nerve(random_category(rng, 4), 3),
+    lambda rng: sx.product(sx.spine(2), sx.delta(1), 3).sset,
+    lambda rng: sx.product(nerve(cyclic_group_category(2), 3), sx.delta(1), 3).sset,
+    lambda rng: sx.join(sx.horn(2, 1), sx.delta(0), 3).sset,
+    lambda rng: sx.join(sx.delta(0), sx.boundary(2), 3).sset,
+    lambda rng: sx.horn(3, rng.randint(0, 3)),
+    lambda rng: sx.boundary(3),
+    lambda rng: two_discs(),
+]
+
+
+def consistent(X, faces):
+    """Do the given faces satisfy d_i d_j = d_{j-1} d_i pairwise?"""
+    return all(X.face(faces[j], i) == X.face(faces[i], j - 1)
+               for j in faces for i in faces if i < j and faces[j].dim > 0)
+
+
+@given(st.integers(0, 10_000), st.integers(0, len(FACE_TARGETS) - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_simplex_with_faces_matches_the_scan(seed, which, data):
+    X = FACE_TARGETS[which](random.Random(seed))
+    for n in (2, 3):
+        for k in range(n + 1):
+            for h in sx.horn_maps(X, n, k):
+                assert sx.inner_horn_filler(X, h) == scan_horn_filler(X, h)
+    for n in (1, 2, 3):
+        B = sx.boundary(n)
+        full = tuple(range(n + 1))
+        for b in sx.enumerate_maps(B, X):
+            faces = {i: b(SimplexKey(B.gen_of_label(full[:i] + full[i + 1:])))
+                     for i in range(n + 1)}
+            z = sx.simplex_with_faces(X, n, faces)
+            assert z == scan_simplex_with_faces(X, n, faces)
+            assert z is None or X.boundary_tuple(z) == tuple(faces.values())
+    # faces drawn at random, mostly inconsistent; all of them or all but one
+    for _ in range(20):
+        n = data.draw(st.integers(1, 3))
+        missing = data.draw(st.sampled_from([None, *range(n + 1)]))
+        faces = {i: data.draw(st.sampled_from(X.simplices(n - 1)))
+                 for i in range(n + 1) if i != missing}
+        z = sx.simplex_with_faces(X, n, faces)
+        assert z == scan_simplex_with_faces(X, n, faces)
+        if not consistent(X, faces):
+            assert z is None
+
+
+def test_simplex_with_faces_needs_all_faces_or_all_but_one():
+    X = sx.delta(2)
+    e = X.simplices(1)[0]
+    for faces in ({0: e}, {0: e, 1: e, 2: e, 3: e}, {0: e, 1: e, 5: e}):
+        with pytest.raises(ValueError):
+            sx.simplex_with_faces(X, 2, faces)
+
+
+def test_simplex_with_faces_takes_the_first_simplex_on_a_shared_boundary():
+    X = two_discs()
+    a, b, c = (SimplexKey((1, i)) for i in range(3))
+    assert sx.simplex_with_faces(X, 2, {0: b, 1: c, 2: a}) == SimplexKey((2, 0))
+    assert sx.simplex_with_faces(X, 2, {0: b, 2: a}) == SimplexKey((2, 0))
+    # s_0 a sorts before the nondegenerate (2, 2) with the same boundary
+    assert sx.simplex_with_faces(X, 2, {0: a, 1: a}) == SimplexKey((1, 0), (0,))
 
 
 def test_inner_horns_of_a_nerve_fill():

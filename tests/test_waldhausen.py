@@ -1,6 +1,8 @@
 """Cofibration structures on finite quasicategories: axiom validation,
 factorization, marking closure properties, and exact maps."""
 
+import itertools
+
 import pytest
 
 from qcatk import quasicat as qc
@@ -130,6 +132,38 @@ def test_pushout_square_is_homotopy_cocartesian():
     square = sx.SimplicialMap(P, N, assign)
     square.check()
     assert homotopy_cocartesian_check(W, square)
+
+
+def _simplex_with_vertices(S, verts):
+    """The oracle for the square's vertex-path keys: scan the simplices of
+    S for the first with the given vertex sequence."""
+    n = len(verts) - 1
+    for k in S.simplices(n):
+        if list(S.vertices(k)) == list(verts):
+            return k
+    raise ValueError("no simplex with the requested vertex sequence")
+
+
+def test_square_path_keys_match_the_vertex_scan():
+    S = sx.product(sx.delta(1), sx.delta(1), 2).sset
+    A, B = S.family.X, S.family.Y
+    corners = list(itertools.product((0, 1), repeat=2))
+
+    def vertex(p):
+        ka = SimplexKey(A.gen_of_label((p[0],)))
+        kb = SimplexKey(B.gen_of_label((p[1],)))
+        return S.key_of(0, (ka, kb))
+
+    paths = [
+        path
+        for n in range(3)
+        for path in itertools.product(corners, repeat=n + 1)
+        if all(p <= q for a, b in zip(path, path[1:]) for p, q in zip(a, b))
+    ]
+    assert len(paths) == 29
+    for path in paths:
+        oracle = _simplex_with_vertices(S, [vertex(p) for p in path])
+        assert sx.product_path_key(S, A, B, path) == oracle
 
 
 def test_exact_map_validation_and_reflection():
