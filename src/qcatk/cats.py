@@ -362,24 +362,32 @@ def nerve_faces(N: SimplicialSet, s: tuple) -> tuple:
     C = N.category
     if len(s) == 1:
         return (SimplexKey(N.gen_of_label(C.tgt[s[0]])), SimplexKey(N.gen_of_label(C.src[s[0]])))
-    inner = (s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :] for k in range(1, len(s)))
-    return tuple(nerve_key_for_string(N, t) for t in (s[1:], *inner, s[:-1]))
+    # dropping an end morphism leaves a string with no identities
+    inner = (
+        nerve_key_for_string(N, s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :])
+        for k in range(1, len(s))
+    )
+    return (SimplexKey(N.gen_of_label(s[1:])), *inner, SimplexKey(N.gen_of_label(s[:-1])))
 
 
 def nerve(C: FinCategory, d: int) -> SimplicialSet:
     """Nerve of C with generators up to dimension d.
 
     Nondegenerate n-simplices are length-n composable strings of non-identity
-    morphisms.  If no such string of length d exists the nerve is complete
-    and the bound is dropped.
+    morphisms, each layer in ``repr`` order.  If no such string of length d
+    exists the nerve is complete and the bound is dropped.
     """
     nonid = [m for m in C.morphisms if m not in C.id_set]
     strings: list[list] = [[(o,) for o in sorted(C.objects, key=repr)]]
     if d >= 1:
         strings.append(sorted(((m,) for m in nonid), key=repr))
+    # for a tuple of length >= 2, repr is "(" + ", ".join(its reprs) + ")";
+    # each morphism is repr'd once and the layers sort on that string
+    rep = {m: repr(m) for m in nonid}
     for n in range(2, d + 1):
         layer = [s + (m,) for s in strings[n - 1] for m in C.nonid_out(C.tgt[s[-1]])]
-        strings.append(sorted(layer, key=repr))
+        layer.sort(key=lambda s: "(" + ", ".join(map(rep.__getitem__, s)) + ")")
+        strings.append(layer)
 
     n_gens = [len(layer) for layer in strings]
     labels = {}

@@ -7,7 +7,6 @@ extension of a : A -> X over A * Delta[n], and dually for X/b.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import homology as hl

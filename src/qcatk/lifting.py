@@ -46,7 +46,7 @@ def _const_key(v: SimplexKey, n: int) -> SimplexKey:
     return sx.apply_degeneracy_word(v, range(n - 1, -1, -1)) if n else v
 
 
-def spine_product(ns, category=None) -> SimplicialSet:
+def spine_product(ns) -> SimplicialSet:
     """The product of spines I[n_1] x ... x I[n_k]; the point for k = 0.
 
     The result is complete: a product of k spines is k-dimensional.

@@ -269,15 +269,12 @@ def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey, d: int,
     return sx.MaterializedSSet(MappingSpaceFamily(X, a, b, budget), d)
 
 
-def tau1_map_equivalence(f: SimplicialMap) -> dict:
-    """Is the induced functor of homotopy categories an equivalence?
-
-    Essential surjectivity, fullness, and faithfulness by table search on
-    the homotopy categories of source and target.
-    """
-    ho_s = ho_category(f.source)
-    ho_t = ho_category(f.target)
-    images = {f(v) for v in ho_s.cat.objects}
+def ho_table_equivalence(ho_s: HoCategory, ho_t: HoCategory, push) -> dict:
+    """Is the functor of homotopy categories that ``push`` induces an
+    equivalence?  ``push`` carries a key of the source (vertex or edge) to
+    the target.  Essential surjectivity, fullness, and faithfulness by table
+    search."""
+    images = {push(v) for v in ho_s.cat.objects}
     ess_surj = True
     for w in ho_t.cat.objects:
         if w in images:
@@ -290,8 +287,8 @@ def tau1_map_equivalence(f: SimplicialMap) -> dict:
         for b in ho_s.cat.objects:
             fibers = {}
             for m in ho_s.cat.hom(a, b):
-                fibers.setdefault(ho_t.cls(f(m)), []).append(m)
-            if set(fibers) != set(ho_t.cat.hom(f(a), f(b))):
+                fibers.setdefault(ho_t.cls(push(m)), []).append(m)
+            if set(fibers) != set(ho_t.cat.hom(push(a), push(b))):
                 full = False
             if any(len(v) > 1 for v in fibers.values()):
                 faithful = False
@@ -301,3 +298,8 @@ def tau1_map_equivalence(f: SimplicialMap) -> dict:
         "full": full,
         "faithful": faithful,
     }
+
+
+def tau1_map_equivalence(f: SimplicialMap) -> dict:
+    """Is the induced functor of homotopy categories an equivalence?"""
+    return ho_table_equivalence(ho_category(f.source), ho_category(f.target), f)

@@ -177,6 +177,9 @@ class SimplicialSet:
 
     def face(self, key: SimplexKey, i: int) -> SimplexKey:
         """d_i in normal form, via d_i s_j identities and the face tables."""
+        # a generator's faces are its row of the table
+        if not key.degens and key.gen[0] and 0 <= i <= key.gen[0]:
+            return self.faces[key.gen][i]
         n = key.dim
         if n == 0:
             raise ValueError("0-simplices have no faces")
@@ -256,11 +259,6 @@ class SimplicialSet:
 
     def vertices(self, key: SimplexKey) -> tuple[SimplexKey, ...]:
         return tuple(self.vertex(key, j) for j in range(key.dim + 1))
-
-    def edges_of(self, key: SimplexKey) -> list[SimplexKey]:
-        """All edges (i,j), i < j, of a simplex, degenerate ones included."""
-        n = key.dim
-        return [self.subsimplex(key, (i, j)) for i in range(n + 1) for j in range(i + 1, n + 1)]
 
     def spine_of(self, key: SimplexKey) -> list[SimplexKey]:
         return [self.subsimplex(key, (i - 1, i)) for i in range(1, key.dim + 1)]
@@ -667,12 +665,26 @@ def full_subcomplex(X: SimplicialSet, vertices_keep, d: int, category=None):
 
 
 def one_full_subcomplex(X: SimplicialSet, edge_keep, d: int, category=None):
-    """1-full subcomplex on the edges satisfying ``edge_keep``."""
+    """1-full subcomplex on the edges satisfying ``edge_keep``: the simplices
+    all of whose edges, degenerate ones included, satisfy it.
+
+    Decided by face membership, memoized per key: every vertex is kept, an
+    edge when ``edge_keep`` holds, and a simplex of dimension >= 2 when all
+    of its faces are kept.  This is exact for any simplicial set, because
+    every edge of an n-simplex with n >= 2 lies in one of its faces (one
+    that omits a vertex other than the edge's two), and every edge of a
+    face is an edge of the simplex.
+    """
+    memo: dict[SimplexKey, bool] = {}
 
     def keep(k):
-        if k.dim == 0:
-            return True
-        return all(edge_keep(e) for e in X.edges_of(k))
+        if k not in memo:
+            n = k.dim
+            if n <= 1:
+                memo[k] = n == 0 or bool(edge_keep(k))
+            else:
+                memo[k] = all(keep(X.face(k, i)) for i in range(n + 1))
+        return memo[k]
 
     return subcomplex(X, keep, d, category=category)
 

@@ -132,6 +132,46 @@ def test_nerve_commutes_with_joins_of_posets(seed):
     assert sx.iso_check(NJ, JN, d) is not None
 
 
+def assert_layers_in_repr_order(N):
+    for n in range(N.top_dim + 1):
+        layer = [N.labels[g] for g in N.gens(n)]
+        assert layer == sorted(layer, key=repr)
+
+
+def test_nerve_layers_follow_repr_order_not_the_names():
+    # "a", "a!" and "a " sort one way as names and the other way as reprs
+    # ("'a '" < "'a!'" < "'a'"); composites are tuple-valued
+    firsts, seconds = ["a", "a!", "a "], ["b", "b "]
+    ids = {o: "1" + o for o in "xyz"}
+    morphisms = list(ids.values()) + firsts + seconds
+    src = {i: o for o, i in ids.items()}
+    tgt = dict(src)
+    comp = {}
+    for f in firsts:
+        src[f], tgt[f] = "x", "y"
+    for g in seconds:
+        src[g], tgt[g] = "y", "z"
+        for f in firsts:
+            h = comp[(g, f)] = (f, g)
+            morphisms.append(h)
+            src[h], tgt[h] = "x", "z"
+    C = FinCategory("xyz", morphisms, src, tgt, ids, comp)
+    C.check()
+    N = nerve(C, 3)
+    assert N.n_gens == [3, 11, 6]
+    assert_layers_in_repr_order(N)
+    layer = [N.labels[g] for g in N.gens(2)]
+    assert layer != sorted(layer)
+
+
+@pytest.mark.parametrize("name", ["ps2", "dup22"])
+def test_nerve_layers_of_diagram_levels_follow_repr_order(name):
+    # morphisms of map_category levels are nested tuples
+    _, s_levels, f_levels = _levels(name)
+    for level in (s_levels[1], f_levels[1]):
+        assert_layers_in_repr_order(nerve(level.cat, 2))
+
+
 # ---------------------------------------------------------------------------
 # functors and nerve maps
 

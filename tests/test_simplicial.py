@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcatk import simplicial as sx
+from qcatk import io
 from qcatk import lifting as lf
+from qcatk import quasicat as qc
+from qcatk import simplicial as sx
 from qcatk.cats import nerve, nerve_key_for_string, cyclic_group_category, chain_poset
 from qcatk.simplicial import SimplexKey
 from qcatk.zoo import random_category, random_poset
@@ -119,6 +121,76 @@ def test_one_full_subcomplex_on_a_single_edge():
     )
     assert len(S.gens(1)) == 1
     incl.check()
+
+
+def edges_of(X, key):
+    """All edges (i, j), i < j, of a simplex, degenerate ones included."""
+    n = key.dim
+    return [X.subsimplex(key, (i, j)) for i in range(n + 1) for j in range(i + 1, n + 1)]
+
+
+def one_full_subcomplex_by_edges(X, edge_keep, d):
+    """Oracle for ``one_full_subcomplex``: filter every simplex by its edges."""
+    return sx.subcomplex(X, lambda k: k.dim == 0 or all(edge_keep(e) for e in edges_of(X, k)), d)
+
+
+def _one_full_source(rng, kind, d):
+    if kind == "nerve":
+        return nerve(random_category(rng, 4), d)
+    if kind == "opposite":
+        return nerve(random_category(rng, 4).opposite(), d)
+    if kind == "product":
+        return nerve(random_category(rng, 2).product(random_category(rng, 2)), d)
+    if kind == "square":
+        return sx.product(sx.delta(1), sx.delta(1), 2).sset
+    if kind == "boundary":
+        return sx.boundary(3)
+    return sx.horn(3, rng.randrange(4))
+
+
+def assert_same_subcomplex(got, want):
+    (S, incl), (T, oracle_incl) = got, want
+    assert io.serialize_sset(S) == io.serialize_sset(T)
+    assert incl.assign == oracle_incl.assign
+    assert list(incl.assign) == list(oracle_incl.assign)
+
+
+@given(st.integers(0, 10_000),
+       st.sampled_from(["nerve", "opposite", "product", "square", "boundary", "horn"]),
+       st.integers(1, 3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_one_full_subcomplex_matches_the_edge_filter(seed, kind, d, keep_degenerate):
+    rng = random.Random(seed)
+    X = _one_full_source(rng, kind, d)
+    d = min(d, X.effective_bound())
+    # a random set of edges; degenerate edges may be rejected too
+    good = {e for e in X.simplices(1)
+            if (keep_degenerate and e.is_degenerate) or rng.random() < 0.6}
+    assert_same_subcomplex(sx.one_full_subcomplex(X, good.__contains__, d),
+                           one_full_subcomplex_by_edges(X, good.__contains__, d))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_maximal_kan_matches_the_edge_filter(seed, d):
+    N = nerve(random_category(random.Random(seed), 4), max(d, 2))
+    ho = qc.ho_category(N)
+    good = {e for e in N.simplices(1) if ho.cat.is_iso(ho.cls(e))}
+    assert_same_subcomplex(qc.maximal_kan(N, d),
+                           one_full_subcomplex_by_edges(N, good.__contains__, d))
+
+
+@pytest.mark.parametrize("X", [sx.delta(2), nerve(cyclic_group_category(2), 2)],
+                         ids=["delta2", "z2"])
+def test_face_keeps_its_errors(X):
+    v = SimplexKey((0, 0))
+    with pytest.raises(ValueError, match=r"^0-simplices have no faces$"):
+        X.face(v, 0)
+    for k in (SimplexKey((1, 0)), SimplexKey((2, 0)), X.degeneracy(v, 0),
+              X.degeneracy(SimplexKey((1, 0)), 1)):
+        for i in (-1, k.dim + 1):
+            with pytest.raises(ValueError, match=rf"^face index {i} out of range for dim {k.dim}$"):
+                X.face(k, i)
 
 
 # ---------------------------------------------------------------------------

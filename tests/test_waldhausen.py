@@ -2,17 +2,22 @@
 factorization, marking closure properties, and exact maps."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import nerve, poset_category
+from qcatk.cats import FinCategory, nerve, poset_category
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
+    _edge_morphism,
     admits_factorization,
+    cof_category,
     cof_ho_equivalence,
     cof_subquasicategory,
     homotopy_cocartesian_check,
@@ -23,7 +28,7 @@ from qcatk.waldhausen import (
     validate_exact,
     validate_waldhausen,
 )
-from qcatk.zoo import pointed_sets_with_duplicate
+from qcatk.zoo import pointed_sets_with_duplicate, random_category
 
 
 def test_pointed_sets_instance_satisfies_the_axioms():
@@ -104,6 +109,48 @@ def test_cofibration_subquasicategory_is_one_full():
     co, incl = cof_subquasicategory(W, 2)
     assert len(co.gens(1)) == len(W.cof)
     incl.check()
+
+
+def cof_category_by_all_pairs(W):
+    """Oracle for ``cof_category``: closure tested over all marked pairs."""
+    X = W.underlying
+    C = X.category
+    marked = {_edge_morphism(X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
+    for f in marked:
+        for g in marked:
+            if C.src[g] == C.tgt[f] and C.compose_mor(g, f) not in marked:
+                return None
+    morphisms = [m for m in C.morphisms if m in marked]
+    return FinCategory(
+        C.objects, morphisms,
+        {m: C.src[m] for m in morphisms}, {m: C.tgt[m] for m in morphisms},
+        dict(C.ids),
+        {(g, f): h for (g, f), h in C.comp.items() if g in marked and f in marked},
+    )
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_cof_category_matches_the_all_pairs_closure(seed, close):
+    rng = random.Random(seed)
+    C = random_category(rng, 4)
+    if rng.random() < 0.3:
+        C = C.opposite()
+    N = nerve(C, 2)
+    marked = {m for m in C.morphisms if m not in C.id_set and rng.random() < 0.5}
+    while close:
+        new = {C.compose_mor(g, f) for f in marked for g in C.nonid_out(C.tgt[f])
+               if g in marked} - marked - C.id_set
+        marked |= new
+        close = bool(new)
+    cof = frozenset(SimplexKey(N.gen_of_label((m,))) for m in marked)
+    W = WaldhausenData(N, SimplexKey((0, 0)), cof)
+    got, want = cof_category(W), cof_category_by_all_pairs(W)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.objects == want.objects
+        assert got.morphisms == want.morphisms
+        assert list(got.comp.items()) == list(want.comp.items())
 
 
 def test_pushout_square_is_homotopy_cocartesian():
