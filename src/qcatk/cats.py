@@ -370,6 +370,25 @@ def nerve_faces(N: SimplicialSet, s: tuple) -> tuple:
     return (SimplexKey(N.gen_of_label(s[1:])), *inner, SimplexKey(N.gen_of_label(s[:-1])))
 
 
+def _string_sort_key(morphisms):
+    """A sort key that orders tuples of two or more of the given morphisms as
+    ``key=repr`` does, with each morphism repr'd once.
+
+    Such a tuple's repr is "(" + ", ".join(its reprs) + ")".  When no repr
+    is a proper prefix of another, two of these strings first differ inside
+    their first differing reprs, so the ranks of the reprs order them; else
+    the key is the string itself.
+    """
+    rep = {m: repr(m) for m in morphisms}
+    order = sorted(set(rep.values()))
+    # a repr that is a prefix of some other one is a prefix of the next one
+    if any(b.startswith(a) for a, b in zip(order, order[1:])):
+        return lambda s: "(" + ", ".join(map(rep.__getitem__, s)) + ")"
+    rank = {r: i for i, r in enumerate(order)}
+    num = {m: rank[r] for m, r in rep.items()}
+    return lambda s: tuple(map(num.__getitem__, s))
+
+
 def nerve(C: FinCategory, d: int) -> SimplicialSet:
     """Nerve of C with generators up to dimension d.
 
@@ -381,12 +400,10 @@ def nerve(C: FinCategory, d: int) -> SimplicialSet:
     strings: list[list] = [[(o,) for o in sorted(C.objects, key=repr)]]
     if d >= 1:
         strings.append(sorted(((m,) for m in nonid), key=repr))
-    # for a tuple of length >= 2, repr is "(" + ", ".join(its reprs) + ")";
-    # each morphism is repr'd once and the layers sort on that string
-    rep = {m: repr(m) for m in nonid}
+    key = _string_sort_key(nonid)
     for n in range(2, d + 1):
         layer = [s + (m,) for s in strings[n - 1] for m in C.nonid_out(C.tgt[s[-1]])]
-        layer.sort(key=lambda s: "(" + ", ".join(map(rep.__getitem__, s)) + ")")
+        layer.sort(key=key)
         strings.append(layer)
 
     n_gens = [len(layer) for layer in strings]

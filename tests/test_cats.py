@@ -138,10 +138,9 @@ def assert_layers_in_repr_order(N):
         assert layer == sorted(layer, key=repr)
 
 
-def test_nerve_layers_follow_repr_order_not_the_names():
-    # "a", "a!" and "a " sort one way as names and the other way as reprs
-    # ("'a '" < "'a!'" < "'a'"); composites are tuple-valued
-    firsts, seconds = ["a", "a!", "a "], ["b", "b "]
+def two_step_category(firsts, seconds):
+    """Objects x, y, z, the given morphisms x -> y and y -> z, and one
+    tuple-valued composite x -> z per pair."""
     ids = {o: "1" + o for o in "xyz"}
     morphisms = list(ids.values()) + firsts + seconds
     src = {i: o for o, i in ids.items()}
@@ -157,11 +156,31 @@ def test_nerve_layers_follow_repr_order_not_the_names():
             src[h], tgt[h] = "x", "z"
     C = FinCategory("xyz", morphisms, src, tgt, ids, comp)
     C.check()
-    N = nerve(C, 3)
+    return C
+
+
+def test_nerve_layers_follow_repr_order_not_the_names():
+    # "a", "a!" and "a " sort one way as names and the other way as reprs
+    # ("'a '" < "'a!'" < "'a'")
+    N = nerve(two_step_category(["a", "a!", "a "], ["b", "b "]), 3)
     assert N.n_gens == [3, 11, 6]
     assert_layers_in_repr_order(N)
     layer = [N.labels[g] for g in N.gens(2)]
     assert layer != sorted(layer)
+
+
+class Bare(str):
+    """A name whose repr is itself, so one repr can be a prefix of another."""
+
+    __repr__ = str.__str__
+
+
+def test_nerve_layers_follow_repr_order_when_one_repr_prefixes_another():
+    # "(x y, w)" < "(x, z)" although "x" < "x y"
+    N = nerve(two_step_category([Bare("x"), Bare("x y")], [Bare("z"), Bare("w")]), 2)
+    assert_layers_in_repr_order(N)
+    layer = [N.labels[g] for g in N.gens(2)]
+    assert layer != sorted(layer, key=lambda s: tuple(map(repr, s)))
 
 
 @pytest.mark.parametrize("name", ["ps2", "dup22"])

@@ -151,8 +151,7 @@ def _one_full_source(rng, kind, d):
 def assert_same_subcomplex(got, want):
     (S, incl), (T, oracle_incl) = got, want
     assert io.serialize_sset(S) == io.serialize_sset(T)
-    assert incl.assign == oracle_incl.assign
-    assert list(incl.assign) == list(oracle_incl.assign)
+    assert list(incl.assign.items()) == list(oracle_incl.assign.items())
 
 
 @given(st.integers(0, 10_000),
