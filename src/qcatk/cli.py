@@ -14,7 +14,7 @@ import sys
 from . import io
 from . import simplicial as sx
 from .cats import FinCategory, nerve
-from .simplicial import BoundExceeded, BudgetExceeded, SimplexKey
+from .simplicial import BoundExceeded, BudgetExceeded, NotQuasicategory, SimplexKey
 
 EXIT_PASS = 0
 EXIT_FINDING = 1
@@ -274,9 +274,14 @@ def cmd_lift(args):
 
 def cmd_iterate(args):
     from . import lifting as lf
+    from .waldhausen import validate_exact
 
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
+    exact = validate_exact(G, args.dim)
+    if not exact["ok"]:
+        # a map that is not exact induces no functor between the levels
+        return _emit({"exact": exact}, args, False)
     rep = lf.higher_iterate_verify(G, tuple(args.n), args.dim,
                                    budget=args.budget)
     ok = rep["consistent_with_statement"] and rep["consistent_with_cof_statement"]
@@ -355,7 +360,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, BoundExceeded) as exc:
         print(io.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotQuasicategory) as exc:
         print(io.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_FINDING
 

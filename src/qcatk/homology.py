@@ -188,7 +188,7 @@ def pi0(X: SimplicialSet) -> list[SimplexKey]:
     return sorted(set(component_of(X).values()))
 
 
-def boundary_matrix(X: SimplicialSet, n: int) -> list[list[int]]:
+def _boundary_matrix(X: SimplicialSet, n: int) -> list[list[int]]:
     """Normalized boundary C_n -> C_{n-1}; rows index (n-1)-generators,
     columns index n-generators.  Degenerate faces contribute zero."""
     rows = {g: r for r, g in enumerate(X.gens(n - 1))}
@@ -206,7 +206,7 @@ def h1(X: SimplicialSet) -> AbelianGroupPresentation:
     n1 = len(X.gens(1))
     if n1 == 0:
         return AbelianGroupPresentation(0, ())
-    d1 = boundary_matrix(X, 1)
+    d1 = _boundary_matrix(X, 1)
     # kernel of d1 via SNF: columns of V beyond rank give a kernel basis
     U, D, V = smith_normal_form(d1)
     rank = sum(1 for i in range(min(len(D), n1)) if i < len(D) and D[i][i] != 0)
@@ -214,7 +214,7 @@ def h1(X: SimplicialSet) -> AbelianGroupPresentation:
     if not kernel_basis:
         return AbelianGroupPresentation(0, ())
     n2 = len(X.gens(2))
-    d2 = boundary_matrix(X, 2) if n2 else [[0] * 0 for _ in range(n1)]
+    d2 = _boundary_matrix(X, 2) if n2 else [[0] * 0 for _ in range(n1)]
     # express each d2 column in the kernel basis: solve K * x = col
     # K has full column rank; use SNF of K
     K = [[kernel_basis[j][i] for j in range(len(kernel_basis))] for i in range(n1)]

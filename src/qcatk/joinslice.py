@@ -26,7 +26,7 @@ join = sx.join
 # -- slice families ------------------------------------------------------------
 
 
-class SliceFamily(sx.Family):
+class _SliceFamily(sx.Family):
     """a\\X (side='under') or X/b (side='over') via join extensions."""
 
     def __init__(self, base: SimplicialMap, side: str, budget: int = 10**6):
@@ -96,17 +96,17 @@ class SliceFamily(sx.Family):
 
 
 def slice_under(a: SimplicialMap, d: int, budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(SliceFamily(a, "under", budget), d)
+    return sx.MaterializedSSet(_SliceFamily(a, "under", budget), d)
 
 
 def slice_over(b: SimplicialMap, d: int, budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(SliceFamily(b, "over", budget), d)
+    return sx.MaterializedSSet(_SliceFamily(b, "over", budget), d)
 
 
 # -- over-quasicategories and comma objects ------------------------------------
 
 
-class OverFamily(sx.Family):
+class _OverFamily(sx.Family):
     """(Y down-at y)_n = (n+1)-simplices of Y with last vertex y."""
 
     def __init__(self, Y: SimplicialSet, y: SimplexKey):
@@ -125,7 +125,7 @@ class OverFamily(sx.Family):
 def over_quasicategory(Y: SimplicialSet, y: SimplexKey, d: int):
     """(Y ↓ y) together with the projection sending z to its last face."""
     Y.require_bound(d + 1, "over-quasicategory")
-    O = sx.MaterializedSSet(OverFamily(Y, y), d)
+    O = sx.MaterializedSSet(_OverFamily(Y, y), d)
     proj = SimplicialMap(O, Y, {g: Y.face(O.labels[g], g[0] + 1) for g in O.all_gens()})
     return O, proj
 
@@ -158,7 +158,7 @@ def is_initial(X: SimplicialSet, i: SimplexKey, d: int, budget: int = 10**6) -> 
 
 
 @dataclass
-class Cocone:
+class _Cocone:
     """An extension of a base diagram a : A -> X over A * Delta[0]."""
 
     base: SimplicialMap
@@ -170,12 +170,12 @@ class Cocone:
         return self.extension(J.key_of(0, ("b", SimplexKey((0, 0)))))
 
 
-def cocones(a: SimplicialMap, slice_sset: sx.MaterializedSSet) -> list[Cocone]:
-    fam: SliceFamily = slice_sset.family
+def cocones(a: SimplicialMap, slice_sset: sx.MaterializedSSet) -> list[_Cocone]:
+    fam: _SliceFamily = slice_sset.family
     out = []
     for g in slice_sset.gens(0):
         x = slice_sset.labels[g]
-        out.append(Cocone(a, fam.as_map(0, x), SimplexKey(g)))
+        out.append(_Cocone(a, fam.as_map(0, x), SimplexKey(g)))
     return out
 
 
@@ -194,8 +194,8 @@ def colimiting_cocones(a: SimplicialMap, d: int, budget: int = 10**6) -> list[di
 # -- restriction-equivalence check ---------------------------------------------
 
 
-def hom_restriction_map(Hbig: sx.MaterializedSSet, Hsmall: sx.MaterializedSSet,
-                        j: SimplicialMap) -> SimplicialMap:
+def _hom_restriction_map(Hbig: sx.MaterializedSSet, Hsmall: sx.MaterializedSSet,
+                         j: SimplicialMap) -> SimplicialMap:
     """Restriction X^{A'} -> X^{A} along j : A -> A', where both homs were
     materialized from HomFamily instances with the same target."""
     fb: qc.HomFamily = Hbig.family
@@ -225,7 +225,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
     AJ = sx.join(A, sx.delta(0), (A.top_dim if A.top_dim >= 0 else -1) + 1)
     Hbig = qc.internal_hom(AJ.sset, X, max(d, 2), budget=budget)
     Hsmall = qc.internal_hom(A, X, max(d, 2), budget=budget)
-    r_full = hom_restriction_map(Hbig, Hsmall, AJ.left)
+    r_full = _hom_restriction_map(Hbig, Hsmall, AJ.left)
 
     # classify vertices of Hbig: which are colimiting cocones on their base?
     colim_vertices = []
@@ -280,39 +280,10 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
         report["verdict"] = "hypothesis-failure"
         return report
 
-    ho_src = qc.ho_category(Colim)
-    ho_tgt = qc.ho_category(Hsmall)
-
-    # essential surjectivity: every object of ho_tgt is equivalent to an image
-    images = {r(v) for v in ho_src.cat.objects}
-    ess_surj = True
-    for w in ho_tgt.cat.objects:
-        if w in images:
-            continue
-        if not any(
-            ho_tgt.cat.is_iso(m)
-            for v in images
-            for m in ho_tgt.cat.hom(v, w)
-        ):
-            ess_surj = False
-    report["essentially_surjective"] = ess_surj
-
-    # fullness and faithfulness on homotopy classes
-    full = True
-    faithful = True
-    for a0 in ho_src.cat.objects:
-        for b0 in ho_src.cat.objects:
-            fibers = {}
-            for m in ho_src.cat.hom(a0, b0):
-                img = ho_tgt.cls(r(m))
-                fibers.setdefault(img, []).append(m)
-            targets = set(ho_tgt.cat.hom(r(a0), r(b0)))
-            if set(fibers) != targets:
-                full = False
-            if any(len(v) > 1 for v in fibers.values()):
-                faithful = False
-    report["full"] = full
-    report["faithful"] = faithful
+    # essential surjectivity, fullness and faithfulness on homotopy classes
+    eq = qc.ho_table_equivalence(qc.ho_category(Colim), qc.ho_category(Hsmall), r)
+    for key in ("essentially_surjective", "full", "faithful"):
+        report[key] = eq[key]
 
     # fiber contractibility over each diagram vertex
     fiber_reports = {}
@@ -323,9 +294,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
         fiber_reports[wk] = hl.weak_contractibility_report(F, d)
     report["fibers"] = fiber_reports
     bad = [k for k, v in fiber_reports.items() if v["verdict"] == "refuted"]
-    report["verdict"] = (
-        "pass" if ess_surj and full and faithful and not bad else "fail"
-    )
+    report["verdict"] = "pass" if eq["equivalence"] and not bad else "fail"
     return report
 
 

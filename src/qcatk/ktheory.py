@@ -18,7 +18,6 @@ from . import quasicat as qc
 from . import simplicial as sx
 from .cats import (
     FinFunctor,
-    functor_from_nerve_map,
     groupoid_core,
     nerve,
     nerve_functor_map,
@@ -26,7 +25,7 @@ from .cats import (
 )
 from .homology import AbelianGroupPresentation, group_from_relations, pi0, pi1_abelianized
 from .joinslice import colimiting_cocones, comma, small_posets
-from .sconstruction import GridConstruction, s_n, s_structure_functor
+from .sconstruction import level_functor, s_n, s_structure_functor
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .waldhausen import (
     ExactFunctorData,
@@ -41,7 +40,7 @@ from .waldhausen import (
 
 
 @dataclass
-class BisimplicialTruncation:
+class _BisimplicialTruncation:
     """Levels L_0..L_top with horizontal structure maps between them.
 
     ``hfaces[(n, i)]`` is the map L_n -> L_{n-1} and ``hdegens[(n, i)]`` the
@@ -57,7 +56,7 @@ class BisimplicialTruncation:
 
 
 class _DiagonalFamily(sx.Family):
-    def __init__(self, B: BisimplicialTruncation):
+    def __init__(self, B: _BisimplicialTruncation):
         self.B = B
         self.category = None
 
@@ -71,7 +70,7 @@ class _DiagonalFamily(sx.Family):
         return self.B.hdegens[(n, i)](self.B.levels[n].degeneracy(x, i))
 
 
-def diagonal(B: BisimplicialTruncation) -> sx.MaterializedSSet:
+def _diagonal(B: _BisimplicialTruncation) -> sx.MaterializedSSet:
     """diag_n = the n-simplices of level n, with mixed face and degeneracy
     maps; materialized to the stored number of levels."""
     return sx.MaterializedSSet(_DiagonalFamily(B), B.top)
@@ -113,17 +112,17 @@ def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2,
     hfaces, hdegens = {}, {}
     for n in range(1, top + 1):
         for i in range(n + 1):
-            F = s_structure_functor(W, _face_theta(n, i), grids[n], grids[n - 1])
+            F = s_structure_functor(_face_theta(n, i), grids[n], grids[n - 1])
             hfaces[(n, i)] = nerve_functor_map(
                 _core_functor(F, cores[n], cores[n - 1]), levels[n], levels[n - 1]
             )
     for n in range(top):
         for i in range(n + 1):
-            F = s_structure_functor(W, _degeneracy_theta(n, i), grids[n], grids[n + 1])
+            F = s_structure_functor(_degeneracy_theta(n, i), grids[n], grids[n + 1])
             hdegens[(n, i)] = nerve_functor_map(
                 _core_functor(F, cores[n], cores[n + 1]), levels[n], levels[n + 1]
             )
-    return BisimplicialTruncation(levels, hfaces, hdegens), grids, cores
+    return _BisimplicialTruncation(levels, hfaces, hdegens), grids, cores
 
 
 def _k0_and_levels(W: WaldhausenData, d: int, budget: int):
@@ -132,7 +131,7 @@ def _k0_and_levels(W: WaldhausenData, d: int, budget: int):
     if d < 2:
         raise ValueError("K0 needs dimension at least 2")
     B, grids, cores = s_equiv_truncation(W, 2, d, budget=budget)
-    D = diagonal(B)
+    D = _diagonal(B)
     # the core has the level's objects, so the all-zero diagram is a vertex
     base = D.key_of(0, SimplexKey(B.levels[0].gen_of_label(grids[0].zero)))
     return pi1_abelianized(D, base), (grids, cores, B.levels)
@@ -354,39 +353,11 @@ def main_technical_verify(F: SimplicialMap, d: int = 2, budget: int = 10**6,
 # -- approximation verifier ------------------------------------------------------
 
 
-def s_level_functor(G: ExactFunctorData, src_level: GridConstruction,
-                    tgt_level: GridConstruction) -> FinFunctor:
-    """Functor between staircase diagram categories induced by an exact
-    functor of nerve-backed Waldhausen structures."""
-    Ffin = functor_from_nerve_map(G.themap)
-    NA, NB = G.themap.source, G.themap.target
-    push = nerve_functor_map(Ffin, NA, NB)
-    index = {tuple(sorted(mp.assign.items())): i for i, mp in enumerate(tgt_level.maps)}
-    obj_map = {}
-    for a, mp in enumerate(src_level.maps):
-        comp = push.compose(mp)
-        key = tuple(sorted(comp.assign.items()))
-        if key not in index:
-            raise AssertionError(
-                f"image of diagram {a} is not a qualifying diagram; "
-                "the functor is not exact on this instance"
-            )
-        obj_map[a] = index[key]
-    mor_map = {}
-    for m in src_level.cat.morphisms:
-        a, b, eta_items = m
-        eta2 = tuple(sorted((g, Ffin.mor_map[x]) for g, x in eta_items))
-        mor_map[m] = (obj_map[a], obj_map[b], eta2)
-    F = FinFunctor(src_level.cat, tgt_level.cat, obj_map, mor_map)
-    F.check()
-    return F
-
-
 def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels) -> dict:
     """Compare level n of both sides; each side is the (grid levels, groupoid
     cores, core nerves) triple of :func:`_k0_and_levels`."""
     (grids_s, cores_s, nerves_s), (grids_t, cores_t, nerves_t) = src_levels, tgt_levels
-    F = s_level_functor(G, grids_s[n], grids_t[n])
+    F = level_functor(grids_s[n], grids_t[n], base_map=G.themap)
     Fc = _core_functor(F, cores_s[n], cores_t[n])
     Ls, Lt = nerves_s[n], nerves_t[n]
     m = nerve_functor_map(Fc, Ls, Lt)
@@ -416,12 +387,13 @@ def approximation_verify(G: ExactFunctorData, d: int = 2, budget: int = 10**6) -
     from .waldhausen import admits_factorization
 
     exact_rep = validate_exact(G, d)
-    cof_rep = cof_ho_equivalence(G, d)
+    # only an exact map restricts to the cofibrations; else this is unchecked
+    cof_equiv = cof_ho_equivalence(G, d)["equivalence"] if exact_rep["ok"] else None
     refl = reflects_cofibrations(G)
     hypotheses = {
         "exact": exact_rep["ok"],
         "exact_violations": exact_rep["violations"],
-        "cofibration_ho_equivalence": cof_rep["equivalence"],
+        "cofibration_ho_equivalence": cof_equiv,
         "reflects_cofibrations": refl["reflects"],
         "reflection_witness": refl["witness"],
         "source_all_maps_cofibrations": all(

@@ -523,8 +523,7 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     consistent with each variant of the statement.
     """
     from . import quasicat as qc
-    from .ktheory import s_level_functor
-    from .sconstruction import f_n, functor_equivalence_report
+    from .sconstruction import f_n, functor_equivalence_report, level_functor
     from .waldhausen import ExactFunctorData, cof_ho_equivalence, reflects_cofibrations
 
     nbar = tuple(nbar)
@@ -556,7 +555,7 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     for n in nbar:
         src = f_n(cur.source, n, d, budget=budget)
         tgt = f_n(cur.target, n, d, budget=budget)
-        Ffin = s_level_functor(cur, src, tgt)
+        Ffin = level_functor(src, tgt, base_map=cur.themap)
         themap = nerve_functor_map(Ffin, src.sset, tgt.sset)
         cur = ExactFunctorData(themap, src.wdata, tgt.wdata)
         level_reports.append({

@@ -13,17 +13,12 @@ from . import simplicial as sx
 from .cats import FinCategory
 from .homology import UnionFind
 from .simplicial import (
+    NotQuasicategory,
     SimplexKey,
     SimplicialMap,
     SimplicialSet,
     apply_degeneracy_word,
 )
-
-
-class NotQuasicategory(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def is_quasicategory(X: SimplicialSet, d: int, budget: int = 10**6) -> dict:
@@ -67,7 +62,7 @@ def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
 
 
 @dataclass
-class HoCategory:
+class _HoCategory:
     cat: FinCategory
     class_of: dict[SimplexKey, SimplexKey]  # edge key -> class representative
 
@@ -75,7 +70,7 @@ class HoCategory:
         return self.class_of[edge]
 
 
-def ho_category(X: SimplicialSet) -> HoCategory:
+def ho_category(X: SimplicialSet) -> _HoCategory:
     """Homotopy category of a quasicategory: objects are vertices, morphisms
     homotopy classes of edges, composition by 2-simplex search.
 
@@ -116,7 +111,7 @@ def ho_category(X: SimplicialSet) -> HoCategory:
             raise ValueError(f"identity law fails in homotopy category at {f}")
     cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
     cat.check()
-    return HoCategory(cat, cls)
+    return _HoCategory(cat, cls)
 
 
 def tau1_presentation(X: SimplicialSet) -> dict:
@@ -162,7 +157,7 @@ def ho_equals_category(X: SimplicialSet, C: FinCategory) -> bool:
 # -- equivalences and the maximal Kan subcomplex ------------------------------
 
 
-def is_equivalence_edge(X: SimplicialSet, f: SimplexKey, ho: HoCategory = None) -> bool:
+def is_equivalence_edge(X: SimplicialSet, f: SimplexKey, ho: _HoCategory = None) -> bool:
     if ho is None:
         ho = ho_category(X)
     return ho.cat.is_iso(ho.cls(f))
@@ -239,7 +234,7 @@ def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int,
     return sx.MaterializedSSet(HomFamily(A, X, budget), d)
 
 
-class MappingSpaceFamily(HomFamily):
+class _MappingSpaceFamily(HomFamily):
     """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
     ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
 
@@ -266,10 +261,10 @@ class MappingSpaceFamily(HomFamily):
 
 def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey, d: int,
                   budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(MappingSpaceFamily(X, a, b, budget), d)
+    return sx.MaterializedSSet(_MappingSpaceFamily(X, a, b, budget), d)
 
 
-def ho_table_equivalence(ho_s: HoCategory, ho_t: HoCategory, push) -> dict:
+def ho_table_equivalence(ho_s: _HoCategory, ho_t: _HoCategory, push) -> dict:
     """Is the functor of homotopy categories that ``push`` induces an
     equivalence?  ``push`` carries a key of the source (vertex or edge) to
     the target.  Essential surjectivity, fullness, and faithfulness by table

@@ -1,13 +1,18 @@
 """Cofibration-grid constructions over a Waldhausen structure backed by a
 finite category.
 
-Provides the arrow poset Ar[n] and its nerve, the simplicial set of
-staircase diagrams of cofibrations with chosen quotients (one quasicategory
-per level n), the restricted variant indexed by the unit-square grid, the
-complexes of plain cofibration sequences, the forgetful comparison maps
-between all three, and the structure maps induced by monotone maps of
-finite ordinals.  All levels are nerves of explicitly tabulated diagram
-categories, so every verdict reduces to finite table checks.
+Provides the arrow poset Ar[n] and its nerve, and three kinds of level, one
+quasicategory per n: staircase diagrams of cofibrations with chosen
+quotients (:func:`s_n`), the same diagrams restricted to the unit-square
+grid (:func:`s_bar_n`), and plain cofibration sequences (:func:`f_n`).
+Each kind states its shape, the elements fixed at zero, its diagram
+condition and its marking row; one builder enumerates, filters and
+assembles the level.  Every functor between levels, whether a forgetful
+comparison map (:func:`forgetful_maps`), a structure map induced by a
+monotone map of finite ordinals (:func:`s_structure_functor`) or the map
+induced by an exact functor, is one :func:`level_functor`.  All levels are
+nerves of explicitly tabulated diagram categories, so every verdict
+reduces to finite table checks.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .cats import (
     FinCategory,
     FinFunctor,
+    functor_from_nerve_map,
     map_category,
     nerve,
     nerve_functor_map,
@@ -72,17 +78,18 @@ def restricted_grid(n: int, ambient: SimplicialSet = None):
 
 
 @dataclass
-class GridConstruction:
-    """One level of a grid construction: the indexing shape, the category of
-    qualifying diagrams and natural transformations, the list decoding object
-    indices to maps shape -> nerve, the index of the all-zero diagram and the
-    marked morphisms.
+class _GridConstruction:
+    """One level of a grid construction: the diagram universe (the indexing
+    shape and its vertex elements), the category of qualifying diagrams and
+    natural transformations, the list decoding object indices to maps
+    shape -> nerve, the index of the all-zero diagram and the marked
+    morphisms.
 
     The inherited Waldhausen marking on the nerve of that category (to
     dimension ``d``) is built on the first read of ``wdata`` or ``sset`` and
     kept; callers that need only the category never build the nerve."""
 
-    shape: SimplicialSet
+    uni: _DiagramUniverse
     cat: FinCategory
     maps: list
     zero: int
@@ -90,6 +97,10 @@ class GridConstruction:
     d: int
     universe: dict
     report: dict = field(default_factory=dict)
+
+    @property
+    def shape(self) -> SimplicialSet:
+        return self.uni.shape
 
     @cached_property
     def wdata(self) -> WaldhausenData:
@@ -118,21 +129,20 @@ def _mor_marked(W: WaldhausenData, C: FinCategory, N: SimplicialSet, m) -> bool:
 
 class _DiagramUniverse:
     """Shared plumbing for reading a map shape -> nerve as a diagram of
-    objects and morphisms indexed by vertex and edge generators."""
+    objects and morphisms indexed by vertex and edge generators.
+    ``vertex_elem`` names each vertex generator of the shape by an element;
+    an edge is named by the elements at its ends."""
 
-    def __init__(self, W, shape, vertex_elem, edge_ends):
-        # vertex_elem: vertex gen -> printable element; edge_ends: edge gen ->
-        # (vertex gen, vertex gen)
+    def __init__(self, W, shape, vertex_elem):
         self.W = W
         self.C, self.N = _nerve_backed(W)
         self.shape = shape
-        self.vertex_elem = dict(vertex_elem)
-        self.vgen = {e: g for g, e in self.vertex_elem.items()}
-        self.edge_ends = dict(edge_ends)
-        self.egen = {
-            (self.vertex_elem[a], self.vertex_elem[b]): g
-            for g, (a, b) in self.edge_ends.items()
-        }
+        self.vgen = {e: g for g, e in vertex_elem.items()}
+
+        def ends(g):
+            return tuple(vertex_elem[shape.vertex(SimplexKey(g), i).gen] for i in (0, 1))
+
+        self.egen = {ends(g): g for g in shape.gens(1)}
         self.zero_obj = self.N.labels[W.zero.gen]
         self._po_cache = {}
 
@@ -170,12 +180,23 @@ class _DiagramUniverse:
         raise AssertionError("pushout mediator missing; universal property violated")
 
 
-def _build_level(W, shape, uni, good_maps, is_cofibration, d, report):
-    """Assemble a GridConstruction from the qualifying diagrams.  The
+def _grid_level(uni, kind, n, zeros, qualifies, row, d, budget) -> _GridConstruction:
+    """Level n of a grid construction: the maps shape -> nerve with the
+    elements ``zeros`` at the zero object that pass ``qualifies``, marked
+    along the vertex elements ``row``."""
+    fixed = {uni.vgen[e]: uni.W.zero for e in zeros}
+    maps_all = sx.enumerate_maps(uni.shape, uni.N, fixed=fixed, budget=budget)
+    good = [mp for mp in maps_all if qualifies(mp)]
+    report = {"enumerated": len(maps_all), "level": n, "kind": kind}
+    return _build_level(uni, good, row, d, report)
+
+
+def _build_level(uni, good_maps, row, d, report):
+    """Assemble a level from the qualifying diagrams.  The
     marking is computed here, since missing corner pushouts go into the
     report; the level nerve waits for its first read."""
-    C, N = uni.C, uni.N
-    cat, maps = map_category(shape, C, N, maps=good_maps)
+    C = uni.C
+    cat, maps = map_category(uni.shape, C, uni.N, maps=good_maps)
     zero_idx = [
         i
         for i, mp in enumerate(maps)
@@ -187,17 +208,17 @@ def _build_level(W, shape, uni, good_maps, is_cofibration, d, report):
     for m in cat.morphisms:
         if m in cat.id_set:
             continue
-        ok, note = is_cofibration(m)
+        ok, note = _top_row_cofibration(uni, maps, row, m)
         if ok:
             marked.add(m)
         elif note is not None:
             report.setdefault("corner_pushout_missing", []).append(note)
-    universe = dict(W.universe or {})
+    universe = dict(uni.W.universe or {})
     universe["bounded"] = True
     universe["note"] = f"diagram category over {len(C.objects)}-object base"
     report.update({"objects": len(maps), "dim": d})
-    return GridConstruction(shape, cat, maps, zero_idx[0], frozenset(marked), d,
-                            universe, report)
+    return _GridConstruction(uni, cat, maps, zero_idx[0], frozenset(marked), d,
+                             universe, report)
 
 
 def _top_row_cofibration(uni, maps, row, m):
@@ -227,23 +248,13 @@ def _top_row_cofibration(uni, maps, row, m):
 
 
 def s_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
-        shape: SimplicialSet = None) -> GridConstruction:
+        shape: SimplicialSet = None) -> _GridConstruction:
     """Level n of the staircase construction: diagrams over the full arrow
     poset nerve with zero diagonal, marked top-to-right morphisms, and
     pushout squares; natural transformations between them; marking by
     top-row components plus pushout comparison maps."""
-    C, N = _nerve_backed(W)
     K = shape if shape is not None else ar_nerve(n)
-    P = ar_poset(n)
-    vertex_elem = {K.gen_of_label(e): e for e in P.objects}
-    edge_ends = {
-        K.gen_of_label(((e1, e2),)): (K.gen_of_label(e1), K.gen_of_label(e2))
-        for (e1, e2) in P.morphisms
-        if e1 != e2
-    }
-    uni = _DiagramUniverse(W, K, vertex_elem, edge_ends)
-    fixed = {uni.vgen[(i, i)]: W.zero for i in range(n + 1)}
-    maps_all = sx.enumerate_maps(K, N, fixed=fixed, budget=budget)
+    uni = _DiagramUniverse(W, K, {g: K.labels[g] for g in K.gens(0)})
 
     def qualifies(mp):
         for i in range(n + 1):
@@ -253,7 +264,7 @@ def s_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
                         return False
                     if i < j < k:
                         if not is_pushout_cocone(
-                            C,
+                            uni.C,
                             uni.mor_at(mp, (i, j), (i, k)),
                             uni.mor_at(mp, (i, j), (j, j)),
                             uni.obj_at(mp, (j, k)),
@@ -263,26 +274,16 @@ def s_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
                             return False
         return True
 
-    good = [mp for mp in maps_all if qualifies(mp)]
-    report = {"enumerated": len(maps_all), "level": n, "kind": "staircase"}
-    report["dropped_rows"] = _count_dropped_rows(uni, good, n)
-    row = [(0, j) for j in range(n + 1)]
-    return _build_level(
-        W,
-        K,
-        uni,
-        good,
-        lambda m: _top_row_cofibration(uni, good, row, m),
-        d,
-        report,
-    )
+    level = _grid_level(uni, "staircase", n, [(i, i) for i in range(n + 1)], qualifies,
+                        [(0, j) for j in range(n + 1)], d, budget)
+    level.report["dropped_rows"] = _count_dropped_rows(uni, level.maps, n)
+    return level
 
 
 def _count_dropped_rows(uni, good, n):
     """Sequences of marked morphisms out of zero admitting no qualifying
     diagram with that top row (quotient data missing in the bounded base)."""
     C = uni.C
-    rows = set()
     frontier = [(uni.zero_obj, ())]
     for _ in range(n):
         nxt = []
@@ -299,22 +300,12 @@ def _count_dropped_rows(uni, good, n):
 
 
 def s_bar_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
-            ambient: SimplicialSet = None) -> GridConstruction:
+            ambient: SimplicialSet = None) -> _GridConstruction:
     """Level n of the restricted construction: diagrams over the unit-square
     grid only, with conditions on adjacent squares."""
-    C, N = _nerve_backed(W)
     A = ambient if ambient is not None else ar_nerve(n)
     K, _incl = restricted_grid(n, ambient=A)
-    vertex_elem = {g: A.labels[K.labels[g].gen] for g in K.gens(0)}
-
-    def ends(g):
-        e = SimplexKey(g)
-        return (K.vertex(e, 0).gen, K.vertex(e, 1).gen)
-
-    edge_ends = {g: ends(g) for g in K.gens(1)}
-    uni = _DiagramUniverse(W, K, vertex_elem, edge_ends)
-    fixed = {uni.vgen[(i, i)]: W.zero for i in range(n + 1)}
-    maps_all = sx.enumerate_maps(K, N, fixed=fixed, budget=budget)
+    uni = _DiagramUniverse(W, K, {g: A.labels[K.labels[g].gen] for g in K.gens(0)})
 
     def qualifies(mp):
         for i in range(n + 1):
@@ -324,7 +315,7 @@ def s_bar_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
         for i in range(n + 1):
             for j in range(i + 1, n):
                 if not is_pushout_cocone(
-                    C,
+                    uni.C,
                     uni.mor_at(mp, (i, j), (i, j + 1)),
                     uni.mor_at(mp, (i, j), (i + 1, j)),
                     uni.obj_at(mp, (i + 1, j + 1)),
@@ -334,76 +325,57 @@ def s_bar_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
                     return False
         return True
 
-    good = [mp for mp in maps_all if qualifies(mp)]
-    report = {"enumerated": len(maps_all), "level": n, "kind": "restricted"}
-    row = [(0, j) for j in range(n + 1)]
-    return _build_level(
-        W,
-        K,
-        uni,
-        good,
-        lambda m: _top_row_cofibration(uni, good, row, m),
-        d,
-        report,
-    )
+    return _grid_level(uni, "restricted", n, [(i, i) for i in range(n + 1)], qualifies,
+                       [(0, j) for j in range(n + 1)], d, budget)
 
 
-def f_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -> GridConstruction:
+def f_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -> _GridConstruction:
     """Level n of the cofibration-sequence construction: the 0-full part of
     the diagram category over the spine on sequences of marked edges."""
-    C, N = _nerve_backed(W)
     K = sx.spine(n)
-    vertex_elem = {K.gen_of_label((i,)): i for i in range(n + 1)}
-    edge_ends = {
-        K.gen_of_label((i - 1, i)): (K.gen_of_label((i - 1,)), K.gen_of_label((i,)))
-        for i in range(1, n + 1)
-    }
-    uni = _DiagramUniverse(W, K, vertex_elem, edge_ends)
-    maps_all = sx.enumerate_maps(K, N, budget=budget)
+    uni = _DiagramUniverse(W, K, {g: K.labels[g][0] for g in K.gens(0)})
 
     def qualifies(mp):
         return all(uni.marked(uni.mor_at(mp, i - 1, i)) for i in range(1, n + 1))
 
-    good = [mp for mp in maps_all if qualifies(mp)]
-    report = {"enumerated": len(maps_all), "level": n, "kind": "sequences"}
-    row = list(range(n + 1))
-    return _build_level(
-        W,
-        K,
-        uni,
-        good,
-        lambda m: _top_row_cofibration(uni, good, row, m),
-        d,
-        report,
-    )
+    return _grid_level(uni, "sequences", n, [], qualifies, list(range(n + 1)), d, budget)
 
 
-# -- comparison functors -------------------------------------------------------
+# -- functors between levels ----------------------------------------------------
 
 
-def _index_by_assign(maps):
-    return {tuple(sorted(mp.assign.items())): i for i, mp in enumerate(maps)}
+def level_functor(source: _GridConstruction, target: _GridConstruction,
+                  shape_map: SimplicialMap = None,
+                  base_map: SimplicialMap = None) -> FinFunctor:
+    """The functor between diagram levels induced by a map of shapes
+    ``shape_map`` (target shape -> source shape) and a map of base nerves
+    ``base_map``; either defaults to the identity.
 
-
-def _restriction_functor(source: GridConstruction, target: GridConstruction,
-                         incl: SimplicialMap, vertex_transfer) -> FinFunctor:
-    """Functor between diagram categories given by precomposition with an
-    inclusion of shapes.  ``vertex_transfer`` maps each vertex generator of
-    the target shape to the corresponding vertex generator of the source
-    shape."""
-    index = _index_by_assign(target.maps)
+    A diagram D goes to ``base_map ∘ D ∘ shape_map``, and a transformation's
+    component at a vertex v of the target shape is the base functor applied
+    to its component at ``shape_map(v)``."""
+    index = {tuple(sorted(mp.assign.items())): i for i, mp in enumerate(target.maps)}
     obj_map = {}
     for a, mp in enumerate(source.maps):
-        comp = mp.compose(incl)
-        obj_map[a] = index[tuple(sorted(comp.assign.items()))]
+        if shape_map is not None:
+            mp = mp.compose(shape_map)
+        if base_map is not None:
+            mp = base_map.compose(mp)
+        key = tuple(sorted(mp.assign.items()))
+        if key not in index:
+            raise ValueError(f"source diagram {a} has no image among the target's diagrams")
+        obj_map[a] = index[key]
+    verts = target.shape.gens(0)
+    at = [v if shape_map is None else shape_map.assign[v].gen for v in verts]
+    push = None if base_map is None else functor_from_nerve_map(base_map).mor_map
     mor_map = {}
     for m in source.cat.morphisms:
         a, b, eta_items = m
         eta = dict(eta_items)
-        eta2 = tuple(
-            sorted((g, eta[vertex_transfer[g]]) for g in target.shape.gens(0))
-        )
-        mor_map[m] = (obj_map[a], obj_map[b], eta2)
+        comps = [eta[u] for u in at]
+        if push is not None:
+            comps = [push[x] for x in comps]
+        mor_map[m] = (obj_map[a], obj_map[b], tuple(zip(verts, comps)))
     F = FinFunctor(source.cat, target.cat, obj_map, mor_map)
     F.check()
     return F
@@ -451,7 +423,8 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -
     """The two comparison maps at level n: restriction from the full grid to
     the unit-square grid, and further to the top row read as a sequence of
     n-1 cofibrations.  Each comes with a table-checked equivalence verdict
-    and a marking-reflection verdict."""
+    and a marking-reflection verdict; the nerve maps are left to the caller
+    (``cats.nerve_functor_map`` of a functor and its levels' ``sset``)."""
     if n < 1:
         raise ValueError("comparison maps need n >= 1")
     A = ar_nerve(n)
@@ -459,44 +432,24 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -
     bar_level = s_bar_n(W, n, d, budget=budget, ambient=A)
     seq_level = f_n(W, n - 1, d, budget=budget)
 
-    K, Kbar, Kseq = full_level.shape, bar_level.shape, seq_level.shape
-    incl_bar = SimplicialMap(Kbar, K, {g: Kbar.labels[g] for g in Kbar.all_gens()})
-    transfer_bar = {
-        g: K.gen_of_label(A.labels[Kbar.labels[g].gen]) for g in Kbar.gens(0)
-    }
-    F1 = _restriction_functor(full_level, bar_level, incl_bar, transfer_bar)
-
-    bar_vgen = {A.labels[Kbar.labels[g].gen]: g for g in Kbar.gens(0)}
-    bar_egen = {}
-    for g in Kbar.gens(1):
-        e = SimplexKey(g)
-        a = A.labels[Kbar.labels[Kbar.vertex(e, 0).gen].gen]
-        b = A.labels[Kbar.labels[Kbar.vertex(e, 1).gen].gen]
-        bar_egen[(a, b)] = g
-    emb_assign = {}
-    for i in range(n):
-        emb_assign[Kseq.gen_of_label((i,))] = SimplexKey(bar_vgen[(0, i + 1)])
+    bar, seq = bar_level.uni, seq_level.uni
+    incl_bar = SimplicialMap(bar.shape, A, {g: bar.shape.labels[g] for g in bar.shape.all_gens()})
+    # the sequence i - 1 -> i is the top-row step (0, i) -> (0, i + 1)
+    emb_assign = {seq.vgen[i]: SimplexKey(bar.vgen[(0, i + 1)]) for i in range(n)}
     for i in range(1, n):
-        emb_assign[Kseq.gen_of_label((i - 1, i))] = SimplexKey(
-            bar_egen[((0, i), (0, i + 1))]
-        )
-    emb = SimplicialMap(Kseq, Kbar, emb_assign)
-    transfer_seq = {g: bar_vgen[(0, Kseq.labels[g][0] + 1)] for g in Kseq.gens(0)}
-    F2 = _restriction_functor(bar_level, seq_level, emb, transfer_seq)
+        emb_assign[seq.egen[(i - 1, i)]] = SimplexKey(bar.egen[((0, i), (0, i + 1))])
+    emb = SimplicialMap(seq.shape, bar.shape, emb_assign)
 
     out = {"levels": {"full": full_level, "restricted": bar_level, "sequences": seq_level}}
-    for name, F, src, tgt in (
-        ("full_to_restricted", F1, full_level, bar_level),
-        ("restricted_to_sequences", F2, bar_level, seq_level),
+    for name, src, tgt, shape_map in (
+        ("full_to_restricted", full_level, bar_level, incl_bar),
+        ("restricted_to_sequences", bar_level, seq_level, emb),
     ):
+        F = level_functor(src, tgt, shape_map=shape_map)
         rep = functor_equivalence_report(F)
         rep.update(_reflects_marking(F, src.marked, tgt.marked))
         rep["dim"] = d
-        out[name] = {
-            "functor": F,
-            "map": nerve_functor_map(F, src.sset, tgt.sset),
-            "report": rep,
-        }
+        out[name] = {"functor": F, "report": rep}
     return out
 
 
@@ -519,46 +472,9 @@ def arrow_poset_functor(theta, n: int) -> FinFunctor:
     return F
 
 
-def s_structure_functor(W: WaldhausenData, theta, source: GridConstruction,
-                        target: GridConstruction) -> FinFunctor:
+def s_structure_functor(theta, source: _GridConstruction,
+                        target: _GridConstruction) -> FinFunctor:
     """The functor between staircase levels induced by a monotone
     theta: [m] -> [n]; source is level n, target is level m."""
-    n = max(v[1] for v in (source.shape.labels[g] for g in source.shape.gens(0)))
-    arf = arrow_poset_functor(theta, n)
-    shape_map = nerve_functor_map(arf, target.shape, source.shape)
-    index = _index_by_assign(target.maps)
-    obj_map = {}
-    for a, mp in enumerate(source.maps):
-        comp = mp.compose(shape_map)
-        key = tuple(sorted(comp.assign.items()))
-        if key not in index:
-            raise AssertionError(
-                "structure map leaves the qualifying diagrams; source diagram "
-                f"{a} has no image"
-            )
-        obj_map[a] = index[key]
-    mor_map = {}
-    for m in source.cat.morphisms:
-        a, b, eta_items = m
-        eta = dict(eta_items)
-        eta2 = tuple(
-            sorted(
-                (
-                    g,
-                    eta[source.shape.gen_of_label(arf.obj_map[target.shape.labels[g]])],
-                )
-                for g in target.shape.gens(0)
-            )
-        )
-        mor_map[m] = (obj_map[a], obj_map[b], eta2)
-    F = FinFunctor(source.cat, target.cat, obj_map, mor_map)
-    F.check()
-    return F
-
-
-def s_simplicial_maps(W: WaldhausenData, theta, source: GridConstruction,
-                      target: GridConstruction) -> dict:
-    """Structure map of levels for a monotone theta: [m] -> [n], returned as
-    the diagram-category functor plus the induced map of nerves."""
-    F = s_structure_functor(W, theta, source, target)
-    return {"functor": F, "map": nerve_functor_map(F, source.sset, target.sset)}
+    arf = arrow_poset_functor(theta, source.report["level"])
+    return level_functor(source, target, nerve_functor_map(arf, target.shape, source.shape))

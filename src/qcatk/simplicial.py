@@ -32,6 +32,14 @@ class BudgetExceeded(Exception):
         self.attempted = attempted
 
 
+class NotQuasicategory(Exception):
+    """An inner horn that an operation needed filled has no filler."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class SimplexKey(NamedTuple):
     """A simplex in degeneracy normal form: s_{w0} s_{w1} ... applied to a
     nondegenerate generator, with w0 > w1 > ... (outermost first)."""
@@ -295,25 +303,6 @@ class SimplicialSet:
                                 raise ValueError(f"d_{i} d_{j} fails at generator {g}")
 
 
-# -- normalize: formal words of face/degeneracy operators -----------------
-
-
-def normalize(X: SimplicialSet, key: SimplexKey, word) -> SimplexKey:
-    """Apply a formal word of operators to a key, outermost first.
-
-    ``word`` is a sequence of ("d", i) / ("s", i) pairs, e.g.
-    [("d", 1), ("s", 1), ("s", 0)] for d_1 s_1 s_0.
-    """
-    for op, i in reversed(list(word)):
-        if op == "s":
-            key = X.degeneracy(key, i)
-        elif op == "d":
-            key = X.face(key, i)
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-    return key
-
-
 # -- generic materialization of functionally presented families -----------
 
 
@@ -524,7 +513,7 @@ class ProductFamily(Family):
         return (self.X.degeneracy(x[0], i), self.Y.degeneracy(x[1], i))
 
 
-class PullbackFamily(ProductFamily):
+class _PullbackFamily(ProductFamily):
     def __init__(self, f: SimplicialMap, g: SimplicialMap):
         if f.target is not g.target:
             raise ValueError("pullback legs must share a target")
@@ -567,13 +556,13 @@ def product_path_key(P: MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
 def pullback(f: SimplicialMap, g: SimplicialMap, d: int) -> Span2:
     f.source.require_bound(d, "pullback")
     g.source.require_bound(d, "pullback")
-    P = MaterializedSSet(PullbackFamily(f, g), d)
+    P = MaterializedSSet(_PullbackFamily(f, g), d)
     p1 = SimplicialMap(P, f.source, {h: P.labels[h][0] for h in P.all_gens()})
     p2 = SimplicialMap(P, g.source, {h: P.labels[h][1] for h in P.all_gens()})
     return Span2(P, p1, p2)
 
 
-class JoinFamily(Family):
+class _JoinFamily(Family):
     """(A * B)_n = A_n + B_n + sum over i+1+j=n of A_i x B_j."""
 
     def __init__(self, A: SimplicialSet, B: SimplicialSet):
@@ -616,7 +605,7 @@ class JoinFamily(Family):
 
 
 def join(A: SimplicialSet, B: SimplicialSet, d: int) -> Span2:
-    J = MaterializedSSet(JoinFamily(A, B), d, complete=(A.bound is None and B.bound is None))
+    J = MaterializedSSet(_JoinFamily(A, B), d, complete=(A.bound is None and B.bound is None))
     inclA = SimplicialMap(
         A, J, {g: J.key_of(g[0], ("a", SimplexKey(g))) for g in A.all_gens() if g[0] <= d}
     )
@@ -629,7 +618,7 @@ def join(A: SimplicialSet, B: SimplicialSet, d: int) -> Span2:
 # -- subcomplexes ----------------------------------------------------------
 
 
-class SubFamily(Family):
+class _SubFamily(Family):
     """Subcomplex of a simplicial set on a face-closed set of keys."""
 
     def __init__(self, X: SimplicialSet, keep: Callable[[SimplexKey], bool], d: int, category=None):
@@ -649,7 +638,7 @@ class SubFamily(Family):
 def subcomplex(X: SimplicialSet, keep, d: int, category=None) -> tuple[MaterializedSSet, SimplicialMap]:
     """Materialize the subcomplex of keys satisfying ``keep`` (which must be
     face-closed) together with its inclusion."""
-    S = MaterializedSSet(SubFamily(X, keep, d, category=category), d)
+    S = MaterializedSSet(_SubFamily(X, keep, d, category=category), d)
     incl = SimplicialMap(S, X, {g: S.labels[g] for g in S.all_gens()})
     return S, incl
 
@@ -926,7 +915,7 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int, budget: int = 10**6):
 # -- barycentric subdivision -----------------------------------------------
 
 
-def is_regular(X: SimplicialSet) -> bool:
+def _is_regular(X: SimplicialSet) -> bool:
     """True when every nondegenerate generator has nondegenerate, pairwise
     distinct faces (so the face-poset nerve models the subdivision)."""
     for n in range(1, X.top_dim + 1):
@@ -939,7 +928,7 @@ def is_regular(X: SimplicialSet) -> bool:
     return True
 
 
-def face_poset(X: SimplicialSet):
+def _face_poset(X: SimplicialSet):
     """Nondegenerate generators ordered by iterated-face containment.
     Returns (elements, leq) with leq a set of ordered pairs."""
     elements = X.all_gens()
@@ -965,9 +954,9 @@ def subdivision(X: SimplicialSet):
     only)."""
     from . import cats
 
-    if not is_regular(X):
+    if not _is_regular(X):
         raise ValueError("subdivision implemented only for regular simplicial sets")
-    elements, leq = face_poset(X)
+    elements, leq = _face_poset(X)
     P = cats.poset_category(elements, lambda a, b: (a, b) in leq)
     longest = max((g[0] for g in elements), default=0) + 1
     return cats.nerve(P, longest)

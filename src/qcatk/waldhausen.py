@@ -66,13 +66,12 @@ def _edge_morphism(X: SimplicialSet, e: SimplexKey):
     return X.labels[e.gen][0]
 
 
-def validate_waldhausen(W: WaldhausenData, d: int = 2, budget: int = 10**6,
-                        pushout_via_slices: bool = False) -> dict:
+def validate_waldhausen(W: WaldhausenData, d: int = 2, budget: int = 10**6) -> dict:
     """Validate the three axioms to the stated bound.
 
     For nerve-backed data, pushouts are checked with the 1-categorical
-    universal-property oracle by default; set ``pushout_via_slices`` to check
-    them as initial cocones in the slice instead (much slower).
+    universal-property oracle; without a category they are checked as
+    initial cocones in the slice (much slower).
     """
     X = W.underlying
     report = {"dim": d, "violations": [], "local_failures": [], "checks": {}}
@@ -106,7 +105,7 @@ def validate_waldhausen(W: WaldhausenData, d: int = 2, budget: int = 10**6,
 
     # (iii) pushouts of marked edges along arbitrary edges
     pushouts_checked = 0
-    if X.category is not None and not pushout_via_slices:
+    if X.category is not None:
         C = X.category
         marked_mors = {_edge_morphism(X, e) for e in W.edges() if W.is_cof(e)}
         for f in C.morphisms:
@@ -300,7 +299,7 @@ def cof_ho_equivalence(G: ExactFunctorData, d: int = 2) -> dict:
 # -- homotopy cocartesian squares -------------------------------------------------
 
 
-def square_as_cocone(square: SimplicialMap):
+def _square_as_cocone(square: SimplicialMap):
     """Reinterpret a map Delta[1] x Delta[1] -> X as a cocone over its span:
     returns (span base map, extension over span * Delta[0])."""
     S = square.source  # materialized product of delta(1) with delta(1)
@@ -338,7 +337,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
     deep enough; bounded nerves fall back to the 1-categorical
     universal-property oracle.
     """
-    base, ext = square_as_cocone(square)
+    base, ext = _square_as_cocone(square)
     H = base.source
     X = W.underlying
     leg1 = base(SimplexKey(H.gen_of_label((0, 1))))

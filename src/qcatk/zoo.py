@@ -29,7 +29,7 @@ def idempotent_monoid_category() -> FinCategory:
     )
 
 
-def disjoint_union(C: FinCategory, D: FinCategory) -> FinCategory:
+def _disjoint_union(C: FinCategory, D: FinCategory) -> FinCategory:
     objects = [("l", o) for o in C.objects] + [("r", o) for o in D.objects]
     morphisms = [("l", m) for m in C.morphisms] + [("r", m) for m in D.morphisms]
     src, tgt = {}, {}
@@ -81,7 +81,7 @@ def random_groupoid(rng: random.Random) -> FinCategory:
             pieces.append(poset_category([0], lambda a, b: True))
     out = pieces[0]
     for p in pieces[1:]:
-        out = disjoint_union(out, p)
+        out = _disjoint_union(out, p)
     return out
 
 
@@ -105,7 +105,7 @@ def random_category(rng: random.Random, max_objects: int = 4) -> FinCategory:
 # -- object duplication ---------------------------------------------------------
 
 
-def duplicate_object(C: FinCategory, obj, new_obj):
+def _duplicate_object(C: FinCategory, obj, new_obj):
     """Category with an extra object isomorphic to ``obj``; new morphisms
     are tagged ("dup", underlying, source-flag, target-flag).  Returns the
     category and the inclusion functor of C."""
@@ -151,7 +151,7 @@ def duplicate_object(C: FinCategory, obj, new_obj):
     return D, incl
 
 
-def underlying_morphism(m):
+def _underlying_morphism(m):
     """Strip the duplication tag, if any."""
     if isinstance(m, tuple) and len(m) == 4 and m[0] == "dup":
         return m[1]
@@ -167,10 +167,10 @@ def pointed_sets_with_duplicate(max_size: int = 3, d: int = 2):
 
     W = pointed_sets_waldhausen(max_size, d)
     C = W.underlying.category
-    D, incl = duplicate_object(C, 2, "dup2")
+    D, incl = _duplicate_object(C, 2, "dup2")
 
     def injective(m):
-        u = underlying_morphism(m)
+        u = _underlying_morphism(m)
         return 0 not in u[2] and len(set(u[2])) == len(u[2])
 
     marked = [m for m in D.morphisms if injective(m)]

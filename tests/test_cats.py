@@ -473,7 +473,7 @@ def test_numbered_functor_check_matches_the_oracle_on_structure_functors(
         name, which, pick, n_bad):
     W, s_levels, _ = _levels(name)
     theta, n, m = THETAS[which]
-    F = s_structure_functor(W, theta, s_levels[n], s_levels[m])
+    F = s_structure_functor(theta, s_levels[n], s_levels[m])
     assert _outcome(naive_functor_check, F) is None
     C, D = F.source, F.target
     rng = random.Random(pick)

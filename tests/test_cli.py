@@ -12,9 +12,13 @@ import pytest
 import qcatk
 from qcatk import io
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve
+from qcatk.cats import chain_poset, cyclic_group_category, nerve, pointed_sets_category
 from qcatk.cli import main
-from qcatk.waldhausen import pointed_sets_waldhausen
+from qcatk.waldhausen import (
+    ExactFunctorData,
+    maximal_marking_waldhausen,
+    pointed_sets_waldhausen,
+)
 from qcatk.zoo import pointed_sets_with_duplicate
 
 
@@ -94,6 +98,31 @@ def test_approx_passes_on_the_skeleton_inclusion(files, capsys):
     code, rep = _run(capsys, ["approx", files["dup"]])
     assert code == 0
     assert rep["applicable"] and rep["conclusion"]["pass"]
+
+
+@pytest.mark.parametrize("argv", [["approx"], ["iterate", "--n", "1"], ["iterate", "--n", "2"]])
+def test_a_map_that_is_not_exact_is_a_finding(files, capsys, argv):
+    # the identity of N(Ps<=2), from the maximal marking to the injective
+    # one, is a simplicial map that does not preserve cofibrations
+    S = maximal_marking_waldhausen(pointed_sets_category(2), 1, 2)
+    T = pointed_sets_waldhausen(2)
+    ident = sx.SimplicialMap(S.underlying, T.underlying,
+                             sx.SimplicialMap.identity(S.underlying).assign)
+    path = files["dir"] / "not_exact.json"
+    path.write_text(io.dumps(io.serialize_exact(ExactFunctorData(ident, S, T))))
+    code, rep = _run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 1
+    exact = rep["hypotheses"]["exact"] if argv[0] == "approx" else rep["exact"]["ok"]
+    assert exact is False
+
+
+def test_a_simplicial_set_that_is_not_a_quasicategory_exits_one(files, capsys):
+    # the inner horn of Delta[2] has no composite of its two edges
+    path = files["dir"] / "horn.json"
+    path.write_text(io.dumps(io.serialize_sset(sx.horn(2, 1))))
+    code = main(["ho", str(path)])
+    assert code == 1
+    assert "no composite" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_lift_prism_failure_sets_the_finding_exit_code(files, capsys):

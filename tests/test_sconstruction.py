@@ -1,6 +1,7 @@
 """Grid constructions (staircase, restricted, and cofibration-sequence
 levels), comparison functors, and simplicial structure maps."""
 
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -8,21 +9,34 @@ import pytest
 from qcatk import io
 from qcatk import ktheory as kt
 from qcatk import sconstruction as sc
+from qcatk import zoo
 from qcatk import simplicial as sx
-from qcatk.cats import map_category, nerve
+from qcatk.cats import (
+    FinFunctor,
+    functor_from_nerve_map,
+    map_category,
+    nerve,
+    nerve_functor_map,
+)
 from qcatk.sconstruction import (
     ar_nerve,
     ar_poset,
     f_n,
     forgetful_maps,
     functor_equivalence_report,
+    level_functor,
     restricted_grid,
     s_bar_n,
     s_n,
-    s_simplicial_maps,
+    s_structure_functor,
 )
 from qcatk.simplicial import SimplexKey
-from qcatk.waldhausen import WaldhausenData, pointed_sets_waldhausen
+from qcatk.waldhausen import (
+    ExactFunctorData,
+    WaldhausenData,
+    pointed_sets_waldhausen,
+    validate_exact,
+)
 from qcatk.zoo import pointed_sets_with_duplicate
 
 W2 = pointed_sets_waldhausen(2, 2)
@@ -75,11 +89,13 @@ def test_level_zero_and_one_are_degenerate_cases():
 @pytest.mark.parametrize("n", [1, 2])
 def test_comparison_functors_are_equivalences(n):
     out = forgetful_maps(W3, n)
-    for name in ("full_to_restricted", "restricted_to_sequences"):
+    levels = out["levels"]
+    for name, src, tgt in (("full_to_restricted", "full", "restricted"),
+                           ("restricted_to_sequences", "restricted", "sequences")):
         rep = out[name]["report"]
         assert rep["equivalence"], (n, name, rep)
         assert rep["reflects_cofibrations"], (n, name, rep)
-        out[name]["map"].check()
+        nerve_functor_map(out[name]["functor"], levels[src].sset, levels[tgt].sset).check()
 
 
 def test_comparison_detects_a_corrupted_marking():
@@ -105,17 +121,17 @@ def test_structure_maps_compose_functorially():
     lv0 = s_n(W2, 0)
     lv1 = s_n(W2, 1)
     lv2 = s_n(W2, 2)
-    d0 = s_simplicial_maps(W2, (1, 2), lv2, lv1)["functor"]  # face 0
-    d1 = s_simplicial_maps(W2, (0, 2), lv2, lv1)["functor"]  # face 1
-    d2 = s_simplicial_maps(W2, (0, 1), lv2, lv1)["functor"]  # face 2
-    to0_a = s_simplicial_maps(W2, (2,), lv2, lv0)["functor"]
+    d0 = s_structure_functor((1, 2), lv2, lv1)  # face 0
+    d1 = s_structure_functor((0, 2), lv2, lv1)  # face 1
+    d2 = s_structure_functor((0, 1), lv2, lv1)  # face 2
+    to0_a = s_structure_functor((2,), lv2, lv0)
     # simplicial identity at the level of functors: restricting along
     # [0] -> [2], value 2, equals either two-step route through level 1
-    step_a = s_simplicial_maps(W2, (1,), lv1, lv0)["functor"]
+    step_a = s_structure_functor((1,), lv1, lv0)
     comp = {a: step_a.obj_map[d0.obj_map[a]] for a in d0.source.objects}
     assert comp == to0_a.obj_map
     # degeneracy then either adjacent face is the identity
-    s0 = s_simplicial_maps(W2, (0, 0, 1), lv1, lv2)["functor"]
+    s0 = s_structure_functor((0, 0, 1), lv1, lv2)
     assert all(d0.obj_map[s0.obj_map[a]] == a for a in s0.source.objects)
     assert all(d1.obj_map[s0.obj_map[a]] == a for a in s0.source.objects)
     assert d2 is not None
@@ -141,10 +157,10 @@ def test_equivalence_report_shape_is_honest():
 # lazy level nerves against the eager assembly
 
 
-def _eager_build_level(W, shape, uni, good_maps, is_cofibration, d, report):
+def _eager_build_level(uni, good_maps, row, d, report):
     """Oracle: the level assembly that builds the level nerve, its marking
     and its Waldhausen data at once."""
-    C, N = uni.C, uni.N
+    W, shape, C, N = uni.W, uni.shape, uni.C, uni.N
     cat, maps = map_category(shape, C, N, maps=good_maps)
     zero_idx = [
         i
@@ -156,7 +172,7 @@ def _eager_build_level(W, shape, uni, good_maps, is_cofibration, d, report):
     for m in cat.morphisms:
         if m in cat.id_set:
             continue
-        ok, note = is_cofibration(m)
+        ok, note = sc._top_row_cofibration(uni, maps, row, m)
         if ok:
             marked.add(m)
         elif note is not None:
@@ -219,3 +235,142 @@ def test_class_group_base_vertex_is_the_eager_zero(monkeypatch, name):
     B, grids, _cores = kt.s_equiv_truncation(W, top=0)
     base = SimplexKey(B.levels[0].gen_of_label(grids[0].zero))
     assert base == _eager(monkeypatch, s_n, W, 0).wdata.zero
+
+
+# ---------------------------------------------------------------------------
+# the one level functor against the three functors it replaced
+
+
+def _index_by_assign(maps):
+    return {tuple(sorted(mp.assign.items())): i for i, mp in enumerate(maps)}
+
+
+def _oracle_restriction_functor(source, target, incl, vertex_transfer):
+    """Oracle: precomposition with an inclusion of shapes, components moved
+    along a vertex table of target-shape to source-shape generators."""
+    index = _index_by_assign(target.maps)
+    obj_map = {a: index[tuple(sorted(mp.compose(incl).assign.items()))]
+               for a, mp in enumerate(source.maps)}
+    mor_map = {}
+    for m in source.cat.morphisms:
+        a, b, eta_items = m
+        eta = dict(eta_items)
+        eta2 = tuple(sorted((g, eta[vertex_transfer[g]]) for g in target.shape.gens(0)))
+        mor_map[m] = (obj_map[a], obj_map[b], eta2)
+    return FinFunctor(source.cat, target.cat, obj_map, mor_map)
+
+
+def _oracle_structure_functor(theta, source, target):
+    """Oracle: the staircase structure functor, components moved through the
+    arrow-poset functor's object map."""
+    n = max(v[1] for v in (source.shape.labels[g] for g in source.shape.gens(0)))
+    arf = sc.arrow_poset_functor(theta, n)
+    shape_map = nerve_functor_map(arf, target.shape, source.shape)
+    index = _index_by_assign(target.maps)
+    obj_map = {a: index[tuple(sorted(mp.compose(shape_map).assign.items()))]
+               for a, mp in enumerate(source.maps)}
+    mor_map = {}
+    for m in source.cat.morphisms:
+        a, b, eta_items = m
+        eta = dict(eta_items)
+        eta2 = tuple(sorted(
+            (g, eta[source.shape.gen_of_label(arf.obj_map[target.shape.labels[g]])])
+            for g in target.shape.gens(0)))
+        mor_map[m] = (obj_map[a], obj_map[b], eta2)
+    return FinFunctor(source.cat, target.cat, obj_map, mor_map)
+
+
+def _oracle_exact_level_functor(G, src_level, tgt_level):
+    """Oracle: an exact functor pushed through the rebuilt nerve map of its
+    underlying functor."""
+    Ffin = functor_from_nerve_map(G.themap)
+    push = nerve_functor_map(Ffin, G.themap.source, G.themap.target)
+    index = _index_by_assign(tgt_level.maps)
+    obj_map = {a: index[tuple(sorted(push.compose(mp).assign.items()))]
+               for a, mp in enumerate(src_level.maps)}
+    mor_map = {}
+    for m in src_level.cat.morphisms:
+        a, b, eta_items = m
+        eta2 = tuple(sorted((g, Ffin.mor_map[x]) for g, x in eta_items))
+        mor_map[m] = (obj_map[a], obj_map[b], eta2)
+    return FinFunctor(src_level.cat, tgt_level.cat, obj_map, mor_map)
+
+
+def _assert_same_functor(F, oracle):
+    assert F.obj_map == oracle.obj_map
+    assert F.mor_map == oracle.mor_map
+
+
+@functools.lru_cache(maxsize=None)
+def _staircase_levels(name):
+    W = DIFF_INSTANCES[name]
+    return [s_n(W, n) for n in range(3)]
+
+
+# every face d_i: level n -> n - 1 and degeneracy s_i: level n -> n + 1, n <= 2
+THETAS = (
+    [(tuple(j for j in range(n + 1) if j != i), n, n - 1)
+     for n in (1, 2) for i in range(n + 1)]
+    + [(tuple(range(i + 1)) + tuple(range(i, n + 1)), n, n + 1)
+       for n in (0, 1) for i in range(n + 1)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_INSTANCES))
+def test_structure_functors_match_the_oracle(name):
+    levels = _staircase_levels(name)
+    for theta, n, m in THETAS:
+        F = s_structure_functor(theta, levels[n], levels[m])
+        _assert_same_functor(F, _oracle_structure_functor(theta, levels[n], levels[m]))
+
+
+@pytest.mark.parametrize("name,n", [("ps3", 1), ("ps3", 2), ("dup22", 1), ("dup22", 2)])
+def test_forgetful_functors_match_the_oracle(name, n):
+    out = forgetful_maps(DIFF_INSTANCES[name], n)
+    full, bar, seq = (out["levels"][k] for k in ("full", "restricted", "sequences"))
+    K, Kbar, Kseq = full.shape, bar.shape, seq.shape
+    incl_bar = sx.SimplicialMap(Kbar, K, {g: Kbar.labels[g] for g in Kbar.all_gens()})
+    transfer_bar = {g: Kbar.labels[g].gen for g in Kbar.gens(0)}
+    bar_vgen = {K.labels[Kbar.labels[g].gen]: g for g in Kbar.gens(0)}
+    bar_egen = {}
+    for g in Kbar.gens(1):
+        e = SimplexKey(g)
+        a = K.labels[Kbar.labels[Kbar.vertex(e, 0).gen].gen]
+        b = K.labels[Kbar.labels[Kbar.vertex(e, 1).gen].gen]
+        bar_egen[(a, b)] = g
+    emb_assign = {Kseq.gen_of_label((i,)): SimplexKey(bar_vgen[(0, i + 1)]) for i in range(n)}
+    for i in range(1, n):
+        emb_assign[Kseq.gen_of_label((i - 1, i))] = SimplexKey(bar_egen[((0, i), (0, i + 1))])
+    emb = sx.SimplicialMap(Kseq, Kbar, emb_assign)
+    transfer_seq = {g: bar_vgen[(0, Kseq.labels[g][0] + 1)] for g in Kseq.gens(0)}
+    _assert_same_functor(out["full_to_restricted"]["functor"],
+                         _oracle_restriction_functor(full, bar, incl_bar, transfer_bar))
+    _assert_same_functor(out["restricted_to_sequences"]["functor"],
+                         _oracle_restriction_functor(bar, seq, emb, transfer_seq))
+
+
+def _exact_map(k, way):
+    """The inclusion of Ps<=2 into dup(2, k), or the exact map back that sends
+    the duplicate to the object it copies, so it renames components."""
+    G = pointed_sets_with_duplicate(2, k)[1]
+    if way == "include":
+        return G
+    D, C = G.target.underlying.category, G.source.underlying.category
+    collapse = FinFunctor(D, C, {o: 2 if o == "dup2" else o for o in D.objects},
+                          {m: zoo._underlying_morphism(m) for m in D.morphisms})
+    themap = nerve_functor_map(collapse, G.target.underlying, G.source.underlying)
+    return ExactFunctorData(themap, G.target, G.source)
+
+
+EXACT_CASES = [(k, way, build, n) for k in (2, 3) for way in ("include", "collapse")
+               for build in (f_n, s_n) for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("k,way,build,n", EXACT_CASES,
+                         ids=[f"dup2{k}-{w}-{b.__name__}-{n}" for k, w, b, n in EXACT_CASES])
+def test_exact_level_functors_match_the_oracle(k, way, build, n):
+    G = _exact_map(k, way)
+    assert validate_exact(G)["ok"]
+    src, tgt = build(G.source, n), build(G.target, n)
+    F = level_functor(src, tgt, base_map=G.themap)
+    _assert_same_functor(F, _oracle_exact_level_functor(G, src, tgt))

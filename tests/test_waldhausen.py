@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import FinCategory, nerve, poset_category
@@ -38,6 +39,23 @@ def test_pointed_sets_instance_satisfies_the_axioms():
     assert rep["violations"] == []
     assert rep["checks"]["quasicategory"]
     assert rep["checks"]["pushouts_checked"] > 0
+
+
+def test_slice_pushouts_agree_with_the_oracle_without_a_category_block():
+    # without its category block, a nerve's pushouts are checked as initial
+    # cocones in the slice; Ps<=2 lacks only the wedge of two copies of S^0
+    W = pointed_sets_waldhausen(2, 4)
+    doc = io.serialize_waldhausen(W)
+    del doc["sset"]["category"]
+    plain = io.parse_waldhausen(doc)
+    assert plain.underlying.category is None
+    oracle, slices = validate_waldhausen(W), validate_waldhausen(plain)
+    assert oracle["violations"] == slices["violations"] == []
+    X = W.underlying
+    as_edges = [(kind, *(SimplexKey(X.gen_of_label((m,))) for m in span))
+                for kind, *span in oracle["local_failures"]]
+    assert as_edges == slices["local_failures"]
+    assert len(as_edges) == 1
 
 
 def test_unmarked_equivalence_is_a_violation():
