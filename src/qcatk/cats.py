@@ -7,8 +7,9 @@ checks and the diagram categories compose by number instead, through
 ``FinCategory.after``, and hash each morphism only to number it.  Nerves are
 produced as :class:`~qcatk.simplicial.SimplicialSet` objects whose generator
 labels are composable strings of non-identity morphisms; the category itself
-travels along on the ``category`` attribute so that map enumeration into the
-nerve can run as a functor search.
+travels along on the ``category`` attribute, for the names and ``category``
+block of the nerve's file and for the 1-categorical checks (pushouts, the K0
+presentation oracle).  Map search does not read it.
 """
 
 from __future__ import annotations
@@ -454,7 +455,7 @@ def functor_from_nerve_map(F: SimplicialMap) -> FinFunctor:
 
 
 def map_category(
-    K: SimplicialSet, C: FinCategory, N: SimplicialSet, budget: int = 10**6, maps=None
+    K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps=None
 ):
     """Finite category of simplicial maps K -> N(C).
 
@@ -467,7 +468,7 @@ def map_category(
     from .simplicial import enumerate_maps
 
     if maps is None:
-        maps = enumerate_maps(K, N, budget=budget)
+        maps = enumerate_maps(K, N)
     verts = K.gens(0)
     num, after = C.number, C.after
 

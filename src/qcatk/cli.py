@@ -1,9 +1,9 @@
 """Command-line front end: input validation, constructions, and verification
 reports.  All input and output is JSON (UTF-8, sorted keys).
 
-Exit codes: 0 = pass, 1 = finding (including schema violations), 2 = an
-enumeration budget or dimension bound was exceeded.  Every report embeds the
-dimension bound and budgets it was computed with."""
+Exit codes: 0 = pass, 1 = finding (including schema violations), 2 = the
+command's search budget or a dimension bound was exceeded.  Every report
+embeds the dimension bound and budget it was computed with."""
 
 from __future__ import annotations
 
@@ -115,7 +115,7 @@ def cmd_validate(args):
     if kind == "waldhausen":
         from .waldhausen import validate_waldhausen
 
-        rep = validate_waldhausen(value, args.dim, budget=args.budget)
+        rep = validate_waldhausen(value, args.dim)
         report["axioms"] = rep
         report["valid"] = not rep["violations"]
     elif kind == "exact":
@@ -163,7 +163,7 @@ def cmd_join(args):
         _, C = _load(args.inputs[2], "sset")
         left = sx.join(span.sset, C, args.dim).sset
         right = sx.join(A, sx.join(B, C, args.dim).sset, args.dim).sset
-        iso = sx.iso_check(left, right, args.dim, budget=args.budget)
+        iso = sx.iso_check(left, right, args.dim)
         ok = iso is not None
         report = {"associative": ok,
                   "left_gens": left.n_gens, "right_gens": right.n_gens}
@@ -174,7 +174,7 @@ def cmd_slice(args):
     from . import joinslice as js
 
     _, f = _load(args.input, "map")
-    S = js.slice_over(f, args.dim, budget=args.budget)
+    S = js.slice_over(f, args.dim)
     return _emit({"sset": io.serialize_sset(S)}, args, True)
 
 
@@ -208,7 +208,7 @@ def cmd_waldhausen_check(args):
     from .waldhausen import validate_waldhausen
 
     _, W = _load(args.input, "waldhausen")
-    rep = validate_waldhausen(W, args.dim, budget=args.budget)
+    rep = validate_waldhausen(W, args.dim)
     return _emit(rep, args, not rep["violations"])
 
 
@@ -216,7 +216,7 @@ def cmd_sconstruct(args):
     from .sconstruction import s_n
 
     _, W = _load(args.input, "waldhausen")
-    level = s_n(W, args.n, args.dim, budget=args.budget)
+    level = s_n(W, args.n, args.dim)
     report = {
         "n": args.n,
         "objects": len(level.cat.objects),
@@ -233,7 +233,7 @@ def cmd_k0(args):
 
     _require_ho_dim(args)
     _, W = _load(args.input, "waldhausen")
-    rep = kt.k0_agreement(W, args.dim, budget=args.budget)
+    rep = kt.k0_agreement(W, args.dim)
     report = {
         "invariant_factors": invariant_factors(rep["diagonal"]),
         "group": str(rep["diagonal"]),
@@ -249,7 +249,7 @@ def cmd_approx(args):
 
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
-    rep = kt.approximation_verify(G, args.dim, budget=args.budget)
+    rep = kt.approximation_verify(G, args.dim)
     ok = rep["applicable"] and rep["conclusion"]["pass"]
     return _emit(rep, args, ok)
 
@@ -261,14 +261,13 @@ def cmd_lift(args):
     kind, value = _load(args.input)
     if args.shape == "strong-replacement":
         target = value.underlying if kind == "waldhausen" else value
-        rep = lf.rlp_check(target, nbar, kind="strong-replacement",
-                           budget=args.budget)
+        rep = lf.rlp_check(target, nbar, kind="strong-replacement")
     else:
         if kind == "exact":
             value = value.themap
         elif kind != "map":
             raise io.SchemaError("prism lifting needs a map file")
-        rep = lf.rlp_check(value, nbar, kind="prism", budget=args.budget)
+        rep = lf.rlp_check(value, nbar, kind="prism")
     return _emit(rep, args, rep["verdict"] == "pass")
 
 
@@ -282,8 +281,7 @@ def cmd_iterate(args):
     if not exact["ok"]:
         # a map that is not exact induces no functor between the levels
         return _emit({"exact": exact}, args, False)
-    rep = lf.higher_iterate_verify(G, tuple(args.n), args.dim,
-                                   budget=args.budget)
+    rep = lf.higher_iterate_verify(G, tuple(args.n), args.dim)
     ok = rep["consistent_with_statement"] and rep["consistent_with_cof_statement"]
     return _emit(rep, args, ok)
 
@@ -308,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs="+", help="JSON input files")
         p.add_argument("--dim", type=int, default=2,
                        help="verification dimension bound (default 2)")
-        p.add_argument("--budget", type=int, default=10**6,
-                       help="enumeration budget (default 1e6)")
+        p.add_argument("--budget", type=int, default=sx.DEFAULT_BUDGET,
+                       help="search nodes the whole command may visit (default 1e6)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized searches (default 0)")
         p.add_argument("--out", help="write the report here instead of stdout")
@@ -352,7 +350,8 @@ def main(argv=None) -> int:
         print(io.dumps({"error": "budget must be positive"}), file=sys.stderr)
         return EXIT_FINDING
     try:
-        return args.func(args)
+        with sx.budget(args.budget):
+            return args.func(args)
     except io.SchemaError as exc:
         print(io.dumps({"error": str(exc), "pointer": exc.pointer}),
               file=sys.stderr)

@@ -29,13 +29,12 @@ join = sx.join
 class _SliceFamily(sx.Family):
     """a\\X (side='under') or X/b (side='over') via join extensions."""
 
-    def __init__(self, base: SimplicialMap, side: str, budget: int = 10**6):
+    def __init__(self, base: SimplicialMap, side: str):
         if side not in ("under", "over"):
             raise ValueError("side must be 'under' or 'over'")
         self.base = base
         self.A, self.X = base.source, base.target
         self.side = side
-        self.budget = budget
         self._join: dict[int, sx.MaterializedSSet] = {}
 
     def joined(self, n: int) -> sx.MaterializedSSet:
@@ -59,7 +58,7 @@ class _SliceFamily(sx.Family):
 
     def elements(self, n):
         J = self.joined(n)
-        maps = sx.enumerate_maps(J, self.X, fixed=self.fixed_for(n), budget=self.budget)
+        maps = sx.enumerate_maps(J, self.X, fixed=self.fixed_for(n))
         order = J.all_gens()
         return [tuple(mp.assign[g] for g in order) for mp in maps]
 
@@ -95,12 +94,12 @@ class _SliceFamily(sx.Family):
         return self._induced(n + 1, n, lambda v: v if v <= i else v - 1, x)
 
 
-def slice_under(a: SimplicialMap, d: int, budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(_SliceFamily(a, "under", budget), d)
+def slice_under(a: SimplicialMap, d: int) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(_SliceFamily(a, "under"), d)
 
 
-def slice_over(b: SimplicialMap, d: int, budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(_SliceFamily(b, "over", budget), d)
+def slice_over(b: SimplicialMap, d: int) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(_SliceFamily(b, "over"), d)
 
 
 # -- over-quasicategories and comma objects ------------------------------------
@@ -141,13 +140,13 @@ def comma(G: SimplicialMap, y: SimplexKey, d: int):
 # -- initiality and colimits ----------------------------------------------------
 
 
-def is_initial(X: SimplicialSet, i: SimplexKey, d: int, budget: int = 10**6) -> dict:
+def is_initial(X: SimplicialSet, i: SimplexKey, d: int) -> dict:
     """Initiality certificate: every mapping space X(i, x) must be weakly
     contractible; we certify (pi0, H1) to the bound d."""
     verdicts = {}
     overall = f"confirmed-to-{d}"
     for x in X.simplices(0):
-        M = qc.mapping_space(X, i, x, d, budget=budget)
+        M = qc.mapping_space(X, i, x, d)
         rep = hl.weak_contractibility_report(M, d)
         verdicts[x] = rep
         if rep["verdict"] == "refuted":
@@ -179,13 +178,13 @@ def cocones(a: SimplicialMap, slice_sset: sx.MaterializedSSet) -> list[_Cocone]:
     return out
 
 
-def colimiting_cocones(a: SimplicialMap, d: int, budget: int = 10**6) -> list[dict]:
+def colimiting_cocones(a: SimplicialMap, d: int) -> list[dict]:
     """Cocones on a whose initiality in a\\X is confirmed to dimension d.
     Each entry carries the cocone and its initiality report."""
-    sl = slice_under(a, d + 1, budget=budget)
+    sl = slice_under(a, d + 1)
     results = []
     for c in cocones(a, sl):
-        rep = is_initial(sl, c.slice_vertex, d, budget=budget)
+        rep = is_initial(sl, c.slice_vertex, d)
         if rep["verdict"].startswith("confirmed"):
             results.append({"cocone": c, "report": rep})
     return results
@@ -213,8 +212,7 @@ def _hom_restriction_map(Hbig: sx.MaterializedSSet, Hsmall: sx.MaterializedSSet,
     return SimplicialMap(Hbig, Hsmall, assign)
 
 
-def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
-                                  budget: int = 10**6) -> dict:
+def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) -> dict:
     """Check that restriction from colimit cocones on A-diagrams to the
     diagrams themselves is an equivalence: essentially surjective and fully
     faithful at the homotopy-category level, with contractible fibers.
@@ -223,8 +221,8 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
     subcomplex of X^{A*1} on the colimiting cocone vertices.
     """
     AJ = sx.join(A, sx.delta(0), (A.top_dim if A.top_dim >= 0 else -1) + 1)
-    Hbig = qc.internal_hom(AJ.sset, X, max(d, 2), budget=budget)
-    Hsmall = qc.internal_hom(A, X, max(d, 2), budget=budget)
+    Hbig = qc.internal_hom(AJ.sset, X, max(d, 2))
+    Hsmall = qc.internal_hom(A, X, max(d, 2))
     r_full = _hom_restriction_map(Hbig, Hsmall, AJ.left)
 
     # classify vertices of Hbig: which are colimiting cocones on their base?
@@ -250,7 +248,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
         ext = fb.as_map(0, Hbig.labels[g]).compose(emb)
         base = ext.compose(AJ.left)
         base_key = tuple(sorted(base.assign.items()))
-        sl = slice_under(base, d + 1, budget=budget)
+        sl = slice_under(base, d + 1)
         # find the slice vertex equal to this extension
         target_tuple = tuple(ext.assign[h] for h in sl.family.joined(0).all_gens())
         vkey = None
@@ -258,7 +256,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int,
             if sl.labels[h] == target_tuple:
                 vkey = SimplexKey(h)
                 break
-        rep = is_initial(sl, vkey, d, budget=budget)
+        rep = is_initial(sl, vkey, d)
         if rep["verdict"].startswith("confirmed"):
             colim_vertices.append(v)
             base_with_colim[base_key] = True
@@ -325,28 +323,28 @@ def small_posets(max_size: int = 3) -> list[FinCategory]:
     return out
 
 
-def cone_extension_check(C: SimplicialSet, d: int = None, poset_budget: int = 3,
-                         budget: int = 10**6) -> dict:
-    """Test whether every map NP -> C from the nerve of a small poset extends
-    over the cone (NP) * 1.  Failure witnesses are reported."""
+def cone_extension_check(C: SimplicialSet, d: int = None) -> dict:
+    """Test whether every map NP -> C from the nerve of a poset with at most
+    two elements extends over the cone (NP) * 1.  Failure witnesses are
+    reported."""
     if C.is_empty():
         return {"verdict": "fail", "reason": "empty target"}
     failures = []
     tested = 0
-    for P in small_posets(poset_budget):
+    for P in small_posets(2):
         from .cats import nerve
 
         NP = nerve(P, len(P.objects))
         J = sx.join(NP, sx.delta(0), NP.top_dim + 1)
         C.require_bound(J.sset.top_dim, "cone extension")
-        for f in sx.enumerate_maps(NP, C, budget=budget):
+        for f in sx.enumerate_maps(NP, C):
             tested += 1
             fixed = {}
             for g in J.sset.all_gens():
                 lbl = J.sset.labels[g]
                 if lbl[0] == "a":
                     fixed[g] = f(lbl[1])
-            exts = sx.enumerate_maps(J.sset, C, fixed=fixed, budget=budget)
+            exts = sx.enumerate_maps(J.sset, C, fixed=fixed)
             if not exts:
                 failures.append((P, f))
     return {

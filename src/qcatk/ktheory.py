@@ -58,7 +58,6 @@ class _BisimplicialTruncation:
 class _DiagonalFamily(sx.Family):
     def __init__(self, B: _BisimplicialTruncation):
         self.B = B
-        self.category = None
 
     def elements(self, n):
         return self.B.levels[n].simplices(n)
@@ -96,8 +95,7 @@ def _degeneracy_theta(n: int, i: int) -> tuple:
     return tuple(range(i + 1)) + tuple(range(i, n + 1))
 
 
-def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2,
-                       budget: int = 10**6):
+def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2):
     """Equivalence subcomplexes of the staircase levels 0..top as a
     bisimplicial truncation, plus the levels themselves.
 
@@ -106,7 +104,7 @@ def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2,
     it is built from the groupoid core, and the level's own nerve is never
     read.  Each level is built once.  Returns (truncation, grid levels,
     groupoid cores); the truncation's levels are the core nerves."""
-    grids = [s_n(W, n, d, budget=budget) for n in range(top + 1)]
+    grids = [s_n(W, n, d) for n in range(top + 1)]
     cores = [groupoid_core(g.cat) for g in grids]
     levels = [nerve(c, max(d, n)) for n, c in enumerate(cores)]
     hfaces, hdegens = {}, {}
@@ -125,24 +123,23 @@ def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2,
     return _BisimplicialTruncation(levels, hfaces, hdegens), grids, cores
 
 
-def _k0_and_levels(W: WaldhausenData, d: int, budget: int):
+def _k0_and_levels(W: WaldhausenData, d: int):
     """K0 by the diagonal route, with the levels it was computed from:
     returns (K0, (grid levels, groupoid cores, core nerves))."""
     if d < 2:
         raise ValueError("K0 needs dimension at least 2")
-    B, grids, cores = s_equiv_truncation(W, 2, d, budget=budget)
+    B, grids, cores = s_equiv_truncation(W, 2, d)
     D = _diagonal(B)
     # the core has the level's objects, so the all-zero diagram is a vertex
     base = D.key_of(0, SimplexKey(B.levels[0].gen_of_label(grids[0].zero)))
     return pi1_abelianized(D, base), (grids, cores, B.levels)
 
 
-def k0_via_diagonal(W: WaldhausenData, d: int = 2,
-                    budget: int = 10**6) -> AbelianGroupPresentation:
+def k0_via_diagonal(W: WaldhausenData, d: int = 2) -> AbelianGroupPresentation:
     """K0 as the abelianized edge-path group of the diagonal of the
     2-truncated bisimplicial set of equivalence subcomplexes, based at the
     all-zero diagram."""
-    return _k0_and_levels(W, d, budget)[0]
+    return _k0_and_levels(W, d)[0]
 
 
 # -- independent presentation oracle -------------------------------------------
@@ -214,8 +211,8 @@ def k0_presentation_oracle(W: WaldhausenData, omit=None) -> AbelianGroupPresenta
     return group_from_relations(len(data["generators"]), rows)
 
 
-def k0_agreement(W: WaldhausenData, d: int = 2, budget: int = 10**6) -> dict:
-    a = k0_via_diagonal(W, d, budget=budget)
+def k0_agreement(W: WaldhausenData, d: int = 2) -> dict:
+    a = k0_via_diagonal(W, d)
     b = k0_presentation_oracle(W)
     return {"diagonal": a, "oracle": b, "agree": a == b, "dim": d}
 
@@ -234,7 +231,7 @@ def _pi_invariants(X: SimplicialSet) -> dict:
     }
 
 
-def quillen_a_verify(G: SimplicialMap, d: int = 1, budget: int = 10**6) -> dict:
+def quillen_a_verify(G: SimplicialMap, d: int = 1) -> dict:
     """Per-vertex weak contractibility of the comma construction, plus a
     direct comparison of components and abelianized edge-path groups."""
     Y = G.target
@@ -264,29 +261,28 @@ def quillen_a_verify(G: SimplicialMap, d: int = 1, budget: int = 10**6) -> dict:
     }
 
 
-def _poset_diagram_colimits(F: SimplicialMap, d: int, budget: int,
-                            poset_budget: int) -> dict:
-    """For every diagram over a small poset nerve landing in the equivalence
-    subcomplex of the source: does a colimiting cocone exist, and is its
-    image under F still colimiting?"""
+def _poset_diagram_colimits(F: SimplicialMap, d: int) -> dict:
+    """For every diagram over the nerve of a poset with at most two elements
+    landing in the equivalence subcomplex of the source: does a colimiting
+    cocone exist, and is its image under F still colimiting?"""
     A, B = F.source, F.target
     Akan, incl = qc.maximal_kan(A, min(d, A.effective_bound()))
     checked = 0
     missing = []
     not_preserved = []
-    for P in small_posets(poset_budget):
+    for P in small_posets(2):
         NP = nerve(P, d)
-        for mp in sx.enumerate_maps(NP, Akan, budget=budget):
+        for mp in sx.enumerate_maps(NP, Akan):
             a = incl.compose(mp)
             checked += 1
-            found = colimiting_cocones(a, 1, budget=budget)
+            found = colimiting_cocones(a, 1)
             if not found:
                 missing.append(a)
                 continue
             c = found[0]["cocone"]
             image_ext = F.compose(c.extension)
             image_base = F.compose(a)
-            image_found = colimiting_cocones(image_base, 1, budget=budget)
+            image_found = colimiting_cocones(image_base, 1)
             ok = any(
                 entry["cocone"].extension.assign == image_ext.assign
                 for entry in image_found
@@ -301,8 +297,7 @@ def _poset_diagram_colimits(F: SimplicialMap, d: int, budget: int,
     }
 
 
-def main_technical_verify(F: SimplicialMap, d: int = 2, budget: int = 10**6,
-                          poset_budget: int = 2) -> dict:
+def main_technical_verify(F: SimplicialMap, d: int = 2) -> dict:
     """Hypothesis checks (essential surjectivity, poset-indexed colimits in
     the source preserved by F, reflection of equivalences) and the desk-scale
     conclusion: components and abelianized edge-path groups of the maximal
@@ -324,7 +319,7 @@ def main_technical_verify(F: SimplicialMap, d: int = 2, budget: int = 10**6,
             reflect_witness = e
             break
 
-    colim = _poset_diagram_colimits(F, d, budget, poset_budget)
+    colim = _poset_diagram_colimits(F, d)
 
     dA = min(d, A.effective_bound())
     dB = min(d, B.effective_bound())
@@ -377,7 +372,7 @@ def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels)
     }
 
 
-def approximation_verify(G: ExactFunctorData, d: int = 2, budget: int = 10**6) -> dict:
+def approximation_verify(G: ExactFunctorData, d: int = 2) -> dict:
     """Hypothesis report for the approximation statements, and — when the
     hypotheses hold — the desk-scale conclusion: component bijection and
     equality of K0 invariant factors, with per-level comparisons of the
@@ -412,8 +407,8 @@ def approximation_verify(G: ExactFunctorData, d: int = 2, budget: int = 10**6) -
         report["conclusion"] = None
         return report
 
-    k_src, src_levels = _k0_and_levels(G.source, d, budget)
-    k_tgt, tgt_levels = _k0_and_levels(G.target, d, budget)
+    k_src, src_levels = _k0_and_levels(G.source, d)
+    k_tgt, tgt_levels = _k0_and_levels(G.target, d)
     dS = min(d, G.source.underlying.effective_bound())
     dT = min(d, G.target.underlying.effective_bound())
     kan_src, _ = qc.maximal_kan(G.source.underlying, dS)

@@ -71,8 +71,7 @@ _HORN_KINDS = {
 }
 
 
-def horn_fill_class_check(X: SimplicialSet, kind: str = "all",
-                          budget: int = 10**6) -> dict:
+def horn_fill_class_check(X: SimplicialSet, kind: str = "all") -> dict:
     """Exhaustively enumerate dimension-3 horns of the requested kind and
     search for fillers.
 
@@ -84,7 +83,7 @@ def horn_fill_class_check(X: SimplicialSet, kind: str = "all",
     X.require_bound(3, "horn filler audit")
     checked = {}
     for (n, k) in _HORN_KINDS[kind]:
-        hs = sx.horn_maps(X, n, k, budget=budget)
+        hs = sx.horn_maps(X, n, k)
         checked[(n, k)] = len(hs)
         for h in hs:
             if sx.inner_horn_filler(X, h) is None:
@@ -308,7 +307,7 @@ def _delta_part_fixed(Qbig, base, D_from, D_to, pick):
     return fixed
 
 
-def _homotopy_exists(X, base, alpha, beta, budget) -> bool:
+def _homotopy_exists(X, base, alpha, beta) -> bool:
     """Is there a map base x Delta[2] -> X restricting to alpha at face 1,
     beta at face 0, and degenerately at face 2?"""
     dim = base.top_dim
@@ -324,85 +323,80 @@ def _homotopy_exists(X, base, alpha, beta, budget) -> bool:
 
     D1 = alpha.source.family.Y
     fixed = _delta_part_fixed(Q2, base, D2, D1, pick)
-    return bool(sx.enumerate_maps(Q2, X, fixed=fixed, budget=budget))
+    return bool(sx.enumerate_maps(Q2, X, fixed=fixed))
 
 
-def components_hypothesis_check(X: SimplicialSet, nbar=(), p_budget: int = 1,
-                                budget: int = 10**6) -> dict:
-    """Check, exhaustively up to ``p_budget``, that any two natural
+def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
+    """Check, exhaustively for p = 1, that any two natural
     transformations I[p] x Delta[1] -> X^{I[nbar]} with homotopic
     components are homotopic.
 
     Transformations are handled in adjoint form, as maps
     (I[nbar] x I[p]) x Delta[1] -> X; a component at a vertex of I[p] is
-    then a map I[nbar] x Delta[1] -> X.  With ``p_budget = 0`` nothing is
-    tested and the verdict is inconclusive.
+    then a map I[nbar] x Delta[1] -> X.
     """
     from . import quasicat as qc
 
-    if p_budget < 1:
-        return {"verdict": "inconclusive", "nbar": tuple(nbar), "tested_p": [],
-                "pairs_with_homotopic_components": 0, "witness": None}
     nbar = tuple(nbar)
     pairs = 0
-    for p in range(1, p_budget + 1):
-        base = spine_product(nbar + (p,))
-        needed = base.top_dim + 2  # dimension of base x Delta[2]
-        if X.effective_bound() < needed and X.category is not None:
-            from .cats import nerve
+    p = 1
+    base = spine_product(nbar + (p,))
+    needed = base.top_dim + 2  # dimension of base x Delta[2]
+    if X.effective_bound() < needed and X.category is not None:
+        from .cats import nerve
 
-            X = nerve(X.category, needed)
-        X.require_bound(needed, "components hypothesis check")
-        D1 = sx.delta(1)
-        Q1 = sx.product(base, D1, base.top_dim + 1).sset
-        maps = sx.enumerate_maps(Q1, X, budget=budget)
-        edge_cls = qc.homotopy_classes(X)
+        X = nerve(X.category, needed)
+    X.require_bound(needed, "components hypothesis check")
+    D1 = sx.delta(1)
+    Q1 = sx.product(base, D1, base.top_dim + 1).sset
+    maps = sx.enumerate_maps(Q1, X)
+    edge_cls = qc.homotopy_classes(X)
 
-        def endpoints(m):
-            out = []
-            for j in (0, 1):
-                kj = SimplexKey(D1.gen_of_label((j,)))
-                out.append(tuple(
-                    m(Q1.key_of(g[0], (SimplexKey(g), _const_key(kj, g[0]))))
-                    for g in base.all_gens()
-                ))
-            return tuple(out)
+    def endpoints(m):
+        out = []
+        for j in (0, 1):
+            kj = SimplexKey(D1.gen_of_label((j,)))
+            out.append(tuple(
+                m(Q1.key_of(g[0], (SimplexKey(g), _const_key(kj, g[0]))))
+                for g in base.all_gens()
+            ))
+        return tuple(out)
 
-        # components are indexed by vertices of the I[p] factor: in adjoint
-        # form, by restrictions to sub-bases I[nbar] x {vertex}.  For the
-        # homotopy comparison it is equivalent (and simpler) to compare
-        # componentwise at every vertex of the whole base.
-        def component(m, vgen):
-            e = SimplexKey(D1.gen_of_label((0, 1)))
-            return m(Q1.key_of(1, (sx.key_degeneracy(SimplexKey(vgen), 0), e)))
+    # components are indexed by vertices of the I[p] factor: in adjoint
+    # form, by restrictions to sub-bases I[nbar] x {vertex}.  For the
+    # homotopy comparison it is equivalent (and simpler) to compare
+    # componentwise at every vertex of the whole base.
+    def component(m, vgen):
+        e = SimplexKey(D1.gen_of_label((0, 1)))
+        return m(Q1.key_of(1, (sx.key_degeneracy(SimplexKey(vgen), 0), e)))
 
-        groups: dict = {}
-        for m in maps:
-            groups.setdefault(endpoints(m), []).append(m)
-        for group in groups.values():
-            for ia in range(len(group)):
-                for ib in range(ia + 1, len(group)):
-                    a, b = group[ia], group[ib]
-                    comps_homotopic = all(
-                        edge_cls[component(a, v)] == edge_cls[component(b, v)]
-                        for v in base.gens(0)
-                    )
-                    if not comps_homotopic:
-                        continue
-                    pairs += 1
-                    if not _homotopy_exists(X, base, a, b, budget):
-                        return {
-                            "verdict": "fail",
-                            "nbar": nbar,
-                            "tested_p": list(range(1, p + 1)),
-                            "pairs_with_homotopic_components": pairs,
-                            "witness": {"p": p, "alpha": dict(a.assign),
-                                        "beta": dict(b.assign)},
-                        }
+    groups: dict = {}
+    for m in maps:
+        groups.setdefault(endpoints(m), []).append(m)
+    for group in groups.values():
+        for ia in range(len(group)):
+            for ib in range(ia + 1, len(group)):
+                a, b = group[ia], group[ib]
+                comps_homotopic = all(
+                    edge_cls[component(a, v)] == edge_cls[component(b, v)]
+                    for v in base.gens(0)
+                )
+                if not comps_homotopic:
+                    continue
+                pairs += 1
+                if not _homotopy_exists(X, base, a, b):
+                    return {
+                        "verdict": "fail",
+                        "nbar": nbar,
+                        "tested_p": [p],
+                        "pairs_with_homotopic_components": pairs,
+                        "witness": {"p": p, "alpha": dict(a.assign),
+                                    "beta": dict(b.assign)},
+                    }
     return {
         "verdict": "pass",
         "nbar": nbar,
-        "tested_p": list(range(1, p_budget + 1)),
+        "tested_p": [p],
         "pairs_with_homotopic_components": pairs,
         "witness": None,
     }
@@ -430,7 +424,7 @@ def _on_boundary(Bd, u: dict) -> dict:
     return {gb: u[Bd.labels[gb].gen] for gb in Bd.all_gens()}
 
 
-def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
+def rlp_check(G, nbar=(), kind: str = "prism") -> dict:
     """Right-lifting-property checks against prism inclusions.
 
     ``kind="prism"``: does the map G have the right lifting property with
@@ -448,8 +442,8 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
     into the target, yielding every boundary map with its extensions.  The
     prism check is two: one into the source, yielding every boundary map u
     with its lifts, and one into the target restricted to the maps G∘u.
-    ``budget`` bounds the nodes of each of these one or two searches, not
-    the work for one boundary map.
+    Both charge the ledger of the enclosing ``simplicial.budget`` block, so
+    the budget bounds the whole check, not the work for one boundary map.
     """
     nbar = tuple(nbar)
     In = spine_product(nbar)
@@ -463,10 +457,10 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
         A.require_bound(P3.top_dim, "prism lifting")
         B.require_bound(P3.top_dim, "prism lifting")
         Bd, inner = _boundary_subcomplex(P3, D2, strong=False)
-        lifted = sx.relative_maps(P3, A, inner, budget=budget)
+        lifted = sx.relative_maps(P3, A, inner)
         pushed = [{g: G(k) for g, k in u.items()} for u, _ in lifted]
         below = {tuple(w.values()): vs
-                 for w, vs in sx.relative_maps(P3, B, inner, restrict=pushed, budget=budget)}
+                 for w, vs in sx.relative_maps(P3, B, inner, restrict=pushed)}
         for (u, lifts), w in zip(lifted, pushed):
             vs = below.get(tuple(w.values()))
             if not vs:
@@ -485,7 +479,7 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
         B = G.target if isinstance(G, SimplicialMap) else G
         B.require_bound(P3.top_dim, "prism extension")
         Bd, inner = _boundary_subcomplex(P3, D2, strong=True)
-        for u, extensions in sx.relative_maps(P3, B, inner, budget=budget):
+        for u, extensions in sx.relative_maps(P3, B, inner):
             problems += 1
             if not extensions:
                 return {
@@ -503,8 +497,7 @@ def rlp_check(G, nbar=(), kind: str = "prism", budget: int = 10**6) -> dict:
 # iterated-level equivalence verification
 
 
-def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
-                          budget: int = 10**6) -> dict:
+def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2) -> dict:
     """Check the hypotheses of the iterated-level equivalence statement for
     an exact map and verify its conclusion directly on iterated
     cofibration-sequence levels.
@@ -533,8 +526,8 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
         "reflects_cofibrations": reflects_cofibrations(G),
         "tau1_equivalence": qc.tau1_map_equivalence(G.themap),
         "tau1_cof_equivalence": cof_ho_equivalence(G),
-        "components_source": [components_hypothesis_check(G.source.underlying, budget=budget)],
-        "components_target": [components_hypothesis_check(G.target.underlying, budget=budget)],
+        "components_source": [components_hypothesis_check(G.source.underlying)],
+        "components_target": [components_hypothesis_check(G.target.underlying)],
     }
     comps_ok = all(r["verdict"] == "pass" for r in
                    hyp["components_source"] + hyp["components_target"])
@@ -553,8 +546,8 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     cur = G
     level_reports = []
     for n in nbar:
-        src = f_n(cur.source, n, d, budget=budget)
-        tgt = f_n(cur.target, n, d, budget=budget)
+        src = f_n(cur.source, n, d)
+        tgt = f_n(cur.target, n, d)
         Ffin = level_functor(src, tgt, base_map=cur.themap)
         themap = nerve_functor_map(Ffin, src.sset, tgt.sset)
         cur = ExactFunctorData(themap, src.wdata, tgt.wdata)
@@ -582,7 +575,6 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2,
     return {
         "nbar": nbar,
         "dim": d,
-        "budget": budget,
         "hypotheses": hyp,
         "hypotheses_hold": hyp_hold,
         "hypotheses_hold_cof_variant": hyp_hold_cof,

@@ -21,7 +21,7 @@ from .simplicial import (
 )
 
 
-def is_quasicategory(X: SimplicialSet, d: int, budget: int = 10**6) -> dict:
+def is_quasicategory(X: SimplicialSet, d: int) -> dict:
     """Check that every inner horn of dimension <= d fills.  Returns a report
     with the failing horns, if any."""
     X.require_bound(d, "quasicategory check")
@@ -29,7 +29,7 @@ def is_quasicategory(X: SimplicialSet, d: int, budget: int = 10**6) -> dict:
     checked = 0
     for n in range(2, d + 1):
         for k in range(1, n):
-            for h in sx.horn_maps(X, n, k, budget=budget):
+            for h in sx.horn_maps(X, n, k):
                 checked += 1
                 if sx.inner_horn_filler(X, h) is None:
                     failures.append((n, k, h))
@@ -181,9 +181,8 @@ class HomFamily(sx.Family):
     """(X^A)_n = maps A x Delta[n] -> X, stored as assignment tuples over the
     generators of the materialized product in canonical order."""
 
-    def __init__(self, A: SimplicialSet, X: SimplicialSet, budget: int = 10**6):
+    def __init__(self, A: SimplicialSet, X: SimplicialSet):
         self.A, self.X = A, X
-        self.budget = budget
         self._prod: dict[int, sx.Span2] = {}
         self._delta: dict[int, SimplicialSet] = {}
 
@@ -203,7 +202,7 @@ class HomFamily(sx.Family):
 
     def elements(self, n):
         P = self.prod(n)
-        maps = sx.enumerate_maps(P, self.X, fixed=self.fixed_for(n), budget=self.budget)
+        maps = sx.enumerate_maps(P, self.X, fixed=self.fixed_for(n))
         order = P.all_gens()
         return [tuple(mp.assign[g] for g in order) for mp in maps]
 
@@ -229,17 +228,16 @@ class HomFamily(sx.Family):
         return self._precompose(n + 1, n, lambda v: v if v <= i else v - 1, x)
 
 
-def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int,
-                 budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(HomFamily(A, X, budget), d)
+def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(HomFamily(A, X), d)
 
 
 class _MappingSpaceFamily(HomFamily):
     """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
     ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
 
-    def __init__(self, X, a: SimplexKey, b: SimplexKey, budget=10**6):
-        super().__init__(sx.delta(1), X, budget)
+    def __init__(self, X, a: SimplexKey, b: SimplexKey):
+        super().__init__(sx.delta(1), X)
         self.a, self.b = a, b
 
     def fixed_for(self, n: int):
@@ -259,9 +257,9 @@ class _MappingSpaceFamily(HomFamily):
         return fixed
 
 
-def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey, d: int,
-                  budget: int = 10**6) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(_MappingSpaceFamily(X, a, b, budget), d)
+def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
+                  d: int) -> sx.MaterializedSSet:
+    return sx.MaterializedSSet(_MappingSpaceFamily(X, a, b), d)
 
 
 def ho_table_equivalence(ho_s: _HoCategory, ho_t: _HoCategory, push) -> dict:

@@ -180,12 +180,12 @@ class _DiagramUniverse:
         raise AssertionError("pushout mediator missing; universal property violated")
 
 
-def _grid_level(uni, kind, n, zeros, qualifies, row, d, budget) -> _GridConstruction:
+def _grid_level(uni, kind, n, zeros, qualifies, row, d) -> _GridConstruction:
     """Level n of a grid construction: the maps shape -> nerve with the
     elements ``zeros`` at the zero object that pass ``qualifies``, marked
     along the vertex elements ``row``."""
     fixed = {uni.vgen[e]: uni.W.zero for e in zeros}
-    maps_all = sx.enumerate_maps(uni.shape, uni.N, fixed=fixed, budget=budget)
+    maps_all = sx.enumerate_maps(uni.shape, uni.N, fixed=fixed)
     good = [mp for mp in maps_all if qualifies(mp)]
     report = {"enumerated": len(maps_all), "level": n, "kind": kind}
     return _build_level(uni, good, row, d, report)
@@ -247,7 +247,7 @@ def _top_row_cofibration(uni, maps, row, m):
     return True, None
 
 
-def s_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
+def s_n(W: WaldhausenData, n: int, d: int = 2,
         shape: SimplicialSet = None) -> _GridConstruction:
     """Level n of the staircase construction: diagrams over the full arrow
     poset nerve with zero diagonal, marked top-to-right morphisms, and
@@ -275,7 +275,7 @@ def s_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
         return True
 
     level = _grid_level(uni, "staircase", n, [(i, i) for i in range(n + 1)], qualifies,
-                        [(0, j) for j in range(n + 1)], d, budget)
+                        [(0, j) for j in range(n + 1)], d)
     level.report["dropped_rows"] = _count_dropped_rows(uni, level.maps, n)
     return level
 
@@ -299,7 +299,7 @@ def _count_dropped_rows(uni, good, n):
     return len(rows - present)
 
 
-def s_bar_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
+def s_bar_n(W: WaldhausenData, n: int, d: int = 2,
             ambient: SimplicialSet = None) -> _GridConstruction:
     """Level n of the restricted construction: diagrams over the unit-square
     grid only, with conditions on adjacent squares."""
@@ -326,10 +326,10 @@ def s_bar_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6,
         return True
 
     return _grid_level(uni, "restricted", n, [(i, i) for i in range(n + 1)], qualifies,
-                       [(0, j) for j in range(n + 1)], d, budget)
+                       [(0, j) for j in range(n + 1)], d)
 
 
-def f_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -> _GridConstruction:
+def f_n(W: WaldhausenData, n: int, d: int = 2) -> _GridConstruction:
     """Level n of the cofibration-sequence construction: the 0-full part of
     the diagram category over the spine on sequences of marked edges."""
     K = sx.spine(n)
@@ -338,7 +338,7 @@ def f_n(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -> _GridCons
     def qualifies(mp):
         return all(uni.marked(uni.mor_at(mp, i - 1, i)) for i in range(1, n + 1))
 
-    return _grid_level(uni, "sequences", n, [], qualifies, list(range(n + 1)), d, budget)
+    return _grid_level(uni, "sequences", n, [], qualifies, list(range(n + 1)), d)
 
 
 # -- functors between levels ----------------------------------------------------
@@ -419,7 +419,7 @@ def _reflects_marking(F: FinFunctor, src_marked, tgt_marked) -> dict:
     return {"reflects_cofibrations": ok, "witness": witness}
 
 
-def forgetful_maps(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -> dict:
+def forgetful_maps(W: WaldhausenData, n: int, d: int = 2) -> dict:
     """The two comparison maps at level n: restriction from the full grid to
     the unit-square grid, and further to the top row read as a sequence of
     n-1 cofibrations.  Each comes with a table-checked equivalence verdict
@@ -428,9 +428,9 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2, budget: int = 10**6) -
     if n < 1:
         raise ValueError("comparison maps need n >= 1")
     A = ar_nerve(n)
-    full_level = s_n(W, n, d, budget=budget, shape=A)
-    bar_level = s_bar_n(W, n, d, budget=budget, ambient=A)
-    seq_level = f_n(W, n - 1, d, budget=budget)
+    full_level = s_n(W, n, d, shape=A)
+    bar_level = s_bar_n(W, n, d, ambient=A)
+    seq_level = f_n(W, n - 1, d)
 
     bar, seq = bar_level.uni, seq_level.uni
     incl_bar = SimplicialMap(bar.shape, A, {g: bar.shape.labels[g] for g in bar.shape.all_gens()})

@@ -9,10 +9,15 @@ Every object carries an explicit dimension bound (``bound``); ``bound = None``
 means the object is complete (no unknown generators in any dimension).
 Operations that would need simplices above the bound raise ``BoundExceeded``
 rather than silently truncating.
+
+Searches charge one node per partial assignment to the budget ledger of
+:func:`budget`, and raise ``BudgetExceeded`` when it runs out.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional
@@ -25,11 +30,45 @@ class BoundExceeded(Exception):
 
 
 class BudgetExceeded(Exception):
-    """An enumeration exceeded its configured budget."""
+    """A search passed the node limit of its budget ledger."""
 
     def __init__(self, message, attempted=None):
         super().__init__(message)
         self.attempted = attempted
+
+
+DEFAULT_BUDGET = 10**6
+
+
+class _Ledger:
+    """Search nodes used against a limit.  A search charges a node as
+    ``used += 1`` and calls ``overrun`` once ``used`` passes ``limit``."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def overrun(self):
+        raise BudgetExceeded(f"search budget of {self.limit} nodes exceeded", self.used)
+
+
+_LEDGER: contextvars.ContextVar[Optional[_Ledger]] = contextvars.ContextVar(
+    "qcatk_budget", default=None)
+
+
+@contextlib.contextmanager
+def budget(limit: int = DEFAULT_BUDGET):
+    """Charge every search inside the block to one ledger of ``limit``
+    nodes, which the block yields.  Outside any block each search has a
+    ledger of its own with ``DEFAULT_BUDGET`` nodes."""
+    ledger = _Ledger(limit)
+    token = _LEDGER.set(ledger)
+    try:
+        yield ledger
+    finally:
+        _LEDGER.reset(token)
 
 
 class NotQuasicategory(Exception):
@@ -313,8 +352,6 @@ class Family:
     ``face(n, x, i)`` and ``degeneracy(n, x, i)``.
     """
 
-    category = None
-
     def elements(self, n: int):
         raise NotImplementedError
 
@@ -332,7 +369,7 @@ class MaterializedSSet(SimplicialSet):
     or out of the materialization can be built from raw elements.
     """
 
-    def __init__(self, family: Family, d: int, complete=False, category=None):
+    def __init__(self, family: Family, d: int, complete=False):
         self.family = family
         gens_per_dim: list[list[Any]] = []
         self._elem_gen: dict[tuple[int, Any], Gen] = {}
@@ -376,13 +413,7 @@ class MaterializedSSet(SimplicialSet):
                 if n > 0:
                     faces[g] = tuple(key_of(n - 1, family.face(n, x, i)) for i in range(n + 1))
             gens_per_dim.append(len(layer))
-        super().__init__(
-            gens_per_dim,
-            faces,
-            labels=labels,
-            bound=None if complete else d,
-            category=category if category is not None else family.category,
-        )
+        super().__init__(gens_per_dim, faces, labels=labels, bound=None if complete else d)
         self._key_memo = key_memo
         self._key_of_fn = key_of
 
@@ -403,7 +434,7 @@ class MaterializedSSet(SimplicialSet):
 # -- standard objects ------------------------------------------------------
 
 
-def _subset_complex(subsets, category=None) -> SimplicialSet:
+def _subset_complex(subsets) -> SimplicialSet:
     """Simplicial set whose nondegenerate simplices are the given vertex
     subsets of some [n] (each a sorted tuple), closed under taking faces."""
     by_dim: dict[int, list[tuple[int, ...]]] = {}
@@ -429,7 +460,7 @@ def _subset_complex(subsets, category=None) -> SimplicialSet:
                 raise ValueError(f"subset complex not closed under faces: {t} missing")
             row.append(SimplexKey(index[t]))
         faces[g] = tuple(row)
-    return SimplicialSet(n_gens, faces, labels=labels, bound=None, category=category)
+    return SimplicialSet(n_gens, faces, labels=labels, bound=None)
 
 
 def delta(n: int) -> SimplicialSet:
@@ -500,8 +531,6 @@ def delta_inclusion(source: SimplicialSet, target: SimplicialSet, vertex_map) ->
 class ProductFamily(Family):
     def __init__(self, X: SimplicialSet, Y: SimplicialSet):
         self.X, self.Y = X, Y
-        if X.category is not None and Y.category is not None:
-            self.category = X.category.product(Y.category)
 
     def elements(self, n):
         return [(a, b) for a in self.X.simplices(n) for b in self.Y.simplices(n)]
@@ -518,7 +547,6 @@ class _PullbackFamily(ProductFamily):
         if f.target is not g.target:
             raise ValueError("pullback legs must share a target")
         super().__init__(f.source, g.source)
-        self.category = None
         self.f, self.g = f, g
 
     def elements(self, n):
@@ -567,8 +595,6 @@ class _JoinFamily(Family):
 
     def __init__(self, A: SimplicialSet, B: SimplicialSet):
         self.A, self.B = A, B
-        if A.category is not None and B.category is not None:
-            self.category = A.category.join(B.category)
 
     def elements(self, n):
         out = [("a", k) for k in self.A.simplices(n)]
@@ -621,9 +647,8 @@ def join(A: SimplicialSet, B: SimplicialSet, d: int) -> Span2:
 class _SubFamily(Family):
     """Subcomplex of a simplicial set on a face-closed set of keys."""
 
-    def __init__(self, X: SimplicialSet, keep: Callable[[SimplexKey], bool], d: int, category=None):
+    def __init__(self, X: SimplicialSet, keep: Callable[[SimplexKey], bool], d: int):
         self.X, self.keep, self.d = X, keep, d
-        self.category = category
 
     def elements(self, n):
         return [k for k in self.X.simplices(n) if self.keep(k)]
@@ -635,25 +660,25 @@ class _SubFamily(Family):
         return self.X.degeneracy(x, i)
 
 
-def subcomplex(X: SimplicialSet, keep, d: int, category=None) -> tuple[MaterializedSSet, SimplicialMap]:
+def subcomplex(X: SimplicialSet, keep, d: int) -> tuple[MaterializedSSet, SimplicialMap]:
     """Materialize the subcomplex of keys satisfying ``keep`` (which must be
     face-closed) together with its inclusion."""
-    S = MaterializedSSet(_SubFamily(X, keep, d, category=category), d)
+    S = MaterializedSSet(_SubFamily(X, keep, d), d)
     incl = SimplicialMap(S, X, {g: S.labels[g] for g in S.all_gens()})
     return S, incl
 
 
-def full_subcomplex(X: SimplicialSet, vertices_keep, d: int, category=None):
+def full_subcomplex(X: SimplicialSet, vertices_keep, d: int):
     """0-full subcomplex on a set of vertex keys."""
     vs = set(vertices_keep)
 
     def keep(k):
         return all(v in vs for v in X.vertices(k))
 
-    return subcomplex(X, keep, d, category=category)
+    return subcomplex(X, keep, d)
 
 
-def one_full_subcomplex(X: SimplicialSet, edge_keep, d: int, category=None):
+def one_full_subcomplex(X: SimplicialSet, edge_keep, d: int):
     """1-full subcomplex on the edges satisfying ``edge_keep``: the simplices
     all of whose edges, degenerate ones included, satisfy it.
 
@@ -675,7 +700,7 @@ def one_full_subcomplex(X: SimplicialSet, edge_keep, d: int, category=None):
                 memo[k] = all(keep(X.face(k, i)) for i in range(n + 1))
         return memo[k]
 
-    return subcomplex(X, keep, d, category=category)
+    return subcomplex(X, keep, d)
 
 
 # -- map enumeration -------------------------------------------------------
@@ -685,7 +710,6 @@ def enumerate_maps(
     K: SimplicialSet,
     X: SimplicialSet,
     fixed: Optional[dict[Gen, SimplexKey]] = None,
-    budget: int = 10**6,
 ) -> list[SimplicialMap]:
     """All simplicial maps K -> X, ordered lexicographically by assignment
     in ``K.all_gens()`` order.
@@ -700,14 +724,12 @@ def enumerate_maps(
     2-simplex is fixed by its boundary, so its lookup is the composition
     check of a functor and every higher generator has at most one
     candidate.
-    ``budget`` (the CLI's ``--budget``) bounds the nodes this search
-    visits, one per partial assignment, so the budget a search needs
-    depends on the search order; ``BudgetExceeded`` reports the node that
-    passed it.  It is :func:`relative_maps` with nothing inner.  A lifting
-    check (``lifting.rlp_check``) is one or two relative searches, so there
-    the budget bounds the whole check, not the search for one boundary map.
+    It is :func:`relative_maps` with nothing inner, and charges one node
+    per partial assignment to the ledger of the enclosing :func:`budget`
+    block (the CLI's ``--budget``, for the whole command), so the nodes a
+    search needs depend on the search order.
     """
-    return relative_maps(K, X, fixed=fixed, budget=budget)[0][1]
+    return relative_maps(K, X, fixed=fixed)[0][1]
 
 
 def relative_maps(
@@ -716,7 +738,6 @@ def relative_maps(
     inner: Iterable[Gen] = (),
     restrict: Optional[Iterable[dict[Gen, SimplexKey]]] = None,
     fixed: Optional[dict[Gen, SimplexKey]] = None,
-    budget: int = 10**6,
 ) -> list[tuple[dict[Gen, SimplexKey], list[SimplicialMap]]]:
     """Every map u from a face-closed set ``inner`` of K's generators into
     X, each with its extensions to maps K -> X: pairs ``(u, maps)``, u a
@@ -731,8 +752,10 @@ def relative_maps(
     u.  ``restrict`` limits u to the given assignments of ``inner``, through
     a prefix trie in search order; candidates still come from
     ``X.boundary_index``, so an assignment that is not a map yields nothing.
-    ``budget`` bounds the nodes of the whole search, over ``inner`` and
-    below it.
+    Every node, over ``inner`` and below it, is charged to the ledger of
+    the enclosing :func:`budget` block, or to a ledger of
+    ``DEFAULT_BUDGET`` nodes for this search alone outside any block;
+    ``BudgetExceeded`` reports the node count that passed the limit.
     """
     X.require_bound(K.top_dim, "map enumeration")
     fixed = fixed or {}
@@ -760,14 +783,14 @@ def relative_maps(
             for g in order[:depth]:
                 node = node.setdefault(u[g], {})
 
-    counter = [0]
+    ledger = _LEDGER.get() or _Ledger(DEFAULT_BUDGET)
     found: list[tuple[dict[Gen, SimplexKey], list[SimplicialMap]]] = []
     assign: dict[Gen, SimplexKey] = {}
 
     def rec(pos, node):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded("map enumeration budget exceeded", counter[0])
+        ledger.used += 1
+        if ledger.used > ledger.limit:
+            ledger.overrun()
         if pos == depth:
             found.append(({g: assign[g] for g in inner_gens}, []))
             node = None
@@ -854,17 +877,18 @@ def inner_horn_filler(X: SimplicialSet, h: SimplicialMap) -> Optional[SimplexKey
     return simplex_with_faces(X, n, wanted)
 
 
-def horn_maps(X: SimplicialSet, n: int, k: int, budget: int = 10**6):
+def horn_maps(X: SimplicialSet, n: int, k: int):
     """All horn maps Lambda^k[n] -> X."""
-    return enumerate_maps(horn(n, k), X, budget=budget)
+    return enumerate_maps(horn(n, k), X)
 
 
 # -- isomorphism search ----------------------------------------------------
 
 
-def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int, budget: int = 10**6):
+def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int):
     """A face-compatible dimension-wise bijection of generators up to d,
-    or None.  Raises BudgetExceeded if the search is cut off."""
+    or None.  Charges one node per partial bijection to the ledger, as
+    :func:`relative_maps` does."""
     dx = min(d, X.top_dim)
     dy = min(d, Y.top_dim)
     if dx != dy:
@@ -873,7 +897,7 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int, budget: int = 10**6):
         if len(X.gens(n)) != len(Y.gens(n)):
             return None
     gens_in_order = [g for n in range(dx + 1) for g in X.gens(n)]
-    counter = [0]
+    ledger = _LEDGER.get() or _Ledger(DEFAULT_BUDGET)
     assign: dict[Gen, Gen] = {}
     used: set[Gen] = set()
 
@@ -881,9 +905,9 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int, budget: int = 10**6):
         return SimplexKey(assign[key.gen], key.degens)
 
     def rec(pos):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded("isomorphism search budget exceeded", counter[0])
+        ledger.used += 1
+        if ledger.used > ledger.limit:
+            ledger.overrun()
         if pos == len(gens_in_order):
             return dict(assign)
         g = gens_in_order[pos]

@@ -15,7 +15,7 @@ from typing import Optional
 from . import joinslice as js
 from . import quasicat as qc
 from . import simplicial as sx
-from .cats import FinCategory, nerve, pushout_in_category
+from .cats import FinCategory, functor_from_nerve_map, nerve, pushout_in_category
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 
@@ -66,20 +66,24 @@ def _edge_morphism(X: SimplicialSet, e: SimplexKey):
     return X.labels[e.gen][0]
 
 
-def validate_waldhausen(W: WaldhausenData, d: int = 2, budget: int = 10**6) -> dict:
+def validate_waldhausen(W: WaldhausenData, d: int = 2) -> dict:
     """Validate the three axioms to the stated bound.
 
     For nerve-backed data, pushouts are checked with the 1-categorical
     universal-property oracle; without a category they are checked as
-    initial cocones in the slice (much slower).
+    initial cocones in the slice (much slower).  Data that is not a
+    quasicategory has no homotopy category, so the report stops at that
+    violation.
     """
     X = W.underlying
     report = {"dim": d, "violations": [], "local_failures": [], "checks": {}}
 
-    qrep = qc.is_quasicategory(X, min(d, 2), budget=budget)
+    qrep = qc.is_quasicategory(X, min(d, 2))
     report["checks"]["quasicategory"] = qrep["ok"]
     if not qrep["ok"]:
         report["violations"].append(("not-quasicategory", qrep["failures"][:3]))
+        report["ok"] = False
+        return report
 
     ho = qc.ho_category(X)
 
@@ -139,7 +143,7 @@ def validate_waldhausen(W: WaldhausenData, d: int = 2, budget: int = 10**6) -> d
                     v0: X.vertex(f, 0), v1: X.vertex(f, 1), v2: X.vertex(g, 1),
                     e01: f, e02: g,
                 })
-                ccs = js.colimiting_cocones(span, 1, budget=budget)
+                ccs = js.colimiting_cocones(span, 1)
                 if not ccs:
                     kind = "local" if W.bounded else "fatal"
                     entry = ("pushout-missing", f, g)
@@ -182,11 +186,8 @@ def cof_category(W: WaldhausenData) -> Optional[FinCategory]:
 
 
 def cof_subquasicategory(W: WaldhausenData, d: int = 2):
-    """1-full subcomplex on marked edges, with inclusion.  Nerve-backed data
-    gets the subcategory attached for fast enumeration."""
-    sub = cof_category(W)
-    return sx.one_full_subcomplex(W.underlying, W.is_cof, d,
-                                  category=sub)
+    """1-full subcomplex on marked edges, with inclusion."""
+    return sx.one_full_subcomplex(W.underlying, W.is_cof, d)
 
 
 def admits_factorization(W: WaldhausenData) -> bool:
@@ -244,17 +245,7 @@ def validate_exact(G: ExactFunctorData, d: int = 2) -> dict:
     XS, XT = G.source.underlying, G.target.underlying
     if XS.category is not None and XT.category is not None:
         CS, CT = XS.category, XT.category
-
-        def obj_image(o):
-            k = f(SimplexKey(XS.gen_of_label(o)))
-            return XT.labels[k.gen]
-
-        def mor_image(m):
-            if m in CS.id_set:
-                obj = next(o for o, i in CS.ids.items() if i == m)
-                return CT.ids[obj_image(obj)]
-            return _edge_morphism(XT, f(SimplexKey(XS.gen_of_label((m,)))))
-
+        F = functor_from_nerve_map(f)
         marked = {_edge_morphism(XS, e) for e in G.source.edges() if G.source.is_cof(e)}
         for m1 in CS.morphisms:
             if m1 not in marked:
@@ -267,8 +258,8 @@ def validate_exact(G: ExactFunctorData, d: int = 2) -> dict:
                     continue
                 dd, i, j = po
                 ok = is_pushout_cocone(
-                    CT, mor_image(m1), mor_image(m2),
-                    obj_image(dd), mor_image(i), mor_image(j),
+                    CT, F.mor_map[m1], F.mor_map[m2],
+                    F.obj_map[dd], F.mor_map[i], F.mor_map[j],
                 )
                 if not ok:
                     report["violations"].append(("pushout-not-preserved", m1, m2))
@@ -329,7 +320,7 @@ def _square_as_cocone(square: SimplicialMap):
 
 
 def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
-                               d: int = 1, budget: int = 10**6) -> bool:
+                               d: int = 1) -> bool:
     """True iff one leg of the square is marked and the square is a
     colimiting cocone over its span.
 
@@ -355,7 +346,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
         i_m = _edge_morphism(X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((1,))), SimplexKey((0, 0))))))
         j_m = _edge_morphism(X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
         return is_pushout_cocone(C, f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
-    sl = js.slice_under(base, d + 1, budget=budget)
+    sl = js.slice_under(base, d + 1)
     fam = sl.family
     target_tuple = tuple(ext.assign[h] for h in fam.joined(0).all_gens())
     vkey = None
@@ -365,7 +356,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
             break
     if vkey is None:
         return False
-    rep = js.is_initial(sl, vkey, d, budget=budget)
+    rep = js.is_initial(sl, vkey, d)
     return rep["verdict"].startswith("confirmed")
 
 

@@ -95,8 +95,9 @@ def test_04_spine_maps_into_nerves_extend_uniquely():
             S = sx.spine(n)
             D = sx.delta(n)
             inc = sx.delta_inclusion(S, D, lambda v: v)
-            spine_maps = sx.enumerate_maps(S, N, budget=10**7)
-            simplex_maps = sx.enumerate_maps(D, N, budget=10**7)
+            with sx.budget(10**7):
+                spine_maps = sx.enumerate_maps(S, N)
+                simplex_maps = sx.enumerate_maps(D, N)
             restrictions = {}
             for f in simplex_maps:
                 key = tuple(sorted(f.compose(inc).assign.items()))
@@ -193,7 +194,8 @@ def test_09_comma_fibre_check_on_equivalences_and_a_failure():
 
 def _promotable_pairs(X, n):
     P = sx.product(sx.spine(n), sx.delta(1), n + 1).sset
-    maps = sx.enumerate_maps(P, X, budget=10**7)
+    with sx.budget(10**7):
+        maps = sx.enumerate_maps(P, X)
     S, D1 = P.family.X, P.family.Y
     comp = P.key_of(1, (
         sx.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0),

@@ -16,6 +16,7 @@ from qcatk.cats import chain_poset, cyclic_group_category, nerve, pointed_sets_c
 from qcatk.cli import main
 from qcatk.waldhausen import (
     ExactFunctorData,
+    WaldhausenData,
     maximal_marking_waldhausen,
     pointed_sets_waldhausen,
 )
@@ -85,6 +86,20 @@ def test_join_with_associativity_check(files, capsys):
     assert rep["associative"]
 
 
+def test_the_join_of_two_nerves_validates(files, capsys):
+    code, rep = _run(capsys, ["nerve", files["chain2"]])
+    assert code == 0
+    nerve_path = files["dir"] / "n.json"
+    nerve_path.write_text(io.dumps(rep["sset"]))
+    code, rep = _run(capsys, ["join", str(nerve_path), str(nerve_path)])
+    assert code == 0
+    join_path = files["dir"] / "j.json"
+    join_path.write_text(io.dumps(rep["sset"]))
+    code, rep = _run(capsys, ["validate", str(join_path)])
+    assert code == 0
+    assert rep["valid"]
+
+
 def test_k0_emits_invariant_factors(files, capsys):
     code, rep = _run(capsys, ["k0", files["ps2"]])
     assert code == 0
@@ -125,6 +140,18 @@ def test_a_simplicial_set_that_is_not_a_quasicategory_exits_one(files, capsys):
     assert "no composite" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_waldhausen_data_that_is_not_a_quasicategory_is_reported(files, capsys):
+    path = files["dir"] / "horn_w.json"
+    W = WaldhausenData(sx.horn(2, 1), sx.SimplexKey((0, 0)), frozenset())
+    path.write_text(io.dumps(io.serialize_waldhausen(W)))
+    code = main(["waldhausen-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    rep = json.loads(captured.out)
+    assert rep["checks"]["quasicategory"] is False
+    assert [v[0] for v in rep["violations"]] == ["not-quasicategory"]
+
+
 def test_lift_prism_failure_sets_the_finding_exit_code(files, capsys):
     code, rep = _run(capsys, ["lift", files["bdincl"], "--shape", "prism"])
     assert code == 1
@@ -142,6 +169,16 @@ def test_budget_exhaustion_exits_two(files, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("limit, code", [(1600, 2), (1877, 2), (1878, 0)])
+def test_the_budget_bounds_the_whole_command(files, capsys, limit, code):
+    # approx on dup(2,2) makes many searches, 1,878 nodes in all; the largest
+    # of them has 1,483, so a budget per search let it pass at 1,600
+    assert main(["approx", files["dup"], "--budget", str(limit)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert json.loads(captured.err)["error"] == f"search budget of {limit} nodes exceeded"
 
 
 def test_dimension_guard_exits_one_with_pointer(files, capsys):

@@ -111,14 +111,14 @@ def test_restriction_check_reports_missing_colimits():
 
 def test_cone_extension_holds_in_a_nerve_with_terminal_object():
     N = nerve(chain_poset(2), 3)
-    rep = js.cone_extension_check(N, poset_budget=2)
+    rep = js.cone_extension_check(N)
     assert rep["verdict"] == "pass"
     assert rep["maps_tested"] > 0
 
 
 def test_cone_extension_fails_without_a_terminal_object():
     N = nerve(poset_category(range(2), lambda a, b: a == b), 2)
-    rep = js.cone_extension_check(N, poset_budget=2)
+    rep = js.cone_extension_check(N)
     assert rep["verdict"] == "fail"
     assert rep["failures"]
 

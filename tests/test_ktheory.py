@@ -130,11 +130,11 @@ def test_endpoint_inclusion_fails_the_fibre_check_with_witness():
 def test_main_comparison_hypotheses_and_conclusion():
     N = nerve(chain_poset(1), 3)
     ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
-    rep = kt.main_technical_verify(ident, d=2, poset_budget=2)
+    rep = kt.main_technical_verify(ident, d=2)
     assert rep["hypotheses_hold"]
     assert rep["conclusion"]["agree"]
     inc = sx.delta_inclusion(sx.delta(0), sx.delta(1), lambda _: 0)
-    rep = kt.main_technical_verify(inc, d=2, poset_budget=2)
+    rep = kt.main_technical_verify(inc, d=2)
     assert not rep["hypotheses"]["essentially_surjective"]
 
 

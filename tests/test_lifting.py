@@ -56,12 +56,13 @@ def test_unknown_horn_kind_is_rejected():
 # the prism construction
 
 
-def _parallel_pairs(X, n, budget=10**6):
+def _parallel_pairs(X, n):
     """Ordered parallel pairs of transformations I[n] x Delta[1] -> X whose
     last components agree up to homotopy (here: on the nose), along with the
     pairs whose last components differ."""
     P = sx.product(sx.spine(n), sx.delta(1), n + 1).sset
-    maps = sx.enumerate_maps(P, X, budget=budget)
+    with sx.budget(10**7):
+        maps = sx.enumerate_maps(P, X)
     S, D1 = P.family.X, P.family.Y
     last = sx.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0)
     edge = SimplexKey(D1.gen_of_label((0, 1)))
@@ -114,7 +115,7 @@ def test_randomized_prism_instances_in_groupoid_nerves():
         rng = random.Random(seed)
         C = random_groupoid(rng)
         X = nerve(C, 3)
-        P, _, pairs, _ = _parallel_pairs(X, 1, budget=10**7)
+        P, _, pairs, _ = _parallel_pairs(X, 1)
         for alpha, beta in pairs[:4]:
             rep = lf.homotopy_from_last_component(X, alpha, beta)
             assert rep["status"] == "ok", (seed, rep)
@@ -155,7 +156,7 @@ def _find_simplex(X, n, want):
 def _filler_reports(X, n):
     """Prism-construction reports, both directions, for a few promotable
     and a few non-promotable pairs, then every horn-filler audit."""
-    _, _, pairs, others = _parallel_pairs(X, n, budget=10**7)
+    _, _, pairs, others = _parallel_pairs(X, n)
     out = []
     for direction in ("last", "first"):
         for alpha, beta in pairs[:6] + others[:3]:
@@ -193,7 +194,7 @@ def test_prism_fills_match_the_scanning_oracle(monkeypatch, category, n):
 def test_non_parallel_inputs_are_rejected():
     X = nerve(cyclic_group_category(3), 3)
     P = sx.product(sx.spine(1), sx.delta(1), 2).sset
-    maps = sx.enumerate_maps(P, X, budget=10**6)
+    maps = sx.enumerate_maps(P, X)
     bad = next(
         (a, b) for a in maps for b in maps if not lf._parallel(a, b)
     )
@@ -211,11 +212,6 @@ def test_components_hypothesis_in_small_nerves():
     rep = lf.components_hypothesis_check(nerve(cyclic_group_category(2), 3), nbar=(1,))
     assert rep["verdict"] == "pass"
     assert rep["tested_p"] == [1]
-
-
-def test_components_hypothesis_with_no_budget_is_inconclusive():
-    rep = lf.components_hypothesis_check(nerve(chain_poset(1), 2), p_budget=0)
-    assert rep["verdict"] == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,8 @@ def test_group_nerve_has_the_strong_replacement_property():
 
 def test_strong_replacement_on_a_spine_shape():
     N = nerve(chain_poset(1), 4)
-    rep = lf.rlp_check(N, (1,), kind="strong-replacement", budget=10**7)
+    with sx.budget(10**7):
+        rep = lf.rlp_check(N, (1,), kind="strong-replacement")
     assert rep["verdict"] == "pass"
     assert rep["problems"] == 10
     assert rep["nbar"] == (1,)
@@ -256,7 +253,7 @@ def _fixed_from_boundary(Bd, u, push=None):
     return {Bd.labels[gb].gen: push(val) if push else val for gb, val in u.assign.items()}
 
 
-def rlp_check_oracle(G, nbar=(), kind="prism", budget=10**6):
+def rlp_check_oracle(G, nbar=(), kind="prism"):
     """The lifting checks one boundary map at a time: the boundary maps come
     from a search of the boundary subcomplex, then each gets its own
     searches of the whole prism with the boundary ``fixed``; the reference
@@ -269,12 +266,12 @@ def rlp_check_oracle(G, nbar=(), kind="prism", budget=10**6):
     if kind == "prism":
         A, B = G.source, G.target
         Bd, _ = lf._boundary_subcomplex(P3, D2, strong=False)
-        for u in sx.enumerate_maps(Bd, A, budget=budget):
+        for u in sx.enumerate_maps(Bd, A):
             fixed_b = _fixed_from_boundary(Bd, u, push=G)
-            vs = sx.enumerate_maps(P3, B, fixed=fixed_b, budget=budget)
+            vs = sx.enumerate_maps(P3, B, fixed=fixed_b)
             if not vs:
                 continue
-            lifts = sx.enumerate_maps(P3, A, fixed=_fixed_from_boundary(Bd, u), budget=budget)
+            lifts = sx.enumerate_maps(P3, A, fixed=_fixed_from_boundary(Bd, u))
             images = [G.compose(w).assign for w in lifts]
             for v in vs:
                 problems += 1
@@ -286,10 +283,10 @@ def rlp_check_oracle(G, nbar=(), kind="prism", budget=10**6):
     else:
         B = G.target if isinstance(G, sx.SimplicialMap) else G
         Bd, _ = lf._boundary_subcomplex(P3, D2, strong=True)
-        for u in sx.enumerate_maps(Bd, B, budget=budget):
+        for u in sx.enumerate_maps(Bd, B):
             problems += 1
             fixed = _fixed_from_boundary(Bd, u)
-            if not sx.enumerate_maps(P3, B, fixed=fixed, budget=budget):
+            if not sx.enumerate_maps(P3, B, fixed=fixed):
                 return {"verdict": "fail", "kind": kind, "nbar": nbar,
                         "problems": problems,
                         "witness": {"boundary": dict(u.assign)}}
@@ -372,12 +369,15 @@ def test_a_lift_check_is_one_or_two_searches(monkeypatch):
 
 def test_the_budget_bounds_the_whole_lift_check():
     # one search of 278 nodes, where the per-problem check makes 11 searches
-    # and the largest of them has 243
+    # of 563 nodes in all
     N = nerve(chain_poset(1), 3)
-    assert lf.rlp_check(N, (1,), kind="strong-replacement", budget=278)["verdict"] == "pass"
-    assert rlp_check_oracle(N, (1,), kind="strong-replacement", budget=243)["verdict"] == "pass"
-    with pytest.raises(sx.BudgetExceeded) as exc:
-        lf.rlp_check(N, (1,), kind="strong-replacement", budget=277)
+    with sx.budget(278):
+        assert lf.rlp_check(N, (1,), kind="strong-replacement")["verdict"] == "pass"
+    with sx.budget(10**6) as ledger:
+        assert rlp_check_oracle(N, (1,), kind="strong-replacement")["verdict"] == "pass"
+    assert ledger.used == 563
+    with sx.budget(277), pytest.raises(sx.BudgetExceeded) as exc:
+        lf.rlp_check(N, (1,), kind="strong-replacement")
     assert exc.value.attempted == 278
 
 

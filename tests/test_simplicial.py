@@ -199,9 +199,9 @@ def test_face_keeps_its_errors(X):
 def test_maps_from_simplex_to_nerve_count_composable_strings():
     N = nerve(cyclic_group_category(3), 2)
     # maps Delta[1] -> N(Z/3): one per group element
-    assert len(sx.enumerate_maps(sx.delta(1), N, budget=10**6)) == 3
+    assert len(sx.enumerate_maps(sx.delta(1), N)) == 3
     # maps spine(2) -> N(Z/3): independent choices
-    assert len(sx.enumerate_maps(sx.spine(2), N, budget=10**6)) == 9
+    assert len(sx.enumerate_maps(sx.spine(2), N)) == 9
 
 
 def forward_checking_order(K):
@@ -389,10 +389,14 @@ def plain(N):
 
 
 def search_outcome(search, K, X, fixed, budget):
-    """The ordered assignments found, or the node count at which the
-    budget ran out."""
+    """The ordered assignments found within ``budget`` nodes, or the node
+    count at which the budget ran out.  The library search is charged to a
+    ledger of that size; the oracle keeps its own counter."""
     try:
-        return [m.assign for m in search(K, X, fixed=fixed, budget=budget)]
+        if search is naive_enumerate_maps:
+            return [m.assign for m in search(K, X, fixed=fixed, budget=budget)]
+        with sx.budget(budget):
+            return [m.assign for m in search(K, X, fixed=fixed)]
     except sx.BudgetExceeded as exc:
         return ("budget exceeded", exc.attempted)
 
@@ -514,7 +518,8 @@ def test_search_tries_each_edge_as_soon_as_its_endpoints_are_assigned():
     # early vertices is found only after all later vertices are tried
     # (1,235 nodes here)
     N = nerve(random_category(random.Random(14), 5), 3)
-    assert len(sx.enumerate_maps(sx.spine(3), N, budget=280)) == 39
+    with sx.budget(280):
+        assert len(sx.enumerate_maps(sx.spine(3), N)) == 39
 
 
 def test_prism_boundary_search_tries_each_edge_after_its_endpoints():
@@ -523,7 +528,8 @@ def test_prism_boundary_search_tries_each_edge_after_its_endpoints():
     In, D2 = lf.spine_product((1,)), sx.delta(2)
     P3 = sx.product(In, D2, In.top_dim + 2).sset
     Bd, _ = lf._boundary_subcomplex(P3, D2, strong=False)
-    assert len(sx.enumerate_maps(Bd, N, budget=4504)) == 184
+    with sx.budget(4504):
+        assert len(sx.enumerate_maps(Bd, N)) == 184
 
 
 def test_search_into_a_truncated_nerve_respects_its_bound():
@@ -534,8 +540,8 @@ def test_search_into_a_truncated_nerve_respects_its_bound():
 
 def test_enumeration_budget_is_enforced():
     N = nerve(cyclic_group_category(3), 2)
-    with pytest.raises(sx.BudgetExceeded):
-        sx.enumerate_maps(sx.spine(2), N, budget=2)
+    with sx.budget(2), pytest.raises(sx.BudgetExceeded):
+        sx.enumerate_maps(sx.spine(2), N)
 
 
 def test_fixed_generators_filter_the_enumeration():
@@ -543,7 +549,7 @@ def test_fixed_generators_filter_the_enumeration():
     S = sx.spine(2)
     e01 = S.gen_of_label((0, 1))
     want = SimplexKey(N.gen_of_label((1,)))
-    maps = sx.enumerate_maps(S, N, fixed={e01: want}, budget=10**6)
+    maps = sx.enumerate_maps(S, N, fixed={e01: want})
     assert len(maps) == 3
     assert all(f(SimplexKey(e01)) == want for f in maps)
 
@@ -618,9 +624,11 @@ def test_relative_search_counts_the_nodes_of_the_whole_search():
     assert len(found) == 27  # all boundaries, most with no filler
     # the root, 1 + 1 + 3 + 3 + 9 + 27 nodes over the boundary (one vertex,
     # three edges), and 9 for the fillers below the 9 boundaries that have one
-    assert sx.relative_maps(K, N, inner, budget=54)
-    with pytest.raises(sx.BudgetExceeded) as exc:
-        sx.relative_maps(K, N, inner, budget=53)
+    with sx.budget(54) as ledger:
+        assert sx.relative_maps(K, N, inner)
+    assert ledger.used == 54
+    with sx.budget(53), pytest.raises(sx.BudgetExceeded) as exc:
+        sx.relative_maps(K, N, inner)
     assert exc.value.attempted == 54
 
 
@@ -743,14 +751,14 @@ def test_simplex_with_faces_takes_the_first_simplex_on_a_shared_boundary():
 
 def test_inner_horns_of_a_nerve_fill():
     N = nerve(cyclic_group_category(2), 2)
-    for h in sx.horn_maps(N, 2, 1, budget=10**6):
+    for h in sx.horn_maps(N, 2, 1):
         assert sx.inner_horn_filler(N, h) is not None
 
 
 def test_outer_horns_of_a_group_nerve_fill():
     N = nerve(cyclic_group_category(2), 2)
     for k in (0, 2):
-        for h in sx.horn_maps(N, 2, k, budget=10**6):
+        for h in sx.horn_maps(N, 2, k):
             assert sx.inner_horn_filler(N, h) is not None
 
 
