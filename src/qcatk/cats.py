@@ -356,6 +356,14 @@ def nerve_key_for_string(N: SimplicialSet, morphisms) -> SimplexKey:
     return SimplexKey(base.gen, word)
 
 
+def edge_morphism(C: FinCategory, N: SimplicialSet, k: SimplexKey):
+    """The morphism of C that the edge ``k`` of the nerve N of C names: an
+    identity when ``k`` is degenerate."""
+    if k.is_degenerate:
+        return C.ids[N.labels[k.gen]]
+    return N.labels[k.gen][0]
+
+
 def nerve_faces(N: SimplicialSet, s: tuple) -> tuple:
     """Face keys of the nondegenerate nerve simplex with the composable
     spine string ``s`` of non-identity morphisms: d_0 drops the first
@@ -446,8 +454,7 @@ def functor_from_nerve_map(F: SimplicialMap) -> FinFunctor:
         if m in C.id_set:
             mor_map[m] = D.ids[obj_map[C.src[m]]]
             continue
-        k = F.assign[NC.gen_of_label((m,))]
-        mor_map[m] = D.ids[ND.labels[k.gen]] if k.is_degenerate else ND.labels[k.gen][0]
+        mor_map[m] = edge_morphism(D, ND, F.assign[NC.gen_of_label((m,))])
     return FinFunctor(C, D, obj_map, mor_map)
 
 
@@ -475,12 +482,6 @@ def map_category(
     def obj_of(mp, v):
         return N.labels[mp.assign[v].gen]
 
-    def edge_mor(mp, e):
-        k = mp.assign[e]
-        if k.is_degenerate:
-            return C.ids[N.labels[k.gen]]
-        return N.labels[k.gen][0]
-
     # Everything below composes C-morphisms by number.  Naturality squares
     # are grouped by the later endpoint in the vertex order, and each map's
     # edge morphisms are numbered once.
@@ -490,7 +491,7 @@ def map_category(
         ek = SimplexKey(e)
         p0, p1 = vpos[K.vertex(ek, 0).gen], vpos[K.vertex(ek, 1).gen]
         edges_by_pos.setdefault(max(p0, p1), []).append((k, p0, p1))
-    edge_nums = [[num[edge_mor(mp, e)] for e in K.gens(1)] for mp in maps]
+    edge_nums = [[num[edge_morphism(C, N, mp.assign[e])] for e in K.gens(1)] for mp in maps]
     vert_objs = [[obj_of(mp, v) for v in verts] for mp in maps]
     homs = {xy: [num[m] for m in ms] for xy, ms in C._hom.items()}
 

@@ -121,7 +121,7 @@ def cmd_validate(args):
     elif kind == "exact":
         from .waldhausen import validate_exact
 
-        rep = validate_exact(value, args.dim)
+        rep = validate_exact(value)
         report["exact"] = rep
         report["valid"] = rep["ok"]
     return _emit(report, args, report["valid"])
@@ -277,7 +277,7 @@ def cmd_iterate(args):
 
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
-    exact = validate_exact(G, args.dim)
+    exact = validate_exact(G)
     if not exact["ok"]:
         # a map that is not exact induces no functor between the levels
         return _emit({"exact": exact}, args, False)

@@ -83,6 +83,11 @@ def _name_of(x) -> str:
     return x if isinstance(x, str) else repr(x)
 
 
+def _key_json(names: dict, k: SimplexKey) -> list:
+    """A simplex key as ``[generator-name, [degeneracy indices]]``."""
+    return [names[k.gen], list(k.degens)]
+
+
 # ---------------------------------------------------------------------------
 # simplicial sets
 
@@ -92,16 +97,12 @@ def serialize_sset(X: SimplicialSet) -> dict:
     # the category block is written
     nerve_names = _nerve_names(X) if X.category is not None else None
     names = _label_names(X) if nerve_names is None else nerve_names
-
-    def key_json(k: SimplexKey):
-        return [names[k.gen], list(k.degens)]
-
     out = {
         "bound": X.bound,
         "generators": [sorted(names[g] for g in X.gens(n))
                        for n in range(X.top_dim + 1)],
         "faces": {
-            names[g]: [key_json(k) for k in X.faces[g]]
+            names[g]: [_key_json(names, k) for k in X.faces[g]]
             for g in X.all_gens() if g[0] >= 1
         },
     }
@@ -355,14 +356,10 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
 
 def serialize_waldhausen(W: WaldhausenData) -> dict:
     names = _gen_names(W.underlying)
-
-    def key_json(k: SimplexKey):
-        return [names[k.gen], list(k.degens)]
-
     return {
         "sset": serialize_sset(W.underlying),
-        "zero": key_json(W.zero),
-        "cofibrations": sorted((key_json(k) for k in W.cof)),
+        "zero": _key_json(names, W.zero),
+        "cofibrations": sorted(_key_json(names, k) for k in W.cof),
         "universe": W.universe,
     }
 
@@ -390,33 +387,43 @@ def parse_waldhausen(obj, pointer: str = "") -> WaldhausenData:
     return WaldhausenData(X, zero, frozenset(cofs), universe)
 
 
-def serialize_map(f: SimplicialMap) -> dict:
+def _assign_json(f: SimplicialMap) -> dict:
     snames = _gen_names(f.source)
     tnames = _gen_names(f.target)
+    return {snames[g]: _key_json(tnames, k) for g, k in f.assign.items()}
+
+
+def serialize_map(f: SimplicialMap) -> dict:
     return {
         "source": serialize_sset(f.source),
         "target": serialize_sset(f.target),
-        "assign": {
-            snames[g]: [tnames[k.gen], list(k.degens)]
-            for g, k in f.assign.items()
-        },
+        "assign": _assign_json(f),
     }
 
 
-def _parse_assign(obj, source: SimplicialSet, target: SimplicialSet, pointer: str):
-    _expect(isinstance(obj, dict), "'assign' must be an object", pointer)
+def _parse_checked_map(obj, source: SimplicialSet, target: SimplicialSet,
+                       pointer: str) -> SimplicialMap:
+    """The map that the ``"assign"`` block of the object at ``pointer``
+    gives, checked to commute with the face maps."""
+    assign_obj, p_assign = obj["assign"], pointer + "/assign"
+    _expect(isinstance(assign_obj, dict), "'assign' must be an object", p_assign)
     s_names = _gen_names(source)
     s_of_name = {name: g for g, name in s_names.items()}
     t_of_name = {name: g for g, name in _gen_names(target).items()}
     assign = {}
-    for name, k in obj.items():
-        p = f"{pointer}/{name}"
+    for name, k in assign_obj.items():
+        p = f"{p_assign}/{name}"
         _expect(name in s_of_name, f"unknown source generator {name!r}", p)
         g = s_of_name[name]
         assign[g] = _parse_key(k, t_of_name, g[0], p)
     missing = [s_names[g] for g in source.all_gens() if g not in assign]
-    _expect(not missing, f"assignment missing generators {missing[:3]!r}", pointer)
-    return assign
+    _expect(not missing, f"assignment missing generators {missing[:3]!r}", p_assign)
+    f = SimplicialMap(source, target, assign)
+    try:
+        f.check()
+    except Exception as exc:
+        raise SchemaError(f"not a simplicial map: {exc}", pointer) from exc
+    return f
 
 
 def parse_map(obj, pointer: str = "") -> SimplicialMap:
@@ -425,25 +432,14 @@ def parse_map(obj, pointer: str = "") -> SimplicialMap:
         _expect(field in obj, f"missing '{field}'", pointer)
     source = parse_sset(obj["source"], pointer + "/source")
     target = parse_sset(obj["target"], pointer + "/target")
-    f = SimplicialMap(source, target,
-                      _parse_assign(obj["assign"], source, target, pointer + "/assign"))
-    try:
-        f.check()
-    except Exception as exc:
-        raise SchemaError(f"not a simplicial map: {exc}", pointer) from exc
-    return f
+    return _parse_checked_map(obj, source, target, pointer)
 
 
 def serialize_exact(G: ExactFunctorData) -> dict:
-    snames = _gen_names(G.themap.source)
-    tnames = _gen_names(G.themap.target)
     return {
         "source": serialize_waldhausen(G.source),
         "target": serialize_waldhausen(G.target),
-        "assign": {
-            snames[g]: [tnames[k.gen], list(k.degens)]
-            for g, k in G.themap.assign.items()
-        },
+        "assign": _assign_json(G.themap),
     }
 
 
@@ -455,14 +451,8 @@ def parse_exact(obj, pointer: str = "") -> ExactFunctorData:
         _expect(field in obj, f"missing '{field}'", pointer)
     Ws = parse_waldhausen(obj["source"], pointer + "/source")
     Wt = parse_waldhausen(obj["target"], pointer + "/target")
-    assign = _parse_assign(obj["assign"], Ws.underlying, Wt.underlying,
-                           pointer + "/assign")
-    f = SimplicialMap(Ws.underlying, Wt.underlying, assign)
-    try:
-        f.check()
-    except Exception as exc:
-        raise SchemaError(f"not a simplicial map: {exc}", pointer) from exc
-    return ExactFunctorData(f, Ws, Wt)
+    return ExactFunctorData(_parse_checked_map(obj, Ws.underlying, Wt.underlying, pointer),
+                            Ws, Wt)
 
 
 # ---------------------------------------------------------------------------

@@ -20,86 +20,53 @@ from .simplicial import (
     apply_degeneracy_word,
 )
 
-join = sx.join
+# -- slices ----------------------------------------------------------------------
 
 
-# -- slice families ------------------------------------------------------------
+def _under_act(e, dmap: SimplicialMap):
+    """A monotone map acts on A * Delta[n] through its Delta[n] part."""
+    if e[0] == "a":
+        return e
+    if e[0] == "b":
+        return ("b", dmap(e[1]))
+    return ("j", e[1], dmap(e[2]))
 
 
-class _SliceFamily(sx.Family):
-    """a\\X (side='under') or X/b (side='over') via join extensions."""
+def _over_act(e, dmap: SimplicialMap):
+    """A monotone map acts on Delta[n] * A through its Delta[n] part."""
+    if e[0] == "a":
+        return ("a", dmap(e[1]))
+    if e[0] == "b":
+        return e
+    return ("j", dmap(e[1]), e[2])
 
-    def __init__(self, base: SimplicialMap, side: str):
-        if side not in ("under", "over"):
-            raise ValueError("side must be 'under' or 'over'")
-        self.base = base
-        self.A, self.X = base.source, base.target
-        self.side = side
-        self._join: dict[int, sx.MaterializedSSet] = {}
 
-    def joined(self, n: int) -> sx.MaterializedSSet:
-        if n not in self._join:
-            d = (self.A.top_dim if self.A.top_dim >= 0 else -1) + n + 1
-            if self.side == "under":
-                self._join[n] = sx.join(self.A, sx.delta(n), d).sset
-            else:
-                self._join[n] = sx.join(sx.delta(n), self.A, d).sset
-        return self._join[n]
-
-    def fixed_for(self, n: int):
-        J = self.joined(n)
-        tag = "a" if self.side == "under" else "b"
-        fixed = {}
-        for g in J.all_gens():
-            lbl = J.labels[g]
-            if lbl[0] == tag:
-                fixed[g] = self.base(lbl[1])
-        return fixed
-
-    def elements(self, n):
-        J = self.joined(n)
-        maps = sx.enumerate_maps(J, self.X, fixed=self.fixed_for(n))
-        order = J.all_gens()
-        return [tuple(mp.assign[g] for g in order) for mp in maps]
-
-    def as_map(self, n, x) -> SimplicialMap:
-        return SimplicialMap(self.joined(n), self.X, dict(zip(self.joined(n).all_gens(), x)))
-
-    def _induced(self, n_from, n_to, phi, x):
-        Jf, Jt = self.joined(n_from), self.joined(n_to)
-        f = self.as_map(n_to, x)
-        dmap = sx.delta_inclusion(sx.delta(n_from), sx.delta(n_to), phi)
-
-        def push(elem):
-            if elem[0] == "a":
-                return elem if self.side == "under" else ("a", dmap(elem[1]))
-            if elem[0] == "b":
-                return elem if self.side == "over" else ("b", dmap(elem[1]))
-            _, u, v = elem
-            if self.side == "under":
-                return ("j", u, dmap(v))
-            return ("j", dmap(u), v)
-
-        out = []
-        for g in Jf.all_gens():
-            elem = push(Jf.labels[g])
-            k = Jt.key_of(g[0], elem)
-            out.append(f(k))
-        return tuple(out)
-
-    def face(self, n, x, i):
-        return self._induced(n - 1, n, lambda v: v if v < i else v + 1, x)
-
-    def degeneracy(self, n, x, i):
-        return self._induced(n + 1, n, lambda v: v if v <= i else v - 1, x)
+def _base_values(base: SimplicialMap, tag: str):
+    """The values of ``base`` on the copy of its source tagged ``tag`` in a
+    join."""
+    def fixed(J):
+        return {g: base(J.labels[g][1]) for g in J.all_gens() if J.labels[g][0] == tag}
+    return fixed
 
 
 def slice_under(a: SimplicialMap, d: int) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(_SliceFamily(a, "under"), d)
+    """a\\X: its n-simplices are the maps A * Delta[n] -> X extending a."""
+    A = a.source
+
+    def shape(n):
+        return sx.join(A, sx.delta(n), A.top_dim + n + 1).sset
+
+    return sx.MaterializedSSet(sx.MapFamily(a.target, shape, _under_act, _base_values(a, "a")), d)
 
 
 def slice_over(b: SimplicialMap, d: int) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(_SliceFamily(b, "over"), d)
+    """X/b: its n-simplices are the maps Delta[n] * A -> X extending b."""
+    A = b.source
+
+    def shape(n):
+        return sx.join(sx.delta(n), A, A.top_dim + n + 1).sset
+
+    return sx.MaterializedSSet(sx.MapFamily(b.target, shape, _over_act, _base_values(b, "b")), d)
 
 
 # -- over-quasicategories and comma objects ------------------------------------
@@ -164,13 +131,9 @@ class _Cocone:
     extension: SimplicialMap  # from the join A * Delta[0]
     slice_vertex: SimplexKey  # vertex of a\X it corresponds to
 
-    def tip(self) -> SimplexKey:
-        J = self.extension.source
-        return self.extension(J.key_of(0, ("b", SimplexKey((0, 0)))))
-
 
 def cocones(a: SimplicialMap, slice_sset: sx.MaterializedSSet) -> list[_Cocone]:
-    fam: _SliceFamily = slice_sset.family
+    fam: sx.MapFamily = slice_sset.family
     out = []
     for g in slice_sset.gens(0):
         x = slice_sset.labels[g]
@@ -196,14 +159,14 @@ def colimiting_cocones(a: SimplicialMap, d: int) -> list[dict]:
 def _hom_restriction_map(Hbig: sx.MaterializedSSet, Hsmall: sx.MaterializedSSet,
                          j: SimplicialMap) -> SimplicialMap:
     """Restriction X^{A'} -> X^{A} along j : A -> A', where both homs were
-    materialized from HomFamily instances with the same target."""
-    fb: qc.HomFamily = Hbig.family
-    fs: qc.HomFamily = Hsmall.family
+    ``internal_hom`` materializations with the same target."""
+    fb: sx.MapFamily = Hbig.family
+    fs: sx.MapFamily = Hsmall.family
     assign = {}
     for g in Hbig.all_gens():
         n = g[0]
         f = fb.as_map(n, Hbig.labels[g])
-        Pb, Ps = fb.prod(n), fs.prod(n)
+        Pb, Ps = fb.shape(n), fs.shape(n)
         vals = []
         for h in Ps.all_gens():
             ka, kb = Ps.labels[h]
@@ -229,8 +192,8 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) ->
     colim_vertices = []
     hypothesis_failures = []
     base_with_colim = {}
-    fb: qc.HomFamily = Hbig.family
-    Pb0 = fb.prod(0)
+    fb: sx.MapFamily = Hbig.family
+    Pb0 = fb.shape(0)
     d0vert = SimplexKey((0, 0))
     emb = SimplicialMap(
         AJ.sset,
@@ -249,13 +212,8 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) ->
         base = ext.compose(AJ.left)
         base_key = tuple(sorted(base.assign.items()))
         sl = slice_under(base, d + 1)
-        # find the slice vertex equal to this extension
-        target_tuple = tuple(ext.assign[h] for h in sl.family.joined(0).all_gens())
-        vkey = None
-        for h in sl.gens(0):
-            if sl.labels[h] == target_tuple:
-                vkey = SimplexKey(h)
-                break
+        # the slice vertex equal to this extension: both sides join A and Delta[0]
+        vkey = sl.key_of(0, tuple(ext.assign[h] for h in sl.family.shape(0).all_gens()))
         rep = is_initial(sl, vkey, d)
         if rep["verdict"].startswith("confirmed"):
             colim_vertices.append(v)
@@ -323,7 +281,7 @@ def small_posets(max_size: int = 3) -> list[FinCategory]:
     return out
 
 
-def cone_extension_check(C: SimplicialSet, d: int = None) -> dict:
+def cone_extension_check(C: SimplicialSet) -> dict:
     """Test whether every map NP -> C from the nerve of a poset with at most
     two elements extends over the cone (NP) * 1.  Failure witnesses are
     reported."""

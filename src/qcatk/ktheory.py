@@ -381,9 +381,9 @@ def approximation_verify(G: ExactFunctorData, d: int = 2) -> dict:
     level nerves themselves are never built."""
     from .waldhausen import admits_factorization
 
-    exact_rep = validate_exact(G, d)
+    exact_rep = validate_exact(G)
     # only an exact map restricts to the cofibrations; else this is unchecked
-    cof_equiv = cof_ho_equivalence(G, d)["equivalence"] if exact_rep["ok"] else None
+    cof_equiv = cof_ho_equivalence(G)["equivalence"] if exact_rep["ok"] else None
     refl = reflects_cofibrations(G)
     hypotheses = {
         "exact": exact_rep["ok"],

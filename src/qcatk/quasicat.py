@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import simplicial as sx
-from .cats import FinCategory
+from .cats import FinCategory, edge_morphism
 from .homology import UnionFind
 from .simplicial import (
     NotQuasicategory,
@@ -140,12 +140,7 @@ def ho_equals_category(X: SimplicialSet, C: FinCategory) -> bool:
     if sorted(map(repr, obj_map.values())) != sorted(map(repr, C.objects)):
         return False
 
-    def mor_of(rep: SimplexKey):
-        if rep.is_degenerate:
-            return C.ids[X.labels[rep.gen]]
-        return X.labels[rep.gen][0]
-
-    mors = {m: mor_of(m) for m in ho.cat.morphisms}
+    mors = {m: edge_morphism(C, X, m) for m in ho.cat.morphisms}
     if sorted(map(repr, mors.values())) != sorted(map(repr, C.morphisms)):
         return False
     for (g, f), h in ho.cat.comp.items():
@@ -173,93 +168,39 @@ def maximal_kan(X: SimplicialSet, d: int):
 # -- internal hom -------------------------------------------------------------
 
 
-def _delta_monotone_map(m: int, n: int, phi) -> SimplicialMap:
-    return sx.delta_inclusion(sx.delta(m), sx.delta(n), phi)
+def _act_on_delta(e, dmap: SimplicialMap):
+    """A monotone map acts on a simplex (a, b) of A x Delta[n] through b."""
+    a, b = e
+    return (a, dmap(b))
 
 
-class HomFamily(sx.Family):
-    """(X^A)_n = maps A x Delta[n] -> X, stored as assignment tuples over the
-    generators of the materialized product in canonical order."""
-
-    def __init__(self, A: SimplicialSet, X: SimplicialSet):
-        self.A, self.X = A, X
-        self._prod: dict[int, sx.Span2] = {}
-        self._delta: dict[int, SimplicialSet] = {}
-
-    def prod(self, n: int) -> sx.MaterializedSSet:
-        if n not in self._prod:
-            if self.A.is_empty():
-                P = sx.MaterializedSSet(sx.ProductFamily(self.A, sx.delta(n)), 0)
-                self._prod[n] = sx.Span2(P, None, None)
-            else:
-                d = self.A.top_dim + n
-                self.A.require_bound(d, "internal hom")
-                self._prod[n] = sx.product(self.A, sx.delta(n), d)
-        return self._prod[n].sset
-
-    def fixed_for(self, n: int):
-        return None
-
-    def elements(self, n):
-        P = self.prod(n)
-        maps = sx.enumerate_maps(P, self.X, fixed=self.fixed_for(n))
-        order = P.all_gens()
-        return [tuple(mp.assign[g] for g in order) for mp in maps]
-
-    def as_map(self, n, x) -> SimplicialMap:
-        return SimplicialMap(self.prod(n), self.X, dict(zip(self.prod(n).all_gens(), x)))
-
-    def _precompose(self, n_from, n_to, phi, x):
-        Pf, Pt = self.prod(n_from), self.prod(n_to)
-        f = self.as_map(n_to, x)
-        dmap = _delta_monotone_map(n_from, n_to, phi)
-        out = []
-        for g in Pf.all_gens():
-            ka, kb = Pf.labels[g]
-            target_elem = (ka, dmap(kb))
-            k = Pt.key_of(g[0], target_elem)
-            out.append(f(k))
-        return tuple(out)
-
-    def face(self, n, x, i):
-        return self._precompose(n - 1, n, lambda v: v if v < i else v + 1, x)
-
-    def degeneracy(self, n, x, i):
-        return self._precompose(n + 1, n, lambda v: v if v <= i else v - 1, x)
+def _hom_shape(A: SimplicialSet):
+    """n -> A x Delta[n], materialized to its top dimension."""
+    def shape(n: int) -> sx.MaterializedSSet:
+        if A.is_empty():
+            return sx.MaterializedSSet(sx.ProductFamily(A, sx.delta(n)), 0)
+        A.require_bound(A.top_dim + n, "internal hom")
+        return sx.product(A, sx.delta(n), A.top_dim + n).sset
+    return shape
 
 
 def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(HomFamily(A, X), d)
-
-
-class _MappingSpaceFamily(HomFamily):
-    """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
-    ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
-
-    def __init__(self, X, a: SimplexKey, b: SimplexKey):
-        super().__init__(sx.delta(1), X)
-        self.a, self.b = a, b
-
-    def fixed_for(self, n: int):
-        P = self.prod(n)
-        v0 = self.A.gen_of_label((0,))
-        v1 = self.A.gen_of_label((1,))
-        fixed = {}
-        for g in P.all_gens():
-            ka, _ = P.labels[g]
-            if ka.gen == v0:
-                end = self.a
-            elif ka.gen == v1:
-                end = self.b
-            else:
-                continue
-            fixed[g] = apply_degeneracy_word(end, range(g[0] - 1, -1, -1))
-        return fixed
+    """(X^A)_n = maps A x Delta[n] -> X."""
+    return sx.MaterializedSSet(sx.MapFamily(X, _hom_shape(A), _act_on_delta, lambda P: {}), d)
 
 
 def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
                   d: int) -> sx.MaterializedSSet:
-    return sx.MaterializedSSet(_MappingSpaceFamily(X, a, b), d)
+    """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
+    ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
+    D1 = sx.delta(1)
+    end = {D1.gen_of_label((0,)): a, D1.gen_of_label((1,)): b}
+
+    def fixed(P):
+        return {g: apply_degeneracy_word(end[P.labels[g][0].gen], range(g[0] - 1, -1, -1))
+                for g in P.all_gens() if P.labels[g][0].gen in end}
+
+    return sx.MaterializedSSet(sx.MapFamily(X, _hom_shape(D1), _act_on_delta, fixed), d)
 
 
 def ho_table_equivalence(ho_s: _HoCategory, ho_t: _HoCategory, push) -> dict:

@@ -25,6 +25,7 @@ from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .cats import (
     FinCategory,
     FinFunctor,
+    edge_morphism,
     functor_from_nerve_map,
     map_category,
     nerve,
@@ -152,10 +153,7 @@ class _DiagramUniverse:
     def mor_at(self, mp: SimplicialMap, e1, e2):
         if e1 == e2:
             return self.C.ids[self.obj_at(mp, e1)]
-        k = mp.assign[self.egen[(e1, e2)]]
-        if k.is_degenerate:
-            return self.C.ids[self.N.labels[k.gen]]
-        return self.N.labels[k.gen][0]
+        return edge_morphism(self.C, self.N, mp.assign[self.egen[(e1, e2)]])
 
     def marked(self, m) -> bool:
         return _mor_marked(self.W, self.C, self.N, m)

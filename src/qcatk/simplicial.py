@@ -554,7 +554,7 @@ class _PullbackFamily(ProductFamily):
 
 
 @dataclass
-class Span2:
+class _Span2:
     """A simplicial set with two structure maps (projections/inclusions)."""
 
     sset: MaterializedSSet
@@ -562,13 +562,13 @@ class Span2:
     right: SimplicialMap
 
 
-def product(X: SimplicialSet, Y: SimplicialSet, d: int) -> Span2:
+def product(X: SimplicialSet, Y: SimplicialSet, d: int) -> _Span2:
     for Z in (X, Y):
         Z.require_bound(d, "product")
     P = MaterializedSSet(ProductFamily(X, Y), d, complete=(X.bound is None and Y.bound is None))
     p1 = SimplicialMap(P, X, {g: P.labels[g][0] for g in P.all_gens()})
     p2 = SimplicialMap(P, Y, {g: P.labels[g][1] for g in P.all_gens()})
-    return Span2(P, p1, p2)
+    return _Span2(P, p1, p2)
 
 
 def product_path_key(P: MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
@@ -581,13 +581,13 @@ def product_path_key(P: MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
     return P.key_of(len(path) - 1, (ka, kb))
 
 
-def pullback(f: SimplicialMap, g: SimplicialMap, d: int) -> Span2:
+def pullback(f: SimplicialMap, g: SimplicialMap, d: int) -> _Span2:
     f.source.require_bound(d, "pullback")
     g.source.require_bound(d, "pullback")
     P = MaterializedSSet(_PullbackFamily(f, g), d)
     p1 = SimplicialMap(P, f.source, {h: P.labels[h][0] for h in P.all_gens()})
     p2 = SimplicialMap(P, g.source, {h: P.labels[h][1] for h in P.all_gens()})
-    return Span2(P, p1, p2)
+    return _Span2(P, p1, p2)
 
 
 class _JoinFamily(Family):
@@ -630,7 +630,7 @@ class _JoinFamily(Family):
         return ("j", a, self.B.degeneracy(b, i - a.dim - 1))
 
 
-def join(A: SimplicialSet, B: SimplicialSet, d: int) -> Span2:
+def join(A: SimplicialSet, B: SimplicialSet, d: int) -> _Span2:
     J = MaterializedSSet(_JoinFamily(A, B), d, complete=(A.bound is None and B.bound is None))
     inclA = SimplicialMap(
         A, J, {g: J.key_of(g[0], ("a", SimplexKey(g))) for g in A.all_gens() if g[0] <= d}
@@ -638,7 +638,57 @@ def join(A: SimplicialSet, B: SimplicialSet, d: int) -> Span2:
     inclB = SimplicialMap(
         B, J, {g: J.key_of(g[0], ("b", SimplexKey(g))) for g in B.all_gens() if g[0] <= d}
     )
-    return Span2(J, inclA, inclB)
+    return _Span2(J, inclA, inclB)
+
+
+# -- maps out of a cosimplicial shape --------------------------------------
+
+
+class MapFamily(Family):
+    """Maps out of a cosimplicial shape: the n-simplices are the maps
+    ``shape(n) -> X`` that take the values ``fixed(shape(n))``, a dict of
+    values on some generators, stored as value tuples in
+    ``shape(n).all_gens()`` order.
+
+    A monotone phi : [m] -> [n] sends an element e of ``shape(m)`` to the
+    element ``act(e, dmap)`` of ``shape(n)``, where dmap : Delta[m] ->
+    Delta[n] is the map phi induces; faces and degeneracies precompose
+    along that map.  Internal homs (A x Delta[n]), mapping spaces and
+    slices (A * Delta[n], Delta[n] * A) are its instances.
+    """
+
+    def __init__(self, X: SimplicialSet, shape: Callable[[int], MaterializedSSet],
+                 act: Callable[[Any, SimplicialMap], Any],
+                 fixed: Callable[[MaterializedSSet], dict[Gen, SimplexKey]]):
+        self.X, self.act, self.fixed = X, act, fixed
+        self._shape_of = shape
+        self._shapes: dict[int, MaterializedSSet] = {}
+
+    def shape(self, n: int) -> MaterializedSSet:
+        if n not in self._shapes:
+            self._shapes[n] = self._shape_of(n)
+        return self._shapes[n]
+
+    def elements(self, n):
+        S = self.shape(n)
+        maps = enumerate_maps(S, self.X, fixed=self.fixed(S))
+        order = S.all_gens()
+        return [tuple(mp.assign[g] for g in order) for mp in maps]
+
+    def as_map(self, n, x) -> SimplicialMap:
+        S = self.shape(n)
+        return SimplicialMap(S, self.X, dict(zip(S.all_gens(), x)))
+
+    def _precompose(self, m, n, phi, x):
+        S, T, f = self.shape(m), self.shape(n), self.as_map(n, x)
+        dmap = delta_inclusion(delta(m), delta(n), phi)
+        return tuple(f(T.key_of(g[0], self.act(S.labels[g], dmap))) for g in S.all_gens())
+
+    def face(self, n, x, i):
+        return self._precompose(n - 1, n, lambda v: v if v < i else v + 1, x)
+
+    def degeneracy(self, n, x, i):
+        return self._precompose(n + 1, n, lambda v: v if v <= i else v - 1, x)
 
 
 # -- subcomplexes ----------------------------------------------------------

@@ -15,7 +15,13 @@ from typing import Optional
 from . import joinslice as js
 from . import quasicat as qc
 from . import simplicial as sx
-from .cats import FinCategory, functor_from_nerve_map, nerve, pushout_in_category
+from .cats import (
+    FinCategory,
+    edge_morphism,
+    functor_from_nerve_map,
+    nerve,
+    pushout_in_category,
+)
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 
@@ -56,14 +62,6 @@ def is_pushout_cocone(C: FinCategory, f, g, d, i, j) -> bool:
                 if len(mediators) != 1:
                     return False
     return True
-
-
-def _edge_morphism(X: SimplicialSet, e: SimplexKey):
-    """Underlying category morphism of an edge in a nerve."""
-    C = X.category
-    if e.is_degenerate:
-        return C.ids[X.labels[e.gen]]
-    return X.labels[e.gen][0]
 
 
 def validate_waldhausen(W: WaldhausenData, d: int = 2) -> dict:
@@ -111,7 +109,7 @@ def validate_waldhausen(W: WaldhausenData, d: int = 2) -> dict:
     pushouts_checked = 0
     if X.category is not None:
         C = X.category
-        marked_mors = {_edge_morphism(X, e) for e in W.edges() if W.is_cof(e)}
+        marked_mors = {edge_morphism(C, X, e) for e in W.edges() if W.is_cof(e)}
         for f in C.morphisms:
             if f not in marked_mors:
                 continue
@@ -169,7 +167,7 @@ def cof_category(W: WaldhausenData) -> Optional[FinCategory]:
     if X.category is None:
         return None
     C = X.category
-    marked = {_edge_morphism(X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
+    marked = {edge_morphism(C, X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
     # a composite with an identity is the other morphism, so only marked
     # non-identity pairs need testing
     for f in marked:
@@ -233,7 +231,7 @@ def reflects_cofibrations(G: ExactFunctorData) -> dict:
     return {"reflects": True, "witness": None}
 
 
-def validate_exact(G: ExactFunctorData, d: int = 2) -> dict:
+def validate_exact(G: ExactFunctorData) -> dict:
     report = {"violations": []}
     f = G.themap
     if f(G.source.zero) != G.target.zero:
@@ -246,7 +244,7 @@ def validate_exact(G: ExactFunctorData, d: int = 2) -> dict:
     if XS.category is not None and XT.category is not None:
         CS, CT = XS.category, XT.category
         F = functor_from_nerve_map(f)
-        marked = {_edge_morphism(XS, e) for e in G.source.edges() if G.source.is_cof(e)}
+        marked = {edge_morphism(CS, XS, e) for e in G.source.edges() if G.source.is_cof(e)}
         for m1 in CS.morphisms:
             if m1 not in marked:
                 continue
@@ -267,7 +265,7 @@ def validate_exact(G: ExactFunctorData, d: int = 2) -> dict:
     return report
 
 
-def cof_ho_equivalence(G: ExactFunctorData, d: int = 2) -> dict:
+def cof_ho_equivalence(G: ExactFunctorData) -> dict:
     """Is tau_1(co G) an equivalence of cofibration homotopy categories?"""
     co_s, incl_s = cof_subquasicategory(G.source, 2)
     co_t, incl_t = cof_subquasicategory(G.target, 2)
@@ -340,22 +338,15 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
         if X.category is None:
             raise sx.BoundExceeded("square check needs dimension %d" % need)
         C = X.category
-        f_m, g_m = _edge_morphism(X, leg1), _edge_morphism(X, leg2)
+        f_m, g_m = edge_morphism(C, X, leg1), edge_morphism(C, X, leg2)
         J = ext.source
         tipkey = ext(J.key_of(0, ("b", SimplexKey((0, 0)))))
-        i_m = _edge_morphism(X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((1,))), SimplexKey((0, 0))))))
-        j_m = _edge_morphism(X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
+        i_m = edge_morphism(C, X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((1,))), SimplexKey((0, 0))))))
+        j_m = edge_morphism(C, X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
         return is_pushout_cocone(C, f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
     sl = js.slice_under(base, d + 1)
-    fam = sl.family
-    target_tuple = tuple(ext.assign[h] for h in fam.joined(0).all_gens())
-    vkey = None
-    for g in sl.gens(0):
-        if sl.labels[g] == target_tuple:
-            vkey = SimplexKey(g)
-            break
-    if vkey is None:
-        return False
+    # the slice vertex equal to this cocone: both sides join the horn and Delta[0]
+    vkey = sl.key_of(0, tuple(ext.assign[h] for h in sl.family.shape(0).all_gens()))
     rep = js.is_initial(sl, vkey, d)
     return rep["verdict"].startswith("confirmed")
 

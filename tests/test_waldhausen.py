@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import FinCategory, nerve, poset_category
+from qcatk.cats import FinCategory, edge_morphism, nerve, poset_category
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
-    _edge_morphism,
     admits_factorization,
     cof_category,
     cof_ho_equivalence,
@@ -133,7 +132,7 @@ def cof_category_by_all_pairs(W):
     """Oracle for ``cof_category``: closure tested over all marked pairs."""
     X = W.underlying
     C = X.category
-    marked = {_edge_morphism(X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
+    marked = {edge_morphism(C, X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
     for f in marked:
         for g in marked:
             if C.src[g] == C.tgt[f] and C.compose_mor(g, f) not in marked:
