@@ -15,7 +15,6 @@ presentation oracle).  Map search does not read it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
@@ -205,12 +204,11 @@ class FinCategory:
         return FinCategory(objects, morphisms, src, tgt, ids, comp)
 
 
-@dataclass
 class FinFunctor:
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict
-    mor_map: dict
+    def __init__(self, source: FinCategory, target: FinCategory, obj_map: dict,
+                 mor_map: dict):
+        self.source, self.target = source, target
+        self.obj_map, self.mor_map = obj_map, mor_map
 
     def check(self) -> None:
         """Raise ValueError at the first law the functor breaks: identities,

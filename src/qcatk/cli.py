@@ -8,12 +8,10 @@ embeds the dimension bound and budget it was computed with."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import io
 from . import simplicial as sx
-from .cats import FinCategory, nerve
 from .simplicial import BoundExceeded, BudgetExceeded, NotQuasicategory, SimplexKey
 
 EXIT_PASS = 0
@@ -27,8 +25,10 @@ EXIT_BUDGET = 2
 
 def _jsonable(x):
     """Best-effort conversion of report payloads to plain JSON values."""
-    # a group presentation exists only once a command has imported homology
+    # a group presentation or a category exists only once a command has
+    # imported homology or cats
     homology = sys.modules.get(f"{__package__}.homology")
+    cats = sys.modules.get(f"{__package__}.cats")
     if homology and isinstance(x, homology.AbelianGroupPresentation):
         return {"free_rank": x.free_rank, "torsion": list(x.torsion),
                 "invariant_factors": invariant_factors(x)}
@@ -39,10 +39,8 @@ def _jsonable(x):
                 "assign": {repr(g): repr(k) for g, k in sorted(x.assign.items())}}
     if isinstance(x, sx.SimplicialSet):
         return {"gens": x.n_gens, "bound": x.bound}
-    if isinstance(x, FinCategory):
+    if cats and isinstance(x, cats.FinCategory):
         return io.serialize_category(x)
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return _jsonable(dataclasses.asdict(x))
     if isinstance(x, dict):
         return {k if isinstance(k, str) else repr(k): _jsonable(v)
                 for k, v in x.items()}
@@ -128,6 +126,8 @@ def cmd_validate(args):
 
 
 def cmd_nerve(args):
+    from .cats import nerve
+
     _, C = _load(args.input, "category")
     N = nerve(C, args.dim)
     return _emit({"sset": io.serialize_sset(N)}, args, True)

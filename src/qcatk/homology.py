@@ -4,9 +4,7 @@ and H_1 of normalized chains.  All arithmetic is over Python integers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .simplicial import SimplexKey, SimplicialSet
+from .simplicial import SimplexKey, SimplicialSet, UnionFind
 
 
 def smith_normal_form(A: list[list[int]]):
@@ -117,12 +115,20 @@ def smith_normal_form(A: list[list[int]]):
     return U, D, V
 
 
-@dataclass(frozen=True)
 class AbelianGroupPresentation:
-    """Finitely generated abelian group in invariant-factor form."""
+    """Finitely generated abelian group in invariant-factor form, equal and
+    hashed by value."""
 
-    free_rank: int
-    torsion: tuple[int, ...]  # invariant factors > 1, each dividing the next
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        self.free_rank = free_rank
+        self.torsion = torsion  # invariant factors > 1, each dividing the next
+
+    def __eq__(self, other):
+        return (isinstance(other, AbelianGroupPresentation)
+                and (self.free_rank, self.torsion) == (other.free_rank, other.torsion))
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @property
     def is_trivial(self) -> bool:
@@ -146,29 +152,6 @@ def group_from_relations(num_gens: int, relations: list[list[int]]) -> AbelianGr
 
 
 # -- invariants of simplicial sets -------------------------------------------
-
-
-class UnionFind:
-    """Disjoint sets over hashable, mutually comparable elements; each root
-    is the minimal element of its set."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        """Merge the sets of x and y; return whether they were apart."""
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-            return True
-        return False
 
 
 def component_of(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:

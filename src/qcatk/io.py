@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 
-from .cats import FinCategory, nerve_faces
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 
@@ -248,6 +247,8 @@ def _validate_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str):
     visited in dimension order, so every face string of a checked label
     names a generator already checked.
     """
+    from .cats import nerve_faces
+
     d = X.top_dim if X.bound is None else X.bound
     paths = dict.fromkeys(C.objects, 1)  # strings of length n, by last target
     for n in range(max(d, 0) + 1):
@@ -299,6 +300,8 @@ def serialize_category(C: FinCategory) -> dict:
 
 
 def parse_category(obj, pointer: str = "") -> FinCategory:
+    from .cats import FinCategory  # loaded only when a category is read
+
     _expect(isinstance(obj, dict), "category must be an object", pointer)
     for field in ("objects", "homs", "compose", "ids"):
         _expect(field in obj, f"missing '{field}'", pointer)

@@ -7,8 +7,6 @@ extension of a : A -> X over A * Delta[n], and dually for X/b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
@@ -123,22 +121,18 @@ def is_initial(X: SimplicialSet, i: SimplexKey, d: int) -> dict:
     return {"verdict": overall, "dim": d, "per_vertex": verdicts}
 
 
-@dataclass
 class _Cocone:
-    """An extension of a base diagram a : A -> X over A * Delta[0]."""
+    """An extension of a base diagram a : A -> X over A * Delta[0]: the map
+    from the join A * Delta[0] and the vertex of a\\X it corresponds to."""
 
-    base: SimplicialMap
-    extension: SimplicialMap  # from the join A * Delta[0]
-    slice_vertex: SimplexKey  # vertex of a\X it corresponds to
+    def __init__(self, extension: SimplicialMap, slice_vertex: SimplexKey):
+        self.extension, self.slice_vertex = extension, slice_vertex
 
 
-def cocones(a: SimplicialMap, slice_sset: sx.MaterializedSSet) -> list[_Cocone]:
+def cocones(slice_sset: sx.MaterializedSSet) -> list[_Cocone]:
     fam: sx.MapFamily = slice_sset.family
-    out = []
-    for g in slice_sset.gens(0):
-        x = slice_sset.labels[g]
-        out.append(_Cocone(a, fam.as_map(0, x), SimplexKey(g)))
-    return out
+    return [_Cocone(fam.as_map(0, slice_sset.labels[g]), SimplexKey(g))
+            for g in slice_sset.gens(0)]
 
 
 def colimiting_cocones(a: SimplicialMap, d: int) -> list[dict]:
@@ -146,7 +140,7 @@ def colimiting_cocones(a: SimplicialMap, d: int) -> list[dict]:
     Each entry carries the cocone and its initiality report."""
     sl = slice_under(a, d + 1)
     results = []
-    for c in cocones(a, sl):
+    for c in cocones(sl):
         rep = is_initial(sl, c.slice_vertex, d)
         if rep["verdict"].startswith("confirmed"):
             results.append({"cocone": c, "report": rep})

@@ -11,8 +11,6 @@ and the approximation verifier for exact functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
@@ -39,16 +37,14 @@ from .waldhausen import (
 # -- the diagonal of a truncated bisimplicial set ------------------------------
 
 
-@dataclass
 class _BisimplicialTruncation:
     """Levels L_0..L_top with horizontal structure maps between them.
 
     ``hfaces[(n, i)]`` is the map L_n -> L_{n-1} and ``hdegens[(n, i)]`` the
     map L_n -> L_{n+1}; vertical structure is internal to each level."""
 
-    levels: list
-    hfaces: dict = field(default_factory=dict)
-    hdegens: dict = field(default_factory=dict)
+    def __init__(self, levels: list, hfaces: dict, hdegens: dict):
+        self.levels, self.hfaces, self.hdegens = levels, hfaces, hdegens
 
     @property
     def top(self) -> int:

@@ -21,7 +21,6 @@ This module provides:
 from __future__ import annotations
 
 from . import simplicial as sx
-from .cats import nerve_functor_map
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 # ---------------------------------------------------------------------------
@@ -516,6 +515,7 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2) -> dict:
     consistent with each variant of the statement.
     """
     from . import quasicat as qc
+    from .cats import nerve_functor_map
     from .sconstruction import f_n, functor_equivalence_report, level_functor
     from .waldhausen import ExactFunctorData, cof_ho_equivalence, reflects_cofibrations
 

@@ -7,16 +7,14 @@ homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import simplicial as sx
 from .cats import FinCategory, edge_morphism
-from .homology import UnionFind
 from .simplicial import (
     NotQuasicategory,
     SimplexKey,
     SimplicialMap,
     SimplicialSet,
+    UnionFind,
     apply_degeneracy_word,
 )
 
@@ -61,10 +59,10 @@ def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
 # -- homotopy category -------------------------------------------------------
 
 
-@dataclass
 class _HoCategory:
-    cat: FinCategory
-    class_of: dict[SimplexKey, SimplexKey]  # edge key -> class representative
+    def __init__(self, cat: FinCategory, class_of: dict[SimplexKey, SimplexKey]):
+        self.cat = cat
+        self.class_of = class_of  # edge key -> class representative
 
     def cls(self, edge: SimplexKey) -> SimplexKey:
         return self.class_of[edge]

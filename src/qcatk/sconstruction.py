@@ -17,7 +17,6 @@ reduces to finite table checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import simplicial as sx
@@ -78,7 +77,6 @@ def restricted_grid(n: int, ambient: SimplicialSet = None):
 # -- diagram categories -------------------------------------------------------
 
 
-@dataclass
 class _GridConstruction:
     """One level of a grid construction: the diagram universe (the indexing
     shape and its vertex elements), the category of qualifying diagrams and
@@ -90,14 +88,10 @@ class _GridConstruction:
     dimension ``d``) is built on the first read of ``wdata`` or ``sset`` and
     kept; callers that need only the category never build the nerve."""
 
-    uni: _DiagramUniverse
-    cat: FinCategory
-    maps: list
-    zero: int
-    marked: frozenset
-    d: int
-    universe: dict
-    report: dict = field(default_factory=dict)
+    def __init__(self, uni: _DiagramUniverse, cat: FinCategory, maps: list, zero: int,
+                 marked: frozenset, d: int, universe: dict, report: dict):
+        self.uni, self.cat, self.maps, self.zero = uni, cat, maps, zero
+        self.marked, self.d, self.universe, self.report = marked, d, universe, report
 
     @property
     def shape(self) -> SimplicialSet:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 Gen = tuple[int, int]  # (dimension, index within that dimension)
@@ -113,13 +112,12 @@ def apply_degeneracy_word(key: SimplexKey, word: Iterable[int]) -> SimplexKey:
     return key
 
 
-@dataclass
 class SimplicialMap:
     """A simplicial map given by its values on nondegenerate generators."""
 
-    source: "SimplicialSet"
-    target: "SimplicialSet"
-    assign: dict[Gen, SimplexKey]
+    def __init__(self, source: SimplicialSet, target: SimplicialSet,
+                 assign: dict[Gen, SimplexKey]):
+        self.source, self.target, self.assign = source, target, assign
 
     def __call__(self, key: SimplexKey) -> SimplexKey:
         return apply_degeneracy_word(self.assign[key.gen], key.degens)
@@ -431,6 +429,32 @@ class MaterializedSSet(SimplicialSet):
         return x
 
 
+# -- disjoint sets ---------------------------------------------------------
+
+
+class UnionFind:
+    """Disjoint sets over hashable, mutually comparable elements; each root
+    is the minimal element of its set."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y) -> bool:
+        """Merge the sets of x and y; return whether they were apart."""
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+            return True
+        return False
+
+
 # -- standard objects ------------------------------------------------------
 
 
@@ -553,13 +577,11 @@ class _PullbackFamily(ProductFamily):
         return [x for x in super().elements(n) if self.f(x[0]) == self.g(x[1])]
 
 
-@dataclass
 class _Span2:
     """A simplicial set with two structure maps (projections/inclusions)."""
 
-    sset: MaterializedSSet
-    left: SimplicialMap
-    right: SimplicialMap
+    def __init__(self, sset: MaterializedSSet, left: SimplicialMap, right: SimplicialMap):
+        self.sset, self.left, self.right = sset, left, right
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, d: int) -> _Span2:
@@ -663,6 +685,7 @@ class MapFamily(Family):
         self.X, self.act, self.fixed = X, act, fixed
         self._shape_of = shape
         self._shapes: dict[int, MaterializedSSet] = {}
+        self._pulled: dict[tuple[int, int, int], list] = {}
 
     def shape(self, n: int) -> MaterializedSSet:
         if n not in self._shapes:
@@ -679,16 +702,24 @@ class MapFamily(Family):
         S = self.shape(n)
         return SimplicialMap(S, self.X, dict(zip(S.all_gens(), x)))
 
-    def _precompose(self, m, n, phi, x):
-        S, T, f = self.shape(m), self.shape(n), self.as_map(n, x)
-        dmap = delta_inclusion(delta(m), delta(n), phi)
-        return tuple(f(T.key_of(g[0], self.act(S.labels[g], dmap))) for g in S.all_gens())
+    def _precompose(self, m, n, i, phi, x):
+        # where each generator of shape(m) goes in shape(n), as (position in
+        # x, degeneracy word), depends only on (m, n, i): m is n - 1 for a
+        # face and n + 1 for a degeneracy
+        pulled = self._pulled.get((m, n, i))
+        if pulled is None:
+            S, T = self.shape(m), self.shape(n)
+            dmap = delta_inclusion(delta(m), delta(n), phi)
+            position = {g: j for j, g in enumerate(T.all_gens())}
+            keys = [T.key_of(g[0], self.act(S.labels[g], dmap)) for g in S.all_gens()]
+            pulled = self._pulled[(m, n, i)] = [(position[k.gen], k.degens) for k in keys]
+        return tuple(apply_degeneracy_word(x[j], word) for j, word in pulled)
 
     def face(self, n, x, i):
-        return self._precompose(n - 1, n, lambda v: v if v < i else v + 1, x)
+        return self._precompose(n - 1, n, i, lambda v: v if v < i else v + 1, x)
 
     def degeneracy(self, n, x, i):
-        return self._precompose(n + 1, n, lambda v: v if v <= i else v - 1, x)
+        return self._precompose(n + 1, n, i, lambda v: v if v <= i else v - 1, x)
 
 
 # -- subcomplexes ----------------------------------------------------------

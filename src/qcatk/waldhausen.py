@@ -9,7 +9,6 @@ bounded-universe descriptor and pushout failures are reported as "local"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import joinslice as js
@@ -25,12 +24,13 @@ from .cats import (
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 
-@dataclass
 class WaldhausenData:
-    underlying: SimplicialSet
-    zero: SimplexKey  # vertex
-    cof: frozenset  # marked nondegenerate edge keys
-    universe: Optional[dict] = None  # e.g. {"bounded": True, "note": ...}
+    def __init__(self, underlying: SimplicialSet, zero: SimplexKey, cof: frozenset,
+                 universe: Optional[dict] = None):
+        self.underlying = underlying
+        self.zero = zero  # vertex
+        self.cof = cof  # marked nondegenerate edge keys
+        self.universe = universe  # e.g. {"bounded": True, "note": ...}
 
     def is_cof(self, e: SimplexKey) -> bool:
         return e.is_degenerate or e in self.cof
@@ -217,11 +217,10 @@ def admits_factorization(W: WaldhausenData) -> bool:
 # -- exact functors --------------------------------------------------------------
 
 
-@dataclass
 class ExactFunctorData:
-    themap: SimplicialMap
-    source: WaldhausenData
-    target: WaldhausenData
+    def __init__(self, themap: SimplicialMap, source: WaldhausenData,
+                 target: WaldhausenData):
+        self.themap, self.source, self.target = themap, source, target
 
 
 def reflects_cofibrations(G: ExactFunctorData) -> dict:

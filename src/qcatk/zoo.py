@@ -13,7 +13,7 @@ from .cats import (
     monoid_category,
     poset_category,
 )
-from .waldhausen import WaldhausenData, nerve_waldhausen
+from .waldhausen import nerve_waldhausen
 
 
 def indiscrete_category(objects) -> FinCategory:
@@ -162,7 +162,7 @@ def pointed_sets_with_duplicate(max_size: int = 3, d: int = 2):
     """The pointed-sets instance with an extra isomorphic copy of the
     two-element object.  Returns (Waldhausen data, inclusion of the plain
     instance as an exact map of nerves)."""
-    from .cats import nerve, nerve_functor_map, pointed_sets_category
+    from .cats import nerve_functor_map
     from .waldhausen import ExactFunctorData, pointed_sets_waldhausen
 
     W = pointed_sets_waldhausen(max_size, d)

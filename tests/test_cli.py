@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, JSON reports, and file output."""
 
+import ast
 import copy
 import importlib.util
 import json
@@ -265,21 +266,41 @@ def test_canonical_form_is_stable_under_validate(files, capsys):
 
 
 def test_importing_the_front_end_loads_no_checker(files):
-    # each command imports its checkers when it runs, and a lift none of homology
+    # each command imports its checkers when it runs: a lift on a file without
+    # a category block loads no cats, ho no homology, and nothing dataclasses
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcatk.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    checkers = ["homology", "joinslice", "ktheory", "lifting", "sconstruction", "waldhausen"]
-    loaded = f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules])"
+    checkers = ["cats", "homology", "joinslice", "ktheory", "lifting", "quasicat",
+                "sconstruction", "waldhausen"]
+    loaded = (f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules], "
+              "[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     lift = ["lift", files["bdincl"], "--out", str(files["dir"] / "lift.json")]
+    ho = ["ho", files["nz3"], "--out", str(files["dir"] / "ho.json")]
     probes = {
-        "import sys, qcatk.io, qcatk.cli; " + loaded: "[]",
-        f"import sys, qcatk.cli; qcatk.cli.main({lift!r}); " + loaded: "['lifting']",
+        "import sys, qcatk.io, qcatk.cli; " + loaded: "[] []",
+        f"import sys, qcatk.cli; qcatk.cli.main({lift!r}); " + loaded: "['lifting'] []",
+        f"import sys, qcatk.cli; qcatk.cli.main({ho!r}); " + loaded: "['cats', 'quasicat'] []",
     }
     for probe, want in probes.items():
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == want
+
+
+def test_no_module_of_the_library_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize in every command
+    root = os.path.dirname(os.path.abspath(qcatk.__file__))
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", name
 
 
 def test_every_traced_span_names_a_qcatk_attribute():

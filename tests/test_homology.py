@@ -66,6 +66,17 @@ def test_group_presentations_normalize_to_invariant_factors():
     assert group_from_relations(3, []).free_rank == 3
 
 
+def test_group_presentations_are_equal_hashed_and_printed_by_value():
+    # k0_agreement's routes_agree compares two presentations built apart
+    a, b = AbelianGroupPresentation(1, (2, 6)), AbelianGroupPresentation(1, (2, 6))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != AbelianGroupPresentation(2, (2, 6))
+    assert a != AbelianGroupPresentation(1, (12,))
+    assert a != (1, (2, 6))
+    assert str(a) == "Z + Z/2 + Z/6"
+    assert str(AbelianGroupPresentation(0, ())) == "0"
+
+
 def test_component_count():
     two_points = sx.join(sx.delta(0), sx.empty_sset(), 0).sset
     assert len(pi0(sx.delta(3))) == 1

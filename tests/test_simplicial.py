@@ -95,6 +95,16 @@ def test_join_of_poset_nerves_is_associative(seed):
     assert sx.iso_check(left, right, d) is not None
 
 
+def test_maps_are_equal_on_the_same_ends_and_values():
+    X = sx.delta(1)
+    f, g = sx.SimplicialMap.identity(X), sx.SimplicialMap.identity(X)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    # ends are compared by identity, values by key
+    assert f != sx.SimplicialMap(X, sx.delta(1), dict(f.assign))
+    v0 = sx.SimplexKey((0, 0))
+    assert f != sx.SimplicialMap(X, X, {**f.assign, (0, 1): v0})
+
+
 def test_join_with_empty_set_is_identity():
     D = sx.delta(2)
     J = sx.join(D, sx.empty_sset(), 2).sset
