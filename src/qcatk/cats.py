@@ -9,7 +9,9 @@ produced as :class:`~qcatk.simplicial.SimplicialSet` objects whose generator
 labels are composable strings of non-identity morphisms; the category itself
 travels along on the ``category`` attribute, for the names and ``category``
 block of the nerve's file and for the 1-categorical checks (pushouts, the K0
-presentation oracle).  Map search does not read it.
+presentation oracle).  Map search does not read it.  The 1-categorical
+checks live here once: pushouts, pushout squares and the equivalence
+verdict every other module reports.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class FinCategory:
         self.name = name
         self.id_set = frozenset(self.ids.values())
         self._after = after
+        self._pushouts: dict = {}
         self._hom: dict[tuple, list] = {}
         self._out: dict = {}
         self._into: dict = {}
@@ -144,6 +147,61 @@ class FinCategory:
                             raise ValueError(
                                 f"associativity fails at {f!r}, {ms[j]!r}, {ms[h]!r}"
                             )
+
+    def pushout(self, f, g):
+        """Pushout of the span b <-f- a -g-> c, verified by universal
+        property and memoized per span.
+
+        Returns the first cocone (d, i, j), with i: b -> d and j: c -> d,
+        through which every cocone factors uniquely, in the order of d among
+        the objects and then of i and j in their hom sets; None if no
+        pushout exists in the category.
+        """
+        if (f, g) in self._pushouts:
+            return self._pushouts[(f, g)]
+        if self.src[f] != self.src[g]:
+            raise ValueError("span legs must share a source")
+        b, c = self.tgt[f], self.tgt[g]
+        cocones = [
+            (d, i, j)
+            for d in self.objects
+            for i in self.hom(b, d)
+            for j in self.hom(c, d)
+            if self.compose_mor(i, f) == self.compose_mor(j, g)
+        ]
+        po = None
+        for d, i, j in cocones:
+            if all(
+                sum(
+                    1 for h in self.hom(d, d2)
+                    if self.compose_mor(h, i) == i2 and self.compose_mor(h, j) == j2
+                ) == 1
+                for d2, i2, j2 in cocones
+            ):
+                po = (d, i, j)
+                break
+        self._pushouts[(f, g)] = po
+        return po
+
+    def mediator(self, f, g, d, i, j):
+        """The morphism h: p -> d from the pushout (p, pi, pj) of the span
+        along f and g with h after pi = i and h after pj = j; None if the
+        span has no pushout or (d, i, j) does not factor through it.  Only a
+        commuting cocone factors, and then through exactly one h."""
+        po = self.pushout(f, g)
+        if po is None:
+            return None
+        p, pi, pj = po
+        for h in self.hom(p, d):
+            if self.compose_mor(h, pi) == i and self.compose_mor(h, pj) == j:
+                return h
+        return None
+
+    def is_pushout_cocone(self, f, g, d, i, j) -> bool:
+        """Is (d, i: tgt f -> d, j: tgt g -> d) a pushout of the span along f
+        and g?  Exactly when its mediator from the pushout is an isomorphism."""
+        h = self.mediator(f, g, d, i, j)
+        return h is not None and self.is_iso(h)
 
     def is_iso(self, m) -> bool:
         for n in self.hom(self.tgt[m], self.src[m]):
@@ -549,14 +607,19 @@ def map_category(
     return cat, maps
 
 
-def groupoid_core(C: FinCategory) -> FinCategory:
-    """Wide subcategory of invertible morphisms."""
-    morphisms = [m for m in C.morphisms if C.is_iso(m)]
-    keep = set(morphisms)
+def wide_subcategory(C: FinCategory, keep) -> FinCategory:
+    """The subcategory on every object and the morphisms in ``keep``, which
+    must hold the identities and be closed under composition."""
+    morphisms = [m for m in C.morphisms if m in keep]
     src = {m: C.src[m] for m in morphisms}
     tgt = {m: C.tgt[m] for m in morphisms}
     comp = {(g, f): h for (g, f), h in C.comp.items() if g in keep and f in keep}
     return FinCategory(C.objects, morphisms, src, tgt, dict(C.ids), comp)
+
+
+def groupoid_core(C: FinCategory) -> FinCategory:
+    """Wide subcategory of invertible morphisms."""
+    return wide_subcategory(C, {m for m in C.morphisms if C.is_iso(m)})
 
 
 def full_subcategory(C: FinCategory, objs) -> FinCategory:
@@ -571,35 +634,30 @@ def full_subcategory(C: FinCategory, objs) -> FinCategory:
     return FinCategory(objs, morphisms, src, tgt, ids, comp)
 
 
-# -- pushouts by universal property -------------------------------------------
+# -- equivalences ---------------------------------------------------------------
 
 
-def pushout_in_category(C: FinCategory, f, g):
-    """Pushout of the span b <-f- a -g-> c, verified by universal property.
-
-    Returns (d, i, j) with i: b -> d, j: c -> d, or None if no pushout
-    exists in C.
-    """
-    if C.src[f] != C.src[g]:
-        raise ValueError("span legs must share a source")
-    b, c = C.tgt[f], C.tgt[g]
-    cocones = []
-    for d in C.objects:
-        for i in C.hom(b, d):
-            for j in C.hom(c, d):
-                if C.compose_mor(i, f) == C.compose_mor(j, g):
-                    cocones.append((d, i, j))
-    for d, i, j in cocones:
-        universal = True
-        for d2, i2, j2 in cocones:
-            mediators = [
-                h
-                for h in C.hom(d, d2)
-                if C.compose_mor(h, i) == i2 and C.compose_mor(h, j) == j2
-            ]
-            if len(mediators) != 1:
-                universal = False
-                break
-        if universal:
-            return (d, i, j)
-    return None
+def functor_equivalence_report(F: FinFunctor) -> dict:
+    """Essential surjectivity, fullness, faithfulness by table search; the
+    functor is an equivalence when all three hold."""
+    C, D = F.source, F.target
+    images = {F.obj_map[c] for c in C.objects}
+    ess = all(
+        o in images or any(any(D.is_iso(m) for m in D.hom(o, i)) for i in images)
+        for o in D.objects
+    )
+    full = True
+    faithful = True
+    for a in C.objects:
+        for b in C.objects:
+            image = [F.mor_map[m] for m in C.hom(a, b)]
+            if len(set(image)) != len(image):
+                faithful = False
+            if set(image) != set(D.hom(F.obj_map[a], F.obj_map[b])):
+                full = False
+    return {
+        "essentially_surjective": ess,
+        "full": full,
+        "faithful": faithful,
+        "equivalence": ess and full and faithful,
+    }

@@ -94,6 +94,14 @@ def _vertex_by_name(X: sx.SimplicialSet, name: str) -> SimplexKey:
     raise io.SchemaError(f"no vertex named {name!r}", "/vertex")
 
 
+def _require_category(W, pointer: str):
+    """Grid levels are diagram categories over the category of a nerve, so
+    Waldhausen data without a ``category`` block is a schema finding."""
+    if W.underlying.category is None:
+        raise io.SchemaError("grid constructions need a nerve with a category block",
+                             pointer)
+
+
 def _require_ho_dim(args):
     if args.dim < 2:
         raise io.SchemaError(
@@ -216,6 +224,7 @@ def cmd_sconstruct(args):
     from .sconstruction import s_n
 
     _, W = _load(args.input, "waldhausen")
+    _require_category(W, "/sset/category")
     level = s_n(W, args.n, args.dim)
     report = {
         "n": args.n,
@@ -233,6 +242,7 @@ def cmd_k0(args):
 
     _require_ho_dim(args)
     _, W = _load(args.input, "waldhausen")
+    _require_category(W, "/sset/category")
     rep = kt.k0_agreement(W, args.dim)
     report = {
         "invariant_factors": invariant_factors(rep["diagonal"]),
@@ -249,6 +259,8 @@ def cmd_approx(args):
 
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
+    _require_category(G.source, "/source/sset/category")
+    _require_category(G.target, "/target/sset/category")
     rep = kt.approximation_verify(G, args.dim)
     ok = rep["applicable"] and rep["conclusion"]["pass"]
     return _emit(rep, args, ok)
@@ -277,6 +289,8 @@ def cmd_iterate(args):
 
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
+    _require_category(G.source, "/source/sset/category")
+    _require_category(G.target, "/target/sset/category")
     exact = validate_exact(G)
     if not exact["ok"]:
         # a map that is not exact induces no functor between the levels

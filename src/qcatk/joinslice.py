@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
-from .cats import FinCategory, poset_category
+from .cats import FinCategory, functor_equivalence_report, poset_category
 from .simplicial import (
     SimplexKey,
     SimplicialMap,
@@ -231,7 +231,8 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) ->
         return report
 
     # essential surjectivity, fullness and faithfulness on homotopy classes
-    eq = qc.ho_table_equivalence(qc.ho_category(Colim), qc.ho_category(Hsmall), r)
+    eq = functor_equivalence_report(
+        qc.induced_ho_functor(qc.ho_category(Colim), qc.ho_category(Hsmall), r))
     for key in ("essentially_surjective", "full", "faithful"):
         report[key] = eq[key]
 

@@ -16,10 +16,10 @@ from . import quasicat as qc
 from . import simplicial as sx
 from .cats import (
     FinFunctor,
+    functor_equivalence_report,
     groupoid_core,
     nerve,
     nerve_functor_map,
-    pushout_in_category,
 )
 from .homology import AbelianGroupPresentation, group_from_relations, pi0, pi1_abelianized
 from .joinslice import colimiting_cocones, comma, small_posets
@@ -174,7 +174,7 @@ def k0_relations(W: WaldhausenData) -> dict:
         to_zero = C.hom(a, zero_obj)
         if len(to_zero) != 1:
             raise ValueError("zero object is not strictly terminal on hom sets")
-        po = pushout_in_category(C, m, to_zero[0])
+        po = C.pushout(m, to_zero[0])
         if po is None:
             skipped += 1
             continue
@@ -301,10 +301,8 @@ def main_technical_verify(F: SimplicialMap, d: int = 2) -> dict:
     A, B = F.source, F.target
     hoA, hoB = qc.ho_category(A), qc.ho_category(B)
 
-    ess = all(
-        any(hoB.cat.is_iso(m) for a in A.simplices(0) for m in hoB.cat.hom(b, F(a)))
-        for b in B.simplices(0)
-    )
+    ess = functor_equivalence_report(qc.induced_ho_functor(hoA, hoB, F))[
+        "essentially_surjective"]
 
     reflects = True
     reflect_witness = None

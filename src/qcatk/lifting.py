@@ -515,8 +515,8 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2) -> dict:
     consistent with each variant of the statement.
     """
     from . import quasicat as qc
-    from .cats import nerve_functor_map
-    from .sconstruction import f_n, functor_equivalence_report, level_functor
+    from .cats import functor_equivalence_report, nerve_functor_map
+    from .sconstruction import f_n, level_functor
     from .waldhausen import ExactFunctorData, cof_ho_equivalence, reflects_cofibrations
 
     nbar = tuple(nbar)

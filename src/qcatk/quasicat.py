@@ -8,7 +8,7 @@ homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
 from __future__ import annotations
 
 from . import simplicial as sx
-from .cats import FinCategory, edge_morphism
+from .cats import FinCategory, FinFunctor, edge_morphism, functor_equivalence_report
 from .simplicial import (
     NotQuasicategory,
     SimplexKey,
@@ -201,37 +201,15 @@ def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
     return sx.MaterializedSSet(sx.MapFamily(X, _hom_shape(D1), _act_on_delta, fixed), d)
 
 
-def ho_table_equivalence(ho_s: _HoCategory, ho_t: _HoCategory, push) -> dict:
-    """Is the functor of homotopy categories that ``push`` induces an
-    equivalence?  ``push`` carries a key of the source (vertex or edge) to
-    the target.  Essential surjectivity, fullness, and faithfulness by table
-    search."""
-    images = {push(v) for v in ho_s.cat.objects}
-    ess_surj = True
-    for w in ho_t.cat.objects:
-        if w in images:
-            continue
-        if not any(ho_t.cat.is_iso(m) for v in images for m in ho_t.cat.hom(v, w)):
-            ess_surj = False
-    full = True
-    faithful = True
-    for a in ho_s.cat.objects:
-        for b in ho_s.cat.objects:
-            fibers = {}
-            for m in ho_s.cat.hom(a, b):
-                fibers.setdefault(ho_t.cls(push(m)), []).append(m)
-            if set(fibers) != set(ho_t.cat.hom(push(a), push(b))):
-                full = False
-            if any(len(v) > 1 for v in fibers.values()):
-                faithful = False
-    return {
-        "equivalence": ess_surj and full and faithful,
-        "essentially_surjective": ess_surj,
-        "full": full,
-        "faithful": faithful,
-    }
+def induced_ho_functor(ho_s: _HoCategory, ho_t: _HoCategory, push) -> FinFunctor:
+    """The functor of homotopy categories that ``push`` induces; ``push``
+    carries a key of the source (vertex or edge) to the target.  It is not
+    checked: it is a functor whenever ``push`` is a simplicial map."""
+    return FinFunctor(ho_s.cat, ho_t.cat, {v: push(v) for v in ho_s.cat.objects},
+                      {m: ho_t.cls(push(m)) for m in ho_s.cat.morphisms})
 
 
 def tau1_map_equivalence(f: SimplicialMap) -> dict:
     """Is the induced functor of homotopy categories an equivalence?"""
-    return ho_table_equivalence(ho_category(f.source), ho_category(f.target), f)
+    return functor_equivalence_report(
+        induced_ho_functor(ho_category(f.source), ho_category(f.target), f))

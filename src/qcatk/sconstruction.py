@@ -25,14 +25,14 @@ from .cats import (
     FinCategory,
     FinFunctor,
     edge_morphism,
+    functor_equivalence_report,
     functor_from_nerve_map,
     map_category,
     nerve,
     nerve_functor_map,
     poset_category,
-    pushout_in_category,
 )
-from .waldhausen import WaldhausenData, is_pushout_cocone
+from .waldhausen import WaldhausenData
 
 
 # -- indexing shapes ----------------------------------------------------------
@@ -139,7 +139,6 @@ class _DiagramUniverse:
 
         self.egen = {ends(g): g for g in shape.gens(1)}
         self.zero_obj = self.N.labels[W.zero.gen]
-        self._po_cache = {}
 
     def obj_at(self, mp: SimplicialMap, elem):
         return self.N.labels[mp.assign[self.vgen[elem]].gen]
@@ -152,24 +151,15 @@ class _DiagramUniverse:
     def marked(self, m) -> bool:
         return _mor_marked(self.W, self.C, self.N, m)
 
-    def pushout(self, f, g):
-        key = (f, g)
-        if key not in self._po_cache:
-            self._po_cache[key] = pushout_in_category(self.C, f, g)
-        return self._po_cache[key]
-
     def corner_map(self, f, g, apex_obj, i_target, j_target):
-        """Mediator from the pushout of (f, g) to the cocone
+        """Mediator from the pushout of (f, g) to the commuting cocone
         (apex_obj, i_target, j_target); None if the pushout is missing."""
-        po = self.pushout(f, g)
-        if po is None:
+        if self.C.pushout(f, g) is None:
             return None
-        p, pi, pj = po
-        C = self.C
-        for h in C.hom(p, apex_obj):
-            if C.compose_mor(h, pi) == i_target and C.compose_mor(h, pj) == j_target:
-                return h
-        raise AssertionError("pushout mediator missing; universal property violated")
+        h = self.C.mediator(f, g, apex_obj, i_target, j_target)
+        if h is None:
+            raise AssertionError("pushout mediator missing; universal property violated")
+        return h
 
 
 def _grid_level(uni, kind, n, zeros, qualifies, row, d) -> _GridConstruction:
@@ -255,8 +245,7 @@ def s_n(W: WaldhausenData, n: int, d: int = 2,
                     if j < k and not uni.marked(uni.mor_at(mp, (i, j), (i, k))):
                         return False
                     if i < j < k:
-                        if not is_pushout_cocone(
-                            uni.C,
+                        if not uni.C.is_pushout_cocone(
                             uni.mor_at(mp, (i, j), (i, k)),
                             uni.mor_at(mp, (i, j), (j, j)),
                             uni.obj_at(mp, (j, k)),
@@ -306,8 +295,7 @@ def s_bar_n(W: WaldhausenData, n: int, d: int = 2,
                     return False
         for i in range(n + 1):
             for j in range(i + 1, n):
-                if not is_pushout_cocone(
-                    uni.C,
+                if not uni.C.is_pushout_cocone(
                     uni.mor_at(mp, (i, j), (i, j + 1)),
                     uni.mor_at(mp, (i, j), (i + 1, j)),
                     uni.obj_at(mp, (i + 1, j + 1)),
@@ -371,30 +359,6 @@ def level_functor(source: _GridConstruction, target: _GridConstruction,
     F = FinFunctor(source.cat, target.cat, obj_map, mor_map)
     F.check()
     return F
-
-
-def functor_equivalence_report(F: FinFunctor) -> dict:
-    """Essential surjectivity, fullness, faithfulness by table search."""
-    C, D = F.source, F.target
-    images = {F.obj_map[c] for c in C.objects}
-    ess = all(
-        any(any(D.is_iso(m) for m in D.hom(o, i)) for i in images) for o in D.objects
-    )
-    full = True
-    faithful = True
-    for a in C.objects:
-        for b in C.objects:
-            image = [F.mor_map[m] for m in C.hom(a, b)]
-            if len(set(image)) != len(image):
-                faithful = False
-            if set(image) != set(D.hom(F.obj_map[a], F.obj_map[b])):
-                full = False
-    return {
-        "essentially_surjective": ess,
-        "full": full,
-        "faithful": faithful,
-        "equivalence": ess and full and faithful,
-    }
 
 
 def _reflects_marking(F: FinFunctor, src_marked, tgt_marked) -> dict:

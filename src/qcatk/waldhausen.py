@@ -18,8 +18,9 @@ from .cats import (
     FinCategory,
     edge_morphism,
     functor_from_nerve_map,
+    functor_equivalence_report,
     nerve,
-    pushout_in_category,
+    wide_subcategory,
 )
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
@@ -41,27 +42,6 @@ class WaldhausenData:
     @property
     def bounded(self) -> bool:
         return bool(self.universe and self.universe.get("bounded"))
-
-
-def is_pushout_cocone(C: FinCategory, f, g, d, i, j) -> bool:
-    """Universal-property check that (d, i: tgt f -> d, j: tgt g -> d) is a
-    pushout of the span along f and g."""
-    if C.compose_mor(i, f) != C.compose_mor(j, g):
-        return False
-    b, c = C.tgt[f], C.tgt[g]
-    for d2 in C.objects:
-        for i2 in C.hom(b, d2):
-            for j2 in C.hom(c, d2):
-                if C.compose_mor(i2, f) != C.compose_mor(j2, g):
-                    continue
-                mediators = [
-                    h
-                    for h in C.hom(d, d2)
-                    if C.compose_mor(h, i) == i2 and C.compose_mor(h, j) == j2
-                ]
-                if len(mediators) != 1:
-                    return False
-    return True
 
 
 def validate_waldhausen(W: WaldhausenData, d: int = 2) -> dict:
@@ -117,7 +97,7 @@ def validate_waldhausen(W: WaldhausenData, d: int = 2) -> dict:
                 if C.src[g] != C.src[f]:
                     continue
                 pushouts_checked += 1
-                po = pushout_in_category(C, f, g)
+                po = C.pushout(f, g)
                 if po is None:
                     kind = "local" if W.bounded else "fatal"
                     entry = ("pushout-missing", f, g)
@@ -174,13 +154,7 @@ def cof_category(W: WaldhausenData) -> Optional[FinCategory]:
         for g in C.nonid_out(C.tgt[f]):
             if g in marked and C.compose_mor(g, f) not in marked:
                 return None
-    morphisms = [m for m in C.morphisms if m in marked]
-    return FinCategory(
-        C.objects, morphisms,
-        {m: C.src[m] for m in morphisms}, {m: C.tgt[m] for m in morphisms},
-        dict(C.ids),
-        {(g, f): h for (g, f), h in C.comp.items() if g in marked and f in marked},
-    )
+    return wide_subcategory(C, marked)
 
 
 def cof_subquasicategory(W: WaldhausenData, d: int = 2):
@@ -250,12 +224,12 @@ def validate_exact(G: ExactFunctorData) -> dict:
             for m2 in CS.morphisms:
                 if CS.src[m2] != CS.src[m1]:
                     continue
-                po = pushout_in_category(CS, m1, m2)
+                po = CS.pushout(m1, m2)
                 if po is None:
                     continue
                 dd, i, j = po
-                ok = is_pushout_cocone(
-                    CT, F.mor_map[m1], F.mor_map[m2],
+                ok = CT.is_pushout_cocone(
+                    F.mor_map[m1], F.mor_map[m2],
                     F.obj_map[dd], F.mor_map[i], F.mor_map[j],
                 )
                 if not ok:
@@ -281,7 +255,7 @@ def cof_ho_equivalence(G: ExactFunctorData) -> dict:
             raise ValueError(f"image {img} leaves the cofibration subcomplex")
         return sx.apply_degeneracy_word(base, img.degens)
 
-    return qc.ho_table_equivalence(ho_s, ho_t, push)
+    return functor_equivalence_report(qc.induced_ho_functor(ho_s, ho_t, push))
 
 
 # -- homotopy cocartesian squares -------------------------------------------------
@@ -342,7 +316,7 @@ def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
         tipkey = ext(J.key_of(0, ("b", SimplexKey((0, 0)))))
         i_m = edge_morphism(C, X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((1,))), SimplexKey((0, 0))))))
         j_m = edge_morphism(C, X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
-        return is_pushout_cocone(C, f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
+        return C.is_pushout_cocone(f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
     sl = js.slice_under(base, d + 1)
     # the slice vertex equal to this cocone: both sides join the horn and Delta[0]
     vkey = sl.key_of(0, tuple(ext.assign[h] for h in sl.family.shape(0).all_gens()))

@@ -15,6 +15,8 @@ from qcatk.cats import (
     FinFunctor,
     chain_poset,
     cyclic_group_category,
+    full_subcategory,
+    functor_equivalence_report,
     functor_from_nerve_map,
     groupoid_core,
     map_category,
@@ -22,7 +24,6 @@ from qcatk.cats import (
     nerve_functor_map,
     pointed_sets_category,
     poset_category,
-    pushout_in_category,
     slice_category,
 )
 from qcatk.sconstruction import f_n, s_n, s_structure_functor
@@ -83,7 +84,7 @@ def test_pushout_in_a_poset_is_the_maximum():
     C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
     f = (0, 1)
     g = (0, 2)
-    po = pushout_in_category(C, f, g)
+    po = C.pushout(f, g)
     assert po is not None
     d, i, j = po
     assert d == 3
@@ -92,7 +93,7 @@ def test_pushout_in_a_poset_is_the_maximum():
 def test_pushout_absent_in_a_discrete_span():
     C = poset_category(range(3), lambda a, b: a == b or a == 0)
     # 1 <- 0 -> 2 has no cocone at all beyond... actually no object above 1,2
-    assert pushout_in_category(C, (0, 1), (0, 2)) is None
+    assert C.pushout((0, 1), (0, 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +486,171 @@ def test_numbered_functor_check_matches_the_oracle_on_structure_functors(
             mor_map[f] = new
     bad = FinFunctor(C, D, F.obj_map, mor_map)
     assert _outcome(FinFunctor.check, bad) == _outcome(naive_functor_check, bad)
+
+
+# ---------------------------------------------------------------------------
+# pushouts and equivalence verdicts against the enumerating oracles
+
+
+def pushout_by_search(C, f, g):
+    """The pushout search without a cache: the first commuting cocone, in
+    object and then hom-set order, through which every commuting cocone
+    factors exactly once."""
+    b, c = C.tgt[f], C.tgt[g]
+    cocones = []
+    for d in C.objects:
+        for i in C.hom(b, d):
+            for j in C.hom(c, d):
+                if C.compose_mor(i, f) == C.compose_mor(j, g):
+                    cocones.append((d, i, j))
+    for d, i, j in cocones:
+        universal = True
+        for d2, i2, j2 in cocones:
+            mediators = [
+                h
+                for h in C.hom(d, d2)
+                if C.compose_mor(h, i) == i2 and C.compose_mor(h, j) == j2
+            ]
+            if len(mediators) != 1:
+                universal = False
+                break
+        if universal:
+            return (d, i, j)
+    return None
+
+
+def is_pushout_cocone_by_enumeration(C, f, g, d, i, j):
+    """Universal property read off every commuting cocone of the span."""
+    if C.compose_mor(i, f) != C.compose_mor(j, g):
+        return False
+    b, c = C.tgt[f], C.tgt[g]
+    for d2 in C.objects:
+        for i2 in C.hom(b, d2):
+            for j2 in C.hom(c, d2):
+                if C.compose_mor(i2, f) != C.compose_mor(j2, g):
+                    continue
+                mediators = [
+                    h
+                    for h in C.hom(d, d2)
+                    if C.compose_mor(h, i) == i2 and C.compose_mor(h, j) == j2
+                ]
+                if len(mediators) != 1:
+                    return False
+    return True
+
+
+def ho_table_equivalence(ho_s, ho_t, push):
+    """Essential surjectivity, fullness and faithfulness of the functor of
+    homotopy categories that ``push`` induces, read off the class tables."""
+    images = {push(v) for v in ho_s.cat.objects}
+    ess_surj = True
+    for w in ho_t.cat.objects:
+        if w in images:
+            continue
+        if not any(ho_t.cat.is_iso(m) for v in images for m in ho_t.cat.hom(v, w)):
+            ess_surj = False
+    full = True
+    faithful = True
+    for a in ho_s.cat.objects:
+        for b in ho_s.cat.objects:
+            fibers = {}
+            for m in ho_s.cat.hom(a, b):
+                fibers.setdefault(ho_t.cls(push(m)), []).append(m)
+            if set(fibers) != set(ho_t.cat.hom(push(a), push(b))):
+                full = False
+            if any(len(v) > 1 for v in fibers.values()):
+                faithful = False
+    return {
+        "equivalence": ess_surj and full and faithful,
+        "essentially_surjective": ess_surj,
+        "full": full,
+        "faithful": faithful,
+    }
+
+
+def assert_pushouts_match_the_oracles(C):
+    """On every span and every triple (d, i, j) over it, commuting or not."""
+    for f in C.morphisms:
+        for g in C.morphisms:
+            if C.src[g] != C.src[f]:
+                continue
+            want = pushout_by_search(C, f, g)
+            assert C.pushout(f, g) == want
+            assert C.pushout(f, g) == want  # read back from the memo
+            b, c = C.tgt[f], C.tgt[g]
+            for d in C.objects:
+                for i in C.hom(b, d):
+                    for j in C.hom(c, d):
+                        assert C.is_pushout_cocone(f, g, d, i, j) == \
+                            is_pushout_cocone_by_enumeration(C, f, g, d, i, j), (f, g, d, i, j)
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pushouts_match_the_enumerating_oracles(seed, opposite):
+    C = random_category(random.Random(seed), 4)
+    assert_pushouts_match_the_oracles(C.opposite() if opposite else C)
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+def test_pushouts_of_pointed_sets_match_the_enumerating_oracles(opposite):
+    C = pointed_sets_category(3)
+    assert_pushouts_match_the_oracles(C.opposite() if opposite else C)
+    # collapsing the first point of a three-element set is a pushout
+    f, g = (2, 3, (1,)), (2, 2, (0,))
+    assert C.is_pushout_cocone(f, g, 3, (3, 3, (0, 2)), (2, 3, (1,)))
+    assert not C.is_pushout_cocone(f, g, 3, (3, 3, (0, 2)), (2, 3, (2,)))
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_tau1_map_equivalence_matches_the_table_oracle(seed_s, seed_t, pick):
+    C = random_category(random.Random(seed_s), 4)
+    D = random_category(random.Random(seed_t), 4)
+    NC, ND = nerve(C, 2), nerve(D, 2)
+    functors = sx.enumerate_maps(NC, ND)
+    if not functors:
+        return
+    f = functors[pick % len(functors)]
+    want = ho_table_equivalence(qc.ho_category(NC), qc.ho_category(ND), f)
+    assert qc.tau1_map_equivalence(f) == want
+    assert functor_equivalence_report(functor_from_nerve_map(f)) == want
+
+
+# Each functor fails exactly one of the three conditions, so a verdict that
+# drops or weakens any of them tells them apart.
+
+
+def _missing_object():
+    """The full inclusion of the one-element pointed set into Ps<=2."""
+    C = pointed_sets_category(2)
+    S = full_subcategory(C, [1])
+    return FinFunctor(S, C, {1: 1}, {m: m for m in S.morphisms})
+
+
+def _groupoid_core_inclusion():
+    C = pointed_sets_category(2)
+    G = groupoid_core(C)
+    return FinFunctor(G, C, {o: o for o in G.objects}, {m: m for m in G.morphisms})
+
+
+def _collapse_to_the_point():
+    """Z/2 onto the terminal category."""
+    Z2, P = cyclic_group_category(2), chain_poset(0)
+    return FinFunctor(Z2, P, {"*": 0}, {m: P.ids[0] for m in Z2.morphisms})
+
+
+@pytest.mark.parametrize("build, failing", [
+    (_missing_object, "essentially_surjective"),
+    (_groupoid_core_inclusion, "full"),
+    (_collapse_to_the_point, "faithful"),
+])
+def test_equivalence_verdicts_fail_one_condition_at_a_time(build, failing):
+    F = build()
+    F.check()
+    want = {"essentially_surjective": True, "full": True, "faithful": True,
+            "equivalence": False}
+    want[failing] = False
+    assert functor_equivalence_report(F) == want
+    NF = nerve_functor_map(F, nerve(F.source, 2), nerve(F.target, 2))
+    assert qc.tau1_map_equivalence(NF) == want

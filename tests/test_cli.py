@@ -165,6 +165,40 @@ def test_sconstruct_reports_level_counts(files, capsys):
     assert rep["objects"] == 3
 
 
+def _without_category(doc):
+    """The document with every ``category`` block dropped."""
+    if isinstance(doc, dict):
+        return {k: _without_category(v) for k, v in doc.items() if k != "category"}
+    return doc
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (["k0"], "/sset/category"),
+    (["sconstruct", "--n", "1"], "/sset/category"),
+    (["approx"], "/source/sset/category"),
+    (["approx"], "/target/sset/category"),
+    (["iterate", "--n", "1"], "/source/sset/category"),
+])
+def test_grid_commands_need_a_category_block(files, capsys, argv, pointer):
+    # grid levels are diagram categories over the category of a nerve
+    if argv[0] in ("approx", "iterate"):
+        doc = io.serialize_exact(pointed_sets_with_duplicate(2, 2)[1])
+    else:
+        doc = io.serialize_waldhausen(pointed_sets_waldhausen(3))
+    side = pointer.split("/")[1]
+    if side == "sset":
+        doc = _without_category(doc)
+    else:
+        doc[side] = _without_category(doc[side])
+    path = files["dir"] / "no_category.json"
+    path.write_text(io.dumps(doc))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["pointer"] == pointer
+
+
 def test_budget_exhaustion_exits_two(files, capsys):
     code = main(["k0", files["ps2"], "--budget", "5"])
     captured = capsys.readouterr()
@@ -316,3 +350,18 @@ def test_every_traced_span_names_a_qcatk_attribute():
         for part in attr.split("."):
             assert hasattr(obj, part), name
             obj = getattr(obj, part)
+
+
+def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
+    # perfbench/catalogue.py builds the benchmark inputs from library names
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "catalogue.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qcatk"
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        # ``from qcatk import zoo`` names a submodule
+        assert (hasattr(importlib.import_module(module), name)
+                or importlib.util.find_spec(f"{module}.{name}") is not None), f"{module}.{name}"

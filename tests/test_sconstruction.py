@@ -13,6 +13,7 @@ from qcatk import zoo
 from qcatk import simplicial as sx
 from qcatk.cats import (
     FinFunctor,
+    functor_equivalence_report,
     functor_from_nerve_map,
     map_category,
     nerve,
@@ -23,7 +24,6 @@ from qcatk.sconstruction import (
     ar_poset,
     f_n,
     forgetful_maps,
-    functor_equivalence_report,
     level_functor,
     restricted_grid,
     s_bar_n,

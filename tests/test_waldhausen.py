@@ -2,6 +2,7 @@
 factorization, marking closure properties, and exact maps."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -11,7 +12,15 @@ from hypothesis import strategies as st
 from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import FinCategory, edge_morphism, nerve, poset_category
+from qcatk.cats import (
+    FinCategory,
+    FinFunctor,
+    edge_morphism,
+    nerve,
+    nerve_functor_map,
+    poset_category,
+)
+from qcatk.cli import main
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
@@ -250,3 +259,75 @@ def test_non_reflecting_map_is_detected():
     rep = reflects_cofibrations(G)
     assert not rep["reflects"]
     assert rep["witness"] is not None
+
+
+def pointed_poset(elements, leq):
+    """A poset with a zero object "0" adjoined: besides ("le", x, y) for
+    x <= y, every ordered pair of objects has the zero map ("z", x, y), and
+    a composite through a zero map is zero."""
+    objects = ["0", *elements]
+    morphisms = [("z", x, y) for x in objects for y in objects]
+    morphisms += [("le", x, y) for x in elements for y in elements if leq(x, y)]
+    src = {m: m[1] for m in morphisms}
+    tgt = {m: m[2] for m in morphisms}
+    ids = {x: ("le", x, x) for x in elements}
+    ids["0"] = ("z", "0", "0")
+    comp = {
+        (g, f): (("le" if f[0] == g[0] == "le" else "z"), f[1], g[2])
+        for f in morphisms for g in morphisms if g[1] == f[2]
+    }
+    return FinCategory(objects, morphisms, src, tgt, ids, comp)
+
+
+def pushout_breaking_inclusion():
+    """An exact-map input that preserves zero and every cofibration but not
+    the pushout of b <- a -> c.  The source is the diamond a <= b, c <= d,
+    where d is the join of b and c; the target adds a second upper bound e
+    of b and c, not comparable with d, so the square at d is no longer a
+    pushout.  Cofibrations are the order relations and the maps out of
+    zero; the source passes ``validate_waldhausen``."""
+    def leq_source(x, y):
+        return x == y or x == "a" or y == "d"
+
+    def leq_target(x, y):
+        if "e" in (x, y):
+            return x == y or x in "abc" and y == "e"
+        return leq_source(x, y)
+
+    S = pointed_poset("abcd", leq_source)
+    T = pointed_poset("abcde", leq_target)
+    F = FinFunctor(S, T, {o: o for o in S.objects}, {m: m for m in S.morphisms})
+    F.check()
+
+    def waldhausen(C):
+        marked = [m for m in C.morphisms if m[0] == "le" or m[1] == "0"]
+        return nerve_waldhausen(C, "0", marked, 2)
+
+    WS, WT = waldhausen(S), waldhausen(T)
+    themap = nerve_functor_map(F, WS.underlying, WT.underlying)
+    return ExactFunctorData(themap, WS, WT)
+
+
+def test_a_pushout_that_is_not_preserved_is_a_violation():
+    G = pushout_breaking_inclusion()
+    f, g = ("le", "a", "b"), ("le", "a", "c")
+    CS, CT = G.source.underlying.category, G.target.underlying.category
+    assert CS.pushout(f, g) == ("d", ("le", "b", "d"), ("le", "c", "d"))
+    assert CT.pushout(f, g) is None
+    assert validate_waldhausen(G.source)["ok"]
+    rep = validate_exact(G)
+    assert not rep["ok"]
+    assert ("pushout-not-preserved", f, g) in rep["violations"]
+    assert {v[0] for v in rep["violations"]} == {"pushout-not-preserved"}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["approx"], ["iterate", "--n", "1"]])
+def test_commands_report_a_pushout_that_is_not_preserved(tmp_path, capsys, argv):
+    path = tmp_path / "exact.json"
+    path.write_text(io.dumps(io.serialize_exact(pushout_breaking_inclusion())))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    violations = rep["hypotheses"]["exact_violations"] if argv[0] == "approx" \
+        else rep["exact"]["violations"]
+    assert ["pushout-not-preserved", repr(("le", "a", "b")), repr(("le", "a", "c"))] \
+        in violations
