@@ -1,7 +1,8 @@
 """Command-line front end: input validation, constructions, and verification
 reports.  All input and output is JSON (UTF-8, sorted keys).
 
-Exit codes: 0 = pass, 1 = finding (including schema violations), 2 = the
+Exit codes: 0 = pass, 1 = finding (including schema violations and
+argument errors, each a JSON error on stderr), 2 = the
 command's search budget or a dimension bound was exceeded.  Every report
 embeds the dimension bound and budget it was computed with."""
 
@@ -102,6 +103,13 @@ def _require_category(W, pointer: str):
                              pointer)
 
 
+def _require_indices(values, pointer: str):
+    """Level and shape indices count vertices of a simplex, so none is
+    negative."""
+    if min(values, default=0) < 0:
+        raise io.SchemaError("indices must be at least 0", pointer)
+
+
 def _require_ho_dim(args):
     if args.dim < 2:
         raise io.SchemaError(
@@ -160,14 +168,15 @@ def cmd_ho(args):
 
 
 def cmd_join(args):
+    if len(args.inputs) != (3 if args.check_assoc else 2):
+        raise io.SchemaError("join takes two input files, or three with --check-assoc",
+                             "/inputs")
     _, A = _load(args.inputs[0], "sset")
     _, B = _load(args.inputs[1], "sset")
     span = sx.join(A, B, args.dim)
     report = {"sset": io.serialize_sset(span.sset)}
     ok = True
     if args.check_assoc:
-        if len(args.inputs) != 3:
-            raise io.SchemaError("--check-assoc needs three input files")
         _, C = _load(args.inputs[2], "sset")
         left = sx.join(span.sset, C, args.dim).sset
         right = sx.join(A, sx.join(B, C, args.dim).sset, args.dim).sset
@@ -223,6 +232,7 @@ def cmd_waldhausen_check(args):
 def cmd_sconstruct(args):
     from .sconstruction import s_n
 
+    _require_indices([args.n], "/n")
     _, W = _load(args.input, "waldhausen")
     _require_category(W, "/sset/category")
     level = s_n(W, args.n, args.dim)
@@ -269,6 +279,7 @@ def cmd_approx(args):
 def cmd_lift(args):
     from . import lifting as lf
 
+    _require_indices(args.nbar, "/nbar")
     nbar = tuple(args.nbar)
     kind, value = _load(args.input)
     if args.shape == "strong-replacement":
@@ -288,6 +299,9 @@ def cmd_iterate(args):
     from .waldhausen import validate_exact
 
     _require_ho_dim(args)
+    _require_indices(args.n, "/n")
+    if len(args.n) > 2:
+        raise io.SchemaError("at most two iterations are supported", "/n")
     _, G = _load(args.input, "exact")
     _require_category(G.source, "/source/sset/category")
     _require_category(G.target, "/target/sset/category")
@@ -304,8 +318,16 @@ def cmd_iterate(args):
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose argument errors are schema findings, reported as JSON
+    like every other bad input; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise io.SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="qcatk",
         description="Finite simplicial sets, quasicategories, and K-theory "
                     "verification reports.",
@@ -359,11 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.budget <= 0:
-        print(io.dumps({"error": "budget must be positive"}), file=sys.stderr)
-        return EXIT_FINDING
     try:
+        args = build_parser().parse_args(argv)
+        if args.budget <= 0:
+            raise io.SchemaError("budget must be positive", "/budget")
         with sx.budget(args.budget):
             return args.func(args)
     except io.SchemaError as exc:

@@ -1,6 +1,7 @@
 """Exact integral linear algebra and low-dimensional invariants of finite
-simplicial sets: Smith normal form, pi_0, abelianized pi_1 via edge paths,
-and H_1 of normalized chains.  All arithmetic is over Python integers."""
+simplicial sets: Smith normal form, and pi_0, abelianized pi_1 and H_1 of
+normalized chains from one spanning-forest presentation.  All arithmetic is
+over Python integers."""
 
 from __future__ import annotations
 
@@ -154,15 +155,25 @@ def group_from_relations(num_gens: int, relations: list[list[int]]) -> AbelianGr
 # -- invariants of simplicial sets -------------------------------------------
 
 
-def component_of(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
-    """Each vertex's connected-component representative (the minimal vertex
-    of its component)."""
+def _spanning_forest(X: SimplicialSet) -> tuple[UnionFind, set]:
+    """The components of X's 1-skeleton, each rooted at its minimal vertex,
+    and a spanning forest of it: the generators of ``gens(1)`` that, taken
+    in order, joined two components."""
     uf = UnionFind()
     for v in X.simplices(0):
         uf.find(v)
+    tree = set()
     for g in X.gens(1):
         e = SimplexKey(g)
-        uf.union(X.vertex(e, 0), X.vertex(e, 1))
+        if uf.union(X.vertex(e, 0), X.vertex(e, 1)):
+            tree.add(g)
+    return uf, tree
+
+
+def component_of(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
+    """Each vertex's connected-component representative (the minimal vertex
+    of its component)."""
+    uf, _ = _spanning_forest(X)
     return {v: uf.find(v) for v in X.simplices(0)}
 
 
@@ -171,97 +182,46 @@ def pi0(X: SimplicialSet) -> list[SimplexKey]:
     return sorted(set(component_of(X).values()))
 
 
-def _boundary_matrix(X: SimplicialSet, n: int) -> list[list[int]]:
-    """Normalized boundary C_n -> C_{n-1}; rows index (n-1)-generators,
-    columns index n-generators.  Degenerate faces contribute zero."""
-    rows = {g: r for r, g in enumerate(X.gens(n - 1))}
-    M = [[0] * len(X.gens(n)) for _ in X.gens(n - 1)]
-    for c, g in enumerate(X.gens(n)):
-        for i in range(n + 1):
-            f = X.face(SimplexKey(g), i)
-            if not f.is_degenerate:
-                M[rows[f.gen]][c] += (-1) ** i
-    return M
+def _forest_presentation(X: SimplicialSet, basepoint=None) -> AbelianGroupPresentation:
+    """The free abelian group on the nondegenerate edges outside a spanning
+    forest, modulo d0 + d2 - d1 for each nondegenerate 2-simplex, with
+    degenerate and forest faces dropped: over the basepoint's component, or
+    over all of X when ``basepoint`` is None.
+
+    Since the boundary is injective on the span of the forest and has the
+    same image there as on all 1-chains, 1-chains are the cycles plus that
+    span, so this is H_1 and, per component, the abelianized edge-path group.
+    """
+    uf, tree = _spanning_forest(X)
+    root = None if basepoint is None else uf.find(basepoint)
+
+    def kept(key: SimplexKey) -> bool:
+        return root is None or uf.find(X.vertex(key, 0)) == root
+
+    col = {g: c for c, g in enumerate(
+        g for g in X.gens(1) if g not in tree and kept(SimplexKey(g)))}
+    relations = []
+    for g in X.gens(2):
+        t = SimplexKey(g)
+        if kept(t):
+            row = [0] * len(col)
+            for i, sign in ((0, 1), (2, 1), (1, -1)):  # d2 then d0 equals d1
+                f = X.face(t, i)
+                if not f.is_degenerate and f.gen in col:
+                    row[col[f.gen]] += sign
+            relations.append(row)
+    return group_from_relations(len(col), relations)
 
 
 def h1(X: SimplicialSet) -> AbelianGroupPresentation:
     """H_1 of the normalized chain complex of the stored truncation."""
-    n1 = len(X.gens(1))
-    if n1 == 0:
-        return AbelianGroupPresentation(0, ())
-    d1 = _boundary_matrix(X, 1)
-    # kernel of d1 via SNF: columns of V beyond rank give a kernel basis
-    U, D, V = smith_normal_form(d1)
-    rank = sum(1 for i in range(min(len(D), n1)) if i < len(D) and D[i][i] != 0)
-    kernel_basis = [[V[i][j] for i in range(n1)] for j in range(rank, n1)]
-    if not kernel_basis:
-        return AbelianGroupPresentation(0, ())
-    n2 = len(X.gens(2))
-    d2 = _boundary_matrix(X, 2) if n2 else [[0] * 0 for _ in range(n1)]
-    # express each d2 column in the kernel basis: solve K * x = col
-    # K has full column rank; use SNF of K
-    K = [[kernel_basis[j][i] for j in range(len(kernel_basis))] for i in range(n1)]
-    Uk, Dk, Vk = smith_normal_form(K)
-    rk = len(kernel_basis)
-    relations = []
-    for c in range(n2):
-        col = [d2[i][c] for i in range(n1)]
-        # y = Uk * col ; then Dk * z = y ; x = Vk * z
-        y = [sum(Uk[i][j] * col[j] for j in range(n1)) for i in range(n1)]
-        z = []
-        for i in range(rk):
-            if Dk[i][i] == 0:
-                if y[i] != 0:
-                    raise AssertionError("boundary image not in cycle lattice")
-                z.append(0)
-            else:
-                if y[i] % Dk[i][i] != 0:
-                    raise AssertionError("boundary image not in cycle lattice")
-                z.append(y[i] // Dk[i][i])
-        for i in range(rk, n1):
-            if y[i] != 0:
-                raise AssertionError("boundary image not in cycle lattice")
-        x = [sum(Vk[i][j] * z[j] for j in range(rk)) for i in range(rk)]
-        relations.append(x)
-    return group_from_relations(rk, relations)
+    return _forest_presentation(X)
 
 
 def pi1_abelianized(X: SimplicialSet, basepoint: SimplexKey) -> AbelianGroupPresentation:
-    """Abelianized edge-path group of the component of the basepoint.
-
-    Generators: nondegenerate edges within the component, with spanning-tree
-    edges killed; relations from nondegenerate 2-simplices (degenerate faces
-    act as identities).
-    """
-    uf = UnionFind()
-    for v in X.simplices(0):
-        uf.find(v)
-    edges = [SimplexKey(g) for g in X.gens(1)]
-    tree = set()
-    for e in sorted(edges):
-        if uf.union(X.vertex(e, 0), X.vertex(e, 1)):
-            tree.add(e)
-    comp = uf.find(basepoint)
-    comp_edges = [e for e in edges if uf.find(X.vertex(e, 0)) == comp]
-    idx = {e: i for i, e in enumerate(comp_edges)}
-    relations = []
-    for e in comp_edges:
-        if e in tree:
-            row = [0] * len(comp_edges)
-            row[idx[e]] = 1
-            relations.append(row)
-    if X.top_dim >= 2:
-        for g in X.gens(2):
-            t = SimplexKey(g)
-            if uf.find(X.vertex(t, 0)) != comp:
-                continue
-            row = [0] * len(comp_edges)
-            for i, sign in ((0, 1), (2, 1), (1, -1)):  # d2 then d0 equals d1
-                f = X.face(t, i)
-                if not f.is_degenerate:
-                    row[idx[f]] += sign
-            relations.append(row)
-    return group_from_relations(len(comp_edges), relations)
+    """Abelianized edge-path group of the component of the basepoint
+    (degenerate faces act as identities)."""
+    return _forest_presentation(X, basepoint)
 
 
 def weak_contractibility_report(X: SimplicialSet, d: int = None) -> dict:

@@ -215,9 +215,6 @@ class SimplicialSet:
     def gen_of_label(self, label) -> Gen:
         return self._gen_of_label[label]
 
-    def label(self, gen: Gen):
-        return self.labels.get(gen)
-
     # -- face and degeneracy operators on keys ---------------------------
 
     def face(self, key: SimplexKey, i: int) -> SimplexKey:

@@ -365,3 +365,41 @@ def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
         # ``from qcatk import zoo`` names a submodule
         assert (hasattr(importlib.import_module(module), name)
                 or importlib.util.find_spec(f"{module}.{name}") is not None), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (["join", "d1"], "/inputs"),
+    (["join", "d1", "d1", "d1"], "/inputs"),
+    (["join", "d1", "d1", "--check-assoc"], "/inputs"),
+    (["iterate", "dup", "--n", "1", "1", "1"], "/n"),
+    (["iterate", "dup", "--n", "-1"], "/n"),
+    (["sconstruct", "ps2", "--n", "-1"], "/n"),
+    (["lift", "bdincl", "--nbar", "-1"], "/nbar"),
+    (["k0", "ps2", "--budget", "0"], "/budget"),
+])
+def test_nonsense_arguments_are_one_json_error(files, capsys, argv, pointer):
+    argv = [files.get(a, a) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err)["pointer"] == pointer
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["k0"], "the following arguments are required: input"),
+    (["k0", "ps2", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_exit_one_with_a_json_error(files, capsys, argv, message):
+    # exit code 2 belongs to an exceeded budget or bound, not to argparse
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"error": f"{message} (at /)", "pointer": "/"}
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["k0", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -1,11 +1,14 @@
 """Integer linear algebra (Smith form), abelian group presentations, and the
 simplicial invariants built on them."""
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve
 from qcatk.homology import (
@@ -17,7 +20,8 @@ from qcatk.homology import (
     smith_normal_form,
     weak_contractibility_report,
 )
-from qcatk.simplicial import SimplexKey
+from qcatk.simplicial import SimplexKey, SimplicialSet, UnionFind
+from qcatk.zoo import random_category
 
 
 def _det(M):
@@ -108,3 +112,124 @@ def test_contractibility_verdicts():
     assert rep["verdict"] == "refuted"
     rep = weak_contractibility_report(sx.empty_sset(), 2)
     assert rep["verdict"] == "refuted"
+
+
+# -- oracles: the kernel-basis H_1 and the unit-row edge-path group -------------
+
+
+def _boundary_matrix(X, n):
+    """Normalized boundary C_n -> C_{n-1}; rows index (n-1)-generators,
+    columns index n-generators.  Degenerate faces contribute zero."""
+    rows = {g: r for r, g in enumerate(X.gens(n - 1))}
+    M = [[0] * len(X.gens(n)) for _ in X.gens(n - 1)]
+    for c, g in enumerate(X.gens(n)):
+        for i in range(n + 1):
+            f = X.face(SimplexKey(g), i)
+            if not f.is_degenerate:
+                M[rows[f.gen]][c] += (-1) ** i
+    return M
+
+
+def h1_by_cycle_basis(X):
+    """H_1 as ker d1 / im d2: a kernel basis of d1 from one Smith form, each
+    d2 column re-expressed in it through a second."""
+    n1 = len(X.gens(1))
+    if n1 == 0:
+        return AbelianGroupPresentation(0, ())
+    _, D, V = smith_normal_form(_boundary_matrix(X, 1))
+    rank = sum(1 for i in range(min(len(D), n1)) if D[i][i] != 0)
+    K = [[V[i][j] for j in range(rank, n1)] for i in range(n1)]
+    rk = n1 - rank
+    if rk == 0:
+        return AbelianGroupPresentation(0, ())
+    d2 = _boundary_matrix(X, 2)
+    Uk, Dk, Vk = smith_normal_form(K)
+    relations = []
+    for c in range(len(X.gens(2))):
+        # solve K x = col: y = Uk col, Dk z = y, x = Vk z
+        y = [sum(Uk[i][j] * d2[j][c] for j in range(n1)) for i in range(n1)]
+        assert all(y[i] % Dk[i][i] == 0 for i in range(rk))
+        assert not any(y[rk:])
+        z = [y[i] // Dk[i][i] for i in range(rk)]
+        relations.append([sum(Vk[i][j] * z[j] for j in range(rk)) for i in range(rk)])
+    return group_from_relations(rk, relations)
+
+
+def pi1_by_unit_rows(X, basepoint):
+    """The abelianized edge-path group with every edge of the component a
+    generator, a unit row killing each spanning-tree edge and one row per
+    nondegenerate 2-simplex."""
+    uf = UnionFind()
+    for v in X.simplices(0):
+        uf.find(v)
+    edges = [SimplexKey(g) for g in X.gens(1)]
+    tree = {e for e in edges if uf.union(X.vertex(e, 0), X.vertex(e, 1))}
+    comp = uf.find(basepoint)
+    comp_edges = [e for e in edges if uf.find(X.vertex(e, 0)) == comp]
+    idx = {e: i for i, e in enumerate(comp_edges)}
+    relations = [[int(f == e) for f in comp_edges] for e in comp_edges if e in tree]
+    for g in X.gens(2):
+        t = SimplexKey(g)
+        if uf.find(X.vertex(t, 0)) == comp:
+            row = [0] * len(comp_edges)
+            for i, sign in ((0, 1), (2, 1), (1, -1)):
+                f = X.face(t, i)
+                if not f.is_degenerate:
+                    row[idx[f]] += sign
+            relations.append(row)
+    return group_from_relations(len(comp_edges), relations)
+
+
+def _disjoint_union(X, Y):
+    """X and Y side by side, Y's generators numbered after X's."""
+    shift = list(X.n_gens)
+
+    def moved(k):
+        n, i = k.gen
+        return SimplexKey((n, i + (shift[n] if n < len(shift) else 0)), k.degens)
+
+    faces = dict(X.faces)
+    faces.update({moved(SimplexKey(g)).gen: tuple(moved(f) for f in fs)
+                  for g, fs in Y.faces.items()})
+    n_gens = [a + b for a, b in itertools.zip_longest(X.n_gens, Y.n_gens, fillvalue=0)]
+    return SimplicialSet(n_gens, faces)
+
+
+def _small(rng):
+    """A random nerve, its opposite, a horn or a boundary."""
+    kind = rng.choice(["nerve", "opposite", "horn", "boundary"])
+    if kind == "nerve":
+        return nerve(random_category(rng, 3), 2)
+    if kind == "opposite":
+        return nerve(random_category(rng, 3).opposite(), 2)
+    if kind == "horn":
+        n = rng.randint(1, 3)
+        return sx.horn(n, rng.randint(0, n))
+    return sx.boundary(rng.randint(1, 3))
+
+
+def _instance(rng, kind):
+    if kind == "small":
+        return _small(rng)
+    if kind == "disjoint":
+        return _disjoint_union(_small(rng), _small(rng))
+    if kind == "product":
+        return sx.product(_small(rng), _small(rng), 2).sset
+    if kind == "join":
+        return sx.join(_small(rng), _small(rng), 2).sset
+    X = nerve(random_category(rng, 3), 3)
+    if kind == "hom":
+        return qc.internal_hom(rng.choice([sx.delta(1), sx.boundary(1)]), X, 2)
+    a, b = rng.choice(X.simplices(0)), rng.choice(X.simplices(0))
+    return qc.mapping_space(X, a, b, 2)
+
+
+@pytest.mark.parametrize("kind", ["small", "disjoint", "product", "join", "mapping", "hom"])
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_forest_presentation_matches_the_oracles_on_every_component(kind, seed):
+    X = _instance(random.Random(seed), kind)
+    X.check()
+    assert h1(X) == h1_by_cycle_basis(X)
+    for base in pi0(X):
+        assert pi1_abelianized(X, base) == pi1_by_unit_rows(X, base)

@@ -49,21 +49,39 @@ def test_pointed_sets_instance_satisfies_the_axioms():
     assert rep["checks"]["pushouts_checked"] > 0
 
 
+def _without_category_block(W):
+    doc = io.serialize_waldhausen(W)
+    del doc["sset"]["category"]
+    return doc
+
+
 def test_slice_pushouts_agree_with_the_oracle_without_a_category_block():
     # without its category block, a nerve's pushouts are checked as initial
     # cocones in the slice; Ps<=2 lacks only the wedge of two copies of S^0
     W = pointed_sets_waldhausen(2, 4)
-    doc = io.serialize_waldhausen(W)
-    del doc["sset"]["category"]
-    plain = io.parse_waldhausen(doc)
+    plain = io.parse_waldhausen(_without_category_block(W))
     assert plain.underlying.category is None
-    oracle, slices = validate_waldhausen(W), validate_waldhausen(plain)
-    assert oracle["violations"] == slices["violations"] == []
+    oracle = validate_waldhausen(W)
+    assert oracle == validate_waldhausen(plain)
+    assert oracle["violations"] == []
     X = W.underlying
-    as_edges = [(kind, *(SimplexKey(X.gen_of_label((m,))) for m in span))
-                for kind, *span in oracle["local_failures"]]
-    assert as_edges == slices["local_failures"]
-    assert len(as_edges) == 1
+    point_into_s0 = SimplexKey(X.gen_of_label(((1, 2, ()),)))
+    assert oracle["local_failures"] == [("pushout-missing", point_into_s0, point_into_s0)]
+    assert oracle["checks"]["pushouts_checked"] == 2
+
+
+@pytest.mark.parametrize("W", [pointed_sets_waldhausen(2, 4),
+                               pointed_sets_with_duplicate(2, 4)[0]])
+def test_waldhausen_check_prints_one_report_with_and_without_a_category_block(
+        tmp_path, capsys, W):
+    outputs = []
+    for name, doc in [("block", io.serialize_waldhausen(W)),
+                      ("plain", _without_category_block(W))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.dumps(doc))
+        main(["waldhausen-check", str(path), "--dim", "2"])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_unmarked_equivalence_is_a_violation():
@@ -331,3 +349,21 @@ def test_commands_report_a_pushout_that_is_not_preserved(tmp_path, capsys, argv)
         else rep["exact"]["violations"]
     assert ["pushout-not-preserved", repr(("le", "a", "b")), repr(("le", "a", "c"))] \
         in violations
+
+
+@pytest.mark.parametrize("stripped", [(), ("target",), ("source", "target")])
+def test_validate_says_whether_pushout_preservation_was_tested(tmp_path, capsys, stripped):
+    # without both category blocks the squares cannot be tested, so a pass
+    # says so with a null count instead of an empty list alone
+    doc = io.serialize_exact(pushout_breaking_inclusion())
+    for side in stripped:
+        del doc[side]["sset"]["category"]
+    path = tmp_path / "exact.json"
+    path.write_text(io.dumps(doc))
+    code = main(["validate", str(path)])
+    rep = json.loads(capsys.readouterr().out)["exact"]
+    if stripped:
+        assert (code, rep["violations"], rep["pushouts_checked"]) == (0, [], None)
+    else:
+        assert code == 1 and len(rep["violations"]) == 2
+        assert rep["pushouts_checked"] == 79
