@@ -33,14 +33,13 @@ class FinCategory:
     handed the rows.
     """
 
-    def __init__(self, objects, morphisms, src, tgt, ids, comp, name=None, after=None):
+    def __init__(self, objects, morphisms, src, tgt, ids, comp, after=None):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.ids = dict(ids)
         self.comp = dict(comp)
-        self.name = name
         self.id_set = frozenset(self.ids.values())
         self._after = after
         self._pushouts: dict = {}

@@ -282,13 +282,16 @@ def cmd_lift(args):
     _require_indices(args.nbar, "/nbar")
     nbar = tuple(args.nbar)
     kind, value = _load(args.input)
+    if kind == "exact":
+        value = value.themap
     if args.shape == "strong-replacement":
+        if kind == "category":
+            raise io.SchemaError("strong replacement needs a simplicial set, "
+                                 "Waldhausen, map or exact-map file")
         target = value.underlying if kind == "waldhausen" else value
         rep = lf.rlp_check(target, nbar, kind="strong-replacement")
     else:
-        if kind == "exact":
-            value = value.themap
-        elif kind != "map":
+        if kind not in ("map", "exact"):
             raise io.SchemaError("prism lifting needs a map file")
         rep = lf.rlp_check(value, nbar, kind="prism")
     return _emit(rep, args, rep["verdict"] == "pass")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
-from .cats import FinCategory, functor_equivalence_report, poset_category
+from .cats import FinCategory, functor_equivalence_report, nerve, poset_category
 from .simplicial import (
     SimplexKey,
     SimplicialMap,
@@ -279,26 +279,24 @@ def small_posets(max_size: int = 3) -> list[FinCategory]:
 def cone_extension_check(C: SimplicialSet) -> dict:
     """Test whether every map NP -> C from the nerve of a poset with at most
     two elements extends over the cone (NP) * 1.  Failure witnesses are
-    reported."""
+    reported.
+
+    One search per poset, relative to the copy of NP in the cone
+    (:func:`simplicial.relative_maps`), yields every map NP -> C with its
+    extensions."""
     if C.is_empty():
         return {"verdict": "fail", "reason": "empty target"}
     failures = []
     tested = 0
     for P in small_posets(2):
-        from .cats import nerve
-
         NP = nerve(P, len(P.objects))
         J = sx.join(NP, sx.delta(0), NP.top_dim + 1)
         C.require_bound(J.sset.top_dim, "cone extension")
-        for f in sx.enumerate_maps(NP, C):
+        on_np = J.left.assign  # generator of NP -> its copy in the cone
+        for u, exts in sx.relative_maps(J.sset, C, [k.gen for k in on_np.values()]):
             tested += 1
-            fixed = {}
-            for g in J.sset.all_gens():
-                lbl = J.sset.labels[g]
-                if lbl[0] == "a":
-                    fixed[g] = f(lbl[1])
-            exts = sx.enumerate_maps(J.sset, C, fixed=fixed)
             if not exts:
+                f = SimplicialMap(NP, C, {g: u[k.gen] for g, k in on_np.items()})
                 failures.append((P, f))
     return {
         "verdict": "pass" if not failures else "fail",

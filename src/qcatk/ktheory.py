@@ -196,15 +196,11 @@ def k0_relations(W: WaldhausenData) -> dict:
     return {"generators": verts, "rows": rows, "kinds": kinds, "skipped": skipped}
 
 
-def k0_presentation_oracle(W: WaldhausenData, omit=None) -> AbelianGroupPresentation:
+def k0_presentation_oracle(W: WaldhausenData) -> AbelianGroupPresentation:
     """Free abelian group on the vertices modulo the relations of
-    :func:`k0_relations`.  ``omit`` (an index or a collection of indices)
-    drops relation rows — the negative-control hook for the
-    oracle-agreement tests."""
+    :func:`k0_relations`."""
     data = k0_relations(W)
-    dropped = set() if omit is None else ({omit} if isinstance(omit, int) else set(omit))
-    rows = [r for i, r in enumerate(data["rows"]) if i not in dropped]
-    return group_from_relations(len(data["generators"]), rows)
+    return group_from_relations(len(data["generators"]), data["rows"])
 
 
 def k0_agreement(W: WaldhausenData, d: int = 2) -> dict:

@@ -24,25 +24,30 @@ from . import simplicial as sx
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
 # ---------------------------------------------------------------------------
-# vertex paths, constant simplices and spine products
+# simplices of base x Delta[k] and spine products
 
 
-def _vertex_path(P: sx.MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
-                 key: SimplexKey):
-    """Vertex path of a product simplex, as pairs of factor vertex labels."""
-    ka, kb = P.elem_of(key)
-    n = key.dim
-    out = []
-    for t in range(n + 1):
-        va = A.labels[A.vertex(ka, t).gen][0]
-        vb = B.labels[B.vertex(kb, t).gen][0]
-        out.append((va, vb))
-    return out
+def _vertex_seq(S: SimplicialSet, key: SimplexKey) -> list:
+    """The vertex labels along a simplex of a vertex-subset complex; the
+    inverse of :func:`simplicial.key_from_vertex_seq`."""
+    return [S.labels[v.gen][0] for v in S.vertices(key)]
 
 
-def _const_key(v: SimplexKey, n: int) -> SimplexKey:
-    """The totally degenerate n-simplex on a vertex."""
-    return sx.apply_degeneracy_word(v, range(n - 1, -1, -1)) if n else v
+def _along(h: SimplicialMap, kb: SimplexKey, seq) -> SimplexKey:
+    """The value of a map h out of base x Delta[k] at the simplex whose base
+    part is the key ``kb`` and whose Delta[k] part has vertex sequence
+    ``seq``.  The base part stays a key: the base may be a product of
+    spines, which is not a vertex-subset complex."""
+    Q = h.source
+    return h(Q.key_of(kb.dim, (kb, sx.key_from_vertex_seq(Q.family.Y, seq))))
+
+
+def _ends(m: SimplicialMap) -> tuple:
+    """The values of a map out of base x Delta[1] on base x {0} and then on
+    base x {1}, in base generator order."""
+    base = m.source.family.X
+    return tuple(_along(m, SimplexKey(g), (j,) * (g[0] + 1))
+                 for j in (0, 1) for g in base.all_gens())
 
 
 def spine_product(ns) -> SimplicialSet:
@@ -121,14 +126,7 @@ def _transformation_parts(alpha: SimplicialMap):
 
 def _parallel(alpha: SimplicialMap, beta: SimplicialMap) -> bool:
     """Same endpoint functors: equal restrictions to both ends of Delta[1]."""
-    P1, S, D1, _ = _transformation_parts(alpha)
-    for j in (0, 1):
-        kj = SimplexKey(D1.gen_of_label((j,)))
-        for g in S.all_gens():
-            k = P1.key_of(g[0], (SimplexKey(g), _const_key(kj, g[0])))
-            if alpha(k) != beta(k):
-                return False
-    return True
+    return _ends(alpha) == _ends(beta)
 
 
 def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
@@ -232,11 +230,11 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
     P3 = sx.product(S, D2, 3).sset
     assign = {}
     for g in P3.all_gens():
-        path = _vertex_path(P3, S, D2, SimplexKey(g))
-        svals = [p[0] for p in path]
+        ks, kd = P3.labels[g]
+        svals = _vertex_seq(S, ks)
+        path = list(zip(svals, _vertex_seq(D2, kd)))
         if min(svals) == max(svals):
             # lies in one end triangle
-            _, kd = P3.labels[g]
             sub = X.subsimplex(T[svals[0]], D2.labels[kd.gen])
             assign[g] = sx.apply_degeneracy_word(sub, kd.degens)
         else:
@@ -267,62 +265,17 @@ def prism_face(h: SimplicialMap, P1: sx.MaterializedSSet, face: int) -> Simplici
     Face 1 recovers the first transformation, face 0 the second, face 2
     the degenerate one.
     """
-    P3 = h.source
-    S, D2 = P3.family.X, P3.family.Y
     D1 = P1.family.Y
-    vmap = {0: {0: 1, 1: 2}, 1: {0: 0, 1: 2}, 2: {0: 0, 1: 1}}[face]
+    vmap = ((1, 2), (0, 2), (0, 1))[face]
     assign = {}
     for g in P1.all_gens():
-        path = _vertex_path(P1, S, D1, SimplexKey(g))
-        assign[g] = h(sx.product_path_key(P3, S, D2, [(s, vmap[d]) for s, d in path]))
+        kb, kd = P1.labels[g]
+        assign[g] = _along(h, kb, [vmap[v] for v in _vertex_seq(D1, kd)])
     return SimplicialMap(P1, h.target, assign)
 
 
 # ---------------------------------------------------------------------------
 # the homotopic-components hypothesis
-
-
-def _delta_part_fixed(Qbig, base, D_from, D_to, pick):
-    """Boundary values for extension problems base x D_from -> X given maps
-    defined on base x D_to for each proper face.
-
-    For each generator of ``Qbig = base x D_from`` whose D_from-part misses
-    a vertex, ``pick(V)`` chooses (map, vertex relabelling) from the vertex
-    set V of that part; generators using every vertex of D_from are free.
-    """
-    full = tuple(range(len(D_from.gens(0))))
-    fixed = {}
-    for g in Qbig.all_gens():
-        kb, kd = Qbig.labels[g]
-        V = D_from.labels[kd.gen]
-        if V == full:
-            continue
-        chosen, phi = pick(V)
-        seq = [phi[D_from.labels[D_from.vertex(kd, t).gen][0]]
-               for t in range(kd.dim + 1)]
-        kd_small = sx.key_from_vertex_seq(D_to, seq)
-        key_small = chosen.source.key_of(g[0], (kb, kd_small))
-        fixed[g] = chosen(key_small)
-    return fixed
-
-
-def _homotopy_exists(X, base, alpha, beta) -> bool:
-    """Is there a map base x Delta[2] -> X restricting to alpha at face 1,
-    beta at face 0, and degenerately at face 2?"""
-    dim = base.top_dim
-    D2 = sx.delta(2)
-    Q2 = sx.product(base, D2, dim + 2).sset
-
-    def pick(V):
-        if set(V) <= {0, 2}:
-            return alpha, {0: 0, 2: 1}
-        if set(V) <= {1, 2}:
-            return beta, {1: 0, 2: 1}
-        return alpha, {0: 0, 1: 0}
-
-    D1 = alpha.source.family.Y
-    fixed = _delta_part_fixed(Q2, base, D2, D1, pick)
-    return bool(sx.enumerate_maps(Q2, X, fixed=fixed))
 
 
 def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
@@ -333,11 +286,17 @@ def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
     Transformations are handled in adjoint form, as maps
     (I[nbar] x I[p]) x Delta[1] -> X; a component at a vertex of I[p] is
     then a map I[nbar] x Delta[1] -> X.
+
+    A pair (alpha, beta) is homotopic when the map on base x
+    boundary(Delta[2]) that is alpha on face 1, beta on face 0 and alpha's
+    source end, held constant, on face 2 extends over base x Delta[2].
+    One search relative to that boundary
+    (:func:`simplicial.relative_maps`) answers it for every pair, and the
+    first pair in order with no extension is the witness.
     """
     from . import quasicat as qc
 
     nbar = tuple(nbar)
-    pairs = 0
     p = 1
     base = spine_product(nbar + (p,))
     needed = base.top_dim + 2  # dimension of base x Delta[2]
@@ -346,59 +305,56 @@ def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
 
         X = nerve(X.category, needed)
     X.require_bound(needed, "components hypothesis check")
-    D1 = sx.delta(1)
-    Q1 = sx.product(base, D1, base.top_dim + 1).sset
+    Q1 = sx.product(base, sx.delta(1), base.top_dim + 1).sset
     maps = sx.enumerate_maps(Q1, X)
     edge_cls = qc.homotopy_classes(X)
-
-    def endpoints(m):
-        out = []
-        for j in (0, 1):
-            kj = SimplexKey(D1.gen_of_label((j,)))
-            out.append(tuple(
-                m(Q1.key_of(g[0], (SimplexKey(g), _const_key(kj, g[0]))))
-                for g in base.all_gens()
-            ))
-        return tuple(out)
 
     # components are indexed by vertices of the I[p] factor: in adjoint
     # form, by restrictions to sub-bases I[nbar] x {vertex}.  For the
     # homotopy comparison it is equivalent (and simpler) to compare
     # componentwise at every vertex of the whole base.
-    def component(m, vgen):
-        e = SimplexKey(D1.gen_of_label((0, 1)))
-        return m(Q1.key_of(1, (sx.key_degeneracy(SimplexKey(vgen), 0), e)))
+    def components(m):
+        return [edge_cls[_along(m, sx.key_degeneracy(SimplexKey(v), 0), (0, 1))]
+                for v in base.gens(0)]
 
     groups: dict = {}
     for m in maps:
-        groups.setdefault(endpoints(m), []).append(m)
-    for group in groups.values():
-        for ia in range(len(group)):
-            for ib in range(ia + 1, len(group)):
-                a, b = group[ia], group[ib]
-                comps_homotopic = all(
-                    edge_cls[component(a, v)] == edge_cls[component(b, v)]
-                    for v in base.gens(0)
-                )
-                if not comps_homotopic:
-                    continue
-                pairs += 1
-                if not _homotopy_exists(X, base, a, b):
-                    return {
-                        "verdict": "fail",
-                        "nbar": nbar,
-                        "tested_p": [p],
-                        "pairs_with_homotopic_components": pairs,
-                        "witness": {"p": p, "alpha": dict(a.assign),
-                                    "beta": dict(b.assign)},
-                    }
-    return {
-        "verdict": "pass",
+        groups.setdefault(_ends(m), []).append((m, components(m)))
+    pairs = [(a, b) for group in groups.values()
+             for i, (a, ca) in enumerate(group) for b, cb in group[i + 1:] if ca == cb]
+
+    failed = None
+    if pairs:
+        D2 = sx.delta(2)
+        Q2 = sx.product(base, D2, needed).sset
+        _, inner = _boundary_subcomplex(Q2, D2, strong=False)
+        inner = set(inner)
+
+        def on_boundary(a, b, kb, kd):
+            seq = _vertex_seq(D2, kd)
+            if set(seq) <= {0, 2}:
+                return _along(a, kb, [v // 2 for v in seq])
+            if set(seq) <= {1, 2}:
+                return _along(b, kb, [v - 1 for v in seq])
+            return _along(a, kb, [0] * len(seq))
+
+        bounds = [{g: on_boundary(a, b, *Q2.labels[g]) for g in Q2.all_gens() if g in inner}
+                  for a, b in pairs]
+        extends = {tuple(u.values()): bool(exts)
+                   for u, exts in sx.relative_maps(Q2, X, inner, restrict=bounds)}
+        failed = next((i for i, u in enumerate(bounds)
+                       if not extends.get(tuple(u.values()))), None)
+    report = {
+        "verdict": "pass" if failed is None else "fail",
         "nbar": nbar,
         "tested_p": [p],
-        "pairs_with_homotopic_components": pairs,
+        "pairs_with_homotopic_components": len(pairs) if failed is None else failed + 1,
         "witness": None,
     }
+    if failed is not None:
+        a, b = pairs[failed]
+        report["witness"] = {"p": p, "alpha": dict(a.assign), "beta": dict(b.assign)}
+    return report
 
 
 # ---------------------------------------------------------------------------

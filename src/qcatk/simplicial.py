@@ -409,21 +409,11 @@ class MaterializedSSet(SimplicialSet):
                     faces[g] = tuple(key_of(n - 1, family.face(n, x, i)) for i in range(n + 1))
             gens_per_dim.append(len(layer))
         super().__init__(gens_per_dim, faces, labels=labels, bound=None if complete else d)
-        self._key_memo = key_memo
         self._key_of_fn = key_of
 
     def key_of(self, n: int, elem) -> SimplexKey:
         """Normal-form key of a raw family element."""
         return self._key_of_fn(n, elem)
-
-    def elem_of(self, key: SimplexKey):
-        """Raw family element underlying a key (degenerate keys included)."""
-        x = self.labels[key.gen]
-        n = key.gen[0]
-        for i in reversed(key.degens):
-            x = self.family.degeneracy(n, x, i)
-            n += 1
-        return x
 
 
 # -- disjoint sets ---------------------------------------------------------
@@ -722,28 +712,25 @@ class MapFamily(Family):
 # -- subcomplexes ----------------------------------------------------------
 
 
-class _SubFamily(Family):
-    """Subcomplex of a simplicial set on a face-closed set of keys."""
+def subcomplex(X: SimplicialSet, keep, d: int) -> tuple[SimplicialSet, SimplicialMap]:
+    """The subcomplex of X up to dimension d on a face-closed set of keys,
+    given by ``keep``, together with its inclusion.
 
-    def __init__(self, X: SimplicialSet, keep: Callable[[SimplexKey], bool], d: int):
-        self.X, self.keep, self.d = X, keep, d
-
-    def elements(self, n):
-        return [k for k in self.X.simplices(n) if self.keep(k)]
-
-    def face(self, n, x, i):
-        return self.X.face(x, i)
-
-    def degeneracy(self, n, x, i):
-        return self.X.degeneracy(x, i)
-
-
-def subcomplex(X: SimplicialSet, keep, d: int) -> tuple[MaterializedSSet, SimplicialMap]:
-    """Materialize the subcomplex of keys satisfying ``keep`` (which must be
-    face-closed) together with its inclusion."""
-    S = MaterializedSSet(_SubFamily(X, keep, d), d)
-    incl = SimplicialMap(S, X, {g: S.labels[g] for g in S.all_gens()})
-    return S, incl
+    Its nondegenerate simplices are the generators of X that ``keep``
+    accepts: each layer holds them in ``repr`` order of their keys, which
+    are their labels, and face rows are X's, re-indexed.
+    """
+    # name the first dimension above X's bound, as enumerating simplices
+    # dimension by dimension would
+    X.require_bound(min(d, X.effective_bound() + 1), "simplex enumeration")
+    layers = [sorted((SimplexKey(g) for g in X.gens(n) if keep(SimplexKey(g))), key=repr)
+              for n in range(d + 1)]
+    index = {k.gen: (n, i) for n, layer in enumerate(layers) for i, k in enumerate(layer)}
+    faces = {index[k.gen]: tuple(SimplexKey(index[f.gen], f.degens) for f in X.faces[k.gen])
+             for layer in layers[1:] for k in layer}
+    labels = {g: SimplexKey(old) for old, g in index.items()}
+    S = SimplicialSet([len(layer) for layer in layers], faces, labels=labels, bound=d)
+    return S, SimplicialMap(S, X, dict(labels))
 
 
 def full_subcomplex(X: SimplicialSet, vertices_keep, d: int):

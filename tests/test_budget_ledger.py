@@ -1,14 +1,17 @@
 """One budget mechanism: no library function takes a budget parameter, only
 the ledger in ``simplicial`` constructs ``BudgetExceeded``, and both searches
-charge it."""
+charge it.  A check charges one ledger for all of its searches."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from qcatk import lifting as lf
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve
+
+from test_lifting import kronecker_with_homotopy
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "qcatk").glob("*.py"))
@@ -80,3 +83,16 @@ def test_searches_in_one_block_share_its_ledger():
         sx.enumerate_maps(sx.spine(2), N)
     # outside any block each search has a ledger of its own
     assert len(sx.enumerate_maps(sx.spine(2), N)) == 9
+
+
+def test_the_budget_bounds_the_whole_components_check():
+    X = kronecker_with_homotopy()
+    with sx.budget() as ledger:
+        rep = lf.components_hypothesis_check(X)
+    assert rep["pairs_with_homotopic_components"] == 1
+    nodes = ledger.used
+    with sx.budget(nodes):
+        assert lf.components_hypothesis_check(X) == rep
+    with sx.budget(nodes - 1), pytest.raises(sx.BudgetExceeded) as exc:
+        lf.components_hypothesis_check(X)
+    assert exc.value.attempted == nodes

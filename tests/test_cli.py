@@ -159,6 +159,22 @@ def test_lift_prism_failure_sets_the_finding_exit_code(files, capsys):
     assert rep["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("shape", ["prism", "strong-replacement"])
+@pytest.mark.parametrize("name", ["nz3", "chain2", "ps2", "bdincl", "dup"])
+def test_lift_reads_each_input_kind_or_says_why_not(files, capsys, name, shape):
+    # prism lifting reads a map, of a map or an exact-map file; strong
+    # replacement reads a simplicial set, the target of a map, or the
+    # underlying set of Waldhausen data, and no category
+    code = main(["lift", files[name], "--shape", shape])
+    captured = capsys.readouterr()
+    if name in ("bdincl", "dup") or (shape == "strong-replacement" and name != "chain2"):
+        assert code in (0, 1) and captured.err == ""
+        assert json.loads(captured.out)["kind"] == shape
+    else:
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err)["pointer"] == "/"
+
+
 def test_sconstruct_reports_level_counts(files, capsys):
     code, rep = _run(capsys, ["sconstruct", files["ps2"], "--n", "2"])
     assert code == 0

@@ -1,0 +1,146 @@
+"""Every subcommand on mutated input documents of every kind: the exit code
+is 0, 1 or 2, and the command writes exactly one JSON object, a report on
+stdout or an error on stderr, never a traceback."""
+
+import contextlib
+import copy
+import io as stdio
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcatk import io
+from qcatk import simplicial as sx
+from qcatk.cats import chain_poset, cyclic_group_category, nerve
+from qcatk.cli import main
+from qcatk.waldhausen import pointed_sets_waldhausen
+from qcatk.zoo import pointed_sets_with_duplicate
+
+
+def _without_category(doc):
+    """The document with every ``category`` block dropped."""
+    if isinstance(doc, dict):
+        return {k: _without_category(v) for k, v in doc.items() if k != "category"}
+    if isinstance(doc, list):
+        return [_without_category(v) for v in doc]
+    return doc
+
+
+DOCUMENTS = {
+    "simplex": io.serialize_sset(sx.delta(2)),
+    "nerve": io.serialize_sset(nerve(cyclic_group_category(2), 3)),
+    "category": io.serialize_category(chain_poset(1)),
+    "map": io.serialize_map(sx.delta_inclusion(sx.boundary(1), sx.delta(1), lambda v: v)),
+    "waldhausen": io.serialize_waldhausen(pointed_sets_waldhausen(2, 2)),
+    "exact": io.serialize_exact(pointed_sets_with_duplicate(2, 2)[1]),
+}
+for _kind in ("nerve", "waldhausen", "exact"):
+    DOCUMENTS[_kind + "-plain"] = _without_category(DOCUMENTS[_kind])
+
+# "{}" is the input file and "{v}" the name of a vertex of the unmutated input
+COMMANDS = [
+    ["validate", "{}"], ["nerve", "{}"], ["tau1", "{}"], ["ho", "{}"], ["join", "{}", "{}"],
+    ["join", "{}", "{}", "{}", "--check-assoc"], ["slice", "{}"],
+    ["overcat", "{}", "--vertex", "{v}"], ["comma", "{}", "--vertex", "{v}"],
+    ["contractible", "{}"], ["waldhausen-check", "{}"], ["sconstruct", "{}", "--n", "1"],
+    ["k0", "{}"], ["approx", "{}"], ["lift", "{}", "--shape", "prism", "--nbar", "1"],
+    ["lift", "{}", "--shape", "strong-replacement"], ["iterate", "{}", "--n", "1"],
+]
+BUDGET = "2000"
+
+
+def _first_vertex(doc):
+    for part in (doc, doc.get("target", {}), doc.get("sset", {})):
+        if isinstance(part, dict) and part.get("generators"):
+            return part["generators"][0][0]
+    return "0"
+
+
+def _sites(doc):
+    """Every (container, key) place of a document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in list(items):
+        yield doc, key
+        yield from _sites(value)
+
+
+def _retyped(value):
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return {str(i): v for i, v in enumerate(value)}
+    if isinstance(value, str):
+        return len(value)
+    if value is None:
+        return 0
+    return str(value)
+
+
+def _renamed(doc, old):
+    """The document with the string ``old`` renamed wherever it occurs, as
+    a key or as a value."""
+    if isinstance(doc, dict):
+        return {_renamed(k, old): _renamed(v, old) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, old) for v in doc]
+    return old + "'" if doc == old else doc
+
+
+def mutate(doc, op, at):
+    """Apply one mutation at the site numbered ``at`` (modulo the number of
+    sites): drop it, wrap it in a list, retype it, or rename the generator
+    (or any other name) written there."""
+    doc = copy.deepcopy(doc)
+    sites = list(_sites(doc))
+    if not sites:
+        return doc
+    container, key = sites[at % len(sites)]
+    if op == "drop":
+        del container[key]
+    elif op == "wrap":
+        container[key] = [container[key]]
+    elif op == "retype":
+        container[key] = _retyped(container[key])
+    else:
+        value = container[key]
+        return _renamed(doc, value if isinstance(value, str) else str(key))
+    return doc
+
+
+def run_every_command(doc, vertex):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        for template in COMMANDS:
+            argv = [path if a == "{}" else vertex if a == "{v}" else a for a in template]
+            out, err = stdio.StringIO(), stdio.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--budget", BUDGET])
+            where = (template[0], code, err.getvalue()[:200])
+            assert code in (0, 1, 2), where
+            if code == 2 or err.getvalue():
+                assert code and out.getvalue() == "", where
+                assert "error" in json.loads(err.getvalue()), where
+            else:
+                assert isinstance(json.loads(out.getvalue()), dict), where
+
+
+def test_every_command_on_every_unmutated_document():
+    for doc in DOCUMENTS.values():
+        run_every_command(doc, _first_vertex(doc))
+
+
+@given(st.sampled_from(sorted(DOCUMENTS)),
+       st.lists(st.tuples(st.sampled_from(["drop", "wrap", "retype", "rename"]),
+                          st.integers(0, 10**6)), min_size=1, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_every_command_on_mutated_documents(kind, mutations):
+    doc = DOCUMENTS[kind]
+    vertex = _first_vertex(doc)
+    for op, at in mutations:
+        doc = mutate(doc, op, at)
+    run_every_command(doc, vertex)

@@ -1,7 +1,11 @@
 """Slices, over-quasicategories, commas, cocones, and the restriction
 equivalence for diagrams admitting colimits."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatk import joinslice as js
 from qcatk import simplicial as sx
@@ -13,7 +17,7 @@ from qcatk.cats import (
     slice_category,
 )
 from qcatk.simplicial import SimplexKey
-from qcatk.zoo import indiscrete_category
+from qcatk.zoo import indiscrete_category, random_category
 
 
 def _vertex_map(X, v):
@@ -121,6 +125,62 @@ def test_cone_extension_fails_without_a_terminal_object():
     rep = js.cone_extension_check(N)
     assert rep["verdict"] == "fail"
     assert rep["failures"]
+
+
+def cone_extension_by_maps(C):
+    """The nested route for ``cone_extension_check``: every map NP -> C,
+    then one search of the cone per map with its base values fixed."""
+    if C.is_empty():
+        return {"verdict": "fail", "reason": "empty target"}
+    failures, tested = [], 0
+    for P in js.small_posets(2):
+        NP = nerve(P, len(P.objects))
+        J = sx.join(NP, sx.delta(0), NP.top_dim + 1).sset
+        C.require_bound(J.top_dim, "cone extension")
+        for f in sx.enumerate_maps(NP, C):
+            tested += 1
+            fixed = {g: f(J.labels[g][1]) for g in J.all_gens() if J.labels[g][0] == "a"}
+            if not sx.enumerate_maps(J, C, fixed=fixed):
+                failures.append((P, f))
+    return {"verdict": "pass" if not failures else "fail", "maps_tested": tested,
+            "failures": failures}
+
+
+def _same_cone_report(got, want):
+    assert {k: v for k, v in got.items() if k != "failures"} == \
+        {k: v for k, v in want.items() if k != "failures"}
+    assert [(P.morphisms, f.assign) for P, f in got.get("failures", [])] == \
+        [(P.morphisms, f.assign) for P, f in want.get("failures", [])]
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_cone_extension_matches_the_nested_oracle(seed, opposite):
+    C = random_category(random.Random(seed), 4)
+    N = nerve(C.opposite() if opposite else C, 3)
+    _same_cone_report(js.cone_extension_check(N), cone_extension_by_maps(N))
+
+
+@pytest.mark.parametrize("X", [
+    nerve(poset_category(range(2), lambda a, b: a == b), 2),
+    sx.boundary(2),
+    sx.horn(3, 1),
+    sx.empty_sset(),
+], ids=["discrete2", "boundary2", "horn31", "empty"])
+def test_cone_extension_on_fixed_inputs_matches_the_nested_oracle(X):
+    _same_cone_report(js.cone_extension_check(X), cone_extension_by_maps(X))
+
+
+def test_cone_extension_is_one_relative_search_per_poset(monkeypatch):
+    relative_calls, enumerate_calls = [], []
+    search, enumerate_maps = sx.relative_maps, sx.enumerate_maps
+    monkeypatch.setattr(sx, "relative_maps",
+                        lambda *a, **k: relative_calls.append(a[0]) or search(*a, **k))
+    monkeypatch.setattr(sx, "enumerate_maps",
+                        lambda *a, **k: enumerate_calls.append(a[0]) or enumerate_maps(*a, **k))
+    assert js.cone_extension_check(nerve(chain_poset(2), 3))["verdict"] == "pass"
+    assert len(relative_calls) == len(js.small_posets(2)) == 3
+    assert enumerate_calls == []
 
 
 def test_poset_catalogue_is_complete_for_size_three():

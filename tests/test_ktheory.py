@@ -13,7 +13,7 @@ from qcatk.cats import (
     nerve_functor_map,
     poset_category,
 )
-from qcatk.homology import AbelianGroupPresentation
+from qcatk.homology import AbelianGroupPresentation, group_from_relations
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
@@ -59,9 +59,11 @@ def test_dropping_the_quotient_relations_is_detected():
         if k[0] == "cofibration" and k[1][:2] == (2, 3)
     ]
     assert drop
-    weakened = kt.k0_presentation_oracle(W, omit=drop)
+    rows = [r for i, r in enumerate(data["rows"]) if i not in drop]
+    weakened = group_from_relations(len(data["generators"]), rows)
     assert weakened == AbelianGroupPresentation(2, ())
     assert weakened != kt.k0_via_diagonal(W)
+    assert kt.k0_presentation_oracle(W) == kt.k0_via_diagonal(W)
 
 
 def test_class_group_builds_no_level_nerve_until_read(monkeypatch):

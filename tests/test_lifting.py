@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatk import lifting as lf
+from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import (
+    FinCategory,
     FinFunctor,
     chain_poset,
     cyclic_group_category,
@@ -212,6 +214,190 @@ def test_components_hypothesis_in_small_nerves():
     rep = lf.components_hypothesis_check(nerve(cyclic_group_category(2), 3), nbar=(1,))
     assert rep["verdict"] == "pass"
     assert rep["tested_p"] == [1]
+
+
+def kronecker_category():
+    """Two parallel arrows f, g : a -> b."""
+    mors = ["1a", "1b", "f", "g"]
+    src = {"1a": "a", "1b": "b", "f": "a", "g": "a"}
+    tgt = {"1a": "a", "1b": "b", "f": "b", "g": "b"}
+    ids = {"a": "1a", "b": "1b"}
+    comp = {(j, i): i if j in ("1a", "1b") else j
+            for j in mors for i in mors if src[j] == tgt[i]}
+    return FinCategory(["a", "b"], mors, src, tgt, ids, comp)
+
+
+def with_two_simplices(C, extra):
+    """The nerve of C to dimension 2 with further 2-simplices, given by
+    their face triples (keys of the nerve), and every compatible
+    3-simplex: one per map boundary(Delta[3]) -> X that is not the
+    boundary of a degenerate 3-simplex.  Bound 3, no category block."""
+    N = nerve(C, 2)
+    n_gens = list(N.n_gens) + [0] * (3 - len(N.n_gens))
+    faces = dict(N.faces)
+    for row in extra:
+        faces[(2, n_gens[2])] = tuple(row)
+        n_gens[2] += 1
+    X2 = sx.SimplicialSet(n_gens, faces, bound=None)
+    degenerate = {X2.boundary_tuple(k) for k in X2.simplices(3)}
+    B = sx.boundary(3)
+    omit = [B.gen_of_label(tuple(v for v in range(4) if v != i)) for i in range(4)]
+    rows = [r for r in (tuple(m.assign[g] for g in omit) for m in sx.enumerate_maps(B, X2))
+            if r not in degenerate]
+    faces.update({(3, i): r for i, r in enumerate(rows)})
+    return sx.SimplicialSet(n_gens + [len(rows)], faces, bound=3)
+
+
+def kronecker_with_homotopy():
+    """The Kronecker nerve plus one 2-simplex with faces (id_b, f, g): f and
+    g become homotopic, and the transformations whose components are f and
+    g form one pair that no homotopy with a degenerate face 2 joins."""
+    C = kronecker_category()
+    N = nerve(C, 2)
+    f, g = (SimplexKey(N.gen_of_label((m,))) for m in ("f", "g"))
+    return with_two_simplices(C, [(sx.key_degeneracy(N.face(f, 0), 0), f, g)])
+
+
+def components_by_pairs(X, nbar=()):
+    """The per-pair route for ``components_hypothesis_check``: one search of
+    base x Delta[2] -> X per pair, with the boundary values fixed."""
+    nbar = tuple(nbar)
+    base = lf.spine_product(nbar + (1,))
+    needed = base.top_dim + 2
+    if X.effective_bound() < needed and X.category is not None:
+        X = nerve(X.category, needed)
+    X.require_bound(needed, "components hypothesis check")
+    D1, D2 = sx.delta(1), sx.delta(2)
+    Q1 = sx.product(base, D1, base.top_dim + 1).sset
+    edge_cls = qc.homotopy_classes(X)
+
+    def const(v, n):
+        return sx.apply_degeneracy_word(v, range(n - 1, -1, -1)) if n else v
+
+    def endpoints(m):
+        return tuple(
+            tuple(m(Q1.key_of(g[0], (SimplexKey(g), const(SimplexKey(D1.gen_of_label((j,))), g[0]))))
+                  for g in base.all_gens())
+            for j in (0, 1))
+
+    def component(m, v):
+        e = SimplexKey(D1.gen_of_label((0, 1)))
+        return m(Q1.key_of(1, (sx.key_degeneracy(SimplexKey(v), 0), e)))
+
+    def homotopy_exists(a, b):
+        Q2 = sx.product(base, D2, needed).sset
+        fixed = {}
+        for h in Q2.all_gens():
+            kb, kd = Q2.labels[h]
+            V = set(D2.labels[kd.gen])
+            if V == {0, 1, 2}:
+                continue
+            m, phi = ((a, {0: 0, 2: 1}) if V <= {0, 2} else
+                      (b, {1: 0, 2: 1}) if V <= {1, 2} else (a, {0: 0, 1: 0}))
+            seq = [phi[D2.labels[D2.vertex(kd, t).gen][0]] for t in range(kd.dim + 1)]
+            fixed[h] = m(Q1.key_of(h[0], (kb, sx.key_from_vertex_seq(D1, seq))))
+        return bool(sx.enumerate_maps(Q2, X, fixed=fixed))
+
+    groups = {}
+    for m in sx.enumerate_maps(Q1, X):
+        groups.setdefault(endpoints(m), []).append(m)
+    pairs = 0
+    for group in groups.values():
+        for ia, a in enumerate(group):
+            for b in group[ia + 1:]:
+                if any(edge_cls[component(a, v)] != edge_cls[component(b, v)]
+                       for v in base.gens(0)):
+                    continue
+                pairs += 1
+                if not homotopy_exists(a, b):
+                    return {"verdict": "fail", "nbar": nbar, "tested_p": [1],
+                            "pairs_with_homotopic_components": pairs,
+                            "witness": {"p": 1, "alpha": dict(a.assign), "beta": dict(b.assign)}}
+    return {"verdict": "pass", "nbar": nbar, "tested_p": [1],
+            "pairs_with_homotopic_components": pairs, "witness": None}
+
+
+def test_a_homotopy_with_the_wrong_degenerate_face_fails_the_hypothesis():
+    X = kronecker_with_homotopy()
+    rep = lf.components_hypothesis_check(X)
+    assert rep["verdict"] == "fail"
+    assert rep["pairs_with_homotopic_components"] == 1
+    assert rep == components_by_pairs(X)
+
+
+def _parallel_edges(N):
+    """Every ordered pair of parallel edges of a nerve, degenerate included."""
+    edges = N.simplices(1)
+    return [(f, g) for f in edges for g in edges if N.boundary_tuple(f) == N.boundary_tuple(g)]
+
+
+def _homotopy_simplex(N, f, g, degenerate_face):
+    """A 2-simplex from f to g with a degenerate face 0 (on the target) or
+    face 2 (on the source)."""
+    if degenerate_face == 0:
+        return (sx.key_degeneracy(N.face(f, 0), 0), f, g)
+    return (g, f, sx.key_degeneracy(N.face(f, 1), 0))
+
+
+_COMPONENT_BASES = {
+    "kronecker": kronecker_category,
+    "z2": lambda: cyclic_group_category(2),
+    "idempotent": idempotent_monoid_category,
+    "z3": lambda: cyclic_group_category(3),
+}
+
+
+def _components_input(base, picks):
+    """A non-nerve from a base category and picks (i, face): the i-th
+    parallel pair of edges joined by a homotopy with that degenerate face.
+    The first pick has face 0, so the input forms pairs."""
+    C = _COMPONENT_BASES[base]()
+    N = nerve(C, 2)
+    pairs = _parallel_edges(N)
+    extra = [_homotopy_simplex(N, *pairs[i % len(pairs)], 0 if j == 0 else face)
+             for j, (i, face) in enumerate(picks)]
+    return with_two_simplices(C, extra)
+
+
+@given(st.sampled_from(sorted(_COMPONENT_BASES)),
+       st.lists(st.tuples(st.integers(0, 100), st.sampled_from([0, 2])), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_components_hypothesis_matches_the_per_pair_oracle(base, picks):
+    X = _components_input(base, picks)
+    rep = lf.components_hypothesis_check(X)
+    assert rep["pairs_with_homotopic_components"] >= 1
+    assert rep == components_by_pairs(X)
+
+
+def test_components_inputs_give_both_verdicts():
+    verdicts = {lf.components_hypothesis_check(_components_input(base, picks))["verdict"]
+                for base in _COMPONENT_BASES for picks in ([(0, 0)], [(1, 0), (1, 2)], [(2, 2)])}
+    assert verdicts == {"pass", "fail"}
+
+
+def test_the_components_hypothesis_is_one_relative_search(monkeypatch):
+    relative_calls, fixed_calls = [], []
+    search, enumerate_maps = sx.relative_maps, sx.enumerate_maps
+
+    def counting_search(K, X, inner=(), restrict=None, fixed=None):
+        if inner:
+            relative_calls.append(K)
+        return search(K, X, inner, restrict, fixed)
+
+    def counting_enumerate(K, X, fixed=None):
+        if fixed:
+            fixed_calls.append(K)
+        return enumerate_maps(K, X, fixed)
+
+    monkeypatch.setattr(sx, "relative_maps", counting_search)
+    monkeypatch.setattr(sx, "enumerate_maps", counting_enumerate)
+    assert lf.components_hypothesis_check(kronecker_with_homotopy())["verdict"] == "fail"
+    assert (len(relative_calls), len(fixed_calls)) == (1, 0)
+    assert lf.components_hypothesis_check(_components_input("z2", [(0, 0), (1, 2)]))
+    assert (len(relative_calls), len(fixed_calls)) == (2, 0)
+    # a nerve forms no pair, so it needs no homotopy search at all
+    assert lf.components_hypothesis_check(nerve(cyclic_group_category(2), 3))["verdict"] == "pass"
+    assert (len(relative_calls), len(fixed_calls)) == (2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,69 @@ def test_one_full_subcomplex_on_a_single_edge():
     incl.check()
 
 
+class _KeptSimplices(sx.Family):
+    """Every simplex of X that ``keep`` accepts, degenerate ones included."""
+
+    def __init__(self, X, keep):
+        self.X, self.keep = X, keep
+
+    def elements(self, n):
+        return [k for k in self.X.simplices(n) if self.keep(k)]
+
+    def face(self, n, x, i):
+        return self.X.face(x, i)
+
+    def degeneracy(self, n, x, i):
+        return self.X.degeneracy(x, i)
+
+
+def subcomplex_by_materializing(X, keep, d):
+    """Oracle for ``subcomplex``: materialize every kept simplex, degenerate
+    ones included, and let the materialization find the nondegenerate ones."""
+    S = sx.MaterializedSSet(_KeptSimplices(X, keep), d)
+    return S, sx.SimplicialMap(S, X, {g: S.labels[g] for g in S.all_gens()})
+
+
+def _subcomplex_source(rng, kind):
+    if kind == "nerve":
+        return nerve(random_category(rng, 4), 3)
+    if kind == "prism":
+        return sx.product(sx.delta(1), sx.delta(2), 3).sset
+    if kind == "join":
+        return sx.join(nerve(random_category(rng, 2), 3), sx.delta(1), 3).sset
+    return sx.horn(4, rng.randrange(5))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["nerve", "prism", "join", "horn"]),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_subcomplex_matches_the_materialized_oracle(seed, kind, d):
+    rng = random.Random(seed)
+    X = _subcomplex_source(rng, kind)
+    # the face closure of a random set of generators
+    kept = set()
+    todo = [g for g in X.all_gens() if rng.random() < 0.3]
+    while todo:
+        g = todo.pop()
+        if g not in kept:
+            kept.add(g)
+            todo += [f.gen for f in X.faces.get(g, ())]
+    keep = lambda k: k.gen in kept
+    got, want = sx.subcomplex(X, keep, d), subcomplex_by_materializing(X, keep, d)
+    assert_same_subcomplex(got, want)
+    assert got[0].labels == want[0].labels and got[0].bound == want[0].bound == d
+
+
+@pytest.mark.parametrize("X", [nerve(cyclic_group_category(2), 2), sx.product(
+    nerve(chain_poset(1), 1), sx.delta(1), 1).sset], ids=["z2", "square"])
+def test_subcomplex_above_the_bound_raises_as_the_oracle_does(X):
+    with pytest.raises(sx.BoundExceeded) as got:
+        sx.subcomplex(X, lambda k: True, X.bound + 2)
+    with pytest.raises(sx.BoundExceeded) as want:
+        subcomplex_by_materializing(X, lambda k: True, X.bound + 2)
+    assert str(got.value) == str(want.value)
+
+
 def edges_of(X, key):
     """All edges (i, j), i < j, of a simplex, degenerate ones included."""
     n = key.dim
