@@ -304,7 +304,7 @@ def main_technical_verify(F: SimplicialMap, d: int = 2) -> dict:
     reflect_witness = None
     for g in A.gens(1):
         e = SimplexKey(g)
-        if qc.is_equivalence_edge(B, F(e), hoB) and not qc.is_equivalence_edge(A, e, hoA):
+        if hoB.cat.is_iso(hoB.cls(F(e))) and not hoA.cat.is_iso(hoA.cls(e)):
             reflects = False
             reflect_witness = e
             break

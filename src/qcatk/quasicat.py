@@ -38,22 +38,18 @@ def is_quasicategory(X: SimplicialSet, d: int) -> dict:
 
 
 def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
-    """Map each edge to the minimal representative of its homotopy class."""
+    """Map each edge to the minimal representative of its homotopy class.
+
+    Only nondegenerate 2-simplices join distinct edges: s1(e) has faces
+    (s0 tgt e, e, e), and s0(e) has a degenerate d0 only when e is
+    degenerate, and then all its faces are e."""
     X.require_bound(2, "edge homotopy")
     uf = UnionFind()
-    for e in X.simplices(1):
-        uf.find(e)
-    for t in X.simplices(2):
-        if X.face(t, 0).is_degenerate:
-            uf.union(X.face(t, 1), X.face(t, 2))
-    out = {}
-    for e in X.simplices(1):
-        out[e] = uf.find(e)
-    # canonical minimal representative per class
-    reps: dict[SimplexKey, SimplexKey] = {}
-    for e in sorted(out):
-        reps.setdefault(out[e], min(e, reps.get(out[e], e)))
-    return {e: reps[r] for e, r in out.items()}
+    for g in X.gens(2):
+        d0, d1, d2 = X.faces[g]
+        if d0.is_degenerate:
+            uf.union(d1, d2)
+    return {e: uf.find(e) for e in X.simplices(1)}
 
 
 # -- homotopy category -------------------------------------------------------
@@ -70,7 +66,8 @@ class _HoCategory:
 
 def ho_category(X: SimplicialSet) -> _HoCategory:
     """Homotopy category of a quasicategory: objects are vertices, morphisms
-    homotopy classes of edges, composition by 2-simplex search.
+    homotopy classes of edges, composition read from the nondegenerate
+    2-simplices.
 
     Raises NotQuasicategory if some composable pair has no composing
     2-simplex, and ValueError if composites land in more than one class.
@@ -85,10 +82,17 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     for v in objects:
         ids[v] = cls[X.degeneracy(v, 0)]
 
-    found: dict[tuple, set] = {}
-    for t in X.simplices(2):
-        a, b = cls[X.face(t, 2)], cls[X.face(t, 0)]
-        found.setdefault((b, a), set()).add(cls[X.face(t, 1)])
+    # s0(f) and s1(f) compose f with the identities; the generators give
+    # the rest.  A pair with a second composite class keeps all of them.
+    found: dict[tuple, SimplexKey] = {}
+    for m in morphisms:
+        found[(m, ids[src[m]])] = found[(ids[tgt[m]], m)] = m
+    clash: dict[tuple, set] = {}
+    for t in X.gens(2):
+        d0, d1, d2 = (cls[e] for e in X.faces[t])
+        first = found.setdefault((d0, d2), d1)
+        if first != d1:
+            clash.setdefault((d0, d2), {first}).add(d1)
 
     out: dict = {}
     for g in morphisms:
@@ -96,17 +100,16 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     comp = {}
     for f in morphisms:
         for g in out.get(tgt[f], ()):
-            got = found.get((g, f), set())
-            if not got:
+            if (g, f) not in found:
                 raise NotQuasicategory(
                     f"no composite found for {f} then {g}", witness=(f, g)
                 )
-            if len(got) > 1:
-                raise ValueError(f"composition ill-defined on classes {f}, {g}: {sorted(got)}")
-            comp[(g, f)] = next(iter(got))
-    for f in morphisms:
-        if comp[(ids[tgt[f]], f)] != f or comp[(f, ids[src[f]])] != f:
-            raise ValueError(f"identity law fails in homotopy category at {f}")
+            if (g, f) in clash:
+                raise ValueError(
+                    f"composition ill-defined on classes {f}, {g}: {sorted(clash[(g, f)])}")
+            comp[(g, f)] = found[(g, f)]
+    # The identity laws need no check: (id, f) and (f, id) hold f, so any
+    # other composite there has raised the ValueError above.
     cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
     cat.check()
     return _HoCategory(cat, cls)
@@ -148,12 +151,6 @@ def ho_equals_category(X: SimplicialSet, C: FinCategory) -> bool:
 
 
 # -- equivalences and the maximal Kan subcomplex ------------------------------
-
-
-def is_equivalence_edge(X: SimplicialSet, f: SimplexKey, ho: _HoCategory = None) -> bool:
-    if ho is None:
-        ho = ho_category(X)
-    return ho.cat.is_iso(ho.cls(f))
 
 
 def maximal_kan(X: SimplicialSet, d: int):

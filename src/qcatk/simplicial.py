@@ -999,53 +999,3 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, d: int):
         return None
 
     return rec(0)
-
-
-# -- barycentric subdivision -----------------------------------------------
-
-
-def _is_regular(X: SimplicialSet) -> bool:
-    """True when every nondegenerate generator has nondegenerate, pairwise
-    distinct faces (so the face-poset nerve models the subdivision)."""
-    for n in range(1, X.top_dim + 1):
-        for g in X.gens(n):
-            row = X.faces[g]
-            if any(f.is_degenerate for f in row):
-                return False
-            if len(set(row)) != len(row):
-                return False
-    return True
-
-
-def _face_poset(X: SimplicialSet):
-    """Nondegenerate generators ordered by iterated-face containment.
-    Returns (elements, leq) with leq a set of ordered pairs."""
-    elements = X.all_gens()
-    below: dict[Gen, set[Gen]] = {}
-
-    def closure(g: Gen) -> set[Gen]:
-        if g in below:
-            return below[g]
-        out = {g}
-        if g[0] > 0:
-            for f in X.faces[g]:
-                if not f.is_degenerate:
-                    out |= closure(f.gen)
-        below[g] = out
-        return out
-
-    leq = {(a, b) for b in elements for a in closure(b)}
-    return elements, leq
-
-
-def subdivision(X: SimplicialSet):
-    """Barycentric subdivision as the nerve of the face poset (regular X
-    only)."""
-    from . import cats
-
-    if not _is_regular(X):
-        raise ValueError("subdivision implemented only for regular simplicial sets")
-    elements, leq = _face_poset(X)
-    P = cats.poset_category(elements, lambda a, b: (a, b) in leq)
-    longest = max((g[0] for g in elements), default=0) + 1
-    return cats.nerve(P, longest)

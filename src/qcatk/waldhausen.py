@@ -163,22 +163,22 @@ def cof_subquasicategory(W: WaldhausenData, d: int = 2):
 
 def admits_factorization(W: WaldhausenData) -> bool:
     """Every edge marked.  Cross-checked against the definitional form:
-    each edge f must bound a 2-simplex (equivalence, f, cofibration)."""
+    each edge f must bound a 2-simplex (equivalence, f, cofibration).
+    The degenerate ones give s1(f) when f is marked and s0(f) when f is
+    an equivalence; the rest are generators."""
     X = W.underlying
     all_marked = all(W.is_cof(e) for e in W.edges())
     ho = qc.ho_category(X)
-    definitional = True
-    for f in W.edges():
-        found = False
-        for t in X.simplices(2):
-            if X.face(t, 1) != f:
-                continue
-            if W.is_cof(X.face(t, 2)) and ho.cat.is_iso(ho.cls(X.face(t, 0))):
-                found = True
-                break
-        if not found:
-            definitional = False
-            break
+
+    def iso(e):
+        return ho.cat.is_iso(ho.cls(e))
+
+    factored = set()
+    for g in X.gens(2):
+        d0, d1, d2 = X.faces[g]
+        if W.is_cof(d2) and iso(d0):
+            factored.add(d1)
+    definitional = all(W.is_cof(f) or iso(f) or f in factored for f in W.edges())
     if all_marked != definitional:
         raise AssertionError(
             "factorization tests disagree: all-marked=%s definitional=%s"

@@ -153,6 +153,23 @@ def test_waldhausen_data_that_is_not_a_quasicategory_is_reported(files, capsys):
     assert [v[0] for v in rep["violations"]] == ["not-quasicategory"]
 
 
+def test_waldhausen_check_below_bound_4_needs_the_category_block(files, capsys):
+    # without a category block each pushout is an initial cocone in a slice,
+    # which reads the data to dimension 4; with the block the bound-3 data
+    # is enough
+    doc = io.serialize_waldhausen(pointed_sets_waldhausen(2, 3))
+    path = files["dir"] / "ps2_bound3.json"
+    path.write_text(io.dumps(doc))
+    code, rep = _run(capsys, ["waldhausen-check", str(path)])
+    assert code == 0 and rep["ok"]
+    path.write_text(io.dumps(_without_category(doc)))
+    code = main(["waldhausen-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "map enumeration needs dimension 4 but bound is 3"}
+
+
 def test_lift_prism_failure_sets_the_finding_exit_code(files, capsys):
     code, rep = _run(capsys, ["lift", files["bdincl"], "--shape", "prism"])
     assert code == 1

@@ -1,13 +1,26 @@
 """Quasicategory recognition, homotopy classes of edges, homotopy categories,
 equivalence edges, and mapping spaces."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve, nerve_functor_map, FinFunctor
-from qcatk.simplicial import SimplexKey
-from qcatk.zoo import idempotent_monoid_category, indiscrete_category
+from qcatk.cats import (
+    FinCategory,
+    FinFunctor,
+    chain_poset,
+    cyclic_group_category,
+    nerve,
+    nerve_functor_map,
+)
+from qcatk.simplicial import NotQuasicategory, SimplexKey, UnionFind
+from qcatk.waldhausen import WaldhausenData, admits_factorization
+from qcatk.zoo import idempotent_monoid_category, indiscrete_category, random_category
+from test_lifting import kronecker_with_homotopy
 
 
 def test_nerves_are_quasicategories():
@@ -59,9 +72,9 @@ def test_equivalence_edges_of_a_monoid_nerve():
     N = nerve(idempotent_monoid_category(), 2)
     ho = qc.ho_category(N)
     e = SimplexKey(N.gen_of_label(("e",)))
-    assert not qc.is_equivalence_edge(N, e, ho)
+    assert not ho.cat.is_iso(ho.cls(e))
     ident = N.degeneracy(SimplexKey(N.gen_of_label("*")), 0)
-    assert qc.is_equivalence_edge(N, ident, ho)
+    assert ho.cat.is_iso(ho.cls(ident))
 
 
 def test_maximal_kan_subcomplex_of_a_poset_nerve_is_discrete():
@@ -110,3 +123,190 @@ def test_homotopy_functor_equivalence_verdicts():
     rep = qc.tau1_map_equivalence(inc)
     assert not rep["equivalence"]
     assert not rep["essentially_surjective"]
+
+
+# ---------------------------------------------------------------------------
+# the homotopy category from the nondegenerate 2-simplices
+
+
+def _two_simplex_set(n_vertices, edges, rows):
+    """Bound-2 set on vertices 0..n-1 with the given edges (source, target)
+    and 2-simplices (d0, d1, d2), each given by edge indices."""
+    v = [SimplexKey((0, i)) for i in range(n_vertices)]
+    e = [SimplexKey((1, i)) for i in range(len(edges))]
+    faces = {(1, i): (v[t], v[s]) for i, (s, t) in enumerate(edges)}
+    faces.update({(2, i): tuple(e[j] for j in row) for i, row in enumerate(rows)})
+    X = sx.SimplicialSet([n_vertices, len(edges), len(rows)], faces, bound=2)
+    X.check()
+    return X, e
+
+
+def test_two_composite_classes_make_composition_ill_defined():
+    # a: 0 -> 1, b: 1 -> 2 and two unrelated c, c': 0 -> 2, each a composite
+    X, (a, b, c, c2) = _two_simplex_set(
+        3, [(0, 1), (1, 2), (0, 2), (0, 2)], [(1, 2, 0), (1, 3, 0)])
+    with pytest.raises(ValueError) as exc:
+        qc.ho_category(X)
+    assert str(exc.value) == f"composition ill-defined on classes {a}, {b}: {[c, c2]}"
+
+
+def test_the_boundary_of_a_triangle_has_no_homotopy_category():
+    B = sx.boundary(2)
+    first, second = (SimplexKey(B.gen_of_label(ends)) for ends in [(0, 1), (1, 2)])
+    with pytest.raises(NotQuasicategory) as exc:
+        qc.ho_category(B)
+    assert exc.value.witness == (first, second)
+
+
+def homotopy_classes_by_all_simplices(X):
+    """Left homotopy over every 2-simplex, degenerate ones included, with the
+    minimal edge of each class picked in a separate pass."""
+    X.require_bound(2, "edge homotopy")
+    uf = UnionFind()
+    for e in X.simplices(1):
+        uf.find(e)
+    for t in X.simplices(2):
+        if X.face(t, 0).is_degenerate:
+            uf.union(X.face(t, 1), X.face(t, 2))
+    out = {e: uf.find(e) for e in X.simplices(1)}
+    reps = {}
+    for e in sorted(out):
+        reps.setdefault(out[e], min(e, reps.get(out[e], e)))
+    return {e: reps[r] for e, r in out.items()}
+
+
+def ho_category_by_all_simplices(X):
+    """The homotopy category from every 2-simplex: one set of composite
+    classes per pair, then the identity laws.  Returns (category, classes)."""
+    X.require_bound(2, "homotopy category")
+    cls = homotopy_classes_by_all_simplices(X)
+    objects = X.simplices(0)
+    morphisms = sorted(set(cls.values()))
+    src = {m: X.vertex(m, 0) for m in morphisms}
+    tgt = {m: X.vertex(m, 1) for m in morphisms}
+    ids = {v: cls[X.degeneracy(v, 0)] for v in objects}
+    found = {}
+    for t in X.simplices(2):
+        a, b = cls[X.face(t, 2)], cls[X.face(t, 0)]
+        found.setdefault((b, a), set()).add(cls[X.face(t, 1)])
+    comp = {}
+    for f in morphisms:
+        for g in (m for m in morphisms if src[m] == tgt[f]):
+            got = found.get((g, f), set())
+            if not got:
+                raise NotQuasicategory(f"no composite found for {f} then {g}", witness=(f, g))
+            if len(got) > 1:
+                raise ValueError(f"composition ill-defined on classes {f}, {g}: {sorted(got)}")
+            comp[(g, f)] = next(iter(got))
+    for f in morphisms:
+        if comp[(ids[tgt[f]], f)] != f or comp[(f, ids[src[f]])] != f:
+            raise ValueError(f"identity law fails in homotopy category at {f}")
+    cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
+    cat.check()
+    return cat, cls
+
+
+def _ho_outcome(route, X):
+    try:
+        cat, cls = route(X)
+    except NotQuasicategory as exc:
+        return "not-quasicategory", str(exc), exc.witness
+    except ValueError as exc:
+        return "ill-defined", str(exc)
+    return ("category", list(cls.items()), cat.objects, cat.morphisms,
+            list(cat.ids.items()), list(cat.comp.items()))
+
+
+def _ho_by_generators(X):
+    ho = qc.ho_category(X)
+    return ho.cat, ho.class_of
+
+
+def _with_rows(N, rows, keep=None):
+    """N's vertices and edges, the 2-simplices of N in ``keep`` (all by
+    default) and further 2-simplices given by face rows; bound 2."""
+    kept = N.gens(2) if keep is None else keep
+    faces = {g: N.faces[g] for g in N.gens(1)}
+    rows = [N.faces[g] for g in kept] + list(rows)
+    faces.update({(2, i): row for i, row in enumerate(rows)})
+    return sx.SimplicialSet([len(N.gens(0)), len(N.gens(1)), len(rows)], faces, bound=2)
+
+
+def _random_rows(N, rng, k):
+    """k rows (b, c, a) on composable edges a, b and an edge c parallel to
+    their composite, degenerate edges included."""
+    edges = N.simplices(1)
+    rows = []
+    for _ in range(k):
+        a = rng.choice(edges)
+        b = rng.choice([e for e in edges if N.vertex(e, 0) == N.vertex(a, 1)])
+        c = rng.choice([e for e in edges if N.vertex(e, 0) == N.vertex(a, 0)
+                        and N.vertex(e, 1) == N.vertex(b, 1)])
+        rows.append((b, c, a))
+    return rows
+
+
+def ho_input(seed, kind):
+    rng = random.Random(seed)
+    C = random_category(rng, 4)
+    N = nerve(C.opposite() if rng.random() < 0.5 else C, 2)
+    if kind == "nerve":
+        return N
+    if kind == "extra":
+        return _with_rows(N, _random_rows(N, rng, rng.randint(1, 3)))
+    return _with_rows(N, [], [g for g in N.gens(2) if rng.random() < 0.7])
+
+
+HO_KINDS = ["nerve", "extra", "dropped"]
+HO_FIXED = {"horn21": sx.horn(2, 1), "boundary2": sx.boundary(2),
+            "kronecker_with_homotopy": kronecker_with_homotopy()}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(HO_KINDS))
+@settings(max_examples=120, deadline=None)
+def test_ho_category_matches_the_all_simplices_oracle(seed, kind):
+    X = ho_input(seed, kind)
+    assert _ho_outcome(_ho_by_generators, X) == _ho_outcome(ho_category_by_all_simplices, X)
+
+
+@pytest.mark.parametrize("name", sorted(HO_FIXED))
+def test_ho_category_on_fixed_inputs_matches_the_all_simplices_oracle(name):
+    X = HO_FIXED[name]
+    assert _ho_outcome(_ho_by_generators, X) == _ho_outcome(ho_category_by_all_simplices, X)
+
+
+def test_the_oracle_inputs_reach_every_outcome():
+    outcomes = {_ho_outcome(_ho_by_generators, X)[0] for X in HO_FIXED.values()}
+    outcomes |= {_ho_outcome(_ho_by_generators, ho_input(seed, kind))[0]
+                 for seed in range(20) for kind in HO_KINDS}
+    assert outcomes == {"category", "not-quasicategory", "ill-defined"}
+
+
+def test_homotopy_classes_match_the_all_simplices_oracle():
+    for X in list(HO_FIXED.values()) + [ho_input(s, k) for s in range(10) for k in HO_KINDS]:
+        assert list(qc.homotopy_classes(X).items()) == \
+            list(homotopy_classes_by_all_simplices(X).items())
+
+
+def spy_on_simplices(monkeypatch):
+    """Record the dimension of every ``SimplicialSet.simplices`` call."""
+    calls = []
+    real = sx.SimplicialSet.simplices
+
+    def spy(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(sx.SimplicialSet, "simplices", spy)
+    return calls
+
+
+@pytest.mark.parametrize("X", [nerve(cyclic_group_category(3), 2), kronecker_with_homotopy()],
+                         ids=["nerve", "kronecker_with_homotopy"])
+def test_homotopy_categories_read_no_list_of_2_simplices(monkeypatch, X):
+    W = WaldhausenData(X, SimplexKey((0, 0)), frozenset(SimplexKey(g) for g in X.gens(1)))
+    calls = spy_on_simplices(monkeypatch)
+    qc.homotopy_classes(X)
+    qc.ho_category(X)
+    assert admits_factorization(W)
+    assert calls and 2 not in calls

@@ -866,14 +866,3 @@ def test_iso_check_matches_differently_built_models():
     assert phi is not None
     # the two outer horns of Delta[2] are NOT isomorphic: face order matters
     assert sx.iso_check(sx.horn(2, 0), sx.horn(2, 2), 2) is None
-
-
-# ---------------------------------------------------------------------------
-# subdivision
-
-
-def test_subdivision_of_a_simplex_is_its_face_poset_nerve():
-    Sd = sx.subdivision(sx.delta(1))
-    # three vertices (two endpoints and the edge) and two edges
-    assert Sd.n_gens[0] == 3
-    assert Sd.n_gens[1] == 2

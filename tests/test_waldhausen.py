@@ -367,3 +367,76 @@ def test_validate_says_whether_pushout_preservation_was_tested(tmp_path, capsys,
     else:
         assert code == 1 and len(rep["violations"]) == 2
         assert rep["pushouts_checked"] == 79
+
+
+# ---------------------------------------------------------------------------
+# factorization from the nondegenerate 2-simplices
+
+
+def admits_factorization_by_scanning(W):
+    """Every edge marked, cross-checked by a scan of every 2-simplex, the
+    degenerate ones included, for one with boundary (equivalence, f,
+    cofibration)."""
+    X = W.underlying
+    all_marked = all(W.is_cof(e) for e in W.edges())
+    ho = qc.ho_category(X)
+    definitional = all(
+        any(X.face(t, 1) == f and W.is_cof(X.face(t, 2))
+            and ho.cat.is_iso(ho.cls(X.face(t, 0))) for t in X.simplices(2))
+        for f in W.edges())
+    if all_marked != definitional:
+        raise AssertionError(
+            "factorization tests disagree: all-marked=%s definitional=%s"
+            % (all_marked, definitional))
+    return all_marked
+
+
+def _factorization_outcome(route, W):
+    try:
+        return route(W)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def random_marking(seed):
+    """A nerve of a random category or its opposite with each nondegenerate
+    edge marked at a random rate: none, some or all."""
+    rng = random.Random(seed)
+    C = random_category(rng, 4)
+    N = nerve(C.opposite() if rng.random() < 0.5 else C, 2)
+    rate = rng.choice([0.0, 0.5, 0.9, 1.0])
+    cof = frozenset(SimplexKey(g) for g in N.gens(1) if rng.random() < rate)
+    return WaldhausenData(N, SimplexKey((0, 0)), cof)
+
+
+FACTORIZATION_FIXED = {
+    "ps2": pointed_sets_waldhausen(2, 2),
+    "ps3": pointed_sets_waldhausen(3, 2),
+    "dup22": pointed_sets_with_duplicate(2, 2)[1],
+    "dup23": pointed_sets_with_duplicate(2, 3)[1],
+    "all": maximal_marking_waldhausen(poset_category([0, 1], lambda a, b: True), 0, 2),
+}
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_factorization_matches_the_scanning_oracle(seed):
+    W = random_marking(seed)
+    assert _factorization_outcome(admits_factorization, W) == \
+        _factorization_outcome(admits_factorization_by_scanning, W)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZATION_FIXED))
+def test_factorization_on_fixed_data_matches_the_scanning_oracle(name):
+    data = FACTORIZATION_FIXED[name]
+    for W in [data.source, data.target] if isinstance(data, ExactFunctorData) else [data]:
+        assert _factorization_outcome(admits_factorization, W) == \
+            _factorization_outcome(admits_factorization_by_scanning, W)
+
+
+def test_the_factorization_inputs_reach_every_outcome():
+    outcomes = {_factorization_outcome(admits_factorization, random_marking(s))
+                for s in range(40)}
+    assert {True, False} <= outcomes
+    assert any(isinstance(o, str) and o.startswith("factorization tests disagree")
+               for o in outcomes)
