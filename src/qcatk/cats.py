@@ -328,11 +328,6 @@ def poset_category(elements, leq) -> FinCategory:
     return FinCategory(elements, morphisms, src, tgt, ids, comp)
 
 
-def chain_poset(n: int) -> FinCategory:
-    """The linearly ordered poset [n] = {0 < 1 < ... < n}."""
-    return poset_category(range(n + 1), lambda a, b: a <= b)
-
-
 def monoid_category(elements, op, unit, obj="*") -> FinCategory:
     elements = list(elements)
     src = {m: obj for m in elements}
@@ -365,28 +360,6 @@ def pointed_sets_category(max_size: int) -> FinCategory:
                 continue
             gv = (0,) + g[2]
             comp[(g, f)] = (f[0], g[1], tuple(gv[v] for v in f[2]))
-    return FinCategory(objects, morphisms, src, tgt, ids, comp)
-
-
-def slice_category(C: FinCategory, c) -> FinCategory:
-    """Category of morphisms into c; a morphism f -> g is a triple
-    (f, g, h) with g o h = f."""
-    objects = [m for m in C.morphisms if C.tgt[m] == c]
-    morphisms = [
-        (f, g, h)
-        for f in objects
-        for g in objects
-        for h in C.hom(C.src[f], C.src[g])
-        if C.compose_mor(g, h) == f
-    ]
-    src = {m: m[0] for m in morphisms}
-    tgt = {m: m[1] for m in morphisms}
-    ids = {f: (f, f, C.ids[C.src[f]]) for f in objects}
-    comp = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if m1[1] == m2[0]:
-                comp[(m2, m1)] = (m1[0], m2[1], C.compose_mor(m2[2], m1[2]))
     return FinCategory(objects, morphisms, src, tgt, ids, comp)
 
 

@@ -168,18 +168,20 @@ def cmd_ho(args):
 
 
 def cmd_join(args):
+    from .families import join
+
     if len(args.inputs) != (3 if args.check_assoc else 2):
         raise io.SchemaError("join takes two input files, or three with --check-assoc",
                              "/inputs")
     _, A = _load(args.inputs[0], "sset")
     _, B = _load(args.inputs[1], "sset")
-    span = sx.join(A, B, args.dim)
+    span = join(A, B, args.dim)
     report = {"sset": io.serialize_sset(span.sset)}
     ok = True
     if args.check_assoc:
         _, C = _load(args.inputs[2], "sset")
-        left = sx.join(span.sset, C, args.dim).sset
-        right = sx.join(A, sx.join(B, C, args.dim).sset, args.dim).sset
+        left = join(span.sset, C, args.dim).sset
+        right = join(A, join(B, C, args.dim).sset, args.dim).sset
         iso = sx.iso_check(left, right, args.dim)
         ok = iso is not None
         report = {"associative": ok,
@@ -329,63 +331,83 @@ class _Parser(argparse.ArgumentParser):
         raise io.SchemaError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """name -> (handler, help, number of input files), in the order of the
+    help text.  Built when a parser is, so a wrapper installed on a cmd_*
+    function after import is the handler that runs."""
+    return {
+        "validate": (cmd_validate, "schema- and axiom-check an input file", 1),
+        "nerve": (cmd_nerve, "nerve of a category, truncated at --dim", 1),
+        "tau1": (cmd_tau1, "fundamental-category presentation of a simplicial set", 1),
+        "ho": (cmd_ho, "homotopy category of a quasicategory", 1),
+        "join": (cmd_join, "join of simplicial sets", 2),
+        "slice": (cmd_slice, "slice over a diagram (right adjoint to join)", 1),
+        "overcat": (cmd_overcat, "overquasicategory at a vertex", 1),
+        "comma": (cmd_comma, "comma of a map at a target vertex", 1),
+        "contractible": (cmd_contractible, "weak contractibility report", 1),
+        "waldhausen-check": (cmd_waldhausen_check, "verify the cofibration-structure axioms", 1),
+        "sconstruct": (cmd_sconstruct, "one level of the S-construction", 1),
+        "k0": (cmd_k0, "K0 invariant factors, by two independent routes", 1),
+        "approx": (cmd_approx, "approximation-statement desk check on an exact map", 1),
+        "lift": (cmd_lift, "right-lifting-property check", 1),
+        "iterate": (cmd_iterate, "iterated-level equivalence verification", 1),
+    }
+
+
+def _add_command(sub, name: str, func, help: str, inputs: int) -> None:
+    p = sub.add_parser(name, help=help)
+    if inputs == 1:
+        p.add_argument("input", help="JSON input file")
+    else:
+        p.add_argument("inputs", nargs="+", help="JSON input files")
+    p.add_argument("--dim", type=int, default=2,
+                   help="verification dimension bound (default 2)")
+    p.add_argument("--budget", type=int, default=sx.DEFAULT_BUDGET,
+                   help="search nodes the whole command may visit (default 1e6)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized searches (default 0)")
+    p.add_argument("--out", help="write the report here instead of stdout")
+    if name == "join":
+        p.add_argument("--check-assoc", action="store_true", dest="check_assoc",
+                       help="check associativity on three inputs instead")
+    elif name in ("overcat", "comma"):
+        p.add_argument("--vertex", required=True, help="target vertex name")
+    elif name == "sconstruct":
+        p.add_argument("--n", type=int, required=True, help="level index")
+    elif name == "lift":
+        p.add_argument("--shape", choices=["prism", "strong-replacement"],
+                       default="prism")
+        p.add_argument("--nbar", type=int, nargs="*", default=[],
+                       help="spine-product shape indices (default: point)")
+    elif name == "iterate":
+        p.add_argument("--n", type=int, nargs="+", required=True,
+                       help="iteration indices (at most two)")
+    p.set_defaults(func=func)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: when it starts with a known command, that
+    command's subparser alone, which parses ``argv`` as the full parser
+    would; otherwise (help, a missing or an unknown command), or when
+    ``argv`` is None, the parser of every subcommand."""
     top = _Parser(
         prog="qcatk",
         description="Finite simplicial sets, quasicategories, and K-theory "
                     "verification reports.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help, inputs=1):
-        p = sub.add_parser(name, help=help)
-        if inputs == 1:
-            p.add_argument("input", help="JSON input file")
-        elif inputs > 1:
-            p.add_argument("inputs", nargs="+", help="JSON input files")
-        p.add_argument("--dim", type=int, default=2,
-                       help="verification dimension bound (default 2)")
-        p.add_argument("--budget", type=int, default=sx.DEFAULT_BUDGET,
-                       help="search nodes the whole command may visit (default 1e6)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized searches (default 0)")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.set_defaults(func=func)
-        return p
-
-    add("validate", cmd_validate, "schema- and axiom-check an input file")
-    add("nerve", cmd_nerve, "nerve of a category, truncated at --dim")
-    add("tau1", cmd_tau1, "fundamental-category presentation of a simplicial set")
-    add("ho", cmd_ho, "homotopy category of a quasicategory")
-    p = add("join", cmd_join, "join of simplicial sets", inputs=2)
-    p.add_argument("--check-assoc", action="store_true", dest="check_assoc",
-                   help="check associativity on three inputs instead")
-    add("slice", cmd_slice, "slice over a diagram (right adjoint to join)")
-    p = add("overcat", cmd_overcat, "overquasicategory at a vertex")
-    p.add_argument("--vertex", required=True, help="target vertex name")
-    p = add("comma", cmd_comma, "comma of a map at a target vertex")
-    p.add_argument("--vertex", required=True, help="target vertex name")
-    add("contractible", cmd_contractible, "weak contractibility report")
-    add("waldhausen-check", cmd_waldhausen_check,
-        "verify the cofibration-structure axioms")
-    p = add("sconstruct", cmd_sconstruct, "one level of the S-construction")
-    p.add_argument("--n", type=int, required=True, help="level index")
-    add("k0", cmd_k0, "K0 invariant factors, by two independent routes")
-    add("approx", cmd_approx, "approximation-statement desk check on an exact map")
-    p = add("lift", cmd_lift, "right-lifting-property check")
-    p.add_argument("--shape", choices=["prism", "strong-replacement"],
-                   default="prism")
-    p.add_argument("--nbar", type=int, nargs="*", default=[],
-                   help="spine-product shape indices (default: point)")
-    p = add("iterate", cmd_iterate, "iterated-level equivalence verification")
-    p.add_argument("--n", type=int, nargs="+", required=True,
-                   help="iteration indices (at most two)")
+    commands = _commands()
+    if argv and argv[0] in commands:
+        commands = {argv[0]: commands[argv[0]]}
+    for name, spec in commands.items():
+        _add_command(sub, name, *spec)
     return top
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv).parse_args(argv)
         if args.budget <= 0:
             raise io.SchemaError("budget must be positive", "/budget")
         with sx.budget(args.budget):

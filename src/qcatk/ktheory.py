@@ -4,9 +4,9 @@ The class group K0 of a Waldhausen structure is computed two independent
 ways — as the abelianized edge-path group of the diagonal of the truncated
 bisimplicial set of equivalence subcomplexes of the staircase levels, and
 from a direct generators-and-relations presentation — and the two must
-agree.  The module also provides the Quillen-Theorem-A checker, the
-weak-homotopy-equivalence verifier for functors with poset-indexed colimits,
-and the approximation verifier for exact functors.
+agree.  The module also provides the approximation verifier for exact
+functors; the Quillen-Theorem-A checker and the verifier for functors with
+poset-indexed colimits are in :mod:`qcatk.statements`.
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ from __future__ import annotations
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
-from .cats import (
-    FinFunctor,
-    functor_equivalence_report,
-    groupoid_core,
-    nerve,
-    nerve_functor_map,
-)
+from .cats import FinFunctor, groupoid_core, nerve, nerve_functor_map
 from .homology import AbelianGroupPresentation, group_from_relations, pi0, pi1_abelianized
-from .joinslice import colimiting_cocones, comma, small_posets
 from .sconstruction import level_functor, s_n, s_structure_functor
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
+from .simplicial import SimplexKey, SimplicialSet
 from .waldhausen import (
     ExactFunctorData,
     WaldhausenData,
@@ -209,7 +202,7 @@ def k0_agreement(W: WaldhausenData, d: int = 2) -> dict:
     return {"diagonal": a, "oracle": b, "agree": a == b, "dim": d}
 
 
-# -- Theorem-A style checkers ---------------------------------------------------
+# -- approximation verifier ------------------------------------------------------
 
 
 def _pi_invariants(X: SimplicialSet) -> dict:
@@ -221,121 +214,6 @@ def _pi_invariants(X: SimplicialSet) -> dict:
             for g in (pi1_abelianized(X, c) for c in comps)
         ),
     }
-
-
-def quillen_a_verify(G: SimplicialMap, d: int = 1) -> dict:
-    """Per-vertex weak contractibility of the comma construction, plus a
-    direct comparison of components and abelianized edge-path groups."""
-    Y = G.target
-    per_vertex = {}
-    verdict = "pass"
-    witness = None
-    for y in Y.simplices(0):
-        F, _, _ = comma(G, y, d)
-        rep = hl.weak_contractibility_report(F, d)
-        per_vertex[y] = rep
-        if rep["verdict"] == "refuted" and verdict == "pass":
-            verdict = "fail"
-            witness = y
-        elif rep["verdict"] == "inconclusive" and verdict == "pass":
-            verdict = "inconclusive"
-    corroboration = {
-        "source": _pi_invariants(G.source),
-        "target": _pi_invariants(Y),
-    }
-    corroboration["agree"] = corroboration["source"] == corroboration["target"]
-    return {
-        "verdict": verdict,
-        "witness": witness,
-        "per_vertex": per_vertex,
-        "corroboration": corroboration,
-        "dim": d,
-    }
-
-
-def _poset_diagram_colimits(F: SimplicialMap, d: int) -> dict:
-    """For every diagram over the nerve of a poset with at most two elements
-    landing in the equivalence subcomplex of the source: does a colimiting
-    cocone exist, and is its image under F still colimiting?"""
-    A, B = F.source, F.target
-    Akan, incl = qc.maximal_kan(A, min(d, A.effective_bound()))
-    checked = 0
-    missing = []
-    not_preserved = []
-    for P in small_posets(2):
-        NP = nerve(P, d)
-        for mp in sx.enumerate_maps(NP, Akan):
-            a = incl.compose(mp)
-            checked += 1
-            found = colimiting_cocones(a, 1)
-            if not found:
-                missing.append(a)
-                continue
-            c = found[0]["cocone"]
-            image_ext = F.compose(c.extension)
-            image_base = F.compose(a)
-            image_found = colimiting_cocones(image_base, 1)
-            ok = any(
-                entry["cocone"].extension.assign == image_ext.assign
-                for entry in image_found
-            )
-            if not ok:
-                not_preserved.append(a)
-    return {
-        "diagrams_checked": checked,
-        "without_colimit": len(missing),
-        "not_preserved": len(not_preserved),
-        "ok": not missing and not not_preserved,
-    }
-
-
-def main_technical_verify(F: SimplicialMap, d: int = 2) -> dict:
-    """Hypothesis checks (essential surjectivity, poset-indexed colimits in
-    the source preserved by F, reflection of equivalences) and the desk-scale
-    conclusion: components and abelianized edge-path groups of the maximal
-    Kan subcomplexes agree."""
-    A, B = F.source, F.target
-    hoA, hoB = qc.ho_category(A), qc.ho_category(B)
-
-    ess = functor_equivalence_report(qc.induced_ho_functor(hoA, hoB, F))[
-        "essentially_surjective"]
-
-    reflects = True
-    reflect_witness = None
-    for g in A.gens(1):
-        e = SimplexKey(g)
-        if hoB.cat.is_iso(hoB.cls(F(e))) and not hoA.cat.is_iso(hoA.cls(e)):
-            reflects = False
-            reflect_witness = e
-            break
-
-    colim = _poset_diagram_colimits(F, d)
-
-    dA = min(d, A.effective_bound())
-    dB = min(d, B.effective_bound())
-    Akan, _ = qc.maximal_kan(A, dA)
-    Bkan, _ = qc.maximal_kan(B, dB)
-    conclusion = {
-        "source": _pi_invariants(Akan),
-        "target": _pi_invariants(Bkan),
-    }
-    conclusion["agree"] = conclusion["source"] == conclusion["target"]
-
-    hypotheses = {
-        "essentially_surjective": ess,
-        "reflects_equivalences": reflects,
-        "reflection_witness": reflect_witness,
-        "poset_colimits": colim,
-    }
-    return {
-        "hypotheses": hypotheses,
-        "hypotheses_hold": ess and reflects and colim["ok"],
-        "conclusion": conclusion,
-        "dim": d,
-    }
-
-
-# -- approximation verifier ------------------------------------------------------
 
 
 def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels) -> dict:

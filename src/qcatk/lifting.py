@@ -1,14 +1,9 @@
-"""Horn-filling and lifting-property checks for natural transformations.
+"""Lifting-property checks for natural transformations.
 
 Natural transformations between functors out of a spine are maps
 ``I[n] x Delta[1] -> X`` where ``I[n]`` is the spine of the n-simplex.
 This module provides:
 
-* exhaustive dimension-3 horn-filler audits (:func:`horn_fill_class_check`);
-* an explicit prism construction that promotes a homotopy of the last (or
-  first) components of two natural transformations to a homotopy of the
-  transformations themselves, by successive three-dimensional horn filling
-  (:func:`homotopy_from_last_component`);
 * the homotopic-components hypothesis checker used by the iterated-level
   equivalence theorem (:func:`components_hypothesis_check`);
 * right-lifting-property checks against prism inclusions
@@ -16,6 +11,9 @@ This module provides:
 * :func:`higher_iterate_verify`, which checks the hypotheses of the
   iterated-level equivalence statement and independently verifies its
   conclusion on iterated cofibration-sequence levels.
+
+The horn-filler audits and the prism construction, which no command runs,
+are in :mod:`qcatk.statements`.
 """
 
 from __future__ import annotations
@@ -62,216 +60,6 @@ def spine_product(ns) -> SimplicialSet:
     for j, n in enumerate(ns[1:], start=2):
         cur = sx.product(cur, sx.spine(n), j).sset
     return cur
-
-
-# ---------------------------------------------------------------------------
-# horn filler audits in dimension 3
-
-_HORN_KINDS = {
-    "last": ((3, 3),),
-    "first": ((3, 0),),
-    "inner": ((3, 1), (3, 2)),
-    "all": ((3, 0), (3, 1), (3, 2), (3, 3)),
-}
-
-
-def horn_fill_class_check(X: SimplicialSet, kind: str = "all") -> dict:
-    """Exhaustively enumerate dimension-3 horns of the requested kind and
-    search for fillers.
-
-    ``kind`` selects which horns: "last" (index 3), "first" (index 0),
-    "inner" (indices 1 and 2), or "all".
-    """
-    if kind not in _HORN_KINDS:
-        raise ValueError(f"unknown horn kind {kind!r}")
-    X.require_bound(3, "horn filler audit")
-    checked = {}
-    for (n, k) in _HORN_KINDS[kind]:
-        hs = sx.horn_maps(X, n, k)
-        checked[(n, k)] = len(hs)
-        for h in hs:
-            if sx.inner_horn_filler(X, h) is None:
-                return {
-                    "verdict": "fail",
-                    "kind": kind,
-                    "checked": checked,
-                    "witness": {"horn": (n, k), "assign": dict(h.assign)},
-                }
-    return {"verdict": "pass", "kind": kind, "checked": checked, "witness": None}
-
-
-# ---------------------------------------------------------------------------
-# the prism construction
-
-# maximal vertex paths of the prism segment Delta[1] x Delta[2], i.e. the
-# three nondegenerate 3-simplices: bottom, middle, top
-_SEGMENT_SHUFFLES = (
-    ((0, 0), (1, 0), (1, 1), (1, 2)),  # bottom
-    ((0, 0), (0, 1), (1, 1), (1, 2)),  # middle
-    ((0, 0), (0, 1), (0, 2), (1, 2)),  # top
-)
-
-
-def _transformation_parts(alpha: SimplicialMap):
-    """Split the source of a natural transformation I[n] x Delta[1] -> X
-    into its factors and recover n."""
-    P1 = alpha.source
-    fam = getattr(P1, "family", None)
-    if not isinstance(fam, sx.ProductFamily):
-        raise ValueError("transformation source must be a materialized product")
-    S, D1 = fam.X, fam.Y
-    n = len(S.gens(0)) - 1
-    return P1, S, D1, n
-
-
-def _parallel(alpha: SimplicialMap, beta: SimplicialMap) -> bool:
-    """Same endpoint functors: equal restrictions to both ends of Delta[1]."""
-    return _ends(alpha) == _ends(beta)
-
-
-def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
-                                 beta: SimplicialMap,
-                                 direction: str = "last") -> dict:
-    """Promote a homotopy of one pair of components to a homotopy of two
-    natural transformations I[n] x Delta[1] -> X, by explicit prism filling.
-
-    With ``direction="last"`` the construction seeds at the last spine
-    vertex and fills each prism segment bottom-up: the bottom 3-simplex
-    along its inner horn at index 1, the middle along its inner horn at
-    index 2, and the top along its outer horn at index 3 (this last step
-    is the one that needs fillers beyond the quasicategory ones).  With
-    ``direction="first"`` the seed is at spine vertex 0 and segments are
-    filled top-down, ending at the outer horn at index 0.
-
-    Returns a report; on success ``report["homotopy"]`` is a map
-    I[n] x Delta[2] -> X whose restrictions along the faces of Delta[2]
-    at indices 1 and 0 are ``alpha`` and ``beta``, and whose face at
-    index 2 is degenerate.
-    """
-    if direction not in ("last", "first"):
-        raise ValueError("direction must be 'last' or 'first'")
-    P1, S, D1, n = _transformation_parts(alpha)
-    if beta.source is not P1 and _transformation_parts(beta)[3] != n:
-        raise ValueError("alpha and beta must share their source shape")
-    X.require_bound(3, "prism filling")
-    if not _parallel(alpha, beta):
-        raise ValueError("alpha and beta are not parallel transformations")
-
-    def a_key(path):
-        return alpha(sx.product_path_key(P1, S, D1, path))
-
-    def b_key(path):
-        return beta(sx.product_path_key(P1, S, D1, path))
-
-    def stuck(segment, step, want):
-        return {
-            "status": "stuck",
-            "homotopy": None,
-            "direction": direction,
-            "witness": {"segment": segment, "step": step,
-                        "faces": {i: k for i, k in want.items()}},
-        }
-
-    # seed: a 2-simplex witnessing the homotopy of the chosen components,
-    # with the face at index 2 degenerate on the common source object
-    lev = n if direction == "last" else 0
-    a_comp = a_key([(lev, 0), (lev, 1)])
-    b_comp = b_key([(lev, 0), (lev, 1)])
-    dom = a_key([(lev, 0)])
-    seed_want = {0: b_comp, 1: a_comp, 2: sx.key_degeneracy(dom, 0)}
-    T = {lev: sx.simplex_with_faces(X, 2, seed_want)}
-    if T[lev] is None:
-        return stuck(None, "seed", seed_want)
-
-    # per segment (u, v) = (i-1, i): the three filled 3-simplices
-    fills: dict[int, tuple] = {}
-    segments = range(n, 0, -1) if direction == "last" else range(1, n + 1)
-    for i in segments:
-        u, v = i - 1, i
-        Fe = a_key([(u, 0), (v, 0)])
-        s1Fe = sx.key_degeneracy(Fe, 1)
-        s0Fe = sx.key_degeneracy(Fe, 0)
-        atr1 = a_key([(u, 0), (v, 0), (v, 1)])
-        atr2 = a_key([(u, 0), (u, 1), (v, 1)])
-        btr1 = b_key([(u, 0), (v, 0), (v, 1)])
-        btr2 = b_key([(u, 0), (u, 1), (v, 1)])
-        if direction == "last":
-            want = {0: T[v], 2: atr1, 3: s1Fe}
-            Z1 = sx.simplex_with_faces(X, 3, want)
-            if Z1 is None:
-                return stuck(i, "bottom (inner horn, index 1)", want)
-            want = {0: btr1, 1: X.face(Z1, 1), 3: s0Fe}
-            Z2 = sx.simplex_with_faces(X, 3, want)
-            if Z2 is None:
-                return stuck(i, "middle (inner horn, index 2)", want)
-            want = {0: btr2, 1: atr2, 2: X.face(Z2, 2)}
-            Z3 = sx.simplex_with_faces(X, 3, want)
-            if Z3 is None:
-                return stuck(i, "top (outer horn, index 3)", want)
-            T[u] = X.face(Z3, 3)
-        else:
-            want = {0: btr2, 1: atr2, 3: T[u]}
-            Z3 = sx.simplex_with_faces(X, 3, want)
-            if Z3 is None:
-                return stuck(i, "top (inner horn, index 2)", want)
-            want = {0: btr1, 2: X.face(Z3, 2), 3: s0Fe}
-            Z2 = sx.simplex_with_faces(X, 3, want)
-            if Z2 is None:
-                return stuck(i, "middle (inner horn, index 1)", want)
-            want = {1: X.face(Z2, 1), 2: atr1, 3: s1Fe}
-            Z1 = sx.simplex_with_faces(X, 3, want)
-            if Z1 is None:
-                return stuck(i, "bottom (outer horn, index 0)", want)
-            T[v] = X.face(Z1, 0)
-        fills[i] = (Z1, Z2, Z3)
-
-    # assemble the homotopy on the materialized prism I[n] x Delta[2]
-    D2 = sx.delta(2)
-    P3 = sx.product(S, D2, 3).sset
-    assign = {}
-    for g in P3.all_gens():
-        ks, kd = P3.labels[g]
-        svals = _vertex_seq(S, ks)
-        path = list(zip(svals, _vertex_seq(D2, kd)))
-        if min(svals) == max(svals):
-            # lies in one end triangle
-            sub = X.subsimplex(T[svals[0]], D2.labels[kd.gen])
-            assign[g] = sx.apply_degeneracy_word(sub, kd.degens)
-        else:
-            u = min(svals)
-            local = [(0 if s == u else 1, d) for s, d in path]
-            for which, shuffle in enumerate(_SEGMENT_SHUFFLES):
-                if set(local) <= set(shuffle):
-                    idx = [shuffle.index(x) for x in local]
-                    assign[g] = X.subsimplex(fills[u + 1][which], idx)
-                    break
-            else:
-                raise AssertionError(f"prism simplex {path} fits no segment")
-    h = SimplicialMap(P3, X, assign)
-    h.check()
-    return {
-        "status": "ok",
-        "homotopy": h,
-        "direction": direction,
-        "witness": None,
-        "fills": 3 * n + 1,
-    }
-
-
-def prism_face(h: SimplicialMap, P1: sx.MaterializedSSet, face: int) -> SimplicialMap:
-    """Restriction of a prism homotopy I[n] x Delta[2] -> X along a face of
-    Delta[2], as a map out of the given product I[n] x Delta[1].
-
-    Face 1 recovers the first transformation, face 0 the second, face 2
-    the degenerate one.
-    """
-    D1 = P1.family.Y
-    vmap = ((1, 2), (0, 2), (0, 1))[face]
-    assign = {}
-    for g in P1.all_gens():
-        kb, kd = P1.labels[g]
-        assign[g] = _along(h, kb, [vmap[v] for v in _vertex_seq(D1, kd)])
-    return SimplicialMap(P1, h.target, assign)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
 from __future__ import annotations
 
 from . import simplicial as sx
-from .cats import FinCategory, FinFunctor, edge_morphism, functor_equivalence_report
+from .cats import FinCategory, FinFunctor, functor_equivalence_report
 from .simplicial import (
     NotQuasicategory,
     SimplexKey,
@@ -133,23 +133,6 @@ def tau1_presentation(X: SimplicialSet) -> dict:
     }
 
 
-def ho_equals_category(X: SimplicialSet, C: FinCategory) -> bool:
-    """For a nerve X = N(C): the homotopy category is isomorphic to C via
-    the labelling of vertices and edges."""
-    ho = ho_category(X)
-    obj_map = {v: X.labels[v.gen] for v in ho.cat.objects}
-    if sorted(map(repr, obj_map.values())) != sorted(map(repr, C.objects)):
-        return False
-
-    mors = {m: edge_morphism(C, X, m) for m in ho.cat.morphisms}
-    if sorted(map(repr, mors.values())) != sorted(map(repr, C.morphisms)):
-        return False
-    for (g, f), h in ho.cat.comp.items():
-        if C.compose_mor(mors[g], mors[f]) != mors[h]:
-            return False
-    return True
-
-
 # -- equivalences and the maximal Kan subcomplex ------------------------------
 
 
@@ -181,13 +164,17 @@ def _hom_shape(A: SimplicialSet):
 
 def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int) -> sx.MaterializedSSet:
     """(X^A)_n = maps A x Delta[n] -> X."""
-    return sx.MaterializedSSet(sx.MapFamily(X, _hom_shape(A), _act_on_delta, lambda P: {}), d)
+    from .families import MapFamily
+
+    return sx.MaterializedSSet(MapFamily(X, _hom_shape(A), _act_on_delta, lambda P: {}), d)
 
 
 def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
                   d: int) -> sx.MaterializedSSet:
     """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
     ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
+    from .families import MapFamily
+
     D1 = sx.delta(1)
     end = {D1.gen_of_label((0,)): a, D1.gen_of_label((1,)): b}
 
@@ -195,7 +182,7 @@ def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
         return {g: apply_degeneracy_word(end[P.labels[g][0].gen], range(g[0] - 1, -1, -1))
                 for g in P.all_gens() if P.labels[g][0].gen in end}
 
-    return sx.MaterializedSSet(sx.MapFamily(X, _hom_shape(D1), _act_on_delta, fixed), d)
+    return sx.MaterializedSSet(MapFamily(X, _hom_shape(D1), _act_on_delta, fixed), d)
 
 
 def induced_ho_functor(ho_s: _HoCategory, ho_t: _HoCategory, push) -> FinFunctor:

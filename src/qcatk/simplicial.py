@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 Gen = tuple[int, int]  # (dimension, index within that dimension)
 
@@ -120,6 +120,8 @@ class SimplicialMap:
         self.source, self.target, self.assign = source, target, assign
 
     def __call__(self, key: SimplexKey) -> SimplexKey:
+        if not key.degens:
+            return self.assign[key.gen]
         return apply_degeneracy_word(self.assign[key.gen], key.degens)
 
     def check(self) -> None:
@@ -536,7 +538,7 @@ def delta_inclusion(source: SimplicialSet, target: SimplicialSet, vertex_map) ->
     return SimplicialMap(source, target, assign)
 
 
-# -- products, pullbacks, joins -------------------------------------------
+# -- products ----------------------------------------------------------------
 
 
 class ProductFamily(Family):
@@ -553,19 +555,9 @@ class ProductFamily(Family):
         return (self.X.degeneracy(x[0], i), self.Y.degeneracy(x[1], i))
 
 
-class _PullbackFamily(ProductFamily):
-    def __init__(self, f: SimplicialMap, g: SimplicialMap):
-        if f.target is not g.target:
-            raise ValueError("pullback legs must share a target")
-        super().__init__(f.source, g.source)
-        self.f, self.g = f, g
-
-    def elements(self, n):
-        return [x for x in super().elements(n) if self.f(x[0]) == self.g(x[1])]
-
-
 class _Span2:
-    """A simplicial set with two structure maps (projections/inclusions)."""
+    """A simplicial set with two structure maps: the projections of a
+    product or a pullback, or the inclusions into a join."""
 
     def __init__(self, sset: MaterializedSSet, left: SimplicialMap, right: SimplicialMap):
         self.sset, self.left, self.right = sset, left, right
@@ -578,135 +570,6 @@ def product(X: SimplicialSet, Y: SimplicialSet, d: int) -> _Span2:
     p1 = SimplicialMap(P, X, {g: P.labels[g][0] for g in P.all_gens()})
     p2 = SimplicialMap(P, Y, {g: P.labels[g][1] for g in P.all_gens()})
     return _Span2(P, p1, p2)
-
-
-def product_path_key(P: MaterializedSSet, A: SimplicialSet, B: SimplicialSet,
-                     path) -> SimplexKey:
-    """Key of the simplex of the product P = A x B of two vertex-subset
-    complexes whose vertex t is ``path[t]`` (a pair of vertex labels, one
-    per factor); such a simplex is fixed by its vertex path."""
-    ka = key_from_vertex_seq(A, [p[0] for p in path])
-    kb = key_from_vertex_seq(B, [p[1] for p in path])
-    return P.key_of(len(path) - 1, (ka, kb))
-
-
-def pullback(f: SimplicialMap, g: SimplicialMap, d: int) -> _Span2:
-    f.source.require_bound(d, "pullback")
-    g.source.require_bound(d, "pullback")
-    P = MaterializedSSet(_PullbackFamily(f, g), d)
-    p1 = SimplicialMap(P, f.source, {h: P.labels[h][0] for h in P.all_gens()})
-    p2 = SimplicialMap(P, g.source, {h: P.labels[h][1] for h in P.all_gens()})
-    return _Span2(P, p1, p2)
-
-
-class _JoinFamily(Family):
-    """(A * B)_n = A_n + B_n + sum over i+1+j=n of A_i x B_j."""
-
-    def __init__(self, A: SimplicialSet, B: SimplicialSet):
-        self.A, self.B = A, B
-
-    def elements(self, n):
-        out = [("a", k) for k in self.A.simplices(n)]
-        out += [("b", k) for k in self.B.simplices(n)]
-        for i in range(n):
-            j = n - 1 - i
-            out += [("j", a, b) for a in self.A.simplices(i) for b in self.B.simplices(j)]
-        return out
-
-    def face(self, n, x, i):
-        if x[0] == "a":
-            return ("a", self.A.face(x[1], i))
-        if x[0] == "b":
-            return ("b", self.B.face(x[1], i))
-        _, a, b = x
-        da = a.dim
-        if i <= da:
-            if da == 0:
-                return ("b", b)
-            return ("j", self.A.face(a, i), b)
-        if b.dim == 0:
-            return ("a", a)
-        return ("j", a, self.B.face(b, i - da - 1))
-
-    def degeneracy(self, n, x, i):
-        if x[0] == "a":
-            return ("a", self.A.degeneracy(x[1], i))
-        if x[0] == "b":
-            return ("b", self.B.degeneracy(x[1], i))
-        _, a, b = x
-        if i <= a.dim:
-            return ("j", self.A.degeneracy(a, i), b)
-        return ("j", a, self.B.degeneracy(b, i - a.dim - 1))
-
-
-def join(A: SimplicialSet, B: SimplicialSet, d: int) -> _Span2:
-    J = MaterializedSSet(_JoinFamily(A, B), d, complete=(A.bound is None and B.bound is None))
-    inclA = SimplicialMap(
-        A, J, {g: J.key_of(g[0], ("a", SimplexKey(g))) for g in A.all_gens() if g[0] <= d}
-    )
-    inclB = SimplicialMap(
-        B, J, {g: J.key_of(g[0], ("b", SimplexKey(g))) for g in B.all_gens() if g[0] <= d}
-    )
-    return _Span2(J, inclA, inclB)
-
-
-# -- maps out of a cosimplicial shape --------------------------------------
-
-
-class MapFamily(Family):
-    """Maps out of a cosimplicial shape: the n-simplices are the maps
-    ``shape(n) -> X`` that take the values ``fixed(shape(n))``, a dict of
-    values on some generators, stored as value tuples in
-    ``shape(n).all_gens()`` order.
-
-    A monotone phi : [m] -> [n] sends an element e of ``shape(m)`` to the
-    element ``act(e, dmap)`` of ``shape(n)``, where dmap : Delta[m] ->
-    Delta[n] is the map phi induces; faces and degeneracies precompose
-    along that map.  Internal homs (A x Delta[n]), mapping spaces and
-    slices (A * Delta[n], Delta[n] * A) are its instances.
-    """
-
-    def __init__(self, X: SimplicialSet, shape: Callable[[int], MaterializedSSet],
-                 act: Callable[[Any, SimplicialMap], Any],
-                 fixed: Callable[[MaterializedSSet], dict[Gen, SimplexKey]]):
-        self.X, self.act, self.fixed = X, act, fixed
-        self._shape_of = shape
-        self._shapes: dict[int, MaterializedSSet] = {}
-        self._pulled: dict[tuple[int, int, int], list] = {}
-
-    def shape(self, n: int) -> MaterializedSSet:
-        if n not in self._shapes:
-            self._shapes[n] = self._shape_of(n)
-        return self._shapes[n]
-
-    def elements(self, n):
-        S = self.shape(n)
-        maps = enumerate_maps(S, self.X, fixed=self.fixed(S))
-        order = S.all_gens()
-        return [tuple(mp.assign[g] for g in order) for mp in maps]
-
-    def as_map(self, n, x) -> SimplicialMap:
-        S = self.shape(n)
-        return SimplicialMap(S, self.X, dict(zip(S.all_gens(), x)))
-
-    def _precompose(self, m, n, i, phi, x):
-        # where each generator of shape(m) goes in shape(n), as (position in
-        # x, degeneracy word), depends only on (m, n, i): m is n - 1 for a
-        # face and n + 1 for a degeneracy
-        pulled = self._pulled.get((m, n, i))
-        if pulled is None:
-            S, T = self.shape(m), self.shape(n)
-            dmap = delta_inclusion(delta(m), delta(n), phi)
-            position = {g: j for j, g in enumerate(T.all_gens())}
-            keys = [T.key_of(g[0], self.act(S.labels[g], dmap)) for g in S.all_gens()]
-            pulled = self._pulled[(m, n, i)] = [(position[k.gen], k.degens) for k in keys]
-        return tuple(apply_degeneracy_word(x[j], word) for j, word in pulled)
-
-    def face(self, n, x, i):
-        return self._precompose(n - 1, n, i, lambda v: v if v < i else v + 1, x)
-
-    def degeneracy(self, n, x, i):
-        return self._precompose(n + 1, n, i, lambda v: v if v <= i else v - 1, x)
 
 
 # -- subcomplexes ----------------------------------------------------------
@@ -851,6 +714,7 @@ def relative_maps(
     ledger = _LEDGER.get() or _Ledger(DEFAULT_BUDGET)
     found: list[tuple[dict[Gen, SimplexKey], list[SimplicialMap]]] = []
     assign: dict[Gen, SimplexKey] = {}
+    degenerate: dict[tuple[SimplexKey, tuple[int, ...]], SimplexKey] = {}  # (value, word) -> image
 
     def rec(pos, node):
         ledger.used += 1
@@ -866,8 +730,18 @@ def relative_maps(
         if row is None:
             cands = vertices
         else:
-            wanted = tuple(apply_degeneracy_word(assign[f.gen], f.degens) for f in row)
-            cands = cand_index[g[0]].get(wanted, [])
+            # a face key unpacks as (generator, degeneracy word); a word is
+            # applied once per search
+            wanted = []
+            for f, word in row:
+                v = assign[f]
+                if word:
+                    w = degenerate.get((v, word))
+                    if w is None:
+                        w = degenerate[(v, word)] = apply_degeneracy_word(v, word)
+                    v = w
+                wanted.append(v)
+            cands = cand_index[g[0]].get(tuple(wanted), [])
         if want is not None:
             cands = [c for c in cands if c == want]
         if node is not None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import joinslice as js
 from . import quasicat as qc
 from . import simplicial as sx
 from .cats import (
@@ -129,6 +128,8 @@ def _leg_in_slice(X: SimplicialSet, f: SimplexKey, g: SimplexKey) -> Optional[Si
         v0: X.vertex(f, 0), v1: X.vertex(f, 1), v2: X.vertex(g, 1),
         H.gen_of_label((0, 1)): f, H.gen_of_label((0, 2)): g,
     })
+    from . import joinslice as js
+
     ccs = js.colimiting_cocones(span, 1)
     if not ccs:
         return None
@@ -262,72 +263,6 @@ def cof_ho_equivalence(G: ExactFunctorData) -> dict:
     return functor_equivalence_report(qc.induced_ho_functor(ho_s, ho_t, push))
 
 
-# -- homotopy cocartesian squares -------------------------------------------------
-
-
-def _square_as_cocone(square: SimplicialMap):
-    """Reinterpret a map Delta[1] x Delta[1] -> X as a cocone over its span:
-    returns (span base map, extension over span * Delta[0])."""
-    S = square.source  # materialized product of delta(1) with delta(1)
-    H = sx.horn(2, 0)
-    J = sx.join(H, sx.delta(0), 2)
-    corner = {0: (0, 0), 1: (0, 1), 2: (1, 0), "tip": (1, 1)}
-
-    def hpath(u):
-        return [corner[H.labels[v.gen][0]] for v in H.vertices(u)]
-
-    # a simplex of S is fixed by its vertex path, a monotone path of corners
-    vmap = {}
-    for g in J.sset.all_gens():
-        lbl = J.sset.labels[g]
-        if lbl[0] == "a":
-            path = hpath(lbl[1])
-        elif lbl[0] == "b":
-            path = [corner["tip"]]
-        else:
-            _, u, v = lbl
-            path = hpath(u) + [corner["tip"]] * (v.dim + 1)
-        vmap[g] = sx.product_path_key(S, S.family.X, S.family.Y, path)
-    m = SimplicialMap(J.sset, S, vmap)
-    ext = square.compose(m)
-    base = ext.compose(J.left)
-    return base, ext
-
-
-def homotopy_cocartesian_check(W: WaldhausenData, square: SimplicialMap,
-                               d: int = 1) -> bool:
-    """True iff one leg of the square is marked and the square is a
-    colimiting cocone over its span.
-
-    The cocone is certified by slice initiality when the ambient object is
-    deep enough; bounded nerves fall back to the 1-categorical
-    universal-property oracle.
-    """
-    base, ext = _square_as_cocone(square)
-    H = base.source
-    X = W.underlying
-    leg1 = base(SimplexKey(H.gen_of_label((0, 1))))
-    leg2 = base(SimplexKey(H.gen_of_label((0, 2))))
-    if not (W.is_cof(leg1) or W.is_cof(leg2)):
-        return False
-    need = 1 + (d + 1) + 1  # join dim for the slice enumeration
-    if X.effective_bound() < need:
-        if X.category is None:
-            raise sx.BoundExceeded("square check needs dimension %d" % need)
-        C = X.category
-        f_m, g_m = edge_morphism(C, X, leg1), edge_morphism(C, X, leg2)
-        J = ext.source
-        tipkey = ext(J.key_of(0, ("b", SimplexKey((0, 0)))))
-        i_m = edge_morphism(C, X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((1,))), SimplexKey((0, 0))))))
-        j_m = edge_morphism(C, X, ext(J.key_of(1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
-        return C.is_pushout_cocone(f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
-    sl = js.slice_under(base, d + 1)
-    # the slice vertex equal to this cocone: both sides join the horn and Delta[0]
-    vkey = sl.key_of(0, tuple(ext.assign[h] for h in sl.family.shape(0).all_gens()))
-    rep = js.is_initial(sl, vkey, d)
-    return rep["verdict"].startswith("confirmed")
-
-
 # -- instances ---------------------------------------------------------------------
 
 
@@ -359,7 +294,3 @@ def pointed_sets_waldhausen(max_size: int = 3, d: int = 2) -> WaldhausenData:
         C, 1, injective, d,
         universe={"bounded": True, "note": f"pointed sets of size <= {max_size}"},
     )
-
-
-def maximal_marking_waldhausen(C: FinCategory, zero_obj, d: int) -> WaldhausenData:
-    return nerve_waldhausen(C, zero_obj, [m for m in C.morphisms], d)

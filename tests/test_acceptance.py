@@ -5,19 +5,18 @@ import random
 
 import pytest
 
+from qcatk import families as fm
 from qcatk import joinslice as js
 from qcatk import ktheory as kt
-from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import statements as stm
 from qcatk.cats import (
     FinFunctor,
-    chain_poset,
     cyclic_group_category,
     nerve,
     nerve_functor_map,
     poset_category,
-    slice_category,
 )
 from qcatk.homology import AbelianGroupPresentation, group_from_relations
 from qcatk.sconstruction import forgetful_maps
@@ -25,7 +24,6 @@ from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     admits_factorization,
-    maximal_marking_waldhausen,
     nerve_waldhausen,
     pointed_sets_waldhausen,
 )
@@ -38,6 +36,13 @@ from qcatk.zoo import (
     random_poset,
     pointed_sets_with_duplicate as _dup,
 )
+from testlib import (
+    chain_poset,
+    ho_equals_category,
+    maximal_marking_waldhausen,
+    prism_face,
+    slice_category,
+)
 
 
 def _line(k, name):
@@ -47,7 +52,7 @@ def _line(k, name):
 def test_01_join_of_simplices_is_a_simplex():
     for m in range(4):
         for n in range(4):
-            J = sx.join(sx.delta(m), sx.delta(n), m + n + 1).sset
+            J = fm.join(sx.delta(m), sx.delta(n), m + n + 1).sset
             assert sx.iso_check(J, sx.delta(m + n + 1), m + n + 1) is not None
     _line(1, "join of simplices")
 
@@ -59,7 +64,7 @@ def test_02_nerve_commutes_with_joins_and_slices():
         P = random_poset(rng, rng.randint(1, 3))
         Q = random_poset(rng, rng.randint(1, 3))
         NJ = nerve(P.join(Q), d)
-        JN = sx.join(nerve(P, d), nerve(Q, d), d).sset
+        JN = fm.join(nerve(P, d), nerve(Q, d), d).sset
         assert sx.iso_check(NJ, JN, d) is not None
     for seed in range(20):
         rng = random.Random(1000 + seed)
@@ -75,7 +80,7 @@ def test_02_nerve_commutes_with_joins_and_slices():
 def test_03_homotopy_category_of_a_nerve_is_the_category():
     for seed in range(20):
         C = random_category(random.Random(seed), 4)
-        assert qc.ho_equals_category(nerve(C, 2), C)
+        assert ho_equals_category(nerve(C, 2), C)
     _line(3, "homotopy category recovers the nerve's category")
 
 
@@ -121,7 +126,7 @@ def test_05_restriction_to_diagrams_is_an_equivalence():
         nerve(poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3), 3),
     ]
     for X in instances:
-        rep = js.restriction_equivalence_check(X, A, 1)
+        rep = stm.restriction_equivalence_check(X, A, 1)
         assert rep["verdict"] == "pass", rep
         assert rep["essentially_surjective"] and rep["full"] and rep["faithful"]
     _line(5, "restriction equivalence on colimit-complete instances")
@@ -180,15 +185,15 @@ def test_08_approximation_check_with_negative_control():
 def test_09_comma_fibre_check_on_equivalences_and_a_failure():
     N = nerve(chain_poset(2), 3)
     ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
-    assert kt.quillen_a_verify(ident, 2)["verdict"] == "pass"
+    assert stm.quillen_a_verify(ident, 2)["verdict"] == "pass"
     I2 = indiscrete_category(range(2))
     P = chain_poset(0)
     F = FinFunctor(I2, P, {o: 0 for o in I2.objects},
                    {m: P.ids[0] for m in I2.morphisms})
     G = nerve_functor_map(F, nerve(I2, 3), nerve(P, 3))
-    assert kt.quillen_a_verify(G, 2)["verdict"] == "pass"
+    assert stm.quillen_a_verify(G, 2)["verdict"] == "pass"
     inc = sx.delta_inclusion(sx.delta(0), sx.delta(1), lambda _: 1)
-    rep = kt.quillen_a_verify(inc, 1)
+    rep = stm.quillen_a_verify(inc, 1)
     assert rep["verdict"] == "fail" and rep["witness"] is not None
     _line(9, "comma-fibre verification")
 
@@ -203,7 +208,7 @@ def _promotable_pairs(X, n):
         SimplexKey(D1.gen_of_label((0, 1))),
     ))
     return P, [(a, b) for a in maps for b in maps
-               if lf._parallel(a, b) and a(comp) == b(comp)]
+               if stm._parallel(a, b) and a(comp) == b(comp)]
 
 
 def test_10_prism_construction_with_stuck_control():
@@ -213,18 +218,18 @@ def test_10_prism_construction_with_stuck_control():
         X = nerve(C, 3)
         P, pairs = _promotable_pairs(X, 1)
         for alpha, beta in pairs[:3]:
-            rep = lf.homotopy_from_last_component(X, alpha, beta)
+            rep = stm.homotopy_from_last_component(X, alpha, beta)
             assert rep["status"] == "ok", (seed, rep)
             h = rep["homotopy"]
-            assert lf.prism_face(h, P, 1).assign == alpha.assign
-            assert lf.prism_face(h, P, 0).assign == beta.assign
+            assert prism_face(h, P, 1).assign == alpha.assign
+            assert prism_face(h, P, 0).assign == beta.assign
             ran += 1
         if ran >= 10:
             break
     assert ran >= 10
     M = nerve(idempotent_monoid_category(), 3)
     _, pairs = _promotable_pairs(M, 1)
-    reps = [lf.homotopy_from_last_component(M, a, b) for a, b in pairs]
+    reps = [stm.homotopy_from_last_component(M, a, b) for a, b in pairs]
     stuck = [r for r in reps if r["status"] == "stuck"]
     assert len(stuck) == 6
     assert all(r["witness"]["step"] == "top (outer horn, index 3)"

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import families as fm
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import (
     FinCategory,
     FinFunctor,
-    chain_poset,
     cyclic_group_category,
     full_subcategory,
     functor_equivalence_report,
@@ -24,7 +24,6 @@ from qcatk.cats import (
     nerve_functor_map,
     pointed_sets_category,
     poset_category,
-    slice_category,
 )
 from qcatk.sconstruction import f_n, s_n, s_structure_functor
 from qcatk.simplicial import SimplexKey
@@ -35,6 +34,7 @@ from qcatk.zoo import (
     random_category,
     random_poset,
 )
+from testlib import chain_poset, ho_equals_category, slice_category
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_nerve_of_a_chain_poset():
 def test_fundamental_category_of_a_nerve_recovers_the_category(seed):
     rng = random.Random(seed)
     C = random_category(rng, 4)
-    assert qc.ho_equals_category(nerve(C, 2), C)
+    assert ho_equals_category(nerve(C, 2), C)
 
 
 @given(st.integers(0, 10_000))
@@ -129,7 +129,7 @@ def test_nerve_commutes_with_joins_of_posets(seed):
     Q = random_poset(rng, rng.randint(1, 3))
     d = len(P.objects) + len(Q.objects) - 1
     NJ = nerve(P.join(Q), d)
-    JN = sx.join(nerve(P, d), nerve(Q, d), d).sset
+    JN = fm.join(nerve(P, d), nerve(Q, d), d).sset
     assert sx.iso_check(NJ, JN, d) is not None
 
 

@@ -13,15 +13,15 @@ import pytest
 import qcatk
 from qcatk import io
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve, pointed_sets_category
-from qcatk.cli import main
+from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
+from qcatk.cli import build_parser, main
 from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
-    maximal_marking_waldhausen,
     pointed_sets_waldhausen,
 )
 from qcatk.zoo import pointed_sets_with_duplicate
+from testlib import chain_poset, maximal_marking_waldhausen
 
 
 @pytest.fixture
@@ -334,21 +334,32 @@ def test_canonical_form_is_stable_under_validate(files, capsys):
 
 def test_importing_the_front_end_loads_no_checker(files):
     # each command imports its checkers when it runs: a lift on a file without
-    # a category block loads no cats, ho no homology, and nothing dataclasses
+    # a category block loads no cats, ho no homology, the grid commands no
+    # joinslice, no command the paper checks, and nothing dataclasses
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcatk.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    checkers = ["cats", "homology", "joinslice", "ktheory", "lifting", "quasicat",
-                "sconstruction", "waldhausen"]
+    checkers = ["cats", "families", "homology", "joinslice", "ktheory", "lifting",
+                "quasicat", "sconstruction", "statements", "waldhausen"]
     loaded = (f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules], "
               "[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
-    lift = ["lift", files["bdincl"], "--out", str(files["dir"] / "lift.json")]
-    ho = ["ho", files["nz3"], "--out", str(files["dir"] / "ho.json")]
-    probes = {
-        "import sys, qcatk.io, qcatk.cli; " + loaded: "[] []",
-        f"import sys, qcatk.cli; qcatk.cli.main({lift!r}); " + loaded: "['lifting'] []",
-        f"import sys, qcatk.cli; qcatk.cli.main({ho!r}); " + loaded: "['cats', 'quasicat'] []",
+    report = ["--out", str(files["dir"] / "report.json")]
+    commands = {
+        ("lift", files["bdincl"]): "['lifting'] []",
+        ("lift", files["nz3"], "--shape", "strong-replacement"): "['cats', 'lifting'] []",
+        ("ho", files["nz3"]): "['cats', 'quasicat'] []",
+        ("k0", files["ps2"]):
+            "['cats', 'homology', 'ktheory', 'quasicat', 'sconstruction', 'waldhausen'] []",
+        ("approx", files["dup"]):
+            "['cats', 'homology', 'ktheory', 'quasicat', 'sconstruction', 'waldhausen'] []",
+        ("sconstruct", files["ps2"], "--n", "1"):
+            "['cats', 'quasicat', 'sconstruction', 'waldhausen'] []",
+        ("iterate", files["dup"], "--n", "1"):
+            "['cats', 'lifting', 'quasicat', 'sconstruction', 'waldhausen'] []",
     }
+    probes = {"import sys, qcatk.io, qcatk.cli; " + loaded: "[] []"}
+    for argv, want in commands.items():
+        probes[f"import sys, qcatk.cli; qcatk.cli.main({list(argv) + report!r}); " + loaded] = want
     for probe, want in probes.items():
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
@@ -378,11 +389,39 @@ def test_every_traced_span_names_a_qcatk_attribute():
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
     assert traced.TRACED
+    for module in traced.MODULES:
+        importlib.import_module(f"qcatk.{module}")
     for name, (module, attr) in traced.TRACED.items():
+        assert module in traced.MODULES, name
         obj = importlib.import_module(f"qcatk.{module}")
         for part in attr.split("."):
             assert hasattr(obj, part), name
             obj = getattr(obj, part)
+        # the tracer patches the namespaces of MODULES only, so a traced
+        # function must be defined where TRACED names it
+        assert obj.__module__ == f"qcatk.{module}", name
+
+
+def test_a_traced_command_records_its_spans(files, tmp_path):
+    # perfbench/traced.py wraps the functions in the namespaces of its MODULES;
+    # a slice reaches the map search through families.MapFamily, outside them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcatk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {
+        ("lift", files["nz3"], "--shape", "strong-replacement"):
+            {"cli.command", "io.load_path", "lifting.rlp_check"},
+        ("slice", files["bdincl"]):
+            {"cli.command", "simplicial.MaterializedSSet", "simplicial.enumerate_maps.generic"},
+    }
+    for argv, want in runs.items():
+        spans = tmp_path / "spans.json"
+        subprocess.run([sys.executable, os.path.join(root, "perfbench", "traced.py"),
+                        str(spans), "0", "--", *argv, "--out", str(tmp_path / "report.json")],
+                       env=env, check=True)
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        assert want <= names, argv
 
 
 def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
@@ -398,6 +437,9 @@ def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
         # ``from qcatk import zoo`` names a submodule
         assert (hasattr(importlib.import_module(module), name)
                 or importlib.util.find_spec(f"{module}.{name}") is not None), f"{module}.{name}"
+        obj = getattr(importlib.import_module(module), name, None)
+        if obj is not None and not isinstance(obj, type(qcatk)):
+            assert obj.__module__ == module, f"{module}.{name}"
 
 
 @pytest.mark.parametrize("argv, pointer", [
@@ -436,3 +478,54 @@ def test_help_still_exits_zero(capsys):
         main(["k0", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+COMMANDS = ["validate", "nerve", "tau1", "ho", "join", "slice", "overcat", "comma",
+            "contractible", "waldhausen-check", "sconstruct", "k0", "approx", "lift", "iterate"]
+
+# the command lines of the README, then help, argument errors and no command
+PARSER_CASES = [
+    ["validate", "INPUT.json"], ["nerve", "CATEGORY.json", "--dim", "3"],
+    ["tau1", "SSET.json"], ["ho", "SSET.json"], ["join", "A.json", "B.json"],
+    ["join", "A.json", "B.json", "C.json", "--check-assoc"], ["slice", "MAP.json"],
+    ["overcat", "SSET.json", "--vertex", "v"], ["comma", "MAP.json", "--vertex", "v"],
+    ["contractible", "SSET.json"], ["waldhausen-check", "W.json"],
+    ["sconstruct", "W.json", "--n", "2"], ["k0", "W.json"], ["approx", "EXACT.json"],
+    ["lift", "INPUT.json", "--shape", "prism", "--nbar", "1", "1"],
+    ["lift", "INPUT.json", "--shape", "strong-replacement"],
+    ["iterate", "EXACT.json", "--n", "1", "1"],
+    ["k0", "W.json", "--budget", "5", "--seed", "3", "--out", "r.json"],
+] + [[name, "--help"] for name in COMMANDS] + [
+    [], ["--help"], ["-h"], ["frobnicate", "x.json"], ["--dim", "3"],
+    ["lift", "x.json", "--shape", "cube"], ["sconstruct", "W.json"], ["iterate", "E.json"],
+    ["overcat", "S.json"], ["k0"], ["k0", "W.json", "--dim", "x"], ["k0", "W.json", "extra"],
+    ["lift", "x.json", "--nbar", "one"], ["join"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """Namespace, schema error, exit code, stdout and stderr of one parse."""
+    namespace = error = code = None
+    try:
+        namespace = vars(parser.parse_args(argv))
+    except io.SchemaError as exc:
+        error = (str(exc), exc.pointer)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return namespace, error, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_parser_of_one_command_parses_as_the_full_parser(capsys, argv):
+    # main builds only the subparser its command names; help, usage and
+    # errors must not change
+    def commands(parser):
+        return list(parser._actions[-1].choices)  # the subparsers action
+
+    assert commands(build_parser()) == COMMANDS
+    if argv and argv[0] in COMMANDS:
+        assert commands(build_parser(argv)) == [argv[0]]
+    full = _parse(build_parser(), argv, capsys)
+    assert _parse(build_parser(argv), argv, capsys) == full
+    assert full != (None, None, None, "", "")

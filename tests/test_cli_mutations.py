@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from qcatk import io
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve
+from qcatk.cats import cyclic_group_category, nerve
 from qcatk.cli import main
 from qcatk.waldhausen import pointed_sets_waldhausen
 from qcatk.zoo import pointed_sets_with_duplicate
+from testlib import chain_poset
 
 
 def _without_category(doc):

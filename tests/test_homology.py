@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import families as fm
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve
@@ -82,7 +83,7 @@ def test_group_presentations_are_equal_hashed_and_printed_by_value():
 
 
 def test_component_count():
-    two_points = sx.join(sx.delta(0), sx.empty_sset(), 0).sset
+    two_points = fm.join(sx.delta(0), sx.empty_sset(), 0).sset
     assert len(pi0(sx.delta(3))) == 1
     assert len(pi0(sx.boundary(2))) == 1
     assert len(pi0(nerve(cyclic_group_category(2), 1))) == 1
@@ -216,7 +217,7 @@ def _instance(rng, kind):
     if kind == "product":
         return sx.product(_small(rng), _small(rng), 2).sset
     if kind == "join":
-        return sx.join(_small(rng), _small(rng), 2).sset
+        return fm.join(_small(rng), _small(rng), 2).sset
     X = nerve(random_category(rng, 3), 3)
     if kind == "hom":
         return qc.internal_hom(rng.choice([sx.delta(1), sx.boundary(1)]), X, 2)

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatk import cats, io
+from qcatk import families as fm
 from qcatk import simplicial as sx
-from qcatk.cats import chain_poset, cyclic_group_category, nerve, pointed_sets_category
+from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
 from qcatk.quasicat import ho_category
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import cof_subquasicategory, pointed_sets_waldhausen
 from qcatk.zoo import pointed_sets_with_duplicate, random_category
+from testlib import chain_poset
 
 
 def _idem(obj):
@@ -53,7 +55,7 @@ def test_nerve_round_trip_keeps_the_category_block():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: sx.join(nerve(chain_poset(1), 2), nerve(cyclic_group_category(2), 2), 2).sset,
+    lambda: fm.join(nerve(chain_poset(1), 2), nerve(cyclic_group_category(2), 2), 2).sset,
     lambda: sx.product(nerve(chain_poset(1), 2), nerve(cyclic_group_category(2), 2), 2).sset,
     lambda: cof_subquasicategory(pointed_sets_waldhausen(2, 2), 2)[0],
 ])

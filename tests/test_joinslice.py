@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import families as fm
 from qcatk import joinslice as js
 from qcatk import simplicial as sx
+from qcatk import statements as stm
 from qcatk.cats import (
-    chain_poset,
     cyclic_group_category,
     nerve,
     poset_category,
-    slice_category,
 )
 from qcatk.simplicial import SimplexKey
 from qcatk.zoo import indiscrete_category, random_category
+from testlib import chain_poset, slice_category
 
 
 def _vertex_map(X, v):
@@ -100,7 +101,7 @@ def test_restriction_to_diagrams_is_an_equivalence_on_good_instances():
         nerve(poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3), 3),
     ]
     for X in instances:
-        rep = js.restriction_equivalence_check(X, A, 1)
+        rep = stm.restriction_equivalence_check(X, A, 1)
         assert rep["verdict"] == "pass", rep
         assert rep["essentially_surjective"]
         assert rep["full"] and rep["faithful"]
@@ -109,20 +110,20 @@ def test_restriction_to_diagrams_is_an_equivalence_on_good_instances():
 def test_restriction_check_reports_missing_colimits():
     # two incomparable points: vertices have no cocones at all
     X = nerve(poset_category(range(2), lambda a, b: a == b), 3)
-    rep = js.restriction_equivalence_check(X, sx.delta(0), 1)
+    rep = stm.restriction_equivalence_check(X, sx.delta(0), 1)
     assert rep["verdict"] == "pass" or rep["verdict"] == "hypothesis-failure"
 
 
 def test_cone_extension_holds_in_a_nerve_with_terminal_object():
     N = nerve(chain_poset(2), 3)
-    rep = js.cone_extension_check(N)
+    rep = stm.cone_extension_check(N)
     assert rep["verdict"] == "pass"
     assert rep["maps_tested"] > 0
 
 
 def test_cone_extension_fails_without_a_terminal_object():
     N = nerve(poset_category(range(2), lambda a, b: a == b), 2)
-    rep = js.cone_extension_check(N)
+    rep = stm.cone_extension_check(N)
     assert rep["verdict"] == "fail"
     assert rep["failures"]
 
@@ -133,9 +134,9 @@ def cone_extension_by_maps(C):
     if C.is_empty():
         return {"verdict": "fail", "reason": "empty target"}
     failures, tested = [], 0
-    for P in js.small_posets(2):
+    for P in stm.small_posets(2):
         NP = nerve(P, len(P.objects))
-        J = sx.join(NP, sx.delta(0), NP.top_dim + 1).sset
+        J = fm.join(NP, sx.delta(0), NP.top_dim + 1).sset
         C.require_bound(J.top_dim, "cone extension")
         for f in sx.enumerate_maps(NP, C):
             tested += 1
@@ -158,7 +159,7 @@ def _same_cone_report(got, want):
 def test_cone_extension_matches_the_nested_oracle(seed, opposite):
     C = random_category(random.Random(seed), 4)
     N = nerve(C.opposite() if opposite else C, 3)
-    _same_cone_report(js.cone_extension_check(N), cone_extension_by_maps(N))
+    _same_cone_report(stm.cone_extension_check(N), cone_extension_by_maps(N))
 
 
 @pytest.mark.parametrize("X", [
@@ -168,7 +169,7 @@ def test_cone_extension_matches_the_nested_oracle(seed, opposite):
     sx.empty_sset(),
 ], ids=["discrete2", "boundary2", "horn31", "empty"])
 def test_cone_extension_on_fixed_inputs_matches_the_nested_oracle(X):
-    _same_cone_report(js.cone_extension_check(X), cone_extension_by_maps(X))
+    _same_cone_report(stm.cone_extension_check(X), cone_extension_by_maps(X))
 
 
 def test_cone_extension_is_one_relative_search_per_poset(monkeypatch):
@@ -178,13 +179,13 @@ def test_cone_extension_is_one_relative_search_per_poset(monkeypatch):
                         lambda *a, **k: relative_calls.append(a[0]) or search(*a, **k))
     monkeypatch.setattr(sx, "enumerate_maps",
                         lambda *a, **k: enumerate_calls.append(a[0]) or enumerate_maps(*a, **k))
-    assert js.cone_extension_check(nerve(chain_poset(2), 3))["verdict"] == "pass"
-    assert len(relative_calls) == len(js.small_posets(2)) == 3
+    assert stm.cone_extension_check(nerve(chain_poset(2), 3))["verdict"] == "pass"
+    assert len(relative_calls) == len(stm.small_posets(2)) == 3
     assert enumerate_calls == []
 
 
 def test_poset_catalogue_is_complete_for_size_three():
-    ps = js.small_posets(3)
+    ps = stm.small_posets(3)
     assert len(ps) == 8
     for P in ps:
         P.check()

@@ -6,9 +6,9 @@ import pytest
 from qcatk import ktheory as kt
 from qcatk import sconstruction as sc
 from qcatk import simplicial as sx
+from qcatk import statements as stm
 from qcatk.cats import (
     FinFunctor,
-    chain_poset,
     nerve,
     nerve_functor_map,
     poset_category,
@@ -17,11 +17,11 @@ from qcatk.homology import AbelianGroupPresentation, group_from_relations
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
-    maximal_marking_waldhausen,
     nerve_waldhausen,
     pointed_sets_waldhausen,
 )
 from qcatk.zoo import indiscrete_category, pointed_sets_with_duplicate
+from testlib import chain_poset, maximal_marking_waldhausen
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_class_group_requires_dimension_two():
 def test_identities_pass_the_fibre_check():
     N = nerve(chain_poset(2), 3)
     ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
-    rep = kt.quillen_a_verify(ident, 2)
+    rep = stm.quillen_a_verify(ident, 2)
     assert rep["verdict"] == "pass"
     assert rep["corroboration"]["agree"]
 
@@ -117,13 +117,13 @@ def test_nerve_of_an_equivalence_passes_the_fibre_check():
                    {m: P.ids[0] for m in I2.morphisms})
     F.check()
     G = nerve_functor_map(F, nerve(I2, 3), nerve(P, 3))
-    rep = kt.quillen_a_verify(G, 2)
+    rep = stm.quillen_a_verify(G, 2)
     assert rep["verdict"] == "pass"
 
 
 def test_endpoint_inclusion_fails_the_fibre_check_with_witness():
     inc = sx.delta_inclusion(sx.delta(0), sx.delta(1), lambda _: 1)
-    rep = kt.quillen_a_verify(inc, 1)
+    rep = stm.quillen_a_verify(inc, 1)
     assert rep["verdict"] == "fail"
     assert rep["witness"] is not None
     assert rep["per_vertex"][rep["witness"]]["verdict"] == "refuted"
@@ -132,11 +132,11 @@ def test_endpoint_inclusion_fails_the_fibre_check_with_witness():
 def test_main_comparison_hypotheses_and_conclusion():
     N = nerve(chain_poset(1), 3)
     ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
-    rep = kt.main_technical_verify(ident, d=2)
+    rep = stm.main_technical_verify(ident, d=2)
     assert rep["hypotheses_hold"]
     assert rep["conclusion"]["agree"]
     inc = sx.delta_inclusion(sx.delta(0), sx.delta(1), lambda _: 0)
-    rep = kt.main_technical_verify(inc, d=2)
+    rep = stm.main_technical_verify(inc, d=2)
     assert not rep["hypotheses"]["essentially_surjective"]
 
 

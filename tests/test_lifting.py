@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import statements as stm
 from qcatk.cats import (
     FinCategory,
     FinFunctor,
-    chain_poset,
     cyclic_group_category,
     full_subcategory,
     nerve,
@@ -28,6 +28,7 @@ from qcatk.zoo import (
     random_category,
     random_groupoid,
 )
+from testlib import chain_poset, prism_face
 
 
 # ---------------------------------------------------------------------------
@@ -36,22 +37,22 @@ from qcatk.zoo import (
 
 def test_group_nerve_fills_all_horn_kinds():
     X = nerve(cyclic_group_category(3), 4)
-    rep = lf.horn_fill_class_check(X, "all")
+    rep = stm.horn_fill_class_check(X, "all")
     assert rep["verdict"] == "pass"
     assert rep["checked"] == {(3, 0): 27, (3, 1): 27, (3, 2): 27, (3, 3): 27}
 
 
 def test_monoid_nerve_fills_inner_but_not_outer_horns():
     X = nerve(idempotent_monoid_category(), 4)
-    assert lf.horn_fill_class_check(X, "inner")["verdict"] == "pass"
-    rep = lf.horn_fill_class_check(X, "last")
+    assert stm.horn_fill_class_check(X, "inner")["verdict"] == "pass"
+    rep = stm.horn_fill_class_check(X, "last")
     assert rep["verdict"] == "fail"
     assert rep["witness"]["horn"] == (3, 3)
 
 
 def test_unknown_horn_kind_is_rejected():
     with pytest.raises(ValueError):
-        lf.horn_fill_class_check(sx.delta(3), "sideways")
+        stm.horn_fill_class_check(sx.delta(3), "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ def _parallel_pairs(X, n):
     promotable, others = [], []
     for a in maps:
         for b in maps:
-            if not lf._parallel(a, b):
+            if not stm._parallel(a, b):
                 continue
             (promotable if a(comp) == b(comp) else others).append((a, b))
     return P, maps, promotable, others
@@ -84,16 +85,16 @@ def test_prism_construction_in_a_group_nerve():
     assert len(maps) == 27
     assert len(pairs) == 27
     for alpha, beta in pairs:
-        rep = lf.homotopy_from_last_component(X, alpha, beta)
+        rep = stm.homotopy_from_last_component(X, alpha, beta)
         assert rep["status"] == "ok", rep
         h = rep["homotopy"]
-        assert lf.prism_face(h, P, 1).assign == alpha.assign
-        assert lf.prism_face(h, P, 0).assign == beta.assign
+        assert prism_face(h, P, 1).assign == alpha.assign
+        assert prism_face(h, P, 0).assign == beta.assign
         assert rep["fills"] == 4
     # pairs whose last components are not homotopic stop at the seed
     assert others
     for alpha, beta in others[:3]:
-        rep = lf.homotopy_from_last_component(X, alpha, beta)
+        rep = stm.homotopy_from_last_component(X, alpha, beta)
         assert rep["status"] == "stuck"
         assert rep["witness"]["step"] == "seed"
 
@@ -104,11 +105,11 @@ def test_prism_construction_bottom_up_and_top_down_agree_on_success():
     assert len(pairs) == 32
     for alpha, beta in pairs:
         for direction in ("last", "first"):
-            rep = lf.homotopy_from_last_component(X, alpha, beta, direction)
+            rep = stm.homotopy_from_last_component(X, alpha, beta, direction)
             assert rep["status"] == "ok", (direction, rep)
             h = rep["homotopy"]
-            assert lf.prism_face(h, P, 1).assign == alpha.assign
-            assert lf.prism_face(h, P, 0).assign == beta.assign
+            assert prism_face(h, P, 1).assign == alpha.assign
+            assert prism_face(h, P, 0).assign == beta.assign
 
 
 def test_randomized_prism_instances_in_groupoid_nerves():
@@ -119,12 +120,12 @@ def test_randomized_prism_instances_in_groupoid_nerves():
         X = nerve(C, 3)
         P, _, pairs, _ = _parallel_pairs(X, 1)
         for alpha, beta in pairs[:4]:
-            rep = lf.homotopy_from_last_component(X, alpha, beta)
+            rep = stm.homotopy_from_last_component(X, alpha, beta)
             assert rep["status"] == "ok", (seed, rep)
             h = rep["homotopy"]
-            assert lf.prism_face(h, P, 1).assign == alpha.assign
-            assert lf.prism_face(h, P, 0).assign == beta.assign
-            assert lf.prism_face(h, P, 2).check() is None
+            assert prism_face(h, P, 1).assign == alpha.assign
+            assert prism_face(h, P, 0).assign == beta.assign
+            assert prism_face(h, P, 2).check() is None
             ran += 1
         if ran >= 12:
             break
@@ -134,7 +135,7 @@ def test_randomized_prism_instances_in_groupoid_nerves():
 def test_prism_construction_reports_the_stuck_filler():
     X = nerve(idempotent_monoid_category(), 3)
     P, maps, pairs, _ = _parallel_pairs(X, 1)
-    reps = [lf.homotopy_from_last_component(X, a, b) for a, b in pairs]
+    reps = [stm.homotopy_from_last_component(X, a, b) for a, b in pairs]
     stuck = [r for r in reps if r["status"] == "stuck"]
     ok = [r for r in reps if r["status"] == "ok"]
     assert len(ok) == 10 and len(stuck) == 6
@@ -162,10 +163,10 @@ def _filler_reports(X, n):
     out = []
     for direction in ("last", "first"):
         for alpha, beta in pairs[:6] + others[:3]:
-            rep = lf.homotopy_from_last_component(X, alpha, beta, direction)
+            rep = stm.homotopy_from_last_component(X, alpha, beta, direction)
             h = rep["homotopy"]
             out.append({**rep, "homotopy": None if h is None else h.assign})
-    return out + [lf.horn_fill_class_check(X, kind) for kind in ("all", "last", "first")]
+    return out + [stm.horn_fill_class_check(X, kind) for kind in ("all", "last", "first")]
 
 
 @given(st.integers(0, 10_000))
@@ -198,10 +199,10 @@ def test_non_parallel_inputs_are_rejected():
     P = sx.product(sx.spine(1), sx.delta(1), 2).sset
     maps = sx.enumerate_maps(P, X)
     bad = next(
-        (a, b) for a in maps for b in maps if not lf._parallel(a, b)
+        (a, b) for a in maps for b in maps if not stm._parallel(a, b)
     )
     with pytest.raises(ValueError):
-        lf.homotopy_from_last_component(X, *bad)
+        stm.homotopy_from_last_component(X, *bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""``simplicial.MapFamily`` against the families it replaced: internal
+"""``families.MapFamily`` against the families it replaced: internal
 homs, mapping spaces and slices each had a family of their own, kept here
 as oracles.  Both sides must give the same serialization, the same key for
 every element (degenerate ones included, which exercises faces and
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import families as fm
 from qcatk import io
 from qcatk import joinslice as js
 from qcatk import quasicat as qc
@@ -111,9 +112,9 @@ class SliceFamily(sx.Family):
         if n not in self._join:
             d = (self.A.top_dim if self.A.top_dim >= 0 else -1) + n + 1
             if self.side == "under":
-                self._join[n] = sx.join(self.A, sx.delta(n), d).sset
+                self._join[n] = fm.join(self.A, sx.delta(n), d).sset
             else:
-                self._join[n] = sx.join(sx.delta(n), self.A, d).sset
+                self._join[n] = fm.join(sx.delta(n), self.A, d).sset
         return self._join[n]
 
     def fixed_for(self, n):

@@ -12,7 +12,6 @@ from qcatk import simplicial as sx
 from qcatk.cats import (
     FinCategory,
     FinFunctor,
-    chain_poset,
     cyclic_group_category,
     nerve,
     nerve_functor_map,
@@ -21,6 +20,7 @@ from qcatk.simplicial import NotQuasicategory, SimplexKey, UnionFind
 from qcatk.waldhausen import WaldhausenData, admits_factorization
 from qcatk.zoo import idempotent_monoid_category, indiscrete_category, random_category
 from test_lifting import kronecker_with_homotopy
+from testlib import chain_poset, ho_equals_category
 
 
 def test_nerves_are_quasicategories():
@@ -57,7 +57,7 @@ def test_homotopy_classes_in_a_group_nerve_stay_distinct():
 
 def test_homotopy_category_of_a_nerve_is_the_category():
     C = cyclic_group_category(3)
-    assert qc.ho_equals_category(nerve(C, 2), C)
+    assert ho_equals_category(nerve(C, 2), C)
 
 
 def test_fundamental_category_presentation_shape():

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import families as fm
 from qcatk import io
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import nerve, nerve_key_for_string, cyclic_group_category, chain_poset
+from qcatk.cats import nerve, nerve_key_for_string, cyclic_group_category
 from qcatk.simplicial import SimplexKey
 from qcatk.zoo import random_category, random_poset
+from testlib import chain_poset
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def test_product_of_intervals_is_a_square():
 def test_join_of_simplices_is_a_simplex():
     for m in range(3):
         for n in range(3):
-            J = sx.join(sx.delta(m), sx.delta(n), m + n + 1).sset
+            J = fm.join(sx.delta(m), sx.delta(n), m + n + 1).sset
             assert sx.iso_check(J, sx.delta(m + n + 1), m + n + 1) is not None
 
 
@@ -90,8 +92,8 @@ def test_join_of_poset_nerves_is_associative(seed):
     rng = random.Random(seed)
     parts = [nerve(random_poset(rng, rng.randint(1, 2)), 2) for _ in range(3)]
     d = 3
-    left = sx.join(sx.join(parts[0], parts[1], d).sset, parts[2], d).sset
-    right = sx.join(parts[0], sx.join(parts[1], parts[2], d).sset, d).sset
+    left = fm.join(fm.join(parts[0], parts[1], d).sset, parts[2], d).sset
+    right = fm.join(parts[0], fm.join(parts[1], parts[2], d).sset, d).sset
     assert sx.iso_check(left, right, d) is not None
 
 
@@ -107,7 +109,7 @@ def test_maps_are_equal_on_the_same_ends_and_values():
 
 def test_join_with_empty_set_is_identity():
     D = sx.delta(2)
-    J = sx.join(D, sx.empty_sset(), 2).sset
+    J = fm.join(D, sx.empty_sset(), 2).sset
     assert sx.iso_check(J, D, 2) is not None
 
 
@@ -162,7 +164,7 @@ def _subcomplex_source(rng, kind):
     if kind == "prism":
         return sx.product(sx.delta(1), sx.delta(2), 3).sset
     if kind == "join":
-        return sx.join(nerve(random_category(rng, 2), 3), sx.delta(1), 3).sset
+        return fm.join(nerve(random_category(rng, 2), 3), sx.delta(1), 3).sset
     return sx.horn(4, rng.randrange(5))
 
 
@@ -762,8 +764,8 @@ FACE_TARGETS = [
     lambda rng: nerve(random_category(rng, 4), 3),
     lambda rng: sx.product(sx.spine(2), sx.delta(1), 3).sset,
     lambda rng: sx.product(nerve(cyclic_group_category(2), 3), sx.delta(1), 3).sset,
-    lambda rng: sx.join(sx.horn(2, 1), sx.delta(0), 3).sset,
-    lambda rng: sx.join(sx.delta(0), sx.boundary(2), 3).sset,
+    lambda rng: fm.join(sx.horn(2, 1), sx.delta(0), 3).sset,
+    lambda rng: fm.join(sx.delta(0), sx.boundary(2), 3).sset,
     lambda rng: sx.horn(3, rng.randint(0, 3)),
     lambda rng: sx.boundary(3),
     lambda rng: two_discs(),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import statements as stm
 from qcatk.cats import (
     FinCategory,
     FinFunctor,
@@ -29,8 +30,6 @@ from qcatk.waldhausen import (
     cof_category,
     cof_ho_equivalence,
     cof_subquasicategory,
-    homotopy_cocartesian_check,
-    maximal_marking_waldhausen,
     nerve_waldhausen,
     pointed_sets_waldhausen,
     reflects_cofibrations,
@@ -38,6 +37,7 @@ from qcatk.waldhausen import (
     validate_waldhausen,
 )
 from qcatk.zoo import pointed_sets_with_duplicate, random_category
+from testlib import maximal_marking_waldhausen
 
 
 def test_pointed_sets_instance_satisfies_the_axioms():
@@ -222,7 +222,7 @@ def test_pushout_square_is_homotopy_cocartesian():
         assign[g] = key_for(verts)
     square = sx.SimplicialMap(P, N, assign)
     square.check()
-    assert homotopy_cocartesian_check(W, square)
+    assert stm.homotopy_cocartesian_check(W, square)
 
 
 def _simplex_with_vertices(S, verts):
@@ -254,7 +254,7 @@ def test_square_path_keys_match_the_vertex_scan():
     assert len(paths) == 29
     for path in paths:
         oracle = _simplex_with_vertices(S, [vertex(p) for p in path])
-        assert sx.product_path_key(S, A, B, path) == oracle
+        assert stm.product_path_key(S, A, B, path) == oracle
 
 
 def test_exact_map_validation_and_reflection():
