@@ -299,15 +299,6 @@ class FinFunctor:
                 if image[c_after[i][j]] != d_after[image[i]][Fg]:
                     raise ValueError(f"functor breaks composition {g!r} o {C.morphisms[i]!r}")
 
-    def compose(self, other: "FinFunctor") -> "FinFunctor":
-        """self after other."""
-        return FinFunctor(
-            other.source,
-            self.target,
-            {o: self.obj_map[v] for o, v in other.obj_map.items()},
-            {m: self.mor_map[v] for m, v in other.mor_map.items()},
-        )
-
 
 # -- basic constructors -----------------------------------------------------
 
@@ -489,21 +480,14 @@ def functor_from_nerve_map(F: SimplicialMap) -> FinFunctor:
 # -- functor categories via nerve maps ---------------------------------------
 
 
-def map_category(
-    K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps=None
-):
-    """Finite category of simplicial maps K -> N(C).
+def map_category(K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps):
+    """Finite category on a list of simplicial maps K -> N(C).
 
     Objects are indices into the returned list of maps; a morphism F -> G is
     a vertex-indexed family of C-morphisms natural over the edge generators
-    of K.  Its nerve is the exponential N(C)^K.  Pass ``maps`` to build the
-    full subcategory on a chosen list of maps instead of enumerating all of
-    them.  Returns (category, maps).
+    of K.  On all the maps its nerve is the exponential N(C)^K; on a chosen
+    list it is the full subcategory on them.  Returns (category, maps).
     """
-    from .simplicial import enumerate_maps
-
-    if maps is None:
-        maps = enumerate_maps(K, N)
     verts = K.gens(0)
     num, after = C.number, C.after
 

@@ -349,15 +349,6 @@ class Family:
     ``face(n, x, i)`` and ``degeneracy(n, x, i)``.
     """
 
-    def elements(self, n: int):
-        raise NotImplementedError
-
-    def face(self, n: int, x, i: int):
-        raise NotImplementedError
-
-    def degeneracy(self, n: int, x, i: int):
-        raise NotImplementedError
-
 
 class MaterializedSSet(SimplicialSet):
     """A simplicial set materialized from a :class:`Family`.

@@ -97,6 +97,89 @@ def test_unmarked_equivalence_is_a_violation():
     assert "equivalence-not-marked" in kinds
 
 
+def _kinds(report):
+    return sorted({v[0] for v in report["violations"]})
+
+
+def test_a_zero_that_is_not_a_zero_object_is_a_violation():
+    # in Ps<=2 the two-element set has two endomorphisms, so it is neither
+    # initial nor terminal, and the maps out of it are not marked
+    W = pointed_sets_waldhausen(2, 2)
+    X = W.underlying
+    two = SimplexKey(X.gen_of_label(2))
+    rep = validate_waldhausen(WaldhausenData(X, two, W.cof, W.universe))
+    assert _kinds(rep) == ["zero-edge-not-marked", "zero-not-initial", "zero-not-terminal"]
+    assert [v[1] for v in rep["violations"][:2]] == [two, two]
+    assert all(X.vertex(v[1], 0) == two for v in rep["violations"][2:])
+
+
+def test_an_unmarked_edge_out_of_zero_is_a_violation():
+    W = pointed_sets_waldhausen(2, 2)
+    out_of_zero = {e for e in W.cof if W.underlying.vertex(e, 0) == W.zero}
+    rep = validate_waldhausen(
+        WaldhausenData(W.underlying, W.zero, W.cof - out_of_zero, W.universe))
+    assert rep["violations"] == [("zero-edge-not-marked", e) for e in sorted(out_of_zero)]
+
+
+def test_an_unmarked_pushout_leg_is_a_violation():
+    # unmarking the point's inclusion into S^0 in Ps<=3: it is the leg of
+    # pushouts along marked maps, and it leaves the zero object
+    W = pointed_sets_waldhausen(3, 2)
+    point_into_s0 = SimplexKey(W.underlying.gen_of_label(((1, 2, ()),)))
+    rep = validate_waldhausen(
+        WaldhausenData(W.underlying, W.zero, W.cof - {point_into_s0}, W.universe))
+    assert _kinds(rep) == ["pushout-not-marked", "zero-edge-not-marked"]
+    assert all(v[3] == point_into_s0 for v in rep["violations"] if v[0] == "pushout-not-marked")
+
+
+class ParallelEdges(sx.Family):
+    """Objects 0 and 1, two parallel edges f, g: 0 -> 1 and every triangle
+    filled: an n-simplex is a monotone 0/1 vertex sequence with f or g
+    chosen for each pair of its positions that goes from 0 to 1.  Simplices
+    are determined by their edges, so inner horns fill; f and g are distinct
+    homotopic edges, so this quasicategory is not a nerve."""
+
+    def elements(self, n):
+        out = []
+        for a in range(n + 2):
+            verts = (0,) * a + (1,) * (n + 1 - a)
+            for labels in itertools.product("fg", repeat=a * (n + 1 - a)):
+                it = iter(labels)
+                out.append((verts, tuple(next(it) if verts[i] < verts[j] else "="
+                                         for i, j in itertools.combinations(range(n + 1), 2))))
+        return out
+
+    def _pull(self, n, x, positions):
+        verts, labels = x
+        edge = dict(zip(itertools.combinations(range(n + 1), 2), labels))
+        return (tuple(verts[p] for p in positions),
+                tuple(edge.get((positions[i], positions[j]), "=")
+                      for i, j in itertools.combinations(range(len(positions)), 2)))
+
+    def face(self, n, x, i):
+        return self._pull(n, x, [m for m in range(n + 1) if m != i])
+
+    def degeneracy(self, n, x, i):
+        return self._pull(n, x, sorted([*range(n + 1), i]))
+
+
+def test_marking_one_of_two_homotopic_edges_is_a_violation():
+    X = sx.MaterializedSSet(ParallelEdges(), 4)
+    X.check()
+    assert qc.is_quasicategory(X, 4)["ok"]
+    zero = X.key_of(0, ((0,), ()))
+    f, g = (X.key_of(1, ((0, 1), (c,))) for c in "fg")
+    assert qc.homotopy_classes(X)[g] == qc.homotopy_classes(X)[f]
+    rep = validate_waldhausen(WaldhausenData(X, zero, frozenset({f})))
+    # the pushouts are found in the slice, since X has no category block
+    assert rep["checks"]["pushouts_checked"] == 3
+    assert rep["violations"] == [
+        ("homotopy-closure", g),
+        ("zero-not-terminal", X.key_of(0, ((1,), ()))),
+        ("zero-edge-not-marked", g),
+    ]
+
+
 def test_marking_is_closed_under_edge_homotopy():
     for W in [pointed_sets_waldhausen(3, 2), pointed_sets_with_duplicate(2, 2)[0]]:
         cls = qc.homotopy_classes(W.underlying)
@@ -263,6 +346,20 @@ def test_exact_map_validation_and_reflection():
     assert rep["ok"]
     assert reflects_cofibrations(G)["reflects"]
     assert cof_ho_equivalence(G)["equivalence"]
+
+
+def test_exact_maps_must_preserve_the_zero_and_the_cofibrations():
+    _, G = pointed_sets_with_duplicate(2, 2)
+    T = G.target
+    other = next(v for v in T.underlying.simplices(0) if v != T.zero)
+    moved = ExactFunctorData(G.themap, G.source,
+                             WaldhausenData(T.underlying, other, T.cof, T.universe))
+    assert validate_exact(moved)["violations"] == [("zero-not-preserved", T.zero)]
+    unmarked = ExactFunctorData(G.themap, G.source,
+                                WaldhausenData(T.underlying, T.zero, frozenset(), T.universe))
+    rep = validate_exact(unmarked)
+    assert _kinds(rep) == ["cofibration-not-preserved"]
+    assert [v[1] for v in rep["violations"]] == [e for e in G.source.edges() if e in G.source.cof]
 
 
 def test_non_reflecting_map_is_detected():
