@@ -187,6 +187,12 @@ def rlp_check(G, nbar=(), kind: str = "prism") -> dict:
     with its lifts, and one into the target restricted to the maps G∘u.
     Both charge the ledger of the enclosing ``simplicial.budget`` block, so
     the budget bounds the whole check, not the work for one boundary map.
+
+    Problems are counted, and the first failure is reported, in the order
+    of :func:`simplicial.relative_maps`: boundary maps by their values in
+    ``P3.all_gens()`` order, and the maps below each likewise.  G is
+    applied once per simplex of the source, and a problem is solved when
+    the values of the map below are those of G after some lift.
     """
     nbar = tuple(nbar)
     In = spine_product(nbar)
@@ -201,17 +207,26 @@ def rlp_check(G, nbar=(), kind: str = "prism") -> dict:
         B.require_bound(P3.top_dim, "prism lifting")
         Bd, inner = _boundary_subcomplex(P3, D2, strong=False)
         lifted = sx.relative_maps(P3, A, inner)
-        pushed = [{g: G(k) for g, k in u.items()} for u, _ in lifted]
+        image: dict = {}  # key of A -> G(key), each computed once
+
+        def at(key):
+            value = image.get(key)
+            if value is None:
+                value = image[key] = G(key)
+            return value
+
+        pushed = [{g: at(k) for g, k in u.items()} for u, _ in lifted]
         below = {tuple(w.values()): vs
                  for w, vs in sx.relative_maps(P3, B, inner, restrict=pushed)}
         for (u, lifts), w in zip(lifted, pushed):
             vs = below.get(tuple(w.values()))
             if not vs:
                 continue
-            images = [G.compose(m).assign for m in lifts]
+            # lifts and maps below are dicts over P3.all_gens() in one order
+            images = {tuple(map(at, m.assign.values())) for m in lifts}
             for v in vs:
                 problems += 1
-                if v.assign not in images:
+                if tuple(v.assign.values()) not in images:
                     return {
                         "verdict": "fail", "kind": kind, "nbar": nbar,
                         "problems": problems,

@@ -686,10 +686,18 @@ def relative_maps(
     inner_gens = [g for g in gens if g in inner]
     order = K.search_order()
     order = [g for g in order if g in inner] + [g for g in order if g not in inner]
-    depth = len(inner)
+    depth, leaf = len(inner), len(order)
     vertices = X.simplices(0)
-    # per generator, in search order: its face row (None for vertices) and fixed value
-    plan = [(g, K.faces[g] if g[0] else None, fixed.get(g)) for g in order]
+    # the values of the current branch live in ``vals``, by search position
+    position = {g: p for p, g in enumerate(order)}
+    inner_at = [position[g] for g in inner_gens]
+    gens_at = [position[g] for g in gens]
+    # per generator, in search order: the boundary index of its dimension,
+    # its face row as (position, degeneracy word) pairs (None for
+    # vertices), and its fixed value
+    plan = [(cand_index.get(g[0]),
+             tuple((position[f], word) for f, word in K.faces[g]) if g[0] else None,
+             fixed.get(g)) for g in order]
     # the restriction: a trie over ``inner``'s values in search order
     trie = None
     if restrict is not None:
@@ -704,7 +712,7 @@ def relative_maps(
 
     ledger = _LEDGER.get() or _Ledger(DEFAULT_BUDGET)
     found: list[tuple[dict[Gen, SimplexKey], list[SimplicialMap]]] = []
-    assign: dict[Gen, SimplexKey] = {}
+    vals: list[Optional[SimplexKey]] = [None] * leaf
     degenerate: dict[tuple[SimplexKey, tuple[int, ...]], SimplexKey] = {}  # (value, word) -> image
 
     def rec(pos, node):
@@ -712,35 +720,33 @@ def relative_maps(
         if ledger.used > ledger.limit:
             ledger.overrun()
         if pos == depth:
-            found.append(({g: assign[g] for g in inner_gens}, []))
+            found.append((dict(zip(inner_gens, [vals[p] for p in inner_at])), []))
             node = None
-        if pos == len(plan):
-            found[-1][1].append(SimplicialMap(K, X, {g: assign[g] for g in gens}))
+        if pos == leaf:
+            found[-1][1].append(SimplicialMap(K, X, dict(zip(gens, [vals[p] for p in gens_at]))))
             return
-        g, row, want = plan[pos]
+        index, row, want = plan[pos]
         if row is None:
             cands = vertices
         else:
-            # a face key unpacks as (generator, degeneracy word); a word is
-            # applied once per search
+            # a word is applied once per search
             wanted = []
-            for f, word in row:
-                v = assign[f]
+            for p, word in row:
+                v = vals[p]
                 if word:
                     w = degenerate.get((v, word))
                     if w is None:
                         w = degenerate[(v, word)] = apply_degeneracy_word(v, word)
                     v = w
                 wanted.append(v)
-            cands = cand_index[g[0]].get(tuple(wanted), [])
+            cands = index.get(tuple(wanted), ())
         if want is not None:
             cands = [c for c in cands if c == want]
         if node is not None:
             cands = [c for c in cands if c in node]
         for c in cands:
-            assign[g] = c
+            vals[pos] = c
             rec(pos + 1, None if node is None else node[c])
-            del assign[g]
 
     rec(0, trie)
     found.sort(key=lambda p: list(p[0].values()))

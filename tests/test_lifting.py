@@ -440,11 +440,22 @@ def _fixed_from_boundary(Bd, u, push=None):
     return {Bd.labels[gb].gen: push(val) if push else val for gb, val in u.assign.items()}
 
 
+def _in_prism_order(P3, Bd, maps):
+    """Maps out of Bd ordered by their values in ``P3.all_gens()`` order,
+    the order in which :func:`lifting.rlp_check` meets boundary maps
+    (Bd's own generators are re-indexed, so its order differs)."""
+    def key(u):
+        fixed = _fixed_from_boundary(Bd, u)
+        return [fixed[g] for g in P3.all_gens() if g in fixed]
+    return sorted(maps, key=key)
+
+
 def rlp_check_oracle(G, nbar=(), kind="prism"):
     """The lifting checks one boundary map at a time: the boundary maps come
     from a search of the boundary subcomplex, then each gets its own
     searches of the whole prism with the boundary ``fixed``; the reference
-    for :func:`lifting.rlp_check`'s relative searches."""
+    for :func:`lifting.rlp_check`'s relative searches.  G is applied with
+    ``compose`` and lifts are compared as dicts, with no memo."""
     nbar = tuple(nbar)
     In = lf.spine_product(nbar)
     D2 = sx.delta(2)
@@ -453,7 +464,7 @@ def rlp_check_oracle(G, nbar=(), kind="prism"):
     if kind == "prism":
         A, B = G.source, G.target
         Bd, _ = lf._boundary_subcomplex(P3, D2, strong=False)
-        for u in sx.enumerate_maps(Bd, A):
+        for u in _in_prism_order(P3, Bd, sx.enumerate_maps(Bd, A)):
             fixed_b = _fixed_from_boundary(Bd, u, push=G)
             vs = sx.enumerate_maps(P3, B, fixed=fixed_b)
             if not vs:
@@ -470,7 +481,7 @@ def rlp_check_oracle(G, nbar=(), kind="prism"):
     else:
         B = G.target if isinstance(G, sx.SimplicialMap) else G
         Bd, _ = lf._boundary_subcomplex(P3, D2, strong=True)
-        for u in sx.enumerate_maps(Bd, B):
+        for u in _in_prism_order(P3, Bd, sx.enumerate_maps(Bd, B)):
             problems += 1
             fixed = _fixed_from_boundary(Bd, u)
             if not sx.enumerate_maps(P3, B, fixed=fixed):
@@ -494,7 +505,17 @@ def _matches_the_oracle(G, nbar, kind):
     return rep
 
 
-@given(st.integers(0, 10_000), st.sampled_from(["identity", "inclusion", "strong"]),
+def _collapse(C, bound):
+    """The nerve of the functor from C to the terminal category, which
+    identifies simplices, so distinct lifts can have equal images."""
+    T = chain_poset(0)
+    t = T.objects[0]
+    F = FinFunctor(C, T, {o: t for o in C.objects}, {m: T.ids[t] for m in C.morphisms})
+    return nerve_functor_map(F, nerve(C, bound), nerve(T, bound))
+
+
+@given(st.integers(0, 10_000),
+       st.sampled_from(["identity", "inclusion", "strong", "collapse"]),
        st.sampled_from([(), (1,)]), st.data())
 @settings(max_examples=40, deadline=None)
 def test_lifting_checks_match_the_per_problem_oracle(seed, case, nbar, data):
@@ -502,6 +523,8 @@ def test_lifting_checks_match_the_per_problem_oracle(seed, case, nbar, data):
     N = nerve(C, 2 + len(nbar))
     if case == "strong":
         _matches_the_oracle(N, nbar, "strong-replacement")
+    elif case == "collapse":
+        _matches_the_oracle(_collapse(C, 2 + len(nbar)), nbar, "prism")
     elif case == "identity" or len(C.objects) == 1:
         _matches_the_oracle(sx.SimplicialMap.identity(N), nbar, "prism")
     else:
@@ -566,6 +589,17 @@ def test_the_budget_bounds_the_whole_lift_check():
     with sx.budget(277), pytest.raises(sx.BudgetExceeded) as exc:
         lf.rlp_check(N, (1,), kind="strong-replacement")
     assert exc.value.attempted == 278
+
+
+def test_the_budget_bounds_the_whole_prism_check():
+    # the two relative searches of a prism check: 50 problems in 2,545 nodes
+    G = sx.SimplicialMap.identity(nerve(chain_poset(2), 3))
+    with sx.budget(2545) as ledger:
+        rep = lf.rlp_check(G, (1,), kind="prism")
+    assert (rep["verdict"], rep["problems"], ledger.used) == ("pass", 50, 2545)
+    with sx.budget(2544), pytest.raises(sx.BudgetExceeded) as exc:
+        lf.rlp_check(G, (1,), kind="prism")
+    assert exc.value.attempted == 2545
 
 
 # ---------------------------------------------------------------------------

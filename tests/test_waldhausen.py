@@ -280,10 +280,9 @@ def test_cof_category_matches_the_all_pairs_closure(seed, close):
         assert list(got.comp.items()) == list(want.comp.items())
 
 
-def test_pushout_square_is_homotopy_cocartesian():
-    C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
-    W = maximal_marking_waldhausen(C, 0, 2)
-    N = W.underlying
+def _square_on_corners(N):
+    """The square Delta[1] x Delta[1] -> N of the poset nerve N with corners
+    0, 1, 2 and 3: 0 -> 1 and 0 -> 2 span it, 3 is its tip."""
     P = sx.product(sx.delta(1), sx.delta(1), 2).sset
     d1 = sx.delta(1)
     corner = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
@@ -305,7 +304,42 @@ def test_pushout_square_is_homotopy_cocartesian():
         assign[g] = key_for(verts)
     square = sx.SimplicialMap(P, N, assign)
     square.check()
-    assert stm.homotopy_cocartesian_check(W, square)
+    return square
+
+
+def test_pushout_square_is_homotopy_cocartesian():
+    C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
+    W = maximal_marking_waldhausen(C, 0, 2)
+    assert stm.homotopy_cocartesian_check(W, _square_on_corners(W.underlying))
+
+
+# 0 below everything, 1 and 2 below 3; with a fifth element 4 above 1 and 2
+# as well, 3 is not the least upper bound, so the square is not a pushout
+_PUSHOUT = (4, lambda a, b: a == b or a == 0 or b == 3, True)
+_TWO_UPPER_BOUNDS = (5, lambda a, b: a == b or a == 0 or (a in (1, 2) and b in (3, 4)), False)
+
+
+@pytest.mark.parametrize("size, leq, want", [_PUSHOUT, _TWO_UPPER_BOUNDS],
+                         ids=["pushout", "two-upper-bounds"])
+def test_both_routes_of_the_cocartesian_check_agree(monkeypatch, size, leq, want):
+    # at bound 2 the nerve is too shallow for the slice, so the check takes
+    # the 1-categorical fallback; at bound 4 the nerve is complete and the
+    # check decides initiality in the slice under the span
+    initiality = []
+    is_initial = stm.js.is_initial
+
+    def spy(*args):
+        initiality.append(args)
+        return is_initial(*args)
+
+    monkeypatch.setattr(stm.js, "is_initial", spy)
+    C = poset_category(range(size), leq)
+    verdicts = {}
+    for bound in (2, 4):
+        W = maximal_marking_waldhausen(C, 0, bound)
+        verdicts[bound] = stm.homotopy_cocartesian_check(W, _square_on_corners(W.underlying))
+        assert bool(initiality) == (bound == 4)
+    assert verdicts == {2: want, 4: want}
 
 
 def _simplex_with_vertices(S, verts):
