@@ -45,12 +45,22 @@ class FinCategory:
         self._pushouts: dict = {}
         self._hom: dict[tuple, list] = {}
         self._out: dict = {}
-        self._into: dict = {}
         for m in self.morphisms:
             self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
-            self._into.setdefault(self.tgt[m], []).append(m)
             if m not in self.id_set:
                 self._out.setdefault(self.src[m], []).append(m)
+
+    @classmethod
+    def tabulate(cls, objects, morphisms, src, tgt, ids, compose) -> "FinCategory":
+        """The category whose table holds ``compose(g, f)`` for every
+        composable pair, read f-major: f in morphism order, then each g with
+        source the target of f, in morphism order."""
+        morphisms = list(morphisms)
+        starting: dict = {}
+        for g in morphisms:
+            starting.setdefault(src[g], []).append(g)
+        comp = {(g, f): compose(g, f) for f in morphisms for g in starting.get(tgt[f], ())}
+        return cls(objects, morphisms, src, tgt, ids, comp)
 
     def hom(self, a, b) -> list:
         return self._hom.get((a, b), [])
@@ -58,10 +68,6 @@ class FinCategory:
     def nonid_out(self, a) -> list:
         """Non-identity morphisms with source a, in morphism order."""
         return self._out.get(a, [])
-
-    def into(self, b) -> list:
-        """All morphisms with target b, in morphism order."""
-        return self._into.get(b, [])
 
     def compose_mor(self, g, f):
         """g after f."""
@@ -221,44 +227,29 @@ class FinCategory:
         src = {(f, g): (self.src[f], other.src[g]) for f, g in morphisms}
         tgt = {(f, g): (self.tgt[f], other.tgt[g]) for f, g in morphisms}
         ids = {(a, b): (self.ids[a], other.ids[b]) for a, b in objects}
-        comp = {}
-        for f1, g1 in morphisms:
-            for f2 in self.into(self.src[f1]):
-                h1 = self.compose_mor(f1, f2)
-                for g2 in other.into(other.src[g1]):
-                    comp[((f1, g1), (f2, g2))] = (h1, other.compose_mor(g1, g2))
-        return FinCategory(objects, morphisms, src, tgt, ids, comp)
+        return FinCategory.tabulate(
+            objects, morphisms, src, tgt, ids,
+            lambda g, f: (self.compose_mor(g[0], f[0]), other.compose_mor(g[1], f[1])))
 
     def join(self, other: "FinCategory") -> "FinCategory":
         """C * D: both categories side by side plus a unique morphism from
         every object of C to every object of D."""
-        objects = [("l", a) for a in self.objects] + [("r", b) for b in other.objects]
-        morphisms = [("l", f) for f in self.morphisms] + [("r", g) for g in other.morphisms]
-        bridge = [("j", a, b) for a in self.objects for b in other.objects]
-        morphisms += bridge
-        src, tgt = {}, {}
-        for m in morphisms:
-            if m[0] == "l":
-                src[m], tgt[m] = ("l", self.src[m[1]]), ("l", self.tgt[m[1]])
-            elif m[0] == "r":
-                src[m], tgt[m] = ("r", other.src[m[1]]), ("r", other.tgt[m[1]])
-            else:
-                src[m], tgt[m] = ("l", m[1]), ("r", m[2])
-        ids = {("l", a): ("l", self.ids[a]) for a in self.objects}
-        ids.update({("r", b): ("r", other.ids[b]) for b in other.objects})
-        into: dict = {}
-        for f in morphisms:
-            into.setdefault(tgt[f], []).append(f)
-        comp = {}
-        for g in morphisms:
-            for f in into.get(src[g], ()):
-                if f[0] == "l" and g[0] == "l":
-                    comp[(g, f)] = ("l", self.compose_mor(g[1], f[1]))
-                elif f[0] == "r" and g[0] == "r":
-                    comp[(g, f)] = ("r", other.compose_mor(g[1], f[1]))
-                else:
-                    comp[(g, f)] = ("j", src[f][1], tgt[g][1])
-        return FinCategory(objects, morphisms, src, tgt, ids, comp)
+        sides = {"l": self, "r": other}
+        objects = [(t, o) for t, K in sides.items() for o in K.objects]
+        morphisms = [(t, m) for t, K in sides.items() for m in K.morphisms]
+        morphisms += [("j", a, b) for a in self.objects for b in other.objects]
+        src = {m: ("l", m[1]) if m[0] == "j" else (m[0], sides[m[0]].src[m[1]])
+               for m in morphisms}
+        tgt = {m: ("r", m[2]) if m[0] == "j" else (m[0], sides[m[0]].tgt[m[1]])
+               for m in morphisms}
+        ids = {(t, o): (t, sides[t].ids[o]) for t, o in objects}
+
+        def compose(g, f):
+            if f[0] != g[0]:  # through a bridge
+                return ("j", src[f][1], tgt[g][1])
+            return (g[0], sides[g[0]].compose_mor(g[1], f[1]))
+
+        return FinCategory.tabulate(objects, morphisms, src, tgt, ids, compose)
 
 
 class FinFunctor:
@@ -310,21 +301,14 @@ def poset_category(elements, leq) -> FinCategory:
     src = {m: m[0] for m in morphisms}
     tgt = {m: m[1] for m in morphisms}
     ids = {a: (a, a) for a in elements}
-    comp = {
-        ((b, c), (a, b2)): (a, c)
-        for (a, b2) in morphisms
-        for (b, c) in morphisms
-        if b == b2
-    }
-    return FinCategory(elements, morphisms, src, tgt, ids, comp)
+    return FinCategory.tabulate(elements, morphisms, src, tgt, ids,
+                                lambda g, f: (f[0], g[1]))
 
 
 def monoid_category(elements, op, unit, obj="*") -> FinCategory:
     elements = list(elements)
     src = {m: obj for m in elements}
-    tgt = dict(src)
-    comp = {(g, f): op(g, f) for g in elements for f in elements}
-    return FinCategory([obj], elements, src, tgt, {obj: unit}, comp)
+    return FinCategory.tabulate([obj], elements, src, src, {obj: unit}, op)
 
 
 def cyclic_group_category(k: int) -> FinCategory:
@@ -344,14 +328,12 @@ def pointed_sets_category(max_size: int) -> FinCategory:
     src = {m: m[0] for m in morphisms}
     tgt = {m: m[1] for m in morphisms}
     ids = {a: (a, a, tuple(range(1, a))) for a in objects}
-    comp = {}
-    for f in morphisms:
-        for g in morphisms:
-            if g[0] != f[1]:
-                continue
-            gv = (0,) + g[2]
-            comp[(g, f)] = (f[0], g[1], tuple(gv[v] for v in f[2]))
-    return FinCategory(objects, morphisms, src, tgt, ids, comp)
+
+    def compose(g, f):
+        gv = (0,) + g[2]
+        return (f[0], g[1], tuple(gv[v] for v in f[2]))
+
+    return FinCategory.tabulate(objects, morphisms, src, tgt, ids, compose)
 
 
 # -- nerve -------------------------------------------------------------------

@@ -95,12 +95,21 @@ def _vertex_by_name(X: sx.SimplicialSet, name: str) -> SimplexKey:
     raise io.SchemaError(f"no vertex named {name!r}", "/vertex")
 
 
-def _require_category(W, pointer: str):
-    """Grid levels are diagram categories over the category of a nerve, so
-    Waldhausen data without a ``category`` block is a schema finding."""
-    if W.underlying.category is None:
+def _require_grid_data(W, pointer: str):
+    """Grid levels are diagram categories over the category of a nerve with
+    exactly one all-zero diagram, so Waldhausen data without a ``category``
+    block, or whose zero is not a zero object of it, is a schema finding."""
+    C = W.underlying.category
+    if C is None:
         raise io.SchemaError("grid constructions need a nerve with a category block",
-                             pointer)
+                             pointer + "/sset/category")
+    z = W.underlying.labels[W.zero.gen]
+    for o in C.objects:
+        to, back = len(C.hom(z, o)), len(C.hom(o, z))
+        if (to, back) != (1, 1):
+            raise io.SchemaError(
+                f"grid constructions need a zero object, but {io._name_of(z)} has "
+                f"{to} morphisms to {io._name_of(o)} and {back} from it", pointer + "/zero")
 
 
 def _require_indices(values, pointer: str):
@@ -163,7 +172,11 @@ def cmd_ho(args):
 
     _require_ho_dim(args)
     _, X = _load(args.input, "sset")
-    ho = qc.ho_category(X)
+    try:
+        ho = qc.ho_category(X)
+    except ValueError as exc:
+        # classes that compose ill-definedly or not associatively
+        raise NotQuasicategory(str(exc)) from exc
     return _emit({"category": io.serialize_category(ho.cat)}, args, True)
 
 
@@ -236,7 +249,7 @@ def cmd_sconstruct(args):
 
     _require_indices([args.n], "/n")
     _, W = _load(args.input, "waldhausen")
-    _require_category(W, "/sset/category")
+    _require_grid_data(W, "")
     level = s_n(W, args.n, args.dim)
     report = {
         "n": args.n,
@@ -254,7 +267,7 @@ def cmd_k0(args):
 
     _require_ho_dim(args)
     _, W = _load(args.input, "waldhausen")
-    _require_category(W, "/sset/category")
+    _require_grid_data(W, "")
     rep = kt.k0_agreement(W, args.dim)
     report = {
         "invariant_factors": invariant_factors(rep["diagonal"]),
@@ -271,8 +284,8 @@ def cmd_approx(args):
 
     _require_ho_dim(args)
     _, G = _load(args.input, "exact")
-    _require_category(G.source, "/source/sset/category")
-    _require_category(G.target, "/target/sset/category")
+    _require_grid_data(G.source, "/source")
+    _require_grid_data(G.target, "/target")
     rep = kt.approximation_verify(G, args.dim)
     ok = rep["applicable"] and rep["conclusion"]["pass"]
     return _emit(rep, args, ok)
@@ -308,8 +321,8 @@ def cmd_iterate(args):
     if len(args.n) > 2:
         raise io.SchemaError("at most two iterations are supported", "/n")
     _, G = _load(args.input, "exact")
-    _require_category(G.source, "/source/sset/category")
-    _require_category(G.target, "/target/sset/category")
+    _require_grid_data(G.source, "/source")
+    _require_grid_data(G.target, "/target")
     exact = validate_exact(G)
     if not exact["ok"]:
         # a map that is not exact induces no functor between the levels

@@ -78,9 +78,7 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     morphisms = sorted(set(cls.values()))
     src = {m: X.vertex(m, 0) for m in morphisms}
     tgt = {m: X.vertex(m, 1) for m in morphisms}
-    ids = {}
-    for v in objects:
-        ids[v] = cls[X.degeneracy(v, 0)]
+    ids = {v: cls[X.degeneracy(v, 0)] for v in objects}
 
     # s0(f) and s1(f) compose f with the identities; the generators give
     # the rest.  A pair with a second composite class keeps all of them.
@@ -94,23 +92,17 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
         if first != d1:
             clash.setdefault((d0, d2), {first}).add(d1)
 
-    out: dict = {}
-    for g in morphisms:
-        out.setdefault(src[g], []).append(g)
-    comp = {}
-    for f in morphisms:
-        for g in out.get(tgt[f], ()):
-            if (g, f) not in found:
-                raise NotQuasicategory(
-                    f"no composite found for {f} then {g}", witness=(f, g)
-                )
-            if (g, f) in clash:
-                raise ValueError(
-                    f"composition ill-defined on classes {f}, {g}: {sorted(clash[(g, f)])}")
-            comp[(g, f)] = found[(g, f)]
+    def compose(g, f):
+        if (g, f) not in found:
+            raise NotQuasicategory(f"no composite found for {f} then {g}", witness=(f, g))
+        if (g, f) in clash:
+            raise ValueError(
+                f"composition ill-defined on classes {f}, {g}: {sorted(clash[(g, f)])}")
+        return found[(g, f)]
+
     # The identity laws need no check: (id, f) and (f, id) hold f, so any
     # other composite there has raised the ValueError above.
-    cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
+    cat = FinCategory.tabulate(objects, morphisms, src, tgt, ids, compose)
     cat.check()
     return _HoCategory(cat, cls)
 

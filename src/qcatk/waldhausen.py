@@ -58,14 +58,18 @@ def validate_waldhausen(W: WaldhausenData, d: int = 2) -> dict:
     X = W.underlying
     report = {"dim": d, "violations": [], "local_failures": [], "checks": {}}
 
-    qrep = qc.is_quasicategory(X, min(d, 2))
-    report["checks"]["quasicategory"] = qrep["ok"]
-    if not qrep["ok"]:
-        report["violations"].append(("not-quasicategory", qrep["failures"][:3]))
+    failures = qc.is_quasicategory(X, min(d, 2))["failures"][:3]
+    try:
+        ho = None if failures else qc.ho_category(X)
+    except ValueError as exc:
+        # inner 2-horns fill, but classes compose ill-definedly or not
+        # associatively, so some inner 3-horn cannot fill
+        failures = [str(exc)]
+    report["checks"]["quasicategory"] = not failures
+    if failures:
+        report["violations"].append(("not-quasicategory", failures))
         report["ok"] = False
         return report
-
-    ho = qc.ho_category(X)
 
     # (i) marked edges are closed under homotopy and contain all equivalences
     marked_classes = {ho.cls(e) for e in W.edges() if W.is_cof(e)}
@@ -163,12 +167,11 @@ def cof_subquasicategory(W: WaldhausenData, d: int = 2):
 
 
 def admits_factorization(W: WaldhausenData) -> bool:
-    """Every edge marked.  Cross-checked against the definitional form:
-    each edge f must bound a 2-simplex (equivalence, f, cofibration).
-    The degenerate ones give s1(f) when f is marked and s0(f) when f is
-    an equivalence; the rest are generators."""
+    """Each edge f bounds a 2-simplex (equivalence, f, cofibration).  The
+    degenerate ones give s1(f) when f is marked and s0(f) when f is an
+    equivalence; the rest are generators.  On valid data this holds exactly
+    when every edge is marked."""
     X = W.underlying
-    all_marked = all(W.is_cof(e) for e in W.edges())
     ho = qc.ho_category(X)
 
     def iso(e):
@@ -179,13 +182,7 @@ def admits_factorization(W: WaldhausenData) -> bool:
         d0, d1, d2 = X.faces[g]
         if W.is_cof(d2) and iso(d0):
             factored.add(d1)
-    definitional = all(W.is_cof(f) or iso(f) or f in factored for f in W.edges())
-    if all_marked != definitional:
-        raise AssertionError(
-            "factorization tests disagree: all-marked=%s definitional=%s"
-            % (all_marked, definitional)
-        )
-    return all_marked
+    return all(W.is_cof(f) or iso(f) or f in factored for f in W.edges())
 
 
 # -- exact functors --------------------------------------------------------------

@@ -30,23 +30,15 @@ def idempotent_monoid_category() -> FinCategory:
 
 
 def _disjoint_union(C: FinCategory, D: FinCategory) -> FinCategory:
-    objects = [("l", o) for o in C.objects] + [("r", o) for o in D.objects]
-    morphisms = [("l", m) for m in C.morphisms] + [("r", m) for m in D.morphisms]
-    src, tgt = {}, {}
-    for tag, m in morphisms:
-        side = C if tag == "l" else D
-        src[(tag, m)] = (tag, side.src[m])
-        tgt[(tag, m)] = (tag, side.tgt[m])
-    ids = {("l", o): ("l", C.ids[o]) for o in C.objects}
-    ids.update({("r", o): ("r", D.ids[o]) for o in D.objects})
-    comp = {}
-    for (tg, g) in morphisms:
-        for (tf, f) in morphisms:
-            if tg != tf or src[(tg, g)] != tgt[(tf, f)]:
-                continue
-            side = C if tg == "l" else D
-            comp[((tg, g), (tf, f))] = (tg, side.compose_mor(g, f))
-    return FinCategory(objects, morphisms, src, tgt, ids, comp)
+    sides = {"l": C, "r": D}
+    objects = [(t, o) for t, K in sides.items() for o in K.objects]
+    morphisms = [(t, m) for t, K in sides.items() for m in K.morphisms]
+    src = {(t, m): (t, sides[t].src[m]) for t, m in morphisms}
+    tgt = {(t, m): (t, sides[t].tgt[m]) for t, m in morphisms}
+    ids = {(t, o): (t, sides[t].ids[o]) for t, o in objects}
+    # objects are tagged by side, so a composable pair lies on one side
+    return FinCategory.tabulate(objects, morphisms, src, tgt, ids,
+                                lambda g, f: (g[0], sides[g[0]].compose_mor(g[1], f[1])))
 
 
 def random_poset(rng: random.Random, size: int) -> FinCategory:
@@ -110,52 +102,38 @@ def _duplicate_object(C: FinCategory, obj, new_obj):
     are tagged ("dup", underlying, source-flag, target-flag).  Returns the
     category and the inclusion functor of C."""
     objects = C.objects + [new_obj]
-
-    def wrap(f, sf, tf):
-        return ("dup", f, sf, tf) if (sf or tf) else f
-
-    morphisms = list(C.morphisms)
-    for f in C.morphisms:
-        for sf in (False, True):
-            for tf in (False, True):
-                if not (sf or tf):
-                    continue
-                if sf and C.src[f] != obj:
-                    continue
-                if tf and C.tgt[f] != obj:
-                    continue
-                morphisms.append(("dup", f, sf, tf))
-
-    def parts(m):
-        if isinstance(m, tuple) and len(m) == 4 and m[0] == "dup":
-            return m[1], m[2], m[3]
-        return m, False, False
-
+    morphisms = list(C.morphisms) + [
+        ("dup", f, sf, tf) for f in C.morphisms for sf in (False, True) for tf in (False, True)
+        if (sf or tf) and (not sf or C.src[f] == obj) and (not tf or C.tgt[f] == obj)]
     src, tgt = {}, {}
     for m in morphisms:
-        f, sf, tf = parts(m)
+        f, sf, tf = _dup_parts(m)
         src[m] = new_obj if sf else C.src[f]
         tgt[m] = new_obj if tf else C.tgt[f]
-    ids = {o: C.ids[o] for o in C.objects}
-    ids[new_obj] = ("dup", C.ids[obj], True, True)
-    comp = {}
-    for g in morphisms:
-        for f in morphisms:
-            if src[g] != tgt[f]:
-                continue
-            uf, sf, _ = parts(f)
-            ug, _, tg = parts(g)
-            comp[(g, f)] = wrap(C.compose_mor(ug, uf), sf, tg)
-    D = FinCategory(objects, morphisms, src, tgt, ids, comp)
+    ids = {**C.ids, new_obj: ("dup", C.ids[obj], True, True)}
+
+    def compose(g, f):
+        uf, sf, _ = _dup_parts(f)
+        ug, _, tg = _dup_parts(g)
+        h = C.compose_mor(ug, uf)
+        return ("dup", h, sf, tg) if (sf or tg) else h
+
+    D = FinCategory.tabulate(objects, morphisms, src, tgt, ids, compose)
     incl = FinFunctor(C, D, {o: o for o in C.objects}, {m: m for m in C.morphisms})
     return D, incl
 
 
+def _dup_parts(m):
+    """(underlying morphism, source-flag, target-flag) of a morphism of a
+    category with a duplicated object."""
+    if isinstance(m, tuple) and len(m) == 4 and m[0] == "dup":
+        return m[1], m[2], m[3]
+    return m, False, False
+
+
 def _underlying_morphism(m):
     """Strip the duplication tag, if any."""
-    if isinstance(m, tuple) and len(m) == 4 and m[0] == "dup":
-        return m[1]
-    return m
+    return _dup_parts(m)[0]
 
 
 def pointed_sets_with_duplicate(max_size: int = 3, d: int = 2):

@@ -238,8 +238,8 @@ def test_10_prism_construction_with_stuck_control():
 
 
 def test_11_marking_structure_consequences():
-    # factorization: both definitional tests are cross-checked inside
-    # admits_factorization, which raises on disagreement
+    # factorization: on valid data the definitional test holds exactly when
+    # every edge is marked
     W_all = maximal_marking_waldhausen(
         poset_category([0], lambda a, b: True), 0, 2)
     assert admits_factorization(W_all)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcatk import families as fm
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import zoo
 from qcatk.cats import (
     FinCategory,
     FinFunctor,
@@ -25,7 +26,7 @@ from qcatk.cats import (
     pointed_sets_category,
     poset_category,
 )
-from qcatk.sconstruction import f_n, s_n, s_structure_functor
+from qcatk.sconstruction import ar_poset, f_n, s_n, s_structure_functor
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import pointed_sets_waldhausen
 from qcatk.zoo import (
@@ -34,7 +35,18 @@ from qcatk.zoo import (
     random_category,
     random_poset,
 )
-from testlib import chain_poset, ho_equals_category, slice_category
+from testlib import (
+    chain_poset,
+    disjoint_union_comp_by_pairs,
+    duplicate_comp_by_pairs,
+    ho_equals_category,
+    join_comp_by_target_index,
+    monoid_comp_by_pairs,
+    pointed_sets_comp_by_pairs,
+    poset_comp_by_pairs,
+    product_comp_by_target_index,
+    slice_category,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +86,40 @@ def test_join_and_product_of_categories():
     assert len(P.morphisms) == 9
     J.check()
     P.check()
+
+
+def _tabulated_and_by_pairs():
+    """(name, category, its table by the pair-loop oracle) for every
+    constructor that tabulates a composite rule.  dup(2, 2) and dup(2, 3)
+    share the category duplicated from pointed sets of size <= 2."""
+    out = [(f"ar{n}", P, poset_comp_by_pairs(P)) for n in range(4) for P in [ar_poset(n)]]
+    out += [(f"ps{k}", P, pointed_sets_comp_by_pairs(P))
+            for k in (1, 2, 3) for P in [pointed_sets_category(k)]]
+    out += [(f"z{k}", M, monoid_comp_by_pairs(M, lambda a, b, k=k: (a + b) % k))
+            for k in (2, 3) for M in [cyclic_group_category(k)]]
+    E = idempotent_monoid_category()
+    out.append(("idem", E, monoid_comp_by_pairs(E, lambda a, b: "e" if "e" in (a, b) else "1")))
+    for seed in range(12):
+        rng = random.Random(seed)
+        P = random_poset(rng, rng.randint(1, 4))
+        out.append((f"poset{seed}", P, poset_comp_by_pairs(P)))
+        C, D = random_category(rng, 4), random_category(rng, 3)
+        for tag, A, B in [("", C, D), ("op", C.opposite(), D), ("op2", C, D.opposite())]:
+            X, J, U = A.product(B), A.join(B), zoo._disjoint_union(A, B)
+            out += [(f"product{tag}{seed}", X, product_comp_by_target_index(A, B, X)),
+                    (f"join{tag}{seed}", J, join_comp_by_target_index(A, B, J)),
+                    (f"union{tag}{seed}", U, disjoint_union_comp_by_pairs(A, B, U))]
+    for k in (2, 3):
+        C = pointed_sets_category(k)
+        D, _ = zoo._duplicate_object(C, 2, "dup2")
+        out.append((f"dup{k}", D, duplicate_comp_by_pairs(C, D)))
+    return out
+
+
+def test_tabulated_constructors_match_their_pair_loops():
+    for name, C, expected in _tabulated_and_by_pairs():
+        assert C.comp == expected, name
+        C.check()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,18 @@ from qcatk.cli import build_parser, main
 from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
+    nerve_waldhausen,
     pointed_sets_waldhausen,
 )
 from qcatk.zoo import pointed_sets_with_duplicate
-from testlib import chain_poset, maximal_marking_waldhausen
+from testlib import (
+    chain_poset,
+    cyclic_nerve_waldhausen,
+    identity_exact,
+    ill_defined_composition_set,
+    maximal_marking_waldhausen,
+    non_associative_set,
+)
 
 
 @pytest.fixture
@@ -230,6 +238,80 @@ def test_grid_commands_need_a_category_block(files, capsys, argv, pointer):
     assert code == 1
     assert captured.out == ""
     assert json.loads(captured.err)["pointer"] == pointer
+
+
+def _point_into_the_cyclic_nerve():
+    """The exact-map document of the inclusion of N(Ps<=1) as the zero of
+    N(Z/2): the source has a zero object, the target does not."""
+    S, T = nerve_waldhausen(pointed_sets_category(1), 1, [], 2), cyclic_nerve_waldhausen(True)
+    point = sx.SimplicialMap(S.underlying, T.underlying, {(0, 0): T.zero})
+    return io.serialize_exact(ExactFunctorData(point, S, T))
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (["k0"], "/zero"),
+    (["sconstruct", "--n", "1"], "/zero"),
+    (["iterate", "--n", "1"], "/source/zero"),
+    (["iterate", "--n", "2"], "/source/zero"),
+    (["approx"], "/source/zero"),
+    (["approx"], "/target/zero"),
+])
+def test_grid_commands_need_a_zero_object(files, capsys, argv, pointer):
+    # the zero * of N(Z/2) has two morphisms to itself, so every level has
+    # two all-zero diagrams
+    if pointer == "/zero":
+        doc = io.serialize_waldhausen(cyclic_nerve_waldhausen(False))
+    elif pointer == "/source/zero":
+        doc = io.serialize_exact(identity_exact(cyclic_nerve_waldhausen(True)))
+    else:
+        doc = _point_into_the_cyclic_nerve()
+    path = files["dir"] / "no_zero.json"
+    path.write_text(io.dumps(doc))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["pointer"] == pointer
+    assert "* has 2 morphisms to * and 2 from it" in err["error"]
+
+
+def test_approx_reports_factorization_by_the_definition(files, capsys):
+    # every edge of both sides marked but one isomorphism of the target: the
+    # target is not all marked, yet every edge factors
+    _, G = pointed_sets_with_duplicate(2, 2)
+
+    def marking(W, drop):
+        X = W.underlying
+        cof = frozenset(sx.SimplexKey(g) for g in X.gens(1)) - {drop}
+        return WaldhausenData(X, W.zero, cof, W.universe)
+
+    iso = sx.SimplexKey(G.target.underlying.gen_of_label(((("dup", (2, 2, (1,)), True, False)),)))
+    doc = ExactFunctorData(G.themap, marking(G.source, None), marking(G.target, iso))
+    path = files["dir"] / "unmarked_iso.json"
+    path.write_text(io.dumps(io.serialize_exact(doc)))
+    code, rep = _run(capsys, ["approx", str(path)])
+    assert code == 1
+    assert rep["hypotheses"]["source_all_maps_cofibrations"] is True
+    assert rep["hypotheses"]["target_admits_factorization"] is True
+
+
+@pytest.mark.parametrize("build", [ill_defined_composition_set, non_associative_set])
+def test_homotopy_categories_that_do_not_compose_are_findings(files, capsys, build):
+    X, _ = build()
+    path = files["dir"] / "x.json"
+    path.write_text(io.dumps(io.serialize_sset(X)))
+    code = main(["ho", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error" in json.loads(captured.err)
+    path.write_text(io.dumps(io.serialize_waldhausen(
+        WaldhausenData(X, sx.SimplexKey((0, 0)), frozenset()))))
+    for command in ["waldhausen-check", "validate"]:
+        code, rep = _run(capsys, [command, str(path)])
+        assert code == 1
+        rep = rep.get("axioms", rep)
+        assert rep["checks"]["quasicategory"] is False
+        assert [v[0] for v in rep["violations"]] == ["not-quasicategory"]
 
 
 def test_budget_exhaustion_exits_two(files, capsys):

@@ -18,7 +18,7 @@ from qcatk.cats import cyclic_group_category, nerve
 from qcatk.cli import main
 from qcatk.waldhausen import pointed_sets_waldhausen
 from qcatk.zoo import pointed_sets_with_duplicate
-from testlib import chain_poset
+from testlib import chain_poset, cyclic_nerve_waldhausen, identity_exact, non_associative_set
 
 
 def _without_category(doc):
@@ -37,6 +37,9 @@ DOCUMENTS = {
     "map": io.serialize_map(sx.delta_inclusion(sx.boundary(1), sx.delta(1), lambda v: v)),
     "waldhausen": io.serialize_waldhausen(pointed_sets_waldhausen(2, 2)),
     "exact": io.serialize_exact(pointed_sets_with_duplicate(2, 2)[1]),
+    "waldhausen-z2": io.serialize_waldhausen(cyclic_nerve_waldhausen(True)),
+    "exact-z2": io.serialize_exact(identity_exact(cyclic_nerve_waldhausen(True))),
+    "non-associative": io.serialize_sset(non_associative_set()[0]),
 }
 for _kind in ("nerve", "waldhausen", "exact"):
     DOCUMENTS[_kind + "-plain"] = _without_category(DOCUMENTS[_kind])
@@ -90,10 +93,49 @@ def _renamed(doc, old):
     return old + "'" if doc == old else doc
 
 
+def _waldhausen_parts(doc):
+    """The Waldhausen data of a document, or of both sides of an exact map,
+    wherever it still has the shape that ``_remarked`` edits."""
+    if not isinstance(doc, dict):
+        return []
+    parts = [doc] if "sset" in doc else [doc.get("source"), doc.get("target")]
+
+    def editable(part):
+        if not (isinstance(part, dict) and isinstance(part.get("cofibrations"), list)
+                and isinstance(part.get("sset"), dict)):
+            return False
+        layers = part["sset"].get("generators")
+        return isinstance(layers, list) and len(layers) > 1 \
+            and all(isinstance(layer, list) for layer in layers[:2])
+
+    return [part for part in parts if editable(part)]
+
+
+def _remarked(doc, op, at):
+    """A mutation the schema accepts: unmark a marked edge, mark an edge, or
+    move the zero to another vertex, in the Waldhausen data numbered ``at``
+    and at the place numbered ``at`` there (each modulo the count)."""
+    doc = copy.deepcopy(doc)
+    parts = _waldhausen_parts(doc)
+    if not parts:
+        return doc
+    part = parts[at % len(parts)]
+    cofs, (vertices, edges) = part["cofibrations"], part["sset"]["generators"][:2]
+    if op == "unmark" and cofs:
+        del cofs[at % len(cofs)]
+    elif op == "mark" and edges and [edges[at % len(edges)], []] not in cofs:
+        cofs.append([edges[at % len(edges)], []])
+    elif op == "move-zero" and vertices:
+        part["zero"] = [vertices[at % len(vertices)], []]
+    return doc
+
+
 def mutate(doc, op, at):
     """Apply one mutation at the site numbered ``at`` (modulo the number of
     sites): drop it, wrap it in a list, retype it, or rename the generator
-    (or any other name) written there."""
+    (or any other name) written there; or one of ``_remarked``'s."""
+    if op in ("unmark", "mark", "move-zero"):
+        return _remarked(doc, op, at)
     doc = copy.deepcopy(doc)
     sites = list(_sites(doc))
     if not sites:
@@ -136,7 +178,8 @@ def test_every_command_on_every_unmutated_document():
 
 
 @given(st.sampled_from(sorted(DOCUMENTS)),
-       st.lists(st.tuples(st.sampled_from(["drop", "wrap", "retype", "rename"]),
+       st.lists(st.tuples(st.sampled_from(["drop", "wrap", "retype", "rename",
+                                           "unmark", "mark", "move-zero"]),
                           st.integers(0, 10**6)), min_size=1, max_size=2))
 @settings(max_examples=100, deadline=None)
 def test_every_command_on_mutated_documents(kind, mutations):

@@ -20,7 +20,12 @@ from qcatk.simplicial import NotQuasicategory, SimplexKey, UnionFind
 from qcatk.waldhausen import WaldhausenData, admits_factorization
 from qcatk.zoo import idempotent_monoid_category, indiscrete_category, random_category
 from test_lifting import kronecker_with_homotopy
-from testlib import chain_poset, ho_equals_category
+from testlib import (
+    chain_poset,
+    ho_equals_category,
+    ill_defined_composition_set,
+    non_associative_set,
+)
 
 
 def test_nerves_are_quasicategories():
@@ -129,22 +134,8 @@ def test_homotopy_functor_equivalence_verdicts():
 # the homotopy category from the nondegenerate 2-simplices
 
 
-def _two_simplex_set(n_vertices, edges, rows):
-    """Bound-2 set on vertices 0..n-1 with the given edges (source, target)
-    and 2-simplices (d0, d1, d2), each given by edge indices."""
-    v = [SimplexKey((0, i)) for i in range(n_vertices)]
-    e = [SimplexKey((1, i)) for i in range(len(edges))]
-    faces = {(1, i): (v[t], v[s]) for i, (s, t) in enumerate(edges)}
-    faces.update({(2, i): tuple(e[j] for j in row) for i, row in enumerate(rows)})
-    X = sx.SimplicialSet([n_vertices, len(edges), len(rows)], faces, bound=2)
-    X.check()
-    return X, e
-
-
 def test_two_composite_classes_make_composition_ill_defined():
-    # a: 0 -> 1, b: 1 -> 2 and two unrelated c, c': 0 -> 2, each a composite
-    X, (a, b, c, c2) = _two_simplex_set(
-        3, [(0, 1), (1, 2), (0, 2), (0, 2)], [(1, 2, 0), (1, 3, 0)])
+    X, (a, b, c, c2) = ill_defined_composition_set()
     with pytest.raises(ValueError) as exc:
         qc.ho_category(X)
     assert str(exc.value) == f"composition ill-defined on classes {a}, {b}: {[c, c2]}"
@@ -259,7 +250,8 @@ def ho_input(seed, kind):
 
 HO_KINDS = ["nerve", "extra", "dropped"]
 HO_FIXED = {"horn21": sx.horn(2, 1), "boundary2": sx.boundary(2),
-            "kronecker_with_homotopy": kronecker_with_homotopy()}
+            "kronecker_with_homotopy": kronecker_with_homotopy(),
+            "non_associative": non_associative_set()[0]}
 
 
 @given(st.integers(0, 10_000), st.sampled_from(HO_KINDS))

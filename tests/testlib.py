@@ -1,14 +1,16 @@
 """Fixtures and oracles shared by the tests: the dense Smith normal form
-with its transforms, small categories, the maximal Waldhausen marking, the
-homotopy-category comparison with a known category and the faces of a prism
-homotopy.  The library has no other user for them."""
+with its transforms, small categories, the composition tables of the
+category constructors by their pair loops, the maximal Waldhausen marking,
+inputs that break the Waldhausen and quasicategory axioms, the
+homotopy-category comparison with a known category and the faces of a
+prism homotopy.  The library has no other user for them."""
 
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import FinCategory, edge_morphism, poset_category
+from qcatk.cats import FinCategory, cyclic_group_category, edge_morphism, nerve, poset_category
 from qcatk.homology import AbelianGroupPresentation
-from qcatk.waldhausen import WaldhausenData, nerve_waldhausen
+from qcatk.waldhausen import ExactFunctorData, WaldhausenData, nerve_waldhausen
 
 
 def dense_smith_form(A: list[list[int]]):
@@ -44,7 +46,9 @@ def dense_smith_form(A: list[list[int]]):
 
     t = 0
     while t < min(m, n):
-        # find pivot: smallest nonzero magnitude in remaining block
+        # pivot: the smallest nonzero magnitude in the remaining block, picked
+        # afresh after each pass over row and column t, so that every
+        # remainder the pass leaves is smaller than the last pivot
         pivot = None
         for i in range(t, m):
             for j in range(t, n):
@@ -54,22 +58,14 @@ def dense_smith_form(A: list[list[int]]):
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    add_row(i, t, -(D[i][t] // D[t][t]))
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    add_col(j, t, -(D[t][j] // D[t][t]))
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
+        for i in range(t + 1, m):
+            if D[i][t]:
+                add_row(i, t, -(D[i][t] // D[t][t]))
+        for j in range(t + 1, n):
+            if D[t][j]:
+                add_col(j, t, -(D[t][j] // D[t][t]))
+        if any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
+            continue
         if D[t][t] < 0:
             add_row(t, t, -2)
         t += 1
@@ -151,16 +147,135 @@ def slice_category(C: FinCategory, c) -> FinCategory:
     src = {m: m[0] for m in morphisms}
     tgt = {m: m[1] for m in morphisms}
     ids = {f: (f, f, C.ids[C.src[f]]) for f in objects}
+    return FinCategory.tabulate(objects, morphisms, src, tgt, ids,
+                                lambda g, f: (f[0], g[1], C.compose_mor(g[2], f[2])))
+
+
+# -- composition tables by the loops the constructors once wrote --------------
+#
+# Each oracle rebuilds the ``comp`` of a category that a constructor tabulated,
+# from that category's morphisms and the categories it was built from.
+
+
+def poset_comp_by_pairs(P: FinCategory) -> dict:
+    return {((b, c), (a, b2)): (a, c)
+            for (a, b2) in P.morphisms for (b, c) in P.morphisms if b == b2}
+
+
+def monoid_comp_by_pairs(M: FinCategory, op) -> dict:
+    return {(g, f): op(g, f) for g in M.morphisms for f in M.morphisms}
+
+
+def pointed_sets_comp_by_pairs(P: FinCategory) -> dict:
     comp = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if m1[1] == m2[0]:
-                comp[(m2, m1)] = (m1[0], m2[1], C.compose_mor(m2[2], m1[2]))
-    return FinCategory(objects, morphisms, src, tgt, ids, comp)
+    for f in P.morphisms:
+        for g in P.morphisms:
+            if g[0] == f[1]:
+                gv = (0,) + g[2]
+                comp[(g, f)] = (f[0], g[1], tuple(gv[v] for v in f[2]))
+    return comp
+
+
+def _by_target(C: FinCategory) -> dict:
+    into: dict = {}
+    for f in C.morphisms:
+        into.setdefault(C.tgt[f], []).append(f)
+    return into
+
+
+def product_comp_by_target_index(C: FinCategory, D: FinCategory, P: FinCategory) -> dict:
+    into_c, into_d = _by_target(C), _by_target(D)
+    comp = {}
+    for f1, g1 in P.morphisms:
+        for f2 in into_c.get(C.src[f1], ()):
+            h1 = C.compose_mor(f1, f2)
+            for g2 in into_d.get(D.src[g1], ()):
+                comp[((f1, g1), (f2, g2))] = (h1, D.compose_mor(g1, g2))
+    return comp
+
+
+def join_comp_by_target_index(C: FinCategory, D: FinCategory, J: FinCategory) -> dict:
+    into = _by_target(J)
+    comp = {}
+    for g in J.morphisms:
+        for f in into.get(J.src[g], ()):
+            if f[0] == "l" and g[0] == "l":
+                comp[(g, f)] = ("l", C.compose_mor(g[1], f[1]))
+            elif f[0] == "r" and g[0] == "r":
+                comp[(g, f)] = ("r", D.compose_mor(g[1], f[1]))
+            else:
+                comp[(g, f)] = ("j", J.src[f][1], J.tgt[g][1])
+    return comp
+
+
+def disjoint_union_comp_by_pairs(C: FinCategory, D: FinCategory, U: FinCategory) -> dict:
+    comp = {}
+    for (tg, g) in U.morphisms:
+        for (tf, f) in U.morphisms:
+            if tg == tf and U.src[(tg, g)] == U.tgt[(tf, f)]:
+                side = C if tg == "l" else D
+                comp[((tg, g), (tf, f))] = (tg, side.compose_mor(g, f))
+    return comp
+
+
+def duplicate_comp_by_pairs(C: FinCategory, D: FinCategory) -> dict:
+    def parts(m):
+        if isinstance(m, tuple) and len(m) == 4 and m[0] == "dup":
+            return m[1], m[2], m[3]
+        return m, False, False
+
+    comp = {}
+    for g in D.morphisms:
+        for f in D.morphisms:
+            if D.src[g] == D.tgt[f]:
+                uf, sf, _ = parts(f)
+                ug, _, tg = parts(g)
+                h = C.compose_mor(ug, uf)
+                comp[(g, f)] = ("dup", h, sf, tg) if (sf or tg) else h
+    return comp
 
 
 def maximal_marking_waldhausen(C: FinCategory, zero_obj, d: int) -> WaldhausenData:
     return nerve_waldhausen(C, zero_obj, [m for m in C.morphisms], d)
+
+
+def cyclic_nerve_waldhausen(marked: bool) -> WaldhausenData:
+    """N(Z/2) at bound 2 with zero *, its edge marked or not: well-formed
+    data whose zero is no zero object, since * has two endomorphisms."""
+    return nerve_waldhausen(cyclic_group_category(2), "*", [1] if marked else [], 2)
+
+
+def identity_exact(W: WaldhausenData) -> ExactFunctorData:
+    return ExactFunctorData(sx.SimplicialMap.identity(W.underlying), W, W)
+
+
+def two_simplex_set(n_vertices, edges, rows):
+    """Bound-2 set on vertices 0..n-1 with the given edges (source, target)
+    and 2-simplices (d0, d1, d2), each given by edge indices.  Returns the
+    set and its edge keys."""
+    v = [sx.SimplexKey((0, i)) for i in range(n_vertices)]
+    e = [sx.SimplexKey((1, i)) for i in range(len(edges))]
+    faces = {(1, i): (v[t], v[s]) for i, (s, t) in enumerate(edges)}
+    faces.update({(2, i): tuple(e[j] for j in row) for i, row in enumerate(rows)})
+    X = sx.SimplicialSet([n_vertices, len(edges), len(rows)], faces, bound=2)
+    X.check()
+    return X, e
+
+
+def ill_defined_composition_set():
+    """a: 0 -> 1, b: 1 -> 2 and two unrelated c, c': 0 -> 2, each a
+    composite of a then b."""
+    return two_simplex_set(3, [(0, 1), (1, 2), (0, 2), (0, 2)], [(1, 2, 0), (1, 3, 0)])
+
+
+def non_associative_set():
+    """Edges f: a -> b, g: b -> c, h: c -> d, gf, hg and x, y: a -> d, with
+    2-simplices composing g after f, h after g, h after gf (to x) and hg
+    after f (to y): every inner 2-horn fills, but x and y are not
+    homotopic, so composition of classes is not associative."""
+    return two_simplex_set(
+        4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3), (0, 3)],
+        [(1, 3, 0), (2, 4, 1), (2, 5, 3), (4, 6, 0)])
 
 
 def ho_equals_category(X: sx.SimplicialSet, C: FinCategory) -> bool:
