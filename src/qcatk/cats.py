@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
+from .io import SchemaError
 from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
 
 
@@ -126,7 +127,8 @@ class FinCategory:
           pair (f, g): h after (g after f) equals (h after g) after f for
           every h at once.  Once the identities pass, every triple
           containing one passes.  On a mismatch the first failing h in
-          ``nonid_out`` order is named.
+          ``nonid_out`` order is named, and the error's ``witness`` holds
+          the triple (f, g, h).
         """
         for o in self.objects:
             i = self.ids[o]
@@ -149,9 +151,9 @@ class FinCategory:
                 if list(map(rf.__getitem__, rg.values())) != list(rgf.values()):
                     for (h, hg), hgf in zip(rg.items(), rgf.values()):
                         if rf[hg] != hgf:
-                            raise ValueError(
-                                f"associativity fails at {f!r}, {ms[j]!r}, {ms[h]!r}"
-                            )
+                            exc = ValueError(f"associativity fails at {f!r}, {ms[j]!r}, {ms[h]!r}")
+                            exc.witness = (f, ms[j], ms[h])
+                            raise exc
 
     def pushout(self, f, g):
         """Pushout of the span b <-f- a -g-> c, verified by universal
@@ -365,37 +367,73 @@ def edge_morphism(C: FinCategory, N: SimplicialSet, k: SimplexKey):
     return N.labels[k.gen][0]
 
 
-def nerve_faces(N: SimplicialSet, s: tuple) -> tuple:
-    """Face keys of the nondegenerate nerve simplex with the composable
-    spine string ``s`` of non-identity morphisms: d_0 drops the first
-    morphism, d_n the last, and d_k composes s[k] after s[k - 1]."""
-    C = N.category
-    if len(s) == 1:
-        return (SimplexKey(N.gen_of_label(C.tgt[s[0]])), SimplexKey(N.gen_of_label(C.src[s[0]])))
-    # dropping an end morphism leaves a string with no identities
-    inner = (
-        nerve_key_for_string(N, s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :])
-        for k in range(1, len(s))
-    )
-    return (SimplexKey(N.gen_of_label(s[1:])), *inner, SimplexKey(N.gen_of_label(s[:-1])))
+def nerve_face_rows(C: FinCategory, layers: list) -> dict:
+    """Face rows of nerve generators, read by morphism number.
+
+    ``layers[0]`` holds the objects in vertex order and ``layers[n]`` the
+    n-strings as tuples of morphism numbers, in generator order.  Returns
+    the row of every generator (n, i) with n >= 1: d_0 and d_n drop an end
+    morphism, and d_k composes t[k] after t[k - 1].  An identity composite
+    gives the degeneracy s_{k-1} of the string without both, or of the
+    source vertex when that string is empty.  A row whose composite or face
+    string is missing, which only a bad file has, is None.
+    """
+    after, ms, num = C.after, C.morphisms, C.number
+    ids = {num[m] for m in C.id_set}
+    vertex = {o: SimplexKey((0, i)) for i, o in enumerate(layers[0])}
+    rows = {}
+    if len(layers) > 1:
+        for i, (m,) in enumerate(layers[1]):
+            rows[(1, i)] = (vertex[C.tgt[ms[m]]], vertex[C.src[ms[m]]])
+    lower: dict = {}
+    degenerate: dict = {}  # each degenerate face key built once
+
+    def identity_face(t, k):
+        """d_k of t when t[k] after t[k - 1] is an identity."""
+        core = t[: k - 1] + t[k + 1 :]
+        base = lower.get(core) if core else vertex[C.src[ms[t[0]]]]
+        if base is None:
+            return None
+        if (base, k) not in degenerate:
+            degenerate[(base, k)] = SimplexKey(base.gen, (k - 1,))
+        return degenerate[(base, k)]
+
+    for n in range(2, len(layers)):
+        layer = layers[n]
+        index = {t: SimplexKey((n - 1, i)) for i, t in enumerate(layers[n - 1])}
+        # the face rows by columns: d_0, the inner faces, d_n; a composite
+        # that is missing (None) makes a string that is not in the index
+        cols = [[index.get(t[1:]) for t in layer]]
+        for k in range(1, n):
+            hs = [after[t[k - 1]].get(t[k]) for t in layer]
+            cols.append([identity_face(t, k) if h in ids
+                         else index.get(t[: k - 1] + (h,) + t[k + 1 :])
+                         for t, h in zip(layer, hs)])
+        cols.append([index.get(t[:-1]) for t in layer])
+        faces = zip(*cols)
+        if any(None in col for col in cols):
+            faces = [None if None in row else row for row in faces]
+        rows.update(zip([(n, i) for i in range(len(layer))], faces))
+        lower = index
+    return rows
 
 
-def _string_sort_key(morphisms):
-    """A sort key that orders tuples of two or more of the given morphisms as
-    ``key=repr`` does, with each morphism repr'd once.
+def _string_sort_key(rep: dict):
+    """A sort key for tuples of two or more morphism numbers, where ``rep``
+    maps each number to its morphism's repr: the tuples sort as ``key=repr``
+    sorts the tuples of the morphisms they number.
 
     Such a tuple's repr is "(" + ", ".join(its reprs) + ")".  When no repr
     is a proper prefix of another, two of these strings first differ inside
     their first differing reprs, so the ranks of the reprs order them; else
     the key is the string itself.
     """
-    rep = {m: repr(m) for m in morphisms}
     order = sorted(set(rep.values()))
     # a repr that is a prefix of some other one is a prefix of the next one
     if any(b.startswith(a) for a, b in zip(order, order[1:])):
         return lambda s: "(" + ", ".join(map(rep.__getitem__, s)) + ")"
     rank = {r: i for i, r in enumerate(order)}
-    num = {m: rank[r] for m, r in rep.items()}
+    num = {j: rank[r] for j, r in rep.items()}
     return lambda s: tuple(map(num.__getitem__, s))
 
 
@@ -403,33 +441,97 @@ def nerve(C: FinCategory, d: int) -> SimplicialSet:
     """Nerve of C with generators up to dimension d.
 
     Nondegenerate n-simplices are length-n composable strings of non-identity
-    morphisms, each layer in ``repr`` order.  If no such string of length d
-    exists the nerve is complete and the bound is dropped.
+    morphisms, each layer in ``repr`` order; the strings are built and
+    ordered by morphism number and their faces read by ``nerve_face_rows``.
+    If no such string of length d exists the nerve is complete and the bound
+    is dropped.
     """
-    nonid = [m for m in C.morphisms if m not in C.id_set]
-    strings: list[list] = [[(o,) for o in sorted(C.objects, key=repr)]]
+    ms, num = C.morphisms, C.number
+    rep = {j: repr(m) for j, m in enumerate(ms) if m not in C.id_set}
+    layers: list[list] = [sorted(C.objects, key=repr)]
     if d >= 1:
-        strings.append(sorted(((m,) for m in nonid), key=repr))
-    key = _string_sort_key(nonid)
+        # by repr((m,)), which differs from repr(m) where one repr prefixes another
+        layers.append([(j,) for j in sorted(rep, key=lambda j: "(" + rep[j] + ",)")])
+    key = _string_sort_key(rep)
+    out = {o: [num[m] for m in C.nonid_out(o)] for o in C.objects}
+    then = [out[C.tgt[m]] for m in ms]
     for n in range(2, d + 1):
-        layer = [s + (m,) for s in strings[n - 1] for m in C.nonid_out(C.tgt[s[-1]])]
+        layer = [s + (j,) for s in layers[n - 1] for j in then[s[-1]]]
         layer.sort(key=key)
-        strings.append(layer)
+        layers.append(layer)
 
-    n_gens = [len(layer) for layer in strings]
-    labels = {}
-    for n, layer in enumerate(strings):
-        for i, s in enumerate(layer):
-            labels[(n, i)] = s[0] if n == 0 else s
+    labels = {(0, i): o for i, o in enumerate(layers[0])}
+    for n in range(1, len(layers)):
+        for i, t in enumerate(layers[n]):
+            labels[(n, i)] = tuple([ms[j] for j in t])
+    complete = (not rep) if d == 0 else (not layers[d])
+    return SimplicialSet([len(layer) for layer in layers], nerve_face_rows(C, layers),
+                         labels=labels, bound=None if complete else d, category=C)
 
-    complete = (not nonid) if d == 0 else (not strings[d])
 
-    N = SimplicialSet(n_gens, {}, labels=labels, bound=None if complete else d, category=C)
+def nerve_labels_from_names(labels, C: FinCategory, pointer: str) -> dict:
+    """Recover nerve labels (objects for vertices, morphism strings above)
+    from the generator names of a serialized nerve."""
+    out = {}
+    for g, name in labels.items():
+        if g[0] == 0:
+            if name not in C.objects:
+                raise SchemaError(f"vertex {name!r} is not an object of the category",
+                                  f"{pointer}/generators/0")
+            out[g] = name
+            continue
+        ms = tuple(name.split("|"))
+        if not (len(ms) == g[0] and all(map(C.src.__contains__, ms))):
+            raise SchemaError(f"generator {name!r} is not a morphism string of length {g[0]}",
+                              f"{pointer}/generators/{g[0]}")
+        if not C.id_set.isdisjoint(ms):
+            raise SchemaError(f"nondegenerate string {name!r} contains an identity",
+                              f"{pointer}/generators/{g[0]}")
+        out[g] = ms
+    return out
 
-    for n in range(1, len(strings)):
-        for i, s in enumerate(strings[n]):
-            N.faces[(n, i)] = nerve_faces(N, s)
-    return N
+
+def check_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str) -> None:
+    """The generator/face tables of a parsed nerve file must be those of the
+    nerve of its category.
+
+    Checked on X itself, without building the nerve.  The generator counts
+    must be the numbers of composable strings of non-identity morphisms of
+    each length up to the bound, counted as paths along ``C.nonid_out``.
+    Each label must be composable, and each face row must be the row that
+    ``nerve_face_rows`` reads from the labels by morphism number.  This is
+    exact: the labels are distinct strings of non-identity morphisms
+    (``nerve_labels_from_names``), so composable labels as many as the
+    nerve's strings are exactly the nerve's generators.  Generators are
+    visited in dimension order, so every face string of a checked label
+    names a generator already checked.
+    """
+    d = X.top_dim if X.bound is None else X.bound
+    paths = dict.fromkeys(C.objects, 1)  # strings of length n, by last target
+    for n in range(max(d, 0) + 1):
+        if n:
+            longer = dict.fromkeys(C.objects, 0)
+            for a, count in paths.items():
+                for m in C.nonid_out(a):
+                    longer[C.tgt[m]] += count
+            paths = longer
+        if sum(paths.values()) != (X.n_gens[n] if n <= X.top_dim else 0):
+            raise SchemaError("generator counts differ from the nerve of the category", pointer)
+        if n > X.top_dim:  # no string of length n, so none longer either
+            break
+    num, after = C.number, C.after
+    layers = [[X.labels[g] for g in X.gens(0)]]
+    layers += [[tuple([num[m] for m in X.labels[g]]) for g in X.gens(n)]
+               for n in range(1, X.top_dim + 1)]
+    rows = nerve_face_rows(C, layers)
+    for g, row in rows.items():
+        t = layers[g[0]][g[1]]
+        if not all(b in after[a] for a, b in zip(t, t[1:])):
+            raise SchemaError(f"generator {X.labels[g]!r} is not a simplex of the nerve",
+                              pointer)
+        if X.faces[g] != row:
+            raise SchemaError(f"faces of {X.labels[g]!r} disagree with the nerve of the "
+                              "category", f"{pointer}/faces")
 
 
 def nerve_functor_map(F: FinFunctor, NC: SimplicialSet, ND: SimplicialSet) -> SimplicialMap:

@@ -26,6 +26,13 @@ EXIT_BUDGET = 2
 
 def _jsonable(x):
     """Best-effort conversion of report payloads to plain JSON values."""
+    t = type(x)  # plain values first, by exact type: SimplexKey is a tuple subclass
+    if t is str or t is int or t is bool or t is float or x is None:
+        return x
+    if t is dict:
+        return {k if isinstance(k, str) else repr(k): _jsonable(v) for k, v in x.items()}
+    if t is list or t is tuple:
+        return [_jsonable(v) for v in x]
     # a group presentation or a category exists only once a command has
     # imported homology or cats
     homology = sys.modules.get(f"{__package__}.homology")
@@ -42,14 +49,11 @@ def _jsonable(x):
         return {"gens": x.n_gens, "bound": x.bound}
     if cats and isinstance(x, cats.FinCategory):
         return io.serialize_category(x)
-    if isinstance(x, dict):
-        return {k if isinstance(k, str) else repr(k): _jsonable(v)
-                for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+    if isinstance(x, (dict, list, tuple)):  # other subclasses, as the plain types
+        return _jsonable(dict(x) if isinstance(x, dict) else list(x))
     if isinstance(x, (set, frozenset)):
         return sorted(repr(v) for v in x)
-    if isinstance(x, (str, int, float, bool)) or x is None:
+    if isinstance(x, (str, int, float)):  # bool has no subclasses
         return x
     return repr(x)
 

@@ -21,6 +21,7 @@ is sorted per dimension and all keys are emitted deterministically.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _string
 
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
@@ -45,7 +46,9 @@ def _expect(cond, message, pointer):
 
 def _nerve_names(X: SimplicialSet):
     """For a nerve: vertex names are object names, higher names join the
-    morphism string with '|'.  Returns None if that naming is ambiguous."""
+    morphism string with '|', each morphism named once.  Returns None if
+    that naming is ambiguous."""
+    mname = {m: _name_of(m) for m in X.category.morphisms}
     names = {}
     for g in X.all_gens():
         label = X.labels.get(g)
@@ -53,10 +56,10 @@ def _nerve_names(X: SimplicialSet):
             return None
         if g[0] == 0:
             names[g] = _name_of(label)
+        elif not isinstance(label, tuple):
+            return None
         else:
-            if not isinstance(label, tuple):
-                return None
-            names[g] = "|".join(_name_of(m) for m in label)
+            names[g] = "|".join(map(mname.__getitem__, label))
     if len(set(names.values())) != len(names):
         return None
     return names
@@ -87,27 +90,45 @@ def _key_json(names: dict, k: SimplexKey) -> list:
     return [names[k.gen], list(k.degens)]
 
 
+def key_names(X: SimplicialSet, keys) -> list[str]:
+    """The keys as X's file names them, for messages: a nondegenerate key
+    by its generator's name, a degenerate one as the JSON text of
+    ``[generator-name, [degeneracy indices]]``."""
+    names = _gen_names(X)
+    return [json.dumps(_key_json(names, k), ensure_ascii=False) if k.degens
+            else names[k.gen] for k in keys]
+
+
 # ---------------------------------------------------------------------------
 # simplicial sets
 
 
 def serialize_sset(X: SimplicialSet) -> dict:
+    return _sset_json(X)[0]
+
+
+def _sset_json(X: SimplicialSet) -> tuple[dict, dict]:
+    """The document of ``serialize_sset`` and the generator names in it.
+    Face rows share one ``[name, [degeneracies]]`` list per distinct face
+    key, so the document must not be edited in place."""
     # the names of ``_gen_names``, computed once: they also decide whether
     # the category block is written
     nerve_names = _nerve_names(X) if X.category is not None else None
     names = _label_names(X) if nerve_names is None else nerve_names
+    keys: dict = {}  # one [name, [degeneracies]] list per distinct face key
     out = {
         "bound": X.bound,
         "generators": [sorted(names[g] for g in X.gens(n))
                        for n in range(X.top_dim + 1)],
         "faces": {
-            names[g]: [_key_json(names, k) for k in X.faces[g]]
+            names[g]: [keys.get(k) or keys.setdefault(k, _key_json(names, k))
+                       for k in X.faces[g]]
             for g in X.all_gens() if g[0] >= 1
         },
     }
     if nerve_names is not None:
         out["category"] = serialize_category(X.category)
-    return out
+    return out, names
 
 
 def _parse_key(obj, gen_of_name, expect_dim, pointer) -> SimplexKey:
@@ -200,77 +221,17 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
     category = None
     if "category" in obj:
         category = parse_category(obj["category"], pointer + "/category")
-        labels = _nerve_labels_from_names(labels, category, pointer)
+        from . import cats  # loaded by parse_category
+
+        labels = cats.nerve_labels_from_names(labels, category, pointer)
     X = SimplicialSet(n_gens, faces, labels=labels, bound=bound, category=category)
     try:
         X.check()
     except Exception as exc:  # simplicial identity failures
         raise SchemaError(f"simplicial identities fail: {exc}", pointer) from exc
     if category is not None:
-        _validate_nerve_structure(X, category, pointer)
+        cats.check_nerve_structure(X, category, pointer)
     return X
-
-
-def _nerve_labels_from_names(labels, C: FinCategory, pointer: str) -> dict:
-    """Recover nerve labels (objects for vertices, morphism strings above)
-    from the generator names of a serialized nerve."""
-    out = {}
-    for g, name in labels.items():
-        if g[0] == 0:
-            _expect(name in C.objects,
-                    f"vertex {name!r} is not an object of the category",
-                    f"{pointer}/generators/0")
-            out[g] = name
-            continue
-        ms = tuple(name.split("|"))
-        if not (len(ms) == g[0] and all(map(C.src.__contains__, ms))):
-            raise SchemaError(f"generator {name!r} is not a morphism string of length {g[0]}",
-                              f"{pointer}/generators/{g[0]}")
-        if not C.id_set.isdisjoint(ms):
-            raise SchemaError(f"nondegenerate string {name!r} contains an identity",
-                              f"{pointer}/generators/{g[0]}")
-        out[g] = ms
-    return out
-
-
-def _validate_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str):
-    """The generator/face tables must be those of the nerve of the category.
-
-    Checked on X itself, without building the nerve.  The generator counts
-    must be the numbers of composable strings of non-identity morphisms of
-    each length up to the bound, counted as paths along ``C.nonid_out``.
-    Each label must be composable, and each face row must be the row
-    ``nerve_faces`` computes from the label through ``X.gen_of_label``.
-    This is exact: the labels are distinct strings of non-identity morphisms
-    (``_nerve_labels_from_names``), so composable labels as many as the
-    nerve's strings are exactly the nerve's generators.  Generators are
-    visited in dimension order, so every face string of a checked label
-    names a generator already checked.
-    """
-    from .cats import nerve_faces
-
-    d = X.top_dim if X.bound is None else X.bound
-    paths = dict.fromkeys(C.objects, 1)  # strings of length n, by last target
-    for n in range(max(d, 0) + 1):
-        if n:
-            longer = dict.fromkeys(C.objects, 0)
-            for a, count in paths.items():
-                for m in C.nonid_out(a):
-                    longer[C.tgt[m]] += count
-            paths = longer
-        _expect(sum(paths.values()) == (X.n_gens[n] if n <= X.top_dim else 0),
-                "generator counts differ from the nerve of the category", pointer)
-        if n > X.top_dim:  # no string of length n, so none longer either
-            break
-    for g in X.all_gens():
-        if g[0] == 0:
-            continue
-        s = X.labels[g]
-        if not all(C.tgt[a] == C.src[b] for a, b in zip(s, s[1:])):
-            raise SchemaError(f"generator {s!r} is not a simplex of the nerve", pointer)
-        if X.faces[g] != nerve_faces(X, s):
-            raise SchemaError(f"faces of {s!r} disagree with the nerve of the category",
-                              f"{pointer}/faces")
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +319,17 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
 
 
 def serialize_waldhausen(W: WaldhausenData) -> dict:
-    names = _gen_names(W.underlying)
+    return _waldhausen_json(W)[0]
+
+
+def _waldhausen_json(W: WaldhausenData) -> tuple[dict, dict]:
+    sset, names = _sset_json(W.underlying)
     return {
-        "sset": serialize_sset(W.underlying),
+        "sset": sset,
         "zero": _key_json(names, W.zero),
         "cofibrations": sorted(_key_json(names, k) for k in W.cof),
         "universe": W.universe,
-    }
+    }, names
 
 
 def parse_waldhausen(obj, pointer: str = "") -> WaldhausenData:
@@ -390,18 +355,13 @@ def parse_waldhausen(obj, pointer: str = "") -> WaldhausenData:
     return WaldhausenData(X, zero, frozenset(cofs), universe)
 
 
-def _assign_json(f: SimplicialMap) -> dict:
-    snames = _gen_names(f.source)
-    tnames = _gen_names(f.target)
+def _assign_json(f: SimplicialMap, snames: dict, tnames: dict) -> dict:
     return {snames[g]: _key_json(tnames, k) for g, k in f.assign.items()}
 
 
 def serialize_map(f: SimplicialMap) -> dict:
-    return {
-        "source": serialize_sset(f.source),
-        "target": serialize_sset(f.target),
-        "assign": _assign_json(f),
-    }
+    (source, snames), (target, tnames) = _sset_json(f.source), _sset_json(f.target)
+    return {"source": source, "target": target, "assign": _assign_json(f, snames, tnames)}
 
 
 def _parse_checked_map(obj, source: SimplicialSet, target: SimplicialSet,
@@ -439,11 +399,8 @@ def parse_map(obj, pointer: str = "") -> SimplicialMap:
 
 
 def serialize_exact(G: ExactFunctorData) -> dict:
-    return {
-        "source": serialize_waldhausen(G.source),
-        "target": serialize_waldhausen(G.target),
-        "assign": _assign_json(G.themap),
-    }
+    (source, snames), (target, tnames) = _waldhausen_json(G.source), _waldhausen_json(G.target)
+    return {"source": source, "target": target, "assign": _assign_json(G.themap, snames, tnames)}
 
 
 def parse_exact(obj, pointer: str = "") -> ExactFunctorData:
@@ -504,7 +461,42 @@ def canonical(obj) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a newline, written in one pass: with an
+    indent, ``json`` leaves its C encoder.  Dict keys must be strings."""
+    return _dump(obj, "\n") + "\n"
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _dump(x, nl: str) -> str:
+    """The JSON text of x, at the indent that ``nl`` (a newline and spaces)
+    opens.  Strings and empty lists, most of the values in a simplicial set's
+    document, are written in place inside their container."""
+    if isinstance(x, str):
+        return _string(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(
+            [_string(v) if type(v) is str else "[]" if type(v) is list and not v
+             else _dump(v, inner) for v in x]) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_string(k) + ": " + (_string(v) if type(v) is str else _dump(v, inner))
+             for k, v in sorted(x.items())]) + nl + "}"
+    if x is None or x is True or x is False:
+        return _LITERALS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return json.dumps(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def load_path(path):

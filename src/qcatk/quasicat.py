@@ -7,6 +7,7 @@ homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
 
 from __future__ import annotations
 
+from . import io
 from . import simplicial as sx
 from .cats import FinCategory, FinFunctor, functor_equivalence_report
 from .simplicial import (
@@ -94,16 +95,23 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
 
     def compose(g, f):
         if (g, f) not in found:
-            raise NotQuasicategory(f"no composite found for {f} then {g}", witness=(f, g))
+            f_name, g_name = io.key_names(X, (f, g))
+            raise NotQuasicategory(f"no composite found for {f_name} then {g_name}",
+                                   witness=(f, g))
         if (g, f) in clash:
+            f_name, g_name, *hs = io.key_names(X, (f, g, *sorted(clash[(g, f)])))
             raise ValueError(
-                f"composition ill-defined on classes {f}, {g}: {sorted(clash[(g, f)])}")
+                f"composition ill-defined on classes {f_name}, {g_name}: [{', '.join(hs)}]")
         return found[(g, f)]
 
     # The identity laws need no check: (id, f) and (f, id) hold f, so any
     # other composite there has raised the ValueError above.
     cat = FinCategory.tabulate(objects, morphisms, src, tgt, ids, compose)
-    cat.check()
+    try:
+        cat.check()
+    except ValueError as exc:  # associativity, the one law left to fail
+        names = io.key_names(X, exc.witness)
+        raise ValueError(f"associativity fails at {', '.join(names)}") from exc
     return _HoCategory(cat, cls)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatk import families as fm
+from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk import zoo
@@ -22,6 +23,7 @@ from qcatk.cats import (
     groupoid_core,
     map_category,
     nerve,
+    nerve_face_rows,
     nerve_functor_map,
     pointed_sets_category,
     poset_category,
@@ -46,6 +48,7 @@ from testlib import (
     poset_comp_by_pairs,
     product_comp_by_target_index,
     slice_category,
+    string_route_nerve,
 )
 
 
@@ -236,6 +239,47 @@ def test_nerve_layers_of_diagram_levels_follow_repr_order(name):
     _, s_levels, f_levels = _levels(name)
     for level in (s_levels[1], f_levels[1]):
         assert_layers_in_repr_order(nerve(level.cat, 2))
+
+
+_NERVE_CATEGORIES = {
+    "random": lambda rng: random_category(rng, 4),
+    "product": lambda rng: random_category(rng, 3).product(random_category(rng, 2)),
+    "opposite": lambda rng: random_category(rng, 4).opposite(),
+    "z2": lambda rng: cyclic_group_category(2),
+    "z3": lambda rng: cyclic_group_category(3),
+    "ps3": lambda rng: pointed_sets_category(3),
+    # reprs that prefix one another, so the layers sort by the repr strings
+    "prefix": lambda rng: two_step_category([Bare("x"), Bare("x y")], [Bare("z"), Bare("w")]),
+}
+
+
+@given(st.sampled_from(sorted(_NERVE_CATEGORIES)), st.integers(0, 10**6), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_nerve_matches_the_string_route(kind, seed, d):
+    C = _NERVE_CATEGORIES[kind](random.Random(seed))
+    N, M = nerve(C, d), string_route_nerve(C, d)
+    assert (N.n_gens, N.labels, N.bound) == (M.n_gens, M.labels, M.bound)
+    assert N.faces == M.faces
+    assert io.dumps(io.serialize_sset(N)) == io.dumps(io.serialize_sset(M))
+
+
+def test_face_rows_by_number_degenerate_at_identity_composites():
+    # in Z/2, 1 then 1 is the identity: d_1 of 1|1 is s_0 of the vertex, and
+    # d_1, d_2 of 1|1|1 are s_0, s_1 of the edge
+    C = cyclic_group_category(2)
+    v, e, t = SimplexKey((0, 0)), SimplexKey((1, 0)), SimplexKey((2, 0))
+    assert nerve_face_rows(C, [["*"], [(1,)], [(1, 1)], [(1, 1, 1)]]) == {
+        (1, 0): (v, v),
+        (2, 0): (e, SimplexKey((0, 0), (0,)), e),
+        (3, 0): (t, SimplexKey((1, 0), (0,)), SimplexKey((1, 0), (1,)), t),
+    }
+    # a face string missing from the layers, or a degenerate face whose base
+    # is missing, leaves no row
+    assert nerve_face_rows(C, [["*"], [], [(1, 1)], [(1, 1, 1)]]) == {
+        (2, 0): None, (3, 0): None}
+    # nor does a pair that does not compose: (0, 1) cannot follow itself
+    P = chain_poset(1)
+    assert nerve_face_rows(P, [[0, 1], [(1,)], [(1, 1)]])[(2, 0)] is None
 
 
 # ---------------------------------------------------------------------------

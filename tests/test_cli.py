@@ -1,7 +1,9 @@
 """End-to-end command-line runs: exit codes, JSON reports, and file output."""
 
 import ast
+import collections
 import copy
+import fractions
 import importlib.util
 import json
 import os
@@ -11,7 +13,7 @@ import sys
 import pytest
 
 import qcatk
-from qcatk import io
+from qcatk import cli, io
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
 from qcatk.cli import build_parser, main
@@ -146,7 +148,7 @@ def test_a_simplicial_set_that_is_not_a_quasicategory_exits_one(files, capsys):
     path.write_text(io.dumps(io.serialize_sset(sx.horn(2, 1))))
     code = main(["ho", str(path)])
     assert code == 1
-    assert "no composite" in json.loads(capsys.readouterr().err)["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == "no composite found for 1.0 then 1.1"
 
 
 def test_waldhausen_data_that_is_not_a_quasicategory_is_reported(files, capsys):
@@ -295,15 +297,23 @@ def test_approx_reports_factorization_by_the_definition(files, capsys):
     assert rep["hypotheses"]["target_admits_factorization"] is True
 
 
-@pytest.mark.parametrize("build", [ill_defined_composition_set, non_associative_set])
+# the messages name edges as the input file does
+NOT_COMPOSING = {
+    ill_defined_composition_set: "composition ill-defined on classes 1.0, 1.1: [1.2, 1.3]",
+    non_associative_set: "associativity fails at 1.0, 1.1, 1.2",
+}
+
+
+@pytest.mark.parametrize("build", list(NOT_COMPOSING))
 def test_homotopy_categories_that_do_not_compose_are_findings(files, capsys, build):
+    message = NOT_COMPOSING[build]
     X, _ = build()
     path = files["dir"] / "x.json"
     path.write_text(io.dumps(io.serialize_sset(X)))
     code = main(["ho", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert "error" in json.loads(captured.err)
+    assert json.loads(captured.err) == {"error": message}
     path.write_text(io.dumps(io.serialize_waldhausen(
         WaldhausenData(X, sx.SimplexKey((0, 0)), frozenset()))))
     for command in ["waldhausen-check", "validate"]:
@@ -311,7 +321,26 @@ def test_homotopy_categories_that_do_not_compose_are_findings(files, capsys, bui
         assert code == 1
         rep = rep.get("axioms", rep)
         assert rep["checks"]["quasicategory"] is False
-        assert [v[0] for v in rep["violations"]] == ["not-quasicategory"]
+        assert rep["violations"] == [["not-quasicategory", [message]]]
+
+
+def test_report_payloads_convert_by_exact_type_first():
+    # the plain values a report holds, and what the payload branches give
+    Pair = collections.namedtuple("Pair", "a b")
+
+    class Name(str):
+        pass
+
+    key = sx.SimplexKey((1, 0), (0,))
+    report = {"key": key, "keys": [key, (key, 2.5)], "pair": Pair(1, key),
+              "ordered": collections.OrderedDict(b=1, a=[None]), "set": {key},
+              "name": Name("x"), "other": fractions.Fraction(1, 2), (0, 1): True,
+              "sset": sx.delta(1), "category": chain_poset(1)}
+    assert cli._jsonable(report) == {
+        "key": repr(key), "keys": [repr(key), [repr(key), 2.5]], "pair": [1, repr(key)],
+        "ordered": {"b": 1, "a": [None]}, "set": [repr(key)], "name": "x",
+        "other": "Fraction(1, 2)", "(0, 1)": True, "sset": {"gens": [2, 1], "bound": None},
+        "category": io.serialize_category(chain_poset(1))}
 
 
 def test_budget_exhaustion_exits_two(files, capsys):

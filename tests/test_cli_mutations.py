@@ -41,6 +41,9 @@ DOCUMENTS = {
     "exact-z2": io.serialize_exact(identity_exact(cyclic_nerve_waldhausen(True))),
     "non-associative": io.serialize_sset(non_associative_set()[0]),
 }
+# plain trees: a serialized document shares one list per face key, and a
+# mutation must reach one site alone
+DOCUMENTS = {kind: json.loads(io.dumps(doc)) for kind, doc in DOCUMENTS.items()}
 for _kind in ("nerve", "waldhausen", "exact"):
     DOCUMENTS[_kind + "-plain"] = _without_category(DOCUMENTS[_kind])
 

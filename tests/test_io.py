@@ -17,7 +17,7 @@ from qcatk.quasicat import ho_category
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import cof_subquasicategory, pointed_sets_waldhausen
 from qcatk.zoo import pointed_sets_with_duplicate, random_category
-from testlib import chain_poset
+from testlib import chain_poset, string_route_nerve
 
 
 def _idem(obj):
@@ -99,9 +99,10 @@ def test_tampered_nerve_face_table_is_rejected():
 
 
 def naive_validate_nerve_structure(X, C, pointer):
-    """Oracle for ``io._validate_nerve_structure``: build the nerve of C and
-    compare generator counts and face tables through the labels."""
-    N = nerve(C, X.top_dim if X.bound is None else X.bound)
+    """Oracle for ``cats.check_nerve_structure``: build the nerve of C by the
+    string route and compare generator counts and face tables through the
+    labels."""
+    N = string_route_nerve(C, X.top_dim if X.bound is None else X.bound)
     if N.n_gens != X.n_gens:
         raise io.SchemaError("generator counts differ from the nerve of the category", pointer)
 
@@ -214,7 +215,7 @@ def test_nerve_file_checks_agree_with_the_rebuilding_oracles(seed, faults):
     for _ in range(faults):
         doc = _corrupt(doc, rng)
     got = _outcome(json.loads(json.dumps(doc)))
-    with mock.patch.object(io, "_validate_nerve_structure", naive_validate_nerve_structure), \
+    with mock.patch.object(cats, "check_nerve_structure", naive_validate_nerve_structure), \
             mock.patch.object(sx.SimplicialSet, "check", naive_sset_check):
         want = _outcome(doc)
     assert got == want
@@ -274,12 +275,50 @@ def test_nerve_file_with_a_non_composable_string_is_rejected():
         "/", f"generator {('(1, 2)', '(0, 1)')!r} is not a simplex of the nerve")
 
 
+def _z3_arrow_doc(bound):
+    """N(Z/3 x [1]) to the bound: the object (*, 0) carries the loops
+    '(1, (0, 0))' and '(2, (0, 0))', and (*, 1) the loop '(1, (1, 1))'."""
+    C = cyclic_group_category(3).product(chain_poset(1))
+    return json.loads(json.dumps(io.serialize_sset(nerve(C, bound))))
+
+
+@pytest.mark.parametrize("bound, earlier_row_wrong, pointer, message", [
+    (3, False, "/",
+     f"generator {('(1, (1, 1))', '(1, (0, 0))')!r} is not a simplex of the nerve"),
+    (2, True, "/faces",
+     f"faces of {('(1, (0, 0))', '(1, (0, 0))')!r} disagree with the nerve of the category"),
+])
+def test_nerve_file_with_right_counts_and_a_non_composable_string(
+        bound, earlier_row_wrong, pointer, message):
+    # a loop at (*, 1), then one at (*, 0), in place of a string of the
+    # nerve: every count is right and the simplicial identities hold
+    doc = _rename(_z3_arrow_doc(bound), "(2, (1, 1))|(2, (1, 1))", "(1, (1, 1))|(1, (0, 0))")
+    if earlier_row_wrong:
+        # a loop at (*, 0) for another: the identities still hold, and the
+        # string sorts before the non-composable one
+        doc["faces"]["(1, (0, 0))|(1, (0, 0))"][1] = ["(1, (0, 0))", []]
+    assert _rejection(doc) == (pointer, message)
+
+
 def test_nerve_file_with_a_wrong_composite_face_is_rejected():
     doc = _z3_doc()
     assert doc["faces"]["1|1"] == [["1", []], ["2", []], ["1", []]]
     doc["faces"]["1|1"][1] = ["1", []]  # simplicial identities still hold
     assert _rejection(doc) == (
         "/faces", f"faces of {('1', '1')!r} disagree with the nerve of the category")
+
+
+def test_nerve_file_with_a_vertex_that_is_no_object_is_rejected():
+    doc = _rename(_z3_doc(), "*", "o")
+    assert _rejection(doc) == ("/generators/0", "vertex 'o' is not an object of the category")
+
+
+def test_nerve_file_bound_above_its_top_dimension_is_kept():
+    # N([1]) is complete at dimension 1, so no 2- or 3-strings are missing
+    doc = dict(io.serialize_sset(nerve(chain_poset(1), 1)), bound=3)
+    X = io.parse_sset(doc)
+    assert (X.n_gens, X.bound) == ([2, 1], 3)
+    assert io.serialize_sset(X) == doc
 
 
 def test_nerve_file_with_an_identity_in_a_string_is_rejected():
@@ -431,6 +470,47 @@ def test_detect_kind_covers_all_formats():
     for kind, doc in cases.items():
         assert io.detect_kind(doc) == kind
         _idem(doc)
+
+
+_JSON_LEAVES = (
+    st.text(st.characters(blacklist_categories=("Cs",)))  # controls, quotes, non-ASCII
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "é\u2028☃😀"])
+    | st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+    | st.booleans() | st.none()
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_the_text_of_json_dumps(value):
+    want = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert io.dumps(value) == want
+    assert io.dumps([value, {}, [[]], {"k": [value, ()]}]) == json.dumps(
+        [value, {}, [[]], {"k": [value, ()]}], sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dumps_writes_a_report_with_floats_as_json_does():
+    report = {"command": "lift", "dim": 2, "filled_frac": 0.25, "ratio": float("nan"),
+              "sset": {"bound": None, "gens": [1, 2]}, "verdict": "pass", "witness": None}
+    assert io.dumps(report) == json.dumps(report, sort_keys=True, indent=2,
+                                          ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{("a",): 1}], {"a": 1, 2: "b"}])
+def test_dumps_takes_only_string_keys(value):
+    with pytest.raises(TypeError):
+        io.dumps(value)
+
+
+def test_dumps_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        io.dumps({"a": {1, 2}})
 
 
 def test_unrecognized_input_raises_at_the_root():

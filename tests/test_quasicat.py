@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import (
@@ -135,10 +136,26 @@ def test_homotopy_functor_equivalence_verdicts():
 
 
 def test_two_composite_classes_make_composition_ill_defined():
-    X, (a, b, c, c2) = ill_defined_composition_set()
+    # the edges a, b, c, c2 are named 1.0 to 1.3, as in the set's file
+    X, _ = ill_defined_composition_set()
     with pytest.raises(ValueError) as exc:
         qc.ho_category(X)
-    assert str(exc.value) == f"composition ill-defined on classes {a}, {b}: {[c, c2]}"
+    assert str(exc.value) == "composition ill-defined on classes 1.0, 1.1: [1.2, 1.3]"
+
+
+def test_a_degenerate_class_is_named_with_its_degeneracies():
+    # a: 0 -> 1 and b: 1 -> 0 compose both to the identity of 0 and to a
+    # loop c at 0
+    v, (a, b, c) = SimplexKey((0, 0)), (SimplexKey((1, i)) for i in range(3))
+    X = sx.SimplicialSet([2, 3, 2], {(1, 0): (SimplexKey((0, 1)), v),
+                                     (1, 1): (v, SimplexKey((0, 1))),
+                                     (1, 2): (v, v),
+                                     (2, 0): (b, SimplexKey((0, 0), (0,)), a),
+                                     (2, 1): (b, c, a)}, bound=2)
+    X.check()
+    with pytest.raises(ValueError) as exc:
+        qc.ho_category(X)
+    assert str(exc.value) == 'composition ill-defined on classes 1.0, 1.1: [["0.0", [0]], 1.2]'
 
 
 def test_the_boundary_of_a_triangle_has_no_homotopy_category():
@@ -185,16 +202,29 @@ def ho_category_by_all_simplices(X):
         for g in (m for m in morphisms if src[m] == tgt[f]):
             got = found.get((g, f), set())
             if not got:
-                raise NotQuasicategory(f"no composite found for {f} then {g}", witness=(f, g))
+                raise NotQuasicategory(
+                    f"no composite found for {named(X, f)} then {named(X, g)}", witness=(f, g))
             if len(got) > 1:
-                raise ValueError(f"composition ill-defined on classes {f}, {g}: {sorted(got)}")
+                raise ValueError(f"composition ill-defined on classes {named(X, f)}, "
+                                 f"{named(X, g)}: [{', '.join(named(X, h) for h in sorted(got))}]")
             comp[(g, f)] = next(iter(got))
     for f in morphisms:
         if comp[(ids[tgt[f]], f)] != f or comp[(f, ids[src[f]])] != f:
             raise ValueError(f"identity law fails in homotopy category at {f}")
-    cat = FinCategory(objects, morphisms, src, tgt, ids, comp)
-    cat.check()
-    return cat, cls
+    # every composable non-identity triple, f-major, then g and h in order
+    nonid = [m for m in morphisms if m not in ids.values()]
+    for f in nonid:
+        for g in (m for m in nonid if src[m] == tgt[f]):
+            for h in (m for m in nonid if src[m] == tgt[g]):
+                if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
+                    raise ValueError(f"associativity fails at "
+                                     f"{named(X, f)}, {named(X, g)}, {named(X, h)}")
+    return FinCategory(objects, morphisms, src, tgt, ids, comp), cls
+
+
+def named(X, k):
+    """A key as X's file names it."""
+    return io.key_names(X, [k])[0]
 
 
 def _ho_outcome(route, X):

@@ -1,14 +1,22 @@
 """Fixtures and oracles shared by the tests: the dense Smith normal form
 with its transforms, small categories, the composition tables of the
-category constructors by their pair loops, the maximal Waldhausen marking,
-inputs that break the Waldhausen and quasicategory axioms, the
-homotopy-category comparison with a known category and the faces of a
-prism homotopy.  The library has no other user for them."""
+category constructors by their pair loops, the nerve built through
+morphism strings, the maximal Waldhausen marking, inputs that break the
+Waldhausen and quasicategory axioms, the homotopy-category comparison with
+a known category and the faces of a prism homotopy.  The library has no
+other user for them."""
 
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
-from qcatk.cats import FinCategory, cyclic_group_category, edge_morphism, nerve, poset_category
+from qcatk.cats import (
+    FinCategory,
+    cyclic_group_category,
+    edge_morphism,
+    nerve,
+    nerve_key_for_string,
+    poset_category,
+)
 from qcatk.homology import AbelianGroupPresentation
 from qcatk.waldhausen import ExactFunctorData, WaldhausenData, nerve_waldhausen
 
@@ -233,6 +241,44 @@ def duplicate_comp_by_pairs(C: FinCategory, D: FinCategory) -> dict:
                 h = C.compose_mor(ug, uf)
                 comp[(g, f)] = ("dup", h, sf, tg) if (sf or tg) else h
     return comp
+
+
+def nerve_faces(N: sx.SimplicialSet, s: tuple) -> tuple:
+    """Face keys of the nondegenerate nerve simplex with the composable
+    spine string ``s`` of non-identity morphisms: d_0 drops the first
+    morphism, d_n the last, and d_k composes s[k] after s[k - 1]."""
+    C = N.category
+    if len(s) == 1:
+        return (sx.SimplexKey(N.gen_of_label(C.tgt[s[0]])),
+                sx.SimplexKey(N.gen_of_label(C.src[s[0]])))
+    # dropping an end morphism leaves a string with no identities
+    inner = (
+        nerve_key_for_string(N, s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :])
+        for k in range(1, len(s))
+    )
+    return (sx.SimplexKey(N.gen_of_label(s[1:])), *inner,
+            sx.SimplexKey(N.gen_of_label(s[:-1])))
+
+
+def string_route_nerve(C: FinCategory, d: int) -> sx.SimplicialSet:
+    """Oracle for ``cats.nerve``: the strings of morphisms themselves, each
+    layer sorted by ``repr``, and every face row from ``nerve_faces``."""
+    nonid = [m for m in C.morphisms if m not in C.id_set]
+    strings: list[list] = [[(o,) for o in sorted(C.objects, key=repr)]]
+    if d >= 1:
+        strings.append(sorted(((m,) for m in nonid), key=repr))
+    for n in range(2, d + 1):
+        strings.append(sorted((s + (m,) for s in strings[n - 1]
+                               for m in C.nonid_out(C.tgt[s[-1]])), key=repr))
+    labels = {(n, i): s[0] if n == 0 else s
+              for n, layer in enumerate(strings) for i, s in enumerate(layer)}
+    complete = (not nonid) if d == 0 else (not strings[d])
+    N = sx.SimplicialSet([len(layer) for layer in strings], {}, labels=labels,
+                         bound=None if complete else d, category=C)
+    for n in range(1, len(strings)):
+        for i, s in enumerate(strings[n]):
+            N.faces[(n, i)] = nerve_faces(N, s)
+    return N
 
 
 def maximal_marking_waldhausen(C: FinCategory, zero_obj, d: int) -> WaldhausenData:
