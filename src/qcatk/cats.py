@@ -1,13 +1,14 @@
 """Finite categories given by explicit multiplication tables, and nerves.
 
-Objects and morphisms are arbitrary hashable values.  The composition table
-``comp[(g, f)]`` stores g after f for every composable pair.  Morphisms can be
+Objects and morphisms are arbitrary hashable values.  Morphisms can be
 long nested tuples (a natural transformation lists its components), so the
-checks and the diagram categories compose by number instead, through
-``FinCategory.after``, and hash each morphism only to number it.  Nerves are
-produced as :class:`~qcatk.simplicial.SimplicialSet` objects whose generator
-labels are composable strings of non-identity morphisms; the category itself
-travels along on the ``category`` attribute, for the names and ``category``
+composition table is held by number, in ``FinCategory.after``: each
+morphism is hashed only to number it, and the checks, nerves and diagram
+categories compose by number.  ``FinCategory.tabulate`` fills the table
+from a composite rule.  Nerves are produced as
+:class:`~qcatk.simplicial.SimplicialSet` objects whose generator labels are
+composable strings of non-identity morphisms; the category itself travels
+along on the ``category`` attribute, for the names and ``category``
 block of the nerve's file and for the 1-categorical checks (pushouts, the K0
 presentation oracle).  Map search does not read it.  The 1-categorical
 checks live here once: pushouts, pushout squares and the equivalence
@@ -24,25 +25,23 @@ from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
 
 
 class FinCategory:
-    """A finite category given by its composition table.
+    """A finite category given by its composition table, by number.
 
-    Morphisms are numbered by their position in ``morphisms`` (``number``),
-    and ``after`` is the same table by number: ``after[i][j]`` is the number
-    of morphism j after morphism i, for every j whose source is the target
-    of i, listed identity first and then in ``nonid_out`` order.  ``after``
-    is built once, from ``comp`` on first use, unless the constructor is
-    handed the rows.
+    Morphisms are numbered by their position in ``morphisms`` (``number``).
+    ``after[i][j]`` is the number of morphism j after morphism i, for every
+    j whose source is the target of i: the row of i lists the identity of
+    that target first, then its ``nonid_out`` in order.  Every composite
+    is held, those with an identity too.
     """
 
-    def __init__(self, objects, morphisms, src, tgt, ids, comp, after=None):
+    def __init__(self, objects, morphisms, src, tgt, ids, after):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.ids = dict(ids)
-        self.comp = dict(comp)
+        self.after = after
         self.id_set = frozenset(self.ids.values())
-        self._after = after
         self._pushouts: dict = {}
         self._hom: dict[tuple, list] = {}
         self._out: dict = {}
@@ -53,15 +52,15 @@ class FinCategory:
 
     @classmethod
     def tabulate(cls, objects, morphisms, src, tgt, ids, compose) -> "FinCategory":
-        """The category whose table holds ``compose(g, f)`` for every
-        composable pair, read f-major: f in morphism order, then each g with
-        source the target of f, in morphism order."""
-        morphisms = list(morphisms)
-        starting: dict = {}
-        for g in morphisms:
-            starting.setdefault(src[g], []).append(g)
-        comp = {(g, f): compose(g, f) for f in morphisms for g in starting.get(tgt[f], ())}
-        return cls(objects, morphisms, src, tgt, ids, comp)
+        """The category whose rows hold ``compose(g, f)`` for every
+        composable pair, identities included, unchecked: f in morphism
+        order, then g in row order."""
+        C = cls(objects, morphisms, src, tgt, ids, [])
+        num = C.number
+        heads = {b: [(g, num[g]) for g in (C.ids[b], *C.nonid_out(b))] for b in C.objects}
+        C.after.extend({j: num[compose(g, f)] for g, j in heads[C.tgt[f]]}
+                       for f in C.morphisms)
+        return C
 
     def hom(self, a, b) -> list:
         return self._hom.get((a, b), [])
@@ -74,55 +73,23 @@ class FinCategory:
         """g after f."""
         if self.src[g] != self.tgt[f]:
             raise ValueError(f"morphisms not composable: {f!r} then {g!r}")
-        if f in self.id_set:
-            return g
-        if g in self.id_set:
-            return f
-        return self.comp[(g, f)]
+        num = self.number
+        return self.morphisms[self.after[num[f]][num[g]]]
 
     @cached_property
     def number(self) -> dict:
         """Each morphism's position in ``morphisms``."""
         return {m: i for i, m in enumerate(self.morphisms)}
 
-    @property
-    def after(self) -> list[dict[int, int]]:
-        if self._after is None:
-            self._after = self._number_rows()
-        return self._after
-
-    def _number_rows(self) -> list[dict[int, int]]:
-        """The rows of ``after``, read from ``comp`` with identities composing
-        as in ``compose_mor``.  Non-identity pairs are read f-major, each g in
-        morphism order; a missing composite raises KeyError and one with the
-        wrong endpoints ValueError."""
-        num, src, tgt, comp = self.number, self.src, self.tgt, self.comp
-        outs = {b: list(zip(ms, [num[g] for g in ms])) for b, ms in self._out.items()}
-        rows = []
-        for i, f in enumerate(self.morphisms):
-            b = tgt[f]
-            row = {num[self.ids[b]]: i}
-            if f in self.id_set:
-                row.update((j, j) for _, j in outs.get(b, ()))
-            else:
-                for g, j in outs.get(b, ()):
-                    h = comp[(g, f)]
-                    if src[h] != src[f] or tgt[h] != tgt[g]:
-                        raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
-                    row[j] = num[h]
-            rows.append(row)
-        return rows
-
     def check(self) -> None:
         """Raise ValueError at the first failing category law.
 
-        The passes run in this order, each in morphism order:
+        The passes run in this order, each in morphism order and reading
+        the rows:
 
         - identities have the right endpoints;
-        - composites of non-identity pairs have the right endpoints; this
-          pass builds ``after`` afresh from ``comp``;
-        - the identity laws, read from ``comp`` wherever it lists a
-          composite with an identity (``compose_mor`` would short-cut it);
+        - composites of non-identity pairs have the right endpoints;
+        - the identity laws;
         - associativity, one row comparison per composable non-identity
           pair (f, g): h after (g after f) equals (h after g) after f for
           every h at once.  Once the identities pass, every triple
@@ -134,18 +101,23 @@ class FinCategory:
             i = self.ids[o]
             if self.src[i] != o or self.tgt[i] != o:
                 raise ValueError(f"identity of {o!r} has wrong endpoints")
-        after = self._after = self._number_rows()
-        src, tgt, ids, comp, ms = self.src, self.tgt, self.ids, self.comp, self.morphisms
-        for f in ms:
-            if comp.get((ids[tgt[f]], f), f) != f:
+        after, src, tgt, ids, ms = self.after, self.src, self.tgt, self.ids, self.morphisms
+        # the first entry of a row is the identity
+        for i, f in enumerate(ms):
+            if f not in self.id_set:
+                for j, h in itertools.islice(after[i].items(), 1, None):
+                    if src[ms[h]] != src[f] or tgt[ms[h]] != tgt[ms[j]]:
+                        raise ValueError(f"composite {ms[j]!r} o {f!r} has wrong endpoints")
+        num = self.number
+        for i, f in enumerate(ms):
+            if after[i][num[ids[tgt[f]]]] != i:
                 raise ValueError(f"left identity fails at {f!r}")
-            if comp.get((f, ids[src[f]]), f) != f:
+            if after[num[ids[src[f]]]][i] != i:
                 raise ValueError(f"right identity fails at {f!r}")
         for i, f in enumerate(ms):
             if f in self.id_set:
                 continue
             rf = after[i]
-            # the first entry of a row is the identity
             for j, gf in itertools.islice(rf.items(), 1, None):
                 rg, rgf = after[j], after[gf]
                 if list(map(rf.__getitem__, rg.values())) != list(rgf.values()):
@@ -220,8 +192,8 @@ class FinCategory:
         return False
 
     def opposite(self) -> "FinCategory":
-        comp = {(f, g): h for (g, f), h in self.comp.items()}
-        return FinCategory(self.objects, self.morphisms, self.tgt, self.src, self.ids, comp)
+        return FinCategory.tabulate(self.objects, self.morphisms, self.tgt, self.src,
+                                    self.ids, lambda g, f: self.compose_mor(f, g))
 
     def product(self, other: "FinCategory") -> "FinCategory":
         objects = [(a, b) for a in self.objects for b in other.objects]
@@ -624,8 +596,8 @@ def map_category(K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps):
     # vertex order, so two compose entry by entry, and the composite is
     # looked up among the morphisms by its components (composites of natural
     # transformations are natural).  Composable pairs come from an index by
-    # source object, f-major and each g in morphism order; the numbered rows
-    # are handed to the category.
+    # source object, f-major; each row starts at the identity, as
+    # ``FinCategory`` lists it, and goes on in morphism order.
     by_parts = {(m[0], m[1], p): k for k, (m, p) in enumerate(zip(morphisms, parts))}
     id_num = {a: by_parts[(a, a, tuple(num[C.ids[x]] for x in vert_objs[a]))]
               for a in objects}
@@ -633,17 +605,15 @@ def map_category(K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps):
     out_of: dict[int, list] = {}
     for k, g in enumerate(morphisms):
         out_of.setdefault(g[0], []).append(k)
-    comp = {}
     rows = []
     for k, f in enumerate(morphisms):
         fp = parts[k]
         row = {id_num[f[1]]: k}
         for j in out_of[f[1]]:
-            g = morphisms[j]
-            h = row[j] = by_parts[(f[0], g[1], tuple([after[x][y] for x, y in zip(fp, parts[j])]))]
-            comp[(g, f)] = morphisms[h]
+            row[j] = by_parts[(f[0], morphisms[j][1],
+                               tuple([after[x][y] for x, y in zip(fp, parts[j])]))]
         rows.append(row)
-    cat = FinCategory(objects, morphisms, src, tgt, ids, comp, after=rows)
+    cat = FinCategory(objects, morphisms, src, tgt, ids, rows)
     return cat, maps
 
 
@@ -653,8 +623,7 @@ def wide_subcategory(C: FinCategory, keep) -> FinCategory:
     morphisms = [m for m in C.morphisms if m in keep]
     src = {m: C.src[m] for m in morphisms}
     tgt = {m: C.tgt[m] for m in morphisms}
-    comp = {(g, f): h for (g, f), h in C.comp.items() if g in keep and f in keep}
-    return FinCategory(C.objects, morphisms, src, tgt, dict(C.ids), comp)
+    return FinCategory.tabulate(C.objects, morphisms, src, tgt, C.ids, C.compose_mor)
 
 
 def groupoid_core(C: FinCategory) -> FinCategory:
@@ -669,9 +638,7 @@ def full_subcategory(C: FinCategory, objs) -> FinCategory:
     src = {m: C.src[m] for m in morphisms}
     tgt = {m: C.tgt[m] for m in morphisms}
     ids = {o: C.ids[o] for o in objs}
-    kept = set(morphisms)
-    comp = {(g, f): h for (g, f), h in C.comp.items() if g in kept and f in kept}
-    return FinCategory(objs, morphisms, src, tgt, ids, comp)
+    return FinCategory.tabulate(objs, morphisms, src, tgt, ids, C.compose_mor)
 
 
 # -- equivalences ---------------------------------------------------------------

@@ -8,6 +8,8 @@ Formats (all UTF-8 JSON with sorted keys):
   nerves.  A simplex key is ``[generator-name, [degeneracy indices]]``.
 * category: ``{"objects": [...], "homs": {src: {tgt: [names]}},
   "compose": {g: {f: h}}, "ids": {obj: name}}`` (composition ``g after f``).
+  A composite with an identity may be left out; the canonical form lists
+  every composable pair.
 * Waldhausen data: ``{"sset": ..., "zero": key, "cofibrations": [keys],
   "universe": {...}}``.
 * map: ``{"source": sset, "target": sset, "assign": {name: key}}``; an
@@ -51,13 +53,9 @@ def _nerve_names(X: SimplicialSet):
     mname = {m: _name_of(m) for m in X.category.morphisms}
     names = {}
     for g in X.all_gens():
-        label = X.labels.get(g)
-        if label is None:
-            return None
+        label = X.labels[g]
         if g[0] == 0:
             names[g] = _name_of(label)
-        elif not isinstance(label, tuple):
-            return None
         else:
             names[g] = "|".join(map(mname.__getitem__, label))
     if len(set(names.values())) != len(names):
@@ -240,23 +238,22 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
 
 def serialize_category(C: FinCategory) -> dict:
     oname = {o: _name_of(o) for o in C.objects}
-    mname = {m: _name_of(m) for m in C.morphisms}
+    names = [_name_of(m) for m in C.morphisms]  # by number
     homs: dict = {}
-    for m in C.morphisms:
-        homs.setdefault(oname[C.src[m]], {}).setdefault(
-            oname[C.tgt[m]], []
-        ).append(mname[m])
+    for m, name in zip(C.morphisms, names):
+        homs.setdefault(oname[C.src[m]], {}).setdefault(oname[C.tgt[m]], []).append(name)
     for d in homs.values():
         for k in d:
             d[k] = sorted(d[k])
     compose: dict = {}
-    for (g, f), h in C.comp.items():
-        compose.setdefault(mname[g], {})[mname[f]] = mname[h]
+    for f, row in zip(names, C.after):
+        for j, h in row.items():
+            compose.setdefault(names[j], {})[f] = names[h]
     return {
         "objects": sorted(oname.values()),
         "homs": homs,
         "compose": compose,
-        "ids": {oname[o]: mname[C.ids[o]] for o in C.objects},
+        "ids": {oname[o]: _name_of(C.ids[o]) for o in C.objects},
     }
 
 
@@ -292,7 +289,10 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
     for o, m in ids.items():
         _expect(isinstance(m, str) and m in src and src[m] == o and tgt[m] == o,
                 f"identity of {o!r} must be an endomorphism of it", f"{pointer}/ids/{o}")
-    comp = {}
+    # a composite with an identity that the file leaves out is the other morphism
+    table = {}
+    for m in morphisms:
+        table[(m, ids[src[m]])] = table[(ids[tgt[m]], m)] = m
     _expect(isinstance(obj["compose"], dict), "'compose' must be an object",
             pointer + "/compose")
     for g, row in obj["compose"].items():
@@ -304,10 +304,10 @@ def parse_category(obj, pointer: str = "") -> FinCategory:
                 raise SchemaError("unknown morphism in composite", f"{pointer}/compose/{g}/{f}")
             if src[g] != tgt[f]:
                 raise SchemaError("composite of non-composable pair", f"{pointer}/compose/{g}/{f}")
-            comp[(g, f)] = h
-    C = FinCategory(list(objects), morphisms, src, tgt,
-                    {o: ids[o] for o in objects}, comp)
+            table[(g, f)] = h
     try:
+        C = FinCategory.tabulate(objects, morphisms, src, tgt, {o: ids[o] for o in objects},
+                                 lambda g, f: table[(g, f)])
         C.check()
     except Exception as exc:
         raise SchemaError(f"category laws fail: {exc}", pointer) from exc

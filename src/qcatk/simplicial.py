@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+from functools import cached_property
 from typing import Any, Iterable, NamedTuple, Optional
 
 Gen = tuple[int, int]  # (dimension, index within that dimension)
@@ -185,10 +186,15 @@ class SimplicialSet:
         self.labels = dict(labels or {})
         self.bound = bound
         self.category = category  # set for nerves
-        self._gen_of_label = {v: g for g, v in self.labels.items()}
         self._simplices_cache: dict[int, list[SimplexKey]] = {}
         self._boundary_index_cache: dict[int, dict[tuple, list[SimplexKey]]] = {}
         self._search_order: Optional[list[Gen]] = None
+
+    @cached_property
+    def _gen_of_label(self) -> dict:
+        """Each generator by its label, built on the first lookup: a set that
+        is only written out never hashes its labels."""
+        return {v: g for g, v in self.labels.items()}
 
     # -- basic structure -------------------------------------------------
 

@@ -27,6 +27,7 @@ from qcatk.cats import (
     nerve_functor_map,
     pointed_sets_category,
     poset_category,
+    wide_subcategory,
 )
 from qcatk.sconstruction import ar_poset, f_n, s_n, s_structure_functor
 from qcatk.simplicial import SimplexKey
@@ -39,6 +40,7 @@ from qcatk.zoo import (
 )
 from testlib import (
     chain_poset,
+    comp_table,
     disjoint_union_comp_by_pairs,
     duplicate_comp_by_pairs,
     ho_equals_category,
@@ -49,6 +51,7 @@ from testlib import (
     product_comp_by_target_index,
     slice_category,
     string_route_nerve,
+    table_category,
 )
 
 
@@ -120,8 +123,9 @@ def _tabulated_and_by_pairs():
 
 
 def test_tabulated_constructors_match_their_pair_loops():
-    for name, C, expected in _tabulated_and_by_pairs():
-        assert C.comp == expected, name
+    # every category of the table corpus, diagram levels too
+    for C, table in _table_corpus():
+        assert_composites_follow(C, table)
         C.check()
 
 
@@ -195,16 +199,20 @@ def two_step_category(firsts, seconds):
     morphisms = list(ids.values()) + firsts + seconds
     src = {i: o for o, i in ids.items()}
     tgt = dict(src)
-    comp = {}
     for f in firsts:
         src[f], tgt[f] = "x", "y"
     for g in seconds:
         src[g], tgt[g] = "y", "z"
         for f in firsts:
-            h = comp[(g, f)] = (f, g)
-            morphisms.append(h)
-            src[h], tgt[h] = "x", "z"
-    C = FinCategory("xyz", morphisms, src, tgt, ids, comp)
+            morphisms.append((f, g))
+            src[(f, g)], tgt[(f, g)] = "x", "z"
+
+    def compose(g, f):
+        if f in ids.values():
+            return g
+        return f if g in ids.values() else (f, g)
+
+    C = FinCategory.tabulate("xyz", morphisms, src, tgt, ids, compose)
     C.check()
     return C
 
@@ -311,13 +319,35 @@ def test_groupoid_core_keeps_only_invertibles():
     assert len(G.morphisms) == 1  # only the unit survives
 
 
+def test_compose_mor_rejects_a_pair_that_does_not_compose():
+    with pytest.raises(ValueError, match="not composable"):
+        chain_poset(2).compose_mor((0, 1), (0, 1))
+
+
+def test_an_identity_with_wrong_endpoints_fails_first():
+    C = chain_poset(1)
+    bad = FinCategory(C.objects, C.morphisms, C.src, C.tgt, {0: (0, 0), 1: (0, 1)}, C.after)
+    with pytest.raises(ValueError, match=r"identity of 1 has wrong endpoints"):
+        bad.check()
+
+
 # ---------------------------------------------------------------------------
 # indexed checks against the all-pairs oracles
 
 
 def naive_check(C):
     """FinCategory.check as it loops over every pair and triple of
-    morphisms and filters by endpoint; the reference for the indexed check."""
+    morphisms and filters by endpoint, on C's table by value; the reference
+    for the indexed check."""
+    table = comp_table(C)
+
+    def compose(g, f):
+        """g after f, with an identity composing by the identity law, so
+        that only the identity laws read the table's identity composites."""
+        if f in C.id_set:
+            return g
+        return f if g in C.id_set else table[(g, f)]
+
     for o in C.objects:
         i = C.ids[o]
         if C.src[i] != o or C.tgt[i] != o:
@@ -326,15 +356,13 @@ def naive_check(C):
         for g in C.morphisms:
             if C.src[g] != C.tgt[f]:
                 continue
-            h = C.compose_mor(g, f)
+            h = compose(g, f)
             if C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]:
                 raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
-    # compose_mor short-cuts identities, so the identity laws read any
-    # composite with an identity that the table lists
     for f in C.morphisms:
-        if C.comp.get((C.ids[C.tgt[f]], f), f) != f:
+        if table[(C.ids[C.tgt[f]], f)] != f:
             raise ValueError(f"left identity fails at {f!r}")
-        if C.comp.get((f, C.ids[C.src[f]]), f) != f:
+        if table[(f, C.ids[C.src[f]])] != f:
             raise ValueError(f"right identity fails at {f!r}")
     for f in C.morphisms:
         for g in C.morphisms:
@@ -343,9 +371,7 @@ def naive_check(C):
             for h in C.morphisms:
                 if C.src[h] != C.tgt[g]:
                     continue
-                if C.compose_mor(h, C.compose_mor(g, f)) != C.compose_mor(
-                    C.compose_mor(h, g), f
-                ):
+                if compose(h, compose(g, f)) != compose(compose(h, g), f):
                     raise ValueError(f"associativity fails at {f!r}, {g!r}, {h!r}")
 
 
@@ -399,7 +425,7 @@ def _replacement(rng, C, old, a, b):
 # Up to three entries are corrupted, so that the first failure, and with it
 # the error text, depends on the order in which pairs and triples are visited.
 # With ``identities`` the entries of an identity composed with a morphism, on
-# either side, may be corrupted too, whether or not the table listed them.
+# either side, may be corrupted too.
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(1, 3), st.booleans())
@@ -409,19 +435,19 @@ def test_indexed_category_check_matches_the_all_pairs_oracle(seed, pick, n_bad, 
     C = _small_category(rng)
     assert _outcome(naive_check, C) is None
     C.check()
-    keys = [k for k in C.comp if not C.id_set.intersection(k)]
+    table = comp_table(C)
+    keys = [k for k in table if not C.id_set.intersection(k)]
     if identities:
         keys += [(C.ids[C.tgt[f]], f) for f in C.morphisms]
         keys += [(f, C.ids[C.src[f]]) for f in C.morphisms]
     if not keys:
         return
     rng = random.Random(pick)
-    comp = dict(C.comp)
     for g, f in rng.sample(keys, min(n_bad, len(keys))):
-        new = _replacement(rng, C, C.compose_mor(g, f), C.src[f], C.tgt[g])
+        new = _replacement(rng, C, table[(g, f)], C.src[f], C.tgt[g])
         if new is not None:
-            comp[(g, f)] = new
-    bad = FinCategory(C.objects, C.morphisms, C.src, C.tgt, C.ids, comp)
+            table[(g, f)] = new
+    bad = table_category(C.objects, C.morphisms, C.src, C.tgt, C.ids, table)
     assert _outcome(FinCategory.check, bad) == _outcome(naive_check, bad)
 
 
@@ -510,33 +536,115 @@ def test_indexed_map_category_matches_the_all_pairs_oracle(seed, size, opposite,
     cat, maps = map_category(K, C, N, sx.enumerate_maps(K, N))
     assert cat.morphisms == naive_map_morphisms(K, C, N, maps)
     expected = naive_map_composition(C, cat.morphisms, K.gens(0))
-    assert list(cat.comp.items()) == list(expected.items())
-    assert_rows_agree(cat)
+    assert comp_table(cat) == expected
+    assert_rows_in_order(cat)
     cat.check()
 
 
 # ---------------------------------------------------------------------------
-# the numbered composition table
+# the composition table by number
 
 
-def assert_rows_agree(C):
-    """Each row of ``C.after`` lists the identity and then ``nonid_out`` of
-    the target, and numbers the composites that ``compose_mor`` gives."""
+def assert_rows_in_order(C):
+    """Each row of ``C.after`` lists the identity of the target and then
+    its ``nonid_out``, in order."""
     ms = C.morphisms
     assert len(C.after) == len(ms)
     for f, row in zip(ms, C.after):
         b = C.tgt[f]
-        assert [ms[j] for j in row] == [C.ids[b], *C.nonid_out(b)]
-        assert [ms[h] for h in row.values()] == [C.compose_mor(ms[j], f) for j in row]
+        assert [ms[j] for j in row] == [C.ids[b], *C.nonid_out(b)], f
+
+
+def assert_composites_follow(C, table):
+    """``compose_mor`` gives the value table's composite on every
+    composable pair, and the table lists no other pair."""
+    starting: dict = {}
+    for g in C.morphisms:
+        starting.setdefault(C.src[g], []).append(g)
+    pairs = [(g, f) for f in C.morphisms for g in starting.get(C.tgt[f], ())]
+    assert len(pairs) == len(table)
+    for g, f in pairs:
+        assert C.compose_mor(g, f) == table[(g, f)], (g, f)
+
+
+def _derived_with_tables(C, table):
+    """The opposite, the groupoid core, the wide subcategory of
+    endomorphisms and the full subcategory on every other object of C, each
+    with its table read off C's table by value."""
+    isos = {m for m in C.morphisms
+            if any(table[(n, m)] == C.ids[C.src[m]] and table[(m, n)] == C.ids[C.tgt[m]]
+                   for n in C.hom(C.tgt[m], C.src[m]))}
+    endos = {m for m in C.morphisms if C.src[m] == C.tgt[m]}
+    objs = C.objects[::2]
+    return [
+        (C.opposite(), {(f, g): h for (g, f), h in table.items()}),
+        (groupoid_core(C), {k: h for k, h in table.items() if isos.issuperset(k)}),
+        (wide_subcategory(C, endos), {k: h for k, h in table.items() if endos.issuperset(k)}),
+        (full_subcategory(C, objs), {(g, f): h for (g, f), h in table.items()
+                                     if {C.src[f], C.tgt[f], C.tgt[g]}.issubset(objs)}),
+    ]
+
+
+def map_level_table(level):
+    """The table of a diagram level by its composite rule: two natural
+    transformations compose componentwise in the base category."""
+    C, cat = level.uni.C, level.cat
+    starting: dict = {}
+    for g in cat.morphisms:
+        starting.setdefault(g[0], []).append(g)
+    return {(g, f): (f[0], g[1], tuple((v, C.compose_mor(x, y))
+                                       for (v, y), (_, x) in zip(f[2], g[2])))
+            for f in cat.morphisms for g in starting[f[1]]}
+
+
+@functools.lru_cache(maxsize=None)
+def _table_corpus():
+    """(category, its table by the constructor's composite rule): the
+    tabulated constructors, their derived categories and every level s_n
+    and f_n with n <= 2 on pointed sets <= 3 and on dup(2, 2)."""
+    out = []
+    for _, C, table in _tabulated_and_by_pairs():
+        out += [(C, table), *_derived_with_tables(C, table)]
+    for W in (pointed_sets_waldhausen(3, 2), pointed_sets_with_duplicate(2, 2)[0]):
+        for build in (s_n, f_n):
+            for n in range(3):
+                level = build(W, n)
+                out.append((level.cat, map_level_table(level)))
+    return out
+
+
+def test_rows_list_the_identity_first_and_then_nonid_out():
+    for C, _ in _table_corpus():
+        assert_rows_in_order(C)
+
+
+def rows_by_name(C) -> dict:
+    """C's rows as ``serialize_category`` names the morphisms: each f to
+    the composite g after f for every g in its row."""
+    name = [m if isinstance(m, str) else repr(m) for m in C.morphisms]
+    return {name[i]: {name[j]: name[h] for j, h in row.items()}
+            for i, row in enumerate(C.after)}
+
+
+def test_category_files_round_trip_the_rows():
+    for C, _ in _table_corpus():
+        D = io.parse_category(io.serialize_category(C))
+        assert_rows_in_order(D)
+        assert rows_by_name(D) == rows_by_name(C)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_numbered_rows_agree_with_compose_mor(seed):
     rng = random.Random(seed)
-    C = random_category(rng, 4)
-    for D in (C, C.opposite(), C.product(random_category(rng, 2))):
-        assert_rows_agree(D)
+    C, B = random_category(rng, 4), random_category(rng, 2)
+    assert_rows_in_order(C)
+    table = comp_table(C)
+    P = C.product(B)
+    for D, rule in [(C.opposite(), {(f, g): h for (g, f), h in table.items()}),
+                    (P, product_comp_by_target_index(C, B, P))]:
+        assert_rows_in_order(D)
+        assert_composites_follow(D, rule)
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,7 +658,8 @@ def test_numbered_rows_of_diagram_levels_agree_with_compose_mor(name):
     # map_category hands its rows over; morphisms are nested tuples
     _, s_levels, f_levels = _levels(name)
     for level in s_levels + f_levels:
-        assert_rows_agree(level.cat)
+        assert_rows_in_order(level.cat)
+        assert_composites_follow(level.cat, map_level_table(level))
 
 
 # face maps level 2 -> level 1 and the degeneracy s_0 level 1 -> level 2

@@ -44,6 +44,14 @@ def test_sset_round_trip(X):
     _idem(doc)
 
 
+def test_writing_a_nerve_builds_no_label_index():
+    N = nerve(pointed_sets_category(2), 2)
+    io.serialize_sset(N)
+    assert "_gen_of_label" not in vars(N)
+    N.gen_of_label(1)
+    assert "_gen_of_label" in vars(N)
+
+
 def test_nerve_round_trip_keeps_the_category_block():
     N = nerve(cyclic_group_category(3), 3)
     doc = io.serialize_sset(N)
@@ -393,6 +401,41 @@ def test_category_round_trip():
     assert len(D.morphisms) == len(C.morphisms)
     assert io.serialize_category(D) == doc
     _idem(doc)
+
+
+def test_identity_composites_may_be_left_out_of_a_category_file():
+    full = json.loads(io.dumps(io.serialize_category(pointed_sets_category(2))))
+    ids = set(full["ids"].values())
+    sparse = dict(full, compose={
+        g: {f: h for f, h in row.items() if f not in ids}
+        for g, row in full["compose"].items() if g not in ids})
+    assert sum(map(len, sparse["compose"].values())) < sum(map(len, full["compose"].values()))
+    assert io.canonical(sparse) == io.canonical(full) == full
+    assert io.dumps(io.canonical(sparse)) == io.dumps(full)
+
+
+def test_a_morphism_named_in_two_hom_sets_is_rejected():
+    doc = io.serialize_category(chain_poset(1))
+    doc["homs"]["0"]["0"].append("(0, 1)")
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_category(doc)
+    assert exc.value.message == "morphism '(0, 1)' repeated"
+
+
+def test_a_composite_of_a_pair_that_does_not_compose_is_rejected():
+    doc = io.serialize_category(chain_poset(2))
+    doc["compose"]["(0, 1)"]["(1, 2)"] = "(1, 2)"
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_category(doc)
+    assert exc.value.pointer == "/compose/(0, 1)/(1, 2)"
+
+
+def test_a_missing_composite_of_two_non_identities_names_the_pair():
+    doc = io.serialize_category(chain_poset(2))
+    del doc["compose"]["(1, 2)"]["(0, 1)"]
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_category(doc)
+    assert exc.value.message == "category laws fail: ('(1, 2)', '(0, 1)')"
 
 
 # ---------------------------------------------------------------------------

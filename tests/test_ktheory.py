@@ -9,8 +9,10 @@ from qcatk import simplicial as sx
 from qcatk import statements as stm
 from qcatk.cats import (
     FinFunctor,
+    full_subcategory,
     nerve,
     nerve_functor_map,
+    pointed_sets_category,
     poset_category,
 )
 from qcatk.homology import AbelianGroupPresentation, group_from_relations
@@ -64,6 +66,20 @@ def test_dropping_the_quotient_relations_is_detected():
     assert weakened == AbelianGroupPresentation(2, ())
     assert weakened != kt.k0_via_diagonal(W)
     assert kt.k0_presentation_oracle(W) == kt.k0_via_diagonal(W)
+
+
+def test_cofibrations_without_a_quotient_in_the_base_are_skipped():
+    # pointed sets of sizes 1, 2 and 4 with the injective maps marked: the
+    # quotient of 2 into 4 has size 3, which is not in the base
+    C = full_subcategory(pointed_sets_category(4), [1, 2, 4])
+    injective = [m for m in C.morphisms if 0 not in m[2] and len(set(m[2])) == len(m[2])]
+    W = nerve_waldhausen(C, 1, injective, 2)
+    data = kt.k0_relations(W)
+    assert data["skipped"] == 3
+    assert len(data["rows"]) == 13
+    assert [k for k, _ in data["kinds"]] == ["zero"] + ["cofibration"] * 7 + ["equivalence"] * 5
+    assert not any(k == "cofibration" and m[:2] == (2, 4) for k, m in data["kinds"])
+    assert kt.k0_presentation_oracle(W) == AbelianGroupPresentation(2, ())
 
 
 def test_class_group_builds_no_level_nerve_until_read(monkeypatch):
@@ -138,6 +154,20 @@ def test_main_comparison_hypotheses_and_conclusion():
     inc = sx.delta_inclusion(sx.delta(0), sx.delta(1), lambda _: 0)
     rep = stm.main_technical_verify(inc, d=2)
     assert not rep["hypotheses"]["essentially_surjective"]
+
+
+def test_a_map_that_inverts_an_arrow_fails_reflection():
+    # [1] into the indiscrete category on 0 and 1: 0 -> 1 goes to an
+    # isomorphism, although it is none in [1]
+    P, I = chain_poset(1), indiscrete_category([0, 1])
+    F = FinFunctor(P, I, {0: 0, 1: 1}, {m: m for m in P.morphisms})
+    F.check()
+    G = nerve_functor_map(F, nerve(P, 4), nerve(I, 4))
+    rep = stm.main_technical_verify(G, d=2)
+    assert rep["hypotheses"]["reflects_equivalences"] is False
+    assert rep["hypotheses"]["reflection_witness"] == SimplexKey((1, 0))
+    assert rep["hypotheses"]["poset_colimits"]["ok"]
+    assert rep["hypotheses_hold"] is False
 
 
 # ---------------------------------------------------------------------------

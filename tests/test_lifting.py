@@ -223,9 +223,8 @@ def kronecker_category():
     src = {"1a": "a", "1b": "b", "f": "a", "g": "a"}
     tgt = {"1a": "a", "1b": "b", "f": "b", "g": "b"}
     ids = {"a": "1a", "b": "1b"}
-    comp = {(j, i): i if j in ("1a", "1b") else j
-            for j in mors for i in mors if src[j] == tgt[i]}
-    return FinCategory(["a", "b"], mors, src, tgt, ids, comp)
+    return FinCategory.tabulate(["a", "b"], mors, src, tgt, ids,
+                                lambda j, i: i if j in ("1a", "1b") else j)
 
 
 def with_two_simplices(C, extra):

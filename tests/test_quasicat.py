@@ -11,7 +11,6 @@ from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import (
-    FinCategory,
     FinFunctor,
     cyclic_group_category,
     nerve,
@@ -26,6 +25,7 @@ from testlib import (
     ho_equals_category,
     ill_defined_composition_set,
     non_associative_set,
+    table_category,
 )
 
 
@@ -219,7 +219,7 @@ def ho_category_by_all_simplices(X):
                 if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
                     raise ValueError(f"associativity fails at "
                                      f"{named(X, f)}, {named(X, g)}, {named(X, h)}")
-    return FinCategory(objects, morphisms, src, tgt, ids, comp), cls
+    return table_category(objects, morphisms, src, tgt, ids, comp), cls
 
 
 def named(X, k):
@@ -235,7 +235,7 @@ def _ho_outcome(route, X):
     except ValueError as exc:
         return "ill-defined", str(exc)
     return ("category", list(cls.items()), cat.objects, cat.morphisms,
-            list(cat.ids.items()), list(cat.comp.items()))
+            list(cat.ids.items()), [list(row.items()) for row in cat.after])
 
 
 def _ho_by_generators(X):

@@ -37,7 +37,7 @@ from qcatk.waldhausen import (
     validate_waldhausen,
 )
 from qcatk.zoo import pointed_sets_with_duplicate, random_category
-from testlib import maximal_marking_waldhausen
+from testlib import comp_table, maximal_marking_waldhausen, table_category
 
 
 def test_pointed_sets_instance_satisfies_the_axioms():
@@ -247,11 +247,10 @@ def cof_category_by_all_pairs(W):
             if C.src[g] == C.tgt[f] and C.compose_mor(g, f) not in marked:
                 return None
     morphisms = [m for m in C.morphisms if m in marked]
-    return FinCategory(
+    return table_category(
         C.objects, morphisms,
         {m: C.src[m] for m in morphisms}, {m: C.tgt[m] for m in morphisms},
-        dict(C.ids),
-        {(g, f): h for (g, f), h in C.comp.items() if g in marked and f in marked},
+        C.ids, comp_table(C),
     )
 
 
@@ -276,7 +275,7 @@ def test_cof_category_matches_the_all_pairs_closure(seed, close):
     if got is not None:
         assert got.objects == want.objects
         assert got.morphisms == want.morphisms
-        assert list(got.comp.items()) == list(want.comp.items())
+        assert [list(r.items()) for r in got.after] == [list(r.items()) for r in want.after]
 
 
 def _square_on_corners(N):
@@ -420,11 +419,9 @@ def pointed_poset(elements, leq):
     tgt = {m: m[2] for m in morphisms}
     ids = {x: ("le", x, x) for x in elements}
     ids["0"] = ("z", "0", "0")
-    comp = {
-        (g, f): (("le" if f[0] == g[0] == "le" else "z"), f[1], g[2])
-        for f in morphisms for g in morphisms if g[1] == f[2]
-    }
-    return FinCategory(objects, morphisms, src, tgt, ids, comp)
+    return FinCategory.tabulate(
+        objects, morphisms, src, tgt, ids,
+        lambda g, f: ("le" if f[0] == g[0] == "le" else "z", f[1], g[2]))
 
 
 def pushout_breaking_inclusion():

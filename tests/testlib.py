@@ -1,10 +1,10 @@
 """Fixtures and oracles shared by the tests: the dense Smith normal form
-with its transforms, small categories, the composition tables of the
-category constructors by their pair loops, the nerve built through
-morphism strings, the maximal Waldhausen marking, inputs that break the
-Waldhausen and quasicategory axioms, the homotopy-category comparison with
-a known category and the faces of a prism homotopy.  The library has no
-other user for them."""
+with its transforms, small categories, composition tables by value and
+those of the category constructors by their pair loops, the nerve built
+through morphism strings, the maximal Waldhausen marking, inputs that break
+the Waldhausen and quasicategory axioms, the homotopy-category comparison
+with a known category and the faces of a prism homotopy.  The library has
+no other user for them."""
 
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
@@ -159,10 +159,29 @@ def slice_category(C: FinCategory, c) -> FinCategory:
                                 lambda g, f: (f[0], g[1], C.compose_mor(g[2], f[2])))
 
 
+# -- composition tables by value ----------------------------------------------
+
+
+def comp_table(C: FinCategory) -> dict:
+    """C's composition table by value, read off its rows: ``(g, f)`` to g
+    after f for every composable pair, f-major and each row in order."""
+    ms = C.morphisms
+    return {(ms[j], f): ms[h] for f, row in zip(ms, C.after) for j, h in row.items()}
+
+
+def table_category(objects, morphisms, src, tgt, ids, table) -> FinCategory:
+    """The category whose composites are those of the value table, which
+    must list every composable pair; unchecked, so the table may break the
+    category laws."""
+    return FinCategory.tabulate(objects, morphisms, src, tgt, ids,
+                                lambda g, f: table[(g, f)])
+
+
 # -- composition tables by the loops the constructors once wrote --------------
 #
-# Each oracle rebuilds the ``comp`` of a category that a constructor tabulated,
-# from that category's morphisms and the categories it was built from.
+# Each oracle rebuilds the value table of a category that a constructor
+# tabulated, from that category's morphisms and the categories it was built
+# from.
 
 
 def poset_comp_by_pairs(P: FinCategory) -> dict:
@@ -335,7 +354,7 @@ def ho_equals_category(X: sx.SimplicialSet, C: FinCategory) -> bool:
     mors = {m: edge_morphism(C, X, m) for m in ho.cat.morphisms}
     if sorted(map(repr, mors.values())) != sorted(map(repr, C.morphisms)):
         return False
-    for (g, f), h in ho.cat.comp.items():
+    for (g, f), h in comp_table(ho.cat).items():
         if C.compose_mor(mors[g], mors[f]) != mors[h]:
             return False
     return True
