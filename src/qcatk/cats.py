@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from typing import Optional
 
-from .io import SchemaError
+from .io import SchemaError, parse_category
 from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
 
 
@@ -463,22 +464,23 @@ def nerve_labels_from_names(labels, C: FinCategory, pointer: str) -> dict:
     return out
 
 
-def check_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str) -> None:
-    """The generator/face tables of a parsed nerve file must be those of the
-    nerve of its category.
+def _nerve_rows_of_labels(C: FinCategory, n_gens: list, labels: dict, bound) -> Optional[dict]:
+    """The face rows that a nerve file with these generator counts, nerve
+    labels and bound must hold, read without building the nerve.
 
-    Checked on X itself, without building the nerve.  The generator counts
-    must be the numbers of composable strings of non-identity morphisms of
-    each length up to the bound, counted as paths along ``C.nonid_out``.
-    Each label must be composable, and each face row must be the row that
-    ``nerve_face_rows`` reads from the labels by morphism number.  This is
-    exact: the labels are distinct strings of non-identity morphisms
-    (``nerve_labels_from_names``), so composable labels as many as the
-    nerve's strings are exactly the nerve's generators.  Generators are
-    visited in dimension order, so every face string of a checked label
-    names a generator already checked.
+    None when the counts differ from the numbers of composable strings of
+    non-identity morphisms of each length up to the bound (the top
+    dimension when ``bound`` is None), counted as paths along
+    ``C.nonid_out``.  Else each generator (n, i) with n >= 1 and its row,
+    in dimension order: False when its label is not a composable string,
+    else the row that ``nerve_face_rows`` reads from the labels by morphism
+    number.  This is exact: the labels are distinct strings of
+    non-identity morphisms (``nerve_labels_from_names``), so composable
+    labels as many as the nerve's strings are exactly the nerve's
+    generators.  ``n_gens`` has no trailing zero.
     """
-    d = X.top_dim if X.bound is None else X.bound
+    top = len(n_gens) - 1
+    d = top if bound is None else bound
     paths = dict.fromkeys(C.objects, 1)  # strings of length n, by last target
     for n in range(max(d, 0) + 1):
         if n:
@@ -487,23 +489,97 @@ def check_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str) -> Non
                 for m in C.nonid_out(a):
                     longer[C.tgt[m]] += count
             paths = longer
-        if sum(paths.values()) != (X.n_gens[n] if n <= X.top_dim else 0):
-            raise SchemaError("generator counts differ from the nerve of the category", pointer)
-        if n > X.top_dim:  # no string of length n, so none longer either
+        if sum(paths.values()) != (n_gens[n] if n <= top else 0):
+            return None
+        if n > top:  # no string of length n, so none longer either
             break
     num, after = C.number, C.after
-    layers = [[X.labels[g] for g in X.gens(0)]]
-    layers += [[tuple([num[m] for m in X.labels[g]]) for g in X.gens(n)]
-               for n in range(1, X.top_dim + 1)]
+    layers = [[labels[(0, i)] for i in range(n_gens[0] if n_gens else 0)]]
+    layers += [[tuple([num[m] for m in labels[(n, i)]]) for i in range(n_gens[n])]
+               for n in range(1, top + 1)]
     rows = nerve_face_rows(C, layers)
+    # a string that is not composable has a composite missing, so its row
+    # is None
     for g, row in rows.items():
         t = layers[g[0]][g[1]]
-        if not all(b in after[a] for a, b in zip(t, t[1:])):
+        if row is None and not all(b in after[a] for a, b in zip(t, t[1:])):
+            rows[g] = False
+    return rows
+
+
+def check_nerve_structure(X: SimplicialSet, C: FinCategory, pointer: str) -> None:
+    """The generator/face tables of a parsed nerve file must be those of the
+    nerve of its category: the rows of ``_nerve_rows_of_labels``, checked on
+    X itself.  Generators are visited in dimension order, so every face
+    string of a checked label names a generator already checked.
+    """
+    rows = _nerve_rows_of_labels(C, X.n_gens, X.labels, X.bound)
+    if rows is None:
+        raise SchemaError("generator counts differ from the nerve of the category", pointer)
+    for g, row in rows.items():
+        if row is False:
             raise SchemaError(f"generator {X.labels[g]!r} is not a simplex of the nerve",
                               pointer)
         if X.faces[g] != row:
             raise SchemaError(f"faces of {X.labels[g]!r} disagree with the nerve of the "
                               "category", f"{pointer}/faces")
+
+
+def nerve_from_document(obj: dict, n_gens: list, names: dict, pointer: str):
+    """The nerve file ``obj`` read through its category block, or None.
+
+    ``n_gens`` and ``names`` (generator -> name) come from the document's
+    checked ``generators``.  The category is parsed, the labels recovered,
+    and the face rows of ``_nerve_rows_of_labels`` computed once; then each
+    ``faces`` entry must be the ``[name, [degeneracies]]`` list of its row,
+    every degeneracy an exact ``int``.  Those rows become ``X.faces``.
+    Nothing here raises: on any mismatch the result is None, and the
+    generic parse reports the first fault, with its message and pointer.
+
+    ``SimplicialSet.check`` is implied on this route: the labels are the
+    generators of the nerve of a category that passed ``check()``, and the
+    rows are that nerve's face rows, which satisfy the simplicial
+    identities.  So is the generic route's ``check_nerve_structure``.
+    """
+    faces, bound = obj["faces"], obj.get("bound")
+    if type(faces) is not dict or not (bound is None or (type(bound) is int and bound >= 0)):
+        return None
+    if bound is not None and any(n_gens[bound + 1:]):
+        return None
+    while n_gens and not n_gens[-1]:
+        n_gens = n_gens[:-1]
+    try:
+        C = parse_category(obj["category"], pointer + "/category")
+        labels = nerve_labels_from_names(names, C, pointer)
+    except SchemaError:
+        return None
+    rows = _nerve_rows_of_labels(C, n_gens, labels, bound)
+    if rows is None or not all(rows.values()):
+        return None
+    # each row as the file writes it, one [name, [degeneracies]] list per
+    # distinct face key; list equality takes 1.0 and True for 1, so the
+    # degeneracies are checked to be ints apart
+    written: dict = {}
+    expected = {}
+    degenerate = []
+    for g, row in rows.items():
+        out = []
+        for i, k in enumerate(row):
+            j = written.get(k)
+            if j is None:
+                j = written[k] = [names[k.gen], list(k.degens)]
+            out.append(j)
+            if k.degens:
+                degenerate.append((names[g], i))
+        expected[names[g]] = out
+    if len(faces) != len(expected):  # a vertex may list its faces as []
+        vertices = {names[(0, i)] for i in range(n_gens[0] if n_gens else 0)}
+        faces = {name: row for name, row in faces.items()
+                 if not (name in vertices and row == [])}
+    if faces != expected or any(type(faces[name][i][1][0]) is not int
+                                for name, i in degenerate):
+        return None
+    return SimplicialSet(n_gens, rows, labels=labels, bound=bound, category=C)
 
 
 def nerve_functor_map(F: FinFunctor, NC: SimplicialSet, ND: SimplicialSet) -> SimplicialMap:

@@ -24,15 +24,24 @@ EXIT_BUDGET = 2
 # report JSON-ification
 
 
-def _jsonable(x):
-    """Best-effort conversion of report payloads to plain JSON values."""
+def _jsonable(x, reprs=None):
+    """Best-effort conversion of report payloads to plain JSON values.
+    ``reprs`` holds the repr of each distinct ``SimplexKey`` met so far, so
+    one call computes each once."""
     t = type(x)  # plain values first, by exact type: SimplexKey is a tuple subclass
     if t is str or t is int or t is bool or t is float or x is None:
         return x
+    if reprs is None:
+        reprs = {}
+    if t is SimplexKey:
+        r = reprs.get(x)
+        if r is None:
+            r = reprs[x] = repr(x)
+        return r
     if t is dict:
-        return {k if isinstance(k, str) else repr(k): _jsonable(v) for k, v in x.items()}
+        return {k if isinstance(k, str) else repr(k): _jsonable(v, reprs) for k, v in x.items()}
     if t is list or t is tuple:
-        return [_jsonable(v) for v in x]
+        return [_jsonable(v, reprs) for v in x]
     # a group presentation or a category exists only once a command has
     # imported homology or cats
     homology = sys.modules.get(f"{__package__}.homology")
@@ -40,8 +49,6 @@ def _jsonable(x):
     if homology and isinstance(x, homology.AbelianGroupPresentation):
         return {"free_rank": x.free_rank, "torsion": list(x.torsion),
                 "invariant_factors": invariant_factors(x)}
-    if isinstance(x, SimplexKey):
-        return repr(x)
     if isinstance(x, sx.SimplicialMap):
         return {"source_gens": x.source.n_gens, "target_gens": x.target.n_gens,
                 "assign": {repr(g): repr(k) for g, k in sorted(x.assign.items())}}
@@ -50,7 +57,7 @@ def _jsonable(x):
     if cats and isinstance(x, cats.FinCategory):
         return io.serialize_category(x)
     if isinstance(x, (dict, list, tuple)):  # other subclasses, as the plain types
-        return _jsonable(dict(x) if isinstance(x, dict) else list(x))
+        return _jsonable(dict(x) if isinstance(x, dict) else list(x), reprs)
     if isinstance(x, (set, frozenset)):
         return sorted(repr(v) for v in x)
     if isinstance(x, (str, int, float)):  # bool has no subclasses

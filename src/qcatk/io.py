@@ -169,6 +169,14 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
             gen_of_name[name] = (n, i)
             labels[(n, i)] = name
         n_gens.append(len(ordered))
+    if "category" in obj:
+        # a nerve file is read through its category; on any mismatch the
+        # generic route below parses it and reports the first fault
+        from . import cats
+
+        X = cats.nerve_from_document(obj, n_gens, labels, pointer)
+        if X is not None:
+            return X
     faces_obj = obj["faces"]
     _expect(isinstance(faces_obj, dict), "'faces' must be an object", pointer + "/faces")
     faces = {}
@@ -219,8 +227,6 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
     category = None
     if "category" in obj:
         category = parse_category(obj["category"], pointer + "/category")
-        from . import cats  # loaded by parse_category
-
         labels = cats.nerve_labels_from_names(labels, category, pointer)
     X = SimplicialSet(n_gens, faces, labels=labels, bound=bound, category=category)
     try:

@@ -31,21 +31,26 @@ def _vertex_seq(S: SimplicialSet, key: SimplexKey) -> list:
     return [S.labels[v.gen][0] for v in S.vertices(key)]
 
 
-def _along(h: SimplicialMap, kb: SimplexKey, seq) -> SimplexKey:
-    """The value of a map h out of base x Delta[k] at the simplex whose base
-    part is the key ``kb`` and whose Delta[k] part has vertex sequence
-    ``seq``.  The base part stays a key: the base may be a product of
-    spines, which is not a vertex-subset complex."""
-    Q = h.source
-    return h(Q.key_of(kb.dim, (kb, sx.key_from_vertex_seq(Q.family.Y, seq))))
+def _key_along(Q: sx.MaterializedSSet, kb: SimplexKey, seq) -> SimplexKey:
+    """The key of the simplex of Q = base x Delta[k] whose base part is the
+    key ``kb`` and whose Delta[k] part has vertex sequence ``seq``.  The
+    base part stays a key: the base may be a product of spines, which is
+    not a vertex-subset complex."""
+    return Q.key_of(kb.dim, (kb, sx.key_from_vertex_seq(Q.family.Y, seq)))
+
+
+def _end_keys(Q: sx.MaterializedSSet) -> list:
+    """The keys of base x {0} and then of base x {1} in Q = base x Delta[1],
+    in base generator order."""
+    base = Q.family.X
+    return [_key_along(Q, SimplexKey(g), (j,) * (g[0] + 1))
+            for j in (0, 1) for g in base.all_gens()]
 
 
 def _ends(m: SimplicialMap) -> tuple:
     """The values of a map out of base x Delta[1] on base x {0} and then on
     base x {1}, in base generator order."""
-    base = m.source.family.X
-    return tuple(_along(m, SimplexKey(g), (j,) * (g[0] + 1))
-                 for j in (0, 1) for g in base.all_gens())
+    return tuple(map(m, _end_keys(m.source)))
 
 
 def spine_product(ns) -> SimplicialSet:
@@ -100,14 +105,15 @@ def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
     # components are indexed by vertices of the I[p] factor: in adjoint
     # form, by restrictions to sub-bases I[nbar] x {vertex}.  For the
     # homotopy comparison it is equivalent (and simpler) to compare
-    # componentwise at every vertex of the whole base.
-    def components(m):
-        return [edge_cls[_along(m, sx.key_degeneracy(SimplexKey(v), 0), (0, 1))]
-                for v in base.gens(0)]
-
+    # componentwise at every vertex of the whole base.  The keys of Q1 that
+    # the ends and the components read are the same for every map.
+    ends = _end_keys(Q1)
+    component_keys = [_key_along(Q1, sx.key_degeneracy(SimplexKey(v), 0), (0, 1))
+                      for v in base.gens(0)]
     groups: dict = {}
     for m in maps:
-        groups.setdefault(_ends(m), []).append((m, components(m)))
+        groups.setdefault(tuple(map(m, ends)), []).append(
+            (m, [edge_cls[m(k)] for k in component_keys]))
     pairs = [(a, b) for group in groups.values()
              for i, (a, ca) in enumerate(group) for b, cb in group[i + 1:] if ca == cb]
 
@@ -118,16 +124,18 @@ def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
         _, inner = _boundary_subcomplex(Q2, D2, strong=False)
         inner = set(inner)
 
-        def on_boundary(a, b, kb, kd):
+        def on_boundary(kb, kd):
+            """Which map (0 for alpha, 1 for beta) the boundary spot (kb, kd)
+            reads, and at which key of Q1."""
             seq = _vertex_seq(D2, kd)
             if set(seq) <= {0, 2}:
-                return _along(a, kb, [v // 2 for v in seq])
+                return 0, _key_along(Q1, kb, [v // 2 for v in seq])
             if set(seq) <= {1, 2}:
-                return _along(b, kb, [v - 1 for v in seq])
-            return _along(a, kb, [0] * len(seq))
+                return 1, _key_along(Q1, kb, [v - 1 for v in seq])
+            return 0, _key_along(Q1, kb, [0] * len(seq))
 
-        bounds = [{g: on_boundary(a, b, *Q2.labels[g]) for g in Q2.all_gens() if g in inner}
-                  for a, b in pairs]
+        spots = [(g, *on_boundary(*Q2.labels[g])) for g in Q2.all_gens() if g in inner]
+        bounds = [{g: ab[side](k) for g, side, k in spots} for ab in pairs]
         extends = {tuple(u.values()): bool(exts)
                    for u, exts in sx.relative_maps(Q2, X, inner, restrict=bounds)}
         failed = next((i for i, u in enumerate(bounds)

@@ -43,8 +43,12 @@ def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
 
     Only nondegenerate 2-simplices join distinct edges: s1(e) has faces
     (s0 tgt e, e, e), and s0(e) has a degenerate d0 only when e is
-    degenerate, and then all its faces are e."""
+    degenerate, and then all its faces are e.  On a nerve (``X.category``
+    set) no nondegenerate 2-simplex has a degenerate d0, the edge of its
+    second morphism, so each edge is its own class."""
     X.require_bound(2, "edge homotopy")
+    if X.category is not None:
+        return {e: e for e in X.simplices(1)}
     uf = UnionFind()
     for g in X.gens(2):
         d0, d1, d2 = X.faces[g]
@@ -72,6 +76,12 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
 
     Raises NotQuasicategory if some composable pair has no composing
     2-simplex, and ValueError if composites land in more than one class.
+
+    On a nerve N(C) (``X.category`` set) each edge is its own class, an
+    identity or the edge of one morphism of C, and the 2-simplices with
+    boundary (g, h, f) are those with h = g after f in C: the table is
+    read from C's rows by morphism number.  ``check()`` still runs, as on
+    any other input: level categories reach here unchecked.
     """
     X.require_bound(2, "homotopy category")
     cls = homotopy_classes(X)
@@ -80,29 +90,31 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     src = {m: X.vertex(m, 0) for m in morphisms}
     tgt = {m: X.vertex(m, 1) for m in morphisms}
     ids = {v: cls[X.degeneracy(v, 0)] for v in objects}
+    if X.category is not None:
+        compose = _nerve_composite(X, ids)
+    else:
+        # s0(f) and s1(f) compose f with the identities; the generators give
+        # the rest.  A pair with a second composite class keeps all of them.
+        found: dict[tuple, SimplexKey] = {}
+        for m in morphisms:
+            found[(m, ids[src[m]])] = found[(ids[tgt[m]], m)] = m
+        clash: dict[tuple, set] = {}
+        for t in X.gens(2):
+            d0, d1, d2 = (cls[e] for e in X.faces[t])
+            first = found.setdefault((d0, d2), d1)
+            if first != d1:
+                clash.setdefault((d0, d2), {first}).add(d1)
 
-    # s0(f) and s1(f) compose f with the identities; the generators give
-    # the rest.  A pair with a second composite class keeps all of them.
-    found: dict[tuple, SimplexKey] = {}
-    for m in morphisms:
-        found[(m, ids[src[m]])] = found[(ids[tgt[m]], m)] = m
-    clash: dict[tuple, set] = {}
-    for t in X.gens(2):
-        d0, d1, d2 = (cls[e] for e in X.faces[t])
-        first = found.setdefault((d0, d2), d1)
-        if first != d1:
-            clash.setdefault((d0, d2), {first}).add(d1)
-
-    def compose(g, f):
-        if (g, f) not in found:
-            f_name, g_name = io.key_names(X, (f, g))
-            raise NotQuasicategory(f"no composite found for {f_name} then {g_name}",
-                                   witness=(f, g))
-        if (g, f) in clash:
-            f_name, g_name, *hs = io.key_names(X, (f, g, *sorted(clash[(g, f)])))
-            raise ValueError(
-                f"composition ill-defined on classes {f_name}, {g_name}: [{', '.join(hs)}]")
-        return found[(g, f)]
+        def compose(g, f):
+            if (g, f) not in found:
+                f_name, g_name = io.key_names(X, (f, g))
+                raise NotQuasicategory(f"no composite found for {f_name} then {g_name}",
+                                       witness=(f, g))
+            if (g, f) in clash:
+                f_name, g_name, *hs = io.key_names(X, (f, g, *sorted(clash[(g, f)])))
+                raise ValueError(
+                    f"composition ill-defined on classes {f_name}, {g_name}: [{', '.join(hs)}]")
+            return found[(g, f)]
 
     # The identity laws need no check: (id, f) and (f, id) hold f, so any
     # other composite there has raised the ValueError above.
@@ -113,6 +125,30 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
         names = io.key_names(X, exc.witness)
         raise ValueError(f"associativity fails at {', '.join(names)}") from exc
     return _HoCategory(cat, cls)
+
+
+def _nerve_composite(X: SimplicialSet, ids: dict):
+    """The composite rule of ho(N(C)) from C's rows: each edge by the
+    number of its morphism, and back.  A composite with an identity, a
+    degenerate edge, is the other edge, as the generic rule has it."""
+    C = X.category
+    num = C.number
+    edge_of = [None] * len(C.morphisms)
+    for v, e in ids.items():
+        edge_of[num[C.ids[X.labels[v.gen]]]] = e
+    for g in X.gens(1):
+        edge_of[num[X.labels[g][0]]] = SimplexKey(g)
+    num_of = {e: j for j, e in enumerate(edge_of)}
+    after = C.after
+
+    def compose(g, f):
+        if f.degens:
+            return g
+        if g.degens:
+            return f
+        return edge_of[after[num_of[f]][num_of[g]]]
+
+    return compose
 
 
 def tau1_presentation(X: SimplicialSet) -> dict:

@@ -14,6 +14,7 @@ import pytest
 
 import qcatk
 from qcatk import cli, io
+from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
 from qcatk.cli import build_parser, main
@@ -79,6 +80,12 @@ def test_nerve_and_tau1_round_trip(files, capsys):
     assert code == 0
     assert len(rep["presentation"]["objects"]) == 1
     assert len(rep["presentation"]["generators"]) == 2
+    # each simplex, degenerate or not, by its own repr
+    pres = qc.tau1_presentation(io.parse_sset(io.load_path(files["nz3"])))
+    assert rep["presentation"] == {
+        "objects": [repr(k) for k in pres["objects"]],
+        "generators": [repr(k) for k in pres["generators"]],
+        "relations": [[repr(h), [repr(g), repr(f)]] for h, (g, f) in pres["relations"]]}
 
 
 def test_ho_of_a_nerve_recovers_the_category(files, capsys):
@@ -455,7 +462,16 @@ def test_importing_the_front_end_loads_no_checker(files):
     loaded = (f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules], "
               "[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     report = ["--out", str(files["dir"] / "report.json")]
+    # a nerve file read through its category block loads cats, and the same
+    # file without the block loads nothing more than a simplicial set does
+    plain = files["dir"] / "nz3-plain.json"
+    plain.write_text(io.dumps({k: v for k, v in io.load_path(files["nz3"]).items()
+                               if k != "category"}))
     commands = {
+        ("validate", files["nz3"]): "['cats'] []",
+        ("validate", str(plain)): "[] []",
+        ("tau1", files["nz3"]): "['cats', 'quasicat'] []",
+        ("tau1", str(plain)): "['cats', 'quasicat'] []",
         ("lift", files["bdincl"]): "['lifting'] []",
         ("lift", files["nz3"], "--shape", "strong-replacement"): "['cats', 'lifting'] []",
         ("ho", files["nz3"]): "['cats', 'quasicat'] []",

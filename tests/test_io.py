@@ -16,7 +16,7 @@ from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
 from qcatk.quasicat import ho_category
 from qcatk.simplicial import SimplexKey
 from qcatk.waldhausen import cof_subquasicategory, pointed_sets_waldhausen
-from qcatk.zoo import pointed_sets_with_duplicate, random_category
+from qcatk.zoo import idempotent_monoid_category, pointed_sets_with_duplicate, random_category
 from testlib import chain_poset, string_route_nerve
 
 
@@ -224,9 +224,122 @@ def test_nerve_file_checks_agree_with_the_rebuilding_oracles(seed, faults):
         doc = _corrupt(doc, rng)
     got = _outcome(json.loads(json.dumps(doc)))
     with mock.patch.object(cats, "check_nerve_structure", naive_validate_nerve_structure), \
-            mock.patch.object(sx.SimplicialSet, "check", naive_sset_check):
+            mock.patch.object(sx.SimplicialSet, "check", naive_sset_check), \
+            mock.patch.object(cats, "nerve_from_document", _generic_route):
         want = _outcome(doc)
     assert got == want
+
+
+def _generic_route(*args):
+    """A stand-in for ``cats.nerve_from_document`` that always declines, so
+    that ``io.parse_sset`` takes the generic route."""
+    return None
+
+
+_ROUTE_CATEGORIES = [chain_poset(2), cyclic_group_category(3), idempotent_monoid_category(),
+                     pointed_sets_category(2), chain_poset(1).product(cyclic_group_category(2))]
+
+
+def _corrupt_once(doc, rng):
+    """One fault of a kind the category route must hand to the generic
+    route: a face name swapped, a degeneracy written 1.0, true or -1, a
+    faces entry dropped or added, faces on a vertex, a changed bound, or a
+    broken category block.  Some faults leave an equivalent document."""
+    higher = [name for layer in doc["generators"][1:] for name in layer]
+    names = [name for layer in doc["generators"] for name in layer]
+    kind = rng.choice(["swap", "degeneracy", "drop", "add", "vertex", "bound", "category"])
+    if kind == "swap" and higher:
+        row = doc["faces"][rng.choice(higher)]
+        k = rng.randrange(len(row))
+        row[k] = [rng.choice(names), row[k][1]]
+    elif kind == "degeneracy" and higher:
+        row = doc["faces"][rng.choice(higher)]
+        entries = [e for e in row if e[1]] or row
+        entry = rng.choice(entries)
+        d = entry[1][0] if entry[1] else 1
+        entry[1] = [rng.choice([float(d), bool(d), -1, 1.0, True])]
+    elif kind == "drop" and higher:
+        del doc["faces"][rng.choice(higher)]
+    elif kind == "add":
+        doc["faces"][rng.choice(["zz", rng.choice(names)])] = rng.choice([[], [["zz", []]]])
+    elif kind == "vertex":
+        doc["faces"][rng.choice(doc["generators"][0])] = rng.choice([[], [[names[0], []]]])
+    elif kind == "bound":
+        doc["bound"] = rng.choice([None, -1, 0, 1, 2, 3, 4, True, 2.0, "2"])
+    elif kind == "category":
+        block = doc["category"]
+        fault = rng.choice(["compose", "ids", "objects", "homs", "missing"])
+        if fault == "compose" and block["compose"]:
+            g = rng.choice(sorted(block["compose"]))
+            f = rng.choice(sorted(block["compose"][g]))
+            block["compose"][g][f] = rng.choice(sorted(block["compose"]))
+        elif fault == "ids":
+            o = rng.choice(sorted(block["ids"]))
+            block["ids"][o] = rng.choice(sorted(block["compose"]) or ["zz"])
+        elif fault == "objects":
+            block["objects"] = block["objects"][1:]
+        elif fault == "homs":
+            block["homs"] = {}
+        else:
+            del block["ids"]
+    return doc
+
+
+def _parsed(doc):
+    """What ``io.parse_sset`` makes of a document: its rejection, or the
+    parsed set's counts, faces, labels, bound and category, in order."""
+    try:
+        X = io.parse_sset(doc)
+    except io.SchemaError as exc:
+        return "rejected", str(exc), exc.pointer
+    return ("accepted", X.n_gens, list(X.faces.items()), list(X.labels.items()), X.bound,
+            io.serialize_category(X.category))
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_the_category_route_gives_the_generic_parse(seed, corrupt):
+    rng = random.Random(seed)
+    C = rng.choice(_ROUTE_CATEGORIES + [random_category(rng, 3)] * 3)
+    doc = json.loads(json.dumps(io.serialize_sset(nerve(C, rng.choice([1, 2, 3])))))
+    if corrupt:
+        doc = _corrupt_once(doc, rng)
+    accepted = []
+    route = cats.nerve_from_document
+
+    def spy(*args):
+        X = route(*args)
+        if X is not None:
+            accepted.append(X)
+        return X
+
+    with mock.patch.object(cats, "nerve_from_document", spy):
+        got = _parsed(json.loads(json.dumps(doc)))
+    with mock.patch.object(cats, "nerve_from_document", _generic_route):
+        want = _parsed(doc)
+    assert got == want
+    # the route takes every file it wrote; it may decline one that the
+    # generic route accepts (a degeneracy written true or false)
+    assert accepted or corrupt
+    for X in accepted:
+        X.check()
+
+
+def test_the_category_route_takes_only_exact_integer_degeneracies():
+    # in N(Z/2) the string 1|1 has the degenerate face s_0 of the vertex
+    doc = json.loads(json.dumps(io.serialize_sset(nerve(cyclic_group_category(2), 2))))
+    assert doc["faces"]["1|1"][1] == ["*", [0]]
+    names = {(0, 0): "*", (1, 0): "1", (2, 0): "1|1"}
+    assert cats.nerve_from_document(doc, [1, 1, 1], names, "") is not None
+    for value in (0.0, False):
+        bad = json.loads(json.dumps(doc))
+        bad["faces"]["1|1"][1] = ["*", [value]]
+        assert bad == doc
+        assert cats.nerve_from_document(bad, [1, 1, 1], names, "") is None
+        # so the generic route decides: it rejects the float
+        if type(value) is float:
+            assert _rejection(bad) == ("/faces/1|1/1/1",
+                                       "degeneracies must be nonnegative integers")
 
 
 _CHECKED = [sx.delta(3), sx.horn(3, 1), sx.product(sx.delta(1), sx.delta(1), 2).sset,

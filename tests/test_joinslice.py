@@ -108,10 +108,14 @@ def test_restriction_to_diagrams_is_an_equivalence_on_good_instances():
 
 
 def test_restriction_check_reports_missing_colimits():
-    # two incomparable points: vertices have no cocones at all
+    # two incomparable points: each point is its own colimit, but a diagram
+    # on two points that picks both has no coproduct
     X = nerve(poset_category(range(2), lambda a, b: a == b), 3)
-    rep = stm.restriction_equivalence_check(X, sx.delta(0), 1)
-    assert rep["verdict"] == "pass" or rep["verdict"] == "hypothesis-failure"
+    assert stm.restriction_equivalence_check(X, sx.delta(0), 1)["verdict"] == "pass"
+    rep = stm.restriction_equivalence_check(X, sx.boundary(1), 1)
+    # the vertices of X^A after the two constant diagrams, in generator order
+    assert rep == {"dim": 1, "diagrams_without_colimit": [SimplexKey((0, 1)), SimplexKey((0, 2))],
+                   "verdict": "hypothesis-failure"}
 
 
 def test_cone_extension_holds_in_a_nerve_with_terminal_object():

@@ -15,6 +15,7 @@ from qcatk.cats import (
     cyclic_group_category,
     nerve,
     nerve_functor_map,
+    pointed_sets_category,
 )
 from qcatk.simplicial import NotQuasicategory, SimplexKey, UnionFind
 from qcatk.waldhausen import WaldhausenData, admits_factorization
@@ -308,6 +309,48 @@ def test_homotopy_classes_match_the_all_simplices_oracle():
     for X in list(HO_FIXED.values()) + [ho_input(s, k) for s in range(10) for k in HO_KINDS]:
         assert list(qc.homotopy_classes(X).items()) == \
             list(homotopy_classes_by_all_simplices(X).items())
+
+
+def without_category(X):
+    """X as a plain simplicial set: the same generators, faces, labels and
+    bound, so ``ho_category`` takes its generic route."""
+    return sx.SimplicialSet(X.n_gens, X.faces, labels=X.labels, bound=X.bound)
+
+
+NERVE_CATEGORIES = {"chain3": chain_poset(3), "z4": cyclic_group_category(4),
+                    "idempotent": idempotent_monoid_category(),
+                    "ps2": pointed_sets_category(2), "indiscrete3": indiscrete_category(range(3)),
+                    "chain1xz2": chain_poset(1).product(cyclic_group_category(2))}
+
+
+def _nerve_route_outcome(monkeypatch, X):
+    """``ho_category`` on the nerve X, with union-find refused."""
+    def refuse():
+        raise AssertionError("the nerve route built a union-find")
+
+    with monkeypatch.context() as m:
+        m.setattr(qc, "UnionFind", refuse)
+        return _ho_outcome(_ho_by_generators, X)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("name", sorted(NERVE_CATEGORIES))
+def test_ho_category_of_a_catalogue_nerve_matches_the_generic_route(monkeypatch, name, bound):
+    X = nerve(NERVE_CATEGORIES[name], bound)
+    got = _nerve_route_outcome(monkeypatch, X)
+    assert got[0] == "category"
+    assert got == _ho_outcome(_ho_by_generators, without_category(X))
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_ho_category_of_a_zoo_nerve_matches_the_generic_route(seed, bound):
+    rng = random.Random(seed)
+    C = random_category(rng, 3)
+    X = nerve(C.opposite() if rng.random() < 0.5 else C, bound)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got = _nerve_route_outcome(monkeypatch, X)
+    assert got == _ho_outcome(_ho_by_generators, without_category(X))
 
 
 def spy_on_simplices(monkeypatch):

@@ -311,6 +311,26 @@ def test_pushout_square_is_homotopy_cocartesian():
     assert stm.homotopy_cocartesian_check(W, _square_on_corners(W.underlying))
 
 
+def test_a_square_with_no_marked_leg_is_not_checked_for_a_colimit():
+    C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
+    N = maximal_marking_waldhausen(C, 0, 2).underlying
+    W = WaldhausenData(N, SimplexKey(N.gen_of_label(0)), frozenset())
+    assert stm.homotopy_cocartesian_check(W, _square_on_corners(N)) is False
+
+
+def test_a_shallow_square_without_a_category_block_exceeds_the_bound():
+    # at bound 2 only the 1-categorical fallback could decide the square,
+    # and it needs the category
+    C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
+    W = maximal_marking_waldhausen(C, 0, 2)
+    N = W.underlying
+    X = sx.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
+    V = WaldhausenData(X, W.zero, W.cof)
+    with pytest.raises(sx.BoundExceeded) as exc:
+        stm.homotopy_cocartesian_check(V, _square_on_corners(X))
+    assert str(exc.value) == "square check needs dimension 4"
+
+
 # 0 below everything, 1 and 2 below 3; with a fifth element 4 above 1 and 2
 # as well, 3 is not the least upper bound, so the square is not a pushout
 _PUSHOUT = (4, lambda a, b: a == b or a == 0 or b == 3, True)

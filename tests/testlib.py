@@ -372,5 +372,5 @@ def prism_face(h: sx.SimplicialMap, P1: sx.MaterializedSSet, face: int) -> sx.Si
     assign = {}
     for g in P1.all_gens():
         kb, kd = P1.labels[g]
-        assign[g] = lf._along(h, kb, [vmap[v] for v in lf._vertex_seq(D1, kd)])
+        assign[g] = h(lf._key_along(h.source, kb, [vmap[v] for v in lf._vertex_seq(D1, kd)]))
     return sx.SimplicialMap(P1, h.target, assign)
