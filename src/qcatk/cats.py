@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Optional
 
 from .io import SchemaError, parse_category
-from .simplicial import SimplexKey, SimplicialSet, SimplicialMap
+from .simplicial import SimplexKey, SimplicialSet, SimplicialMap, one_full_subcomplex
 
 
 class FinCategory:
@@ -43,6 +43,7 @@ class FinCategory:
         self.ids = dict(ids)
         self.after = after
         self.id_set = frozenset(self.ids.values())
+        self._checked = False
         self._pushouts: dict = {}
         self._hom: dict[tuple, list] = {}
         self._out: dict = {}
@@ -97,7 +98,12 @@ class FinCategory:
           containing one passes.  On a mismatch the first failing h in
           ``nonid_out`` order is named, and the error's ``witness`` holds
           the triple (f, g, h).
+
+        A pass is remembered on the object, and a later call returns at
+        once: the table is never changed after construction.
         """
+        if self._checked:
+            return
         for o in self.objects:
             i = self.ids[o]
             if self.src[i] != o or self.tgt[i] != o:
@@ -127,6 +133,7 @@ class FinCategory:
                             exc = ValueError(f"associativity fails at {f!r}, {ms[j]!r}, {ms[h]!r}")
                             exc.witness = (f, ms[j], ms[h])
                             raise exc
+        self._checked = True
 
     def pushout(self, f, g):
         """Pushout of the span b <-f- a -g-> c, verified by universal
@@ -696,10 +703,68 @@ def map_category(K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps):
 def wide_subcategory(C: FinCategory, keep) -> FinCategory:
     """The subcategory on every object and the morphisms in ``keep``, which
     must hold the identities and be closed under composition."""
-    morphisms = [m for m in C.morphisms if m in keep]
+    return _wide_by_number(C, [i for i, m in enumerate(C.morphisms) if m in keep])
+
+
+def _wide_by_number(C: FinCategory, kept: list) -> FinCategory:
+    """The wide subcategory on the morphisms numbered ``kept``, in morphism
+    order: C's rows restricted to them and renumbered, so a composite that
+    is not kept raises KeyError.  Its laws are C's, so it counts as checked
+    when C has been."""
+    new = {i: k for k, i in enumerate(kept)}
+    morphisms = [C.morphisms[i] for i in kept]
     src = {m: C.src[m] for m in morphisms}
     tgt = {m: C.tgt[m] for m in morphisms}
-    return FinCategory.tabulate(C.objects, morphisms, src, tgt, C.ids, C.compose_mor)
+    rows = [{new[j]: new[h] for j, h in C.after[i].items() if j in new} for i in kept]
+    D = FinCategory(C.objects, morphisms, src, tgt, C.ids, rows)
+    D._checked = C._checked
+    return D
+
+
+def marked_subcategory(X: SimplicialSet, edge_keep) -> Optional[FinCategory]:
+    """For a nerve X (``X.category`` set): the wide subcategory of its
+    category on the identities and the morphisms of the edges that
+    ``edge_keep`` accepts.  None when X is not a nerve, when ``edge_keep``
+    refuses a degenerate edge, or when those morphisms are not closed under
+    composition.  Closure is tested by number, over kept non-identity
+    pairs only: a composite with an identity is the other morphism."""
+    C = X.category
+    if C is None:
+        return None
+    X.require_bound(1, "simplex enumeration")
+    if not all(edge_keep(SimplexKey(v, (0,))) for v in X.gens(0)):
+        return None
+    num, after = C.number, C.after
+    marked = {num[X.labels[g][0]] for g in X.gens(1) if edge_keep(SimplexKey(g))}
+    kept = marked | {num[m] for m in C.id_set}
+    for i in marked:
+        for j, h in after[i].items():
+            if j in marked and h not in kept:
+                return None
+    return _wide_by_number(C, sorted(kept))
+
+
+def one_full_subnerve(X: SimplicialSet, edge_keep, d: int):
+    """The 1-full subcomplex of X to dimension d on the edges that
+    ``edge_keep`` accepts, with its inclusion.
+
+    For a nerve X = N(C) whose kept morphisms and identities are closed
+    under composition (``marked_subcategory`` gives their wide subcategory
+    D), it is built as N(D).  A simplex of N(C) is a string of morphisms,
+    and its edges are the composites of its substrings.  When kept
+    morphisms compose to kept ones, all these are kept exactly when the
+    string's own morphisms are, that is, when the simplex is one of N(D);
+    and D composes as C does, so the faces agree.  Each generator of N(D)
+    is found in X by its label, through X's label index, which is built
+    once per set; no face of X is scanned.  Every other input takes
+    ``one_full_subcomplex``'s face scan.
+    """
+    D = marked_subcategory(X, edge_keep) if 1 <= d <= X.effective_bound() else None
+    if D is None:
+        return one_full_subcomplex(X, edge_keep, d)
+    S = nerve(D, d)
+    assign = {g: SimplexKey(X.gen_of_label(S.labels[g])) for g in S.all_gens()}
+    return S, SimplicialMap(S, X, assign)
 
 
 def groupoid_core(C: FinCategory) -> FinCategory:

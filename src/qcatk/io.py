@@ -135,7 +135,8 @@ def _parse_key(obj, gen_of_name, expect_dim, pointer) -> SimplexKey:
     name, degens = obj
     _expect(isinstance(name, str), "generator name must be a string", pointer + "/0")
     _expect(name in gen_of_name, f"unknown generator {name!r}", pointer + "/0")
-    _expect(isinstance(degens, list) and all(isinstance(i, int) and i >= 0 for i in degens),
+    # exact ints: JSON true and false would pass isinstance(i, int)
+    _expect(isinstance(degens, list) and all(type(i) is int and i >= 0 for i in degens),
             "degeneracies must be nonnegative integers", pointer + "/1")
     _expect(all(degens[i] > degens[i + 1] for i in range(len(degens) - 1)),
             "degeneracy word must be strictly decreasing", pointer + "/1")

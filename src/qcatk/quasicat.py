@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from . import io
 from . import simplicial as sx
-from .cats import FinCategory, FinFunctor, functor_equivalence_report
 from .simplicial import (
     NotQuasicategory,
     SimplexKey,
@@ -61,7 +60,7 @@ def homotopy_classes(X: SimplicialSet) -> dict[SimplexKey, SimplexKey]:
 
 
 class _HoCategory:
-    def __init__(self, cat: FinCategory, class_of: dict[SimplexKey, SimplexKey]):
+    def __init__(self, cat, class_of: dict[SimplexKey, SimplexKey]):
         self.cat = cat
         self.class_of = class_of  # edge key -> class representative
 
@@ -80,9 +79,13 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     On a nerve N(C) (``X.category`` set) each edge is its own class, an
     identity or the edge of one morphism of C, and the 2-simplices with
     boundary (g, h, f) are those with h = g after f in C: the table is
-    read from C's rows by morphism number.  ``check()`` still runs, as on
-    any other input: level categories reach here unchecked.
+    read from C's rows by morphism number.  It is C's table relabelled, so
+    its laws hold exactly when C's do, and C is checked in its place:
+    ``check()`` remembers a pass, so C, once checked, is not checked
+    again.  A failure names the witness by its edges.
     """
+    from .cats import FinCategory
+
     X.require_bound(2, "homotopy category")
     cls = homotopy_classes(X)
     objects = X.simplices(0)
@@ -91,7 +94,8 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     tgt = {m: X.vertex(m, 1) for m in morphisms}
     ids = {v: cls[X.degeneracy(v, 0)] for v in objects}
     if X.category is not None:
-        compose = _nerve_composite(X, ids)
+        compose, edge_of = _nerve_composite(X, ids)
+        laws, num = X.category, X.category.number
     else:
         # s0(f) and s1(f) compose f with the identities; the generators give
         # the rest.  A pair with a second composite class keeps all of them.
@@ -116,21 +120,29 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
                     f"composition ill-defined on classes {f_name}, {g_name}: [{', '.join(hs)}]")
             return found[(g, f)]
 
+        laws = None
+
     # The identity laws need no check: (id, f) and (f, id) hold f, so any
     # other composite there has raised the ValueError above.
     cat = FinCategory.tabulate(objects, morphisms, src, tgt, ids, compose)
     try:
-        cat.check()
-    except ValueError as exc:  # associativity, the one law left to fail
-        names = io.key_names(X, exc.witness)
+        (cat if laws is None else laws).check()
+    except ValueError as exc:
+        witness = getattr(exc, "witness", None)
+        if witness is None:  # a law of C other than associativity
+            raise
+        if laws is not None:
+            witness = [edge_of[num[m]] for m in witness]
+        names = io.key_names(X, witness)
         raise ValueError(f"associativity fails at {', '.join(names)}") from exc
+    cat._checked = True  # on a nerve, by C's check
     return _HoCategory(cat, cls)
 
 
 def _nerve_composite(X: SimplicialSet, ids: dict):
-    """The composite rule of ho(N(C)) from C's rows: each edge by the
-    number of its morphism, and back.  A composite with an identity, a
-    degenerate edge, is the other edge, as the generic rule has it."""
+    """The composite rule of ho(N(C)) from C's rows, and the edge of each
+    morphism by its number.  A composite with an identity, a degenerate
+    edge, is the other edge, as the generic rule has it."""
     C = X.category
     num = C.number
     edge_of = [None] * len(C.morphisms)
@@ -148,7 +160,7 @@ def _nerve_composite(X: SimplicialSet, ids: dict):
             return f
         return edge_of[after[num_of[f]][num_of[g]]]
 
-    return compose
+    return compose, edge_of
 
 
 def tau1_presentation(X: SimplicialSet) -> dict:
@@ -173,10 +185,13 @@ def tau1_presentation(X: SimplicialSet) -> dict:
 
 
 def maximal_kan(X: SimplicialSet, d: int):
-    """The 1-full subcomplex on the equivalence edges, with its inclusion."""
+    """The 1-full subcomplex on the equivalence edges, with its inclusion:
+    on a nerve, the nerve of its groupoid core."""
+    from .cats import one_full_subnerve
+
     ho = ho_category(X)
     good = {e for e in X.simplices(1) if ho.cat.is_iso(ho.cls(e))}
-    return sx.one_full_subcomplex(X, lambda e: e in good, d)
+    return one_full_subnerve(X, good.__contains__, d)
 
 
 # -- internal hom -------------------------------------------------------------
@@ -221,15 +236,19 @@ def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
     return sx.MaterializedSSet(MapFamily(X, _hom_shape(D1), _act_on_delta, fixed), d)
 
 
-def induced_ho_functor(ho_s: _HoCategory, ho_t: _HoCategory, push) -> FinFunctor:
+def induced_ho_functor(ho_s: _HoCategory, ho_t: _HoCategory, push):
     """The functor of homotopy categories that ``push`` induces; ``push``
     carries a key of the source (vertex or edge) to the target.  It is not
     checked: it is a functor whenever ``push`` is a simplicial map."""
+    from .cats import FinFunctor
+
     return FinFunctor(ho_s.cat, ho_t.cat, {v: push(v) for v in ho_s.cat.objects},
                       {m: ho_t.cls(push(m)) for m in ho_s.cat.morphisms})
 
 
 def tau1_map_equivalence(f: SimplicialMap) -> dict:
     """Is the induced functor of homotopy categories an equivalence?"""
+    from .cats import functor_equivalence_report
+
     return functor_equivalence_report(
         induced_ho_functor(ho_category(f.source), ho_category(f.target), f))

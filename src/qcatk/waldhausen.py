@@ -18,9 +18,10 @@ from .cats import (
     edge_morphism,
     functor_from_nerve_map,
     functor_equivalence_report,
+    marked_subcategory,
     nerve,
     nerve_key_for_string,
-    wide_subcategory,
+    one_full_subnerve,
 )
 from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 
@@ -147,23 +148,13 @@ def _leg_in_slice(X: SimplicialSet, f: SimplexKey, g: SimplexKey) -> Optional[Si
 def cof_category(W: WaldhausenData) -> Optional[FinCategory]:
     """For nerve-backed data: the subcategory on marked morphisms, provided
     the marking is closed under composition (else None)."""
-    X = W.underlying
-    if X.category is None:
-        return None
-    C = X.category
-    marked = {edge_morphism(C, X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
-    # a composite with an identity is the other morphism, so only marked
-    # non-identity pairs need testing
-    for f in marked:
-        for g in C.nonid_out(C.tgt[f]):
-            if g in marked and C.compose_mor(g, f) not in marked:
-                return None
-    return wide_subcategory(C, marked)
+    return marked_subcategory(W.underlying, W.is_cof)
 
 
 def cof_subquasicategory(W: WaldhausenData, d: int = 2):
-    """1-full subcomplex on marked edges, with inclusion."""
-    return sx.one_full_subcomplex(W.underlying, W.is_cof, d)
+    """1-full subcomplex on marked edges, with inclusion: the nerve of
+    ``cof_category`` when that exists."""
+    return one_full_subnerve(W.underlying, W.is_cof, d)
 
 
 def admits_factorization(W: WaldhausenData) -> bool:

@@ -249,6 +249,24 @@ def test_grid_commands_need_a_category_block(files, capsys, argv, pointer):
     assert json.loads(captured.err)["pointer"] == pointer
 
 
+@pytest.mark.parametrize("block", [True, False], ids=["category", "plain"])
+def test_a_boolean_degeneracy_is_a_schema_error(files, capsys, block):
+    # JSON false equals 0 in Python, but it is no degeneracy index
+    doc = io.serialize_sset(nerve(cyclic_group_category(2), 2))
+    assert doc["faces"]["1|1"][1] == ["*", [0]]
+    doc["faces"]["1|1"][1] = ["*", [False]]
+    if not block:
+        doc = _without_category(doc)
+    path = files["dir"] / "false_degeneracy.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "degeneracies must be nonnegative integers (at /faces/1|1/1/1)",
+        "pointer": "/faces/1|1/1/1"}
+
+
 def _point_into_the_cyclic_nerve():
     """The exact-map document of the inclusion of N(Ps<=1) as the zero of
     N(Z/2): the source has a zero object, the target does not."""
@@ -463,7 +481,8 @@ def test_importing_the_front_end_loads_no_checker(files):
               "[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     report = ["--out", str(files["dir"] / "report.json")]
     # a nerve file read through its category block loads cats, and the same
-    # file without the block loads nothing more than a simplicial set does
+    # file without the block loads nothing more than a simplicial set does;
+    # quasicat imports cats only where it builds a category
     plain = files["dir"] / "nz3-plain.json"
     plain.write_text(io.dumps({k: v for k, v in io.load_path(files["nz3"]).items()
                                if k != "category"}))
@@ -471,7 +490,7 @@ def test_importing_the_front_end_loads_no_checker(files):
         ("validate", files["nz3"]): "['cats'] []",
         ("validate", str(plain)): "[] []",
         ("tau1", files["nz3"]): "['cats', 'quasicat'] []",
-        ("tau1", str(plain)): "['cats', 'quasicat'] []",
+        ("tau1", str(plain)): "['quasicat'] []",
         ("lift", files["bdincl"]): "['lifting'] []",
         ("lift", files["nz3"], "--shape", "strong-replacement"): "['cats', 'lifting'] []",
         ("ho", files["nz3"]): "['cats', 'quasicat'] []",

@@ -65,7 +65,8 @@ def test_nerve_round_trip_keeps_the_category_block():
 @pytest.mark.parametrize("make", [
     lambda: fm.join(nerve(chain_poset(1), 2), nerve(cyclic_group_category(2), 2), 2).sset,
     lambda: sx.product(nerve(chain_poset(1), 2), nerve(cyclic_group_category(2), 2), 2).sset,
-    lambda: cof_subquasicategory(pointed_sets_waldhausen(2, 2), 2)[0],
+    lambda: sx.one_full_subcomplex(pointed_sets_waldhausen(2, 2).underlying,
+                                   pointed_sets_waldhausen(2, 2).is_cof, 2)[0],
 ])
 def test_sets_built_from_nerves_round_trip_without_a_category_block(make):
     # their generators are not composable strings, so a category block
@@ -76,6 +77,14 @@ def test_sets_built_from_nerves_round_trip_without_a_category_block(make):
     Y = io.parse_sset(doc)
     assert Y.n_gens == X.n_gens
     assert io.serialize_sset(Y) == doc
+
+
+def test_the_cofibration_subnerve_round_trips_with_its_category_block():
+    # its marking is closed under composition, so it is built as a nerve
+    X = cof_subquasicategory(pointed_sets_waldhausen(2, 2), 2)[0]
+    doc = io.serialize_sset(X)
+    assert "category" in doc
+    assert io.serialize_sset(io.parse_sset(doc)) == doc
 
 
 def test_parsed_nerve_supports_the_functor_fast_path():
@@ -336,10 +345,9 @@ def test_the_category_route_takes_only_exact_integer_degeneracies():
         bad["faces"]["1|1"][1] = ["*", [value]]
         assert bad == doc
         assert cats.nerve_from_document(bad, [1, 1, 1], names, "") is None
-        # so the generic route decides: it rejects the float
-        if type(value) is float:
-            assert _rejection(bad) == ("/faces/1|1/1/1",
-                                       "degeneracies must be nonnegative integers")
+        # so the generic route decides: it rejects both
+        assert _rejection(bad) == ("/faces/1|1/1/1",
+                                   "degeneracies must be nonnegative integers")
 
 
 _CHECKED = [sx.delta(3), sx.horn(3, 1), sx.product(sx.delta(1), sx.delta(1), 2).sset,

@@ -13,7 +13,9 @@ from qcatk import simplicial as sx
 from qcatk.cats import (
     FinFunctor,
     cyclic_group_category,
+    monoid_category,
     nerve,
+    one_full_subnerve,
     nerve_functor_map,
     pointed_sets_category,
 )
@@ -351,6 +353,39 @@ def test_ho_category_of_a_zoo_nerve_matches_the_generic_route(seed, bound):
     with pytest.MonkeyPatch.context() as monkeypatch:
         got = _nerve_route_outcome(monkeypatch, X)
     assert got == _ho_outcome(_ho_by_generators, without_category(X))
+
+
+def test_ho_category_of_a_non_associative_nerve_names_the_edges():
+    # a monoid table whose identity laws hold and associativity fails: the
+    # nerve's category is checked in place of its relabelled copy, and the
+    # witness is named by its edges
+    table = {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "1", ("b", "b"): "b"}
+    M = monoid_category(["1", "a", "b"], lambda g, f: table.get((g, f), g if f == "1" else f),
+                        "1")
+    X = nerve(M, 2)
+    with pytest.raises(ValueError) as law:
+        M.check()
+    names = io.key_names(X, [SimplexKey(X.gen_of_label((m,))) for m in law.value.witness])
+    with pytest.raises(ValueError) as got:
+        qc.ho_category(X)
+    assert str(got.value) == f"associativity fails at {', '.join(names)}"
+    with pytest.raises(ValueError) as generic:
+        qc.ho_category(without_category(X))
+    assert str(generic.value).startswith("associativity fails at ")
+    # a wide subcategory of a category that has not passed is checked itself
+    S, _ = one_full_subnerve(X, lambda e: True, 2)
+    assert S.category is not None
+    with pytest.raises(ValueError, match="associativity fails at "):
+        qc.ho_category(S)
+
+
+def test_ho_category_of_a_nerve_checks_the_identity_laws_of_its_category():
+    # the copy's rule takes a composite with an identity to be the other
+    # edge; C's own check finds that its table says otherwise
+    M = monoid_category(["1", "a"], lambda g, f: "1" if (g, f) == ("1", "a") else
+                        (g if f == "1" else f if g == "1" else "a"), "1")
+    with pytest.raises(ValueError, match="left identity fails at 'a'"):
+        qc.ho_category(nerve(M, 2))
 
 
 def spy_on_simplices(monkeypatch):

@@ -15,7 +15,7 @@ from qcatk import simplicial as sx
 from qcatk.cats import nerve, nerve_key_for_string, cyclic_group_category
 from qcatk.simplicial import SimplexKey
 from qcatk.zoo import random_category, random_poset
-from testlib import chain_poset
+from testlib import chain_poset, image_rows
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +247,13 @@ def test_one_full_subcomplex_matches_the_edge_filter(seed, kind, d, keep_degener
 @given(st.integers(0, 10_000), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_maximal_kan_matches_the_edge_filter(seed, d):
+    # on a nerve it is the nerve of the groupoid core, with its own
+    # generator order: compared by its image in N
     N = nerve(random_category(random.Random(seed), 4), max(d, 2))
     ho = qc.ho_category(N)
     good = {e for e in N.simplices(1) if ho.cat.is_iso(ho.cls(e))}
-    assert_same_subcomplex(qc.maximal_kan(N, d),
-                           one_full_subcomplex_by_edges(N, good.__contains__, d))
+    assert image_rows(qc.maximal_kan(N, d)) == image_rows(
+        one_full_subcomplex_by_edges(N, good.__contains__, d))
 
 
 @pytest.mark.parametrize("X", [sx.delta(2), nerve(cyclic_group_category(2), 2)],

@@ -13,12 +13,17 @@ from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk import statements as stm
+from qcatk import waldhausen as wd
 from qcatk.cats import (
     FinCategory,
     FinFunctor,
+    cyclic_group_category,
     edge_morphism,
+    marked_subcategory,
     nerve,
     nerve_functor_map,
+    one_full_subnerve,
+    pointed_sets_category,
     poset_category,
 )
 from qcatk.cli import main
@@ -36,8 +41,8 @@ from qcatk.waldhausen import (
     validate_exact,
     validate_waldhausen,
 )
-from qcatk.zoo import pointed_sets_with_duplicate, random_category
-from testlib import comp_table, maximal_marking_waldhausen, table_category
+from qcatk.zoo import idempotent_monoid_category, pointed_sets_with_duplicate, random_category
+from testlib import comp_table, image_rows, maximal_marking_waldhausen, table_category
 
 
 def test_pointed_sets_instance_satisfies_the_axioms():
@@ -237,6 +242,112 @@ def test_cofibration_subquasicategory_is_one_full():
     incl.check()
 
 
+SUBNERVE_CATEGORIES = {"ps2": pointed_sets_category(2), "ps3": pointed_sets_category(3),
+                       "z4": cyclic_group_category(4), "idempotent": idempotent_monoid_category(),
+                       "square": poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)}
+
+
+def _random_marking(rng, C, close):
+    marked = {m for m in C.morphisms if m not in C.id_set and rng.random() < 0.5}
+    while close:
+        new = {C.compose_mor(g, f) for f in marked for g in C.nonid_out(C.tgt[f])
+               if g in marked} - marked - C.id_set
+        marked |= new
+        close = bool(new)
+    return marked
+
+
+def _ho_image(sub):
+    """The homotopy category of a subcomplex, carried into X by its
+    inclusion: identities, composites and isomorphisms."""
+    S, incl = sub
+    ho = qc.ho_category(S).cat
+    return ({incl(v): incl(i) for v, i in ho.ids.items()},
+            {(incl(g), incl(f)): incl(ho.compose_mor(g, f))
+             for f in ho.morphisms for g in ho.morphisms if ho.src[g] == ho.tgt[f]},
+            {incl(m) for m in ho.morphisms if ho.is_iso(m)})
+
+
+def _cof_ho_outcome(G):
+    try:
+        return cof_ho_equivalence(G)
+    except (ValueError, sx.NotQuasicategory) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["zoo", *sorted(SUBNERVE_CATEGORIES)]),
+       st.booleans(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_the_subnerve_route_matches_the_face_scan(seed, source, close, d):
+    rng = random.Random(seed)
+    C = random_category(rng, 3) if source == "zoo" else SUBNERVE_CATEGORIES[source]
+    if rng.random() < 0.3:
+        C = C.opposite()
+    X = nerve(C, 3)
+    d = int(min(d, X.effective_bound()))
+    marked = _random_marking(rng, C, close)
+    keep = {SimplexKey(X.gen_of_label((m,))) for m in marked}
+    # a refused identity sends the marking to the scan as well
+    refuse = rng.random() < 0.1
+    keep |= {e for e in X.simplices(1) if e.is_degenerate and not (refuse and rng.random() < 0.5)}
+    got = one_full_subnerve(X, keep.__contains__, d)
+    want = sx.one_full_subcomplex(X, keep.__contains__, d)
+    assert image_rows(got) == image_rows(want)
+    D = marked_subcategory(X, keep.__contains__)
+    if close and all(e in keep for e in X.simplices(1) if e.is_degenerate):
+        assert D is not None
+    if D is None:
+        assert io.serialize_sset(got[0]) == io.serialize_sset(want[0])
+        assert got[1].assign == want[1].assign
+    else:
+        assert got[0].category.morphisms == D.morphisms
+        assert got[0].category.after == D.after
+        if d >= 2:
+            assert _ho_image(got) == _ho_image(want)
+    # cof_ho_equivalence from a random sub-marking to the marking, along the
+    # identity of X, by the route and by the scan
+    sub = {m for m in marked if rng.random() < 0.7}
+    source_data = WaldhausenData(X, SimplexKey((0, 0)), frozenset(
+        SimplexKey(X.gen_of_label((m,))) for m in sub))
+    target_data = WaldhausenData(X, SimplexKey((0, 0)), frozenset(
+        SimplexKey(X.gen_of_label((m,))) for m in marked))
+    G = ExactFunctorData(sx.SimplicialMap.identity(X), source_data, target_data)
+    got = _cof_ho_outcome(G)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(wd, "one_full_subnerve", sx.one_full_subcomplex)
+        assert got == _cof_ho_outcome(G)
+
+
+def test_one_iterate_checks_each_category_once(monkeypatch, tmp_path):
+    # a passing check is remembered: the tabulated copy of a nerve's category
+    # and a wide subcategory of a checked one are not checked again
+    runs, kept = {}, []
+    real_check = FinCategory.check
+
+    def check(self):
+        if not self._checked:
+            kept.append(self)  # so that no id is reused
+            runs[id(self)] = runs.get(id(self), 0) + 1
+        return real_check(self)
+
+    returned = []
+    real_ho = qc.ho_category
+
+    def ho_category(X):
+        ho = real_ho(X)
+        returned.append(ho.cat)
+        return ho
+
+    monkeypatch.setattr(FinCategory, "check", check)
+    monkeypatch.setattr(qc, "ho_category", ho_category)
+    path = tmp_path / "dup.json"
+    path.write_text(io.dumps(io.serialize_exact(pointed_sets_with_duplicate(2, 2)[1])))
+    assert main(["iterate", str(path), "--n", "2", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(returned) == 8
+    assert runs and max(runs.values()) == 1
+    assert all(cat._checked for cat in returned)
+
+
 def cof_category_by_all_pairs(W):
     """Oracle for ``cof_category``: closure tested over all marked pairs."""
     X = W.underlying
@@ -262,12 +373,7 @@ def test_cof_category_matches_the_all_pairs_closure(seed, close):
     if rng.random() < 0.3:
         C = C.opposite()
     N = nerve(C, 2)
-    marked = {m for m in C.morphisms if m not in C.id_set and rng.random() < 0.5}
-    while close:
-        new = {C.compose_mor(g, f) for f in marked for g in C.nonid_out(C.tgt[f])
-               if g in marked} - marked - C.id_set
-        marked |= new
-        close = bool(new)
+    marked = _random_marking(rng, C, close)
     cof = frozenset(SimplexKey(N.gen_of_label((m,))) for m in marked)
     W = WaldhausenData(N, SimplexKey((0, 0)), cof)
     got, want = cof_category(W), cof_category_by_all_pairs(W)

@@ -300,6 +300,13 @@ def string_route_nerve(C: FinCategory, d: int) -> sx.SimplicialSet:
     return N
 
 
+def image_rows(sub) -> dict:
+    """A subcomplex with its inclusion, by its image: the image of each
+    generator, with the images of its faces."""
+    S, incl = sub
+    return {incl(sx.SimplexKey(g)): tuple(map(incl, S.faces.get(g, ()))) for g in S.all_gens()}
+
+
 def maximal_marking_waldhausen(C: FinCategory, zero_obj, d: int) -> WaldhausenData:
     return nerve_waldhausen(C, zero_obj, [m for m in C.morphisms], d)
 
