@@ -259,6 +259,9 @@ def cmd_sconstruct(args):
     from .sconstruction import s_n
 
     _require_indices([args.n], "/n")
+    if args.dim < 1:
+        # the level's cofibrations are edges of its nerve
+        raise io.SchemaError("sconstruct needs --dim at least 1", "/dim")
     _, W = _load(args.input, "waldhausen")
     _require_grid_data(W, "")
     level = s_n(W, args.n, args.dim)
@@ -434,6 +437,8 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         if args.budget <= 0:
             raise io.SchemaError("budget must be positive", "/budget")
+        if args.dim < 0:
+            raise io.SchemaError("--dim must be at least 0", "/dim")
         with sx.budget(args.budget):
             return args.func(args)
     except io.SchemaError as exc:

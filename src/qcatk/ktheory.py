@@ -4,7 +4,9 @@ The class group K0 of a Waldhausen structure is computed two independent
 ways — as the abelianized edge-path group of the diagonal of the truncated
 bisimplicial set of equivalence subcomplexes of the staircase levels, and
 from a direct generators-and-relations presentation — and the two must
-agree.  The module also provides the approximation verifier for exact
+agree.  The truncation is one diagonal family: the core nerves of levels
+0..2 with the structure maps between them, materialized to level 2.  The
+module also provides the approximation verifier for exact
 functors; the Quillen-Theorem-A checker and the verifier for functors with
 poset-indexed colimits are in :mod:`qcatk.statements`.
 """
@@ -30,38 +32,24 @@ from .waldhausen import (
 # -- the diagonal of a truncated bisimplicial set ------------------------------
 
 
-class _BisimplicialTruncation:
-    """Levels L_0..L_top with horizontal structure maps between them.
-
-    ``hfaces[(n, i)]`` is the map L_n -> L_{n-1} and ``hdegens[(n, i)]`` the
-    map L_n -> L_{n+1}; vertical structure is internal to each level."""
+class _DiagonalFamily(sx.Family):
+    """The diagonal of a truncated bisimplicial set: levels L_0..L_top,
+    where ``hfaces[(n, i)]`` is the horizontal map L_n -> L_{n-1} and
+    ``hdegens[(n, i)]`` the map L_n -> L_{n+1}, and vertical structure is
+    internal to each level.  diag_n is the n-simplices of level n, with
+    mixed face and degeneracy maps."""
 
     def __init__(self, levels: list, hfaces: dict, hdegens: dict):
         self.levels, self.hfaces, self.hdegens = levels, hfaces, hdegens
 
-    @property
-    def top(self) -> int:
-        return len(self.levels) - 1
-
-
-class _DiagonalFamily(sx.Family):
-    def __init__(self, B: _BisimplicialTruncation):
-        self.B = B
-
     def elements(self, n):
-        return self.B.levels[n].simplices(n)
+        return self.levels[n].simplices(n)
 
     def face(self, n, x, i):
-        return self.B.hfaces[(n, i)](self.B.levels[n].face(x, i))
+        return self.hfaces[(n, i)](self.levels[n].face(x, i))
 
     def degeneracy(self, n, x, i):
-        return self.B.hdegens[(n, i)](self.B.levels[n].degeneracy(x, i))
-
-
-def _diagonal(B: _BisimplicialTruncation) -> sx.MaterializedSSet:
-    """diag_n = the n-simplices of level n, with mixed face and degeneracy
-    maps; materialized to the stored number of levels."""
-    return sx.MaterializedSSet(_DiagonalFamily(B), B.top)
+        return self.hdegens[(n, i)](self.levels[n].degeneracy(x, i))
 
 
 # -- the equivalence levels of the staircase construction ----------------------
@@ -76,40 +64,30 @@ def _core_functor(F: FinFunctor, core_src, core_tgt) -> FinFunctor:
     )
 
 
-def _face_theta(n: int, i: int) -> tuple:
-    return tuple(j for j in range(n + 1) if j != i)
-
-
-def _degeneracy_theta(n: int, i: int) -> tuple:
-    return tuple(range(i + 1)) + tuple(range(i, n + 1))
-
-
 def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2):
-    """Equivalence subcomplexes of the staircase levels 0..top as a
-    bisimplicial truncation, plus the levels themselves.
+    """Equivalence subcomplexes of the staircase levels 0..top as the
+    diagonal family of a bisimplicial truncation, plus the levels
+    themselves.
 
     Each level nerve is a nerve of a diagram category, so its equivalence
     subcomplex is the nerve of the subcategory of invertible transformations;
     it is built from the groupoid core, and the level's own nerve is never
-    read.  Each level is built once.  Returns (truncation, grid levels,
-    groupoid cores); the truncation's levels are the core nerves."""
+    read.  Each level is built once.  Returns (family, grid levels, groupoid
+    cores); the family's levels are the core nerves."""
     grids = [s_n(W, n, d) for n in range(top + 1)]
     cores = [groupoid_core(g.cat) for g in grids]
     levels = [nerve(c, max(d, n)) for n, c in enumerate(cores)]
-    hfaces, hdegens = {}, {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            F = s_structure_functor(_face_theta(n, i), grids[n], grids[n - 1])
-            hfaces[(n, i)] = nerve_functor_map(
-                _core_functor(F, cores[n], cores[n - 1]), levels[n], levels[n - 1]
-            )
-    for n in range(top):
-        for i in range(n + 1):
-            F = s_structure_functor(_degeneracy_theta(n, i), grids[n], grids[n + 1])
-            hdegens[(n, i)] = nerve_functor_map(
-                _core_functor(F, cores[n], cores[n + 1]), levels[n], levels[n + 1]
-            )
-    return _BisimplicialTruncation(levels, hfaces, hdegens), grids, cores
+
+    def structure_map(theta, n, m):
+        """Level n -> level m, induced by the monotone theta: [m] -> [n]."""
+        F = s_structure_functor(theta, grids[n], grids[m])
+        return nerve_functor_map(_core_functor(F, cores[n], cores[m]), levels[n], levels[m])
+
+    hfaces = {(n, i): structure_map(tuple(j for j in range(n + 1) if j != i), n, n - 1)
+              for n in range(1, top + 1) for i in range(n + 1)}
+    hdegens = {(n, i): structure_map(tuple(range(i + 1)) + tuple(range(i, n + 1)), n, n + 1)
+               for n in range(top) for i in range(n + 1)}
+    return _DiagonalFamily(levels, hfaces, hdegens), grids, cores
 
 
 def _k0_and_levels(W: WaldhausenData, d: int):
@@ -117,11 +95,11 @@ def _k0_and_levels(W: WaldhausenData, d: int):
     returns (K0, (grid levels, groupoid cores, core nerves))."""
     if d < 2:
         raise ValueError("K0 needs dimension at least 2")
-    B, grids, cores = s_equiv_truncation(W, 2, d)
-    D = _diagonal(B)
+    family, grids, cores = s_equiv_truncation(W, 2, d)
+    D = sx.MaterializedSSet(family, 2)
     # the core has the level's objects, so the all-zero diagram is a vertex
-    base = D.key_of(0, SimplexKey(B.levels[0].gen_of_label(grids[0].zero)))
-    return pi1_abelianized(D, base), (grids, cores, B.levels)
+    base = D.key_of(0, SimplexKey(family.levels[0].gen_of_label(grids[0].zero)))
+    return pi1_abelianized(D, base), (grids, cores, family.levels)
 
 
 def k0_via_diagonal(W: WaldhausenData, d: int = 2) -> AbelianGroupPresentation:

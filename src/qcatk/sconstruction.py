@@ -6,8 +6,10 @@ quasicategory per n: staircase diagrams of cofibrations with chosen
 quotients (:func:`s_n`), the same diagrams restricted to the unit-square
 grid (:func:`s_bar_n`), and plain cofibration sequences (:func:`f_n`).
 Each kind states its shape, the elements fixed at zero, its diagram
-condition and its marking row; one builder enumerates, filters and
-assembles the level.  Every functor between levels, whether a forgetful
+condition and its marking row.  Each level is one object: it reads maps
+from the shape into the base nerve as diagrams, its ``build`` enumerates,
+filters and assembles the level, and its nerve and Waldhausen data are
+built on first read.  Every functor between levels, whether a forgetful
 comparison map (:func:`forgetful_maps`), a structure map induced by a
 monotone map of finite ordinals (:func:`s_structure_functor`) or the map
 induced by an exact functor, is one :func:`level_functor`.  All levels are
@@ -74,28 +76,82 @@ def restricted_grid(n: int, ambient: SimplicialSet = None):
     return G, incl
 
 
-# -- diagram categories -------------------------------------------------------
+# -- diagram levels -----------------------------------------------------------
 
 
-class _GridConstruction:
-    """One level of a grid construction: the diagram universe (the indexing
-    shape and its vertex elements), the category of qualifying diagrams and
-    natural transformations, the list decoding object indices to maps
-    shape -> nerve, the index of the all-zero diagram and the marked
-    morphisms.
+class _GridLevel:
+    """One level of a grid construction, in two steps.  The constructor
+    reads maps shape -> nerve as diagrams of objects and morphisms:
+    ``vertex_elem`` names each vertex generator of the shape by an element,
+    and an edge is named by the elements at its ends.  :meth:`build` then
+    enumerates the diagrams, keeps the qualifying ones and assembles the
+    category of diagrams and natural transformations, the list decoding
+    object indices to diagrams, the index of the all-zero diagram and the
+    marked morphisms.
 
     The inherited Waldhausen marking on the nerve of that category (to
     dimension ``d``) is built on the first read of ``wdata`` or ``sset`` and
     kept; callers that need only the category never build the nerve."""
 
-    def __init__(self, uni: _DiagramUniverse, cat: FinCategory, maps: list, zero: int,
-                 marked: frozenset, d: int, universe: dict, report: dict):
-        self.uni, self.cat, self.maps, self.zero = uni, cat, maps, zero
-        self.marked, self.d, self.universe, self.report = marked, d, universe, report
+    def __init__(self, W: WaldhausenData, shape: SimplicialSet, vertex_elem: dict):
+        N = W.underlying
+        if N.category is None:
+            raise ValueError("grid constructions need nerve-backed Waldhausen data")
+        self.W, self.C, self.N, self.shape = W, N.category, N, shape
+        self.vgen = {e: g for g, e in vertex_elem.items()}
 
-    @property
-    def shape(self) -> SimplicialSet:
-        return self.uni.shape
+        def ends(g):
+            return tuple(vertex_elem[shape.vertex(SimplexKey(g), i).gen] for i in (0, 1))
+
+        self.egen = {ends(g): g for g in shape.gens(1)}
+        self.zero_obj = N.labels[W.zero.gen]
+
+    def obj_at(self, mp: SimplicialMap, elem):
+        return self.N.labels[mp.assign[self.vgen[elem]].gen]
+
+    def mor_at(self, mp: SimplicialMap, e1, e2):
+        if e1 == e2:
+            return self.C.ids[self.obj_at(mp, e1)]
+        return edge_morphism(self.C, self.N, mp.assign[self.egen[(e1, e2)]])
+
+    def base_marked(self, m) -> bool:
+        """Whether a morphism of the base category is an identity or marked."""
+        return m in self.C.id_set or SimplexKey(self.N.gen_of_label((m,))) in self.W.cof
+
+    def build(self, kind: str, n: int, zeros, qualifies, row, d: int) -> _GridLevel:
+        """Level n: the maps shape -> nerve with the elements ``zeros`` at
+        the zero object that pass ``qualifies``, marked along the vertex
+        elements ``row``.  The marking is computed here, since missing
+        corner pushouts go into the report; the level nerve waits for its
+        first read."""
+        fixed = {self.vgen[e]: self.W.zero for e in zeros}
+        maps_all = sx.enumerate_maps(self.shape, self.N, fixed=fixed)
+        self.cat, self.maps = map_category(self.shape, self.C, self.N,
+                                           maps=[mp for mp in maps_all if qualifies(mp)])
+        zero_idx = [
+            i
+            for i, mp in enumerate(self.maps)
+            if all(self.obj_at(mp, e) == self.zero_obj for e in self.vgen)
+        ]
+        if len(zero_idx) != 1:
+            raise AssertionError("expected exactly one all-zero diagram")
+        self.zero, self.d = zero_idx[0], d
+        self.report = {"enumerated": len(maps_all), "level": n, "kind": kind}
+        marked = set()
+        for m in self.cat.morphisms:
+            if m in self.cat.id_set:
+                continue
+            ok, note = _top_row_cofibration(self, row, m)
+            if ok:
+                marked.add(m)
+            elif note is not None:
+                self.report.setdefault("corner_pushout_missing", []).append(note)
+        self.marked = frozenset(marked)
+        self.universe = dict(self.W.universe or {})
+        self.universe["bounded"] = True
+        self.universe["note"] = f"diagram category over {len(self.C.objects)}-object base"
+        self.report.update({"objects": len(self.maps), "dim": d})
+        return self
 
     @cached_property
     def wdata(self) -> WaldhausenData:
@@ -109,101 +165,7 @@ class _GridConstruction:
         return self.wdata.underlying
 
 
-def _nerve_backed(W: WaldhausenData):
-    N = W.underlying
-    if N.category is None:
-        raise ValueError("grid constructions need nerve-backed Waldhausen data")
-    return N.category, N
-
-
-def _mor_marked(W: WaldhausenData, C: FinCategory, N: SimplicialSet, m) -> bool:
-    if m in C.id_set:
-        return True
-    return SimplexKey(N.gen_of_label((m,))) in W.cof
-
-
-class _DiagramUniverse:
-    """Shared plumbing for reading a map shape -> nerve as a diagram of
-    objects and morphisms indexed by vertex and edge generators.
-    ``vertex_elem`` names each vertex generator of the shape by an element;
-    an edge is named by the elements at its ends."""
-
-    def __init__(self, W, shape, vertex_elem):
-        self.W = W
-        self.C, self.N = _nerve_backed(W)
-        self.shape = shape
-        self.vgen = {e: g for g, e in vertex_elem.items()}
-
-        def ends(g):
-            return tuple(vertex_elem[shape.vertex(SimplexKey(g), i).gen] for i in (0, 1))
-
-        self.egen = {ends(g): g for g in shape.gens(1)}
-        self.zero_obj = self.N.labels[W.zero.gen]
-
-    def obj_at(self, mp: SimplicialMap, elem):
-        return self.N.labels[mp.assign[self.vgen[elem]].gen]
-
-    def mor_at(self, mp: SimplicialMap, e1, e2):
-        if e1 == e2:
-            return self.C.ids[self.obj_at(mp, e1)]
-        return edge_morphism(self.C, self.N, mp.assign[self.egen[(e1, e2)]])
-
-    def marked(self, m) -> bool:
-        return _mor_marked(self.W, self.C, self.N, m)
-
-    def corner_map(self, f, g, apex_obj, i_target, j_target):
-        """Mediator from the pushout of (f, g) to the commuting cocone
-        (apex_obj, i_target, j_target); None if the pushout is missing."""
-        if self.C.pushout(f, g) is None:
-            return None
-        h = self.C.mediator(f, g, apex_obj, i_target, j_target)
-        if h is None:
-            raise AssertionError("pushout mediator missing; universal property violated")
-        return h
-
-
-def _grid_level(uni, kind, n, zeros, qualifies, row, d) -> _GridConstruction:
-    """Level n of a grid construction: the maps shape -> nerve with the
-    elements ``zeros`` at the zero object that pass ``qualifies``, marked
-    along the vertex elements ``row``."""
-    fixed = {uni.vgen[e]: uni.W.zero for e in zeros}
-    maps_all = sx.enumerate_maps(uni.shape, uni.N, fixed=fixed)
-    good = [mp for mp in maps_all if qualifies(mp)]
-    report = {"enumerated": len(maps_all), "level": n, "kind": kind}
-    return _build_level(uni, good, row, d, report)
-
-
-def _build_level(uni, good_maps, row, d, report):
-    """Assemble a level from the qualifying diagrams.  The
-    marking is computed here, since missing corner pushouts go into the
-    report; the level nerve waits for its first read."""
-    C = uni.C
-    cat, maps = map_category(uni.shape, C, uni.N, maps=good_maps)
-    zero_idx = [
-        i
-        for i, mp in enumerate(maps)
-        if all(uni.obj_at(mp, e) == uni.zero_obj for e in uni.vgen)
-    ]
-    if len(zero_idx) != 1:
-        raise AssertionError("expected exactly one all-zero diagram")
-    marked = set()
-    for m in cat.morphisms:
-        if m in cat.id_set:
-            continue
-        ok, note = _top_row_cofibration(uni, maps, row, m)
-        if ok:
-            marked.add(m)
-        elif note is not None:
-            report.setdefault("corner_pushout_missing", []).append(note)
-    universe = dict(uni.W.universe or {})
-    universe["bounded"] = True
-    universe["note"] = f"diagram category over {len(C.objects)}-object base"
-    report.update({"objects": len(maps), "dim": d})
-    return _GridConstruction(uni, cat, maps, zero_idx[0], frozenset(marked), d,
-                             universe, report)
-
-
-def _top_row_cofibration(uni, maps, row, m):
+def _top_row_cofibration(level: _GridLevel, row, m):
     """Marking test shared by all three constructions: the listed row of
     components must be marked and each comparison map out of the pushout of a
     row step against the previous component must be marked.
@@ -212,119 +174,121 @@ def _top_row_cofibration(uni, maps, row, m):
     Returns (ok, missing-pushout note or None)."""
     a, b, eta_items = m
     eta = dict(eta_items)
-    A, B = maps[a], maps[b]
+    A, B = level.maps[a], level.maps[b]
     for e in row:
-        if not uni.marked(eta[uni.vgen[e]]):
+        if not level.base_marked(eta[level.vgen[e]]):
             return False, None
     for prev, cur in zip(row, row[1:]):
-        f = uni.mor_at(A, prev, cur)
-        g = eta[uni.vgen[prev]]
-        corner = uni.corner_map(
-            f, g, uni.obj_at(B, cur), eta[uni.vgen[cur]], uni.mor_at(B, prev, cur)
-        )
-        if corner is None:
+        f = level.mor_at(A, prev, cur)
+        g = eta[level.vgen[prev]]
+        if level.C.pushout(f, g) is None:
             return False, {"morphism": m, "span": (f, g)}
-        if not uni.marked(corner):
+        # the mediator from the pushout of (f, g) to the square's corner
+        corner = level.C.mediator(f, g, level.obj_at(B, cur), eta[level.vgen[cur]],
+                                  level.mor_at(B, prev, cur))
+        if corner is None:
+            raise AssertionError("pushout mediator missing; universal property violated")
+        if not level.base_marked(corner):
             return False, None
     return True, None
 
 
 def s_n(W: WaldhausenData, n: int, d: int = 2,
-        shape: SimplicialSet = None) -> _GridConstruction:
+        shape: SimplicialSet = None) -> _GridLevel:
     """Level n of the staircase construction: diagrams over the full arrow
     poset nerve with zero diagonal, marked top-to-right morphisms, and
     pushout squares; natural transformations between them; marking by
     top-row components plus pushout comparison maps."""
     K = shape if shape is not None else ar_nerve(n)
-    uni = _DiagramUniverse(W, K, {g: K.labels[g] for g in K.gens(0)})
+    lv = _GridLevel(W, K, {g: K.labels[g] for g in K.gens(0)})
 
     def qualifies(mp):
         for i in range(n + 1):
             for j in range(i, n + 1):
                 for k in range(j, n + 1):
-                    if j < k and not uni.marked(uni.mor_at(mp, (i, j), (i, k))):
+                    if j < k and not lv.base_marked(lv.mor_at(mp, (i, j), (i, k))):
                         return False
                     if i < j < k:
-                        if not uni.C.is_pushout_cocone(
-                            uni.mor_at(mp, (i, j), (i, k)),
-                            uni.mor_at(mp, (i, j), (j, j)),
-                            uni.obj_at(mp, (j, k)),
-                            uni.mor_at(mp, (i, k), (j, k)),
-                            uni.mor_at(mp, (j, j), (j, k)),
+                        if not lv.C.is_pushout_cocone(
+                            lv.mor_at(mp, (i, j), (i, k)),
+                            lv.mor_at(mp, (i, j), (j, j)),
+                            lv.obj_at(mp, (j, k)),
+                            lv.mor_at(mp, (i, k), (j, k)),
+                            lv.mor_at(mp, (j, j), (j, k)),
                         ):
                             return False
         return True
 
-    level = _grid_level(uni, "staircase", n, [(i, i) for i in range(n + 1)], qualifies,
-                        [(0, j) for j in range(n + 1)], d)
-    level.report["dropped_rows"] = _count_dropped_rows(uni, level.maps, n)
+    level = lv.build("staircase", n, [(i, i) for i in range(n + 1)], qualifies,
+                     [(0, j) for j in range(n + 1)], d)
+    level.report["dropped_rows"] = _count_dropped_rows(level, n)
     return level
 
 
-def _count_dropped_rows(uni, good, n):
+def _count_dropped_rows(level: _GridLevel, n: int) -> int:
     """Sequences of marked morphisms out of zero admitting no qualifying
     diagram with that top row (quotient data missing in the bounded base)."""
-    C = uni.C
-    frontier = [(uni.zero_obj, ())]
+    C = level.C
+    frontier = [(level.zero_obj, ())]
     for _ in range(n):
         nxt = []
         for obj, seq in frontier:
             for m in C.morphisms:
-                if C.src[m] == obj and uni.marked(m):
+                if C.src[m] == obj and level.base_marked(m):
                     nxt.append((C.tgt[m], seq + (m,)))
         frontier = nxt
     present = set()
-    for mp in good:
-        present.add(tuple(uni.mor_at(mp, (0, j - 1), (0, j)) for j in range(1, n + 1)))
+    for mp in level.maps:
+        present.add(tuple(level.mor_at(mp, (0, j - 1), (0, j)) for j in range(1, n + 1)))
     rows = {seq for _, seq in frontier}
     return len(rows - present)
 
 
 def s_bar_n(W: WaldhausenData, n: int, d: int = 2,
-            ambient: SimplicialSet = None) -> _GridConstruction:
+            ambient: SimplicialSet = None) -> _GridLevel:
     """Level n of the restricted construction: diagrams over the unit-square
     grid only, with conditions on adjacent squares."""
     A = ambient if ambient is not None else ar_nerve(n)
     K, _incl = restricted_grid(n, ambient=A)
-    uni = _DiagramUniverse(W, K, {g: A.labels[K.labels[g].gen] for g in K.gens(0)})
+    lv = _GridLevel(W, K, {g: A.labels[K.labels[g].gen] for g in K.gens(0)})
 
     def qualifies(mp):
         for i in range(n + 1):
             for j in range(i, n):
-                if not uni.marked(uni.mor_at(mp, (i, j), (i, j + 1))):
+                if not lv.base_marked(lv.mor_at(mp, (i, j), (i, j + 1))):
                     return False
         for i in range(n + 1):
             for j in range(i + 1, n):
-                if not uni.C.is_pushout_cocone(
-                    uni.mor_at(mp, (i, j), (i, j + 1)),
-                    uni.mor_at(mp, (i, j), (i + 1, j)),
-                    uni.obj_at(mp, (i + 1, j + 1)),
-                    uni.mor_at(mp, (i, j + 1), (i + 1, j + 1)),
-                    uni.mor_at(mp, (i + 1, j), (i + 1, j + 1)),
+                if not lv.C.is_pushout_cocone(
+                    lv.mor_at(mp, (i, j), (i, j + 1)),
+                    lv.mor_at(mp, (i, j), (i + 1, j)),
+                    lv.obj_at(mp, (i + 1, j + 1)),
+                    lv.mor_at(mp, (i, j + 1), (i + 1, j + 1)),
+                    lv.mor_at(mp, (i + 1, j), (i + 1, j + 1)),
                 ):
                     return False
         return True
 
-    return _grid_level(uni, "restricted", n, [(i, i) for i in range(n + 1)], qualifies,
-                       [(0, j) for j in range(n + 1)], d)
+    return lv.build("restricted", n, [(i, i) for i in range(n + 1)], qualifies,
+                    [(0, j) for j in range(n + 1)], d)
 
 
-def f_n(W: WaldhausenData, n: int, d: int = 2) -> _GridConstruction:
+def f_n(W: WaldhausenData, n: int, d: int = 2) -> _GridLevel:
     """Level n of the cofibration-sequence construction: the 0-full part of
     the diagram category over the spine on sequences of marked edges."""
     K = sx.spine(n)
-    uni = _DiagramUniverse(W, K, {g: K.labels[g][0] for g in K.gens(0)})
+    lv = _GridLevel(W, K, {g: K.labels[g][0] for g in K.gens(0)})
 
     def qualifies(mp):
-        return all(uni.marked(uni.mor_at(mp, i - 1, i)) for i in range(1, n + 1))
+        return all(lv.base_marked(lv.mor_at(mp, i - 1, i)) for i in range(1, n + 1))
 
-    return _grid_level(uni, "sequences", n, [], qualifies, list(range(n + 1)), d)
+    return lv.build("sequences", n, [], qualifies, list(range(n + 1)), d)
 
 
 # -- functors between levels ----------------------------------------------------
 
 
-def level_functor(source: _GridConstruction, target: _GridConstruction,
+def level_functor(source: _GridLevel, target: _GridLevel,
                   shape_map: SimplicialMap = None,
                   base_map: SimplicialMap = None) -> FinFunctor:
     """The functor between diagram levels induced by a map of shapes
@@ -384,11 +348,10 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2) -> dict:
     if n < 1:
         raise ValueError("comparison maps need n >= 1")
     A = ar_nerve(n)
-    full_level = s_n(W, n, d, shape=A)
-    bar_level = s_bar_n(W, n, d, ambient=A)
-    seq_level = f_n(W, n - 1, d)
+    full = s_n(W, n, d, shape=A)
+    bar = s_bar_n(W, n, d, ambient=A)
+    seq = f_n(W, n - 1, d)
 
-    bar, seq = bar_level.uni, seq_level.uni
     incl_bar = SimplicialMap(bar.shape, A, {g: bar.shape.labels[g] for g in bar.shape.all_gens()})
     # the sequence i - 1 -> i is the top-row step (0, i) -> (0, i + 1)
     emb_assign = {seq.vgen[i]: SimplexKey(bar.vgen[(0, i + 1)]) for i in range(n)}
@@ -396,10 +359,10 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2) -> dict:
         emb_assign[seq.egen[(i - 1, i)]] = SimplexKey(bar.egen[((0, i), (0, i + 1))])
     emb = SimplicialMap(seq.shape, bar.shape, emb_assign)
 
-    out = {"levels": {"full": full_level, "restricted": bar_level, "sequences": seq_level}}
+    out = {"levels": {"full": full, "restricted": bar, "sequences": seq}}
     for name, src, tgt, shape_map in (
-        ("full_to_restricted", full_level, bar_level, incl_bar),
-        ("restricted_to_sequences", bar_level, seq_level, emb),
+        ("full_to_restricted", full, bar, incl_bar),
+        ("restricted_to_sequences", bar, seq, emb),
     ):
         F = level_functor(src, tgt, shape_map=shape_map)
         rep = functor_equivalence_report(F)
@@ -428,8 +391,8 @@ def arrow_poset_functor(theta, n: int) -> FinFunctor:
     return F
 
 
-def s_structure_functor(theta, source: _GridConstruction,
-                        target: _GridConstruction) -> FinFunctor:
+def s_structure_functor(theta, source: _GridLevel,
+                        target: _GridLevel) -> FinFunctor:
     """The functor between staircase levels induced by a monotone
     theta: [m] -> [n]; source is level n, target is level m."""
     arf = arrow_poset_functor(theta, source.report["level"])

@@ -18,7 +18,6 @@ from .cats import (
     edge_morphism,
     functor_from_nerve_map,
     functor_equivalence_report,
-    marked_subcategory,
     nerve,
     nerve_key_for_string,
     one_full_subnerve,
@@ -145,15 +144,10 @@ def _leg_in_slice(X: SimplicialSet, f: SimplexKey, g: SimplexKey) -> Optional[Si
 # -- cofibration subquasicategory ----------------------------------------------
 
 
-def cof_category(W: WaldhausenData) -> Optional[FinCategory]:
-    """For nerve-backed data: the subcategory on marked morphisms, provided
-    the marking is closed under composition (else None)."""
-    return marked_subcategory(W.underlying, W.is_cof)
-
-
 def cof_subquasicategory(W: WaldhausenData, d: int = 2):
-    """1-full subcomplex on marked edges, with inclusion: the nerve of
-    ``cof_category`` when that exists."""
+    """1-full subcomplex on marked edges, with inclusion: on nerve-backed
+    data, the nerve of the cofibration category
+    ``cats.marked_subcategory(W.underlying, W.is_cof)`` when that exists."""
     return one_full_subnerve(W.underlying, W.is_cof, d)
 
 

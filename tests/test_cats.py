@@ -588,7 +588,7 @@ def _derived_with_tables(C, table):
 def map_level_table(level):
     """The table of a diagram level by its composite rule: two natural
     transformations compose componentwise in the base category."""
-    C, cat = level.uni.C, level.cat
+    C, cat = level.C, level.cat
     starting: dict = {}
     for g in cat.morphisms:
         starting.setdefault(g[0], []).append(g)

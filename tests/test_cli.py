@@ -392,6 +392,21 @@ def test_dimension_guard_exits_one_with_pointer(files, capsys):
     assert json.loads(captured.err)["pointer"] == "/dim"
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "ps2"], ["nerve", "z3"], ["tau1", "nz3"], ["ho", "nz3"], ["join", "d1", "d2"],
+    ["slice", "bdincl"], ["overcat", "d2", "--vertex", "0.0"],
+    ["comma", "bdincl", "--vertex", "0.0"], ["contractible", "d2"], ["waldhausen-check", "ps2"],
+    ["sconstruct", "ps2", "--n", "1"], ["k0", "ps2"], ["approx", "dup"], ["lift", "bdincl"],
+    ["iterate", "dup", "--n", "1"],
+], ids=lambda argv: argv[0])
+def test_a_negative_dimension_bound_is_one_json_error(files, capsys, argv):
+    code = main([files.get(a, a) for a in argv] + ["--dim", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"error": "--dim must be at least 0 (at /dim)",
+                                        "pointer": "/dim"}
+
+
 def test_missing_file_exits_one(files, capsys):
     code = main(["validate", str(files["dir"] / "absent.json")])
     capsys.readouterr()
@@ -597,6 +612,8 @@ def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
     (["sconstruct", "ps2", "--n", "-1"], "/n"),
     (["lift", "bdincl", "--nbar", "-1"], "/nbar"),
     (["k0", "ps2", "--budget", "0"], "/budget"),
+    # a level nerve below dimension 1 has no edges to mark
+    (["sconstruct", "ps2", "--n", "1", "--dim", "0"], "/dim"),
 ])
 def test_nonsense_arguments_are_one_json_error(files, capsys, argv, pointer):
     argv = [files.get(a, a) for a in argv]

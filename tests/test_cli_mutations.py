@@ -9,6 +9,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +157,7 @@ def mutate(doc, op, at):
     return doc
 
 
-def run_every_command(doc, vertex):
+def run_every_command(doc, vertex, dim="2"):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -165,7 +166,7 @@ def run_every_command(doc, vertex):
             argv = [path if a == "{}" else vertex if a == "{v}" else a for a in template]
             out, err = stdio.StringIO(), stdio.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + ["--budget", BUDGET])
+                code = main(argv + ["--budget", BUDGET, "--dim", dim])
             where = (template[0], code, err.getvalue()[:200])
             assert code in (0, 1, 2), where
             if code == 2 or err.getvalue():
@@ -178,6 +179,12 @@ def run_every_command(doc, vertex):
 def test_every_command_on_every_unmutated_document():
     for doc in DOCUMENTS.values():
         run_every_command(doc, _first_vertex(doc))
+
+
+@pytest.mark.parametrize("dim", ["-1", "0", "1"])
+def test_every_command_on_every_unmutated_document_at_low_dimension_bounds(dim):
+    for doc in DOCUMENTS.values():
+        run_every_command(doc, _first_vertex(doc), dim)
 
 
 @given(st.sampled_from(sorted(DOCUMENTS)),

@@ -170,6 +170,40 @@ def test_a_map_that_inverts_an_arrow_fails_reflection():
     assert rep["hypotheses_hold"] is False
 
 
+# the posets 0, 1 < 2 and 0, 1 < 2, 3: the pair (0, 1) has the colimit 2 in
+# the first and none in the second, where 2 and 3 are both upper bounds
+ONE_TOP = poset_category(range(3), lambda a, b: a == b or (a < 2 == b))
+TWO_TOPS = poset_category(range(4), lambda a, b: a == b or (a < 2 <= b))
+
+
+def test_a_source_without_a_coproduct_fails_the_colimit_hypothesis():
+    # 24 diagrams: 4 objects, 16 ordered pairs and 4 identity arrows; the
+    # pairs (0, 1) and (2, 3) have no colimit, in either order
+    N = nerve(TWO_TOPS, 3)
+    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    rep = stm.main_technical_verify(ident, d=2)
+    assert rep["hypotheses"]["poset_colimits"] == {
+        "diagrams_checked": 24, "without_colimit": 4, "not_preserved": 0, "ok": False}
+    assert rep["hypotheses"]["essentially_surjective"]
+    assert rep["hypotheses"]["reflects_equivalences"]
+    assert rep["hypotheses_hold"] is False
+    assert rep["conclusion"]["agree"]
+
+
+def test_a_map_that_loses_a_coproduct_fails_the_colimit_hypothesis():
+    # 2 is the coproduct of 0 and 1 in ONE_TOP but not in TWO_TOPS, so the
+    # diagrams (0, 1) and (1, 0) keep no colimit under the inclusion
+    F = FinFunctor(ONE_TOP, TWO_TOPS, {o: o for o in ONE_TOP.objects},
+                   {m: m for m in ONE_TOP.morphisms})
+    F.check()
+    G = nerve_functor_map(F, nerve(ONE_TOP, 3), nerve(TWO_TOPS, 3))
+    rep = stm.main_technical_verify(G, d=2)
+    assert rep["hypotheses"]["poset_colimits"] == {
+        "diagrams_checked": 15, "without_colimit": 0, "not_preserved": 2, "ok": False}
+    assert rep["hypotheses"]["essentially_surjective"] is False
+    assert rep["hypotheses_hold"] is False
+
+
 # ---------------------------------------------------------------------------
 # approximation desk check
 

@@ -2,7 +2,6 @@
 levels), comparison functors, and simplicial structure maps."""
 
 import functools
-from types import SimpleNamespace
 
 import pytest
 
@@ -157,22 +156,25 @@ def test_equivalence_report_shape_is_honest():
 # lazy level nerves against the eager assembly
 
 
-def _eager_build_level(uni, good_maps, row, d, report):
-    """Oracle: the level assembly that builds the level nerve, its marking
-    and its Waldhausen data at once."""
-    W, shape, C, N = uni.W, uni.shape, uni.C, uni.N
-    cat, maps = map_category(shape, C, N, maps=good_maps)
+def _eager_build(level, kind, n, zeros, qualifies, row, d):
+    """Oracle for ``_GridLevel.build``: the level assembly that builds the
+    level nerve, its marking and its Waldhausen data at once."""
+    W, shape, C, N = level.W, level.shape, level.C, level.N
+    maps_all = sx.enumerate_maps(shape, N, fixed={level.vgen[e]: W.zero for e in zeros})
+    cat, maps = map_category(shape, C, N, maps=[mp for mp in maps_all if qualifies(mp)])
     zero_idx = [
         i
         for i, mp in enumerate(maps)
-        if all(uni.obj_at(mp, e) == uni.zero_obj for e in uni.vgen)
+        if all(level.obj_at(mp, e) == level.zero_obj for e in level.vgen)
     ]
     assert len(zero_idx) == 1
+    level.cat, level.maps = cat, maps  # read by the marking test
+    report = {"enumerated": len(maps_all), "level": n, "kind": kind}
     marked = set()
     for m in cat.morphisms:
         if m in cat.id_set:
             continue
-        ok, note = sc._top_row_cofibration(uni, maps, row, m)
+        ok, note = sc._top_row_cofibration(level, row, m)
         if ok:
             marked.add(m)
         elif note is not None:
@@ -182,15 +184,17 @@ def _eager_build_level(uni, good_maps, row, d, report):
     universe = dict(W.universe or {})
     universe["bounded"] = True
     universe["note"] = f"diagram category over {len(C.objects)}-object base"
-    wdata = WaldhausenData(NV, SimplexKey(NV.gen_of_label(zero_idx[0])), cof, universe)
     report.update({"objects": len(maps), "dim": d})
-    return SimpleNamespace(shape=shape, cat=cat, maps=maps, wdata=wdata,
-                           sset=NV, report=report)
+    level.report = report
+    # the cached ``wdata`` filled in at once
+    vars(level)["wdata"] = WaldhausenData(NV, SimplexKey(NV.gen_of_label(zero_idx[0])), cof,
+                                          universe)
+    return level
 
 
 def _eager(monkeypatch, build, *args):
     with monkeypatch.context() as m:
-        m.setattr(sc, "_build_level", _eager_build_level)
+        m.setattr(sc._GridLevel, "build", _eager_build)
         return build(*args)
 
 

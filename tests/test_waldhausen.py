@@ -32,7 +32,6 @@ from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
     admits_factorization,
-    cof_category,
     cof_ho_equivalence,
     cof_subquasicategory,
     nerve_waldhausen,
@@ -349,7 +348,9 @@ def test_one_iterate_checks_each_category_once(monkeypatch, tmp_path):
 
 
 def cof_category_by_all_pairs(W):
-    """Oracle for ``cof_category``: closure tested over all marked pairs."""
+    """Oracle for the cofibration category
+    ``marked_subcategory(W.underlying, W.is_cof)``: closure tested over all
+    marked pairs."""
     X = W.underlying
     C = X.category
     marked = {edge_morphism(C, X, e) for e in W.edges() if W.is_cof(e)} | C.id_set
@@ -376,7 +377,7 @@ def test_cof_category_matches_the_all_pairs_closure(seed, close):
     marked = _random_marking(rng, C, close)
     cof = frozenset(SimplexKey(N.gen_of_label((m,))) for m in marked)
     W = WaldhausenData(N, SimplexKey((0, 0)), cof)
-    got, want = cof_category(W), cof_category_by_all_pairs(W)
+    got, want = marked_subcategory(W.underlying, W.is_cof), cof_category_by_all_pairs(W)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.objects == want.objects
