@@ -622,10 +622,10 @@ def functor_from_nerve_map(F: SimplicialMap) -> FinFunctor:
 def map_category(K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps):
     """Finite category on a list of simplicial maps K -> N(C).
 
-    Objects are indices into the returned list of maps; a morphism F -> G is
-    a vertex-indexed family of C-morphisms natural over the edge generators
-    of K.  On all the maps its nerve is the exponential N(C)^K; on a chosen
-    list it is the full subcategory on them.  Returns (category, maps).
+    Objects are indices into the list of maps; a morphism F -> G is a
+    vertex-indexed family of C-morphisms natural over the edge generators of
+    K.  On all the maps its nerve is the exponential N(C)^K; on a chosen list
+    it is the full subcategory on them.
     """
     verts = K.gens(0)
     num, after = C.number, C.after
@@ -696,8 +696,7 @@ def map_category(K: SimplicialSet, C: FinCategory, N: SimplicialSet, maps):
             row[j] = by_parts[(f[0], morphisms[j][1],
                                tuple([after[x][y] for x, y in zip(fp, parts[j])]))]
         rows.append(row)
-    cat = FinCategory(objects, morphisms, src, tgt, ids, rows)
-    return cat, maps
+    return FinCategory(objects, morphisms, src, tgt, ids, rows)
 
 
 def wide_subcategory(C: FinCategory, keep) -> FinCategory:

@@ -1,7 +1,9 @@
 """Slices, cocones, colimits, over-quasicategories and comma objects.
 
 Slices are computed from the join adjunction: an n-simplex of a\\X is an
-extension of a : A -> X over A * Delta[n], and dually for X/b.
+extension of a : A -> X over A * Delta[n], and dually for X/b.  A cocone on
+a is its extension map A * Delta[0] -> X, a vertex of a\\X, and it is
+colimiting when that vertex is initial.
 """
 
 from __future__ import annotations
@@ -115,27 +117,17 @@ def is_initial(X: SimplicialSet, i: SimplexKey, d: int) -> dict:
     return {"verdict": overall, "dim": d, "per_vertex": verdicts}
 
 
-class _Cocone:
-    """An extension of a base diagram a : A -> X over A * Delta[0]: the map
-    from the join A * Delta[0] and the vertex of a\\X it corresponds to."""
-
-    def __init__(self, extension: SimplicialMap, slice_vertex: SimplexKey):
-        self.extension, self.slice_vertex = extension, slice_vertex
-
-
-def cocones(slice_sset: sx.MaterializedSSet) -> list[_Cocone]:
-    fam: fm.MapFamily = slice_sset.family
-    return [_Cocone(fam.as_map(0, slice_sset.labels[g]), SimplexKey(g))
-            for g in slice_sset.gens(0)]
-
-
-def colimiting_cocones(a: SimplicialMap, d: int) -> list[dict]:
-    """Cocones on a whose initiality in a\\X is confirmed to dimension d.
-    Each entry carries the cocone and its initiality report."""
+def colimiting_cocones(a: SimplicialMap, d: int) -> list[SimplicialMap]:
+    """The cocones on a whose initiality in a\\X is confirmed to dimension
+    d, as maps A * Delta[0] -> X in the vertex order of a\\X."""
     sl = slice_under(a, d + 1)
-    results = []
-    for c in cocones(sl):
-        rep = is_initial(sl, c.slice_vertex, d)
-        if rep["verdict"].startswith("confirmed"):
-            results.append({"cocone": c, "report": rep})
-    return results
+    return [sl.family.as_map(0, sl.labels[g]) for g in sl.gens(0)
+            if is_initial(sl, SimplexKey(g), d)["verdict"].startswith("confirmed")]
+
+
+def is_colimiting_cocone(a: SimplicialMap, cocone: SimplicialMap, d: int) -> bool:
+    """Whether the cocone A * Delta[0] -> X on a is initial in a\\X, confirmed
+    to dimension d: the slice vertex is read off the cocone's values."""
+    sl = slice_under(a, d + 1)
+    vertex = sl.key_of(0, tuple(cocone.assign[h] for h in sl.family.shape(0).all_gens()))
+    return is_initial(sl, vertex, d)["verdict"].startswith("confirmed")

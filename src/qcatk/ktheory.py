@@ -5,8 +5,8 @@ ways — as the abelianized edge-path group of the diagonal of the truncated
 bisimplicial set of equivalence subcomplexes of the staircase levels, and
 from a direct generators-and-relations presentation — and the two must
 agree.  The truncation is one diagonal family: the core nerves of levels
-0..2 with the structure maps between them, materialized to level 2.  The
-module also provides the approximation verifier for exact
+0..2 with the maps that the level functors induce on them, materialized to
+level 2.  The module also provides the approximation verifier for exact
 functors; the Quillen-Theorem-A checker and the verifier for functors with
 poset-indexed colimits are in :mod:`qcatk.statements`.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
-from .cats import FinFunctor, groupoid_core, nerve, nerve_functor_map
+from .cats import groupoid_core, nerve, nerve_functor_map
 from .homology import AbelianGroupPresentation, group_from_relations, pi0, pi1_abelianized
 from .sconstruction import level_functor, s_n, s_structure_functor
 from .simplicial import SimplexKey, SimplicialSet
@@ -55,51 +55,43 @@ class _DiagonalFamily(sx.Family):
 # -- the equivalence levels of the staircase construction ----------------------
 
 
-def _core_functor(F: FinFunctor, core_src, core_tgt) -> FinFunctor:
-    return FinFunctor(
-        core_src,
-        core_tgt,
-        dict(F.obj_map),
-        {m: F.mor_map[m] for m in core_src.morphisms},
-    )
-
-
-def s_equiv_truncation(W: WaldhausenData, top: int = 2, d: int = 2):
-    """Equivalence subcomplexes of the staircase levels 0..top as the
+def s_equiv_truncation(W: WaldhausenData, d: int = 2):
+    """Equivalence subcomplexes of the staircase levels 0..2 as the
     diagonal family of a bisimplicial truncation, plus the levels
     themselves.
 
     Each level nerve is a nerve of a diagram category, so its equivalence
     subcomplex is the nerve of the subcategory of invertible transformations;
     it is built from the groupoid core, and the level's own nerve is never
-    read.  Each level is built once.  Returns (family, grid levels, groupoid
-    cores); the family's levels are the core nerves."""
-    grids = [s_n(W, n, d) for n in range(top + 1)]
-    cores = [groupoid_core(g.cat) for g in grids]
-    levels = [nerve(c, max(d, n)) for n, c in enumerate(cores)]
+    read.  A functor between levels sends invertible transformations to
+    invertible ones, so it maps the core nerves as it is.  Each level is
+    built once.  Returns (family, grid levels); the family's levels are the
+    core nerves."""
+    grids = [s_n(W, n, d) for n in range(3)]
+    levels = [nerve(groupoid_core(g.cat), max(d, n)) for n, g in enumerate(grids)]
 
     def structure_map(theta, n, m):
         """Level n -> level m, induced by the monotone theta: [m] -> [n]."""
-        F = s_structure_functor(theta, grids[n], grids[m])
-        return nerve_functor_map(_core_functor(F, cores[n], cores[m]), levels[n], levels[m])
+        return nerve_functor_map(s_structure_functor(theta, grids[n], grids[m]),
+                                 levels[n], levels[m])
 
     hfaces = {(n, i): structure_map(tuple(j for j in range(n + 1) if j != i), n, n - 1)
-              for n in range(1, top + 1) for i in range(n + 1)}
+              for n in range(1, 3) for i in range(n + 1)}
     hdegens = {(n, i): structure_map(tuple(range(i + 1)) + tuple(range(i, n + 1)), n, n + 1)
-               for n in range(top) for i in range(n + 1)}
-    return _DiagonalFamily(levels, hfaces, hdegens), grids, cores
+               for n in range(2) for i in range(n + 1)}
+    return _DiagonalFamily(levels, hfaces, hdegens), grids
 
 
 def _k0_and_levels(W: WaldhausenData, d: int):
     """K0 by the diagonal route, with the levels it was computed from:
-    returns (K0, (grid levels, groupoid cores, core nerves))."""
+    returns (K0, (grid levels, core nerves))."""
     if d < 2:
         raise ValueError("K0 needs dimension at least 2")
-    family, grids, cores = s_equiv_truncation(W, 2, d)
+    family, grids = s_equiv_truncation(W, d)
     D = sx.MaterializedSSet(family, 2)
     # the core has the level's objects, so the all-zero diagram is a vertex
     base = D.key_of(0, SimplexKey(family.levels[0].gen_of_label(grids[0].zero)))
-    return pi1_abelianized(D, base), (grids, cores, family.levels)
+    return pi1_abelianized(D, base), (grids, family.levels)
 
 
 def k0_via_diagonal(W: WaldhausenData, d: int = 2) -> AbelianGroupPresentation:
@@ -195,13 +187,11 @@ def _pi_invariants(X: SimplicialSet) -> dict:
 
 
 def _level_equiv_comparison(G: ExactFunctorData, n: int, src_levels, tgt_levels) -> dict:
-    """Compare level n of both sides; each side is the (grid levels, groupoid
-    cores, core nerves) triple of :func:`_k0_and_levels`."""
-    (grids_s, cores_s, nerves_s), (grids_t, cores_t, nerves_t) = src_levels, tgt_levels
-    F = level_functor(grids_s[n], grids_t[n], base_map=G.themap)
-    Fc = _core_functor(F, cores_s[n], cores_t[n])
+    """Compare level n of both sides; each side is the (grid levels, core
+    nerves) pair of :func:`_k0_and_levels`."""
+    (grids_s, nerves_s), (grids_t, nerves_t) = src_levels, tgt_levels
     Ls, Lt = nerves_s[n], nerves_t[n]
-    m = nerve_functor_map(Fc, Ls, Lt)
+    m = nerve_functor_map(level_functor(grids_s[n], grids_t[n], base_map=G.themap), Ls, Lt)
     src_comps = pi0(Ls)
     comp_of = hl.component_of(Lt)
     tgt_comps = set(comp_of.values())

@@ -34,7 +34,7 @@ from .cats import (
     nerve_functor_map,
     poset_category,
 )
-from .waldhausen import WaldhausenData
+from .waldhausen import WaldhausenData, nerve_waldhausen
 
 
 # -- indexing shapes ----------------------------------------------------------
@@ -90,8 +90,9 @@ class _GridLevel:
     marked morphisms.
 
     The inherited Waldhausen marking on the nerve of that category (to
-    dimension ``d``) is built on the first read of ``wdata`` or ``sset`` and
-    kept; callers that need only the category never build the nerve."""
+    dimension ``d``, by :func:`waldhausen.nerve_waldhausen`) is built on the
+    first read of ``wdata`` or ``sset`` and kept; callers that need only the
+    category never build the nerve."""
 
     def __init__(self, W: WaldhausenData, shape: SimplicialSet, vertex_elem: dict):
         N = W.underlying
@@ -126,8 +127,8 @@ class _GridLevel:
         first read."""
         fixed = {self.vgen[e]: self.W.zero for e in zeros}
         maps_all = sx.enumerate_maps(self.shape, self.N, fixed=fixed)
-        self.cat, self.maps = map_category(self.shape, self.C, self.N,
-                                           maps=[mp for mp in maps_all if qualifies(mp)])
+        self.maps = [mp for mp in maps_all if qualifies(mp)]
+        self.cat = map_category(self.shape, self.C, self.N, self.maps)
         zero_idx = [
             i
             for i, mp in enumerate(self.maps)
@@ -155,10 +156,7 @@ class _GridLevel:
 
     @cached_property
     def wdata(self) -> WaldhausenData:
-        NV = nerve(self.cat, self.d)
-        cof = frozenset(SimplexKey(NV.gen_of_label((m,))) for m in self.marked)
-        return WaldhausenData(NV, SimplexKey(NV.gen_of_label(self.zero)), cof,
-                              self.universe)
+        return nerve_waldhausen(self.cat, self.zero, self.marked, self.d, self.universe)
 
     @property
     def sset(self) -> SimplicialSet:

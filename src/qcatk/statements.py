@@ -282,12 +282,12 @@ def small_posets(max_size: int = 3) -> list[cats.FinCategory]:
     return out
 
 
-def _poset_diagram_colimits(F: SimplicialMap, d: int) -> dict:
+def _poset_diagram_colimits(F: SimplicialMap, Akan: SimplicialSet, incl: SimplicialMap,
+                            d: int) -> dict:
     """For every diagram over the nerve of a poset with at most two elements
-    landing in the equivalence subcomplex of the source: does a colimiting
-    cocone exist, and is its image under F still colimiting?"""
-    A = F.source
-    Akan, incl = qc.maximal_kan(A, min(d, A.effective_bound()))
+    landing in the maximal Kan complex ``Akan`` of the source (included by
+    ``incl``): does a colimiting cocone exist, and is its image under F
+    still colimiting?"""
     checked = 0
     missing = []
     not_preserved = []
@@ -299,16 +299,7 @@ def _poset_diagram_colimits(F: SimplicialMap, d: int) -> dict:
             found = js.colimiting_cocones(a, 1)
             if not found:
                 missing.append(a)
-                continue
-            c = found[0]["cocone"]
-            image_ext = F.compose(c.extension)
-            image_base = F.compose(a)
-            image_found = js.colimiting_cocones(image_base, 1)
-            ok = any(
-                entry["cocone"].extension.assign == image_ext.assign
-                for entry in image_found
-            )
-            if not ok:
+            elif not js.is_colimiting_cocone(F.compose(a), F.compose(found[0]), 1):
                 not_preserved.append(a)
     return {
         "diagrams_checked": checked,
@@ -338,12 +329,10 @@ def main_technical_verify(F: SimplicialMap, d: int = 2) -> dict:
             reflect_witness = e
             break
 
-    colim = _poset_diagram_colimits(F, d)
+    Akan, incl = qc.maximal_kan(A, min(d, A.effective_bound()))
+    Bkan, _ = qc.maximal_kan(B, min(d, B.effective_bound()))
+    colim = _poset_diagram_colimits(F, Akan, incl, d)
 
-    dA = min(d, A.effective_bound())
-    dB = min(d, B.effective_bound())
-    Akan, _ = qc.maximal_kan(A, dA)
-    Bkan, _ = qc.maximal_kan(B, dB)
     conclusion = {
         "source": kt._pi_invariants(Akan),
         "target": kt._pi_invariants(Bkan),
@@ -425,11 +414,7 @@ def homotopy_cocartesian_check(W, square: SimplicialMap, d: int = 1) -> bool:
         j_m = cats.edge_morphism(C, X, ext(J.key_of(
             1, ("j", SimplexKey(H.gen_of_label((2,))), SimplexKey((0, 0))))))
         return C.is_pushout_cocone(f_m, g_m, X.labels[tipkey.gen], i_m, j_m)
-    sl = js.slice_under(base, d + 1)
-    # the slice vertex equal to this cocone: both sides join the horn and Delta[0]
-    vkey = sl.key_of(0, tuple(ext.assign[h] for h in sl.family.shape(0).all_gens()))
-    rep = js.is_initial(sl, vkey, d)
-    return rep["verdict"].startswith("confirmed")
+    return js.is_colimiting_cocone(base, ext, d)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +475,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) ->
         ext = fb.as_map(0, Hbig.labels[g]).compose(emb)
         base = ext.compose(AJ.left)
         base_key = tuple(sorted(base.assign.items()))
-        sl = js.slice_under(base, d + 1)
-        # the slice vertex equal to this extension: both sides join A and Delta[0]
-        vkey = sl.key_of(0, tuple(ext.assign[h] for h in sl.family.shape(0).all_gens()))
-        rep = js.is_initial(sl, vkey, d)
-        if rep["verdict"].startswith("confirmed"):
+        if js.is_colimiting_cocone(base, ext, d):
             colim_vertices.append(v)
             base_with_colim[base_key] = True
         else:

@@ -137,7 +137,7 @@ def _leg_in_slice(X: SimplicialSet, f: SimplexKey, g: SimplexKey) -> Optional[Si
     ccs = js.colimiting_cocones(span, 1)
     if not ccs:
         return None
-    ext = ccs[0]["cocone"].extension
+    ext = ccs[0]
     return ext(ext.source.key_of(1, ("j", SimplexKey(v2), SimplexKey((0, 0)))))
 
 

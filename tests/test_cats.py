@@ -533,7 +533,8 @@ def test_indexed_map_category_matches_the_all_pairs_oracle(seed, size, opposite,
         C = C.opposite()
     K = MAP_SOURCES[which]()
     N = nerve(C, 2)
-    cat, maps = map_category(K, C, N, sx.enumerate_maps(K, N))
+    maps = sx.enumerate_maps(K, N)
+    cat = map_category(K, C, N, maps)
     assert cat.morphisms == naive_map_morphisms(K, C, N, maps)
     expected = naive_map_composition(C, cat.morphisms, K.gens(0))
     assert comp_table(cat) == expected

@@ -4,6 +4,7 @@ import ast
 import collections
 import copy
 import fractions
+import hashlib
 import importlib.util
 import json
 import os
@@ -542,13 +543,19 @@ def test_no_module_of_the_library_imports_dataclasses():
                 assert node.module != "dataclasses", name
 
 
-def test_every_traced_span_names_a_qcatk_attribute():
-    # perfbench/traced.py wraps functions by name, so a rename would drop a span silently
+def _perfbench_module(monkeypatch, name, as_name):
+    """A script of perfbench/, loaded read-only under ``as_name`` for the test."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_traced", os.path.join(root, "perfbench", "traced.py"))
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
+    spec = importlib.util.spec_from_file_location(as_name, os.path.join(root, "perfbench", name))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, as_name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_names_a_qcatk_attribute(monkeypatch):
+    # perfbench/traced.py wraps functions by name, so a rename would drop a span silently
+    traced = _perfbench_module(monkeypatch, "traced.py", "perfbench_traced")
     assert traced.TRACED
     for module in traced.MODULES:
         importlib.import_module(f"qcatk.{module}")
@@ -601,6 +608,72 @@ def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
         obj = getattr(importlib.import_module(module), name, None)
         if obj is not None and not isinstance(obj, type(qcatk)):
             assert obj.__module__ == module, f"{module}.{name}"
+
+
+def test_every_benchmark_report_keeps_its_recorded_digest(monkeypatch, tmp_path):
+    # perfbench/run.py rejects a run whose reports differ from the digests in
+    # perfbench/expected.json; this finds such drift without the benchmark
+    monkeypatch.setitem(sys.modules, "traced",
+                        _perfbench_module(monkeypatch, "traced.py", "perfbench_traced"))
+    run = _perfbench_module(monkeypatch, "run.py", "perfbench_run")
+    catalogue = _perfbench_module(monkeypatch, "catalogue.py", "perfbench_catalogue")
+    expected = json.loads((run.BENCH_DIR / "expected.json").read_text(encoding="utf-8"))
+    out = tmp_path / "report.json"
+    keys = set()
+    for workload in catalogue.WORKLOADS.values():
+        entries = catalogue.all_entries(workload)
+        paths = run.write_inputs(catalogue, entries, workload.plain, tmp_path / workload.name)
+        for entry in entries:
+            code = main(entry.argv(str(paths[entry.instance])) + ["--out", str(out)])
+            report = out.read_bytes()
+            out.unlink()
+            assert code == entry.exit_code, (workload.name, entry.key)
+            assert entry.verdict(json.loads(report)), (workload.name, entry.key)
+            assert hashlib.sha256(report).hexdigest() == expected[entry.key], (
+                workload.name, entry.key)
+            keys.add(entry.key)
+    assert keys == set(expected)
+
+
+def _swapped_vertices_doc(exact):
+    """Delta[1] -> Delta[1] with its two vertices swapped and its edge kept,
+    as a map file or, over Delta[1] marked along its edge, as an exact-map
+    file."""
+    D = sx.delta(1)
+    ident = sx.SimplicialMap.identity(D)
+    if exact:
+        W = WaldhausenData(D, sx.SimplexKey((0, 0)), frozenset({sx.SimplexKey((1, 0))}))
+        doc = io.serialize_exact(ExactFunctorData(ident, W, W))
+    else:
+        doc = io.serialize_map(ident)
+    doc = json.loads(json.dumps(doc))
+    doc["assign"]["0.0"], doc["assign"]["0.1"] = ["0.1", []], ["0.0", []]
+    return doc
+
+
+def _name_in_two_dimensions_doc():
+    doc = json.loads(json.dumps(io.serialize_sset(sx.delta(1))))
+    doc["generators"][1] = ["0.0"]
+    return doc
+
+
+@pytest.mark.parametrize("build, argv, pointer, message", [
+    (lambda: _swapped_vertices_doc(False), ["validate"], "/assign/1.0",
+     "not a simplicial map: map fails d_0 at generator 1.0: 0.0 != 0.1"),
+    (lambda: _swapped_vertices_doc(True), ["validate"], "/assign/1.0",
+     "not a simplicial map: map fails d_0 at generator 1.0: 0.0 != 0.1"),
+    (_name_in_two_dimensions_doc, ["validate"], "/generators/1",
+     "generator '0.0' repeated across dimensions"),
+    (lambda: io.serialize_sset(sx.delta(2)), ["overcat", "--vertex", "nosuch"], "/vertex",
+     "no vertex named 'nosuch'"),
+], ids=["map-face", "exact-map-face", "name-in-two-dimensions", "no-such-vertex"])
+def test_input_faults_are_named_as_in_the_file(tmp_path, capsys, build, argv, pointer,
+                                               message):
+    path = tmp_path / "input.json"
+    path.write_text(io.dumps(build()))
+    code, err = _run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 1
+    assert err == {"error": f"{message} (at {pointer})", "pointer": pointer}
 
 
 @pytest.mark.parametrize("argv, pointer", [

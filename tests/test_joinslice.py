@@ -18,7 +18,7 @@ from qcatk.cats import (
 )
 from qcatk.simplicial import SimplexKey
 from qcatk.zoo import indiscrete_category, random_category
-from testlib import chain_poset, slice_category
+from testlib import chain_poset, slice_category, two_homotopic_edges
 
 
 def _vertex_map(X, v):
@@ -68,6 +68,16 @@ def test_initial_vertex_of_a_simplex_nerve():
     assert js.is_initial(D, last, 1)["verdict"] == "refuted"
 
 
+def test_a_mapping_space_with_a_loop_in_its_truncation_leaves_initiality_open():
+    # X(p, q) is the loop e -> e' -> e of s and t, which no 3-simplex fills;
+    # the truncation carries a bound, so H1 = Z there refutes nothing
+    X = two_homotopic_edges()
+    p, q = (SimplexKey(X.gen_of_label(v)) for v in "pq")
+    assert js.is_initial(X, p, 1) == {"verdict": "inconclusive", "dim": 1, "per_vertex": {
+        p: {"verdict": "confirmed-to-1", "reason": "pi0 = *, H1 = 0", "dim": 1},
+        q: {"verdict": "inconclusive", "reason": "H1 of truncation = Z", "dim": 1}}}
+
+
 def test_colimiting_cocone_over_a_span_in_a_square_poset():
     # 0 -> 1, 0 -> 2, both -> 3: the span under 0 has pushout 3
     C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
@@ -83,8 +93,7 @@ def test_colimiting_cocone_over_a_span_in_a_square_poset():
     found = js.colimiting_cocones(span, 1)
     assert len(found) >= 1
     tips = set()
-    for entry in found:
-        ext = entry["cocone"].extension
+    for ext in found:
         J = ext.source
         tip = ext(J.key_of(0, ("b", SimplexKey((0, 0)))))
         tips.add(N.labels[tip.gen])

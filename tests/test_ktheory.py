@@ -7,6 +7,7 @@ from qcatk import ktheory as kt
 from qcatk import sconstruction as sc
 from qcatk import simplicial as sx
 from qcatk import statements as stm
+from qcatk import waldhausen as wd
 from qcatk.cats import (
     FinFunctor,
     full_subcategory,
@@ -84,7 +85,7 @@ def test_cofibrations_without_a_quotient_in_the_base_are_skipped():
 
 def test_class_group_builds_no_level_nerve_until_read(monkeypatch):
     grids, nerved = [], []
-    real_s_n, real_nerve = sc.s_n, sc.nerve
+    real_s_n, real_nerve = sc.s_n, wd.nerve
 
     def recording_s_n(*args, **kwargs):
         grids.append(real_s_n(*args, **kwargs))
@@ -95,7 +96,7 @@ def test_class_group_builds_no_level_nerve_until_read(monkeypatch):
         return real_nerve(C, d)
 
     monkeypatch.setattr(kt, "s_n", recording_s_n)
-    monkeypatch.setattr(sc, "nerve", recording_nerve)
+    monkeypatch.setattr(wd, "nerve", recording_nerve)
     assert kt.k0_via_diagonal(pointed_sets_waldhausen(3, 2)) == AbelianGroupPresentation(1, ())
     assert len(grids) == 3
 
@@ -143,6 +144,25 @@ def test_endpoint_inclusion_fails_the_fibre_check_with_witness():
     assert rep["verdict"] == "fail"
     assert rep["witness"] is not None
     assert rep["per_vertex"][rep["witness"]]["verdict"] == "refuted"
+
+
+def test_a_fibre_with_a_loop_in_its_truncation_is_inconclusive():
+    # the comma of the circle over the point is the circle; its truncation
+    # carries a bound, so H1 = Z there refutes nothing
+    G = sx.delta_inclusion(sx.boundary(2), sx.delta(0), lambda v: 0)
+    rep = stm.quillen_a_verify(G, 2)
+    assert rep == {
+        "verdict": "inconclusive",
+        "witness": None,
+        "per_vertex": {SimplexKey((0, 0)): {
+            "verdict": "inconclusive", "reason": "H1 of truncation = Z", "dim": 2}},
+        "corroboration": {
+            "source": {"components": 1, "pi1_abelianized": [(1, ())]},
+            "target": {"components": 1, "pi1_abelianized": [(0, ())]},
+            "agree": False,
+        },
+        "dim": 2,
+    }
 
 
 def test_main_comparison_hypotheses_and_conclusion():

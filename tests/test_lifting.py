@@ -28,7 +28,7 @@ from qcatk.zoo import (
     random_category,
     random_groupoid,
 )
-from testlib import chain_poset, prism_face
+from testlib import chain_poset, prism_face, two_homotopic_edges
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,37 @@ def test_prism_construction_reports_the_stuck_filler():
         assert w["step"] == "top (outer horn, index 3)"
         assert w["segment"] == 1
         assert r["homotopy"] is None
+
+
+@pytest.mark.parametrize("alpha, beta, direction, step, faces", [
+    (("s0 e", "s0 e"), ("t", "t"), "last", "middle (inner horn, index 2)",
+     {0: "t", 1: "s0 e", 3: "s1 s0 p"}),
+    (("s0 e", "s0 e"), ("t", "t"), "first", "top (inner horn, index 2)",
+     {0: "t", 1: "s0 e", 3: "s1 s0 p"}),
+    (("t", "t"), ("s0 e", "s"), "last", "bottom (inner horn, index 1)",
+     {0: "s", 2: "t", 3: "s1 s0 p"}),
+    (("t", "t"), ("s0 e", "s"), "first", "middle (inner horn, index 1)",
+     {0: "s", 2: "t", 3: "s1 s0 p"}),
+])
+def test_prism_construction_sticks_at_each_inner_horn(alpha, beta, direction, step, faces):
+    # each transformation is given by its triangles on the vertex paths
+    # (0,0),(0,1),(1,1) and (0,0),(1,0),(1,1) of I[1] x Delta[1]
+    X = two_homotopic_edges()
+
+    def key(name):
+        *degens, gen = name.split()
+        return SimplexKey(X.gen_of_label(gen), tuple(int(d[1:]) for d in degens))
+
+    P, maps, _, _ = _parallel_pairs(X, 1)
+    upper, lower = P.gens(2)
+
+    def square(tris):
+        return next(m for m in maps if (m.assign[upper], m.assign[lower]) == tuple(map(key, tris)))
+
+    rep = stm.homotopy_from_last_component(X, square(alpha), square(beta), direction)
+    assert rep == {"status": "stuck", "homotopy": None, "direction": direction,
+                   "witness": {"segment": 1, "step": step,
+                               "faces": {i: key(k) for i, k in faces.items()}}}
 
 
 def _find_simplex(X, n, want):

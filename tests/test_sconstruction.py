@@ -161,7 +161,8 @@ def _eager_build(level, kind, n, zeros, qualifies, row, d):
     level nerve, its marking and its Waldhausen data at once."""
     W, shape, C, N = level.W, level.shape, level.C, level.N
     maps_all = sx.enumerate_maps(shape, N, fixed={level.vgen[e]: W.zero for e in zeros})
-    cat, maps = map_category(shape, C, N, maps=[mp for mp in maps_all if qualifies(mp)])
+    maps = [mp for mp in maps_all if qualifies(mp)]
+    cat = map_category(shape, C, N, maps)
     zero_idx = [
         i
         for i, mp in enumerate(maps)
@@ -235,10 +236,12 @@ def test_lazy_level_matches_the_eager_assembly(monkeypatch, name, build, n):
 
 @pytest.mark.parametrize("name", sorted(DIFF_INSTANCES))
 def test_class_group_base_vertex_is_the_eager_zero(monkeypatch, name):
+    # level 0 holds the all-zero diagram alone; levels 1 and 2 hold others
     W = DIFF_INSTANCES[name]
-    B, grids, _cores = kt.s_equiv_truncation(W, top=0)
-    base = SimplexKey(B.levels[0].gen_of_label(grids[0].zero))
-    assert base == _eager(monkeypatch, s_n, W, 0).wdata.zero
+    B, grids = kt.s_equiv_truncation(W)
+    for n in range(3):
+        zero = SimplexKey(B.levels[n].gen_of_label(grids[n].zero))
+        assert zero == _eager(monkeypatch, s_n, W, n).wdata.zero, n
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,21 @@ def non_associative_set():
         [(1, 3, 0), (2, 4, 1), (2, 5, 3), (4, 6, 0)])
 
 
+def two_homotopic_edges():
+    """Edges e, e': p -> q with 2-simplices s: e => e' and t: e' => e (faces
+    (e', e, s0 p) and (e, e', s0 p)), and no 3-simplex: complete, but not a
+    quasicategory (the inner horn with faces t, s0 e and s1 s0 p at 0, 1 and 3
+    has no filler)."""
+    p, q, e, e2 = (sx.SimplexKey(g) for g in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    faces = {(1, 0): (q, p), (1, 1): (q, p),
+             (2, 0): (e2, e, sx.key_degeneracy(p, 0)), (2, 1): (e, e2, sx.key_degeneracy(p, 0))}
+    labels = dict(zip(((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)),
+                      ("p", "q", "e", "e'", "s", "t")))
+    X = sx.SimplicialSet([2, 2, 2], faces, labels=labels)
+    X.check()
+    return X
+
+
 def ho_equals_category(X: sx.SimplicialSet, C: FinCategory) -> bool:
     """For a nerve X = N(C): the homotopy category is isomorphic to C via
     the labelling of vertices and edges."""
