@@ -1,10 +1,11 @@
 """Command-line front end: input validation, constructions, and verification
 reports.  All input and output is JSON (UTF-8, sorted keys).
 
-Exit codes: 0 = pass, 1 = finding (including schema violations and
-argument errors, each a JSON error on stderr), 2 = the
-command's search budget or a dimension bound was exceeded.  Every report
-embeds the dimension bound and budget it was computed with."""
+Exit codes: 0 = pass, 1 = finding (including schema violations, argument
+errors and files that cannot be read or written, each a JSON error on
+stderr), 2 = the command's search budget or a dimension bound was
+exceeded.  Every report embeds the dimension bound and budget it was
+computed with."""
 
 from __future__ import annotations
 
@@ -12,8 +13,16 @@ import argparse
 import sys
 
 from . import io
-from . import simplicial as sx
-from .simplicial import BoundExceeded, BudgetExceeded, NotQuasicategory, SimplexKey
+from .ssets import (
+    DEFAULT_BUDGET,
+    BoundExceeded,
+    BudgetExceeded,
+    NotQuasicategory,
+    SimplexKey,
+    SimplicialMap,
+    SimplicialSet,
+    budget,
+)
 
 EXIT_PASS = 0
 EXIT_FINDING = 1
@@ -43,19 +52,19 @@ def _jsonable(x, reprs=None):
     if t is list or t is tuple:
         return [_jsonable(v, reprs) for v in x]
     # a group presentation or a category exists only once a command has
-    # imported homology or cats
+    # imported homology or fincat
     homology = sys.modules.get(f"{__package__}.homology")
-    cats = sys.modules.get(f"{__package__}.cats")
+    fincat = sys.modules.get(f"{__package__}.fincat")
     if homology and isinstance(x, homology.AbelianGroupPresentation):
         return {"free_rank": x.free_rank, "torsion": list(x.torsion),
                 "invariant_factors": invariant_factors(x)}
-    if isinstance(x, sx.SimplicialMap):
+    if isinstance(x, SimplicialMap):
         return {"source_gens": x.source.n_gens, "target_gens": x.target.n_gens,
                 "assign": {repr(g): repr(k) for g, k in sorted(x.assign.items())}}
-    if isinstance(x, sx.SimplicialSet):
+    if isinstance(x, SimplicialSet):
         return {"gens": x.n_gens, "bound": x.bound}
-    if cats and isinstance(x, cats.FinCategory):
-        return io.serialize_category(x)
+    if fincat and isinstance(x, fincat.FinCategory):
+        return fincat.serialize_category(x)
     if isinstance(x, (dict, list, tuple)):  # other subclasses, as the plain types
         return _jsonable(dict(x) if isinstance(x, dict) else list(x), reprs)
     if isinstance(x, (set, frozenset)):
@@ -98,7 +107,7 @@ def _load(path, want=None):
     return kind, value
 
 
-def _vertex_by_name(X: sx.SimplicialSet, name: str) -> SimplexKey:
+def _vertex_by_name(X: SimplicialSet, name: str) -> SimplexKey:
     names = io._gen_names(X)
     for g in X.gens(0):
         if names[g] == name:
@@ -180,6 +189,7 @@ def cmd_tau1(args):
 
 def cmd_ho(args):
     from . import quasicat as qc
+    from .fincat import serialize_category
 
     _require_ho_dim(args)
     _, X = _load(args.input, "sset")
@@ -188,11 +198,12 @@ def cmd_ho(args):
     except ValueError as exc:
         # classes that compose ill-definedly or not associatively
         raise NotQuasicategory(str(exc)) from exc
-    return _emit({"category": io.serialize_category(ho.cat)}, args, True)
+    return _emit({"category": serialize_category(ho.cat)}, args, True)
 
 
 def cmd_join(args):
     from .families import join
+    from .simplicial import iso_check
 
     if len(args.inputs) != (3 if args.check_assoc else 2):
         raise io.SchemaError("join takes two input files, or three with --check-assoc",
@@ -206,7 +217,7 @@ def cmd_join(args):
         _, C = _load(args.inputs[2], "sset")
         left = join(span.sset, C, args.dim).sset
         right = join(A, join(B, C, args.dim).sset, args.dim).sset
-        iso = sx.iso_check(left, right, args.dim)
+        iso = iso_check(left, right, args.dim)
         ok = iso is not None
         report = {"associative": ok,
                   "left_gens": left.n_gens, "right_gens": right.n_gens}
@@ -389,7 +400,7 @@ def _add_command(sub, name: str, func, help: str, inputs: int) -> None:
         p.add_argument("inputs", nargs="+", help="JSON input files")
     p.add_argument("--dim", type=int, default=2,
                    help="verification dimension bound (default 2)")
-    p.add_argument("--budget", type=int, default=sx.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search nodes the whole command may visit (default 1e6)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized searches (default 0)")
@@ -439,7 +450,7 @@ def main(argv=None) -> int:
             raise io.SchemaError("budget must be positive", "/budget")
         if args.dim < 0:
             raise io.SchemaError("--dim must be at least 0", "/dim")
-        with sx.budget(args.budget):
+        with budget(args.budget):
             return args.func(args)
     except io.SchemaError as exc:
         print(io.dumps({"error": str(exc), "pointer": exc.pointer}),
@@ -448,7 +459,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, BoundExceeded) as exc:
         print(io.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
-    except (FileNotFoundError, NotQuasicategory) as exc:
+    except (OSError, NotQuasicategory) as exc:  # an unreadable input or unwritable report
         print(io.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_FINDING
 

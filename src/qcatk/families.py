@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from . import simplicial as sx
-from .simplicial import Gen, MaterializedSSet, SimplexKey, SimplicialMap, SimplicialSet
+from .simplicial import MaterializedSSet
+from .ssets import Gen, SimplexKey, SimplicialMap, SimplicialSet, apply_degeneracy_word
 
 # -- pullbacks and joins ---------------------------------------------------
 
@@ -136,7 +137,7 @@ class MapFamily(sx.Family):
             position = {g: j for j, g in enumerate(T.all_gens())}
             keys = [T.key_of(g[0], self.act(S.labels[g], dmap)) for g in S.all_gens()]
             pulled = self._pulled[(m, n, i)] = [(position[k.gen], k.degens) for k in keys]
-        return tuple(sx.apply_degeneracy_word(x[j], word) for j, word in pulled)
+        return tuple(apply_degeneracy_word(x[j], word) for j, word in pulled)
 
     def face(self, n, x, i):
         return self._precompose(n - 1, n, i, lambda v: v if v < i else v + 1, x)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .simplicial import SimplexKey, SimplicialSet, UnionFind
+from .ssets import SimplexKey, SimplicialSet, UnionFind
 
 
 def _pivot(rows: list[dict[int, int]]) -> tuple[int, int]:

@@ -18,6 +18,9 @@ Formats (all UTF-8 JSON with sorted keys):
 Parsing validates the schema and reports violations with a JSON pointer.
 ``serialize(parse(x))`` is the canonical form of ``x``: generator ordering
 is sorted per dimension and all keys are emitted deterministically.
+
+The category codec is :mod:`qcatk.fincat`'s, loaded only when a category is
+read or written.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring as _string
 
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
+from .ssets import SimplexKey, SimplicialMap, SimplicialSet
 
 
 class SchemaError(ValueError):
@@ -125,6 +128,8 @@ def _sset_json(X: SimplicialSet) -> tuple[dict, dict]:
         },
     }
     if nerve_names is not None:
+        from .fincat import serialize_category  # loaded with the nerve's category
+
         out["category"] = serialize_category(X.category)
     return out, names
 
@@ -173,9 +178,9 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
     if "category" in obj:
         # a nerve file is read through its category; on any mismatch the
         # generic route below parses it and reports the first fault
-        from . import cats
+        from . import fincat
 
-        X = cats.nerve_from_document(obj, n_gens, labels, pointer)
+        X = fincat.nerve_from_document(obj, n_gens, labels, pointer)
         if X is not None:
             return X
     faces_obj = obj["faces"]
@@ -227,98 +232,16 @@ def parse_sset(obj, pointer: str = "") -> SimplicialSet:
                     f"{pointer}/generators/{n}")
     category = None
     if "category" in obj:
-        category = parse_category(obj["category"], pointer + "/category")
-        labels = cats.nerve_labels_from_names(labels, category, pointer)
+        category = fincat.parse_category(obj["category"], pointer + "/category")
+        labels = fincat.nerve_labels_from_names(labels, category, pointer)
     X = SimplicialSet(n_gens, faces, labels=labels, bound=bound, category=category)
     try:
         X.check()
     except Exception as exc:  # simplicial identity failures
         raise SchemaError(f"simplicial identities fail: {exc}", pointer) from exc
     if category is not None:
-        cats.check_nerve_structure(X, category, pointer)
+        fincat.check_nerve_structure(X, category, pointer)
     return X
-
-
-# ---------------------------------------------------------------------------
-# categories
-
-
-def serialize_category(C: FinCategory) -> dict:
-    oname = {o: _name_of(o) for o in C.objects}
-    names = [_name_of(m) for m in C.morphisms]  # by number
-    homs: dict = {}
-    for m, name in zip(C.morphisms, names):
-        homs.setdefault(oname[C.src[m]], {}).setdefault(oname[C.tgt[m]], []).append(name)
-    for d in homs.values():
-        for k in d:
-            d[k] = sorted(d[k])
-    compose: dict = {}
-    for f, row in zip(names, C.after):
-        for j, h in row.items():
-            compose.setdefault(names[j], {})[f] = names[h]
-    return {
-        "objects": sorted(oname.values()),
-        "homs": homs,
-        "compose": compose,
-        "ids": {oname[o]: _name_of(C.ids[o]) for o in C.objects},
-    }
-
-
-def parse_category(obj, pointer: str = "") -> FinCategory:
-    from .cats import FinCategory  # loaded only when a category is read
-
-    _expect(isinstance(obj, dict), "category must be an object", pointer)
-    for field in ("objects", "homs", "compose", "ids"):
-        _expect(field in obj, f"missing '{field}'", pointer)
-    objects = obj["objects"]
-    _expect(isinstance(objects, list) and all(isinstance(o, str) for o in objects)
-            and len(set(objects)) == len(objects),
-            "'objects' must be distinct strings", pointer + "/objects")
-    src, tgt = {}, {}
-    morphisms = []
-    _expect(isinstance(obj["homs"], dict), "'homs' must be an object", pointer + "/homs")
-    for a, row in obj["homs"].items():
-        _expect(a in objects, f"unknown source object {a!r}", f"{pointer}/homs/{a}")
-        _expect(isinstance(row, dict), "hom row must be an object", f"{pointer}/homs/{a}")
-        for b, ms in row.items():
-            p = f"{pointer}/homs/{a}/{b}"
-            _expect(b in objects, f"unknown target object {b!r}", p)
-            _expect(isinstance(ms, list) and all(isinstance(m, str) for m in ms),
-                    "hom set must list morphism names", p)
-            for m in ms:
-                if m in src:
-                    raise SchemaError(f"morphism {m!r} repeated", p)
-                src[m], tgt[m] = a, b
-                morphisms.append(m)
-    ids = obj["ids"]
-    _expect(isinstance(ids, dict) and set(ids) == set(objects),
-            "'ids' must name one identity per object", pointer + "/ids")
-    for o, m in ids.items():
-        _expect(isinstance(m, str) and m in src and src[m] == o and tgt[m] == o,
-                f"identity of {o!r} must be an endomorphism of it", f"{pointer}/ids/{o}")
-    # a composite with an identity that the file leaves out is the other morphism
-    table = {}
-    for m in morphisms:
-        table[(m, ids[src[m]])] = table[(ids[tgt[m]], m)] = m
-    _expect(isinstance(obj["compose"], dict), "'compose' must be an object",
-            pointer + "/compose")
-    for g, row in obj["compose"].items():
-        _expect(g in src, f"unknown morphism {g!r}", f"{pointer}/compose/{g}")
-        _expect(isinstance(row, dict), "compose row must be an object",
-                f"{pointer}/compose/{g}")
-        for f, h in row.items():
-            if f not in src or not isinstance(h, str) or h not in src:
-                raise SchemaError("unknown morphism in composite", f"{pointer}/compose/{g}/{f}")
-            if src[g] != tgt[f]:
-                raise SchemaError("composite of non-composable pair", f"{pointer}/compose/{g}/{f}")
-            table[(g, f)] = h
-    try:
-        C = FinCategory.tabulate(objects, morphisms, src, tgt, {o: ids[o] for o in objects},
-                                 lambda g, f: table[(g, f)])
-        C.check()
-    except Exception as exc:
-        raise SchemaError(f"category laws fail: {exc}", pointer) from exc
-    return C
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +367,32 @@ def detect_kind(obj) -> str:
     raise SchemaError("unrecognized input kind")
 
 
-_PARSERS = {
-    "sset": parse_sset,
-    "category": parse_category,
-    "waldhausen": parse_waldhausen,
-    "map": parse_map,
-    "exact": parse_exact,
+_CODECS = {
+    "sset": (parse_sset, serialize_sset),
+    "waldhausen": (parse_waldhausen, serialize_waldhausen),
+    "map": (parse_map, serialize_map),
+    "exact": (parse_exact, serialize_exact),
 }
-_SERIALIZERS = {
-    "sset": serialize_sset,
-    "category": serialize_category,
-    "waldhausen": serialize_waldhausen,
-    "map": serialize_map,
-    "exact": serialize_exact,
-}
+
+
+def _codec(kind: str) -> tuple:
+    """The parser and the serializer of a kind."""
+    if kind == "category":
+        from .fincat import parse_category, serialize_category  # only when a category is read
+
+        return parse_category, serialize_category
+    return _CODECS[kind]
 
 
 def parse_any(obj):
     kind = detect_kind(obj)
-    return kind, _PARSERS[kind](obj)
+    return kind, _codec(kind)[0](obj)
 
 
 def canonical(obj) -> dict:
     """Canonical form: parse then re-serialize."""
     kind, value = parse_any(obj)
-    return _SERIALIZERS[kind](value)
+    return _codec(kind)[1](value)
 
 
 def dumps(obj) -> str:

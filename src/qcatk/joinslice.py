@@ -12,7 +12,7 @@ from . import families as fm
 from . import homology as hl
 from . import quasicat as qc
 from . import simplicial as sx
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
+from .ssets import SimplexKey, SimplicialMap, SimplicialSet
 
 # -- slices ----------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from . import simplicial as sx
 from .cats import groupoid_core, nerve, nerve_functor_map
 from .homology import AbelianGroupPresentation, group_from_relations, pi0, pi1_abelianized
 from .sconstruction import level_functor, s_n, s_structure_functor
-from .simplicial import SimplexKey, SimplicialSet
+from .ssets import SimplexKey, SimplicialSet
 from .waldhausen import (
     ExactFunctorData,
     WaldhausenData,

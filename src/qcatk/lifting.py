@@ -19,7 +19,7 @@ are in :mod:`qcatk.statements`.
 from __future__ import annotations
 
 from . import simplicial as sx
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
+from .ssets import SimplexKey, SimplicialMap, SimplicialSet, key_degeneracy
 
 # ---------------------------------------------------------------------------
 # simplices of base x Delta[k] and spine products
@@ -108,7 +108,7 @@ def components_hypothesis_check(X: SimplicialSet, nbar=()) -> dict:
     # componentwise at every vertex of the whole base.  The keys of Q1 that
     # the ends and the components read are the same for every map.
     ends = _end_keys(Q1)
-    component_keys = [_key_along(Q1, sx.key_degeneracy(SimplexKey(v), 0), (0, 1))
+    component_keys = [_key_along(Q1, key_degeneracy(SimplexKey(v), 0), (0, 1))
                       for v in base.gens(0)]
     groups: dict = {}
     for m in maps:
@@ -193,7 +193,7 @@ def rlp_check(G, nbar=(), kind: str = "prism") -> dict:
     into the target, yielding every boundary map with its extensions.  The
     prism check is two: one into the source, yielding every boundary map u
     with its lifts, and one into the target restricted to the maps G∘u.
-    Both charge the ledger of the enclosing ``simplicial.budget`` block, so
+    Both charge the ledger of the enclosing ``ssets.budget`` block, so
     the budget bounds the whole check, not the work for one boundary map.
 
     Problems are counted, and the first failure is reported, in the order

@@ -3,13 +3,16 @@ bounded internal homs.
 
 The homotopy relation on parallel edges is the equivalence closure of left
 homotopy: f ~ g when some 2-simplex has boundary (degenerate-at-b, g, f).
+
+Only the functions that build shapes, horns or products import
+:mod:`qcatk.simplicial`, so the homotopy category and tau1 of a file need
+only the two cores, :mod:`qcatk.ssets` and :mod:`qcatk.fincat`.
 """
 
 from __future__ import annotations
 
 from . import io
-from . import simplicial as sx
-from .simplicial import (
+from .ssets import (
     NotQuasicategory,
     SimplexKey,
     SimplicialMap,
@@ -22,6 +25,8 @@ from .simplicial import (
 def is_quasicategory(X: SimplicialSet, d: int) -> dict:
     """Check that every inner horn of dimension <= d fills.  Returns a report
     with the failing horns, if any."""
+    from . import simplicial as sx
+
     X.require_bound(d, "quasicategory check")
     failures = []
     checked = 0
@@ -84,7 +89,7 @@ def ho_category(X: SimplicialSet) -> _HoCategory:
     ``check()`` remembers a pass, so C, once checked, is not checked
     again.  A failure names the witness by its edges.
     """
-    from .cats import FinCategory
+    from .fincat import FinCategory
 
     X.require_bound(2, "homotopy category")
     cls = homotopy_classes(X)
@@ -205,6 +210,8 @@ def _act_on_delta(e, dmap: SimplicialMap):
 
 def _hom_shape(A: SimplicialSet):
     """n -> A x Delta[n], materialized to its top dimension."""
+    from . import simplicial as sx
+
     def shape(n: int) -> sx.MaterializedSSet:
         if A.is_empty():
             return sx.MaterializedSSet(sx.ProductFamily(A, sx.delta(n)), 0)
@@ -215,6 +222,7 @@ def _hom_shape(A: SimplicialSet):
 
 def internal_hom(A: SimplicialSet, X: SimplicialSet, d: int) -> sx.MaterializedSSet:
     """(X^A)_n = maps A x Delta[n] -> X."""
+    from . import simplicial as sx
     from .families import MapFamily
 
     return sx.MaterializedSSet(MapFamily(X, _hom_shape(A), _act_on_delta, lambda P: {}), d)
@@ -224,6 +232,7 @@ def mapping_space(X: SimplicialSet, a: SimplexKey, b: SimplexKey,
                   d: int) -> sx.MaterializedSSet:
     """X(a, b): maps Delta[1] x Delta[n] -> X constant at a and b on the two
     ends, i.e. the fiber of X^{Delta[1]} -> X x X over (a, b)."""
+    from . import simplicial as sx
     from .families import MapFamily
 
     D1 = sx.delta(1)

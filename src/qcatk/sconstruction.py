@@ -22,9 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import simplicial as sx
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
 from .cats import (
-    FinCategory,
     FinFunctor,
     edge_morphism,
     functor_equivalence_report,
@@ -34,6 +32,8 @@ from .cats import (
     nerve_functor_map,
     poset_category,
 )
+from .fincat import FinCategory
+from .ssets import SimplexKey, SimplicialMap, SimplicialSet
 from .waldhausen import WaldhausenData, nerve_waldhausen
 
 

@@ -17,7 +17,15 @@ from . import ktheory as kt
 from . import lifting as lf
 from . import quasicat as qc
 from . import simplicial as sx
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
+from .fincat import FinCategory
+from .ssets import (
+    BoundExceeded,
+    SimplexKey,
+    SimplicialMap,
+    SimplicialSet,
+    apply_degeneracy_word,
+    key_degeneracy,
+)
 
 # ---------------------------------------------------------------------------
 # horn filler audits in dimension 3
@@ -144,7 +152,7 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
     a_comp = a_key([(lev, 0), (lev, 1)])
     b_comp = b_key([(lev, 0), (lev, 1)])
     dom = a_key([(lev, 0)])
-    seed_want = {0: b_comp, 1: a_comp, 2: sx.key_degeneracy(dom, 0)}
+    seed_want = {0: b_comp, 1: a_comp, 2: key_degeneracy(dom, 0)}
     T = {lev: sx.simplex_with_faces(X, 2, seed_want)}
     if T[lev] is None:
         return stuck(None, "seed", seed_want)
@@ -155,8 +163,8 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
     for i in segments:
         u, v = i - 1, i
         Fe = a_key([(u, 0), (v, 0)])
-        s1Fe = sx.key_degeneracy(Fe, 1)
-        s0Fe = sx.key_degeneracy(Fe, 0)
+        s1Fe = key_degeneracy(Fe, 1)
+        s0Fe = key_degeneracy(Fe, 0)
         atr1 = a_key([(u, 0), (v, 0), (v, 1)])
         atr2 = a_key([(u, 0), (u, 1), (v, 1)])
         btr1 = b_key([(u, 0), (v, 0), (v, 1)])
@@ -202,7 +210,7 @@ def homotopy_from_last_component(X: SimplicialSet, alpha: SimplicialMap,
         if min(svals) == max(svals):
             # lies in one end triangle
             sub = X.subsimplex(T[svals[0]], D2.labels[kd.gen])
-            assign[g] = sx.apply_degeneracy_word(sub, kd.degens)
+            assign[g] = apply_degeneracy_word(sub, kd.degens)
         else:
             u = min(svals)
             local = [(0 if s == u else 1, d) for s, d in path]
@@ -258,7 +266,7 @@ def quillen_a_verify(G: SimplicialMap, d: int = 1) -> dict:
     }
 
 
-def small_posets(max_size: int = 3) -> list[cats.FinCategory]:
+def small_posets(max_size: int = 3) -> list[FinCategory]:
     """All posets with at most max_size elements, up to isomorphism
     (hard-coded for sizes 1..3)."""
     out = []
@@ -404,7 +412,7 @@ def homotopy_cocartesian_check(W, square: SimplicialMap, d: int = 1) -> bool:
     need = 1 + (d + 1) + 1  # join dim for the slice enumeration
     if X.effective_bound() < need:
         if X.category is None:
-            raise sx.BoundExceeded("square check needs dimension %d" % need)
+            raise BoundExceeded("square check needs dimension %d" % need)
         C = X.category
         f_m, g_m = cats.edge_morphism(C, X, leg1), cats.edge_morphism(C, X, leg2)
         J = ext.source
@@ -465,7 +473,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) ->
         {
             g: Pb0.key_of(
                 g[0],
-                (SimplexKey(g), sx.apply_degeneracy_word(d0vert, range(g[0] - 1, -1, -1))),
+                (SimplexKey(g), apply_degeneracy_word(d0vert, range(g[0] - 1, -1, -1))),
             )
             for g in AJ.sset.all_gens()
         },
@@ -506,7 +514,7 @@ def restriction_equivalence_check(X: SimplicialSet, A: SimplicialSet, d: int) ->
     fiber_reports = {}
     for w in Hsmall.gens(0):
         wk = SimplexKey(w)
-        keep = lambda k: r(k) == sx.apply_degeneracy_word(wk, range(k.dim - 1, -1, -1))
+        keep = lambda k: r(k) == apply_degeneracy_word(wk, range(k.dim - 1, -1, -1))
         F, _ = sx.subcomplex(Colim, keep, d)
         fiber_reports[wk] = hl.weak_contractibility_report(F, d)
     report["fibers"] = fiber_reports

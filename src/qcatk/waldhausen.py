@@ -14,7 +14,6 @@ from typing import Optional
 from . import quasicat as qc
 from . import simplicial as sx
 from .cats import (
-    FinCategory,
     edge_morphism,
     functor_from_nerve_map,
     functor_equivalence_report,
@@ -22,7 +21,8 @@ from .cats import (
     nerve_key_for_string,
     one_full_subnerve,
 )
-from .simplicial import SimplexKey, SimplicialMap, SimplicialSet
+from .fincat import FinCategory
+from .ssets import SimplexKey, SimplicialMap, SimplicialSet, apply_degeneracy_word
 
 
 class WaldhausenData:
@@ -240,7 +240,7 @@ def cof_ho_equivalence(G: ExactFunctorData) -> dict:
         base = t_index.get(SimplexKey(img.gen))
         if base is None:
             raise ValueError(f"image {img} leaves the cofibration subcomplex")
-        return sx.apply_degeneracy_word(base, img.degens)
+        return apply_degeneracy_word(base, img.degens)
 
     return functor_equivalence_report(qc.induced_ho_functor(ho_s, ho_t, push))
 

@@ -7,12 +7,12 @@ from __future__ import annotations
 import random
 
 from .cats import (
-    FinCategory,
     FinFunctor,
     cyclic_group_category,
     monoid_category,
     poset_category,
 )
+from .fincat import FinCategory
 from .waldhausen import nerve_waldhausen
 
 

@@ -10,6 +10,7 @@ from qcatk import joinslice as js
 from qcatk import ktheory as kt
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk import statements as stm
 from qcatk.cats import (
     FinFunctor,
@@ -20,7 +21,7 @@ from qcatk.cats import (
 )
 from qcatk.homology import AbelianGroupPresentation, group_from_relations
 from qcatk.sconstruction import forgetful_maps
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     admits_factorization,
@@ -100,7 +101,7 @@ def test_04_spine_maps_into_nerves_extend_uniquely():
             S = sx.spine(n)
             D = sx.delta(n)
             inc = sx.delta_inclusion(S, D, lambda v: v)
-            with sx.budget(10**7):
+            with ss.budget(10**7):
                 spine_maps = sx.enumerate_maps(S, N)
                 simplex_maps = sx.enumerate_maps(D, N)
             restrictions = {}
@@ -175,7 +176,7 @@ def test_08_approximation_check_with_negative_control():
     W_all = nerve_waldhausen(C, 1, list(C.morphisms), 2,
                              universe={"bounded": True, "note": "all marked"})
     N = W.underlying
-    ident = sx.SimplicialMap(N, W_all.underlying,
+    ident = ss.SimplicialMap(N, W_all.underlying,
                              {g: SimplexKey(g) for g in N.all_gens()})
     bad = kt.approximation_verify(ExactFunctorData(ident, W, W_all))
     assert not bad["applicable"] and bad["conclusion"] is None
@@ -184,7 +185,7 @@ def test_08_approximation_check_with_negative_control():
 
 def test_09_comma_fibre_check_on_equivalences_and_a_failure():
     N = nerve(chain_poset(2), 3)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     assert stm.quillen_a_verify(ident, 2)["verdict"] == "pass"
     I2 = indiscrete_category(range(2))
     P = chain_poset(0)
@@ -200,11 +201,11 @@ def test_09_comma_fibre_check_on_equivalences_and_a_failure():
 
 def _promotable_pairs(X, n):
     P = sx.product(sx.spine(n), sx.delta(1), n + 1).sset
-    with sx.budget(10**7):
+    with ss.budget(10**7):
         maps = sx.enumerate_maps(P, X)
     S, D1 = P.family.X, P.family.Y
     comp = P.key_of(1, (
-        sx.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0),
+        ss.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0),
         SimplexKey(D1.gen_of_label((0, 1))),
     ))
     return P, [(a, b) for a in maps for b in maps

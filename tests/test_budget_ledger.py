@@ -1,5 +1,5 @@
 """One budget mechanism: no library function takes a budget parameter, only
-the ledger in ``simplicial`` constructs ``BudgetExceeded``, and both searches
+the ledger in ``ssets`` constructs ``BudgetExceeded``, and both searches
 charge it.  A check charges one ledger for all of its searches."""
 
 import ast
@@ -9,6 +9,7 @@ import pytest
 
 from qcatk import lifting as lf
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk.cats import cyclic_group_category, nerve
 
 from test_lifting import kronecker_with_homotopy
@@ -53,32 +54,32 @@ def test_only_the_ledger_constructs_budget_exceeded():
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if name == "BudgetExceeded":
                 sites.append(where)
-    assert sites == ["simplicial._Ledger.overrun"]
+    assert sites == ["ssets._Ledger.overrun"]
 
 
 def test_an_isomorphism_search_charges_the_ledger():
     X = nerve(cyclic_group_category(3), 2)
-    with sx.budget() as ledger:
+    with ss.budget() as ledger:
         assert sx.iso_check(X, X, 2) is not None
     nodes = ledger.used
     assert nodes > 1
-    with sx.budget(nodes):
+    with ss.budget(nodes):
         assert sx.iso_check(X, X, 2) is not None
-    with sx.budget(nodes - 1), pytest.raises(sx.BudgetExceeded) as exc:
+    with ss.budget(nodes - 1), pytest.raises(ss.BudgetExceeded) as exc:
         sx.iso_check(X, X, 2)
     assert exc.value.attempted == nodes
 
 
 def test_searches_in_one_block_share_its_ledger():
     N = nerve(cyclic_group_category(3), 2)
-    with sx.budget() as ledger:
+    with ss.budget() as ledger:
         sx.enumerate_maps(sx.spine(2), N)
     once = ledger.used
-    with sx.budget(2 * once) as ledger:
+    with ss.budget(2 * once) as ledger:
         sx.enumerate_maps(sx.spine(2), N)
         sx.enumerate_maps(sx.spine(2), N)
     assert ledger.used == 2 * once
-    with sx.budget(2 * once - 1), pytest.raises(sx.BudgetExceeded):
+    with ss.budget(2 * once - 1), pytest.raises(ss.BudgetExceeded):
         sx.enumerate_maps(sx.spine(2), N)
         sx.enumerate_maps(sx.spine(2), N)
     # outside any block each search has a ledger of its own
@@ -87,12 +88,12 @@ def test_searches_in_one_block_share_its_ledger():
 
 def test_the_budget_bounds_the_whole_components_check():
     X = kronecker_with_homotopy()
-    with sx.budget() as ledger:
+    with ss.budget() as ledger:
         rep = lf.components_hypothesis_check(X)
     assert rep["pairs_with_homotopic_components"] == 1
     nodes = ledger.used
-    with sx.budget(nodes):
+    with ss.budget(nodes):
         assert lf.components_hypothesis_check(X) == rep
-    with sx.budget(nodes - 1), pytest.raises(sx.BudgetExceeded) as exc:
+    with ss.budget(nodes - 1), pytest.raises(ss.BudgetExceeded) as exc:
         lf.components_hypothesis_check(X)
     assert exc.value.attempted == nodes

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatk import families as fm
+from qcatk import fincat
 from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk import zoo
 from qcatk.cats import (
-    FinCategory,
     FinFunctor,
     cyclic_group_category,
     full_subcategory,
@@ -23,14 +23,14 @@ from qcatk.cats import (
     groupoid_core,
     map_category,
     nerve,
-    nerve_face_rows,
     nerve_functor_map,
     pointed_sets_category,
     poset_category,
     wide_subcategory,
 )
+from qcatk.fincat import FinCategory, nerve_face_rows
 from qcatk.sconstruction import ar_poset, f_n, s_n, s_structure_functor
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import pointed_sets_waldhausen
 from qcatk.zoo import (
     idempotent_monoid_category,
@@ -629,7 +629,7 @@ def rows_by_name(C) -> dict:
 
 def test_category_files_round_trip_the_rows():
     for C, _ in _table_corpus():
-        D = io.parse_category(io.serialize_category(C))
+        D = fincat.parse_category(fincat.serialize_category(C))
         assert_rows_in_order(D)
         assert rows_by_name(D) == rows_by_name(C)
 

@@ -13,8 +13,9 @@ import sys
 
 import pytest
 
+from qcatk import ssets as ss
 import qcatk
-from qcatk import cli, io
+from qcatk import cli, fincat, io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
@@ -48,8 +49,8 @@ def files(tmp_path):
     save("d1", io.serialize_sset(sx.delta(1)))
     save("d2", io.serialize_sset(sx.delta(2)))
     save("nz3", io.serialize_sset(nerve(cyclic_group_category(3), 3)))
-    save("z3", io.serialize_category(cyclic_group_category(3)))
-    save("chain2", io.serialize_category(chain_poset(2)))
+    save("z3", fincat.serialize_category(cyclic_group_category(3)))
+    save("chain2", fincat.serialize_category(chain_poset(2)))
     save("ps2", io.serialize_waldhausen(pointed_sets_waldhausen(2, 2)))
     save("dup", io.serialize_exact(pointed_sets_with_duplicate(2, 2)[1]))
     save("bdincl", io.serialize_map(
@@ -140,8 +141,8 @@ def test_a_map_that_is_not_exact_is_a_finding(files, capsys, argv):
     # one, is a simplicial map that does not preserve cofibrations
     S = maximal_marking_waldhausen(pointed_sets_category(2), 1, 2)
     T = pointed_sets_waldhausen(2)
-    ident = sx.SimplicialMap(S.underlying, T.underlying,
-                             sx.SimplicialMap.identity(S.underlying).assign)
+    ident = ss.SimplicialMap(S.underlying, T.underlying,
+                             ss.SimplicialMap.identity(S.underlying).assign)
     path = files["dir"] / "not_exact.json"
     path.write_text(io.dumps(io.serialize_exact(ExactFunctorData(ident, S, T))))
     code, rep = _run(capsys, [argv[0], str(path), *argv[1:]])
@@ -161,7 +162,7 @@ def test_a_simplicial_set_that_is_not_a_quasicategory_exits_one(files, capsys):
 
 def test_waldhausen_data_that_is_not_a_quasicategory_is_reported(files, capsys):
     path = files["dir"] / "horn_w.json"
-    W = WaldhausenData(sx.horn(2, 1), sx.SimplexKey((0, 0)), frozenset())
+    W = WaldhausenData(sx.horn(2, 1), ss.SimplexKey((0, 0)), frozenset())
     path.write_text(io.dumps(io.serialize_waldhausen(W)))
     code = main(["waldhausen-check", str(path)])
     captured = capsys.readouterr()
@@ -272,7 +273,7 @@ def _point_into_the_cyclic_nerve():
     """The exact-map document of the inclusion of N(Ps<=1) as the zero of
     N(Z/2): the source has a zero object, the target does not."""
     S, T = nerve_waldhausen(pointed_sets_category(1), 1, [], 2), cyclic_nerve_waldhausen(True)
-    point = sx.SimplicialMap(S.underlying, T.underlying, {(0, 0): T.zero})
+    point = ss.SimplicialMap(S.underlying, T.underlying, {(0, 0): T.zero})
     return io.serialize_exact(ExactFunctorData(point, S, T))
 
 
@@ -310,10 +311,10 @@ def test_approx_reports_factorization_by_the_definition(files, capsys):
 
     def marking(W, drop):
         X = W.underlying
-        cof = frozenset(sx.SimplexKey(g) for g in X.gens(1)) - {drop}
+        cof = frozenset(ss.SimplexKey(g) for g in X.gens(1)) - {drop}
         return WaldhausenData(X, W.zero, cof, W.universe)
 
-    iso = sx.SimplexKey(G.target.underlying.gen_of_label(((("dup", (2, 2, (1,)), True, False)),)))
+    iso = ss.SimplexKey(G.target.underlying.gen_of_label(((("dup", (2, 2, (1,)), True, False)),)))
     doc = ExactFunctorData(G.themap, marking(G.source, None), marking(G.target, iso))
     path = files["dir"] / "unmarked_iso.json"
     path.write_text(io.dumps(io.serialize_exact(doc)))
@@ -341,7 +342,7 @@ def test_homotopy_categories_that_do_not_compose_are_findings(files, capsys, bui
     assert code == 1 and captured.out == ""
     assert json.loads(captured.err) == {"error": message}
     path.write_text(io.dumps(io.serialize_waldhausen(
-        WaldhausenData(X, sx.SimplexKey((0, 0)), frozenset()))))
+        WaldhausenData(X, ss.SimplexKey((0, 0)), frozenset()))))
     for command in ["waldhausen-check", "validate"]:
         code, rep = _run(capsys, [command, str(path)])
         assert code == 1
@@ -357,7 +358,7 @@ def test_report_payloads_convert_by_exact_type_first():
     class Name(str):
         pass
 
-    key = sx.SimplexKey((1, 0), (0,))
+    key = ss.SimplexKey((1, 0), (0,))
     report = {"key": key, "keys": [key, (key, 2.5)], "pair": Pair(1, key),
               "ordered": collections.OrderedDict(b=1, a=[None]), "set": {key},
               "name": Name("x"), "other": fractions.Fraction(1, 2), (0, 1): True,
@@ -366,7 +367,7 @@ def test_report_payloads_convert_by_exact_type_first():
         "key": repr(key), "keys": [repr(key), [repr(key), 2.5]], "pair": [1, repr(key)],
         "ordered": {"b": 1, "a": [None]}, "set": [repr(key)], "name": "x",
         "other": "Fraction(1, 2)", "(0, 1)": True, "sset": {"gens": [2, 1], "bound": None},
-        "category": io.serialize_category(chain_poset(1))}
+        "category": fincat.serialize_category(chain_poset(1))}
 
 
 def test_budget_exhaustion_exits_two(files, capsys):
@@ -408,10 +409,18 @@ def test_a_negative_dimension_bound_is_one_json_error(files, capsys, argv):
                                         "pointer": "/dim"}
 
 
-def test_missing_file_exits_one(files, capsys):
-    code = main(["validate", str(files["dir"] / "absent.json")])
-    capsys.readouterr()
+@pytest.mark.parametrize("where", ["missing", "directory-input", "directory-out"])
+def test_missing_file_exits_one(files, capsys, where):
+    # an input that cannot be read and a report path that cannot be written
+    # are findings, each one JSON error on stderr
+    argv = {"missing": ["validate", str(files["dir"] / "absent.json")],
+            "directory-input": ["validate", str(files["dir"])],
+            "directory-out": ["validate", files["d1"], "--out", str(files["dir"])]}[where]
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert list(json.loads(captured.err)) == ["error"]
 
 
 @pytest.mark.parametrize("content", [b'{"generators": [["a"]], "faces": {', b"\xff\xfe{}"])
@@ -428,7 +437,7 @@ def test_malformed_json_exits_one_with_a_pointer(files, capsys, content):
 def _mistyped_documents():
     face = {"bound": 1, "generators": [["a", "b"], ["e"]],
             "faces": {"e": [[["x"], []], ["a", []]]}}
-    cat = io.serialize_category(chain_poset(1))
+    cat = fincat.serialize_category(chain_poset(1))
     row, composite, identity = (copy.deepcopy(cat) for _ in range(3))
     row["compose"]["(1, 1)"] = [["(0, 1)", "(0, 1)"]]
     composite["compose"]["(1, 1)"]["(0, 1)"] = ["(0, 1)"]
@@ -485,39 +494,45 @@ def test_canonical_form_is_stable_under_validate(files, capsys):
 
 
 def test_importing_the_front_end_loads_no_checker(files):
-    # each command imports its checkers when it runs: a lift on a file without
-    # a category block loads no cats, ho no homology, the grid commands no
-    # joinslice, no command the paper checks, and nothing dataclasses
+    # each command imports its checkers when it runs: a nerve file is read,
+    # and its homotopy category and tau1 computed, by the two cores alone
+    # (ssets and fincat), without simplicial or cats; a lift on a file
+    # without a category block loads no category at all, ho no homology, the
+    # grid commands no joinslice, no command the paper checks, and nothing
+    # dataclasses
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcatk.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    checkers = ["cats", "families", "homology", "joinslice", "ktheory", "lifting",
-                "quasicat", "sconstruction", "statements", "waldhausen"]
+    checkers = ["cats", "families", "fincat", "homology", "joinslice", "ktheory", "lifting",
+                "quasicat", "sconstruction", "simplicial", "statements", "waldhausen"]
     loaded = (f"print([m for m in {checkers!r} if 'qcatk.' + m in sys.modules], "
               "[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     report = ["--out", str(files["dir"] / "report.json")]
-    # a nerve file read through its category block loads cats, and the same
-    # file without the block loads nothing more than a simplicial set does;
-    # quasicat imports cats only where it builds a category
+    # a nerve file read through its category block loads fincat, and the
+    # same file without the block loads nothing more than a simplicial set
+    # does; quasicat imports fincat only where it builds a category, and
+    # simplicial only where it builds shapes, horns or products
     plain = files["dir"] / "nz3-plain.json"
     plain.write_text(io.dumps({k: v for k, v in io.load_path(files["nz3"]).items()
                                if k != "category"}))
+    k0 = ("['cats', 'fincat', 'homology', 'ktheory', 'quasicat', 'sconstruction', "
+          "'simplicial', 'waldhausen'] []")
     commands = {
-        ("validate", files["nz3"]): "['cats'] []",
+        ("validate", files["nz3"]): "['fincat'] []",
         ("validate", str(plain)): "[] []",
-        ("tau1", files["nz3"]): "['cats', 'quasicat'] []",
+        ("tau1", files["nz3"]): "['fincat', 'quasicat'] []",
         ("tau1", str(plain)): "['quasicat'] []",
-        ("lift", files["bdincl"]): "['lifting'] []",
-        ("lift", files["nz3"], "--shape", "strong-replacement"): "['cats', 'lifting'] []",
-        ("ho", files["nz3"]): "['cats', 'quasicat'] []",
-        ("k0", files["ps2"]):
-            "['cats', 'homology', 'ktheory', 'quasicat', 'sconstruction', 'waldhausen'] []",
-        ("approx", files["dup"]):
-            "['cats', 'homology', 'ktheory', 'quasicat', 'sconstruction', 'waldhausen'] []",
+        ("ho", files["nz3"]): "['fincat', 'quasicat'] []",
+        ("lift", files["bdincl"]): "['lifting', 'simplicial'] []",
+        ("lift", files["nz3"], "--shape", "strong-replacement"):
+            "['fincat', 'lifting', 'simplicial'] []",
+        ("k0", files["ps2"]): k0,
+        ("approx", files["dup"]): k0,
         ("sconstruct", files["ps2"], "--n", "1"):
-            "['cats', 'quasicat', 'sconstruction', 'waldhausen'] []",
+            "['cats', 'fincat', 'quasicat', 'sconstruction', 'simplicial', 'waldhausen'] []",
         ("iterate", files["dup"], "--n", "1"):
-            "['cats', 'lifting', 'quasicat', 'sconstruction', 'waldhausen'] []",
+            "['cats', 'fincat', 'lifting', 'quasicat', 'sconstruction', 'simplicial', "
+            "'waldhausen'] []",
     }
     probes = {"import sys, qcatk.io, qcatk.cli; " + loaded: "[] []"}
     for argv, want in commands.items():
@@ -566,8 +581,11 @@ def test_every_traced_span_names_a_qcatk_attribute(monkeypatch):
             assert hasattr(obj, part), name
             obj = getattr(obj, part)
         # the tracer patches the namespaces of MODULES only, so a traced
-        # function must be defined where TRACED names it
-        assert obj.__module__ == f"qcatk.{module}", name
+        # function must be defined where TRACED names it; a traced method is
+        # patched on its class, which may be one of the two cores' that the
+        # module imports
+        homes = {f"qcatk.{module}"} | ({"qcatk.ssets", "qcatk.fincat"} if "." in attr else set())
+        assert obj.__module__ in homes, name
 
 
 def test_a_traced_command_records_its_spans(files, tmp_path):
@@ -607,7 +625,8 @@ def test_every_qcatk_name_the_benchmark_catalogue_imports_resolves():
                 or importlib.util.find_spec(f"{module}.{name}") is not None), f"{module}.{name}"
         obj = getattr(importlib.import_module(module), name, None)
         if obj is not None and not isinstance(obj, type(qcatk)):
-            assert obj.__module__ == module, f"{module}.{name}"
+            # defined there, or in one of the two cores that the module imports
+            assert obj.__module__ in (module, "qcatk.ssets", "qcatk.fincat"), f"{module}.{name}"
 
 
 def test_every_benchmark_report_keeps_its_recorded_digest(monkeypatch, tmp_path):
@@ -640,9 +659,9 @@ def _swapped_vertices_doc(exact):
     as a map file or, over Delta[1] marked along its edge, as an exact-map
     file."""
     D = sx.delta(1)
-    ident = sx.SimplicialMap.identity(D)
+    ident = ss.SimplicialMap.identity(D)
     if exact:
-        W = WaldhausenData(D, sx.SimplexKey((0, 0)), frozenset({sx.SimplexKey((1, 0))}))
+        W = WaldhausenData(D, ss.SimplexKey((0, 0)), frozenset({ss.SimplexKey((1, 0))}))
         doc = io.serialize_exact(ExactFunctorData(ident, W, W))
     else:
         doc = io.serialize_map(ident)

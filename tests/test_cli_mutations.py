@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatk import fincat
 from qcatk import io
 from qcatk import simplicial as sx
 from qcatk.cats import cyclic_group_category, nerve
@@ -34,7 +35,7 @@ def _without_category(doc):
 DOCUMENTS = {
     "simplex": io.serialize_sset(sx.delta(2)),
     "nerve": io.serialize_sset(nerve(cyclic_group_category(2), 3)),
-    "category": io.serialize_category(chain_poset(1)),
+    "category": fincat.serialize_category(chain_poset(1)),
     "map": io.serialize_map(sx.delta_inclusion(sx.boundary(1), sx.delta(1), lambda v: v)),
     "waldhausen": io.serialize_waldhausen(pointed_sets_waldhausen(2, 2)),
     "exact": io.serialize_exact(pointed_sets_with_duplicate(2, 2)[1]),

@@ -23,7 +23,7 @@ from qcatk.homology import (
     smith_normal_form,
     weak_contractibility_report,
 )
-from qcatk.simplicial import SimplexKey, SimplicialSet, UnionFind
+from qcatk.ssets import SimplexKey, SimplicialSet, UnionFind
 from qcatk.zoo import random_category
 from testlib import dense_group_from_relations, dense_smith_form
 

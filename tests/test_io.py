@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcatk import cats, io
+from qcatk import cats, fincat, io
 from qcatk import families as fm
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk.cats import cyclic_group_category, nerve, pointed_sets_category
 from qcatk.quasicat import ho_category
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import cof_subquasicategory, pointed_sets_waldhausen
 from qcatk.zoo import idempotent_monoid_category, pointed_sets_with_duplicate, random_category
 from testlib import chain_poset, string_route_nerve
@@ -116,7 +117,7 @@ def test_tampered_nerve_face_table_is_rejected():
 
 
 def naive_validate_nerve_structure(X, C, pointer):
-    """Oracle for ``cats.check_nerve_structure``: build the nerve of C by the
+    """Oracle for ``fincat.check_nerve_structure``: build the nerve of C by the
     string route and compare generator counts and face tables through the
     labels."""
     N = string_route_nerve(C, X.top_dim if X.bound is None else X.bound)
@@ -232,15 +233,15 @@ def test_nerve_file_checks_agree_with_the_rebuilding_oracles(seed, faults):
     for _ in range(faults):
         doc = _corrupt(doc, rng)
     got = _outcome(json.loads(json.dumps(doc)))
-    with mock.patch.object(cats, "check_nerve_structure", naive_validate_nerve_structure), \
-            mock.patch.object(sx.SimplicialSet, "check", naive_sset_check), \
-            mock.patch.object(cats, "nerve_from_document", _generic_route):
+    with mock.patch.object(fincat, "check_nerve_structure", naive_validate_nerve_structure), \
+            mock.patch.object(ss.SimplicialSet, "check", naive_sset_check), \
+            mock.patch.object(fincat, "nerve_from_document", _generic_route):
         want = _outcome(doc)
     assert got == want
 
 
 def _generic_route(*args):
-    """A stand-in for ``cats.nerve_from_document`` that always declines, so
+    """A stand-in for ``fincat.nerve_from_document`` that always declines, so
     that ``io.parse_sset`` takes the generic route."""
     return None
 
@@ -302,7 +303,7 @@ def _parsed(doc):
     except io.SchemaError as exc:
         return "rejected", str(exc), exc.pointer
     return ("accepted", X.n_gens, list(X.faces.items()), list(X.labels.items()), X.bound,
-            io.serialize_category(X.category))
+            fincat.serialize_category(X.category))
 
 
 @given(st.integers(0, 10**6), st.booleans())
@@ -314,7 +315,7 @@ def test_the_category_route_gives_the_generic_parse(seed, corrupt):
     if corrupt:
         doc = _corrupt_once(doc, rng)
     accepted = []
-    route = cats.nerve_from_document
+    route = fincat.nerve_from_document
 
     def spy(*args):
         X = route(*args)
@@ -322,9 +323,9 @@ def test_the_category_route_gives_the_generic_parse(seed, corrupt):
             accepted.append(X)
         return X
 
-    with mock.patch.object(cats, "nerve_from_document", spy):
+    with mock.patch.object(fincat, "nerve_from_document", spy):
         got = _parsed(json.loads(json.dumps(doc)))
-    with mock.patch.object(cats, "nerve_from_document", _generic_route):
+    with mock.patch.object(fincat, "nerve_from_document", _generic_route):
         want = _parsed(doc)
     assert got == want
     # the route takes every file it wrote; it may decline one that the
@@ -339,12 +340,12 @@ def test_the_category_route_takes_only_exact_integer_degeneracies():
     doc = json.loads(json.dumps(io.serialize_sset(nerve(cyclic_group_category(2), 2))))
     assert doc["faces"]["1|1"][1] == ["*", [0]]
     names = {(0, 0): "*", (1, 0): "1", (2, 0): "1|1"}
-    assert cats.nerve_from_document(doc, [1, 1, 1], names, "") is not None
+    assert fincat.nerve_from_document(doc, [1, 1, 1], names, "") is not None
     for value in (0.0, False):
         bad = json.loads(json.dumps(doc))
         bad["faces"]["1|1"][1] = ["*", [value]]
         assert bad == doc
-        assert cats.nerve_from_document(bad, [1, 1, 1], names, "") is None
+        assert fincat.nerve_from_document(bad, [1, 1, 1], names, "") is None
         # so the generic route decides: it rejects both
         assert _rejection(bad) == ("/faces/1|1/1/1",
                                    "degeneracies must be nonnegative integers")
@@ -366,7 +367,7 @@ def test_sset_check_agrees_with_the_face_oracle(seed, faults):
         row = list(faces[g])
         row[rng.randrange(len(row))] = rng.choice(X.simplices(g[0] - 1))
         faces[g] = tuple(row)
-    Y = sx.SimplicialSet(X.n_gens, faces, bound=X.bound)
+    Y = ss.SimplicialSet(X.n_gens, faces, bound=X.bound)
 
     def failure(check):
         try:
@@ -374,7 +375,7 @@ def test_sset_check_agrees_with_the_face_oracle(seed, faults):
         except ValueError as exc:
             return str(exc)
 
-    assert failure(sx.SimplicialSet.check) == failure(naive_sset_check)
+    assert failure(ss.SimplicialSet.check) == failure(naive_sset_check)
 
 
 def _z3_doc():
@@ -516,16 +517,16 @@ def test_generators_above_the_bound_are_rejected():
 
 def test_category_round_trip():
     C = chain_poset(2)
-    doc = io.serialize_category(C)
-    D = io.parse_category(doc)
+    doc = fincat.serialize_category(C)
+    D = fincat.parse_category(doc)
     assert len(D.objects) == len(C.objects)
     assert len(D.morphisms) == len(C.morphisms)
-    assert io.serialize_category(D) == doc
+    assert fincat.serialize_category(D) == doc
     _idem(doc)
 
 
 def test_identity_composites_may_be_left_out_of_a_category_file():
-    full = json.loads(io.dumps(io.serialize_category(pointed_sets_category(2))))
+    full = json.loads(io.dumps(fincat.serialize_category(pointed_sets_category(2))))
     ids = set(full["ids"].values())
     sparse = dict(full, compose={
         g: {f: h for f, h in row.items() if f not in ids}
@@ -536,26 +537,26 @@ def test_identity_composites_may_be_left_out_of_a_category_file():
 
 
 def test_a_morphism_named_in_two_hom_sets_is_rejected():
-    doc = io.serialize_category(chain_poset(1))
+    doc = fincat.serialize_category(chain_poset(1))
     doc["homs"]["0"]["0"].append("(0, 1)")
     with pytest.raises(io.SchemaError) as exc:
-        io.parse_category(doc)
+        fincat.parse_category(doc)
     assert exc.value.message == "morphism '(0, 1)' repeated"
 
 
 def test_a_composite_of_a_pair_that_does_not_compose_is_rejected():
-    doc = io.serialize_category(chain_poset(2))
+    doc = fincat.serialize_category(chain_poset(2))
     doc["compose"]["(0, 1)"]["(1, 2)"] = "(1, 2)"
     with pytest.raises(io.SchemaError) as exc:
-        io.parse_category(doc)
+        fincat.parse_category(doc)
     assert exc.value.pointer == "/compose/(0, 1)/(1, 2)"
 
 
 def test_a_missing_composite_of_two_non_identities_names_the_pair():
-    doc = io.serialize_category(chain_poset(2))
+    doc = fincat.serialize_category(chain_poset(2))
     del doc["compose"]["(1, 2)"]["(0, 1)"]
     with pytest.raises(io.SchemaError) as exc:
-        io.parse_category(doc)
+        fincat.parse_category(doc)
     assert exc.value.message == "category laws fail: ('(1, 2)', '(0, 1)')"
 
 
@@ -626,7 +627,7 @@ def test_detect_kind_covers_all_formats():
     _, G = pointed_sets_with_duplicate(2, 2)
     cases = {
         "sset": io.serialize_sset(sx.delta(1)),
-        "category": io.serialize_category(chain_poset(1)),
+        "category": fincat.serialize_category(chain_poset(1)),
         "waldhausen": io.serialize_waldhausen(W),
         "map": io.serialize_map(inc),
         "exact": io.serialize_exact(G),

@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 from qcatk import families as fm
 from qcatk import joinslice as js
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk import statements as stm
 from qcatk.cats import (
     cyclic_group_category,
     nerve,
     poset_category,
 )
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.zoo import indiscrete_category, random_category
 from testlib import chain_poset, slice_category, two_homotopic_edges
 
 
 def _vertex_map(X, v):
-    return sx.SimplicialMap(sx.delta(0), X, {(0, 0): v})
+    return ss.SimplicialMap(sx.delta(0), X, {(0, 0): v})
 
 
 def test_slice_of_a_simplex_over_a_vertex_is_a_simplex():
@@ -51,7 +52,7 @@ def test_over_quasicategory_of_a_nerve_is_the_slice_nerve():
 
 def test_comma_of_an_identity_is_the_over_object():
     N = nerve(chain_poset(2), 3)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     c = SimplexKey(N.gen_of_label(2))
     K, left, right = js.comma(ident, c, 2)
     O, _ = js.over_quasicategory(N, c, 2)
@@ -83,7 +84,7 @@ def test_colimiting_cocone_over_a_span_in_a_square_poset():
     C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
     N = nerve(C, 4)
     H = sx.horn(2, 0)
-    span = sx.SimplicialMap(H, N, {
+    span = ss.SimplicialMap(H, N, {
         H.gen_of_label((0,)): SimplexKey(N.gen_of_label(0)),
         H.gen_of_label((1,)): SimplexKey(N.gen_of_label(1)),
         H.gen_of_label((2,)): SimplexKey(N.gen_of_label(2)),

@@ -6,6 +6,7 @@ import pytest
 from qcatk import ktheory as kt
 from qcatk import sconstruction as sc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk import statements as stm
 from qcatk import waldhausen as wd
 from qcatk.cats import (
@@ -17,7 +18,7 @@ from qcatk.cats import (
     poset_category,
 )
 from qcatk.homology import AbelianGroupPresentation, group_from_relations
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     nerve_waldhausen,
@@ -121,7 +122,7 @@ def test_class_group_requires_dimension_two():
 
 def test_identities_pass_the_fibre_check():
     N = nerve(chain_poset(2), 3)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     rep = stm.quillen_a_verify(ident, 2)
     assert rep["verdict"] == "pass"
     assert rep["corroboration"]["agree"]
@@ -167,7 +168,7 @@ def test_a_fibre_with_a_loop_in_its_truncation_is_inconclusive():
 
 def test_main_comparison_hypotheses_and_conclusion():
     N = nerve(chain_poset(1), 3)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     rep = stm.main_technical_verify(ident, d=2)
     assert rep["hypotheses_hold"]
     assert rep["conclusion"]["agree"]
@@ -200,7 +201,7 @@ def test_a_source_without_a_coproduct_fails_the_colimit_hypothesis():
     # 24 diagrams: 4 objects, 16 ordered pairs and 4 identity arrows; the
     # pairs (0, 1) and (2, 3) have no colimit, in either order
     N = nerve(TWO_TOPS, 3)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     rep = stm.main_technical_verify(ident, d=2)
     assert rep["hypotheses"]["poset_colimits"] == {
         "diagrams_checked": 24, "without_colimit": 4, "not_preserved": 0, "ok": False}
@@ -259,7 +260,7 @@ def test_non_reflecting_map_yields_a_negative_hypothesis_report():
     W_all = nerve_waldhausen(C, 1, list(C.morphisms), 2,
                              universe={"bounded": True, "note": "all marked"})
     N = W.underlying
-    ident = sx.SimplicialMap(N, W_all.underlying,
+    ident = ss.SimplicialMap(N, W_all.underlying,
                              {g: SimplexKey(g) for g in N.all_gens()})
     G = ExactFunctorData(ident, W, W_all)
     rep = kt.approximation_verify(G)

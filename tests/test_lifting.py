@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk import statements as stm
 from qcatk.cats import (
-    FinCategory,
     FinFunctor,
     cyclic_group_category,
     full_subcategory,
     nerve,
     nerve_functor_map,
 )
-from qcatk.simplicial import SimplexKey
+from qcatk.fincat import FinCategory
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import ExactFunctorData, pointed_sets_waldhausen
 from qcatk.zoo import (
     idempotent_monoid_category,
@@ -64,10 +65,10 @@ def _parallel_pairs(X, n):
     last components agree up to homotopy (here: on the nose), along with the
     pairs whose last components differ."""
     P = sx.product(sx.spine(n), sx.delta(1), n + 1).sset
-    with sx.budget(10**7):
+    with ss.budget(10**7):
         maps = sx.enumerate_maps(P, X)
     S, D1 = P.family.X, P.family.Y
-    last = sx.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0)
+    last = ss.key_degeneracy(SimplexKey(S.gen_of_label((n,))), 0)
     edge = SimplexKey(D1.gen_of_label((0, 1)))
     comp = P.key_of(1, (last, edge))
     promotable, others = [], []
@@ -269,14 +270,14 @@ def with_two_simplices(C, extra):
     for row in extra:
         faces[(2, n_gens[2])] = tuple(row)
         n_gens[2] += 1
-    X2 = sx.SimplicialSet(n_gens, faces, bound=None)
+    X2 = ss.SimplicialSet(n_gens, faces, bound=None)
     degenerate = {X2.boundary_tuple(k) for k in X2.simplices(3)}
     B = sx.boundary(3)
     omit = [B.gen_of_label(tuple(v for v in range(4) if v != i)) for i in range(4)]
     rows = [r for r in (tuple(m.assign[g] for g in omit) for m in sx.enumerate_maps(B, X2))
             if r not in degenerate]
     faces.update({(3, i): r for i, r in enumerate(rows)})
-    return sx.SimplicialSet(n_gens + [len(rows)], faces, bound=3)
+    return ss.SimplicialSet(n_gens + [len(rows)], faces, bound=3)
 
 
 def kronecker_with_homotopy():
@@ -286,7 +287,7 @@ def kronecker_with_homotopy():
     C = kronecker_category()
     N = nerve(C, 2)
     f, g = (SimplexKey(N.gen_of_label((m,))) for m in ("f", "g"))
-    return with_two_simplices(C, [(sx.key_degeneracy(N.face(f, 0), 0), f, g)])
+    return with_two_simplices(C, [(ss.key_degeneracy(N.face(f, 0), 0), f, g)])
 
 
 def components_by_pairs(X, nbar=()):
@@ -303,7 +304,7 @@ def components_by_pairs(X, nbar=()):
     edge_cls = qc.homotopy_classes(X)
 
     def const(v, n):
-        return sx.apply_degeneracy_word(v, range(n - 1, -1, -1)) if n else v
+        return ss.apply_degeneracy_word(v, range(n - 1, -1, -1)) if n else v
 
     def endpoints(m):
         return tuple(
@@ -313,7 +314,7 @@ def components_by_pairs(X, nbar=()):
 
     def component(m, v):
         e = SimplexKey(D1.gen_of_label((0, 1)))
-        return m(Q1.key_of(1, (sx.key_degeneracy(SimplexKey(v), 0), e)))
+        return m(Q1.key_of(1, (ss.key_degeneracy(SimplexKey(v), 0), e)))
 
     def homotopy_exists(a, b):
         Q2 = sx.product(base, D2, needed).sset
@@ -366,8 +367,8 @@ def _homotopy_simplex(N, f, g, degenerate_face):
     """A 2-simplex from f to g with a degenerate face 0 (on the target) or
     face 2 (on the source)."""
     if degenerate_face == 0:
-        return (sx.key_degeneracy(N.face(f, 0), 0), f, g)
-    return (g, f, sx.key_degeneracy(N.face(f, 1), 0))
+        return (ss.key_degeneracy(N.face(f, 0), 0), f, g)
+    return (g, f, ss.key_degeneracy(N.face(f, 1), 0))
 
 
 _COMPONENT_BASES = {
@@ -437,7 +438,7 @@ def test_the_components_hypothesis_is_one_relative_search(monkeypatch):
 
 def test_identity_has_the_prism_lifting_property():
     N = nerve(cyclic_group_category(2), 3)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     rep = lf.rlp_check(ident, (), kind="prism")
     assert rep["verdict"] == "pass"
     assert rep["problems"] == 4
@@ -459,7 +460,7 @@ def test_group_nerve_has_the_strong_replacement_property():
 
 def test_strong_replacement_on_a_spine_shape():
     N = nerve(chain_poset(1), 4)
-    with sx.budget(10**7):
+    with ss.budget(10**7):
         rep = lf.rlp_check(N, (1,), kind="strong-replacement")
     assert rep["verdict"] == "pass"
     assert rep["problems"] == 10
@@ -509,7 +510,7 @@ def rlp_check_oracle(G, nbar=(), kind="prism"):
                             "witness": {"boundary": dict(u.assign),
                                         "below": dict(v.assign)}}
     else:
-        B = G.target if isinstance(G, sx.SimplicialMap) else G
+        B = G.target if isinstance(G, ss.SimplicialMap) else G
         Bd, _ = lf._boundary_subcomplex(P3, D2, strong=True)
         for u in _in_prism_order(P3, Bd, sx.enumerate_maps(Bd, B)):
             problems += 1
@@ -556,7 +557,7 @@ def test_lifting_checks_match_the_per_problem_oracle(seed, case, nbar, data):
     elif case == "collapse":
         _matches_the_oracle(_collapse(C, 2 + len(nbar)), nbar, "prism")
     elif case == "identity" or len(C.objects) == 1:
-        _matches_the_oracle(sx.SimplicialMap.identity(N), nbar, "prism")
+        _matches_the_oracle(ss.SimplicialMap.identity(N), nbar, "prism")
     else:
         drop = data.draw(st.integers(0, len(C.objects) - 1))
         _matches_the_oracle(_full_inclusion(C, drop, 2 + len(nbar)), nbar, "prism")
@@ -603,7 +604,7 @@ def test_a_lift_check_is_one_or_two_searches(monkeypatch):
     N = nerve(chain_poset(1), 3)
     assert lf.rlp_check(N, (1,), kind="strong-replacement")["problems"] == 10
     assert len(calls) == 1
-    assert lf.rlp_check(sx.SimplicialMap.identity(N), (1,), kind="prism")["verdict"] == "pass"
+    assert lf.rlp_check(ss.SimplicialMap.identity(N), (1,), kind="prism")["verdict"] == "pass"
     assert len(calls) == 3
 
 
@@ -611,23 +612,23 @@ def test_the_budget_bounds_the_whole_lift_check():
     # one search of 278 nodes, where the per-problem check makes 11 searches
     # of 563 nodes in all
     N = nerve(chain_poset(1), 3)
-    with sx.budget(278):
+    with ss.budget(278):
         assert lf.rlp_check(N, (1,), kind="strong-replacement")["verdict"] == "pass"
-    with sx.budget(10**6) as ledger:
+    with ss.budget(10**6) as ledger:
         assert rlp_check_oracle(N, (1,), kind="strong-replacement")["verdict"] == "pass"
     assert ledger.used == 563
-    with sx.budget(277), pytest.raises(sx.BudgetExceeded) as exc:
+    with ss.budget(277), pytest.raises(ss.BudgetExceeded) as exc:
         lf.rlp_check(N, (1,), kind="strong-replacement")
     assert exc.value.attempted == 278
 
 
 def test_the_budget_bounds_the_whole_prism_check():
     # the two relative searches of a prism check: 50 problems in 2,545 nodes
-    G = sx.SimplicialMap.identity(nerve(chain_poset(2), 3))
-    with sx.budget(2545) as ledger:
+    G = ss.SimplicialMap.identity(nerve(chain_poset(2), 3))
+    with ss.budget(2545) as ledger:
         rep = lf.rlp_check(G, (1,), kind="prism")
     assert (rep["verdict"], rep["problems"], ledger.used) == ("pass", 50, 2545)
-    with sx.budget(2544), pytest.raises(sx.BudgetExceeded) as exc:
+    with ss.budget(2544), pytest.raises(ss.BudgetExceeded) as exc:
         lf.rlp_check(G, (1,), kind="prism")
     assert exc.value.attempted == 2545
 
@@ -639,7 +640,7 @@ def test_the_budget_bounds_the_whole_prism_check():
 def test_identity_map_verifies_the_iterated_statement():
     W = pointed_sets_waldhausen(2, 2)
     N = W.underlying
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     G = ExactFunctorData(ident, W, W)
     rep = lf.higher_iterate_verify(G, (1,))
     assert rep["hypotheses_hold"]
@@ -661,6 +662,6 @@ def test_skeleton_inclusion_verifies_the_iterated_statement():
 def test_more_than_two_iterations_are_rejected():
     W = pointed_sets_waldhausen(2, 2)
     N = W.underlying
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     with pytest.raises(ValueError):
         lf.higher_iterate_verify(ExactFunctorData(ident, W, W), (1, 1, 1))

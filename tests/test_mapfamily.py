@@ -16,7 +16,7 @@ from qcatk import joinslice as js
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
 from qcatk.cats import nerve
-from qcatk.simplicial import SimplicialMap, apply_degeneracy_word
+from qcatk.ssets import SimplicialMap, apply_degeneracy_word
 from qcatk.zoo import random_category
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk.cats import (
     FinFunctor,
     cyclic_group_category,
@@ -19,7 +20,7 @@ from qcatk.cats import (
     nerve_functor_map,
     pointed_sets_category,
 )
-from qcatk.simplicial import NotQuasicategory, SimplexKey, UnionFind
+from qcatk.ssets import NotQuasicategory, SimplexKey, UnionFind
 from qcatk.waldhausen import WaldhausenData, admits_factorization
 from qcatk.zoo import idempotent_monoid_category, indiscrete_category, random_category
 from test_lifting import kronecker_with_homotopy
@@ -116,7 +117,7 @@ def test_homotopy_functor_equivalence_verdicts():
     # an isomorphism of nerves is an equivalence
     C = cyclic_group_category(2)
     N = nerve(C, 2)
-    ident = sx.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
+    ident = ss.SimplicialMap(N, N, {g: SimplexKey(g) for g in N.all_gens()})
     rep = qc.tau1_map_equivalence(ident)
     assert rep["equivalence"]
     # collapsing an indiscrete groupoid to the point is an equivalence
@@ -150,7 +151,7 @@ def test_a_degenerate_class_is_named_with_its_degeneracies():
     # a: 0 -> 1 and b: 1 -> 0 compose both to the identity of 0 and to a
     # loop c at 0
     v, (a, b, c) = SimplexKey((0, 0)), (SimplexKey((1, i)) for i in range(3))
-    X = sx.SimplicialSet([2, 3, 2], {(1, 0): (SimplexKey((0, 1)), v),
+    X = ss.SimplicialSet([2, 3, 2], {(1, 0): (SimplexKey((0, 1)), v),
                                      (1, 1): (v, SimplexKey((0, 1))),
                                      (1, 2): (v, v),
                                      (2, 0): (b, SimplexKey((0, 0), (0,)), a),
@@ -253,7 +254,7 @@ def _with_rows(N, rows, keep=None):
     faces = {g: N.faces[g] for g in N.gens(1)}
     rows = [N.faces[g] for g in kept] + list(rows)
     faces.update({(2, i): row for i, row in enumerate(rows)})
-    return sx.SimplicialSet([len(N.gens(0)), len(N.gens(1)), len(rows)], faces, bound=2)
+    return ss.SimplicialSet([len(N.gens(0)), len(N.gens(1)), len(rows)], faces, bound=2)
 
 
 def _random_rows(N, rng, k):
@@ -316,7 +317,7 @@ def test_homotopy_classes_match_the_all_simplices_oracle():
 def without_category(X):
     """X as a plain simplicial set: the same generators, faces, labels and
     bound, so ``ho_category`` takes its generic route."""
-    return sx.SimplicialSet(X.n_gens, X.faces, labels=X.labels, bound=X.bound)
+    return ss.SimplicialSet(X.n_gens, X.faces, labels=X.labels, bound=X.bound)
 
 
 NERVE_CATEGORIES = {"chain3": chain_poset(3), "z4": cyclic_group_category(4),
@@ -391,13 +392,13 @@ def test_ho_category_of_a_nerve_checks_the_identity_laws_of_its_category():
 def spy_on_simplices(monkeypatch):
     """Record the dimension of every ``SimplicialSet.simplices`` call."""
     calls = []
-    real = sx.SimplicialSet.simplices
+    real = ss.SimplicialSet.simplices
 
     def spy(self, n):
         calls.append(n)
         return real(self, n)
 
-    monkeypatch.setattr(sx.SimplicialSet, "simplices", spy)
+    monkeypatch.setattr(ss.SimplicialSet, "simplices", spy)
     return calls
 
 

@@ -8,6 +8,7 @@ import pytest
 from qcatk import io
 from qcatk import ktheory as kt
 from qcatk import sconstruction as sc
+from qcatk import ssets as ss
 from qcatk import zoo
 from qcatk import simplicial as sx
 from qcatk.cats import (
@@ -29,7 +30,7 @@ from qcatk.sconstruction import (
     s_n,
     s_structure_functor,
 )
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
@@ -336,7 +337,7 @@ def test_forgetful_functors_match_the_oracle(name, n):
     out = forgetful_maps(DIFF_INSTANCES[name], n)
     full, bar, seq = (out["levels"][k] for k in ("full", "restricted", "sequences"))
     K, Kbar, Kseq = full.shape, bar.shape, seq.shape
-    incl_bar = sx.SimplicialMap(Kbar, K, {g: Kbar.labels[g] for g in Kbar.all_gens()})
+    incl_bar = ss.SimplicialMap(Kbar, K, {g: Kbar.labels[g] for g in Kbar.all_gens()})
     transfer_bar = {g: Kbar.labels[g].gen for g in Kbar.gens(0)}
     bar_vgen = {K.labels[Kbar.labels[g].gen]: g for g in Kbar.gens(0)}
     bar_egen = {}
@@ -348,7 +349,7 @@ def test_forgetful_functors_match_the_oracle(name, n):
     emb_assign = {Kseq.gen_of_label((i,)): SimplexKey(bar_vgen[(0, i + 1)]) for i in range(n)}
     for i in range(1, n):
         emb_assign[Kseq.gen_of_label((i - 1, i))] = SimplexKey(bar_egen[((0, i), (0, i + 1))])
-    emb = sx.SimplicialMap(Kseq, Kbar, emb_assign)
+    emb = ss.SimplicialMap(Kseq, Kbar, emb_assign)
     transfer_seq = {g: bar_vgen[(0, Kseq.labels[g][0] + 1)] for g in Kseq.gens(0)}
     _assert_same_functor(out["full_to_restricted"]["functor"],
                          _oracle_restriction_functor(full, bar, incl_bar, transfer_bar))

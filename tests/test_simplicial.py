@@ -12,8 +12,9 @@ from qcatk import io
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk.cats import nerve, nerve_key_for_string, cyclic_group_category
-from qcatk.simplicial import SimplexKey
+from qcatk.ssets import SimplexKey
 from qcatk.zoo import random_category, random_poset
 from testlib import chain_poset, image_rows
 
@@ -27,7 +28,7 @@ from testlib import chain_poset, image_rows
 def test_degeneracy_words_stay_strictly_decreasing(word):
     k = SimplexKey((2, 0))
     for i in word:
-        k = sx.key_degeneracy(k, min(i, k.dim))
+        k = ss.key_degeneracy(k, min(i, k.dim))
     assert all(k.degens[i] > k.degens[i + 1] for i in range(len(k.degens) - 1))
     assert k.dim == 2 + len(k.degens)
 
@@ -99,12 +100,12 @@ def test_join_of_poset_nerves_is_associative(seed):
 
 def test_maps_are_equal_on_the_same_ends_and_values():
     X = sx.delta(1)
-    f, g = sx.SimplicialMap.identity(X), sx.SimplicialMap.identity(X)
+    f, g = ss.SimplicialMap.identity(X), ss.SimplicialMap.identity(X)
     assert f == g and hash(f) == hash(g) and len({f, g}) == 1
     # ends are compared by identity, values by key
-    assert f != sx.SimplicialMap(X, sx.delta(1), dict(f.assign))
-    v0 = sx.SimplexKey((0, 0))
-    assert f != sx.SimplicialMap(X, X, {**f.assign, (0, 1): v0})
+    assert f != ss.SimplicialMap(X, sx.delta(1), dict(f.assign))
+    v0 = ss.SimplexKey((0, 0))
+    assert f != ss.SimplicialMap(X, X, {**f.assign, (0, 1): v0})
 
 
 def test_join_with_empty_set_is_identity():
@@ -155,7 +156,7 @@ def subcomplex_by_materializing(X, keep, d):
     """Oracle for ``subcomplex``: materialize every kept simplex, degenerate
     ones included, and let the materialization find the nondegenerate ones."""
     S = sx.MaterializedSSet(_KeptSimplices(X, keep), d)
-    return S, sx.SimplicialMap(S, X, {g: S.labels[g] for g in S.all_gens()})
+    return S, ss.SimplicialMap(S, X, {g: S.labels[g] for g in S.all_gens()})
 
 
 def _subcomplex_source(rng, kind):
@@ -191,9 +192,9 @@ def test_subcomplex_matches_the_materialized_oracle(seed, kind, d):
 @pytest.mark.parametrize("X", [nerve(cyclic_group_category(2), 2), sx.product(
     nerve(chain_poset(1), 1), sx.delta(1), 1).sset], ids=["z2", "square"])
 def test_subcomplex_above_the_bound_raises_as_the_oracle_does(X):
-    with pytest.raises(sx.BoundExceeded) as got:
+    with pytest.raises(ss.BoundExceeded) as got:
         sx.subcomplex(X, lambda k: True, X.bound + 2)
-    with pytest.raises(sx.BoundExceeded) as want:
+    with pytest.raises(ss.BoundExceeded) as want:
         subcomplex_by_materializing(X, lambda k: True, X.bound + 2)
     assert str(got.value) == str(want.value)
 
@@ -324,14 +325,14 @@ def naive_enumerate_maps(K, X, fixed=None, budget=10**6, stats=None):
     assign = {}
 
     def image(key):
-        return sx.apply_degeneracy_word(assign[key.gen], key.degens)
+        return ss.apply_degeneracy_word(assign[key.gen], key.degens)
 
     def rec(pos):
         counter[0] += 1
         if counter[0] > budget:
-            raise sx.BudgetExceeded("map enumeration budget exceeded", counter[0])
+            raise ss.BudgetExceeded("map enumeration budget exceeded", counter[0])
         if pos == len(gens_in_order):
-            results.append(sx.SimplicialMap(K, X, {g: assign[g] for g in K.all_gens()}))
+            results.append(ss.SimplicialMap(K, X, {g: assign[g] for g in K.all_gens()}))
             return
         g = gens_in_order[pos]
         n = g[0]
@@ -425,7 +426,7 @@ def functor_enumerate_maps(K, X, fixed=None):
             else:
                 spine = [mor_of(e, ea, vo) for e in K.spine_of(SimplexKey(g))]
                 assign[g] = nerve_key_for_string(X, spine)
-        return sx.SimplicialMap(K, X, assign)
+        return ss.SimplicialMap(K, X, assign)
 
     results = []
 
@@ -462,7 +463,7 @@ def functor_enumerate_maps(K, X, fixed=None):
 
 def plain(N):
     """A nerve without its category block."""
-    return sx.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
+    return ss.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
 
 
 def search_outcome(search, K, X, fixed, budget):
@@ -472,9 +473,9 @@ def search_outcome(search, K, X, fixed, budget):
     try:
         if search is naive_enumerate_maps:
             return [m.assign for m in search(K, X, fixed=fixed, budget=budget)]
-        with sx.budget(budget):
+        with ss.budget(budget):
             return [m.assign for m in search(K, X, fixed=fixed)]
-    except sx.BudgetExceeded as exc:
+    except ss.BudgetExceeded as exc:
         return ("budget exceeded", exc.attempted)
 
 
@@ -548,7 +549,7 @@ def test_maps_come_in_lexicographic_order_when_boundaries_do_not_fix_simplices()
     # one vertex, one loop and two 2-simplices on the degenerate boundary, so a
     # 2-simplex searched before a later edge has two candidates
     v, s0 = SimplexKey((0, 0)), SimplexKey((0, 0), (0,))
-    X = sx.SimplicialSet([1, 1, 2], {(1, 0): (v, v), (2, 0): (s0, s0, s0), (2, 1): (s0, s0, s0)})
+    X = ss.SimplicialSet([1, 1, 2], {(1, 0): (v, v), (2, 0): (s0, s0, s0), (2, 1): (s0, s0, s0)})
     for make in SOURCES:
         K = make()
         stats = {}
@@ -595,7 +596,7 @@ def test_search_tries_each_edge_as_soon_as_its_endpoints_are_assigned():
     # early vertices is found only after all later vertices are tried
     # (1,235 nodes here)
     N = nerve(random_category(random.Random(14), 5), 3)
-    with sx.budget(280):
+    with ss.budget(280):
         assert len(sx.enumerate_maps(sx.spine(3), N)) == 39
 
 
@@ -605,19 +606,19 @@ def test_prism_boundary_search_tries_each_edge_after_its_endpoints():
     In, D2 = lf.spine_product((1,)), sx.delta(2)
     P3 = sx.product(In, D2, In.top_dim + 2).sset
     Bd, _ = lf._boundary_subcomplex(P3, D2, strong=False)
-    with sx.budget(4504):
+    with ss.budget(4504):
         assert len(sx.enumerate_maps(Bd, N)) == 184
 
 
 def test_search_into_a_truncated_nerve_respects_its_bound():
     N = nerve(cyclic_group_category(2), 2)
-    with pytest.raises(sx.BoundExceeded):
+    with pytest.raises(ss.BoundExceeded):
         sx.enumerate_maps(sx.delta(3), N)
 
 
 def test_enumeration_budget_is_enforced():
     N = nerve(cyclic_group_category(3), 2)
-    with sx.budget(2), pytest.raises(sx.BudgetExceeded):
+    with ss.budget(2), pytest.raises(ss.BudgetExceeded):
         sx.enumerate_maps(sx.spine(2), N)
 
 
@@ -701,10 +702,10 @@ def test_relative_search_counts_the_nodes_of_the_whole_search():
     assert len(found) == 27  # all boundaries, most with no filler
     # the root, 1 + 1 + 3 + 3 + 9 + 27 nodes over the boundary (one vertex,
     # three edges), and 9 for the fillers below the 9 boundaries that have one
-    with sx.budget(54) as ledger:
+    with ss.budget(54) as ledger:
         assert sx.relative_maps(K, N, inner)
     assert ledger.used == 54
-    with sx.budget(53), pytest.raises(sx.BudgetExceeded) as exc:
+    with ss.budget(53), pytest.raises(ss.BudgetExceeded) as exc:
         sx.relative_maps(K, N, inner)
     assert exc.value.attempted == 54
 
@@ -755,9 +756,9 @@ def two_discs():
     a, b, c = (SimplexKey((1, i)) for i in range(3))
     faces = {
         (1, 0): (v1, v0), (1, 1): (v2, v1), (1, 2): (v2, v0),
-        (2, 0): (b, c, a), (2, 1): (b, c, a), (2, 2): (a, a, sx.key_degeneracy(v0, 0)),
+        (2, 0): (b, c, a), (2, 1): (b, c, a), (2, 2): (a, a, ss.key_degeneracy(v0, 0)),
     }
-    X = sx.SimplicialSet([3, 3, 3], faces)
+    X = ss.SimplicialSet([3, 3, 3], faces)
     X.check()
     return X
 
@@ -847,11 +848,11 @@ def test_missing_outer_horn_filler_is_detected():
     v0 = SimplexKey(D.gen_of_label((0,)))
     v1 = SimplexKey(D.gen_of_label((1,)))
     e = SimplexKey(D.gen_of_label((0, 1)))
-    h = sx.SimplicialMap(H, D, {
+    h = ss.SimplicialMap(H, D, {
         H.gen_of_label((0,)): v0, H.gen_of_label((1,)): v1,
         H.gen_of_label((2,)): v0,
         H.gen_of_label((0, 1)): e,
-        H.gen_of_label((0, 2)): sx.key_degeneracy(v0, 0),
+        H.gen_of_label((0, 2)): ss.key_degeneracy(v0, 0),
     })
     h.check()
     assert sx.inner_horn_filler(D, h) is None
@@ -862,7 +863,10 @@ def test_missing_outer_horn_filler_is_detected():
 
 
 def test_iso_check_distinguishes_horn_from_boundary():
+    # equal top dimensions, unequal edge counts
     assert sx.iso_check(sx.horn(2, 1), sx.boundary(2), 2) is None
+    # different top dimensions
+    assert sx.iso_check(sx.delta(1), sx.delta(2), 2) is None
 
 
 def test_iso_check_matches_differently_built_models():

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from qcatk import io
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk import statements as stm
 from qcatk import waldhausen as wd
 from qcatk.cats import (
-    FinCategory,
     FinFunctor,
     cyclic_group_category,
     edge_morphism,
@@ -27,7 +27,8 @@ from qcatk.cats import (
     poset_category,
 )
 from qcatk.cli import main
-from qcatk.simplicial import SimplexKey
+from qcatk.fincat import FinCategory
+from qcatk.ssets import SimplexKey
 from qcatk.waldhausen import (
     ExactFunctorData,
     WaldhausenData,
@@ -270,7 +271,7 @@ def _ho_image(sub):
 def _cof_ho_outcome(G):
     try:
         return cof_ho_equivalence(G)
-    except (ValueError, sx.NotQuasicategory) as exc:
+    except (ValueError, ss.NotQuasicategory) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -310,7 +311,7 @@ def test_the_subnerve_route_matches_the_face_scan(seed, source, close, d):
         SimplexKey(X.gen_of_label((m,))) for m in sub))
     target_data = WaldhausenData(X, SimplexKey((0, 0)), frozenset(
         SimplexKey(X.gen_of_label((m,))) for m in marked))
-    G = ExactFunctorData(sx.SimplicialMap.identity(X), source_data, target_data)
+    G = ExactFunctorData(ss.SimplicialMap.identity(X), source_data, target_data)
     got = _cof_ho_outcome(G)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(wd, "one_full_subnerve", sx.one_full_subcomplex)
@@ -407,7 +408,7 @@ def _square_on_corners(N):
             for x, y in zip(d1.vertices(ka), d1.vertices(kb))
         ]
         assign[g] = key_for(verts)
-    square = sx.SimplicialMap(P, N, assign)
+    square = ss.SimplicialMap(P, N, assign)
     square.check()
     return square
 
@@ -431,9 +432,9 @@ def test_a_shallow_square_without_a_category_block_exceeds_the_bound():
     C = poset_category(range(4), lambda a, b: a == b or a == 0 or b == 3)
     W = maximal_marking_waldhausen(C, 0, 2)
     N = W.underlying
-    X = sx.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
+    X = ss.SimplicialSet(N.n_gens, N.faces, labels=N.labels, bound=N.bound)
     V = WaldhausenData(X, W.zero, W.cof)
-    with pytest.raises(sx.BoundExceeded) as exc:
+    with pytest.raises(ss.BoundExceeded) as exc:
         stm.homotopy_cocartesian_check(V, _square_on_corners(X))
     assert str(exc.value) == "square check needs dimension 4"
 
@@ -527,7 +528,7 @@ def test_non_reflecting_map_is_detected():
     W_all = nerve_waldhausen(C, 1, list(C.morphisms), 2,
                              universe={"bounded": True, "note": "all marked"})
     N = W.underlying
-    ident = sx.SimplicialMap(N, W_all.underlying,
+    ident = ss.SimplicialMap(N, W_all.underlying,
                              {g: SimplexKey(g) for g in N.all_gens()})
     G = ExactFunctorData(ident, W, W_all)
     rep = reflects_cofibrations(G)

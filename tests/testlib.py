@@ -9,14 +9,15 @@ no other user for them."""
 from qcatk import lifting as lf
 from qcatk import quasicat as qc
 from qcatk import simplicial as sx
+from qcatk import ssets as ss
 from qcatk.cats import (
-    FinCategory,
     cyclic_group_category,
     edge_morphism,
     nerve,
     nerve_key_for_string,
     poset_category,
 )
+from qcatk.fincat import FinCategory
 from qcatk.homology import AbelianGroupPresentation
 from qcatk.waldhausen import ExactFunctorData, WaldhausenData, nerve_waldhausen
 
@@ -262,24 +263,24 @@ def duplicate_comp_by_pairs(C: FinCategory, D: FinCategory) -> dict:
     return comp
 
 
-def nerve_faces(N: sx.SimplicialSet, s: tuple) -> tuple:
+def nerve_faces(N: ss.SimplicialSet, s: tuple) -> tuple:
     """Face keys of the nondegenerate nerve simplex with the composable
     spine string ``s`` of non-identity morphisms: d_0 drops the first
     morphism, d_n the last, and d_k composes s[k] after s[k - 1]."""
     C = N.category
     if len(s) == 1:
-        return (sx.SimplexKey(N.gen_of_label(C.tgt[s[0]])),
-                sx.SimplexKey(N.gen_of_label(C.src[s[0]])))
+        return (ss.SimplexKey(N.gen_of_label(C.tgt[s[0]])),
+                ss.SimplexKey(N.gen_of_label(C.src[s[0]])))
     # dropping an end morphism leaves a string with no identities
     inner = (
         nerve_key_for_string(N, s[: k - 1] + (C.compose_mor(s[k], s[k - 1]),) + s[k + 1 :])
         for k in range(1, len(s))
     )
-    return (sx.SimplexKey(N.gen_of_label(s[1:])), *inner,
-            sx.SimplexKey(N.gen_of_label(s[:-1])))
+    return (ss.SimplexKey(N.gen_of_label(s[1:])), *inner,
+            ss.SimplexKey(N.gen_of_label(s[:-1])))
 
 
-def string_route_nerve(C: FinCategory, d: int) -> sx.SimplicialSet:
+def string_route_nerve(C: FinCategory, d: int) -> ss.SimplicialSet:
     """Oracle for ``cats.nerve``: the strings of morphisms themselves, each
     layer sorted by ``repr``, and every face row from ``nerve_faces``."""
     nonid = [m for m in C.morphisms if m not in C.id_set]
@@ -292,7 +293,7 @@ def string_route_nerve(C: FinCategory, d: int) -> sx.SimplicialSet:
     labels = {(n, i): s[0] if n == 0 else s
               for n, layer in enumerate(strings) for i, s in enumerate(layer)}
     complete = (not nonid) if d == 0 else (not strings[d])
-    N = sx.SimplicialSet([len(layer) for layer in strings], {}, labels=labels,
+    N = ss.SimplicialSet([len(layer) for layer in strings], {}, labels=labels,
                          bound=None if complete else d, category=C)
     for n in range(1, len(strings)):
         for i, s in enumerate(strings[n]):
@@ -304,7 +305,7 @@ def image_rows(sub) -> dict:
     """A subcomplex with its inclusion, by its image: the image of each
     generator, with the images of its faces."""
     S, incl = sub
-    return {incl(sx.SimplexKey(g)): tuple(map(incl, S.faces.get(g, ()))) for g in S.all_gens()}
+    return {incl(ss.SimplexKey(g)): tuple(map(incl, S.faces.get(g, ()))) for g in S.all_gens()}
 
 
 def maximal_marking_waldhausen(C: FinCategory, zero_obj, d: int) -> WaldhausenData:
@@ -318,18 +319,18 @@ def cyclic_nerve_waldhausen(marked: bool) -> WaldhausenData:
 
 
 def identity_exact(W: WaldhausenData) -> ExactFunctorData:
-    return ExactFunctorData(sx.SimplicialMap.identity(W.underlying), W, W)
+    return ExactFunctorData(ss.SimplicialMap.identity(W.underlying), W, W)
 
 
 def two_simplex_set(n_vertices, edges, rows):
     """Bound-2 set on vertices 0..n-1 with the given edges (source, target)
     and 2-simplices (d0, d1, d2), each given by edge indices.  Returns the
     set and its edge keys."""
-    v = [sx.SimplexKey((0, i)) for i in range(n_vertices)]
-    e = [sx.SimplexKey((1, i)) for i in range(len(edges))]
+    v = [ss.SimplexKey((0, i)) for i in range(n_vertices)]
+    e = [ss.SimplexKey((1, i)) for i in range(len(edges))]
     faces = {(1, i): (v[t], v[s]) for i, (s, t) in enumerate(edges)}
     faces.update({(2, i): tuple(e[j] for j in row) for i, row in enumerate(rows)})
-    X = sx.SimplicialSet([n_vertices, len(edges), len(rows)], faces, bound=2)
+    X = ss.SimplicialSet([n_vertices, len(edges), len(rows)], faces, bound=2)
     X.check()
     return X, e
 
@@ -355,17 +356,17 @@ def two_homotopic_edges():
     (e', e, s0 p) and (e, e', s0 p)), and no 3-simplex: complete, but not a
     quasicategory (the inner horn with faces t, s0 e and s1 s0 p at 0, 1 and 3
     has no filler)."""
-    p, q, e, e2 = (sx.SimplexKey(g) for g in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    p, q, e, e2 = (ss.SimplexKey(g) for g in ((0, 0), (0, 1), (1, 0), (1, 1)))
     faces = {(1, 0): (q, p), (1, 1): (q, p),
-             (2, 0): (e2, e, sx.key_degeneracy(p, 0)), (2, 1): (e, e2, sx.key_degeneracy(p, 0))}
+             (2, 0): (e2, e, ss.key_degeneracy(p, 0)), (2, 1): (e, e2, ss.key_degeneracy(p, 0))}
     labels = dict(zip(((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)),
                       ("p", "q", "e", "e'", "s", "t")))
-    X = sx.SimplicialSet([2, 2, 2], faces, labels=labels)
+    X = ss.SimplicialSet([2, 2, 2], faces, labels=labels)
     X.check()
     return X
 
 
-def ho_equals_category(X: sx.SimplicialSet, C: FinCategory) -> bool:
+def ho_equals_category(X: ss.SimplicialSet, C: FinCategory) -> bool:
     """For a nerve X = N(C): the homotopy category is isomorphic to C via
     the labelling of vertices and edges."""
     ho = qc.ho_category(X)
@@ -382,7 +383,7 @@ def ho_equals_category(X: sx.SimplicialSet, C: FinCategory) -> bool:
     return True
 
 
-def prism_face(h: sx.SimplicialMap, P1: sx.MaterializedSSet, face: int) -> sx.SimplicialMap:
+def prism_face(h: ss.SimplicialMap, P1: sx.MaterializedSSet, face: int) -> ss.SimplicialMap:
     """Restriction of a prism homotopy I[n] x Delta[2] -> X along a face of
     Delta[2], as a map out of the given product I[n] x Delta[1].
 
@@ -395,4 +396,4 @@ def prism_face(h: sx.SimplicialMap, P1: sx.MaterializedSSet, face: int) -> sx.Si
     for g in P1.all_gens():
         kb, kd = P1.labels[g]
         assign[g] = h(lf._key_along(h.source, kb, [vmap[v] for v in lf._vertex_seq(D1, kd)]))
-    return sx.SimplicialMap(P1, h.target, assign)
+    return ss.SimplicialMap(P1, h.target, assign)
