@@ -77,7 +77,9 @@ class _JoinFamily(sx.Family):
 
 
 def join(A: SimplicialSet, B: SimplicialSet, d: int) -> sx._Span2:
-    J = MaterializedSSet(_JoinFamily(A, B), d, complete=(A.bound is None and B.bound is None))
+    # complete inputs have a complete join once d reaches dim A + dim B + 1
+    complete = A.bound is None and B.bound is None and d >= A.top_dim + B.top_dim + 1
+    J = MaterializedSSet(_JoinFamily(A, B), d, complete=complete)
     inclA = SimplicialMap(
         A, J, {g: J.key_of(g[0], ("a", SimplexKey(g))) for g in A.all_gens() if g[0] <= d}
     )

@@ -177,6 +177,10 @@ def weak_contractibility_report(X: SimplicialSet, d: int = None) -> dict:
         return {"verdict": "refuted", "reason": "empty", "dim": d}
     comps = pi0(X)
     if len(comps) > 1:
+        # without the edges (bound 0) the vertices may still be connected
+        if X.bound == 0:
+            return {"verdict": "inconclusive",
+                    "reason": f"pi0 of truncation has {len(comps)} elements", "dim": d}
         return {"verdict": "refuted", "reason": f"pi0 has {len(comps)} elements", "dim": d}
     g = h1(X)
     if g.is_trivial:

@@ -312,14 +312,13 @@ def _parse_checked_map(obj, source: SimplicialSet, target: SimplicialSet,
     missing = [s_names[g] for g in source.all_gens() if g not in assign]
     _expect(not missing, f"assignment missing generators {missing[:3]!r}", p_assign)
     f = SimplicialMap(source, target, assign)
-    # _parse_key checked the dimensions; the faces are named as in the file
-    for g in source.all_gens():
-        for i in range(g[0] + 1) if g[0] else ():
-            lhs, rhs = f(source.face(SimplexKey(g), i)), target.face(assign[g], i)
-            if lhs != rhs:
-                got, want = key_names(target, (lhs, rhs))
-                raise SchemaError(f"not a simplicial map: map fails d_{i} at generator "
-                                  f"{s_names[g]}: {got} != {want}", f"{p_assign}/{s_names[g]}")
+    try:
+        f.check()
+    except ValueError as exc:  # _parse_key checked the dimensions, so a face fails
+        g, i, lhs, rhs = exc.witness
+        got, want = key_names(target, (lhs, rhs))
+        raise SchemaError(f"not a simplicial map: map fails d_{i} at generator "
+                          f"{s_names[g]}: {got} != {want}", f"{p_assign}/{s_names[g]}") from None
     return f
 
 

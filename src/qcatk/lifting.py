@@ -263,6 +263,23 @@ def rlp_check(G, nbar=(), kind: str = "prism") -> dict:
 # iterated-level equivalence verification
 
 
+def _tau1_facts(G: ExactFunctorData) -> tuple[dict, bool, bool]:
+    """Whether G reflects cofibrations and whether its homotopy-category
+    functor and the cofibration variant are equivalences: these three facts,
+    and the reflection taken with each equivalence."""
+    from . import quasicat as qc
+    from .waldhausen import cof_ho_equivalence, reflects_cofibrations
+
+    facts = {
+        "reflects_cofibrations": reflects_cofibrations(G),
+        "tau1_equivalence": qc.tau1_map_equivalence(G.themap),
+        "tau1_cof_equivalence": cof_ho_equivalence(G),
+    }
+    reflects = facts["reflects_cofibrations"]["reflects"]
+    return (facts, reflects and facts["tau1_equivalence"]["equivalence"],
+            reflects and facts["tau1_cof_equivalence"]["equivalence"])
+
+
 def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2) -> dict:
     """Check the hypotheses of the iterated-level equivalence statement for
     an exact map and verify its conclusion directly on iterated
@@ -281,33 +298,19 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2) -> dict:
     marking.  The report states whether the observed conclusion is
     consistent with each variant of the statement.
     """
-    from . import quasicat as qc
     from .cats import functor_equivalence_report, nerve_functor_map
     from .sconstruction import f_n, level_functor
-    from .waldhausen import ExactFunctorData, cof_ho_equivalence, reflects_cofibrations
+    from .waldhausen import ExactFunctorData
 
     nbar = tuple(nbar)
     if len(nbar) > 2:
         raise ValueError("at most two iterations are supported")
-    hyp = {
-        "reflects_cofibrations": reflects_cofibrations(G),
-        "tau1_equivalence": qc.tau1_map_equivalence(G.themap),
-        "tau1_cof_equivalence": cof_ho_equivalence(G),
-        "components_source": [components_hypothesis_check(G.source.underlying)],
-        "components_target": [components_hypothesis_check(G.target.underlying)],
-    }
+    hyp, tau1_ok, tau1_cof_ok = _tau1_facts(G)
+    hyp["components_source"] = [components_hypothesis_check(G.source.underlying)]
+    hyp["components_target"] = [components_hypothesis_check(G.target.underlying)]
     comps_ok = all(r["verdict"] == "pass" for r in
                    hyp["components_source"] + hyp["components_target"])
-    hyp_hold = (
-        hyp["reflects_cofibrations"]["reflects"]
-        and hyp["tau1_equivalence"]["equivalence"]
-        and comps_ok
-    )
-    hyp_hold_cof = (
-        hyp["reflects_cofibrations"]["reflects"]
-        and hyp["tau1_cof_equivalence"]["equivalence"]
-        and comps_ok
-    )
+    hyp_hold, hyp_hold_cof = tau1_ok and comps_ok, tau1_cof_ok and comps_ok
 
     # build the iterated levels and the induced exact map between them
     cur = G
@@ -325,20 +328,8 @@ def higher_iterate_verify(G: ExactFunctorData, nbar, d: int = 2) -> dict:
             "functor": functor_equivalence_report(Ffin),
         })
 
-    conclusion = {
-        "levels": level_reports,
-        "reflects_cofibrations": reflects_cofibrations(cur),
-        "tau1_equivalence": qc.tau1_map_equivalence(cur.themap),
-        "tau1_cof_equivalence": cof_ho_equivalence(cur),
-    }
-    concl_ok = (
-        conclusion["reflects_cofibrations"]["reflects"]
-        and conclusion["tau1_equivalence"]["equivalence"]
-    )
-    concl_ok_cof = (
-        conclusion["reflects_cofibrations"]["reflects"]
-        and conclusion["tau1_cof_equivalence"]["equivalence"]
-    )
+    conclusion, concl_ok, concl_ok_cof = _tau1_facts(cur)
+    conclusion["levels"] = level_reports
     return {
         "nbar": nbar,
         "dim": d,

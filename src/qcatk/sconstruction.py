@@ -19,7 +19,7 @@ reduces to finite table checks.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import simplicial as sx
 from .cats import (
@@ -46,8 +46,9 @@ def ar_poset(n: int) -> FinCategory:
     return poset_category(elems, lambda a, b: a[0] <= b[0] and a[1] <= b[1])
 
 
+@cache
 def ar_nerve(n: int) -> SimplicialSet:
-    """Nerve of ar_poset(n), stored to dimension 2.
+    """Nerve of ar_poset(n) to dimension 2; one object per n, so shape maps compose.
 
     Maps out of a nerve are determined by vertices, edges, and the
     commutation constraints of the 2-simplices, so the 2-truncation carries
@@ -56,11 +57,12 @@ def ar_nerve(n: int) -> SimplicialSet:
     return nerve(ar_poset(n), 3 if n <= 1 else 2)
 
 
-def restricted_grid(n: int, ambient: SimplicialSet = None):
-    """Subcomplex of the arrow-poset nerve of simplices whose vertex chains
-    span at most one unit in each coordinate (the part of the nerve lying in
-    the product of the two spines).  Returns (grid, inclusion)."""
-    N = ambient if ambient is not None else ar_nerve(n)
+@cache
+def restricted_grid(n: int):
+    """Subcomplex of ``ar_nerve(n)`` of simplices whose vertex chains span
+    at most one unit in each coordinate (the part of the nerve lying in the
+    product of the two spines).  Returns (grid, inclusion), one pair per n."""
+    N = ar_nerve(n)
 
     def keep(key):
         vs = [N.labels[N.vertex(key, i).gen] for i in range(key.dim + 1)]
@@ -191,13 +193,12 @@ def _top_row_cofibration(level: _GridLevel, row, m):
     return True, None
 
 
-def s_n(W: WaldhausenData, n: int, d: int = 2,
-        shape: SimplicialSet = None) -> _GridLevel:
+def s_n(W: WaldhausenData, n: int, d: int = 2) -> _GridLevel:
     """Level n of the staircase construction: diagrams over the full arrow
     poset nerve with zero diagonal, marked top-to-right morphisms, and
     pushout squares; natural transformations between them; marking by
     top-row components plus pushout comparison maps."""
-    K = shape if shape is not None else ar_nerve(n)
+    K = ar_nerve(n)
     lv = _GridLevel(W, K, {g: K.labels[g] for g in K.gens(0)})
 
     def qualifies(mp):
@@ -242,12 +243,10 @@ def _count_dropped_rows(level: _GridLevel, n: int) -> int:
     return len(rows - present)
 
 
-def s_bar_n(W: WaldhausenData, n: int, d: int = 2,
-            ambient: SimplicialSet = None) -> _GridLevel:
+def s_bar_n(W: WaldhausenData, n: int, d: int = 2) -> _GridLevel:
     """Level n of the restricted construction: diagrams over the unit-square
     grid only, with conditions on adjacent squares."""
-    A = ambient if ambient is not None else ar_nerve(n)
-    K, _incl = restricted_grid(n, ambient=A)
+    A, K = ar_nerve(n), restricted_grid(n)[0]
     lv = _GridLevel(W, K, {g: A.labels[K.labels[g].gen] for g in K.gens(0)})
 
     def qualifies(mp):
@@ -345,12 +344,7 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2) -> dict:
     (``cats.nerve_functor_map`` of a functor and its levels' ``sset``)."""
     if n < 1:
         raise ValueError("comparison maps need n >= 1")
-    A = ar_nerve(n)
-    full = s_n(W, n, d, shape=A)
-    bar = s_bar_n(W, n, d, ambient=A)
-    seq = f_n(W, n - 1, d)
-
-    incl_bar = SimplicialMap(bar.shape, A, {g: bar.shape.labels[g] for g in bar.shape.all_gens()})
+    full, bar, seq = s_n(W, n, d), s_bar_n(W, n, d), f_n(W, n - 1, d)
     # the sequence i - 1 -> i is the top-row step (0, i) -> (0, i + 1)
     emb_assign = {seq.vgen[i]: SimplexKey(bar.vgen[(0, i + 1)]) for i in range(n)}
     for i in range(1, n):
@@ -359,7 +353,7 @@ def forgetful_maps(W: WaldhausenData, n: int, d: int = 2) -> dict:
 
     out = {"levels": {"full": full, "restricted": bar, "sequences": seq}}
     for name, src, tgt, shape_map in (
-        ("full_to_restricted", full, bar, incl_bar),
+        ("full_to_restricted", full, bar, restricted_grid(n)[1]),
         ("restricted_to_sequences", bar, seq, emb),
     ):
         F = level_functor(src, tgt, shape_map=shape_map)

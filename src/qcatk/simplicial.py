@@ -218,7 +218,10 @@ class _Span2:
 def product(X: SimplicialSet, Y: SimplicialSet, d: int) -> _Span2:
     for Z in (X, Y):
         Z.require_bound(d, "product")
-    P = MaterializedSSet(ProductFamily(X, Y), d, complete=(X.bound is None and Y.bound is None))
+    # complete inputs have a complete product once d reaches its top
+    # dimension, dim X + dim Y (Eilenberg-Zilber)
+    complete = X.bound is None and Y.bound is None and d >= X.top_dim + Y.top_dim
+    P = MaterializedSSet(ProductFamily(X, Y), d, complete=complete)
     p1 = SimplicialMap(P, X, {g: P.labels[g][0] for g in P.all_gens()})
     p2 = SimplicialMap(P, Y, {g: P.labels[g][1] for g in P.all_gens()})
     return _Span2(P, p1, p2)

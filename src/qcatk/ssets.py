@@ -127,18 +127,18 @@ class SimplicialMap:
         return apply_degeneracy_word(self.assign[key.gen], key.degens)
 
     def check(self) -> None:
-        """Verify the assignment commutes with all face maps on generators."""
-        for g in self.assign:
-            n = g[0]
-            if self(SimplexKey(g)).dim != n:
+        """Verify dimensions and faces generator by generator, in ``source.all_gens()``
+        order; a failing face raises ValueError with ``witness`` (g, i, lhs, rhs)."""
+        for g in self.source.all_gens():
+            img = self.assign[g]
+            if img.dim != g[0]:
                 raise ValueError(f"map does not preserve dimension at {g}")
-            if n == 0:
-                continue
-            for i in range(n + 1):
-                lhs = self(self.source.face(SimplexKey(g), i))
-                rhs = self.target.face(self(SimplexKey(g)), i)
+            for i in range(g[0] + 1) if g[0] else ():
+                lhs, rhs = self(self.source.face(SimplexKey(g), i)), self.target.face(img, i)
                 if lhs != rhs:
-                    raise ValueError(f"map fails d_{i} at generator {g}: {lhs} != {rhs}")
+                    exc = ValueError(f"map fails d_{i} at generator {g}: {lhs} != {rhs}")
+                    exc.witness = (g, i, lhs, rhs)
+                    raise exc
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""

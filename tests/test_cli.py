@@ -120,6 +120,21 @@ def test_the_join_of_two_nerves_validates(files, capsys):
     assert rep["valid"]
 
 
+def test_a_join_truncated_below_its_top_dimension_is_not_refuted(files, capsys):
+    """Delta[1] * Delta[0] is Delta[2]; at --dim 1 only its 1-skeleton is
+    written, so the file keeps bound 1 and H1 = Z of it refutes nothing."""
+    d0 = files["dir"] / "d0.json"
+    d0.write_text(io.dumps(io.serialize_sset(sx.delta(0))))
+    code, rep = _run(capsys, ["join", files["d1"], str(d0), "--dim", "1"])
+    assert code == 0
+    assert rep["sset"]["bound"] == 1
+    join_path = files["dir"] / "j.json"
+    join_path.write_text(io.dumps(rep["sset"]))
+    code, rep = _run(capsys, ["contractible", str(join_path)])
+    assert code == 0
+    assert rep["verdict"] == "inconclusive"
+
+
 def test_k0_emits_invariant_factors(files, capsys):
     code, rep = _run(capsys, ["k0", files["ps2"]])
     assert code == 0

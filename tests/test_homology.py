@@ -167,6 +167,32 @@ def test_contractibility_verdicts():
     assert rep["verdict"] == "refuted"
 
 
+@pytest.mark.parametrize("build, d", [
+    (lambda d: sx.product(sx.delta(1), sx.delta(1), d).sset, 1),
+    (lambda d: fm.join(sx.delta(0), sx.delta(0), d).sset, 0),
+    (lambda d: fm.join(sx.delta(1), sx.delta(0), d).sset, 1),
+], ids=["square-1", "join-points-0", "join-edge-point-1"])
+def test_a_truncation_below_the_top_dimension_is_never_refuted(build, d):
+    """Below dim X + dim Y (products) or dim A + dim B + 1 (joins) of
+    complete inputs, the result keeps its bound; the space is contractible,
+    so the report may only confirm to the bound or stay open.  One dimension
+    higher, each reaches its top dimension and is complete."""
+    X = build(d)
+    assert X.bound == d
+    assert weak_contractibility_report(X)["verdict"] in (f"confirmed-to-{d}", "inconclusive")
+    top = build(d + 1)
+    assert top.bound is None
+    assert weak_contractibility_report(top)["verdict"] == f"confirmed-to-{d + 1}"
+
+
+def test_several_vertices_at_bound_zero_leave_pi0_open():
+    rep = weak_contractibility_report(SimplicialSet([2], {}, bound=0))
+    assert rep["verdict"] == "inconclusive"
+    assert rep["reason"] == "pi0 of truncation has 2 elements"
+    # at bound 1 the edges are known, and there are none
+    assert weak_contractibility_report(SimplicialSet([2], {}, bound=1))["verdict"] == "refuted"
+
+
 # -- oracles: the kernel-basis H_1 and the unit-row edge-path group -------------
 
 

@@ -617,6 +617,25 @@ def test_incomplete_assignment_reports_the_assign_pointer():
     assert exc.value.pointer.startswith("/assign")
 
 
+def test_a_map_failing_at_two_generators_is_rejected_at_the_first_in_generator_order():
+    """The file lists the assignment in reverse; the error names the first
+    failing generator of ``source.all_gens()``, as the map's own check does."""
+    D = sx.delta(2)
+    assign = {g: SimplexKey(g) for g in reversed(D.all_gens())}
+    assign[(0, 2)] = SimplexKey((0, 0))  # edges 1.1 and 1.2 now fail d_0
+    f = ss.SimplicialMap(D, D, assign)
+    with pytest.raises(ValueError) as exc:
+        f.check()
+    assert exc.value.witness == ((1, 1), 0, SimplexKey((0, 0)), SimplexKey((0, 2)))
+    doc = json.loads(json.dumps(io.serialize_map(f)))
+    assert list(doc["assign"])[:3] == ["2.0", "1.2", "1.1"]
+    with pytest.raises(io.SchemaError) as exc:
+        io.parse_map(doc)
+    assert exc.value.pointer == "/assign/1.1"
+    assert str(exc.value).startswith("not a simplicial map: map fails d_0 at generator 1.1: "
+                                     "0.0 != 0.2")
+
+
 # ---------------------------------------------------------------------------
 # kind detection and canonical form
 
